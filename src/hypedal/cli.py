@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, constructions, io, singularity
+from . import __version__, constructions, io, jets, singularity
 from .constructions import EvoluteDegenerateError, PedalPointOnCurveError
 from .expr import EvalDomainError, ParseError
 from .frontal import CurveSingularError, DualUndeterminedError, LegendrePair
@@ -90,11 +90,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_pair(ns) -> LegendrePair:
+def _load_pair(ns):
+    """The curve file of `ns`, checked against the numeric options, and its pair."""
     curve = io.load_curve(ns.curve)
+    _check_numbers(ns, curve)
     if curve.has_dual():
-        return LegendrePair.from_curve(curve)
-    return LegendrePair.with_auto_dual(curve)
+        return curve, LegendrePair.from_curve(curve)
+    return curve, LegendrePair.with_auto_dual(curve)
+
+
+def _check_numbers(ns, curve) -> None:
+    samples = getattr(ns, "samples", None)
+    if samples is not None and samples < 2:
+        raise UsageError(f"--samples must be at least 2, got {samples}")
+    # curvature_jets evaluates one order above the requested one
+    top = jets.MAX_ORDER - 1
+    order = getattr(ns, "order", 0)
+    if not 0 <= order <= top:
+        raise UsageError(f"--order must be between 0 and {top}, got {order}")
+    s0 = getattr(ns, "s0", None)
+    a, b = curve.domain
+    if s0 is not None and not a <= s0 <= b:
+        raise UsageError(f"--s0 {s0!r} lies outside the curve's domain [{a!r}, {b!r}]")
 
 
 def _parse_point(text: str) -> MVec3:
@@ -107,11 +124,8 @@ def _parse_point(text: str) -> MVec3:
         raise UsageError(f"--point components must be numbers, got {text!r}") from None
 
 
-def _samples(ns, pair) -> int:
-    if getattr(ns, "samples", None):
-        return ns.samples
-    curve = io.load_curve(ns.curve)
-    return curve.samples
+def _samples(ns, curve) -> int:
+    return curve.samples if ns.samples is None else ns.samples
 
 
 def _emit(text: str, out) -> None:
@@ -127,8 +141,8 @@ def _sidecar_path(out) -> Path:
 
 
 def _cmd_check(ns) -> int:
-    pair = _load_pair(ns)
-    n = _samples(ns, pair)
+    curve, pair = _load_pair(ns)
+    n = _samples(ns, curve)
     report = pair.validate(samples=n, tol=ns.tol)
     print(f"legendre validation: {pair.name}")
     print(f"  samples: {report.samples}  tol: {report.tol:g}")
@@ -139,8 +153,8 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_curvatures(ns) -> int:
-    pair = _load_pair(ns)
-    n = _samples(ns, pair)
+    curve, pair = _load_pair(ns)
+    n = _samples(ns, curve)
     rows = []
     for s in _grid(pair.domain, n):
         try:
@@ -161,21 +175,21 @@ def _grid(domain, n):
 
 
 def _derived(ns, kind: str):
-    pair = _load_pair(ns)
+    curve, pair = _load_pair(ns)
     if kind == "pedal":
-        return pair, constructions.pedal(pair, _parse_point(ns.point))
+        return curve, pair, constructions.pedal(pair, _parse_point(ns.point))
     if kind == "orthotomic":
-        return pair, constructions.orthotomic(pair, _parse_point(ns.point))
+        return curve, pair, constructions.orthotomic(pair, _parse_point(ns.point))
     if kind == "evolute":
-        return pair, constructions.evolute(pair)
+        return curve, pair, constructions.evolute(pair)
     if kind == "caustic":
-        return pair, constructions.catacaustic(pair, _parse_point(ns.point))
+        return curve, pair, constructions.catacaustic(pair, _parse_point(ns.point))
     raise UsageError(f"unknown curve kind {kind!r}")
 
 
 def _cmd_derived(ns, kind: str) -> int:
-    pair, derived = _derived(ns, kind)
-    n = _samples(ns, pair)
+    curve, pair, derived = _derived(ns, kind)
+    n = _samples(ns, curve)
     tol = ns.tol if ns.tol is not None else 1e-7
 
     rows = []
@@ -245,10 +259,9 @@ def _figure(pair, derived_list, Q, n, singular) -> str:
 
 
 def _cmd_classify(ns) -> int:
-    pair = _load_pair(ns)
+    curve, pair = _load_pair(ns)
     Q = _parse_point(ns.point)
     report = singularity.classify_pedal(pair, Q, ns.s0, order=ns.order, tol=ns.tol)
-    curve = io.load_curve(ns.curve)
     doc = {
         "schema": io.SCHEMA_VERSION,
         "tool": "hypedal",
@@ -277,7 +290,7 @@ def _cmd_classify(ns) -> int:
 
 
 def _cmd_plot(ns) -> int:
-    pair = _load_pair(ns)
+    curve, pair = _load_pair(ns)
     kinds = [k.strip() for k in ns.kind.split(",") if k.strip()]
     if not kinds:
         raise UsageError("--kind must name at least one derived curve")
@@ -297,7 +310,7 @@ def _cmd_plot(ns) -> int:
             derived_list.append(constructions.catacaustic(pair, Q))
         else:
             raise UsageError(f"unknown curve kind {kind!r}")
-    n = _samples(ns, pair)
+    n = _samples(ns, curve)
     singular = derived_list[0].singular_points(samples=n) if derived_list else []
     _emit(_figure(pair, derived_list, Q, n, singular), ns.out)
     return 0

@@ -12,20 +12,30 @@ Grammar (EBNF, whitespace-insensitive)::
 Precedence is ^  >  unary -  >  * /  >  + -, with left associativity for
 binary - and /.  Exponents must be integer literals and there is no
 implicit multiplication ("2s" is a syntax error).  Parsed trees are
-immutable and evaluate either to floats or to truncated Taylor jets.
+immutable and evaluate either to floats, by walking the tree, or to
+truncated Taylor jets, through a compiled tape (see `_Tape`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from . import jets
-from .jets import Jet, JetDomainError
+from .jets import (
+    Jet, JetDomainError, div_coeffs, mul_coeffs, require_finite, sin_cos_coeffs,
+    sinh_cosh_coeffs, sqrt_coeffs,
+)
 from .minkowski import MVec3
 
 FUNCTIONS = ("sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")
 
 MAX_JET_ORDER = jets.MAX_ORDER
+
+# Base points whose tape values a ParametricCurve keeps, least recently used
+# first out.  On a round of the benchmark's autodual mix, 1, 2 and 4 entries
+# serve 2 %, 14 % and 36 % of the requests, and 8 entries no more than 4.
+JET_MEMO_SIZE = 4
 
 
 class ParseError(ValueError):
@@ -283,14 +293,284 @@ def eval_scalar(e: CurveExpr, s: float) -> float:
 
 
 def eval_jet(e: CurveExpr, s0: float, order: int) -> Jet:
+    base, degree = _tape_args(s0, order)
+    return _TapePoint(_Tape(((e,),)), base, degree).jets(0, order)[0]
+
+
+# -- the Taylor tape ---------------------------------------------------
+#
+# Jet evaluation compiles expression trees into one hash-consed DAG, a
+# straight-line Taylor program (Griewank & Walther, "Evaluating
+# Derivatives", ch. 13): equal subtrees become one node, and sin/cos or
+# sinh/cosh/tanh of one argument share one recurrence.  A node runs a
+# `jets` coefficient kernel on plain lists with the operands in the roles
+# that the `Jet` operators give them, constants lifted to (c, 0.0, ...) as
+# `Jet._lift` does, and checks its result for finiteness as a `Jet` does.
+# So every coefficient, the sign of zero included, and every exception are
+# those of `_eval` on jets.  Constant subtrees fold at compile time to a
+# float, or to a node raising their error.  A node computes
+# `fn(values, x, y)`: x is a node id, y a second node id, a constant, a
+# function or a name.
+
+
+def _tape_args(s0, order: int) -> tuple[float, int]:
+    """The base point and the truncation degree, at least 1, a jet request runs at."""
     if order < 0:
         raise ValueError("jet order must be non-negative")
     if order > MAX_JET_ORDER:
         raise ValueError(f"jet order {order} exceeds the configured maximum {MAX_JET_ORDER}")
-    result = _eval(e, Jet.variable(float(s0), max(order, 1)))
-    if not isinstance(result, Jet):
-        result = Jet.constant(result, float(s0), max(order, 1))
-    return result.truncate(order)
+    base = float(s0)
+    if not math.isfinite(base):
+        raise ValueError("non-finite jet base")
+    return base, max(order, 1)
+
+
+def _k_neg(v, x, y):
+    return [-a for a in v[x]]
+
+
+def _k_add(v, x, y):
+    return require_finite([a + b for a, b in zip(v[x], v[y])])
+
+
+def _k_sub(v, x, y):
+    return require_finite([a - b for a, b in zip(v[x], v[y])])
+
+
+def _k_mul(v, x, y):
+    return require_finite(mul_coeffs(v[x], v[y]))
+
+
+def _k_div(v, x, y):
+    return require_finite(div_coeffs(v[x], v[y]))
+
+
+# (c, 0.0, ...) at the degree of node x, which runs first
+def _k_lift(v, x, c):
+    return [c] + [0.0] * (len(v[x]) - 1)
+
+
+# jet * c and c * jet: in the Cauchy product of the jet with (c, 0.0, ...)
+# every term but a_i * c is a signed zero, and each sum starts from +0.0
+def _k_scale(v, x, c):
+    return require_finite([a * c + 0.0 for a in v[x]])
+
+
+def _k_sqrt(v, x, y):
+    return require_finite(sqrt_coeffs(v[x]))
+
+
+def _k_pair(v, x, kernel):
+    return kernel(v[x])
+
+
+# `Jet` builds, and so checks, both halves of a sin/cos or sinh/cosh pair
+def _k_half(v, x, i):
+    pair = v[x]
+    require_finite(pair[0])
+    require_finite(pair[1])
+    return pair[i]
+
+
+def _k_tanh(v, x, y):
+    s, c = v[x]
+    return require_finite(div_coeffs(require_finite(s), require_finite(c)))
+
+
+# any other function of `jets.ELEMENTARY`, on a `Jet` (node 0 is s)
+def _k_call(v, x, name):
+    return list(jets.ELEMENTARY[name](Jet(v[0][0], tuple(v[x]))).coeffs)
+
+
+def _k_abs(v, x, y):
+    raise EvalDomainError("abs is not differentiable and cannot be evaluated on jets")
+
+
+def _k_raise(v, x, exc):
+    raise exc.with_traceback(None)
+
+
+_BINARY = {"+": _k_add, "-": _k_sub, "*": _k_mul}  # any other operator divides, as in _eval
+_HALVES = {"sin": (sin_cos_coeffs, 0), "cos": (sin_cos_coeffs, 1),
+           "sinh": (sinh_cosh_coeffs, 0), "cosh": (sinh_cosh_coeffs, 1)}
+
+
+class _Const:
+    """A constant subtree, folded to its value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class _Tape:
+    """The jet program of groups of expression trees, e.g. a curve's r and v.
+
+    Node 0 is s.  `outputs[g]` holds the nodes of group g's trees and
+    `programs[g]` the steps (node, fn, x, y) computing them, in the order in
+    which walking the trees one after another reaches them, so the first
+    failing step raises what that walk would.
+    """
+
+    def __init__(self, groups):
+        self.steps = [None]
+        self.deps = [()]
+        self.calls = {}  # node -> (function name, argument node), for error messages
+        self._index = {}
+        self.outputs = [tuple(self._output(e) for e in trees) for trees in groups]
+        self.programs = [self._program(roots) for roots in self.outputs]
+        if len(groups) == 2:
+            # what is left of one group once the other has run
+            self.rest = [self._program(self.outputs[0], self.outputs[1]),
+                         self._program(self.outputs[1], self.outputs[0])]
+
+    def _add(self, fn, x, y, deps):
+        self.steps.append((fn, x, y))
+        self.deps.append(deps)
+        return len(self.steps) - 1
+
+    def _node(self, fn, x, y=None, call=None):
+        key = (fn, x, y.hex() if isinstance(y, float) else y)
+        node = self._index.get(key)
+        if node is None:
+            deps = (x, y) if fn in (_k_add, _k_sub, _k_mul, _k_div) else (x,)
+            node = self._index[key] = self._add(fn, x, y, deps)
+        if call is not None:
+            self.calls[node] = call
+        return node
+
+    def _fail(self, exc, dep=None):
+        return self._add(_k_raise, dep, exc, () if dep is None else (dep,))
+
+    def _fold(self, e):
+        try:
+            return _Const(_eval(e, None))
+        except Exception as exc:  # raised, whatever it is, when evaluation reaches e
+            return self._fail(exc)
+
+    def _lifted(self, fn, x, value):
+        """`fn` of node x and the constant `value`, which must lift to a jet."""
+        try:
+            c = float(value)
+            require_finite((c,))
+        except (ValueError, OverflowError) as exc:
+            return self._fail(exc, x)
+        return self._node(fn, x, c)
+
+    def _output(self, e) -> int:
+        node = self._emit(e)
+        return self._lifted(_k_lift, 0, node.value) if isinstance(node, _Const) else node
+
+    def _emit(self, e):
+        """The node computing `e` on jets, or `e` folded to a constant."""
+        if isinstance(e, Var):
+            return 0
+        if isinstance(e, Neg):
+            a = self._emit(e.arg)
+            return self._fold(e) if isinstance(a, _Const) else self._node(_k_neg, a)
+        if isinstance(e, BinOp):
+            a = self._emit(e.left)
+            b = self._emit(e.right)
+            if isinstance(a, _Const) and isinstance(b, _Const):
+                return self._fold(e)
+            if e.op == "*" and isinstance(a, _Const):
+                return self._lifted(_k_scale, b, a.value)
+            if e.op == "*" and isinstance(b, _Const):
+                return self._lifted(_k_scale, a, b.value)
+            if isinstance(a, _Const):
+                a = self._lifted(_k_lift, b, a.value)
+            if isinstance(b, _Const):
+                b = self._lifted(_k_lift, a, b.value)
+            return self._node(_BINARY.get(e.op, _k_div), a, b)
+        if isinstance(e, Pow):
+            a = self._emit(e.base)
+            return self._fold(e) if isinstance(a, _Const) else self._pow(a, e.exponent)
+        if isinstance(e, Call):
+            a = self._emit(e.arg)
+            if isinstance(a, _Const):
+                return self._fold(e)
+            call = (e.name, a)
+            if e.name == "abs":
+                return self._node(_k_abs, a)
+            if e.name in _HALVES:
+                kernel, i = _HALVES[e.name]
+                return self._node(_k_half, self._node(_k_pair, a, kernel), i, call)
+            if e.name == "tanh":
+                return self._node(_k_tanh, self._node(_k_pair, a, sinh_cosh_coeffs), None, call)
+            if e.name == "sqrt":
+                return self._node(_k_sqrt, a, None, call)
+            return self._node(_k_call, a, e.name, call)
+        return self._fold(e)
+
+    def _pow(self, x, n):
+        """`Jet.__pow__`: binary powering from (1.0, 0.0, ...), then 1/(x^-n) for n < 0."""
+        if not isinstance(n, int):
+            return self._fail(TypeError("jet exponent must be an integer"), x)
+        result = self._node(_k_lift, x, 1.0)
+        square = x
+        k = abs(n)
+        while k:
+            if k & 1:
+                result = self._node(_k_mul, result, square)
+            k >>= 1
+            if k:
+                square = self._node(_k_mul, square, square)
+        if n < 0:
+            result = self._node(_k_div, self._node(_k_lift, result, 1.0), result)
+        return result
+
+    def _program(self, roots, computed=()):
+        done = {0}
+        order = []
+
+        def visit(nodes, out):
+            for node in nodes:
+                if node not in done:
+                    done.add(node)
+                    visit(self.deps[node], out)
+                    out.append(node)
+
+        visit(computed, [])
+        visit(roots, order)
+        return tuple((node,) + self.steps[node] for node in order)
+
+
+class _TapePoint:
+    """Node values of a tape at one base point and degree, filled group by group."""
+
+    __slots__ = ("tape", "base", "values", "done", "results")
+
+    def __init__(self, tape: _Tape, base: float, degree: int):
+        self.tape = tape
+        self.base = base
+        self.values = [None] * len(tape.steps)
+        self.values[0] = [base, 1.0] + [0.0] * (degree - 1)
+        self.done = set()
+        self.results = {}  # (group, order) -> what `ParametricCurve._jet` returned
+
+    def jets(self, group: int, order: int) -> tuple:
+        tape = self.tape
+        if group not in self.done:
+            self._run(tape.rest[group] if self.done else tape.programs[group])
+            self.done.add(group)
+        v = self.values
+        return tuple(Jet(self.base, tuple(v[node][: order + 1])) for node in tape.outputs[group])
+
+    def _run(self, program):
+        v = self.values
+        try:
+            for node, fn, x, y in program:
+                v[node] = fn(v, x, y)
+        except ValueError as exc:
+            call = self.tape.calls.get(node)
+            if call is None:
+                raise
+            # what _eval makes of a ValueError inside an elementary function
+            if isinstance(exc, JetDomainError):
+                raise EvalDomainError(str(exc)) from None
+            name, arg = call
+            raise EvalDomainError(f"domain error: {name}({Jet(self.base, tuple(v[arg]))!r})") from None
 
 
 def to_text(e: CurveExpr) -> str:
@@ -322,6 +602,11 @@ class ParametricCurve:
     `dual_components`, when present, define the unit spacelike dual curve
     that makes the pair Legendrian; otherwise the dual has to be derived
     numerically (see frontal.AutoDual).
+
+    `point_jet` and `dual_jet` run one tape compiled from all six trees on
+    first use, and keep the node values of the last `JET_MEMO_SIZE` base
+    points in a memo keyed on (s0, sign of s0, order), so r and v at one
+    point share their common subtrees and a repeated request costs a lookup.
     """
 
     name: str
@@ -329,6 +614,8 @@ class ParametricCurve:
     domain: tuple[float, float]
     dual_components: tuple[CurveExpr, CurveExpr, CurveExpr] | None = None
     samples: int = 1000
+    _tape: _Tape | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.domain
@@ -350,8 +637,26 @@ class ParametricCurve:
         return MVec3(eval_scalar(c[0], s), eval_scalar(c[1], s), eval_scalar(c[2], s))
 
     def point_jet(self, s0: float, order: int) -> MVec3:
-        c = self.components
-        return MVec3(eval_jet(c[0], s0, order), eval_jet(c[1], s0, order), eval_jet(c[2], s0, order))
+        return self._jet(0, s0, order)
+
+    def _jet(self, group: int, s0: float, order: int) -> MVec3:
+        base, degree = _tape_args(s0, order)
+        # 0.0 == -0.0, but the variable's constant coefficient keeps the sign
+        key = (base, math.copysign(1.0, base), degree)
+        point = self._memo.pop(key, None)
+        if point is None:
+            if self._tape is None:
+                groups = (self.components,) if self.dual_components is None else (
+                    self.components, self.dual_components)
+                object.__setattr__(self, "_tape", _Tape(groups))
+            point = _TapePoint(self._tape, base, degree)
+        result = point.results.get((group, order))
+        if result is None:
+            result = point.results[group, order] = MVec3(*point.jets(group, order))
+        if len(self._memo) >= JET_MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = point
+        return result
 
     def has_dual(self) -> bool:
         return self.dual_components is not None
@@ -365,5 +670,4 @@ class ParametricCurve:
     def dual_jet(self, s0: float, order: int) -> MVec3:
         if self.dual_components is None:
             raise ValueError(f"curve {self.name!r} has no explicit dual components")
-        c = self.dual_components
-        return MVec3(eval_jet(c[0], s0, order), eval_jet(c[1], s0, order), eval_jet(c[2], s0, order))
+        return self._jet(1, s0, order)

@@ -130,16 +130,7 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        n = self.order
-        out = [0.0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0.0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b[j]
-        return Jet(self.base, tuple(out))
+        return Jet(self.base, tuple(mul_coeffs(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 
@@ -147,19 +138,7 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        b = o.coeffs
-        scale = max(abs(c) for c in b)
-        if scale == 0.0 or abs(b[0]) <= _DIV_REL_TOL * scale:
-            raise JetDomainError("jet division by vanishing germ")
-        a = self.coeffs
-        n = self.order
-        q = [0.0] * (n + 1)
-        for i in range(n + 1):
-            acc = a[i]
-            for k in range(i):
-                acc -= q[k] * b[i - k]
-            q[i] = acc / b[0]
-        return Jet(self.base, tuple(q))
+        return Jet(self.base, tuple(div_coeffs(self.coeffs, o.coeffs)))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -184,43 +163,15 @@ class Jet:
         return result
 
     # -- elementary functions -------------------------------------------
-    #
-    # Each recurrence below propagates y = fn(u) from the defining ODE of
-    # fn; e.g. for y = sin(u), z = cos(u):  i*y_i = sum k u_k z_{i-k}.
 
     def sqrt(self) -> "Jet":
-        a = self.coeffs
-        if a[0] <= 0.0:
-            raise JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a[0]!r}")
-        n = self.order
-        y = [0.0] * (n + 1)
-        y[0] = math.sqrt(a[0])
-        for i in range(1, n + 1):
-            acc = a[i]
-            for k in range(1, i):
-                acc -= y[k] * y[i - k]
-            y[i] = acc / (2.0 * y[0])
-        return Jet(self.base, tuple(y))
+        return Jet(self.base, tuple(sqrt_coeffs(self.coeffs)))
 
     def recip(self) -> "Jet":
         return 1.0 / self
 
     def _sin_cos(self):
-        a = self.coeffs
-        n = self.order
-        s = [0.0] * (n + 1)
-        c = [0.0] * (n + 1)
-        s[0] = math.sin(a[0])
-        c[0] = math.cos(a[0])
-        for i in range(1, n + 1):
-            acc_s = 0.0
-            acc_c = 0.0
-            for k in range(1, i + 1):
-                ka = k * a[k]
-                acc_s += ka * c[i - k]
-                acc_c += ka * s[i - k]
-            s[i] = acc_s / i
-            c[i] = -acc_c / i
+        s, c = sin_cos_coeffs(self.coeffs)
         return Jet(self.base, tuple(s)), Jet(self.base, tuple(c))
 
     def sin(self) -> "Jet":
@@ -230,21 +181,7 @@ class Jet:
         return self._sin_cos()[1]
 
     def _sinh_cosh(self):
-        a = self.coeffs
-        n = self.order
-        s = [0.0] * (n + 1)
-        c = [0.0] * (n + 1)
-        s[0] = math.sinh(a[0])
-        c[0] = math.cosh(a[0])
-        for i in range(1, n + 1):
-            acc_s = 0.0
-            acc_c = 0.0
-            for k in range(1, i + 1):
-                ka = k * a[k]
-                acc_s += ka * c[i - k]
-                acc_c += ka * s[i - k]
-            s[i] = acc_s / i
-            c[i] = acc_c / i
+        s, c = sinh_cosh_coeffs(self.coeffs)
         return Jet(self.base, tuple(s)), Jet(self.base, tuple(c))
 
     def sinh(self) -> "Jet":
@@ -266,6 +203,105 @@ class Jet:
         for i in range(1, self.order + 1):
             y.append(q.coeffs[i - 1] / i)
         return Jet(self.base, tuple(y))
+
+
+# ---------------------------------------------------------------------
+# Coefficient kernels: the recurrences on plain sequences of Taylor
+# coefficients.  `Jet` wraps them, and the expression tape in
+# hypedal.expr runs them on lists directly, so both produce the same
+# floats.  Operands are finite and of one length; callers check results
+# with `require_finite`.
+# ---------------------------------------------------------------------
+
+
+def require_finite(coeffs):
+    """`coeffs`, once checked to be finite as `Jet` checks them."""
+    for c in coeffs:
+        if not math.isfinite(c):
+            raise ValueError("non-finite jet coefficient")
+    return coeffs
+
+
+def mul_coeffs(a, b) -> list:
+    """Truncated Cauchy product; `a` drives the loop and its zeros are skipped."""
+    n = len(a) - 1
+    out = [0.0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai == 0.0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def div_coeffs(a, b) -> list:
+    """Quotient a/b; refused when b vanishes at the base point."""
+    scale = max(abs(c) for c in b)
+    if scale == 0.0 or abs(b[0]) <= _DIV_REL_TOL * scale:
+        raise JetDomainError("jet division by vanishing germ")
+    n = len(a) - 1
+    q = [0.0] * (n + 1)
+    for i in range(n + 1):
+        acc = a[i]
+        for k in range(i):
+            acc -= q[k] * b[i - k]
+        q[i] = acc / b[0]
+    return q
+
+
+# Each recurrence below propagates y = fn(u) from the defining ODE of fn;
+# e.g. for y = sin(u), z = cos(u):  i*y_i = sum k u_k z_{i-k}.
+
+
+def sqrt_coeffs(a) -> list:
+    if a[0] <= 0.0:
+        raise JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a[0]!r}")
+    n = len(a) - 1
+    y = [0.0] * (n + 1)
+    y[0] = math.sqrt(a[0])
+    for i in range(1, n + 1):
+        acc = a[i]
+        for k in range(1, i):
+            acc -= y[k] * y[i - k]
+        y[i] = acc / (2.0 * y[0])
+    return y
+
+
+def sin_cos_coeffs(a) -> tuple:
+    n = len(a) - 1
+    s = [0.0] * (n + 1)
+    c = [0.0] * (n + 1)
+    s[0] = math.sin(a[0])
+    c[0] = math.cos(a[0])
+    for i in range(1, n + 1):
+        acc_s = 0.0
+        acc_c = 0.0
+        for k in range(1, i + 1):
+            ka = k * a[k]
+            acc_s += ka * c[i - k]
+            acc_c += ka * s[i - k]
+        s[i] = acc_s / i
+        c[i] = -acc_c / i
+    return s, c
+
+
+def sinh_cosh_coeffs(a) -> tuple:
+    n = len(a) - 1
+    s = [0.0] * (n + 1)
+    c = [0.0] * (n + 1)
+    s[0] = math.sinh(a[0])
+    c[0] = math.cosh(a[0])
+    for i in range(1, n + 1):
+        acc_s = 0.0
+        acc_c = 0.0
+        for k in range(1, i + 1):
+            ka = k * a[k]
+            acc_s += ka * c[i - k]
+            acc_c += ka * s[i - k]
+        s[i] = acc_s / i
+        c[i] = acc_c / i
+    return s, c
 
 
 # ---------------------------------------------------------------------

@@ -5,10 +5,13 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import CURVES
 from hypedal.expr import (
-    BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
-    Pow, Var, eval_jet, eval_scalar, parse, to_text,
+    JET_MEMO_SIZE, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
+    Pow, Var, _eval, _Tape, eval_jet, eval_scalar, parse, to_text,
 )
+from hypedal.io import load_curve
+from hypedal.jets import Jet
 
 
 def test_parse_and_eval_golden():
@@ -111,24 +114,32 @@ def test_jet_order_limit():
 
 # -- random expression properties -----------------------------------------
 
-_functions = st.sampled_from(["sqrt", "sin", "cos", "sinh", "cosh", "tanh"])
-
-
-def _exprs():
-    leaves = st.one_of(
-        st.builds(Num, st.floats(min_value=0.1, max_value=4.0, allow_nan=False)),
-        st.just(Var()),
-        st.just(Pi()),
-    )
+def _exprs(jet_ops=False):
+    """Random trees.  `jet_ops` adds /, sqrt, cos, sinh, tanh, negative
+    exponents and the constants 0 and 1e200, which reach every node kind of
+    the jet tape and most of the ways jet evaluation fails; the tolerance
+    tests below keep the smooth subset."""
+    numbers = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
+    if jet_ops:
+        numbers = numbers | st.sampled_from([0.0, 1e200])
+    variables = [st.just(Var())] * (3 if jet_ops else 1)
+    leaves = st.one_of(st.builds(Num, numbers), *variables, st.just(Pi()))
 
     def extend(children):
-        return st.one_of(
+        options = [
             st.builds(Neg, children),
             st.builds(BinOp, st.sampled_from(["+", "-", "*"]), children, children),
             st.builds(Pow, children, st.integers(min_value=0, max_value=4)),
             st.builds(Call, st.just("sin"), children),
             st.builds(Call, st.just("cosh"), children),
-        )
+        ]
+        if jet_ops:
+            options += [
+                st.builds(BinOp, st.just("/"), children, children),
+                st.builds(Pow, children, st.integers(min_value=-3, max_value=-1)),
+                st.builds(Call, st.sampled_from(["sqrt", "cos", "sinh", "tanh"]), children),
+            ]
+        return st.one_of(*options)
 
     return st.recursive(leaves, extend, max_leaves=12)
 
@@ -165,6 +176,87 @@ def test_jet_slope_matches_central_difference(e, s0):
     assume(max(abs(c) for c in j.coeffs) < 1e9)
     scale = max(1.0, abs(fd), max(abs(c) for c in j.coeffs))
     assert abs(j.coeffs[1] - fd) <= 1e-5 * scale
+
+
+# -- the jet tape against the tree walk ---------------------------------------
+
+
+def _walked(e, s0, order):
+    """The tree walked on `Jet` objects: the reference for the tape."""
+    width = max(order, 1)
+    result = _eval(e, Jet.variable(s0, width))
+    if not isinstance(result, Jet):
+        result = Jet.constant(result, s0, width)
+    return result.truncate(order)
+
+
+def _outcome(fn):
+    """Each coefficient by repr, so the sign of zero counts, or the exception."""
+    try:
+        j = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(j.base), [repr(c) for c in j.coeffs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exprs(jet_ops=True),
+       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+       st.sampled_from([0, 1, 2, 3, 17, 22, 23]))
+def test_tape_is_bit_identical_to_tree_walk(e, s0, order):
+    assert _outcome(lambda: eval_jet(e, s0, order)) == _outcome(lambda: _walked(e, s0, order))
+
+
+# a constant operand is lifted to (c, 0.0, ...): the zeros it adds or
+# subtracts, and the Cauchy product with it, fix the sign of zero coefficients
+@pytest.mark.parametrize("text", [
+    "1 - s", "s - 1", "1 + s", "s + 1", "2*s", "s*2", "0*s", "s*(-0.0)", "(-0.0) - s",
+    "s - (-0.0)", "1/(1 + s)", "(s - s)/2", "s^0", "s^1", "(-s)^2", "s^-1", "-s", "sin(s)^2",
+    "s*s - s^2", "2 - sqrt(1 + s*s)", "1/tanh(1 + s) - cosh(s)/sinh(2 + s)",
+])
+def test_tape_lifts_constants_like_jet(text):
+    e = parse(text)
+    for s0 in (0.0, -0.0, 0.5, -1.25):
+        for order in (0, 1, 3):
+            assert _outcome(lambda: eval_jet(e, s0, order)) == _outcome(lambda: _walked(e, s0, order))
+
+
+def test_first_non_finite_intermediate_raises():
+    # (s*1e200)^2 overflows.  Checked only at the output, the quotient would
+    # see an infinite divisor and refuse it as a vanishing germ instead.
+    e = parse("1/((s*1e200)*(s*1e200))")
+    for order in (0, 2):
+        assert _outcome(lambda: eval_jet(e, 0.5, order)) == (ValueError, "non-finite jet coefficient")
+    curve = ParametricCurve("overflow", (e, parse("s"), parse("s")), (0.0, 1.0))
+    with pytest.raises(ValueError, match="non-finite jet coefficient") as err:
+        curve.point_jet(0.5, 2)
+    assert type(err.value) is ValueError
+
+
+def test_tape_shares_equal_subtrees_and_sin_cos():
+    tape = _Tape(((parse("sin(s)*cos(s) + sin(s)*cos(s)"),),))
+    # s, the sin/cos recurrence, sin, cos, the product and the sum
+    assert len(tape.steps) == 6
+
+
+def _bare_curve():
+    return ParametricCurve("bare", (parse("s"), parse("sin(s)"), parse("1")), (-1.0, 1.0),
+                           dual_components=(parse("sin(s)"), parse("s"), parse("-0.0")))
+
+
+@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37", "bare"])
+def test_curve_jet_memo_matches_fresh_evaluation(name):
+    curve = _bare_curve() if name == "bare" else load_curve(CURVES / f"{name}.json")
+    # 0.0 == -0.0 and both hash alike, but s has coefficient 0 = -0.0 at -0.0;
+    # the order counts too, since a quotient is refused on all its coefficients
+    keys = [(s0, order) for order in (22, 23, 22) for s0 in (0.0, -0.0)] + [(0.7, 1), (0.7, 0)]
+    for i, (s0, order) in enumerate(keys + keys[::-1]):
+        methods = [("point_jet", curve.components), ("dual_jet", curve.dual_components)]
+        for method, trees in methods[i % 2:] + methods[:i % 2]:
+            got = getattr(curve, method)(s0, order)
+            assert [_outcome(lambda: j) for j in got.components()] == \
+                [_outcome(lambda: _walked(t, s0, order)) for t in trees]
+            assert len(curve._memo) <= JET_MEMO_SIZE
 
 
 # -- parametric curves -------------------------------------------------------

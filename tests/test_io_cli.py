@@ -7,6 +7,7 @@ import re
 import pytest
 
 from conftest import CURVES, FIXTURES
+from hypedal import cli
 from hypedal.cli import main
 from hypedal.io import (
     CurveFileError, csv_text, curve_from_dict, format_float, json_text,
@@ -117,6 +118,33 @@ def test_usage_errors_exit_1(capsys):
     assert main(["classify", "--curve", _curve_arg("cusp23.json"),
                  "--point", "1,0", "--s0", "0"]) == 1
     assert main(["check", "--curve", "/nonexistent/file.json"]) == 1
+    capsys.readouterr()
+
+
+_CUSP23 = ["--curve", str(CURVES / "cusp23.json")]
+_CLASSIFY = ["classify", *_CUSP23, "--point", "1,0,0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", *_CUSP23, "--samples", "1"], "--samples must be at least 2, got 1"),
+    (["pedal", *_CUSP23, "--point", "1,0,0", "--samples", "-3"], "--samples must be at least 2, got -3"),
+    (["curvatures", *_CUSP23, "--samples", "0"], "--samples must be at least 2, got 0"),
+    (_CLASSIFY + ["--s0", "0.5", "--order", "-1"], "--order must be between 0 and 63, got -1"),
+    (_CLASSIFY + ["--s0", "0.5", "--order", "100"], "--order must be between 0 and 63, got 100"),
+    (_CLASSIFY + ["--s0", "5"], "--s0 5.0 lies outside the curve's domain [-2.0, 2.0]"),
+])
+def test_bad_numeric_arguments_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"hypedal: error: {message}\n"
+
+
+def test_each_command_loads_its_curve_file_once(monkeypatch, capsys):
+    loaded = []
+    real = cli.io.load_curve
+    monkeypatch.setattr(cli.io, "load_curve", lambda path: loaded.append(path) or real(path))
+    assert main(["curvatures", *_CUSP23]) == 0  # default grid from the file
+    assert main(_CLASSIFY + ["--s0", "1"]) in (0, 4, 5)
+    assert len(loaded) == 2
     capsys.readouterr()
 
 
