@@ -103,8 +103,9 @@ def _check_numbers(ns, curve) -> None:
     samples = getattr(ns, "samples", None)
     if samples is not None and samples < 2:
         raise UsageError(f"--samples must be at least 2, got {samples}")
-    # curvature_jets evaluates one order above the requested one
-    top = jets.MAX_ORDER - 1
+    # curvature_jets evaluates one order above the requested one, and
+    # AutoDual.jet evaluates the curve three orders above that
+    top = jets.MAX_ORDER - (1 if curve.has_dual() else 4)
     order = getattr(ns, "order", 0)
     if not 0 <= order <= top:
         raise UsageError(f"--order must be between 0 and {top}, got {order}")
@@ -192,19 +193,15 @@ def _cmd_derived(ns, kind: str) -> int:
     n = _samples(ns, curve)
     tol = ns.tol if ns.tol is not None else 1e-7
 
-    rows = []
-    skipped = []
-    for s in _grid(pair.domain, n):
-        try:
-            p = derived.at(s)
-        except _DOMAIN_ERRORS:
-            skipped.append(s)
-            continue
-        rows.append((s, p.x1, p.x2, p.x3))
+    grid = _grid(pair.domain, n)
+    points = _sample(derived, grid)
+    rows = [(s, p.x1, p.x2, p.x3) for s, p in zip(grid, points) if p is not None]
+    skipped = [s for s, p in zip(grid, points) if p is None]
     singular = derived.singular_points(samples=n, tol=tol)
 
     if ns.fmt == "svg":
-        _emit(_figure(pair, [derived], getattr(derived, "Q", None), n, singular), ns.out)
+        figure = _figure(pair, [derived], getattr(derived, "Q", None), n, singular, [points])
+        _emit(figure, ns.out)
         return 0
     singular_doc = {
         "schema": io.SCHEMA_VERSION,
@@ -229,18 +226,26 @@ def _point_list(Q):
     return None if Q is None else [Q.x1, Q.x2, Q.x3]
 
 
-def _figure(pair, derived_list, Q, n, singular) -> str:
+def _sample(derived, grid) -> list:
+    """derived.at(s) on the grid, None where it is undefined."""
+    points = []
+    for s in grid:
+        try:
+            points.append(derived.at(s))
+        except _DOMAIN_ERRORS:
+            points.append(None)
+    return points
+
+
+def _figure(pair, derived_list, Q, n, singular, sampled=None) -> str:
+    """The SVG figure; `sampled` holds each derived curve's `_sample` when known."""
     polylines = []
-    source_pts = [pair.r(s) for s in _grid(pair.domain, n)]
+    grid = _grid(pair.domain, n)
+    source_pts = [pair.r(s) for s in grid]
     for run in io.disk_runs(source_pts):
         polylines.append((run, io.COLORS["source"], 0.008))
-    for derived in derived_list:
-        pts = []
-        for s in _grid(pair.domain, n):
-            try:
-                pts.append(derived.at(s))
-            except _DOMAIN_ERRORS:
-                pts.append(None)
+    for i, derived in enumerate(derived_list):
+        pts = sampled[i] if sampled else _sample(derived, grid)
         color = io.COLORS.get(derived.kind, io.COLORS["pedal"])
         for run in io.disk_runs(pts):
             polylines.append((run, color, 0.008))

@@ -328,9 +328,11 @@ class EvoluteCurve(DerivedCurve):
             self.kind = kind
 
     def _branch_split(self, ell, m):
-        d2 = m * m - ell * ell
+        mm = m * m
+        ll = ell * ell
+        d2 = mm - ll
         d2c = jets.constant_part(d2)
-        scale = max(jets.constant_part(m * m), jets.constant_part(ell * ell), 1.0)
+        scale = max(jets.constant_part(mm), jets.constant_part(ll), 1.0)
         if abs(d2c) <= _DEGENERACY_RTOL * scale:
             return None, d2
         return (Branch.H2 if d2c > 0.0 else Branch.DS2), d2
@@ -357,12 +359,12 @@ class EvoluteCurve(DerivedCurve):
         return self.at_with_branch(s)[1]
 
     def jet(self, s0: float, order: int) -> MVec3:
-        ell, m = self.formula_pair.curvature_jets(s0, order)
+        ell, m, rj, vj = self.formula_pair._curvature_frame_jets(s0, order)
         branch, d2 = self._branch_split(ell, m)
         if branch is None:
             raise EvoluteDegenerateError(f"evolute degenerate at s={s0!r}")
-        r = _truncate(self.formula_pair.r_jet(s0, order), order)
-        v = _truncate(self.formula_pair.v_jet(s0, order), order)
+        r = _truncate(rj, order)
+        v = _truncate(vj, order)
         num = m * r - ell * v
         if branch is Branch.H2:
             point = num / jets.sqrt(d2)

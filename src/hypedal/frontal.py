@@ -152,12 +152,17 @@ class LegendrePair:
 
     def curvature_jets(self, s0: float, order: int) -> tuple[Jet, Jet]:
         """Jets of ell and m at s0, exact to the requested order."""
+        ell, m, _, _ = self._curvature_frame_jets(s0, order)
+        return ell, m
+
+    def _curvature_frame_jets(self, s0: float, order: int):
+        """(ell, m, r, v) at s0; r and v are the order + 1 jets that ell and m need."""
         rj = self._r_jet(s0, order + 1)
         vj = self._v_jet(s0, order + 1)
         mu = self.mu_jet(s0, order)
         ell = inner(_d(rj), mu)
         m = inner(_d(vj), mu)
-        return ell, m
+        return ell, m, rj, vj
 
     # -- validation --------------------------------------------------------
 
@@ -285,6 +290,11 @@ class AutoDual:
 
     def jet(self, s0: float, order: int) -> MVec3:
         p, _, _ = self._leading(s0, max(self.order, order + 2))
+        if order + 1 + p > jets.MAX_ORDER:
+            raise DualUndeterminedError(
+                f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
+                f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
+            )
         rj = self.curve.point_jet(s0, order + 1 + p)
         rd = _d(rj)
         # divide the derivative germ by (s - s0)^p: drop the first p coefficients

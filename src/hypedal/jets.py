@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add as _add, neg as _neg, sub as _sub
 
 DEFAULT_ORDER = 16
 MAX_ORDER = 64
@@ -45,9 +46,7 @@ class Jet:
             raise ValueError(f"jet order {len(self.coeffs) - 1} exceeds the maximum {MAX_ORDER}")
         if not math.isfinite(self.base):
             raise ValueError("non-finite jet base")
-        for c in self.coeffs:
-            if not math.isfinite(c):
-                raise ValueError("non-finite jet coefficient")
+        require_finite(self.coeffs)
 
     # -- construction -------------------------------------------------
 
@@ -81,7 +80,7 @@ class Jet:
         """Jet of the derivative germ; the order drops by one."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.base, tuple((i + 1) * self.coeffs[i + 1] for i in range(self.order)))
+        return _jet(self.base, tuple([(i + 1) * self.coeffs[i + 1] for i in range(self.order)]))
 
     def eval_at_offset(self, h: float) -> float:
         """Value of the truncated polynomial at base + h."""
@@ -92,59 +91,76 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _match(self, other: "Jet") -> tuple:
+        """The coefficients of `other`, once it is checked to be a jet like this one."""
+        if other.base != self.base:
+            raise ValueError("jet base mismatch")
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError("jet order mismatch")
+        return other.coeffs
+
     def _lift(self, other):
+        """The coefficients of a jet operand, or of a scalar lifted to a constant jet."""
         if isinstance(other, Jet):
-            if other.base != self.base:
-                raise ValueError("jet base mismatch")
-            if other.order != self.order:
-                raise ValueError("jet order mismatch")
-            return other
+            return self._match(other)
         if isinstance(other, (int, float)):
-            return Jet.constant(float(other), self.base, self.order)
+            return (_scalar(other),) + (0.0,) * (len(self.coeffs) - 1)
         return None
 
+    # Sums, differences and products with a scalar c skip the lift and
+    # compute exactly the floats that the lifted (c, 0.0, ...) would give:
+    # e.g. the product's terms a_i * 0.0 only turn -0.0 into +0.0, which is
+    # what `+ 0.0` does.
+
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.base, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, Jet):
+            return _jet(self.base, tuple(map(_add, self.coeffs, self._match(other))))
+        if isinstance(other, (int, float)):
+            c = _scalar(other)
+            a = self.coeffs
+            return _jet(self.base, (a[0] + c,) + tuple([x + 0.0 for x in a[1:]]))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.base, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, Jet):
+            return _jet(self.base, tuple(map(_sub, self.coeffs, self._match(other))))
+        if isinstance(other, (int, float)):
+            a = self.coeffs
+            # x - 0.0 is x, signed zeros included
+            return _jet(self.base, (a[0] - _scalar(other),) + a[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.base, tuple(b - a for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, (int, float)):
+            a = self.coeffs
+            return _jet(self.base, (_scalar(other) - a[0],) + tuple([0.0 - x for x in a[1:]]))
+        return NotImplemented
 
     def __neg__(self):
-        return Jet(self.base, tuple(-a for a in self.coeffs))
+        return _jet(self.base, tuple(map(_neg, self.coeffs)))
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.base, tuple(mul_coeffs(self.coeffs, o.coeffs)))
+        if isinstance(other, Jet):
+            return _jet(self.base, tuple(mul_coeffs(self.coeffs, self._match(other))))
+        if isinstance(other, (int, float)):
+            c = _scalar(other)
+            return _jet(self.base, tuple([x * c + 0.0 for x in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        b = self._lift(other)
+        if b is None:
             return NotImplemented
-        return Jet(self.base, tuple(div_coeffs(self.coeffs, o.coeffs)))
+        return _jet(self.base, tuple(div_coeffs(self.coeffs, b)))
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, (int, float)):
+            return _jet(self.base, tuple(div_coeffs(self._lift(other), self.coeffs)))
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -165,14 +181,14 @@ class Jet:
     # -- elementary functions -------------------------------------------
 
     def sqrt(self) -> "Jet":
-        return Jet(self.base, tuple(sqrt_coeffs(self.coeffs)))
+        return _jet(self.base, tuple(sqrt_coeffs(self.coeffs)))
 
     def recip(self) -> "Jet":
         return 1.0 / self
 
     def _sin_cos(self):
         s, c = sin_cos_coeffs(self.coeffs)
-        return Jet(self.base, tuple(s)), Jet(self.base, tuple(c))
+        return _jet(self.base, tuple(s)), _jet(self.base, tuple(c))
 
     def sin(self) -> "Jet":
         return self._sin_cos()[0]
@@ -182,7 +198,7 @@ class Jet:
 
     def _sinh_cosh(self):
         s, c = sinh_cosh_coeffs(self.coeffs)
-        return Jet(self.base, tuple(s)), Jet(self.base, tuple(c))
+        return _jet(self.base, tuple(s)), _jet(self.base, tuple(c))
 
     def sinh(self) -> "Jet":
         return self._sinh_cosh()[0]
@@ -205,6 +221,31 @@ class Jet:
         return Jet(self.base, tuple(y))
 
 
+_isfinite = math.isfinite
+
+
+def _jet(base: float, coeffs: tuple) -> Jet:
+    """A `Jet` built from an arithmetic result, skipping the dataclass init.
+
+    `base` and the length of `coeffs` come from an operand that was already
+    checked, so only finiteness is left to check, as `Jet` checks it.
+    """
+    require_finite(coeffs)
+    jet = object.__new__(Jet)
+    fields = jet.__dict__
+    fields["base"] = base
+    fields["coeffs"] = coeffs
+    return jet
+
+
+def _scalar(c) -> float:
+    """A scalar operand as the constant term of `Jet.constant(c, ...)`."""
+    c = float(c)
+    if not _isfinite(c):
+        raise ValueError("non-finite jet coefficient")
+    return c
+
+
 # ---------------------------------------------------------------------
 # Coefficient kernels: the recurrences on plain sequences of Taylor
 # coefficients.  `Jet` wraps them, and the expression tape in
@@ -217,14 +258,39 @@ class Jet:
 def require_finite(coeffs):
     """`coeffs`, once checked to be finite as `Jet` checks them."""
     for c in coeffs:
-        if not math.isfinite(c):
+        if not _isfinite(c):
             raise ValueError("non-finite jet coefficient")
     return coeffs
 
 
 def mul_coeffs(a, b) -> list:
-    """Truncated Cauchy product; `a` drives the loop and its zeros are skipped."""
+    """Truncated Cauchy product; `a` drives the loop and its zeros are skipped.
+
+    Orders 0-3 are unrolled with the same floats: every sum of the loop
+    starts at +0.0 and so never is -0.0, which makes a skipped term
+    a_i * b_j = +-0.0 (operands are finite) a no-op, and `+ 0.0` stands
+    in for the starting +0.0.
+    """
     n = len(a) - 1
+    if n < 4:
+        if n == 1:
+            a0, a1 = a
+            b0, b1 = b
+            return [a0 * b0 + 0.0, a0 * b1 + a1 * b0 + 0.0]
+        if n == 2:
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            return [a0 * b0 + 0.0, a0 * b1 + a1 * b0 + 0.0, a0 * b2 + a1 * b1 + a2 * b0 + 0.0]
+        if n == 3:
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            return [
+                a0 * b0 + 0.0,
+                a0 * b1 + a1 * b0 + 0.0,
+                a0 * b2 + a1 * b1 + a2 * b0 + 0.0,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + 0.0,
+            ]
+        return [a[0] * b[0] + 0.0]
     out = [0.0] * (n + 1)
     for i in range(n + 1):
         ai = a[i]

@@ -17,8 +17,10 @@ class GeometryError(ValueError):
     """A point fails a pseudo-sphere membership or degeneracy requirement."""
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float))
+def _require_finite(x1, x2, x3) -> None:
+    for c in (x1, x2, x3):
+        if isinstance(c, (int, float)) and not math.isfinite(c):
+            raise ValueError("non-finite vector component")
 
 
 @dataclass(frozen=True)
@@ -30,32 +32,41 @@ class MVec3:
     x3: float
 
     def __post_init__(self):
-        for c in (self.x1, self.x2, self.x3):
-            if _is_number(c) and not math.isfinite(c):
-                raise ValueError("non-finite vector component")
+        _require_finite(self.x1, self.x2, self.x3)
 
     def components(self):
         return (self.x1, self.x2, self.x3)
 
     def map(self, fn) -> "MVec3":
-        return MVec3(fn(self.x1), fn(self.x2), fn(self.x3))
+        return _vec(fn(self.x1), fn(self.x2), fn(self.x3))
 
     def __add__(self, other: "MVec3") -> "MVec3":
-        return MVec3(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
+        return _vec(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
 
     def __sub__(self, other: "MVec3") -> "MVec3":
-        return MVec3(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
+        return _vec(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
 
     def __neg__(self) -> "MVec3":
-        return MVec3(-self.x1, -self.x2, -self.x3)
+        return _vec(-self.x1, -self.x2, -self.x3)
 
     def __mul__(self, scalar) -> "MVec3":
-        return MVec3(self.x1 * scalar, self.x2 * scalar, self.x3 * scalar)
+        return _vec(self.x1 * scalar, self.x2 * scalar, self.x3 * scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "MVec3":
-        return MVec3(self.x1 / scalar, self.x2 / scalar, self.x3 / scalar)
+        return _vec(self.x1 / scalar, self.x2 / scalar, self.x3 / scalar)
+
+
+def _vec(x1, x2, x3) -> MVec3:
+    """An `MVec3` checked as `__post_init__` checks it, without the dataclass init."""
+    _require_finite(x1, x2, x3)
+    vec = object.__new__(MVec3)
+    fields = vec.__dict__
+    fields["x1"] = x1
+    fields["x2"] = x2
+    fields["x3"] = x3
+    return vec
 
 
 class CausalClass(Enum):
@@ -71,7 +82,7 @@ def inner(u: MVec3, w: MVec3):
 
 def wedge(u: MVec3, w: MVec3) -> MVec3:
     """Pseudo vector product (-u2 w3 + u3 w2, u3 w1 - u1 w3, -u2 w1 + u1 w2)."""
-    return MVec3(
+    return _vec(
         -(u.x2 * w.x3) + u.x3 * w.x2,
         u.x3 * w.x1 - u.x1 * w.x3,
         -(u.x2 * w.x1) + u.x1 * w.x2,

@@ -341,6 +341,51 @@ def test_catacaustic_requires_point_off_curve(cusp23):
         cons.catacaustic(cusp23, Q)
 
 
+def _evolute_jet_evaluated_twice(curve, s0, order):
+    """EvoluteCurve.jet computing r and v again at `order` after the curvature step."""
+    pair = curve.formula_pair
+    ell, m = pair.curvature_jets(s0, order)
+    d2 = m * m - ell * ell
+    d2c = jets.constant_part(d2)
+    if abs(d2c) <= 1e-12 * max(jets.constant_part(m * m), jets.constant_part(ell * ell), 1.0):
+        raise EvoluteDegenerateError(f"evolute degenerate at s={s0!r}")
+    num = m * pair.r_jet(s0, order) - ell * pair.v_jet(s0, order)
+    if d2c > 0.0:
+        point = num / jets.sqrt(d2)
+        return -point if jets.constant_part(point.x1) < 0.0 else point
+    return num / jets.sqrt(-d2)
+
+
+def _jet_outcome(fn):
+    try:
+        point = fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [[repr(c) for c in comp.coeffs] for comp in point.components()]
+
+
+@pytest.mark.parametrize("which", ["astroid", "cusp23", "astroid auto", "cusp23 auto",
+                                   "astroid caustic", "cusp23 auto caustic"])
+def test_evolute_jet_reuses_the_curvature_step_unchanged(which, astroid, cusp23, astroid_curve,
+                                                         cusp23_curve):
+    # r and v come from truncating the order + 1 jets of the curvature step;
+    # above order 13 AutoDual picks its vanishing power at a higher order, so
+    # this comparison is what shows truncation changes nothing there either
+    name = which.split()[0]
+    pair = {"astroid": astroid, "cusp23": cusp23}[name]
+    if "auto" in which:
+        source = {"astroid": astroid_curve, "cusp23": cusp23_curve}[name]
+        pair = LegendrePair.with_auto_dual(source, samples=60)
+    Q = MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0), math.sinh(0.7) * math.sin(1.0))
+    curve = cons.catacaustic(pair, Q, samples=200) if "caustic" in which else cons.evolute(pair)
+    a, b = pair.domain
+    for s0 in (a, 0.0, -0.0, 0.3, 0.5 * (a + b) + 0.41, b):
+        for order in [*range(0, 8), *range(13, 21)]:
+            assert (_jet_outcome(lambda: curve.jet(s0, order))
+                    == _jet_outcome(lambda: _evolute_jet_evaluated_twice(curve, s0, order))), \
+                (which, s0, order)
+
+
 # -- singular point detection ------------------------------------------------------
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from hypedal import jets
 from hypedal.frontal import (
-    AutoDual, CurveSingularError, LegendrePair, frenet_regular, reparametrized,
+    AutoDual, CurveSingularError, DualUndeterminedError, LegendrePair, frenet_regular,
+    reparametrized,
 )
 from hypedal.io import curve_from_dict
 from hypedal.minkowski import MVec3, inner, wedge
@@ -186,6 +187,23 @@ def test_auto_dual_jets_taylor_consistent(astroid_curve):
     for h in (0.005, 0.01):
         taylor = MVec3(*[c.eval_at_offset(h) for c in vj.components()])
         assert _max_dev(taylor, auto(h)) <= 1e-8
+
+
+def test_auto_dual_refuses_orders_past_the_maximum_as_undetermined():
+    # r' vanishes to order p = 3 at s = 0, so the factored jet of order n
+    # needs a point jet of order n + 1 + 3
+    curve = curve_from_dict({
+        "schema": 1,
+        "name": "flat-cusp",
+        "r": ["sqrt(1 + s^8 + s^10)", "s^4", "s^5"],
+        "domain": [-1.0, 1.0],
+        "samples": 41,
+    })
+    dual = AutoDual(curve)
+    top = jets.MAX_ORDER - 4
+    assert dual.jet(0.0, top).x1.order == top
+    with pytest.raises(DualUndeterminedError, match=r"s=0\.0: r' vanishes to order 3"):
+        dual.jet(0.0, top + 1)
 
 
 def test_dual_identities(golden_pairs):

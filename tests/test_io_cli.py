@@ -7,12 +7,13 @@ import re
 import pytest
 
 from conftest import CURVES, FIXTURES
-from hypedal import cli
+from hypedal import cli, constructions
 from hypedal.cli import main
 from hypedal.io import (
     CurveFileError, csv_text, curve_from_dict, format_float, json_text,
     load_curve, parse_csv, project_poincare, render_svg,
 )
+from hypedal.frontal import LegendrePair
 from hypedal.minkowski import GeometryError, MVec3
 
 
@@ -136,6 +137,52 @@ _CLASSIFY = ["classify", *_CUSP23, "--point", "1,0,0"]
 def test_bad_numeric_arguments_exit_1(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"hypedal: error: {message}\n"
+
+
+def _without_dual(tmp_path, name):
+    doc = json.loads((CURVES / name).read_text())
+    del doc["v"]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("s0", ["0.5", "0"])
+def test_classify_high_orders_on_auto_dual_curves_end_in_an_exit_code(tmp_path, s0, capsys):
+    # AutoDual.jet evaluates the curve three orders above the v jet it returns
+    argv = ["classify", "--curve", _without_dual(tmp_path, "cusp23.json"), "--point", "1,0,0",
+            "--s0", s0, "--out", str(tmp_path / "c.json")]
+    for order in range(58, 61):
+        assert main(argv + ["--order", str(order)]) in (0, 3, 4, 5)
+    for order in range(61, 64):
+        capsys.readouterr()
+        assert main(argv + ["--order", str(order)]) == 1
+        assert capsys.readouterr().err == (
+            f"hypedal: error: --order must be between 0 and 60, got {order}\n")
+
+
+def test_classify_past_the_jet_maximum_is_a_math_domain_failure(tmp_path, capsys):
+    # r' vanishes to order 3 at s = 0: the v jet of order 61 needs a point jet of order 65
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"schema": 1, "name": "flat-cusp", "domain": [-1.0, 1.0],
+                                "samples": 41, "r": ["sqrt(1 + s^8 + s^10)", "s^4", "s^5"]}))
+    assert main(["classify", "--curve", str(path), "--point", "1,0,0", "--s0", "0",
+                 "--order", "60"]) == 3
+    assert "math domain failure: dual undetermined at s=0.0" in capsys.readouterr().err
+
+
+def test_svg_evaluates_each_sample_once(monkeypatch, tmp_path):
+    pair = LegendrePair.from_curve(load_curve(CURVES / "cusp37.json"))
+    Q = MVec3(math.sqrt(2.0), 1.0, 0.0)
+    markers = len(constructions.pedal(pair, Q).singular_points(samples=60))
+    assert markers >= 1
+    calls = []
+    real = constructions.PedalCurve.at
+    monkeypatch.setattr(constructions.PedalCurve, "at",
+                        lambda self, s: calls.append(s) or real(self, s))
+    assert main(["pedal", "--curve", str(CURVES / "cusp37.json"), "--point", f"{Q.x1!r},1,0",
+                 "--samples", "60", "--format", "svg", "--out", str(tmp_path / "p.svg")]) == 0
+    assert len(calls) == 60 + markers
 
 
 def test_each_command_loads_its_curve_file_once(monkeypatch, capsys):

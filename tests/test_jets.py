@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypedal import jets
 from hypedal.jets import Jet, JetDomainError, compose, derivative, vanishing_order
@@ -225,3 +226,99 @@ def test_eval_at_offset():
 def test_constant_part():
     assert jets.constant_part(jet([4.0, 1.0])) == 4.0
     assert jets.constant_part(2.5) == 2.5
+
+
+# -- fast paths: bit-identical to the generic recurrences ------------------------
+
+
+def _reference_mul(a, b):
+    """The generic truncated Cauchy product: `a` drives, its zeros skipped."""
+    n = len(a) - 1
+    out = [0.0] * (n + 1)
+    for i in range(n + 1):
+        if a[i] == 0.0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _outcome(fn):
+    """repr of every coefficient of fn(), or the exception it raises."""
+    try:
+        result = fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    coeffs = result.coeffs if isinstance(result, Jet) else result
+    assert all(type(c) is float for c in coeffs)
+    return [repr(c) for c in coeffs]
+
+
+# signed zeros, a subnormal and values whose products overflow to inf
+_SPECIAL = [0.0, -0.0, 1e-320, -1e-320, 3e300, -3e300, 1.0, -2.5]
+_coeff = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _coeff_pairs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 18, 23]))
+    return (draw(st.lists(_coeff, min_size=n, max_size=n)),
+            draw(st.lists(_coeff, min_size=n, max_size=n)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_coeff_pairs())
+@example(([-0.0, -0.0], [1.0, 1.0]))
+@example(([-0.0, -0.0, -0.0], [1.0, 1.0, 1.0]))
+@example(([-0.0, -0.0, -0.0, -0.0], [1.0, 1.0, 1.0, 1.0]))
+def test_product_kernel_matches_reference_loop(pair):
+    a, b = pair
+    assert _outcome(lambda: jets.mul_coeffs(a, b)) == _outcome(lambda: _reference_mul(a, b))
+    assert (_outcome(lambda: jet(a) * jet(b))
+            == _outcome(lambda: jet(jets.require_finite(_reference_mul(a, b)))))
+
+
+class _MyFloat(float):
+    pass
+
+
+# the scalar operators as they were: c lifted to the constant jet (c, 0.0, ...)
+_LIFTED = {
+    "jet + c": lambda a, k: [x + y for x, y in zip(a, k)],
+    "c + jet": lambda a, k: [x + y for x, y in zip(a, k)],
+    "jet - c": lambda a, k: [x - y for x, y in zip(a, k)],
+    "c - jet": lambda a, k: [y - x for x, y in zip(a, k)],
+    "jet * c": _reference_mul,
+    "c * jet": _reference_mul,
+    "jet / c": lambda a, k: jets.div_coeffs(a, k),
+    "c / jet": lambda a, k: jets.div_coeffs(k, a),
+}
+_FAST = {
+    "jet + c": lambda j, c: j + c,
+    "c + jet": lambda j, c: c + j,
+    "jet - c": lambda j, c: j - c,
+    "c - jet": lambda j, c: c - j,
+    "jet * c": lambda j, c: j * c,
+    "c * jet": lambda j, c: c * j,
+    "jet / c": lambda j, c: j / c,
+    "c / jet": lambda j, c: c / j,
+}
+_scalars = st.one_of(
+    _coeff,
+    st.sampled_from([math.inf, -math.inf, math.nan, 0, 3, -7, True, 10 ** 400,
+                     _MyFloat(2.5), _MyFloat(-0.0)]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(_FAST)), _scalars,
+       st.integers(0, 23).flatmap(lambda n: st.lists(_coeff, min_size=n + 1, max_size=n + 1)))
+def test_scalar_operators_match_lifting_to_a_constant_jet(op, c, coeffs):
+    a = jet(coeffs, base=0.25)
+
+    def lifted():
+        k = Jet.constant(c, a.base, a.order)
+        return jet(jets.require_finite(_LIFTED[op](a.coeffs, k.coeffs)), base=0.25)
+
+    assert _outcome(lambda: _FAST[op](a, c)) == _outcome(lifted)

@@ -147,3 +147,9 @@ def test_boost_rejects_off_sheet_points():
 def test_vector_finiteness_guard():
     with pytest.raises(ValueError, match="non-finite"):
         MVec3(float("nan"), 0.0, 0.0)
+    big = vec(1.5e308, -1.5e308, 0.5)
+    for overflow in (lambda: big * 1e10, lambda: 1e10 * big, lambda: big / 1e-10,
+                     lambda: big + big, lambda: big - (-big), lambda: big.map(lambda x: x * 2.0),
+                     lambda: wedge(big, vec(0.5, 1e300, 1e300))):
+        with pytest.raises(ValueError, match="non-finite vector component"):
+            overflow()
