@@ -9,23 +9,29 @@ failures, 4 classification mismatch, 5 classification undetermined.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, constructions, io, jets, singularity
-from .constructions import EvoluteDegenerateError, PedalPointOnCurveError
-from .expr import EvalDomainError, ParseError
-from .frontal import CurveSingularError, DualUndeterminedError, LegendrePair
+from .expr import ParseError, linspace
+from .frontal import LegendrePair
 from .io import CurveFileError
-from .jets import JetDomainError
-from .minkowski import GeometryError, MVec3
+from .minkowski import MVec3
 from .singularity import Verdict
 
-_DOMAIN_ERRORS = (
-    EvalDomainError, JetDomainError, GeometryError, CurveSingularError,
-    DualUndeterminedError, EvoluteDegenerateError, PedalPointOnCurveError,
-    ArithmeticError,
-)
+# Where a value is undefined, or leaves the finite floats, the library raises
+# a ValueError (its domain errors all derive from it) or an ArithmeticError.
+_DOMAIN_ERRORS = (ValueError, ArithmeticError)
+
+# CLI kind -> (its builder in `constructions`, whether it takes --point, help).
+# The builder is looked up on the module when called, never bound here.
+_KINDS = {
+    "pedal": ("pedal", True, "pedal curve samples, singular points, or figure"),
+    "orthotomic": ("orthotomic", True, "orthotomic curve samples, singular points, or figure"),
+    "evolute": ("evolute", False, "evolute samples (both branches), or figure"),
+    "caustic": ("catacaustic", True, "catacaustic (evolute of the orthotomic), or figure"),
+}
 
 
 class UsageError(ValueError):
@@ -65,10 +71,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    common(sub.add_parser("pedal", help="pedal curve samples, singular points, or figure"), point=True)
-    common(sub.add_parser("orthotomic", help="orthotomic curve samples, singular points, or figure"), point=True)
-    common(sub.add_parser("evolute", help="evolute samples (both branches), or figure"))
-    common(sub.add_parser("caustic", help="catacaustic (evolute of the orthotomic), or figure"), point=True)
+    for kind, (_, point, help_text) in _KINDS.items():
+        common(sub.add_parser(kind, help=help_text), point=point)
 
     p = sub.add_parser("classify", help="classify the pedal singularity at s0 (exit 0/4/5 per verdict)")
     p.add_argument("--curve", required=True, help="curve JSON file")
@@ -113,6 +117,9 @@ def _check_numbers(ns, curve) -> None:
     a, b = curve.domain
     if s0 is not None and not a <= s0 <= b:
         raise UsageError(f"--s0 {s0!r} lies outside the curve's domain [{a!r}, {b!r}]")
+    tol = getattr(ns, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--tol must be finite and non-negative, got {tol!r}")
 
 
 def _parse_point(text: str) -> MVec3:
@@ -157,7 +164,7 @@ def _cmd_curvatures(ns) -> int:
     curve, pair = _load_pair(ns)
     n = _samples(ns, curve)
     rows = []
-    for s in _grid(pair.domain, n):
+    for s in linspace(pair.domain, n):
         try:
             ell, m = pair.curvatures(s)
         except _DOMAIN_ERRORS as exc:
@@ -167,33 +174,22 @@ def _cmd_curvatures(ns) -> int:
     return 0
 
 
-def _grid(domain, n):
-    a, b = domain
-    step = (b - a) / (n - 1)
-    pts = [a + i * step for i in range(n)]
-    pts[-1] = b
-    return pts
-
-
-def _derived(ns, kind: str):
-    curve, pair = _load_pair(ns)
-    if kind == "pedal":
-        return curve, pair, constructions.pedal(pair, _parse_point(ns.point))
-    if kind == "orthotomic":
-        return curve, pair, constructions.orthotomic(pair, _parse_point(ns.point))
-    if kind == "evolute":
-        return curve, pair, constructions.evolute(pair)
-    if kind == "caustic":
-        return curve, pair, constructions.catacaustic(pair, _parse_point(ns.point))
-    raise UsageError(f"unknown curve kind {kind!r}")
+def _build(pair, kind: str, Q):
+    """The derived curve of `kind` on `pair`; Q is used by the kinds that take --point."""
+    if kind not in _KINDS:
+        raise UsageError(f"unknown curve kind {kind!r}")
+    builder, point, _ = _KINDS[kind]
+    build = getattr(constructions, builder)
+    return build(pair, Q) if point else build(pair)
 
 
 def _cmd_derived(ns, kind: str) -> int:
-    curve, pair, derived = _derived(ns, kind)
+    curve, pair = _load_pair(ns)
+    derived = _build(pair, kind, _parse_point(ns.point) if _KINDS[kind][1] else None)
     n = _samples(ns, curve)
     tol = ns.tol if ns.tol is not None else 1e-7
 
-    grid = _grid(pair.domain, n)
+    grid = linspace(pair.domain, n)
     points = _sample(derived, grid)
     rows = [(s, p.x1, p.x2, p.x3) for s, p in zip(grid, points) if p is not None]
     skipped = [s for s, p in zip(grid, points) if p is None]
@@ -240,7 +236,7 @@ def _sample(derived, grid) -> list:
 def _figure(pair, derived_list, Q, n, singular, sampled=None) -> str:
     """The SVG figure; `sampled` holds each derived curve's `_sample` when known."""
     polylines = []
-    grid = _grid(pair.domain, n)
+    grid = linspace(pair.domain, n)
     source_pts = [pair.r(s) for s in grid]
     for run in io.disk_runs(source_pts):
         polylines.append((run, io.COLORS["source"], 0.008))
@@ -299,24 +295,13 @@ def _cmd_plot(ns) -> int:
     kinds = [k.strip() for k in ns.kind.split(",") if k.strip()]
     if not kinds:
         raise UsageError("--kind must name at least one derived curve")
-    needs_point = [k for k in kinds if k in ("pedal", "orthotomic", "caustic")]
+    needs_point = [k for k in kinds if k in _KINDS and _KINDS[k][1]]
     if needs_point and ns.point is None:
         raise UsageError(f"--point is required for kinds: {', '.join(needs_point)}")
     Q = _parse_point(ns.point) if ns.point else None
-    derived_list = []
-    for kind in kinds:
-        if kind == "pedal":
-            derived_list.append(constructions.pedal(pair, Q))
-        elif kind == "orthotomic":
-            derived_list.append(constructions.orthotomic(pair, Q))
-        elif kind == "evolute":
-            derived_list.append(constructions.evolute(pair))
-        elif kind == "caustic":
-            derived_list.append(constructions.catacaustic(pair, Q))
-        else:
-            raise UsageError(f"unknown curve kind {kind!r}")
+    derived_list = [_build(pair, kind, Q) for kind in kinds]
     n = _samples(ns, curve)
-    singular = derived_list[0].singular_points(samples=n) if derived_list else []
+    singular = derived_list[0].singular_points(samples=n)
     _emit(_figure(pair, derived_list, Q, n, singular), ns.out)
     return 0
 
@@ -336,7 +321,7 @@ def main(argv=None) -> int:
             return _cmd_check(ns)
         if ns.command == "curvatures":
             return _cmd_curvatures(ns)
-        if ns.command in ("pedal", "orthotomic", "evolute", "caustic"):
+        if ns.command in _KINDS:
             return _cmd_derived(ns, ns.command)
         if ns.command == "classify":
             return _cmd_classify(ns)

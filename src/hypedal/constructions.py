@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import jets
-from .frontal import LegendrePair, _truncate, frenet_regular
+from .expr import linspace
+from .frontal import LegendrePair, _coeff, _truncate, frenet_regular
 from .minkowski import GeometryError, MVec3, inner, on_upper_hyperboloid, wedge
 
 _ON_CURVE_TOL = 1e-9
@@ -54,11 +55,9 @@ def _require_off_curve(pair: LegendrePair, Q: MVec3, samples: int):
         return -(inner(Q, pair.r(s)) + 1.0)
 
     def fprime(s):
-        rj = pair.r_jet(s, 1)
-        rd = MVec3(rj.x1.coeffs[1], rj.x2.coeffs[1], rj.x3.coeffs[1])
-        return -inner(Q, rd)
+        return -inner(Q, _coeff(pair.r_jet(s, 1), 1))
 
-    grid = _linspace(pair.domain, samples)
+    grid = linspace(pair.domain, samples)
     vals = [f(s) for s in grid]
     i = min(range(len(grid)), key=lambda k: vals[k])
     s_star = grid[i]
@@ -70,14 +69,6 @@ def _require_off_curve(pair: LegendrePair, Q: MVec3, samples: int):
     d = f(s_star)
     if abs(d) < _ON_CURVE_TOL * max(1.0, abs(d + 1.0)):
         raise PedalPointOnCurveError(f"pedal point on curve near s={s_star!r}")
-
-
-def _linspace(domain, n):
-    a, b = domain
-    step = (b - a) / (n - 1)
-    pts = [a + i * step for i in range(n)]
-    pts[-1] = b
-    return pts
 
 
 # -- point formulas (generic over floats and jets) ----------------------
@@ -230,33 +221,22 @@ class _InducedPair(LegendrePair):
         self.source = source
         self.Q = Q
 
-        def r(s):
-            return point_formula(Q, source.v(s))
+        # each evaluator runs on the source's floats, at (s), or jets, at (s0, order)
+        def point(v_of):
+            return lambda *at: point_formula(Q, v_of(*at))
 
-        def r_jet(s0, order):
-            return point_formula(Q, source.v_jet(s0, order))
+        def framed(formula, r_of, v_of):
+            def value(*at):
+                rr = r_of(*at)
+                vv = v_of(*at)
+                return formula(Q, rr, vv, wedge(rr, vv))
+            return value
 
-        def v(s):
-            rr = source.r(s)
-            vv = source.v(s)
-            return dual_formula(Q, rr, vv, wedge(rr, vv))
-
-        def v_jet(s0, order):
-            rr = source.r_jet(s0, order)
-            vv = source.v_jet(s0, order)
-            return dual_formula(Q, rr, vv, wedge(rr, vv))
-
-        def mu(s):
-            rr = source.r(s)
-            vv = source.v(s)
-            return frame_formula(Q, rr, vv, wedge(rr, vv))
-
-        def mu_jet(s0, order):
-            rr = source.r_jet(s0, order)
-            vv = source.v_jet(s0, order)
-            return frame_formula(Q, rr, vv, wedge(rr, vv))
-
-        super().__init__(r, r_jet, v, v_jet, source.domain, name=name, mu=mu, mu_jet=mu_jet)
+        super().__init__(point(source.v), point(source.v_jet),
+                         framed(dual_formula, source.r, source.v),
+                         framed(dual_formula, source.r_jet, source.v_jet), source.domain,
+                         name=name, mu=framed(frame_formula, source.r, source.v),
+                         mu_jet=framed(frame_formula, source.r_jet, source.v_jet))
 
     def ell_closed_form(self, s: float) -> float:
         raise NotImplementedError
@@ -327,30 +307,32 @@ class EvoluteCurve(DerivedCurve):
         if kind:
             self.kind = kind
 
-    def _branch_split(self, ell, m):
+    def _branch_split(self, s, ell, m):
         mm = m * m
         ll = ell * ell
         d2 = mm - ll
         d2c = jets.constant_part(d2)
         scale = max(jets.constant_part(mm), jets.constant_part(ll), 1.0)
         if abs(d2c) <= _DEGENERACY_RTOL * scale:
-            return None, d2
+            raise EvoluteDegenerateError(f"evolute degenerate at s={s!r}")
         return (Branch.H2 if d2c > 0.0 else Branch.DS2), d2
+
+    @staticmethod
+    def _place(branch, d2, num):
+        """The evolute point num / sqrt(|d2|), num = m r - ell v, for floats and jets."""
+        if branch is Branch.H2:
+            point = num / jets.sqrt(d2)
+            if jets.constant_part(point.x1) < 0.0:
+                point = -point
+            return point
+        return num / jets.sqrt(-d2)
 
     def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
         ell, m = self.formula_pair.curvatures(s)
-        branch, d2 = self._branch_split(ell, m)
-        if branch is None:
-            raise EvoluteDegenerateError(f"evolute degenerate at s={s!r}")
+        branch, d2 = self._branch_split(s, ell, m)
         r = self.formula_pair.r(s)
         v = self.formula_pair.v(s)
-        if branch is Branch.H2:
-            point = (m * r - ell * v) / math.sqrt(d2)
-            if point.x1 < 0.0:
-                point = -point
-        else:
-            point = (m * r - ell * v) / math.sqrt(-d2)
-        return point, branch
+        return self._place(branch, d2, m * r - ell * v), branch
 
     def at(self, s: float) -> MVec3:
         return self.at_with_branch(s)[0]
@@ -360,19 +342,10 @@ class EvoluteCurve(DerivedCurve):
 
     def jet(self, s0: float, order: int) -> MVec3:
         ell, m, rj, vj = self.formula_pair._curvature_frame_jets(s0, order)
-        branch, d2 = self._branch_split(ell, m)
-        if branch is None:
-            raise EvoluteDegenerateError(f"evolute degenerate at s={s0!r}")
+        branch, d2 = self._branch_split(s0, ell, m)
         r = _truncate(rj, order)
         v = _truncate(vj, order)
-        num = m * r - ell * v
-        if branch is Branch.H2:
-            point = num / jets.sqrt(d2)
-            if jets.constant_part(point.x1) < 0.0:
-                point = -point
-        else:
-            point = num / jets.sqrt(-d2)
-        return point
+        return self._place(branch, d2, m * r - ell * v)
 
 
 def evolute(pair: LegendrePair) -> EvoluteCurve:
@@ -396,9 +369,12 @@ class SingularPoint:
 
 
 def _bisect(fn, lo, hi, flo, width: float = 1e-10):
+    """Narrow a sign change of fn on [lo, hi] to `width`; None where fn(mid) is None."""
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
+        if fm is None:
+            return None
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (flo > 0.0):
@@ -408,41 +384,56 @@ def _bisect(fn, lo, hi, flo, width: float = 1e-10):
     return 0.5 * (lo + hi)
 
 
-def _derivative_data(curve: DerivedCurve, s: float):
-    """(speed^2, d/ds speed^2) of the derived curve at s from order-2 jets."""
-    try:
-        V = curve.jet(s, 2)
-    except (ValueError, ArithmeticError):
-        return None, None
-    d1 = (V.x1.coeffs[1], V.x2.coeffs[1], V.x3.coeffs[1])
-    d2 = (2.0 * V.x1.coeffs[2], 2.0 * V.x2.coeffs[2], 2.0 * V.x3.coeffs[2])
-    sig2 = sum(c * c for c in d1)
-    g = 2.0 * sum(a * b for a, b in zip(d1, d2))
-    return sig2, g
+def _zeros(f, domain, samples: int, tol: float, refine_width: float):
+    """Zeros of a size function on a grid, as (s, size) pairs in increasing s.
 
-
-def _cluster_best(candidates: list[tuple[float, float]], window: float) -> list[float]:
-    """Collapse candidate (s, residual) pairs closer than `window` into one.
-
-    A flat zero makes the residual sub-threshold over a whole neighborhood;
-    the representative per cluster is the candidate of smallest residual.
+    `f(s)` is (size, slope) with size >= 0 and slope changing sign where
+    size has an isolated minimum, or None where it is undefined.  Candidates
+    are grid points of size below tol relative to the largest size on the
+    grid, and sign changes of the slope between grid neighbours of which one
+    is below 5 % of that size, refined by bisection to `refine_width` and
+    accepted under the same threshold; an undefined bisection point drops
+    its bracket.  Candidates closer than twice the grid step are reported
+    once, by the one of smallest size.  None when no grid point has a
+    non-zero size.
     """
-    if not candidates:
-        return []
-    candidates = sorted(candidates)
-    out = []
-    best_s, best_r = candidates[0]
-    last_s = best_s
-    for s, r in candidates[1:]:
-        if s - last_s <= window:
-            if r < best_r:
-                best_s, best_r = s, r
+    grid = linspace(domain, samples)
+    step = (domain[1] - domain[0]) / (samples - 1)
+    data = [f(s) for s in grid]
+    smax = max([d[0] for d in data if d is not None], default=0.0)
+    if smax == 0.0:
+        return None
+    accept = tol * smax
+    gate = 0.05 * smax
+
+    def slope(s):
+        value = f(s)
+        return None if value is None else value[1]
+
+    candidates = [(s, d[0]) for s, d in zip(grid, data) if d is not None and d[0] <= accept]
+    for i in range(len(grid) - 1):
+        a, b = data[i], data[i + 1]
+        if a is None or b is None or a[1] == 0.0 or b[1] == 0.0 or (a[1] > 0.0) == (b[1] > 0.0):
+            continue
+        if min(a[0], b[0]) > gate:
+            continue
+        root = _bisect(slope, grid[i], grid[i + 1], a[1], refine_width)
+        value = None if root is None else f(root)
+        if value is not None and value[0] <= accept:
+            candidates.append((root, value[0]))
+
+    # a flat zero puts a whole neighbourhood below the threshold
+    candidates.sort()
+    window = 2.0 * step
+    found = []
+    for s, size in candidates:
+        if found and s - last <= window:
+            if size < found[-1][1]:
+                found[-1] = (s, size)
         else:
-            out.append(best_s)
-            best_s, best_r = s, r
-        last_s = s
-    out.append(best_s)
-    return out
+            found.append((s, size))
+        last = s
+    return found
 
 
 def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = 1e-7,
@@ -453,55 +444,27 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = 1e-7,
     Candidates come from sign changes of d/ds |curve'|^2 on the grid (plus
     direct grid hits); each is refined by bisection to `refine_width` and
     accepted when the speed there is below tol relative to the largest
-    speed seen.  Zeros closer than twice the grid step are reported once.
-    Each accepted point carries a cause tag.
+    speed seen.  Parameters where the curve is undefined are gaps.  Zeros
+    closer than twice the grid step are reported once.  Each accepted point
+    carries a cause tag.
     """
-    grid = _linspace(curve.domain, samples)
-    step = (curve.domain[1] - curve.domain[0]) / (samples - 1)
-    data = [_derivative_data(curve, s) for s in grid]
-    speeds = [math.sqrt(d[0]) for d in data if d[0] is not None]
-    if not speeds:
+    def speed(s):
+        """|curve'| and d/ds |curve'|^2 at s from the order-2 jet."""
+        try:
+            V = curve.jet(s, 2)
+        except (ValueError, ArithmeticError):
+            return None
+        d1 = (V.x1.coeffs[1], V.x2.coeffs[1], V.x3.coeffs[1])
+        d2 = (2.0 * V.x1.coeffs[2], 2.0 * V.x2.coeffs[2], 2.0 * V.x3.coeffs[2])
+        return math.sqrt(sum(c * c for c in d1)), 2.0 * sum(a * b for a, b in zip(d1, d2))
+
+    found = _zeros(speed, curve.domain, samples, tol, refine_width)
+    if found is None:
         return []
-    smax = max(speeds)
-    if smax == 0.0:
-        return []
-    accept = tol * smax
-    gate = 0.05 * smax
-
-    def g_of(s):
-        return _derivative_data(curve, s)[1]
-
-    def speed_of(s):
-        sig2, _ = _derivative_data(curve, s)
-        return math.inf if sig2 is None else math.sqrt(sig2)
-
-    candidates: list[tuple[float, float]] = []
-    for i, s in enumerate(grid):
-        sig2 = data[i][0]
-        if sig2 is not None and math.sqrt(sig2) <= accept:
-            candidates.append((s, math.sqrt(sig2)))
-    for i in range(len(grid) - 1):
-        sig2a, ga = data[i]
-        sig2b, gb = data[i + 1]
-        if sig2a is None or sig2b is None or ga == 0.0 or gb == 0.0:
-            continue
-        if (ga > 0.0) == (gb > 0.0):
-            continue
-        if min(math.sqrt(sig2a), math.sqrt(sig2b)) > gate:
-            continue
-        root = _bisect(g_of, grid[i], grid[i + 1], ga, refine_width)
-        speed = speed_of(root)
-        if speed <= accept:
-            candidates.append((root, speed))
-
-    found = _cluster_best(candidates, 2.0 * step)
     m_scale = 1.0
     if pair is not None:
-        m_scale = max([abs(pair.curvatures(s)[1]) for s in _linspace(pair.domain, 101)] + [1.0])
-    out = []
-    for s in found:
-        out.append(SingularPoint(s=s, cause=_cause(s, pair, Q, m_scale), speed=speed_of(s)))
-    return out
+        m_scale = max([abs(pair.curvatures(s)[1]) for s in linspace(pair.domain, 101)] + [1.0])
+    return [SingularPoint(s=s, cause=_cause(s, pair, Q, m_scale), speed=v) for s, v in found]
 
 
 def _cause(s: float, pair: LegendrePair | None, Q: MVec3 | None, m_scale: float) -> str:
@@ -525,30 +488,8 @@ def scalar_zeros(value, deriv, domain, samples: int = 1000, tol: float = 1e-7,
     is below tol relative to the largest |value| on the grid.  Zeros closer
     than twice the grid step are reported once.
     """
-    grid = _linspace(domain, samples)
-    step = (domain[1] - domain[0]) / (samples - 1)
-    vals = [value(s) for s in grid]
-    vmax = max(abs(x) for x in vals)
-    if vmax == 0.0:
-        return []
-    accept = tol * vmax
-    gate = 0.05 * vmax
+    def f(s):
+        x = value(s)
+        return abs(x), 2.0 * x * deriv(s)
 
-    def g_of(s):
-        return 2.0 * value(s) * deriv(s)
-
-    candidates: list[tuple[float, float]] = []
-    for s, x in zip(grid, vals):
-        if abs(x) <= accept:
-            candidates.append((s, abs(x)))
-    for i in range(len(grid) - 1):
-        ga, gb = g_of(grid[i]), g_of(grid[i + 1])
-        if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
-            continue
-        if min(abs(vals[i]), abs(vals[i + 1])) > gate:
-            continue
-        root = _bisect(g_of, grid[i], grid[i + 1], ga, refine_width)
-        x = abs(value(root))
-        if x <= accept:
-            candidates.append((root, x))
-    return _cluster_best(candidates, 2.0 * step)
+    return [s for s, _ in _zeros(f, domain, samples, tol, refine_width) or ()]

@@ -377,11 +377,6 @@ def _k_tanh(v, x, y):
     return require_finite(div_coeffs(require_finite(s), require_finite(c)))
 
 
-# any other function of `jets.ELEMENTARY`, on a `Jet` (node 0 is s)
-def _k_call(v, x, name):
-    return list(jets.ELEMENTARY[name](Jet(v[0][0], tuple(v[x]))).coeffs)
-
-
 def _k_abs(v, x, y):
     raise EvalDomainError("abs is not differentiable and cannot be evaluated on jets")
 
@@ -498,9 +493,7 @@ class _Tape:
                 return self._node(_k_half, self._node(_k_pair, a, kernel), i, call)
             if e.name == "tanh":
                 return self._node(_k_tanh, self._node(_k_pair, a, sinh_cosh_coeffs), None, call)
-            if e.name == "sqrt":
-                return self._node(_k_sqrt, a, None, call)
-            return self._node(_k_call, a, e.name, call)
+            return self._node(_k_sqrt, a, None, call)  # the last name of FUNCTIONS
         return self._fold(e)
 
     def _pow(self, x, n):
@@ -595,6 +588,15 @@ def to_text(e: CurveExpr) -> str:
 # -- parametric curves -------------------------------------------------
 
 
+def linspace(domain, n: int) -> list[float]:
+    """n >= 2 evenly spaced parameters a + i * step of [a, b], the last exactly b."""
+    a, b = domain
+    step = (b - a) / (n - 1)
+    pts = [a + i * step for i in range(n)]
+    pts[-1] = b
+    return pts
+
+
 @dataclass(frozen=True)
 class ParametricCurve:
     """Three expression components on a closed parameter interval.
@@ -625,12 +627,7 @@ class ParametricCurve:
             raise ValueError("need at least 2 samples")
 
     def grid(self, n: int | None = None) -> list[float]:
-        n = n or self.samples
-        a, b = self.domain
-        step = (b - a) / (n - 1)
-        pts = [a + i * step for i in range(n)]
-        pts[-1] = b
-        return pts
+        return linspace(self.domain, n or self.samples)
 
     def point(self, s: float) -> MVec3:
         c = self.components

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import jets
+from .expr import linspace
 from .jets import Jet
 from .minkowski import MVec3, det3, inner, wedge
 
@@ -47,6 +48,11 @@ def _truncate(vec: MVec3, order: int) -> MVec3:
 
 def _const(vec: MVec3) -> MVec3:
     return vec.map(jets.constant_part)
+
+
+def _coeff(vec: MVec3, k: int) -> MVec3:
+    """The k-th Taylor coefficients of a jet vector."""
+    return MVec3(vec.x1.coeffs[k], vec.x2.coeffs[k], vec.x3.coeffs[k])
 
 
 def _sup(vec: MVec3) -> float:
@@ -146,9 +152,7 @@ class LegendrePair:
         rj = self._r_jet(s, 1)
         vj = self._v_jet(s, 1)
         mu0 = self.mu(s)
-        rd = MVec3(rj.x1.coeffs[1], rj.x2.coeffs[1], rj.x3.coeffs[1])
-        vd = MVec3(vj.x1.coeffs[1], vj.x2.coeffs[1], vj.x3.coeffs[1])
-        return inner(rd, mu0), inner(vd, mu0)
+        return inner(_coeff(rj, 1), mu0), inner(_coeff(vj, 1), mu0)
 
     def curvature_jets(self, s0: float, order: int) -> tuple[Jet, Jet]:
         """Jets of ell and m at s0, exact to the requested order."""
@@ -175,15 +179,12 @@ class LegendrePair:
         """
         if samples < 2:
             raise ValueError("need at least 2 samples")
-        a, b = self.domain
-        step = (b - a) / (samples - 1)
         worst = {"r_unit": 0.0, "v_unit": 0.0, "rv_orth": 0.0, "tangency": 0.0}
-        for i in range(samples):
-            s = b if i == samples - 1 else a + i * step
+        for s in linspace(self.domain, samples):
             try:
                 rj = self._r_jet(s, 1)
                 r0 = _const(rj)
-                rd = MVec3(rj.x1.coeffs[1], rj.x2.coeffs[1], rj.x3.coeffs[1])
+                rd = _coeff(rj, 1)
                 v0 = self._v(s)
             except (ValueError, ArithmeticError) as exc:
                 raise exc.__class__(f"{exc} (at s={s!r})") from None
@@ -205,8 +206,8 @@ def frenet_regular(curve, s: float, rtol: float = REGULARITY_RTOL) -> FrenetData
     """
     rj = curve.point_jet(s, 2)
     r0 = _const(rj)
-    rd = MVec3(rj.x1.coeffs[1], rj.x2.coeffs[1], rj.x3.coeffs[1])
-    rdd = MVec3(2.0 * rj.x1.coeffs[2], 2.0 * rj.x2.coeffs[2], 2.0 * rj.x3.coeffs[2])
+    rd = _coeff(rj, 1)
+    rdd = 2.0 * _coeff(rj, 2)
     speed_sq = inner(rd, rd)
     a, b = curve.domain
     scale = max(1.0, b - a)
@@ -270,7 +271,7 @@ class AutoDual:
 
     def _raw(self, s: float) -> MVec3:
         p, rj, rd = self._leading(s, self.order)
-        w = MVec3(rd.x1.coeffs[p], rd.x2.coeffs[p], rd.x3.coeffs[p])
+        w = _coeff(rd, p)
         q = inner(w, w)
         if q <= 0.0:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
@@ -322,14 +323,12 @@ def reparametrized(pair: LegendrePair, change, new_domain, name=None) -> Legendr
     def v(xi):
         return pair.v(change(xi))
 
-    def r_jet(xi0, order):
-        u = change(Jet.variable(float(xi0), max(order, 1))).truncate(max(order, 1))
-        outer = pair.r_jet(u.coeffs[0], u.order)
-        return outer.map(lambda j: jets.compose(j, u)).map(lambda j: j.truncate(order))
+    def composed(jet_of):
+        def at(xi0, order):
+            u = change(Jet.variable(float(xi0), max(order, 1))).truncate(max(order, 1))
+            outer = jet_of(u.coeffs[0], u.order)
+            return outer.map(lambda j: jets.compose(j, u)).map(lambda j: j.truncate(order))
+        return at
 
-    def v_jet(xi0, order):
-        u = change(Jet.variable(float(xi0), max(order, 1))).truncate(max(order, 1))
-        outer = pair.v_jet(u.coeffs[0], u.order)
-        return outer.map(lambda j: jets.compose(j, u)).map(lambda j: j.truncate(order))
-
-    return LegendrePair(r, r_jet, v, v_jet, new_domain, name=name or f"{pair.name}-reparam")
+    return LegendrePair(r, composed(pair.r_jet), v, composed(pair.v_jet), new_domain,
+                        name=name or f"{pair.name}-reparam")

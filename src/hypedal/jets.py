@@ -413,6 +413,7 @@ def powi(x, n: int):
     return float(x) ** n
 
 
+# the functions of the expression grammar, abs aside
 ELEMENTARY = {
     "sqrt": sqrt,
     "sin": sin,
@@ -420,8 +421,6 @@ ELEMENTARY = {
     "sinh": sinh,
     "cosh": cosh,
     "tanh": tanh,
-    "asinh": asinh,
-    "recip": recip,
 }
 
 

@@ -260,11 +260,7 @@ def dual_identity_check(pair: LegendrePair, s0: float, depth: int = 8, tol: floa
     k = None
     if ell_germ.first_nonzero is not None:
         k = ell_germ.first_nonzero
-        vk3 = MVec3(
-            jets.derivative(vj.x1, k + 3),
-            jets.derivative(vj.x2, k + 3),
-            jets.derivative(vj.x3, k + 3),
-        )
+        vk3 = vj.map(lambda c: jets.derivative(c, k + 3))
         lhs = inner(vk3, _const(rj))
         mprime = jets.derivative(m_jet, 1)
         m0 = m_jet.coeffs[0]

@@ -429,6 +429,33 @@ def test_pedal_and_orthotomic_share_singular_parameters(cusp37, astroid):
         assert all(abs(a - b) <= 1e-8 for a, b in zip(sp, so))
 
 
+class _Parabola:
+    """s -> (0, (s - 0.41)^2, 0) on [0, 1], undefined on the open interval `hole`."""
+
+    domain = (0.0, 1.0)
+
+    def __init__(self, hole):
+        self.hole = hole
+
+    def jet(self, s0, order):
+        if self.hole[0] < s0 < self.hole[1]:
+            raise cons.EvoluteDegenerateError(f"undefined at s={s0!r}")
+        zero = jets.Jet.constant(0.0, s0, order)
+        d = s0 - 0.41
+        return MVec3(zero, jets.Jet(s0, (d * d, 2.0 * d, 1.0)), zero)
+
+
+def test_singular_points_drop_a_bracket_whose_bisection_is_undefined():
+    # on the grid 0, 0.1, ..., 1 the zero at 0.41 is bracketed by [0.4, 0.5]
+    found = cons.singular_points(_Parabola((2.0, 3.0)), samples=11)
+    assert len(found) == 1 and abs(found[0].s - 0.41) <= 1e-9
+    assert found[0].speed == abs(2.0 * (found[0].s - 0.41))
+    # the first bisection midpoint, 0.45, is undefined: the bracket is a gap
+    assert cons.singular_points(_Parabola((0.44, 0.46)), samples=11) == []
+    # an undefined point outside the bisection changes nothing
+    assert cons.singular_points(_Parabola((0.62, 0.65)), samples=11) == found
+
+
 def test_scalar_zeros_on_plain_function():
     zeros = scalar_zeros(math.sin, math.cos, (-0.5, 7.0), samples=400)
     expected = [0.0, math.pi, 2.0 * math.pi]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CURVES, FIXTURES
 from hypedal import cli, constructions
@@ -133,6 +137,14 @@ _CLASSIFY = ["classify", *_CUSP23, "--point", "1,0,0"]
     (_CLASSIFY + ["--s0", "0.5", "--order", "-1"], "--order must be between 0 and 63, got -1"),
     (_CLASSIFY + ["--s0", "0.5", "--order", "100"], "--order must be between 0 and 63, got 100"),
     (_CLASSIFY + ["--s0", "5"], "--s0 5.0 lies outside the curve's domain [-2.0, 2.0]"),
+    (["classify", "--curve", str(CURVES / "astroid.json"), "--point", "1,0,0", "--s0", "0",
+      "--tol", "nan"], "--tol must be finite and non-negative, got nan"),
+    (_CLASSIFY + ["--s0", "0.5", "--tol=-1e-08"], "--tol must be finite and non-negative, got -1e-08"),
+    (["pedal", *_CUSP23, "--point", "1,0,0", "--tol", "inf"], "--tol must be finite and non-negative, got inf"),
+    (["pedal", *_CUSP23, "--point", "1,0,0", "--tol", "nan"], "--tol must be finite and non-negative, got nan"),
+    (["caustic", *_CUSP23, "--point", "1,0,0", "--tol", "-1"], "--tol must be finite and non-negative, got -1.0"),
+    (["check", *_CUSP23, "--tol", "nan"], "--tol must be finite and non-negative, got nan"),
+    (["check", *_CUSP23, "--tol=-inf"], "--tol must be finite and non-negative, got -inf"),
 ])
 def test_bad_numeric_arguments_exit_1(argv, message, capsys):
     assert main(argv) == 1
@@ -282,6 +294,52 @@ def test_evolute_command(tmp_path):
         assert abs(row[1] - 1.0) <= 1e-10 and abs(row[2]) <= 1e-10 and abs(row[3]) <= 1e-10
 
 
+@pytest.mark.parametrize("curve", ["astroid", "circle", "cusp23", "cusp37"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_evolute_on_every_curve(curve, fmt, tmp_path):
+    # degenerate parameters (|m^2 - l^2| ~ 0) are gaps, in sampling and in the singular-point scan
+    out = tmp_path / f"evolute.{fmt}"
+    assert main(["evolute", "--curve", _curve_arg(f"{curve}.json"), "--samples", "60",
+                 "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "svg":
+        assert out.read_text().startswith("<svg ")
+        return
+    if fmt == "csv":
+        _, rows = parse_csv(out.read_text())
+        doc = json.loads((tmp_path / "evolute.singular.json").read_text())
+    else:
+        doc = json.loads(out.read_text())
+        rows = doc["samples"]
+    assert len(rows) + len(doc["skipped_parameters"]) == 60
+    assert all(math.isfinite(x) for row in rows for x in row)
+
+
+_ASTROID_SIDE_POINT = "1.6685185538222564,-0.87303744856929,-1.0108213382416986"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolute", "--curve", str(CURVES / "astroid.json"), "--samples", "150"],
+    ["plot", "--curve", str(CURVES / "astroid.json"), "--kind", "evolute"],
+    ["caustic", "--curve", str(CURVES / "astroid.json"), "--point", _ASTROID_SIDE_POINT,
+     "--samples", "120"],
+])
+def test_bisection_into_an_undefined_parameter_leaves_a_gap(argv, tmp_path):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+_SINGULAR = json.loads((FIXTURES / "singular_points.json").read_text())
+
+
+@pytest.mark.parametrize("key", list(_SINGULAR))
+def test_singular_point_sidecars_match_fixture(key, tmp_path):
+    command, curve = key.split()
+    out = tmp_path / "derived.csv"
+    assert main([command, "--curve", _curve_arg(f"{curve}.json"), "--point", "1,0,0",
+                 "--samples", "200", "--out", str(out)]) == 0
+    sidecar = (tmp_path / "derived.singular.json").read_text()
+    assert sidecar == json_text(_SINGULAR[key]) + "\n"
+
+
 def test_svg_fixture_pedal_bytes(tmp_path):
     out = tmp_path / "pedal.svg"
     assert main(["pedal", "--curve", _curve_arg("astroid.json"), "--point", "1,0,0",
@@ -321,3 +379,48 @@ def test_render_svg_marker_layout():
     assert "<title>demo</title>" in text
     assert '<circle cx="0.500000" cy="-0.500000"' in text
     assert text.endswith("</svg>\n")
+
+
+# -- no tracebacks --------------------------------------------------------------
+
+_HOSTILE = ["nan", "inf", "-inf", "0.0", "-0.0", "1e300", "-1e300", "1e-300", "-1e-300"]
+_NUMBER = st.sampled_from(_HOSTILE) | st.floats(-3.0, 3.0).map(repr)
+_POINT = (st.sampled_from(["1,0,0", "1.4142135623730951,1,0", _ASTROID_SIDE_POINT])
+          | st.lists(_NUMBER, min_size=3, max_size=3).map(",".join))
+_KIND_NAMES = ["pedal", "orthotomic", "evolute", "caustic"]
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["check", "curvatures", *_KIND_NAMES, "classify", "plot"]))
+    curve = draw(st.sampled_from(["astroid", "circle", "cusp23", "cusp37"]))
+    argv = [command, "--curve", str(CURVES / f"{curve}.json")]
+    if command != "classify":
+        argv += ["--samples", str(draw(st.integers(2, 40)))]
+    if command in ("pedal", "orthotomic", "caustic", "classify") or (
+            command == "plot" and draw(st.booleans())):
+        argv.append("--point=" + draw(_POINT))
+    if command in ("check", *_KIND_NAMES, "classify"):
+        argv.append("--tol=" + draw(_NUMBER))
+    if command in _KIND_NAMES:
+        argv += ["--format", draw(st.sampled_from(["csv", "json", "svg"]))]
+    if command == "classify":
+        argv += ["--s0=" + draw(_NUMBER),
+                 "--order=" + draw(st.sampled_from(_HOSTILE) | st.integers(-2, 66).map(str))]
+    if command == "plot":
+        argv += ["--kind", ",".join(draw(st.lists(st.sampled_from(_KIND_NAMES), min_size=1, max_size=3)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_argv())
+# the pedal jets overflow: a plain ValueError, which is a math domain failure (exit 3)
+@example(["classify", "--curve", str(CURVES / "circle.json"), "--point=1e300,0,0", "--s0=0",
+          "--order=0"])
+def test_cli_never_ends_in_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] != "check":
+            argv = argv + ["--out", f"{tmp}/out"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert isinstance(code, int) and 0 <= code <= 5
