@@ -46,35 +46,36 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hypedal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hypedal {__version__}")
+    # each command's handler is its `run` default
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, point=False, s0=False):
-        p.add_argument("--curve", required=True, help="curve JSON file")
-        if point:
-            p.add_argument("--point", required=True, help='pedal point "x1,x2,x3" on the upper sheet')
-        if s0:
-            p.add_argument("--s0", type=float, required=True, help="parameter value to classify at")
-        p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv", dest="fmt")
-        p.add_argument("--tol", type=float, default=None,
-                       help="singular-point acceptance tolerance, relative to the "
-                            "largest speed on the grid (default 1e-7)")
-
     p = sub.add_parser("check", help="validate the Legendrian conditions (exit 0 pass, 2 fail)")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed relative residual (default 1e-9)")
 
     p = sub.add_parser("curvatures", help="CSV of the curvature pair: columns s,l,m")
+    p.set_defaults(run=_cmd_curvatures)
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     for kind, (_, point, help_text) in _KINDS.items():
-        common(sub.add_parser(kind, help=help_text), point=point)
+        p = sub.add_parser(kind, help=help_text)
+        p.set_defaults(run=_cmd_derived)
+        p.add_argument("--curve", required=True, help="curve JSON file")
+        if point:
+            p.add_argument("--point", required=True, help='pedal point "x1,x2,x3" on the upper sheet')
+        p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv", dest="fmt")
+        p.add_argument("--tol", type=float, default=constructions.SINGULAR_TOL,
+                       help="singular-point acceptance tolerance, relative to the "
+                            "largest speed on the grid (default 1e-7)")
 
     p = sub.add_parser("classify", help="classify the pedal singularity at s0 (exit 0/4/5 per verdict)")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--point", required=True, help='pedal point "x1,x2,x3" on the upper sheet')
     p.add_argument("--s0", type=float, required=True, help="parameter value to classify at")
@@ -85,6 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("plot", help="SVG figure with the source and derived curves")
+    p.set_defaults(run=_cmd_plot)
     p.add_argument("--curve", required=True)
     p.add_argument("--point", default=None)
     p.add_argument("--kind", default="pedal",
@@ -183,29 +185,33 @@ def _build(pair, kind: str, Q):
     return build(pair, Q) if point else build(pair)
 
 
-def _cmd_derived(ns, kind: str) -> int:
+def _derive(pair, kinds, Q, grid, tol) -> list:
+    """(curve, its points on the grid or None where undefined, its singular points)
+    for each derived curve of `kinds`; all are built first, so that a bad kind or
+    point fails before any sampling."""
+    derived_list = [_build(pair, kind, Q) for kind in kinds]
+    return [(derived, _sample(derived, grid), derived.singular_points(samples=len(grid), tol=tol))
+            for derived in derived_list]
+
+
+def _cmd_derived(ns) -> int:
     curve, pair = _load_pair(ns)
-    derived = _build(pair, kind, _parse_point(ns.point) if _KINDS[kind][1] else None)
-    n = _samples(ns, curve)
-    tol = ns.tol if ns.tol is not None else 1e-7
-
-    grid = linspace(pair.domain, n)
-    points = _sample(derived, grid)
-    rows = [(s, p.x1, p.x2, p.x3) for s, p in zip(grid, points) if p is not None]
-    skipped = [s for s, p in zip(grid, points) if p is None]
-    singular = derived.singular_points(samples=n, tol=tol)
-
+    kind = ns.command
+    Q = _parse_point(ns.point) if _KINDS[kind][1] else None
+    grid = linspace(pair.domain, _samples(ns, curve))
+    scanned = _derive(pair, [kind], Q, grid, ns.tol)
     if ns.fmt == "svg":
-        figure = _figure(pair, [derived], getattr(derived, "Q", None), n, singular, [points])
-        _emit(figure, ns.out)
+        _emit(_figure(pair, Q, grid, scanned), ns.out)
         return 0
+    [(_, points, singular)] = scanned
+    rows = [(s, p.x1, p.x2, p.x3) for s, p in zip(grid, points) if p is not None]
     singular_doc = {
         "schema": io.SCHEMA_VERSION,
         "operation": kind,
         "curve": pair.name,
-        "point": _point_list(getattr(derived, "Q", None)),
+        "point": None if Q is None else [Q.x1, Q.x2, Q.x3],
         "singular_points": [{"s": sp.s, "cause": sp.cause} for sp in singular],
-        "skipped_parameters": skipped,
+        "skipped_parameters": [s for s, p in zip(grid, points) if p is None],
     }
     if ns.fmt == "json":
         doc = dict(singular_doc)
@@ -216,10 +222,6 @@ def _cmd_derived(ns, kind: str) -> int:
     if ns.out:
         _sidecar_path(ns.out).write_text(io.json_text(singular_doc) + "\n")
     return 0
-
-
-def _point_list(Q):
-    return None if Q is None else [Q.x1, Q.x2, Q.x3]
 
 
 def _sample(derived, grid) -> list:
@@ -233,29 +235,23 @@ def _sample(derived, grid) -> list:
     return points
 
 
-def _figure(pair, derived_list, Q, n, singular, sampled=None) -> str:
-    """The SVG figure; `sampled` holds each derived curve's `_sample` when known."""
-    polylines = []
-    grid = linspace(pair.domain, n)
-    source_pts = [pair.r(s) for s in grid]
-    for run in io.disk_runs(source_pts):
-        polylines.append((run, io.COLORS["source"], 0.008))
-    for i, derived in enumerate(derived_list):
-        pts = sampled[i] if sampled else _sample(derived, grid)
-        color = io.COLORS.get(derived.kind, io.COLORS["pedal"])
-        for run in io.disk_runs(pts):
-            polylines.append((run, color, 0.008))
+def _figure(pair, Q, grid, scanned) -> str:
+    """The SVG figure of the source curve, Q and each curve of `_derive`, every
+    derived curve marked at its own singular points in the colour of their cause."""
+    polylines = [(run, io.COLORS["source"], 0.008) for run in io.disk_runs([pair.r(s) for s in grid])]
+    for derived, points, _ in scanned:
+        polylines += [(run, io.COLORS[derived.kind], 0.008) for run in io.disk_runs(points)]
     markers = []
     if Q is not None:
         u, v = io.project_poincare(Q)
         markers.append((u, v, io.COLORS["point"], 0.02))
-    for sp in singular or []:
-        for derived in derived_list:
+    for derived, _, singular in scanned:
+        for sp in singular:
             try:
                 u, v = io.project_poincare(derived.at(sp.s), tol=1e-6)
             except _DOMAIN_ERRORS:
                 continue
-            markers.append((u, v, io.CAUSE_COLORS.get(sp.cause, io.CAUSE_COLORS["other"]), 0.012))
+            markers.append((u, v, io.CAUSE_COLORS[sp.cause], 0.012))
     return io.render_svg(polylines, markers, title=pair.name)
 
 
@@ -299,10 +295,8 @@ def _cmd_plot(ns) -> int:
     if needs_point and ns.point is None:
         raise UsageError(f"--point is required for kinds: {', '.join(needs_point)}")
     Q = _parse_point(ns.point) if ns.point else None
-    derived_list = [_build(pair, kind, Q) for kind in kinds]
-    n = _samples(ns, curve)
-    singular = derived_list[0].singular_points(samples=n)
-    _emit(_figure(pair, derived_list, Q, n, singular), ns.out)
+    grid = linspace(pair.domain, _samples(ns, curve))
+    _emit(_figure(pair, Q, grid, _derive(pair, kinds, Q, grid, constructions.SINGULAR_TOL)), ns.out)
     return 0
 
 
@@ -317,17 +311,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if ns.command == "check":
-            return _cmd_check(ns)
-        if ns.command == "curvatures":
-            return _cmd_curvatures(ns)
-        if ns.command in _KINDS:
-            return _cmd_derived(ns, ns.command)
-        if ns.command == "classify":
-            return _cmd_classify(ns)
-        if ns.command == "plot":
-            return _cmd_plot(ns)
-        raise UsageError(f"unknown command {ns.command!r}")
+        return ns.run(ns)
     except UsageError as exc:
         print(f"hypedal: error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,10 @@ from .minkowski import GeometryError, MVec3, inner, on_upper_hyperboloid, wedge
 _ON_CURVE_TOL = 1e-9
 _POINT_TOL = 1e-9
 
+# A zero is accepted where the size is below this fraction of the largest
+# size on the grid.
+SINGULAR_TOL = 1e-7
+
 
 class PedalPointOnCurveError(GeometryError):
     """The pedal point coincides with a curve point; induced data undefined."""
@@ -147,7 +151,7 @@ class DerivedCurve:
     def jet(self, s0: float, order: int) -> MVec3:
         raise NotImplementedError
 
-    def singular_points(self, samples: int = 1000, tol: float = 1e-7):
+    def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL):
         return singular_points(self, samples=samples, tol=tol, pair=self.pair, Q=self.Q)
 
 
@@ -384,25 +388,25 @@ def _bisect(fn, lo, hi, flo, width: float = 1e-10):
     return 0.5 * (lo + hi)
 
 
-def _zeros(f, domain, samples: int, tol: float, refine_width: float):
+def _zeros(f, domain, samples: int, tol: float):
     """Zeros of a size function on a grid, as (s, size) pairs in increasing s.
 
     `f(s)` is (size, slope) with size >= 0 and slope changing sign where
     size has an isolated minimum, or None where it is undefined.  Candidates
     are grid points of size below tol relative to the largest size on the
     grid, and sign changes of the slope between grid neighbours of which one
-    is below 5 % of that size, refined by bisection to `refine_width` and
-    accepted under the same threshold; an undefined bisection point drops
-    its bracket.  Candidates closer than twice the grid step are reported
-    once, by the one of smallest size.  None when no grid point has a
-    non-zero size.
+    is below 5 % of that size, refined by bisection to 1e-10 and accepted
+    under the same threshold; an undefined bisection point drops its
+    bracket.  Candidates closer than twice the grid step are reported once,
+    by the one of smallest size.  Empty when no grid point has a non-zero
+    size.
     """
     grid = linspace(domain, samples)
     step = (domain[1] - domain[0]) / (samples - 1)
     data = [f(s) for s in grid]
     smax = max([d[0] for d in data if d is not None], default=0.0)
     if smax == 0.0:
-        return None
+        return []
     accept = tol * smax
     gate = 0.05 * smax
 
@@ -417,7 +421,7 @@ def _zeros(f, domain, samples: int, tol: float, refine_width: float):
             continue
         if min(a[0], b[0]) > gate:
             continue
-        root = _bisect(slope, grid[i], grid[i + 1], a[1], refine_width)
+        root = _bisect(slope, grid[i], grid[i + 1], a[1])
         value = None if root is None else f(root)
         if value is not None and value[0] <= accept:
             candidates.append((root, value[0]))
@@ -436,13 +440,13 @@ def _zeros(f, domain, samples: int, tol: float, refine_width: float):
     return found
 
 
-def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = 1e-7,
-                    pair: LegendrePair | None = None, Q: MVec3 | None = None,
-                    refine_width: float = 1e-10) -> list[SingularPoint]:
+def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGULAR_TOL,
+                    pair: LegendrePair | None = None,
+                    Q: MVec3 | None = None) -> list[SingularPoint]:
     """Locate parameters where the derived curve's velocity vanishes.
 
     Candidates come from sign changes of d/ds |curve'|^2 on the grid (plus
-    direct grid hits); each is refined by bisection to `refine_width` and
+    direct grid hits); each is refined by bisection to 1e-10 and
     accepted when the speed there is below tol relative to the largest
     speed seen.  Parameters where the curve is undefined are gaps.  Zeros
     closer than twice the grid step are reported once.  Each accepted point
@@ -458,8 +462,8 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = 1e-7,
         d2 = (2.0 * V.x1.coeffs[2], 2.0 * V.x2.coeffs[2], 2.0 * V.x3.coeffs[2])
         return math.sqrt(sum(c * c for c in d1)), 2.0 * sum(a * b for a, b in zip(d1, d2))
 
-    found = _zeros(speed, curve.domain, samples, tol, refine_width)
-    if found is None:
+    found = _zeros(speed, curve.domain, samples, tol)
+    if not found:
         return []
     m_scale = 1.0
     if pair is not None:
@@ -479,8 +483,8 @@ def _cause(s: float, pair: LegendrePair | None, Q: MVec3 | None, m_scale: float)
     return "other"
 
 
-def scalar_zeros(value, deriv, domain, samples: int = 1000, tol: float = 1e-7,
-                 refine_width: float = 1e-10) -> list[float]:
+def scalar_zeros(value, deriv, domain, samples: int = 1000,
+                 tol: float = SINGULAR_TOL) -> list[float]:
     """Zeros of a smooth scalar function, including zeros without sign change.
 
     Works on h = value^2 whose derivative 2*value*deriv changes sign at any
@@ -492,4 +496,4 @@ def scalar_zeros(value, deriv, domain, samples: int = 1000, tol: float = 1e-7,
         x = value(s)
         return abs(x), 2.0 * x * deriv(s)
 
-    return [s for s, _ in _zeros(f, domain, samples, tol, refine_width) or ()]
+    return [s for s, _ in _zeros(f, domain, samples, tol)]

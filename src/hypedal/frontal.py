@@ -118,9 +118,8 @@ class LegendrePair:
         )
 
     @classmethod
-    def with_auto_dual(cls, curve, order: int = jets.DEFAULT_ORDER,
-                       samples: int | None = None) -> "LegendrePair":
-        dual = AutoDual(curve, order=order, samples=samples)
+    def with_auto_dual(cls, curve, samples: int | None = None) -> "LegendrePair":
+        dual = AutoDual(curve, samples=samples)
         return cls(curve.point, curve.point_jet, dual, dual.jet, curve.domain, name=curve.name)
 
     # -- frame evaluation ------------------------------------------------
@@ -228,12 +227,13 @@ class AutoDual:
     power of (s - s0) before normalizing, which gives the exact limiting
     direction with no step-size tuning.  The overall sign is fixed by
     continuity along a precomputed grid; the first sample is oriented so
-    its x3 component (or first non-zero component) is positive.
+    its x3 component (or first non-zero component) is positive.  The curve's
+    jets are read at order `jets.DEFAULT_ORDER`, or higher where a requested
+    jet needs it.
     """
 
-    def __init__(self, curve, order: int = jets.DEFAULT_ORDER, samples: int | None = None):
+    def __init__(self, curve, samples: int | None = None):
         self.curve = curve
-        self.order = max(4, order)
         n = samples or min(curve.samples, 400)
         self._grid = curve.grid(n)
         raw = []
@@ -270,7 +270,7 @@ class AutoDual:
         return min(orders), rj, rd
 
     def _raw(self, s: float) -> MVec3:
-        p, rj, rd = self._leading(s, self.order)
+        p, rj, rd = self._leading(s, jets.DEFAULT_ORDER)
         w = _coeff(rd, p)
         q = inner(w, w)
         if q <= 0.0:
@@ -290,7 +290,7 @@ class AutoDual:
         return self._sign_at(s, raw) * raw
 
     def jet(self, s0: float, order: int) -> MVec3:
-        p, _, _ = self._leading(s0, max(self.order, order + 2))
+        p, _, _ = self._leading(s0, max(jets.DEFAULT_ORDER, order + 2))
         if order + 1 + p > jets.MAX_ORDER:
             raise DualUndeterminedError(
                 f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "

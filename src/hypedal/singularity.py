@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import jets
-from .constructions import pedal_point
+from .constructions import _require_point, pedal_point
 from .frontal import LegendrePair, _const, _d, _truncate
 from .minkowski import MVec3, det3, inner, wedge
 
@@ -166,7 +166,9 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
     The prediction follows the decision table in the module docstring; the
     measurement runs on the pedal jets themselves.  Germ orders that are
     flat to truncation yield an Undetermined verdict rather than a guess.
+    Q must lie on the upper hyperboloid sheet, as for `constructions.pedal`.
     """
+    _require_point(Q)
     ell_jet, m_jet = pair.curvature_jets(s0, order)
     m_germ = detect_Ak(m_jet, tol)
     ell_germ = detect_Ak(ell_jet, tol)

@@ -456,6 +456,26 @@ def test_singular_points_drop_a_bracket_whose_bisection_is_undefined():
     assert cons.singular_points(_Parabola((0.62, 0.65)), samples=11) == found
 
 
+class _Line:
+    """s -> (0, s, 0) on [0, 1]: unit speed, no singular point."""
+
+    domain = (0.0, 1.0)
+
+    def jet(self, s0, order):
+        zero = jets.Jet.constant(0.0, s0, order)
+        return MVec3(zero, jets.Jet.variable(s0, order), zero)
+
+
+class _UndefinedCurvatures:
+    def curvatures(self, s):
+        raise cons.EvoluteDegenerateError(f"undefined at s={s!r}")
+
+
+def test_singular_points_without_a_zero_leave_the_curvatures_unread():
+    # the curvature scale only tags the cause of a found point
+    assert cons.singular_points(_Line(), samples=11, pair=_UndefinedCurvatures()) == []
+
+
 def test_scalar_zeros_on_plain_function():
     zeros = scalar_zeros(math.sin, math.cos, (-0.5, 7.0), samples=400)
     expected = [0.0, math.pi, 2.0 * math.pi]

@@ -215,6 +215,12 @@ def test_math_domain_failure_exits_3(tmp_path, capsys):
     assert "math domain failure" in capsys.readouterr().err
 
 
+def test_classify_refuses_a_point_off_the_sheet(capsys):
+    assert main(["classify", *_CUSP23, "--point", "2,0,0", "--s0", "1"]) == 3
+    assert capsys.readouterr().err == ("hypedal: math domain failure: pedal point (2.0, 0.0, 0.0) "
+                                       "is not on the upper hyperboloid sheet\n")
+
+
 def test_curvatures_csv(tmp_path):
     out = tmp_path / "lm.csv"
     assert main(["curvatures", "--curve", _curve_arg("cusp23.json"),
@@ -370,6 +376,21 @@ def test_plot_command(tmp_path):
     assert text.count("<polyline") >= 3
     assert "#1565c0" in text and "#2e7d32" in text and "#f9a825" in text
     assert main(["plot", "--curve", _curve_arg("astroid.json"), "--kind", "pedal"]) == 1
+
+
+def _markers(argv, out):
+    assert main(argv + ["--out", str(out)]) == 0
+    return re.findall(r'<circle cx="[^"]+" cy="[^"]+" r="0\.0[0-9]+" fill="[^"]+"/>', out.read_text())
+
+
+def test_plot_marks_each_curve_at_its_own_singular_points(tmp_path):
+    plot = ["plot", *_CUSP23, "--point", "1.7320508075688772,1,1", "--samples", "101", "--kind"]
+    both = _markers(plot + ["evolute,pedal"], tmp_path / "both.svg")
+    evolute = _markers(plot + ["evolute"], tmp_path / "evolute.svg")
+    pedal = _markers(plot + ["pedal"], tmp_path / "pedal.svg")
+    # Q = r(1): the pedal's cusp at s = 1 is a point_on_curve marker
+    assert '<circle cx="0.366025" cy="-0.366025" r="0.012" fill="#b71c1c"/>' in pedal
+    assert both == evolute + pedal[1:]  # Q's marker once, then each curve's own
 
 
 def test_render_svg_marker_layout():
