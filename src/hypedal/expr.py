@@ -12,13 +12,14 @@ Grammar (EBNF, whitespace-insensitive)::
 Precedence is ^  >  unary -  >  * /  >  + -, with left associativity for
 binary - and /.  Exponents must be integer literals and there is no
 implicit multiplication ("2s" is a syntax error).  Parsed trees are
-immutable and evaluate either to floats, by walking the tree, or to
-truncated Taylor jets, through a compiled tape (see `_Tape`).
+immutable and evaluate, through a compiled tape (see `_Tape`), either to
+floats or to truncated Taylor jets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import jets
@@ -32,9 +33,10 @@ FUNCTIONS = ("sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")
 
 MAX_JET_ORDER = jets.MAX_ORDER
 
-# Base points whose tape values a ParametricCurve keeps, least recently used
-# first out.  On a round of the benchmark's autodual mix, 1, 2 and 4 entries
-# serve 2 %, 14 % and 36 % of the requests, and 8 entries no more than 4.
+# Points whose tape values a ParametricCurve keeps, least recently used first
+# out, floats and jets alike.  Of a benchmark round's jet requests, 1, 2 and 8
+# entries serve without running a step 38 %, 45 % and 45 % on autodual and
+# 40 %, 60 % and 64 % on classify; render's 31 % does not depend on the size.
 JET_MEMO_SIZE = 4
 
 
@@ -289,28 +291,29 @@ def _eval(node: CurveExpr, s):
 
 
 def eval_scalar(e: CurveExpr, s: float) -> float:
-    return _eval(e, float(s))
+    return _TapePoint(_Tape(((e,),), floats=True), float(s), 0).outputs(0)[0]
 
 
 def eval_jet(e: CurveExpr, s0: float, order: int) -> Jet:
     base, degree = _tape_args(s0, order)
-    return _TapePoint(_Tape(((e,),)), base, degree).jets(0, order)[0]
+    return Jet(base, tuple(_TapePoint(_Tape(((e,),)), base, degree).outputs(0)[0][: order + 1]))
 
 
 # -- the Taylor tape ---------------------------------------------------
 #
-# Jet evaluation compiles expression trees into one hash-consed DAG, a
-# straight-line Taylor program (Griewank & Walther, "Evaluating
-# Derivatives", ch. 13): equal subtrees become one node, and sin/cos or
-# sinh/cosh/tanh of one argument share one recurrence.  A node runs a
-# `jets` coefficient kernel on plain lists with the operands in the roles
-# that the `Jet` operators give them, constants lifted to (c, 0.0, ...) as
-# `Jet._lift` does, and checks its result for finiteness as a `Jet` does.
-# So every coefficient, the sign of zero included, and every exception are
-# those of `_eval` on jets.  Constant subtrees fold at compile time to a
-# float, or to a node raising their error.  A node computes
-# `fn(values, x, y)`: x is a node id, y a second node id, a constant, a
-# function or a name.
+# Evaluation compiles expression trees into one hash-consed DAG, a
+# straight-line program (Griewank & Walther, "Evaluating Derivatives",
+# ch. 13): equal subtrees become one node.  The jet program runs `jets`
+# coefficient kernels on plain lists with the operands in the roles that
+# the `Jet` operators give them, sin/cos or sinh/cosh/tanh of one argument
+# sharing one recurrence, constants lifted to (c, 0.0, ...) as `Jet._lift`
+# does, and each result checked for finiteness as a `Jet` checks it.  The
+# float program runs `_eval`'s float operations, `**` and `math` included,
+# on constants held in nodes of their own.  So every value, the sign of
+# zero included, and every exception are those of `_eval`.  Constant
+# subtrees fold at compile time to a constant, or to a node raising their
+# error.  A node computes `fn(values, x, y)`: x is a node id, y a second
+# node id, a constant, a function or a name.
 
 
 def _tape_args(s0, order: int) -> tuple[float, int]:
@@ -385,7 +388,21 @@ def _k_raise(v, x, exc):
     raise exc.with_traceback(None)
 
 
-_BINARY = {"+": _k_add, "-": _k_sub, "*": _k_mul}  # any other operator divides, as in _eval
+# the float program: the operations of `_eval`, on floats; `_run` words the
+# ZeroDivisionError of / and ^ as `_eval` does
+def _f_call(v, x, fn):
+    return fn(v[x])
+
+
+def _f_pow(v, x, n):
+    return v[x] ** n
+
+
+# any other operator divides, as in _eval
+_BINARY = {"+": _k_add, "-": _k_sub, "*": _k_mul}
+_F_BINARY = {"+": lambda v, x, y: v[x] + v[y], "-": lambda v, x, y: v[x] - v[y],
+             "*": lambda v, x, y: v[x] * v[y], "/": lambda v, x, y: v[x] / v[y]}
+_TWO_OPERANDS = {_k_add, _k_sub, _k_mul, _k_div, *_F_BINARY.values()}
 _HALVES = {"sin": (sin_cos_coeffs, 0), "cos": (sin_cos_coeffs, 1),
            "sinh": (sinh_cosh_coeffs, 0), "cosh": (sinh_cosh_coeffs, 1)}
 
@@ -400,7 +417,7 @@ class _Const:
 
 
 class _Tape:
-    """The jet program of groups of expression trees, e.g. a curve's r and v.
+    """The jet or float program of groups of expression trees, e.g. a curve's r and v.
 
     Node 0 is s.  `outputs[g]` holds the nodes of group g's trees and
     `programs[g]` the steps (node, fn, x, y) computing them, in the order in
@@ -408,8 +425,9 @@ class _Tape:
     failing step raises what that walk would.
     """
 
-    def __init__(self, groups):
-        self.steps = [None]
+    def __init__(self, groups, floats: bool = False):
+        self.floats = floats
+        self.steps = [(None, None, None)]  # a node without fn holds y from the start, in init
         self.deps = [()]
         self.calls = {}  # node -> (function name, argument node), for error messages
         self._index = {}
@@ -419,6 +437,7 @@ class _Tape:
             # what is left of one group once the other has run
             self.rest = [self._program(self.outputs[0], self.outputs[1]),
                          self._program(self.outputs[1], self.outputs[0])]
+        self.init = [None if fn else y for fn, x, y in self.steps]
 
     def _add(self, fn, x, y, deps):
         self.steps.append((fn, x, y))
@@ -429,7 +448,7 @@ class _Tape:
         key = (fn, x, y.hex() if isinstance(y, float) else y)
         node = self._index.get(key)
         if node is None:
-            deps = (x, y) if fn in (_k_add, _k_sub, _k_mul, _k_div) else (x,)
+            deps = (x, y) if fn in _TWO_OPERANDS else (x,) if fn else ()
             node = self._index[key] = self._add(fn, x, y, deps)
         if call is not None:
             self.calls[node] = call
@@ -453,22 +472,34 @@ class _Tape:
             return self._fail(exc, x)
         return self._node(fn, x, c)
 
+    def _operand(self, a):
+        """Node a, or a float-program node holding the constant a."""
+        return self._node(None, None, a.value) if isinstance(a, _Const) else a
+
     def _output(self, e) -> int:
         node = self._emit(e)
-        return self._lifted(_k_lift, 0, node.value) if isinstance(node, _Const) else node
+        if not isinstance(node, _Const) or self.floats:
+            return self._operand(node)
+        return self._lifted(_k_lift, 0, node.value)
 
     def _emit(self, e):
-        """The node computing `e` on jets, or `e` folded to a constant."""
+        """The node computing `e`, or `e` folded to a constant."""
+        floats = self.floats
         if isinstance(e, Var):
             return 0
         if isinstance(e, Neg):
             a = self._emit(e.arg)
-            return self._fold(e) if isinstance(a, _Const) else self._node(_k_neg, a)
+            if isinstance(a, _Const):
+                return self._fold(e)
+            return self._node(_f_call, a, operator.neg) if floats else self._node(_k_neg, a)
         if isinstance(e, BinOp):
             a = self._emit(e.left)
             b = self._emit(e.right)
             if isinstance(a, _Const) and isinstance(b, _Const):
                 return self._fold(e)
+            if floats:
+                return self._node(_F_BINARY.get(e.op, _F_BINARY["/"]), self._operand(a),
+                                  self._operand(b))
             if e.op == "*" and isinstance(a, _Const):
                 return self._lifted(_k_scale, b, a.value)
             if e.op == "*" and isinstance(b, _Const):
@@ -480,12 +511,16 @@ class _Tape:
             return self._node(_BINARY.get(e.op, _k_div), a, b)
         if isinstance(e, Pow):
             a = self._emit(e.base)
-            return self._fold(e) if isinstance(a, _Const) else self._pow(a, e.exponent)
+            if isinstance(a, _Const):
+                return self._fold(e)
+            return self._node(_f_pow, a, e.exponent) if floats else self._pow(a, e.exponent)
         if isinstance(e, Call):
             a = self._emit(e.arg)
             if isinstance(a, _Const):
                 return self._fold(e)
             call = (e.name, a)
+            if floats:
+                return self._node(_f_call, a, getattr(math, e.name, abs), call)  # no math.abs
             if e.name == "abs":
                 return self._node(_k_abs, a)
             if e.name in _HALVES:
@@ -526,35 +561,40 @@ class _Tape:
 
         visit(computed, [])
         visit(roots, order)
-        return tuple((node,) + self.steps[node] for node in order)
+        return tuple((node,) + self.steps[node] for node in order if self.steps[node][0])
 
 
 class _TapePoint:
-    """Node values of a tape at one base point and degree, filled group by group."""
+    """Node values of a tape at one base point and degree, 0 for floats, filled group by group."""
 
     __slots__ = ("tape", "base", "values", "done", "results")
 
     def __init__(self, tape: _Tape, base: float, degree: int):
         self.tape = tape
         self.base = base
-        self.values = [None] * len(tape.steps)
-        self.values[0] = [base, 1.0] + [0.0] * (degree - 1)
+        self.values = tape.init.copy()
+        self.values[0] = [base, 1.0] + [0.0] * (degree - 1) if degree else base
         self.done = set()
-        self.results = {}  # (group, order) -> what `ParametricCurve._jet` returned
+        self.results = {}  # (group, order) -> what `ParametricCurve._at` returned
 
-    def jets(self, group: int, order: int) -> tuple:
+    def outputs(self, group: int) -> list:
+        """The values of group's trees, once what they need has run."""
         tape = self.tape
         if group not in self.done:
             self._run(tape.rest[group] if self.done else tape.programs[group])
             self.done.add(group)
         v = self.values
-        return tuple(Jet(self.base, tuple(v[node][: order + 1])) for node in tape.outputs[group])
+        return [v[node] for node in tape.outputs[group]]
 
     def _run(self, program):
         v = self.values
         try:
             for node, fn, x, y in program:
                 v[node] = fn(v, x, y)
+        except ZeroDivisionError:
+            if fn is _f_pow:
+                raise EvalDomainError(f"zero raised to the negative power {y}") from None
+            raise EvalDomainError("division by zero") from None
         except ValueError as exc:
             call = self.tape.calls.get(node)
             if call is None:
@@ -563,7 +603,10 @@ class _TapePoint:
             if isinstance(exc, JetDomainError):
                 raise EvalDomainError(str(exc)) from None
             name, arg = call
-            raise EvalDomainError(f"domain error: {name}({Jet(self.base, tuple(v[arg]))!r})") from None
+            arg = v[arg]
+            if isinstance(arg, list):
+                arg = Jet(self.base, tuple(arg))
+            raise EvalDomainError(f"domain error: {name}({arg!r})") from None
 
 
 def to_text(e: CurveExpr) -> str:
@@ -605,10 +648,11 @@ class ParametricCurve:
     that makes the pair Legendrian; otherwise the dual has to be derived
     numerically (see frontal.AutoDual).
 
-    `point_jet` and `dual_jet` run one tape compiled from all six trees on
-    first use, and keep the node values of the last `JET_MEMO_SIZE` base
-    points in a memo keyed on (s0, sign of s0, order), so r and v at one
-    point share their common subtrees and a repeated request costs a lookup.
+    `point`, `dual_point`, `point_jet` and `dual_jet` run a float and a jet
+    tape, each compiled from all six trees on first use, so r and v at one
+    point share their common subtrees.  The node values of the last
+    `JET_MEMO_SIZE` points are kept in a memo keyed on (s, sign of s,
+    degree), degree 0 for floats, so a repeated request costs a lookup.
     """
 
     name: str
@@ -616,7 +660,7 @@ class ParametricCurve:
     domain: tuple[float, float]
     dual_components: tuple[CurveExpr, CurveExpr, CurveExpr] | None = None
     samples: int = 1000
-    _tape: _Tape | None = field(default=None, init=False, repr=False, compare=False)
+    _tapes: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -630,29 +674,39 @@ class ParametricCurve:
         return linspace(self.domain, n or self.samples)
 
     def point(self, s: float) -> MVec3:
-        c = self.components
-        return MVec3(eval_scalar(c[0], s), eval_scalar(c[1], s), eval_scalar(c[2], s))
+        return self._at(0, s)
 
     def point_jet(self, s0: float, order: int) -> MVec3:
-        return self._jet(0, s0, order)
+        return self._at(0, s0, order)
 
-    def _jet(self, group: int, s0: float, order: int) -> MVec3:
-        base, degree = _tape_args(s0, order)
-        # 0.0 == -0.0, but the variable's constant coefficient keeps the sign
-        key = (base, math.copysign(1.0, base), degree)
-        point = self._memo.pop(key, None)
+    def _at(self, group: int, s: float, order: int | None = None) -> MVec3:
+        """Group's three values at s: floats, or jets truncated to `order`."""
+        base, degree = (float(s), 0) if order is None else _tape_args(s, order)
+        key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
+        memo = self._memo
+        point = memo.pop(key, None)
+        if point is None and degree:
+            # coefficient k of every step depends on coefficients <= k only,
+            # and a step refused at one degree is refused at every degree above
+            for k, p in memo.items():
+                if k[2] > degree and k[:2] == key[:2] and group in p.done:
+                    key, point = k, memo.pop(k)
+                    break
         if point is None:
-            if self._tape is None:
+            if self._tapes is None:
                 groups = (self.components,) if self.dual_components is None else (
                     self.components, self.dual_components)
-                object.__setattr__(self, "_tape", _Tape(groups))
-            point = _TapePoint(self._tape, base, degree)
+                object.__setattr__(self, "_tapes", (_Tape(groups, floats=True), _Tape(groups)))
+            point = _TapePoint(self._tapes[degree > 0], base, degree)
         result = point.results.get((group, order))
         if result is None:
-            result = point.results[group, order] = MVec3(*point.jets(group, order))
-        if len(self._memo) >= JET_MEMO_SIZE:
-            del self._memo[next(iter(self._memo))]
-        self._memo[key] = point
+            values = point.outputs(group)
+            if degree:
+                values = [Jet(base, tuple(c[: order + 1])) for c in values]
+            result = point.results[group, order] = MVec3(*values)
+        if len(memo) >= JET_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = point
         return result
 
     def has_dual(self) -> bool:
@@ -661,10 +715,9 @@ class ParametricCurve:
     def dual_point(self, s: float) -> MVec3:
         if self.dual_components is None:
             raise ValueError(f"curve {self.name!r} has no explicit dual components")
-        c = self.dual_components
-        return MVec3(eval_scalar(c[0], s), eval_scalar(c[1], s), eval_scalar(c[2], s))
+        return self._at(1, s)
 
     def dual_jet(self, s0: float, order: int) -> MVec3:
         if self.dual_components is None:
             raise ValueError(f"curve {self.name!r} has no explicit dual components")
-        return self._jet(1, s0, order)
+        return self._at(1, s0, order)

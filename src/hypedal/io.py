@@ -69,14 +69,20 @@ def curve_from_dict(doc: dict, source: str = "<memory>") -> expr.ParametricCurve
     dual = parse_triple("v", required=False)
     domain = doc.get("domain")
     if not (isinstance(domain, list) and len(domain) == 2
-            and all(isinstance(x, (int, float)) for x in domain)):
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain)):
         raise CurveFileError(f"{source}: field 'domain' must be [a, b]")
+    try:
+        a, b = float(domain[0]), float(domain[1])
+    except OverflowError:  # an integer beyond the float range
+        a = b = math.inf
+    if not math.isfinite(b - a):  # an end is Infinity or NaN, or the width overflows
+        raise CurveFileError(f"{source}: field 'domain' must be [a, b] with a finite width b - a")
     samples = doc.get("samples", 1000)
     if not isinstance(samples, int) or samples < 2:
         raise CurveFileError(f"{source}: field 'samples' must be an integer >= 2")
     try:
         return expr.ParametricCurve(
-            name=name, components=components, domain=(float(domain[0]), float(domain[1])),
+            name=name, components=components, domain=(a, b),
             dual_components=dual, samples=samples,
         )
     except ValueError as exc:

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import CURVES
 from hypedal.expr import (
@@ -12,6 +13,13 @@ from hypedal.expr import (
 )
 from hypedal.io import load_curve
 from hypedal.jets import Jet
+from hypedal.minkowski import MVec3
+
+try:
+    import mpmath
+    from test_oracle import _walk
+except ImportError:  # the accuracy test below needs it
+    mpmath = None
 
 
 def test_parse_and_eval_golden():
@@ -114,11 +122,12 @@ def test_jet_order_limit():
 
 # -- random expression properties -----------------------------------------
 
-def _exprs(jet_ops=False):
+def _exprs(jet_ops=False, abs_calls=False):
     """Random trees.  `jet_ops` adds /, sqrt, cos, sinh, tanh, negative
     exponents and the constants 0 and 1e200, which reach every node kind of
     the jet tape and most of the ways jet evaluation fails; the tolerance
-    tests below keep the smooth subset."""
+    tests below keep the smooth subset.  `abs_calls` adds abs, which only
+    floats evaluate."""
     numbers = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
     if jet_ops:
         numbers = numbers | st.sampled_from([0.0, 1e200])
@@ -139,6 +148,8 @@ def _exprs(jet_ops=False):
                 st.builds(Pow, children, st.integers(min_value=-3, max_value=-1)),
                 st.builds(Call, st.sampled_from(["sqrt", "cos", "sinh", "tanh"]), children),
             ]
+        if abs_calls:
+            options.append(st.builds(Call, st.just("abs"), children))
         return st.one_of(*options)
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -150,9 +161,66 @@ def test_print_parse_roundtrip(e):
     assert parse(to_text(e)) == e
 
 
+# Unit roundoff, and the smallest normal float, below which rounding errors
+# are absolute.
+_U = 2.0 ** -53
+_TINY = 2.2250738585072014e-308
+
+
+def _rounding(value):
+    return max(abs(value), mpmath.mpf(_TINY))
+
+
+def _error_walk(node, s):
+    """The value of a tree of `_exprs()` at s in mpmath, and a bound, in units
+    of `_U`, on the error of evaluating it in floats or as a jet's constant
+    coefficient: a running error bound (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., 2002, sec. 3.3).  Each operation rounds
+    its result once, a `math` function to within one ulp and s^n up to |n|
+    times (by repeated products), and an operand's error moves the result by
+    at most the largest slope between the exact and the computed operand."""
+    if isinstance(node, Neg):
+        a, ea = _error_walk(node.arg, s)
+        return -a, ea
+    if isinstance(node, BinOp):
+        (a, ea), (b, eb) = _error_walk(node.left, s), _error_walk(node.right, s)
+        if node.op == "*":
+            value, moved = a * b, abs(a) * eb + abs(b) * ea + _U * ea * eb
+        else:
+            value, moved = a + b if node.op == "+" else a - b, ea + eb
+        return value, moved + _rounding(value)
+    if isinstance(node, Pow):
+        a, ea = _error_walk(node.base, s)
+        n = node.exponent  # 0 to 4
+        value = a ** n
+        moved = n * (abs(a) + _U * ea) ** (n - 1) * ea if n else 0
+        return value, moved + n * _rounding(value)
+    if isinstance(node, Call):
+        a, ea = _error_walk(node.arg, s)
+        if node.name == "sin":
+            value, slope = mpmath.sin(a), min(1, abs(mpmath.cos(a)) + _U * ea)
+        else:
+            value, slope = mpmath.cosh(a), mpmath.sinh(abs(a) + _U * ea)
+        return value, slope * ea + 2 * _rounding(value)
+    return _walk(node, s), 0  # a number, s or pi: exact
+
+
+# Over 19,854 draws, the largest error of either side was 0.994 of its
+# running bound, at one rounded subtraction, which can reach 1/(1 + _U) of
+# it.  The bound leaves room for the second-order terms the running bound
+# leaves out.  At sin(cosh(s^4)), s0 = 1.794343875995657, the float is
+# 3.8e-12 off (0.10 of its bound) and the jet 9.6e-12 (0.26).
+ERROR_RATIO = 1.5
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
 @settings(max_examples=500, deadline=None)
 @given(_exprs(), st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+@example(parse("sin(cosh(s^4))"), 1.794343875995657)
 def test_jet_constant_coefficient_is_scalar_value(e, s0):
+    # Both sides are compared with the 50-digit value.  Against each other
+    # they may differ by far more than either rounds: s^4 is one `**` in
+    # floats and two products in jets, and cosh amplifies the difference.
     try:
         plain = eval_scalar(e, s0)
         j = eval_jet(e, s0, 3)
@@ -160,7 +228,10 @@ def test_jet_constant_coefficient_is_scalar_value(e, s0):
         assume(False)
         return
     assume(abs(plain) < 1e12)
-    assert abs(j.coeffs[0] - plain) <= 1e-12 * max(1.0, abs(plain))
+    with mpmath.workdps(50):
+        exact, bound = _error_walk(e, mpmath.mpf(s0))
+        for got in (plain, j.coeffs[0]):
+            assert abs(got - exact) <= ERROR_RATIO * _U * bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,6 +328,130 @@ def test_curve_jet_memo_matches_fresh_evaluation(name):
             assert [_outcome(lambda: j) for j in got.components()] == \
                 [_outcome(lambda: _walked(t, s0, order)) for t in trees]
             assert len(curve._memo) <= JET_MEMO_SIZE
+
+
+# -- the float tape and the curve memo against the tree walk -----------------
+
+
+def _value_outcome(fn):
+    """The result by repr, so the sign of zero counts, or the exception."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the domain ends of the shipped curves, and values whose powers overflow
+_FLOAT_S = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 2.0, -2.0, 6.283185307179586, 1e154, -1e155, 1e300, -1e308, math.inf,
+     -math.inf, math.nan])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S)
+@example(parse("s^3"), 0.3)  # ** and products round 0.3^3 differently
+@example(parse("s^4"), 0.1)
+def test_float_tape_is_bit_identical_to_tree_walk(e, s):
+    assert _value_outcome(lambda: eval_scalar(e, s)) == _value_outcome(lambda: _eval(e, s))
+
+
+@pytest.mark.parametrize("text, s, error", [
+    ("1/s", 0.0, (EvalDomainError, "division by zero")),
+    ("2/(s - s)", -1.5, (EvalDomainError, "division by zero")),
+    ("(s - s)^-2", 1.0, (EvalDomainError, "zero raised to the negative power -2")),
+    ("sqrt(s)", -1.0, (EvalDomainError, "domain error: sqrt(-1.0)")),
+    ("1 + cos(s*1e308*10)", 1.0, (EvalDomainError, "domain error: cos(inf)")),
+    ("sinh(s)", 1000.0, (OverflowError, "math range error")),
+    ("1/(s^2)", 1e200, (OverflowError, "(34, 'Numerical result out of range')")),
+    ("abs(s - 3)", 1.0, "2.0"),
+])
+def test_float_tape_raises_what_the_walk_raises(text, s, error):
+    e = parse(text)
+    assert _value_outcome(lambda: eval_scalar(e, s)) == _value_outcome(lambda: _eval(e, s)) == error
+
+
+_REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2
+
+
+def _memo_curve():
+    return ParametricCurve(
+        "memo", (parse("sin(cosh(s^4))"), parse("s^3"), parse("s")), (-2.0, 2.0),
+        dual_components=(parse(_REFUSED_AT_3), parse("sqrt(1 + s^2)"), parse("-0.0")))
+
+
+def _walked_point(trees, method, s, order):
+    """What a curve method gives when each tree is walked on its own."""
+    if method.endswith("_jet"):
+        return MVec3(*[_walked(t, s, order) for t in trees])
+    return MVec3(*[_eval(t, float(s)) for t in trees])
+
+
+def _check_calls(curve, calls):
+    for method, s, order in calls:
+        dual = method.startswith("dual")
+        trees = curve.dual_components if dual else curve.components
+        args = (s, order) if method.endswith("_jet") else (s,)
+        assert _value_outcome(lambda: getattr(curve, method)(*args)) == \
+            _value_outcome(lambda: _walked_point(trees, method, s, order)), (method, s, order)
+        assert len(curve._memo) <= JET_MEMO_SIZE
+
+
+_METHODS = ("point", "dual_point", "point_jet", "dual_jet")
+# 1.794343875995657: the float and the jet's constant coefficient of
+# sin(cosh(s^4)) differ there, so no float may come from a jet
+_CALL_S = (0.0, -0.0, 0.7, 1.794343875995657, -2.0)
+
+
+@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37", "memo"])
+def test_interleaved_curve_calls_match_tree_walk(name):
+    curve = _memo_curve() if name == "memo" else load_curve(CURVES / f"{name}.json")
+    rng = random.Random(name)
+    s_values = _CALL_S + tuple(curve.grid(7))
+    calls = [(rng.choice(_METHODS), rng.choice(s_values), rng.choice((0, 1, 2, 3, 5)))
+             for _ in range(300)]
+    _check_calls(curve, calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_exprs(jet_ops=True, abs_calls=True), min_size=6, max_size=6),
+       st.lists(st.tuples(st.sampled_from(_METHODS), st.sampled_from(_CALL_S),
+                          st.sampled_from([0, 1, 2, 3, 5])), max_size=16))
+def test_random_curve_calls_match_tree_walk(trees, calls):
+    curve = ParametricCurve("random", tuple(trees[:3]), (-2.0, 2.0),
+                            dual_components=tuple(trees[3:]))
+    _check_calls(curve, calls)
+
+
+def test_lower_orders_are_served_only_where_their_group_ran():
+    curve = _memo_curve()
+    fresh = [_value_outcome(lambda: eval_jet(t, 0.0, 2)) for t in curve.dual_components]
+    with pytest.raises(ValueError, match="vanishing germ"):
+        curve.dual_jet(0.0, 3)
+    curve.point_jet(0.0, 3)  # a point of degree 3 that has run r, not v
+    got = curve.dual_jet(0.0, 2)
+    assert [_value_outcome(lambda: j) for j in got.components()] == fresh
+    # r has run at degree 3, so r at order 2, 1 or 0 is read from that point
+    curve.point_jet(0.5, 3)
+    before = list(curve._memo)
+    for order in (2, 1, 0):
+        got = curve.point_jet(0.5, order)
+        assert [_value_outcome(lambda: j) for j in got.components()] == \
+            [_value_outcome(lambda: eval_jet(t, 0.5, order)) for t in curve.components]
+    assert list(curve._memo) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(jet_ops=True),
+       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+       st.sampled_from([0, 1, 2, 3, 17]), st.integers(min_value=1, max_value=6))
+def test_lower_order_jet_is_the_truncated_higher_one(e, s0, order, step):
+    # what serving a lower order from a memoised higher degree rests on
+    try:
+        high = eval_jet(e, s0, order + step)
+    except Exception:
+        assume(False)
+        return
+    assert _outcome(lambda: eval_jet(e, s0, order)) == _outcome(lambda: high.truncate(order))
 
 
 # -- parametric curves -------------------------------------------------------

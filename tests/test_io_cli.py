@@ -126,6 +126,25 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+# Python's json reads Infinity, NaN and 1e999; none of them, no bool and no
+# width beyond the float range make a domain
+_INFINITE = "field 'domain' must be [a, b] with a finite width b - a"
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("[0, Infinity]", _INFINITE), ("[-Infinity, 0]", _INFINITE), ("[0, NaN]", _INFINITE),
+    ("[0, 1e999]", _INFINITE), ("[-1e308, 1e308]", _INFINITE),
+    ("[0, 1%s]" % ("0" * 400), _INFINITE),
+    ("[true, 2]", "field 'domain' must be [a, b]"),
+])
+def test_bad_curve_file_domains_exit_1(domain, message, tmp_path, capsys):
+    path = tmp_path / "bad_domain.json"
+    path.write_text('{"schema": 1, "name": "x", "r": ["sqrt(1+s^2)", "s", "0"], "domain": %s}'
+                    % domain)
+    assert main(["check", "--curve", str(path)]) == 1
+    assert capsys.readouterr().err == f"hypedal: error: {path}: {message}\n"
+
+
 _CUSP23 = ["--curve", str(CURVES / "cusp23.json")]
 _CLASSIFY = ["classify", *_CUSP23, "--point", "1,0,0"]
 
