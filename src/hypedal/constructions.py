@@ -54,7 +54,7 @@ def _require_point(Q: MVec3):
 def _require_off_curve(pair: LegendrePair, Q: MVec3, samples: int):
     # <Q, r(s)> = -1 on the upper sheet exactly when Q = r(s).  The proxy
     # f = -(<Q, r> + 1) >= 0 touches zero quadratically, so the grid minimum
-    # is refined by one bisection of f' before applying the threshold.
+    # is refined as a sign change of f' before applying the threshold.
     def f(s):
         return -(inner(Q, pair.r(s)) + 1.0)
 
@@ -69,7 +69,7 @@ def _require_off_curve(pair: LegendrePair, Q: MVec3, samples: int):
     if hi > lo:
         ga, gb = fprime(lo), fprime(hi)
         if ga != 0.0 and gb != 0.0 and (ga > 0.0) != (gb > 0.0):
-            s_star = _bisect(fprime, lo, hi, ga, 1e-12)
+            s_star = _itp(fprime, lo, hi, ga, gb, 1e-12)
     d = f(s_star)
     if abs(d) < _ON_CURVE_TOL * max(1.0, abs(d + 1.0)):
         raise PedalPointOnCurveError(f"pedal point on curve near s={s_star!r}")
@@ -372,19 +372,41 @@ class SingularPoint:
     speed: float
 
 
-def _bisect(fn, lo, hi, flo, width: float = 1e-10):
-    """Narrow a sign change of fn on [lo, hi] to `width`; None where fn(mid) is None."""
+def _itp(fn, lo, hi, flo, fhi, width: float):
+    """Narrow a sign change of fn on [lo, hi] (flo = fn(lo), fhi = fn(hi)) to `width`.
+
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020), k1 = 0.2 / (hi - lo),
+    k2 = 2, n0 = 1: the regula falsi point, moved k1 (hi - lo)^2 towards the
+    midpoint and kept near enough to it that at most one probe more than
+    bisection's ceil(log2((hi - lo) / width)) is made.  Returns the midpoint
+    of the final bracket, no wider than `width` or than 16 ulps of s if that
+    is wider, a probe where fn is 0.0, or None where fn is None at a probe.
+    """
+    k1 = 0.2 / (hi - lo)
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    width = max(width, 16.0 * ulp)
+    # 8 ulps of the width are held back for the rounding of the probes
+    radius = (0.5 * width - 4.0 * ulp) * 2.0 ** (math.ceil(math.log2((hi - lo) / width)) + 1)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm is None:
+        r = radius - 0.5 * (hi - lo)
+        radius *= 0.5
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        delta = k1 * (hi - lo) ** 2
+        x = x + math.copysign(delta, mid - x) if delta <= abs(mid - x) else mid
+        if abs(x - mid) > r:
+            x = mid - math.copysign(r, mid - x)
+        if not lo < x < hi:  # overflow or nan in the interpolation
+            x = mid
+        fx = fn(x)
+        if fx is None:
             return None
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
         else:
-            hi = mid
+            hi, fhi = x, fx
     return 0.5 * (lo + hi)
 
 
@@ -395,11 +417,10 @@ def _zeros(f, domain, samples: int, tol: float):
     size has an isolated minimum, or None where it is undefined.  Candidates
     are grid points of size below tol relative to the largest size on the
     grid, and sign changes of the slope between grid neighbours of which one
-    is below 5 % of that size, refined by bisection to 1e-10 and accepted
-    under the same threshold; an undefined bisection point drops its
-    bracket.  Candidates closer than twice the grid step are reported once,
-    by the one of smallest size.  Empty when no grid point has a non-zero
-    size.
+    is below 5 % of that size, refined by `_itp` to 1e-10 and accepted
+    under the same threshold; an undefined probe drops its bracket.
+    Candidates closer than twice the grid step are reported once, by the one
+    of smallest size.  Empty when no grid point has a non-zero size.
     """
     grid = linspace(domain, samples)
     step = (domain[1] - domain[0]) / (samples - 1)
@@ -421,7 +442,7 @@ def _zeros(f, domain, samples: int, tol: float):
             continue
         if min(a[0], b[0]) > gate:
             continue
-        root = _bisect(slope, grid[i], grid[i + 1], a[1])
+        root = _itp(slope, grid[i], grid[i + 1], a[1], b[1], 1e-10)
         value = None if root is None else f(root)
         if value is not None and value[0] <= accept:
             candidates.append((root, value[0]))
@@ -446,7 +467,7 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGU
     """Locate parameters where the derived curve's velocity vanishes.
 
     Candidates come from sign changes of d/ds |curve'|^2 on the grid (plus
-    direct grid hits); each is refined by bisection to 1e-10 and
+    direct grid hits); each is refined to 1e-10 by the ITP method and
     accepted when the speed there is below tol relative to the largest
     speed seen.  Parameters where the curve is undefined are gaps.  Zeros
     closer than twice the grid step are reported once.  Each accepted point
@@ -488,9 +509,9 @@ def scalar_zeros(value, deriv, domain, samples: int = 1000,
     """Zeros of a smooth scalar function, including zeros without sign change.
 
     Works on h = value^2 whose derivative 2*value*deriv changes sign at any
-    isolated zero; a candidate is accepted when |value| at the refined root
-    is below tol relative to the largest |value| on the grid.  Zeros closer
-    than twice the grid step are reported once.
+    isolated zero; a candidate is refined to 1e-10 by the ITP method and
+    accepted when |value| there is below tol relative to the largest |value|
+    on the grid.  Zeros closer than twice the grid step are reported once.
     """
     def f(s):
         x = value(s)

@@ -698,15 +698,16 @@ class ParametricCurve:
                     self.components, self.dual_components)
                 object.__setattr__(self, "_tapes", (_Tape(groups, floats=True), _Tape(groups)))
             point = _TapePoint(self._tapes[degree > 0], base, degree)
+        # memoised before the run, so a refused group keeps what the other one computed
+        if len(memo) >= JET_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = point
         result = point.results.get((group, order))
         if result is None:
             values = point.outputs(group)
             if degree:
                 values = [Jet(base, tuple(c[: order + 1])) for c in values]
             result = point.results[group, order] = MVec3(*values)
-        if len(memo) >= JET_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = point
         return result
 
     def has_dual(self) -> bool:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_h2_point
 from hypedal import jets
@@ -450,9 +451,9 @@ def test_singular_points_drop_a_bracket_whose_bisection_is_undefined():
     found = cons.singular_points(_Parabola((2.0, 3.0)), samples=11)
     assert len(found) == 1 and abs(found[0].s - 0.41) <= 1e-9
     assert found[0].speed == abs(2.0 * (found[0].s - 0.41))
-    # the first bisection midpoint, 0.45, is undefined: the bracket is a gap
-    assert cons.singular_points(_Parabola((0.44, 0.46)), samples=11) == []
-    # an undefined point outside the bisection changes nothing
+    # the refiner's first probe, 0.43, is undefined: the bracket is a gap
+    assert cons.singular_points(_Parabola((0.42, 0.44)), samples=11) == []
+    # an undefined point outside the refinement changes nothing
     assert cons.singular_points(_Parabola((0.62, 0.65)), samples=11) == found
 
 
@@ -481,6 +482,118 @@ def test_scalar_zeros_on_plain_function():
     expected = [0.0, math.pi, 2.0 * math.pi]
     assert len(zeros) == 3
     assert all(abs(a - b) <= 1e-9 for a, b in zip(zeros, expected))
+
+
+def test_singular_points_lie_at_the_known_parameters(cusp23, cusp37, astroid):
+    # Q = (1, 0, 0) is the cusps' point r(0) and the astroid's centre
+    for pair in (cusp23, cusp37):
+        for construct in (cons.pedal, cons.orthotomic):
+            points = construct(pair, Q_CENTER).singular_points(samples=200)
+            assert len(points) == 1 and abs(points[0].s) <= 5e-11
+    points = cons.catacaustic(astroid, Q_CENTER, samples=200).singular_points(samples=200)
+    assert len(points) == 6
+    assert all(abs(p.s - round(p.s / (math.pi / 4)) * math.pi / 4) <= 5e-11 for p in points)
+
+
+# -- the ITP refiner -----------------------------------------------------------------
+
+
+class _Probes:
+    """fn for `cons._itp`: records (probe, value) and fails beyond bisection's count + 1."""
+
+    def __init__(self, lo, hi, width, value):
+        self.limit = math.ceil(math.log2((hi - lo) / width)) + 1
+        self.value = value
+        self.seen = []
+
+    def __call__(self, x):
+        assert len(self.seen) < self.limit, "more probes than bisection + 1"
+        fx = self.value(x)
+        self.seen.append((x, fx))
+        return fx
+
+
+def _replay(lo, hi, flo, seen):
+    """The bracket the refiner holds after its probes, rebuilt from their signs."""
+    for x, fx in seen:
+        assert lo < x < hi
+        if fx is None or fx == 0.0:
+            break
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+        else:
+            hi = x
+    return lo, hi
+
+
+_brackets = st.tuples(st.floats(-10.0, 10.0), st.floats(-9.0, 1.0),
+                      st.sampled_from([1e-10, 1e-12]), st.sampled_from([-1.0, 1.0]))
+
+
+def _noise(rng):
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_brackets, st.randoms(use_true_random=False))
+def test_itp_on_noise_keeps_bisections_count_plus_one(bracket, rng):
+    # mutations: pure regula falsi (no truncation, no projection) runs past the
+    # count; dropping the midpoint fallback lets an overflowed interpolation
+    # probe outside the bracket
+    start, log_length, width, sign = bracket
+    lo, hi = start, start + 10.0 ** log_length
+    flo, fhi = sign * abs(_noise(rng)), -sign * abs(_noise(rng))
+    fn = _Probes(lo, hi, width, lambda x: _noise(rng))
+    root = cons._itp(fn, lo, hi, flo, fhi, width)
+    a, b = _replay(lo, hi, flo, fn.seen)
+    assert lo <= root <= hi
+    assert b - a <= width and root == 0.5 * (a + b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_brackets, st.floats(0.0, 1.0), st.floats(0.05, 20.0))
+def test_itp_lands_within_half_the_width_of_a_simple_root(bracket, where, rate):
+    # mutation: returning the last probe instead of the final bracket's midpoint
+    start, log_length, width, sign = bracket
+    lo, hi = start, start + 10.0 ** log_length
+    x0 = lo + where * (hi - lo)
+
+    def value(x):  # smooth, its sign that of sign * (x - x0) exactly
+        return sign * math.expm1(rate * (x - x0)) * (2.0 + math.sin(x))
+
+    flo, fhi = value(lo), value(hi)
+    assume(flo != 0.0 and fhi != 0.0)
+    fn = _Probes(lo, hi, width, value)
+    root = cons._itp(fn, lo, hi, flo, fhi, width)
+    assert abs(root - x0) <= 0.5 * width
+
+
+def test_itp_ends_where_the_width_is_below_the_float_spacing():
+    # floats near 1e6 are 1.2e-10 apart, so no bracket there is 1e-10 wide;
+    # mutation: refining to the requested width probes on forever
+    x0 = 1e6 + math.pi / 10
+
+    def value(x):  # never exactly 0.0 on a float x
+        return (x - 1e6) - math.pi / 10
+
+    fn = _Probes(1e6, 1e6 + 1.0, 1e-10, value)
+    root = cons._itp(fn, 1e6, 1e6 + 1.0, value(1e6), value(1e6 + 1.0), 1e-10)
+    assert abs(root - x0) <= 8.0 * math.ulp(x0)
+
+
+@given(st.integers(1, 40), st.sampled_from([None, 0.0]), st.randoms(use_true_random=False))
+def test_itp_stops_at_an_undefined_or_exactly_zero_probe(k, stop, rng):
+    # mutations: an undefined probe treated as a sign change; refining on past a zero
+    state = rng.getstate()
+    fn = _Probes(0.4, 0.5, 1e-10, lambda x: _noise(rng))
+    cons._itp(fn, 0.4, 0.5, -1.0, 1.0, 1e-10)
+    assume(k <= len(fn.seen))
+    rng.setstate(state)
+    stopped = _Probes(0.4, 0.5, 1e-10,
+                      lambda x: stop if len(stopped.seen) == k - 1 else _noise(rng))
+    got = cons._itp(stopped, 0.4, 0.5, -1.0, 1.0, 1e-10)
+    assert [x for x, _ in stopped.seen] == [x for x, _ in fn.seen[:k]]
+    assert got == (None if stop is None else fn.seen[k - 1][0])
 
 
 # -- invariance properties -----------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import CURVES
 from hypedal.expr import (
     JET_MEMO_SIZE, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
-    Pow, Var, _eval, _Tape, eval_jet, eval_scalar, parse, to_text,
+    Pow, Var, _eval, _Tape, _TapePoint, eval_jet, eval_scalar, parse, to_text,
 )
 from hypedal.io import load_curve
 from hypedal.jets import Jet
@@ -438,6 +438,27 @@ def test_lower_orders_are_served_only_where_their_group_ran():
         assert [_value_outcome(lambda: j) for j in got.components()] == \
             [_value_outcome(lambda: eval_jet(t, 0.5, order)) for t in curve.components]
     assert list(curve._memo) == before
+
+
+def test_a_refused_group_keeps_its_point_in_the_memo(monkeypatch):
+    # mutation: memoising the point only after its group ran
+    runs = []
+    run = _TapePoint._run
+
+    def counted(self, program):
+        runs.append(program)
+        return run(self, program)
+
+    monkeypatch.setattr(_TapePoint, "_run", counted)
+    curve = _memo_curve()
+    first = curve.point_jet(0.0, 3)
+    with pytest.raises(ValueError) as refused:
+        curve.dual_jet(0.0, 3)
+    assert curve.point_jet(0.0, 3) is first
+    assert len(runs) == 2  # r's group, then v's refused one
+    with pytest.raises(ValueError) as again:
+        curve.dual_jet(0.0, 3)
+    assert (type(again.value), str(again.value)) == (type(refused.value), str(refused.value))
 
 
 @settings(max_examples=300, deadline=None)
