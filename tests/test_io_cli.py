@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -421,6 +423,43 @@ def test_render_svg_marker_layout():
     assert text.endswith("</svg>\n")
 
 
+# -- output digests --------------------------------------------------------------
+
+# The CSV and JSON a command prints, pinned by digest: the curvature pair, each
+# derived curve as JSON and two classifications, on every shipped curve as
+# shipped and as a copy without "v", so that frontal.AutoDual derives the dual.
+_DIGEST_POINT = "1.5,1,0.5"
+_DIGEST_COMMANDS = {
+    "curvatures": ["curvatures", "--samples", "40"],
+    **{kind: [kind, *([] if kind == "evolute" else ["--point", _DIGEST_POINT]),
+              "--format", "json", "--samples", "40"]
+       for kind in ("evolute", "pedal", "orthotomic", "caustic")},
+    **{f"classify s0={s0}": ["classify", "--point", "1,0,0", "--s0", s0] for s0 in ("0", "1")},
+}
+
+
+def _output_digests(tmp) -> dict[str, str]:
+    """{"<command> <curve>[ auto]": sha256 of exit code, stdout and stderr} for every run;
+    the curve path, which classify echoes, reads <curve> in what is hashed."""
+    digests = {}
+    for name in ("astroid", "circle", "cusp23", "cusp37"):
+        for auto in (False, True):
+            path = _without_dual(tmp, f"{name}.json") if auto else _curve_arg(f"{name}.json")
+            for label, (command, *args) in _DIGEST_COMMANDS.items():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--curve", path, *args])
+                text = f"{code}\n{out.getvalue()}\n{err.getvalue()}".replace(path, "<curve>")
+                key = f"{label} {name}" + (" auto" if auto else "")
+                digests[key] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_csv_and_json_outputs_match_their_digests(tmp_path):
+    expected = json.loads((FIXTURES / "output_digests.json").read_text())
+    assert _output_digests(tmp_path) == expected
+
+
 # -- no tracebacks --------------------------------------------------------------
 
 _HOSTILE = ["nan", "inf", "-inf", "0.0", "-0.0", "1e300", "-1e300", "1e-300", "-1e-300"]
@@ -464,3 +503,10 @@ def test_cli_never_ends_in_a_traceback(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert isinstance(code, int) and 0 <= code <= 5
+
+
+if __name__ == "__main__":
+    # regenerates tests/fixtures/output_digests.json after an intended output change
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _output_digests(Path(tmp))
+    (FIXTURES / "output_digests.json").write_text(json.dumps(digests, indent=1) + "\n")
