@@ -20,10 +20,6 @@ from .io import CurveFileError
 from .minkowski import MVec3
 from .singularity import Verdict
 
-# Where a value is undefined, or leaves the finite floats, the library raises
-# a ValueError (its domain errors all derive from it) or an ArithmeticError.
-_DOMAIN_ERRORS = (ValueError, ArithmeticError)
-
 # CLI kind -> (its builder in `constructions`, whether it takes --point, help).
 # The builder is looked up on the module when called, never bound here.
 _KINDS = {
@@ -169,7 +165,7 @@ def _cmd_curvatures(ns) -> int:
     for s in linspace(pair.domain, n):
         try:
             ell, m = pair.curvatures(s)
-        except _DOMAIN_ERRORS as exc:
+        except jets.DOMAIN_ERRORS as exc:
             raise exc.__class__(f"{exc} (at s={s!r})") from None
         rows.append((s, ell, m))
     _emit(io.csv_text(["s", "l", "m"], rows), ns.out)
@@ -230,7 +226,7 @@ def _sample(derived, grid) -> list:
     for s in grid:
         try:
             points.append(derived.at(s))
-        except _DOMAIN_ERRORS:
+        except jets.DOMAIN_ERRORS:
             points.append(None)
     return points
 
@@ -248,8 +244,8 @@ def _figure(pair, Q, grid, scanned) -> str:
     for derived, _, singular in scanned:
         for sp in singular:
             try:
-                u, v = io.project_poincare(derived.at(sp.s), tol=1e-6)
-            except _DOMAIN_ERRORS:
+                u, v = io.project_poincare(derived.at(sp.s), tol=io.FIGURE_SHEET_TOL)
+            except jets.DOMAIN_ERRORS:
                 continue
             markers.append((u, v, io.CAUSE_COLORS[sp.cause], 0.012))
     return io.render_svg(polylines, markers, title=pair.name)
@@ -318,7 +314,7 @@ def main(argv=None) -> int:
     except (CurveFileError, ParseError, OSError) as exc:
         print(f"hypedal: error: {exc}", file=sys.stderr)
         return 1
-    except _DOMAIN_ERRORS as exc:
+    except jets.DOMAIN_ERRORS as exc:
         print(f"hypedal: math domain failure: {exc}", file=sys.stderr)
         return 3
 

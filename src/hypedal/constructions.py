@@ -21,10 +21,11 @@ from enum import Enum
 from . import jets
 from .expr import linspace
 from .frontal import LegendrePair, _coeff, _truncate, frenet_regular
-from .minkowski import GeometryError, MVec3, inner, on_upper_hyperboloid, wedge
+from .minkowski import GeometryError, MVec3, inner, require_upper_sheet, wedge
 
+# Q = r(s) within this tolerance, looked for on this grid before inducing from Q
 _ON_CURVE_TOL = 1e-9
-_POINT_TOL = 1e-9
+_ON_CURVE_SAMPLES = 1000
 
 # A zero is accepted where the size is below this fraction of the largest
 # size on the grid.
@@ -45,23 +46,26 @@ class Branch(Enum):
 
 
 def _require_point(Q: MVec3):
-    if not on_upper_hyperboloid(Q, _POINT_TOL):
-        raise GeometryError(
-            f"pedal point ({Q.x1!r}, {Q.x2!r}, {Q.x3!r}) is not on the upper hyperboloid sheet"
-        )
+    require_upper_sheet(Q, "pedal point")
 
 
-def _require_off_curve(pair: LegendrePair, Q: MVec3, samples: int):
-    # <Q, r(s)> = -1 on the upper sheet exactly when Q = r(s).  The proxy
-    # f = -(<Q, r> + 1) >= 0 touches zero quadratically, so the grid minimum
-    # is refined as a sign change of f' before applying the threshold.
+def _is_curve_point(Q: MVec3, r: MVec3, tol: float) -> bool:
+    """Q = r within tol: two upper-sheet points coincide exactly when <Q, r> = -1,
+    here |<Q, r> + 1| <= tol * max(1, |<Q, r>|)."""
+    d = inner(Q, r)
+    return abs(d + 1.0) <= tol * max(1.0, abs(d))
+
+
+def _require_off_curve(pair: LegendrePair, Q: MVec3):
+    # The proxy f = -(<Q, r> + 1) >= 0 touches zero quadratically where Q = r(s),
+    # so the grid minimum is refined as a sign change of f' before the test.
     def f(s):
         return -(inner(Q, pair.r(s)) + 1.0)
 
     def fprime(s):
         return -inner(Q, _coeff(pair.r_jet(s, 1), 1))
 
-    grid = linspace(pair.domain, samples)
+    grid = linspace(pair.domain, _ON_CURVE_SAMPLES)
     vals = [f(s) for s in grid]
     i = min(range(len(grid)), key=lambda k: vals[k])
     s_star = grid[i]
@@ -70,8 +74,7 @@ def _require_off_curve(pair: LegendrePair, Q: MVec3, samples: int):
         ga, gb = fprime(lo), fprime(hi)
         if ga != 0.0 and gb != 0.0 and (ga > 0.0) != (gb > 0.0):
             s_star = _itp(fprime, lo, hi, ga, gb, 1e-12)
-    d = f(s_star)
-    if abs(d) < _ON_CURVE_TOL * max(1.0, abs(d + 1.0)):
+    if _is_curve_point(Q, pair.r(s_star), _ON_CURVE_TOL):
         raise PedalPointOnCurveError(f"pedal point on curve near s={s_star!r}")
 
 
@@ -152,7 +155,7 @@ class DerivedCurve:
         raise NotImplementedError
 
     def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL):
-        return singular_points(self, samples=samples, tol=tol, pair=self.pair, Q=self.Q)
+        return singular_points(self, samples=samples, tol=tol)
 
 
 class PedalCurve(DerivedCurve):
@@ -164,8 +167,8 @@ class PedalCurve(DerivedCurve):
     def jet(self, s0: float, order: int) -> MVec3:
         return pedal_point(self.Q, self.pair.v_jet(s0, order))
 
-    def induced(self, samples: int = 1000) -> "PedalInducedPair":
-        return pedal_induced(self.pair, self.Q, samples=samples)
+    def induced(self) -> "PedalInducedPair":
+        return pedal_induced(self.pair, self.Q)
 
 
 class OrthotomicCurve(DerivedCurve):
@@ -177,8 +180,8 @@ class OrthotomicCurve(DerivedCurve):
     def jet(self, s0: float, order: int) -> MVec3:
         return orthotomic_point(self.Q, self.pair.v_jet(s0, order))
 
-    def induced(self, samples: int = 1000) -> "OrthotomicInducedPair":
-        return orthotomic_induced(self.pair, self.Q, samples=samples)
+    def induced(self) -> "OrthotomicInducedPair":
+        return orthotomic_induced(self.pair, self.Q)
 
 
 def pedal(pair: LegendrePair, Q: MVec3) -> PedalCurve:
@@ -279,15 +282,15 @@ class OrthotomicInducedPair(_InducedPair):
         return -2.0 * m * math.sqrt(d * d - 1.0)
 
 
-def pedal_induced(pair: LegendrePair, Q: MVec3, samples: int = 1000) -> PedalInducedPair:
+def pedal_induced(pair: LegendrePair, Q: MVec3) -> PedalInducedPair:
     _require_point(Q)
-    _require_off_curve(pair, Q, samples)
+    _require_off_curve(pair, Q)
     return PedalInducedPair(pair, Q)
 
 
-def orthotomic_induced(pair: LegendrePair, Q: MVec3, samples: int = 1000) -> OrthotomicInducedPair:
+def orthotomic_induced(pair: LegendrePair, Q: MVec3) -> OrthotomicInducedPair:
     _require_point(Q)
-    _require_off_curve(pair, Q, samples)
+    _require_off_curve(pair, Q)
     return OrthotomicInducedPair(pair, Q)
 
 
@@ -356,9 +359,9 @@ def evolute(pair: LegendrePair) -> EvoluteCurve:
     return EvoluteCurve(pair)
 
 
-def catacaustic(pair: LegendrePair, Q: MVec3, samples: int = 1000) -> EvoluteCurve:
+def catacaustic(pair: LegendrePair, Q: MVec3) -> EvoluteCurve:
     """Evolute of the orthotomic: the envelope of rays from Q after reflection."""
-    induced = orthotomic_induced(pair, Q, samples=samples)
+    induced = orthotomic_induced(pair, Q)
     return EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")
 
 
@@ -461,9 +464,8 @@ def _zeros(f, domain, samples: int, tol: float):
     return found
 
 
-def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGULAR_TOL,
-                    pair: LegendrePair | None = None,
-                    Q: MVec3 | None = None) -> list[SingularPoint]:
+def singular_points(curve: DerivedCurve, samples: int = 1000,
+                    tol: float = SINGULAR_TOL) -> list[SingularPoint]:
     """Locate parameters where the derived curve's velocity vanishes.
 
     Candidates come from sign changes of d/ds |curve'|^2 on the grid (plus
@@ -471,13 +473,13 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGU
     accepted when the speed there is below tol relative to the largest
     speed seen.  Parameters where the curve is undefined are gaps.  Zeros
     closer than twice the grid step are reported once.  Each accepted point
-    carries a cause tag.
+    carries a cause tag, read from the curve's `pair` and `Q`.
     """
     def speed(s):
         """|curve'| and d/ds |curve'|^2 at s from the order-2 jet."""
         try:
             V = curve.jet(s, 2)
-        except (ValueError, ArithmeticError):
+        except jets.DOMAIN_ERRORS:
             return None
         d1 = (V.x1.coeffs[1], V.x2.coeffs[1], V.x3.coeffs[1])
         d2 = (2.0 * V.x1.coeffs[2], 2.0 * V.x2.coeffs[2], 2.0 * V.x3.coeffs[2])
@@ -486,21 +488,17 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGU
     found = _zeros(speed, curve.domain, samples, tol)
     if not found:
         return []
-    m_scale = 1.0
-    if pair is not None:
-        m_scale = max([abs(pair.curvatures(s)[1]) for s in linspace(pair.domain, 101)] + [1.0])
+    pair, Q = curve.pair, curve.Q
+    m_scale = max([abs(pair.curvatures(s)[1]) for s in linspace(pair.domain, 101)] + [1.0])
     return [SingularPoint(s=s, cause=_cause(s, pair, Q, m_scale), speed=v) for s, v in found]
 
 
-def _cause(s: float, pair: LegendrePair | None, Q: MVec3 | None, m_scale: float) -> str:
-    if pair is not None:
-        _, m = pair.curvatures(s)
-        if abs(m) <= 1e-6 * m_scale:
-            return "m_zero"
-        if Q is not None:
-            d = inner(Q, pair.r(s))
-            if abs(d + 1.0) <= 1e-9 * max(1.0, abs(d)):
-                return "point_on_curve"
+def _cause(s: float, pair: LegendrePair, Q: MVec3 | None, m_scale: float) -> str:
+    _, m = pair.curvatures(s)
+    if abs(m) <= 1e-6 * m_scale:
+        return "m_zero"
+    if Q is not None and _is_curve_point(Q, pair.r(s), _ON_CURVE_TOL):
+        return "point_on_curve"
     return "other"
 
 

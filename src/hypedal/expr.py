@@ -31,7 +31,9 @@ from .minkowski import MVec3
 
 FUNCTIONS = ("sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")
 
-MAX_JET_ORDER = jets.MAX_ORDER
+# The most nodes on a root-to-leaf path of a parsed tree: compiling one recurses
+# about twice per level, Python stops at 1000 frames, the shipped curves reach 8.
+MAX_DEPTH = 200
 
 # Points whose tape values a ParametricCurve keeps, least recently used first
 # out, floats and jets alike.  Of a benchmark round's jet requests, 1, 2 and 8
@@ -115,21 +117,21 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j].isdecimal():
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i].isdecimal():
                         i += 1
             out.append(_Token("num", text[start:i], start))
             continue
@@ -193,7 +195,7 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.peek()
-            if tok.kind != "num" or not tok.text.isdigit():
+            if tok.kind != "num" or not tok.text.isdecimal():
                 raise ParseError("exponent must be an integer literal", tok.pos)
             self.advance()
             return Pow(base, sign * int(tok.text))
@@ -235,16 +237,23 @@ class _Parser:
 
 def parse(text: str) -> CurveExpr:
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
+    depth, level = 0, [node]
+    while level:  # level by level, so that no walk recurses before the bound holds
+        depth += 1
+        level = [c for e in level for c in vars(e).values() if isinstance(c, CurveExpr)]
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression deeper than {MAX_DEPTH} levels", 0)
     return node
 
 
 # -- evaluation --------------------------------------------------------
-
-_PI = 3.141592653589793
 
 
 def _eval(node: CurveExpr, s):
@@ -253,7 +262,7 @@ def _eval(node: CurveExpr, s):
     if isinstance(node, Var):
         return s
     if isinstance(node, Pi):
-        return _PI
+        return math.pi
     if isinstance(node, Neg):
         return -_eval(node.arg, s)
     if isinstance(node, BinOp):
@@ -320,8 +329,8 @@ def _tape_args(s0, order: int) -> tuple[float, int]:
     """The base point and the truncation degree, at least 1, a jet request runs at."""
     if order < 0:
         raise ValueError("jet order must be non-negative")
-    if order > MAX_JET_ORDER:
-        raise ValueError(f"jet order {order} exceeds the configured maximum {MAX_JET_ORDER}")
+    if order > jets.MAX_ORDER:
+        raise ValueError(f"jet order {order} exceeds the configured maximum {jets.MAX_ORDER}")
     base = float(s0)
     if not math.isfinite(base):
         raise ValueError("non-finite jet base")

@@ -71,11 +71,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(r <= self.tol for r in self.residuals.values())
 
-    @property
-    def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=self.residuals.get)
-        return name, self.residuals[name]
-
 
 @dataclass(frozen=True)
 class FrenetData:
@@ -118,8 +113,8 @@ class LegendrePair:
         )
 
     @classmethod
-    def with_auto_dual(cls, curve, samples: int | None = None) -> "LegendrePair":
-        dual = AutoDual(curve, samples=samples)
+    def with_auto_dual(cls, curve) -> "LegendrePair":
+        dual = AutoDual(curve)
         return cls(curve.point, curve.point_jet, dual, dual.jet, curve.domain, name=curve.name)
 
     # -- frame evaluation ------------------------------------------------
@@ -185,7 +180,7 @@ class LegendrePair:
                 r0 = _const(rj)
                 rd = _coeff(rj, 1)
                 v0 = self._v(s)
-            except (ValueError, ArithmeticError) as exc:
+            except jets.DOMAIN_ERRORS as exc:
                 raise exc.__class__(f"{exc} (at s={s!r})") from None
             nr = max(1.0, _sup(r0))
             nv = max(1.0, _sup(v0))
@@ -197,11 +192,11 @@ class LegendrePair:
         return ValidationReport(worst, tol, samples)
 
 
-def frenet_regular(curve, s: float, rtol: float = REGULARITY_RTOL) -> FrenetData:
+def frenet_regular(curve, s: float) -> FrenetData:
     """Unit tangent, normal and geodesic curvature of a regular curve point.
 
     kappa = det(r, r', r'') / |r'|^3; defined only where the speed exceeds
-    rtol times the domain scale.
+    `REGULARITY_RTOL` times the domain scale.
     """
     rj = curve.point_jet(s, 2)
     r0 = _const(rj)
@@ -210,7 +205,7 @@ def frenet_regular(curve, s: float, rtol: float = REGULARITY_RTOL) -> FrenetData
     speed_sq = inner(rd, rd)
     a, b = curve.domain
     scale = max(1.0, b - a)
-    if speed_sq <= (rtol * scale) ** 2:
+    if speed_sq <= (REGULARITY_RTOL * scale) ** 2:
         raise CurveSingularError(f"curve singular at s={s!r}")
     speed = math.sqrt(speed_sq)
     T = rd / speed
@@ -232,15 +227,14 @@ class AutoDual:
     jet needs it.
     """
 
-    def __init__(self, curve, samples: int | None = None):
+    def __init__(self, curve):
         self.curve = curve
-        n = samples or min(curve.samples, 400)
-        self._grid = curve.grid(n)
+        self._grid = curve.grid(min(curve.samples, 400))
         raw = []
         for s in self._grid:
             try:
                 raw.append(self._raw(s))
-            except (ValueError, ArithmeticError) as exc:
+            except jets.DOMAIN_ERRORS as exc:
                 raise exc.__class__(f"{exc} (at s={s!r})") from None
         signed = []
         sign = 1.0

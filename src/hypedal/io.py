@@ -24,9 +24,12 @@ import math
 from pathlib import Path
 
 from . import expr
-from .minkowski import GeometryError, MVec3, inner
+from .minkowski import MVec3, on_upper_hyperboloid, require_upper_sheet
 
 SCHEMA_VERSION = 1
+
+# The sheet tolerance of figure points, which carry a derived curve's rounding
+FIGURE_SHEET_TOL = 1e-6
 
 
 class CurveFileError(ValueError):
@@ -36,8 +39,8 @@ class CurveFileError(ValueError):
 def load_curve(path) -> expr.ParametricCurve:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CurveFileError(f"{path}: not valid JSON: {exc}") from None
     return curve_from_dict(doc, source=str(path))
 
@@ -144,10 +147,7 @@ def parse_csv(text: str) -> tuple[list[str], list[list[float]]]:
 
 def project_poincare(p: MVec3, tol: float = 1e-9) -> tuple[float, float]:
     """Map an upper-sheet point to the open unit disk, (x2, x3)/(1 + x1)."""
-    if abs(inner(p, p) + 1.0) > tol * max(1.0, p.x1 * p.x1) or p.x1 <= 0.0:
-        raise GeometryError(
-            f"point ({p.x1!r}, {p.x2!r}, {p.x3!r}) is not on the upper hyperboloid sheet"
-        )
+    require_upper_sheet(p, "point", tol)
     return (p.x2 / (1.0 + p.x1), p.x3 / (1.0 + p.x1))
 
 
@@ -218,18 +218,12 @@ def disk_runs(points) -> list[list[tuple[float, float]]]:
     runs: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     for p in points:
-        uv = None
-        if p is not None:
-            try:
-                uv = project_poincare(p, tol=1e-6)
-            except GeometryError:
-                uv = None
-        if uv is None:
-            if len(current) >= 2:
-                runs.append(current)
-            current = []
-        else:
-            current.append(uv)
+        if p is not None and on_upper_hyperboloid(p, FIGURE_SHEET_TOL):
+            current.append(project_poincare(p, FIGURE_SHEET_TOL))
+            continue
+        if len(current) >= 2:
+            runs.append(current)
+        current = []
     if len(current) >= 2:
         runs.append(current)
     return runs

@@ -22,6 +22,10 @@ from operator import add as _add, neg as _neg, sub as _sub
 DEFAULT_ORDER = 16
 MAX_ORDER = 64
 
+# Where a value is undefined, or leaves the finite floats, the library raises
+# a ValueError (its domain errors all derive from it) or an ArithmeticError.
+DOMAIN_ERRORS = (ValueError, ArithmeticError)
+
 # A quotient a/b is refused when the constant term of b is this small
 # relative to b's largest coefficient: the denominator germ vanishes at the
 # base point and the series 1/b does not exist.

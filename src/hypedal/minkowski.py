@@ -109,29 +109,37 @@ def pseudo_norm(u: MVec3) -> float:
     return math.sqrt(abs(inner(u, u)))
 
 
-def causal_class(u: MVec3, tol: float = 1e-9) -> CausalClass:
+def causal_class(u: MVec3) -> CausalClass:
     """Classify a non-zero vector as spacelike, timelike or lightlike.
 
-    The zero decision is relative: |<u,u>| <= tol * max(1, |u|_euclid^2),
+    The zero decision is relative: |<u,u>| <= 1e-9 * max(1, |u|_euclid^2),
     so the classification does not depend on the overall scale of u.
     """
     n2 = euclid_norm_sq(u)
     if n2 == 0.0:
         raise GeometryError("null input")
     q = inner(u, u)
-    if abs(q) <= tol * max(1.0, n2):
+    if abs(q) <= 1e-9 * max(1.0, n2):
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if q > 0.0 else CausalClass.TIMELIKE
 
 
 def on_hyperboloid(u: MVec3, tol: float = 1e-9) -> bool:
-    """True iff <u,u> = -1 within tol (either sheet)."""
-    return abs(inner(u, u) + 1.0) <= tol
+    """True iff <u,u> = -1 within tol * max(1, x1^2), its rounding scale (either sheet)."""
+    q = inner(u, u)
+    # where x1^2 overflows the tolerance is infinite, so <u,u> must stay finite
+    return math.isfinite(q) and abs(q + 1.0) <= tol * max(1.0, u.x1 * u.x1)
 
 
 def on_upper_hyperboloid(u: MVec3, tol: float = 1e-9) -> bool:
-    """True iff <u,u> = -1 within tol and x1 > 0 (the upper sheet)."""
+    """True iff `on_hyperboloid` and x1 > 0 (the upper sheet)."""
     return on_hyperboloid(u, tol) and u.x1 > 0.0
+
+
+def require_upper_sheet(p: MVec3, name: str, tol: float = 1e-9) -> None:
+    if not on_upper_hyperboloid(p, tol):
+        raise GeometryError(
+            f"{name} ({p.x1!r}, {p.x2!r}, {p.x3!r}) is not on the upper hyperboloid sheet")
 
 
 def on_desitter(u: MVec3, tol: float = 1e-9) -> bool:
@@ -167,16 +175,13 @@ class LorentzMap:
         )
 
 
-def boost_to_origin(p: MVec3, tol: float = 1e-9) -> LorentzMap:
+def boost_to_origin(p: MVec3) -> LorentzMap:
     """Pure Lorentz boost taking the upper-sheet point p to (1, 0, 0).
 
     The boost acts in the plane spanned by (1,0,0) and p, so it is
     rotation-free and deterministic.  Preserves the pseudo scalar product.
     """
-    if not on_upper_hyperboloid(p, tol):
-        raise GeometryError(
-            f"point ({p.x1!r}, {p.x2!r}, {p.x3!r}) is not on the upper hyperboloid sheet"
-        )
+    require_upper_sheet(p, "point")
     den = 1.0 + p.x1
     return LorentzMap(
         (

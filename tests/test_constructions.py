@@ -376,9 +376,9 @@ def test_evolute_jet_reuses_the_curvature_step_unchanged(which, astroid, cusp23,
     pair = {"astroid": astroid, "cusp23": cusp23}[name]
     if "auto" in which:
         source = {"astroid": astroid_curve, "cusp23": cusp23_curve}[name]
-        pair = LegendrePair.with_auto_dual(source, samples=60)
+        pair = LegendrePair.with_auto_dual(source)
     Q = MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0), math.sinh(0.7) * math.sin(1.0))
-    curve = cons.catacaustic(pair, Q, samples=200) if "caustic" in which else cons.evolute(pair)
+    curve = cons.catacaustic(pair, Q) if "caustic" in which else cons.evolute(pair)
     a, b = pair.domain
     for s0 in (a, 0.0, -0.0, 0.3, 0.5 * (a + b) + 0.41, b):
         for order in [*range(0, 8), *range(13, 21)]:
@@ -430,10 +430,21 @@ def test_pedal_and_orthotomic_share_singular_parameters(cusp37, astroid):
         assert all(abs(a - b) <= 1e-8 for a, b in zip(sp, so))
 
 
+class _Source:
+    """The source pair of a fake derived curve: m = 1, so a point found is of cause "other"."""
+
+    domain = (0.0, 1.0)
+
+    def curvatures(self, s):
+        return 0.0, 1.0
+
+
 class _Parabola:
     """s -> (0, (s - 0.41)^2, 0) on [0, 1], undefined on the open interval `hole`."""
 
     domain = (0.0, 1.0)
+    pair = _Source()
+    Q = None
 
     def __init__(self, hole):
         self.hole = hole
@@ -450,7 +461,7 @@ def test_singular_points_drop_a_bracket_whose_bisection_is_undefined():
     # on the grid 0, 0.1, ..., 1 the zero at 0.41 is bracketed by [0.4, 0.5]
     found = cons.singular_points(_Parabola((2.0, 3.0)), samples=11)
     assert len(found) == 1 and abs(found[0].s - 0.41) <= 1e-9
-    assert found[0].speed == abs(2.0 * (found[0].s - 0.41))
+    assert found[0].speed == abs(2.0 * (found[0].s - 0.41)) and found[0].cause == "other"
     # the refiner's first probe, 0.43, is undefined: the bracket is a gap
     assert cons.singular_points(_Parabola((0.42, 0.44)), samples=11) == []
     # an undefined point outside the refinement changes nothing
@@ -461,6 +472,7 @@ class _Line:
     """s -> (0, s, 0) on [0, 1]: unit speed, no singular point."""
 
     domain = (0.0, 1.0)
+    Q = None
 
     def jet(self, s0, order):
         zero = jets.Jet.constant(0.0, s0, order)
@@ -474,7 +486,9 @@ class _UndefinedCurvatures:
 
 def test_singular_points_without_a_zero_leave_the_curvatures_unread():
     # the curvature scale only tags the cause of a found point
-    assert cons.singular_points(_Line(), samples=11, pair=_UndefinedCurvatures()) == []
+    line = _Line()
+    line.pair = _UndefinedCurvatures()
+    assert cons.singular_points(line, samples=11) == []
 
 
 def test_scalar_zeros_on_plain_function():
@@ -490,7 +504,7 @@ def test_singular_points_lie_at_the_known_parameters(cusp23, cusp37, astroid):
         for construct in (cons.pedal, cons.orthotomic):
             points = construct(pair, Q_CENTER).singular_points(samples=200)
             assert len(points) == 1 and abs(points[0].s) <= 5e-11
-    points = cons.catacaustic(astroid, Q_CENTER, samples=200).singular_points(samples=200)
+    points = cons.catacaustic(astroid, Q_CENTER).singular_points(samples=200)
     assert len(points) == 6
     assert all(abs(p.s - round(p.s / (math.pi / 4)) * math.pi / 4) <= 5e-11 for p in points)
 

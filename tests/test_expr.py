@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import CURVES
 from hypedal.expr import (
-    JET_MEMO_SIZE, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
+    JET_MEMO_SIZE, MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
     Pow, Var, _eval, _Tape, _TapePoint, eval_jet, eval_scalar, parse, to_text,
 )
 from hypedal.io import load_curve
@@ -74,6 +74,30 @@ def test_exponent_must_be_integer_literal():
         parse("s^2.5")
     with pytest.raises(ParseError, match="integer literal"):
         parse("s^(2)")
+
+
+def test_only_decimal_digits_make_numbers():
+    # "²" is a digit to str.isdigit, but float and int refuse it
+    for text in ("²", "s^²", "1²", "s*²"):
+        with pytest.raises(ParseError, match="unexpected character '²'"):
+            parse(text)
+    assert parse("٣.٥*s^٣") == parse("3.5*s^3")
+
+
+def test_trees_deeper_than_the_bound_are_refused_at_parse():
+    # n terms of a sum make a tree of depth n; a sum of about 1000 terms used
+    # to overflow the compiler's recursion at its first evaluation
+    for text in ("+".join(["s"] * MAX_DEPTH), "s" + "+1" * (MAX_DEPTH - 1),
+                 "-" * (MAX_DEPTH - 1) + "s", "*".join(["cos(s)"] * (MAX_DEPTH - 1))):
+        e = parse(text)
+        assert eval_scalar(e, 0.3) == _eval(e, 0.3)
+        assert eval_jet(e, 0.3, 3) == _eval(e, Jet.variable(0.3, 3))
+    for text in ("+".join(["s"] * (MAX_DEPTH + 1)), "-" * MAX_DEPTH + "s",
+                 "+".join(["s"] * 1000)):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(text)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 1000 + "s" + ")" * 1000)
 
 
 def test_unbalanced_parenthesis():

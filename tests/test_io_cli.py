@@ -147,6 +147,28 @@ def test_bad_curve_file_domains_exit_1(domain, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"hypedal: error: {path}: {message}\n"
 
 
+def _curve_file(x2: str) -> bytes:
+    return json.dumps({"schema": 1, "name": "x", "r": ["sqrt(1+s^2)", x2, "0"],
+                       "domain": [0, 1]}).encode()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff" + _curve_file("s"), "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+    (_curve_file("s^²"), "in field 'r': unexpected character '²' (at position 2)"),
+    (_curve_file("2*²"), "in field 'r': unexpected character '²' (at position 2)"),
+    (_curve_file("(" * 1000 + "s" + ")" * 1000), "in field 'r': expression nested too deeply"),
+    (_curve_file("+".join(["s"] * 1000)), "in field 'r': expression deeper than 200 levels"),
+], ids=["not-utf-8", "deep-json", "superscript-exponent", "superscript-operand", "deep-parens",
+        "long-sum"])
+def test_malformed_curve_files_exit_1(content, message, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    assert main(["check", "--curve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hypedal: error: {path}: ") and message in err
+
+
 _CUSP23 = ["--curve", str(CURVES / "cusp23.json")]
 _CLASSIFY = ["classify", *_CUSP23, "--point", "1,0,0"]
 
@@ -240,6 +262,15 @@ def test_classify_refuses_a_point_off_the_sheet(capsys):
     assert main(["classify", *_CUSP23, "--point", "2,0,0", "--s0", "1"]) == 3
     assert capsys.readouterr().err == ("hypedal: math domain failure: pedal point (2.0, 0.0, 0.0) "
                                        "is not on the upper hyperboloid sheet\n")
+
+
+def test_a_far_pedal_point_typed_to_17_digits_is_on_the_sheet(capsys):
+    # <Q,Q> + 1 rounds to -3e-8 here, above an absolute 1e-9, within 1e-9 * x1^2
+    point = f"{math.cosh(10.0)!r},{math.sinh(10.0)!r},0"
+    for command in ("pedal", "caustic"):
+        assert main([command, *_CUSP23, "--point", point, "--samples", "20"]) == 0
+    assert main(["classify", *_CUSP23, "--point", point, "--s0", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_curvatures_csv(tmp_path):

@@ -101,6 +101,18 @@ def test_pseudo_sphere_membership():
     assert not on_upper_hyperboloid(vec(-1, 0, 0))
 
 
+def test_sheet_membership_is_relative_to_x1_squared():
+    # at x1 = cosh 10, <p,p> + 1 of the nearest doubles rounds to -3e-8
+    far = vec(math.cosh(10.0), math.sinh(10.0), 0.0)
+    assert abs(inner(far, far) + 1.0) > 1e-9
+    assert on_upper_hyperboloid(far)
+    boost_to_origin(far)
+    assert not on_hyperboloid(vec(math.cosh(10.0), math.sinh(10.0) * (1.0 + 1e-7), 0.0))
+    # beyond the floats <p,p> decides nothing, even where its tolerance is infinite
+    assert not on_hyperboloid(vec(1e300, 0.0, 0.0))
+    assert not on_hyperboloid(vec(1e300, 1e300, 0.0))
+
+
 def test_boost_on_base_point_is_identity():
     L = boost_to_origin(vec(1, 0, 0))
     p = L.apply(vec(0.3, -0.7, 1.9))
