@@ -245,7 +245,7 @@ def parse(text: str) -> CurveExpr:
     if trailing.kind != "eof":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
     depth, level = 0, [node]
-    while level:  # level by level, so that no walk recurses before the bound holds
+    while level:  # level by level: no walk recurses before the bound holds
         depth += 1
         level = [c for e in level for c in vars(e).values() if isinstance(c, CurveExpr)]
     if depth > MAX_DEPTH:

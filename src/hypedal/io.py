@@ -19,12 +19,13 @@ rendering stack behind them, so regenerated bytes are stable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from pathlib import Path
 
 from . import expr
-from .minkowski import MVec3, on_upper_hyperboloid, require_upper_sheet
+from .minkowski import GeometryError, MVec3, require_upper_sheet
 
 SCHEMA_VERSION = 1
 
@@ -218,9 +219,10 @@ def disk_runs(points) -> list[list[tuple[float, float]]]:
     runs: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     for p in points:
-        if p is not None and on_upper_hyperboloid(p, FIGURE_SHEET_TOL):
-            current.append(project_poincare(p, FIGURE_SHEET_TOL))
-            continue
+        if p is not None:
+            with contextlib.suppress(GeometryError):  # off the sheet: the run breaks
+                current.append(project_poincare(p, FIGURE_SHEET_TOL))
+                continue
         if len(current) >= 2:
             runs.append(current)
         current = []

@@ -138,8 +138,7 @@ def on_upper_hyperboloid(u: MVec3, tol: float = 1e-9) -> bool:
 
 def require_upper_sheet(p: MVec3, name: str, tol: float = 1e-9) -> None:
     if not on_upper_hyperboloid(p, tol):
-        raise GeometryError(
-            f"{name} ({p.x1!r}, {p.x2!r}, {p.x3!r}) is not on the upper hyperboloid sheet")
+        raise GeometryError(f"{name} ({p.x1!r}, {p.x2!r}, {p.x3!r}) is not on the upper hyperboloid sheet")
 
 
 def on_desitter(u: MVec3, tol: float = 1e-9) -> bool:
