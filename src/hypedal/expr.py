@@ -198,7 +198,12 @@ class _Parser:
             if tok.kind != "num" or not tok.text.isdecimal():
                 raise ParseError("exponent must be an integer literal", tok.pos)
             self.advance()
-            return Pow(base, sign * int(tok.text))
+            try:
+                exponent = int(tok.text)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                message = f"exponent of {len(tok.text)} digits is too long"
+                raise ParseError(message, tok.pos) from None
+            return Pow(base, sign * exponent)
         return base
 
     def atom(self) -> CurveExpr:
@@ -558,18 +563,24 @@ class _Tape:
         return result
 
     def _program(self, roots, computed=()):
+        """The steps of roots and what they depend on, each after its operands,
+        less those of `computed`: a depth-first post-order, on an explicit stack
+        because a large exponent chains thousands of products."""
         done = {0}
         order = []
-
-        def visit(nodes, out):
-            for node in nodes:
-                if node not in done:
-                    done.add(node)
-                    visit(self.deps[node], out)
-                    out.append(node)
-
-        visit(computed, [])
-        visit(roots, order)
+        for nodes, out in ((computed, []), (roots, order)):
+            stack = [(None, iter(nodes))]
+            while stack:
+                node, deps = stack[-1]
+                for dep in deps:
+                    if dep not in done:
+                        done.add(dep)
+                        stack.append((dep, iter(self.deps[dep])))
+                        break
+                else:
+                    stack.pop()
+                    if node is not None:
+                        out.append(node)
         return tuple((node,) + self.steps[node] for node in order if self.steps[node][0])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
 
 DEFAULT_ORDER = 16
@@ -268,12 +269,15 @@ def require_finite(coeffs):
 
 
 def mul_coeffs(a, b) -> list:
-    """Truncated Cauchy product; `a` drives the loop and its zeros are skipped.
+    """Truncated Cauchy product: out_k = 0.0 + a_0 b_k + a_1 b_(k-1) + ...
 
-    Orders 0-3 are unrolled with the same floats: every sum of the loop
-    starts at +0.0 and so never is -0.0, which makes a skipped term
-    a_i * b_j = +-0.0 (operands are finite) a no-op, and `+ 0.0` stands
-    in for the starting +0.0.
+    The sum of each coefficient starts at +0.0 and so never is -0.0, which
+    makes a term a_i * b_j = +-0.0 (operands are finite) a no-op.  Orders
+    0-3 are unrolled, `+ 0.0` standing in for the starting +0.0.  Higher
+    orders run the straight-line kernel of the degree d of `a`, the index
+    of its last non-zero coefficient (0 if there is none), which leaves out
+    the terms of a_(d+1), ..., a_n, so sparse operands such as s^2 cost
+    little.
     """
     n = len(a) - 1
     if n < 4:
@@ -295,29 +299,21 @@ def mul_coeffs(a, b) -> list:
                 a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + 0.0,
             ]
         return [a[0] * b[0] + 0.0]
-    out = [0.0] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if ai == 0.0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
+    d = n
+    while d and a[d] == 0.0:  # -0.0 == 0.0
+        d -= 1
+    return _mul_kernel(n, d)(a, b)
 
 
 def div_coeffs(a, b) -> list:
-    """Quotient a/b; refused when b vanishes at the base point."""
-    scale = max(abs(c) for c in b)
+    """Quotient a/b: q_i = (a_i - q_0 b_i - ... - q_(i-1) b_1) / b_0.
+
+    Refused when b vanishes at the base point.
+    """
+    scale = max(map(abs, b))
     if scale == 0.0 or abs(b[0]) <= _DIV_REL_TOL * scale:
         raise JetDomainError("jet division by vanishing germ")
-    n = len(a) - 1
-    q = [0.0] * (n + 1)
-    for i in range(n + 1):
-        acc = a[i]
-        for k in range(i):
-            acc -= q[k] * b[i - k]
-        q[i] = acc / b[0]
-    return q
+    return _div_kernel(len(a) - 1)(a, b)
 
 
 # Each recurrence below propagates y = fn(u) from the defining ODE of fn;
@@ -325,53 +321,100 @@ def div_coeffs(a, b) -> list:
 
 
 def sqrt_coeffs(a) -> list:
+    """y = sqrt(a): y_i = (a_i - y_1 y_(i-1) - ... - y_(i-1) y_1) / (2.0 y_0)."""
     if a[0] <= 0.0:
         raise JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a[0]!r}")
-    n = len(a) - 1
-    y = [0.0] * (n + 1)
-    y[0] = math.sqrt(a[0])
-    for i in range(1, n + 1):
-        acc = a[i]
-        for k in range(1, i):
-            acc -= y[k] * y[i - k]
-        y[i] = acc / (2.0 * y[0])
-    return y
+    return _sqrt_kernel(len(a) - 1)(a)
 
 
 def sin_cos_coeffs(a) -> tuple:
-    n = len(a) - 1
-    s = [0.0] * (n + 1)
-    c = [0.0] * (n + 1)
-    s[0] = math.sin(a[0])
-    c[0] = math.cos(a[0])
-    for i in range(1, n + 1):
-        acc_s = 0.0
-        acc_c = 0.0
-        for k in range(1, i + 1):
-            ka = k * a[k]
-            acc_s += ka * c[i - k]
-            acc_c += ka * s[i - k]
-        s[i] = acc_s / i
-        c[i] = -acc_c / i
-    return s, c
+    """(sin a, cos a): s_i = (0.0 + k_1 c_(i-1) + ... + k_i c_0) / i with k_k = k*a_k,
+    and c_i = -(0.0 + k_1 s_(i-1) + ... + k_i s_0) / i."""
+    return _sin_cos_kernel(len(a) - 1)(a)
 
 
 def sinh_cosh_coeffs(a) -> tuple:
-    n = len(a) - 1
-    s = [0.0] * (n + 1)
-    c = [0.0] * (n + 1)
-    s[0] = math.sinh(a[0])
-    c[0] = math.cosh(a[0])
+    """(sinh a, cosh a): the recurrences of `sin_cos_coeffs`, c_i without the minus sign."""
+    return _sinh_cosh_kernel(len(a) - 1)(a)
+
+
+# ---------------------------------------------------------------------
+# Straight-line kernels.  Each recurrence above is generated, for one
+# truncation order n, as a Python function without loops, and compiled
+# on first use.  The source is built from the integers n and d alone.
+# A kernel does the floating-point operations of the nested loop it
+# replaced in that loop's order: a sum is one left-to-right chain that
+# starts with `0.0 +`, a difference chain starts with its minuend, and
+# k*a_k is formed before it multiplies.  So every coefficient, the sign
+# of zero included, is the loop's.  MAX_ORDER bounds the keys: at most
+# 2,135 (n, d) products and 65 orders of each other recurrence.
+# ---------------------------------------------------------------------
+
+
+def _compile(name: str, params: str, lines: list):
+    """The function `name(params)` whose body is `lines`."""
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
+                 "sqrt": math.sqrt}
+    exec(compile(source, f"<hypedal.jets {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _names(prefix: str, n: int) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(n + 1))
+
+
+def _unpack(prefix: str, n: int) -> str:
+    # a trailing comma keeps order 0 an unpacking of one item
+    return f"{_names(prefix, n)}, = {prefix}"
+
+
+@lru_cache(maxsize=None)
+def _mul_kernel(n: int, d: int):
+    rows = [" + ".join(["0.0"] + [f"a{i}*b{k - i}" for i in range(min(k, d) + 1)])
+            for k in range(n + 1)]
+    return _compile(f"_mul_{n}_{d}", "a, b",
+                    [_unpack("a", n), _unpack("b", n), f"return [{', '.join(rows)}]"])
+
+
+@lru_cache(maxsize=None)
+def _div_kernel(n: int):
+    lines = [_unpack("a", n), _unpack("b", n)]
+    for i in range(n + 1):
+        chain = " - ".join([f"a{i}"] + [f"q{k}*b{i - k}" for k in range(i)])
+        lines.append(f"q{i} = ({chain}) / b0")
+    return _compile(f"_div_{n}", "a, b", lines + [f"return [{_names('q', n)}]"])
+
+
+@lru_cache(maxsize=None)
+def _sqrt_kernel(n: int):
+    lines = [_unpack("a", n), "y0 = sqrt(a0)", "two_y0 = 2.0 * y0"]
     for i in range(1, n + 1):
-        acc_s = 0.0
-        acc_c = 0.0
-        for k in range(1, i + 1):
-            ka = k * a[k]
-            acc_s += ka * c[i - k]
-            acc_c += ka * s[i - k]
-        s[i] = acc_s / i
-        c[i] = acc_c / i
-    return s, c
+        chain = " - ".join([f"a{i}"] + [f"y{k}*y{i - k}" for k in range(1, i)])
+        lines.append(f"y{i} = ({chain}) / two_y0")
+    return _compile(f"_sqrt_{n}", "a", lines + [f"return [{_names('y', n)}]"])
+
+
+def _trig_lines(n: int, s_fn: str, c_fn: str, sign: str) -> list:
+    """The recurrence of (sin a, cos a), or of (sinh a, cosh a) with sign ''."""
+    lines = [_unpack("a", n), f"s0 = {s_fn}(a0)", f"c0 = {c_fn}(a0)"]
+    lines += [f"k{k} = {k}*a{k}" for k in range(1, n + 1)]
+    for i in range(1, n + 1):
+        s_terms = " + ".join(["0.0"] + [f"k{k}*c{i - k}" for k in range(1, i + 1)])
+        c_terms = " + ".join(["0.0"] + [f"k{k}*s{i - k}" for k in range(1, i + 1)])
+        lines.append(f"s{i} = ({s_terms}) / {i}")
+        lines.append(f"c{i} = {sign}({c_terms}) / {i}")
+    return lines + [f"return [{_names('s', n)}], [{_names('c', n)}]"]
+
+
+@lru_cache(maxsize=None)
+def _sin_cos_kernel(n: int):
+    return _compile(f"_sin_cos_{n}", "a", _trig_lines(n, "sin", "cos", "-"))
+
+
+@lru_cache(maxsize=None)
+def _sinh_cosh_kernel(n: int):
+    return _compile(f"_sinh_cosh_{n}", "a", _trig_lines(n, "sinh", "cosh", ""))
 
 
 # ---------------------------------------------------------------------

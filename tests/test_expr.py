@@ -334,6 +334,33 @@ def test_tape_shares_equal_subtrees_and_sin_cos():
     assert len(tape.steps) == 6
 
 
+def _recursive_program(tape, roots, computed=()):
+    """`_Tape._program` as a recursive walk: the reference of its post-order."""
+    done = {0}
+    order = []
+
+    def visit(nodes, out):
+        for node in nodes:
+            if node not in done:
+                done.add(node)
+                visit(tape.deps[node], out)
+                out.append(node)
+
+    visit(computed, [])
+    visit(roots, order)
+    return tuple((node,) + tape.steps[node] for node in order if tape.steps[node][0])
+
+
+@pytest.mark.parametrize("floats", [False, True])
+@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37"])
+def test_tape_programs_are_the_recursive_walks(name, floats):
+    curve = load_curve(CURVES / f"{name}.json")
+    tape = _Tape((curve.components, curve.dual_components), floats=floats)
+    r, v = tape.outputs
+    assert tape.programs == [_recursive_program(tape, r), _recursive_program(tape, v)]
+    assert tape.rest == [_recursive_program(tape, r, v), _recursive_program(tape, v, r)]
+
+
 def _bare_curve():
     return ParametricCurve("bare", (parse("s"), parse("sin(s)"), parse("1")), (-1.0, 1.0),
                            dual_components=(parse("sin(s)"), parse("s"), parse("-0.0")))

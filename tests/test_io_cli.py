@@ -159,14 +159,27 @@ def _curve_file(x2: str) -> bytes:
     (_curve_file("2*²"), "in field 'r': unexpected character '²' (at position 2)"),
     (_curve_file("(" * 1000 + "s" + ")" * 1000), "in field 'r': expression nested too deeply"),
     (_curve_file("+".join(["s"] * 1000)), "in field 'r': expression deeper than 200 levels"),
+    (_curve_file("0*s^" + "1" * 5000),
+     "in field 'r': exponent of 5000 digits is too long (at position 4)"),
 ], ids=["not-utf-8", "deep-json", "superscript-exponent", "superscript-operand", "deep-parens",
-        "long-sum"])
+        "long-sum", "long-exponent"])
 def test_malformed_curve_files_exit_1(content, message, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_bytes(content)
     assert main(["check", "--curve", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"hypedal: error: {path}: ") and message in err
+
+
+def test_nested_large_powers_end_in_an_exit_code(tmp_path, capsys):
+    # each power of a 301-digit exponent compiles to about 2,000 products in a
+    # chain, which the tape's program walk used to follow by recursion
+    exponent = "1" + "0" * 300
+    path = tmp_path / "powers.json"
+    path.write_bytes(_curve_file("0*(((((s^%s)^%s)^%s)^%s)^%s)" % ((exponent,) * 5)))
+    assert main(["curvatures", "--curve", str(path), "--samples", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "hypedal: math domain failure: dual undetermined at s=0.0 (at s=0.0)\n")
 
 
 _CUSP23 = ["--curve", str(CURVES / "cusp23.json")]
@@ -457,8 +470,9 @@ def test_render_svg_marker_layout():
 # -- output digests --------------------------------------------------------------
 
 # The CSV and JSON a command prints, pinned by digest: the curvature pair, each
-# derived curve as JSON and two classifications, on every shipped curve as
-# shipped and as a copy without "v", so that frontal.AutoDual derives the dual.
+# derived curve as JSON and classifications at two points and at four orders, on
+# every shipped curve as shipped and as a copy without "v", so that
+# frontal.AutoDual derives the dual.
 _DIGEST_POINT = "1.5,1,0.5"
 _DIGEST_COMMANDS = {
     "curvatures": ["curvatures", "--samples", "40"],
@@ -466,6 +480,9 @@ _DIGEST_COMMANDS = {
               "--format", "json", "--samples", "40"]
        for kind in ("evolute", "pedal", "orthotomic", "caustic")},
     **{f"classify s0={s0}": ["classify", "--point", "1,0,0", "--s0", s0] for s0 in ("0", "1")},
+    # the jet kernels at low, middling and near-maximal truncation orders
+    **{f"classify order={n}": ["classify", "--point", "1,0,0", "--s0", "0.5", "--order", n]
+       for n in ("4", "17", "40", "60")},
 }
 
 

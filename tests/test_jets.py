@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -228,7 +229,10 @@ def test_constant_part():
     assert jets.constant_part(2.5) == 2.5
 
 
-# -- fast paths: bit-identical to the generic recurrences ------------------------
+# -- kernels: bit-identical to the generic recurrences ------------------------------
+#
+# The loops that hypedal.jets ran before its straight-line kernels, refusals
+# included; each kernel must return their floats, or raise what they raise.
 
 
 def _reference_mul(a, b):
@@ -243,28 +247,98 @@ def _reference_mul(a, b):
     return out
 
 
+def _reference_div(a, b):
+    scale = max(abs(c) for c in b)
+    if scale == 0.0 or abs(b[0]) <= jets._DIV_REL_TOL * scale:
+        raise JetDomainError("jet division by vanishing germ")
+    n = len(a) - 1
+    q = [0.0] * (n + 1)
+    for i in range(n + 1):
+        acc = a[i]
+        for k in range(i):
+            acc -= q[k] * b[i - k]
+        q[i] = acc / b[0]
+    return q
+
+
+def _reference_sqrt(a):
+    if a[0] <= 0.0:
+        raise JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a[0]!r}")
+    n = len(a) - 1
+    y = [0.0] * (n + 1)
+    y[0] = math.sqrt(a[0])
+    for i in range(1, n + 1):
+        acc = a[i]
+        for k in range(1, i):
+            acc -= y[k] * y[i - k]
+        y[i] = acc / (2.0 * y[0])
+    return y
+
+
+def _reference_pair(a, sin, cos, negate):
+    """(sin a, cos a) with negate, (sinh a, cosh a) without."""
+    n = len(a) - 1
+    s = [0.0] * (n + 1)
+    c = [0.0] * (n + 1)
+    s[0] = sin(a[0])
+    c[0] = cos(a[0])
+    for i in range(1, n + 1):
+        acc_s = 0.0
+        acc_c = 0.0
+        for k in range(1, i + 1):
+            ka = k * a[k]
+            acc_s += ka * c[i - k]
+            acc_c += ka * s[i - k]
+        s[i] = acc_s / i
+        c[i] = -acc_c / i if negate else acc_c / i
+    return s, c
+
+
 def _outcome(fn):
-    """repr of every coefficient of fn(), or the exception it raises."""
+    """repr of every coefficient of fn(), or of each half of a pair, or the exception it raises."""
     try:
         result = fn()
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    coeffs = result.coeffs if isinstance(result, Jet) else result
-    assert all(type(c) is float for c in coeffs)
-    return [repr(c) for c in coeffs]
+    out = []
+    for part in result if isinstance(result, tuple) else (result,):
+        coeffs = part.coeffs if isinstance(part, Jet) else part
+        assert all(type(c) is float for c in coeffs)
+        out.append([repr(c) for c in coeffs])
+    return out
 
 
 # signed zeros, a subnormal and values whose products overflow to inf
 _SPECIAL = [0.0, -0.0, 1e-320, -1e-320, 3e300, -3e300, 1.0, -2.5]
 _coeff = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0),
                    st.floats(allow_nan=False, allow_infinity=False))
+_zero = st.sampled_from([0.0, -0.0])
+# the unrolled products, the first kernel orders, the orders classify runs at
+# and one past them, and MAX_ORDER
+_LENGTHS = [1, 2, 3, 4, 5, 17, 18, 22, 23, 24, jets.MAX_ORDER + 1]
+
+
+@st.composite
+def _operand(draw, n):
+    """n + 1 coefficients of any degree d from -1 to n: signed zeros after
+    position d, a non-zero at d, and zeros among the others before it."""
+    d = draw(st.integers(-1, n))
+    head = draw(st.lists(st.one_of(_coeff, _zero), min_size=max(d, 0), max_size=max(d, 0)))
+    last = [draw(_coeff.filter(bool))] if d >= 0 else []
+    return head + last + draw(st.lists(_zero, min_size=n - d, max_size=n - d))
 
 
 @st.composite
 def _coeff_pairs(draw):
-    n = draw(st.sampled_from([1, 2, 3, 4, 5, 18, 23]))
-    return (draw(st.lists(_coeff, min_size=n, max_size=n)),
-            draw(st.lists(_coeff, min_size=n, max_size=n)))
+    n = draw(st.sampled_from(_LENGTHS)) - 1
+    return draw(_operand(n)), draw(st.lists(_coeff, min_size=n + 1, max_size=n + 1))
+
+
+_operands = st.sampled_from(_LENGTHS).flatmap(lambda length: _operand(length - 1))
+
+
+def _degree(a):
+    return max((i for i, c in enumerate(a) if c != 0.0), default=0)
 
 
 @settings(max_examples=500, deadline=None)
@@ -272,11 +346,62 @@ def _coeff_pairs(draw):
 @example(([-0.0, -0.0], [1.0, 1.0]))
 @example(([-0.0, -0.0, -0.0], [1.0, 1.0, 1.0]))
 @example(([-0.0, -0.0, -0.0, -0.0], [1.0, 1.0, 1.0, 1.0]))
+@example(([-0.0, 1.0, -0.0, -0.0, -0.0], [1.0, -0.0, -0.0, -0.0, -0.0]))
+@example(([1.0, 2.0, -0.0, 0.0, -0.0], [1.0, 1.0, 1.0, 1.0, 1.0]))
 def test_product_kernel_matches_reference_loop(pair):
     a, b = pair
     assert _outcome(lambda: jets.mul_coeffs(a, b)) == _outcome(lambda: _reference_mul(a, b))
     assert (_outcome(lambda: jet(a) * jet(b))
             == _outcome(lambda: jet(jets.require_finite(_reference_mul(a, b)))))
+    if len(a) > 4:
+        # the terms of a's trailing zeros, -0.0 among them, are left out
+        with mock.patch.object(jets, "_mul_kernel", wraps=jets._mul_kernel) as kernel:
+            jets.mul_coeffs(a, b)
+        assert kernel.call_args.args == (len(a) - 1, _degree(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff_pairs())
+@example(([-0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1e-300, 1e300, 1.0, 3.0]))
+def test_quotient_kernel_matches_reference_loop(pair):
+    a, b = pair
+    assert _outcome(lambda: jets.div_coeffs(a, b)) == _outcome(lambda: _reference_div(a, b))
+    assert (_outcome(lambda: jet(a) / jet(b))
+            == _outcome(lambda: jet(jets.require_finite(_reference_div(a, b)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands)
+@example([4.0, -0.0, 1.0, 1e-320, -3e300])
+def test_sqrt_kernel_matches_reference_loop(a):
+    assert _outcome(lambda: jets.sqrt_coeffs(a)) == _outcome(lambda: _reference_sqrt(a))
+    assert (_outcome(lambda: jet(a).sqrt())
+            == _outcome(lambda: jet(jets.require_finite(_reference_sqrt(a)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands)
+@example([0.0, -0.0, 1.0, 0.0, -0.0])
+@example([0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+def test_sin_cos_kernel_matches_reference_loop(a):
+    want = _reference_pair(a, math.sin, math.cos, negate=True)
+    assert _outcome(lambda: jets.sin_cos_coeffs(a)) == _outcome(lambda: want)
+    assert _outcome(lambda: (jet(a).sin(), jet(a).cos())) == _outcome(
+        lambda: tuple(jet(jets.require_finite(half)) for half in want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands)
+@example([0.0, -0.0, 1.0, 0.0, -0.0])
+@example([720.0, 1.0, 0.0, 0.0, 0.0])
+def test_sinh_cosh_kernel_matches_reference_loop(a):
+    def want():
+        return _reference_pair(a, math.sinh, math.cosh, negate=False)
+
+    assert _outcome(lambda: jets.sinh_cosh_coeffs(a)) == _outcome(want)
+    assert _outcome(lambda: (jet(a).sinh(), jet(a).cosh(), jet(a).tanh())) == _outcome(
+        lambda: tuple(jet(jets.require_finite(half)) for half in want())
+        + (jet(jets.require_finite(_reference_div(*want()))),))
 
 
 class _MyFloat(float):
@@ -291,8 +416,8 @@ _LIFTED = {
     "c - jet": lambda a, k: [y - x for x, y in zip(a, k)],
     "jet * c": _reference_mul,
     "c * jet": _reference_mul,
-    "jet / c": lambda a, k: jets.div_coeffs(a, k),
-    "c / jet": lambda a, k: jets.div_coeffs(k, a),
+    "jet / c": _reference_div,
+    "c / jet": lambda a, k: _reference_div(k, a),
 }
 _FAST = {
     "jet + c": lambda j, c: j + c,
