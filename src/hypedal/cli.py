@@ -166,7 +166,7 @@ def _cmd_curvatures(ns) -> int:
         try:
             ell, m = pair.curvatures(s)
         except jets.DOMAIN_ERRORS as exc:
-            raise exc.__class__(f"{exc} (at s={s!r})") from None
+            raise jets.at_parameter(exc, s) from None
         rows.append((s, ell, m))
     _emit(io.csv_text(["s", "l", "m"], rows), ns.out)
     return 0
@@ -297,21 +297,12 @@ def _cmd_plot(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"hypedal: error: {exc}", file=sys.stderr)
-        return 1
+        ns = _build_parser().parse_args(argv)
+        return ns.run(ns)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-
-    try:
-        return ns.run(ns)
-    except UsageError as exc:
-        print(f"hypedal: error: {exc}", file=sys.stderr)
-        return 1
-    except (CurveFileError, ParseError, OSError) as exc:
+    except (UsageError, CurveFileError, ParseError, OSError) as exc:
         print(f"hypedal: error: {exc}", file=sys.stderr)
         return 1
     except jets.DOMAIN_ERRORS as exc:

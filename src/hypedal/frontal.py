@@ -181,7 +181,7 @@ class LegendrePair:
                 rd = _coeff(rj, 1)
                 v0 = self._v(s)
             except jets.DOMAIN_ERRORS as exc:
-                raise exc.__class__(f"{exc} (at s={s!r})") from None
+                raise jets.at_parameter(exc, s) from None
             nr = max(1.0, _sup(r0))
             nv = max(1.0, _sup(v0))
             nd = max(1.0, _sup(rd))
@@ -235,7 +235,7 @@ class AutoDual:
             try:
                 raw.append(self._raw(s))
             except jets.DOMAIN_ERRORS as exc:
-                raise exc.__class__(f"{exc} (at s={s!r})") from None
+                raise jets.at_parameter(exc, s) from None
         signed = []
         sign = 1.0
         first = raw[0]

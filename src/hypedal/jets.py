@@ -27,6 +27,16 @@ MAX_ORDER = 64
 # a ValueError (its domain errors all derive from it) or an ArithmeticError.
 DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
+
+def at_parameter(exc: Exception, s: float) -> Exception:
+    """`exc` with a message that ends in the parameter s where it arose.
+
+    An exception whose message already ends in "at s=<s>" is returned as it is.
+    """
+    where = f"at s={s!r}"
+    return exc if str(exc).endswith(where) else exc.__class__(f"{exc} ({where})")
+
+
 # A quotient a/b is refused when the constant term of b is this small
 # relative to b's largest coefficient: the denominator germ vanishes at the
 # base point and the series 1/b does not exist.
@@ -272,33 +282,16 @@ def mul_coeffs(a, b) -> list:
     """Truncated Cauchy product: out_k = 0.0 + a_0 b_k + a_1 b_(k-1) + ...
 
     The sum of each coefficient starts at +0.0 and so never is -0.0, which
-    makes a term a_i * b_j = +-0.0 (operands are finite) a no-op.  Orders
-    0-3 are unrolled, `+ 0.0` standing in for the starting +0.0.  Higher
-    orders run the straight-line kernel of the degree d of `a`, the index
-    of its last non-zero coefficient (0 if there is none), which leaves out
-    the terms of a_(d+1), ..., a_n, so sparse operands such as s^2 cost
-    little.
+    makes a term a_i * b_j = +-0.0 (operands are finite) a no-op.  Every
+    order runs a straight-line kernel.  Orders 0-3 run the full rows,
+    compiled at import.  Higher orders run the kernel of the degree d of
+    `a`, the index of its last non-zero coefficient (0 if there is none),
+    which leaves out the terms of a_(d+1), ..., a_n, so sparse operands
+    such as s^2 cost little.
     """
     n = len(a) - 1
     if n < 4:
-        if n == 1:
-            a0, a1 = a
-            b0, b1 = b
-            return [a0 * b0 + 0.0, a0 * b1 + a1 * b0 + 0.0]
-        if n == 2:
-            a0, a1, a2 = a
-            b0, b1, b2 = b
-            return [a0 * b0 + 0.0, a0 * b1 + a1 * b0 + 0.0, a0 * b2 + a1 * b1 + a2 * b0 + 0.0]
-        if n == 3:
-            a0, a1, a2, a3 = a
-            b0, b1, b2, b3 = b
-            return [
-                a0 * b0 + 0.0,
-                a0 * b1 + a1 * b0 + 0.0,
-                a0 * b2 + a1 * b1 + a2 * b0 + 0.0,
-                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + 0.0,
-            ]
-        return [a[0] * b[0] + 0.0]
+        return _LOW_MUL[n](a, b)
     d = n
     while d and a[d] == 0.0:  # -0.0 == 0.0
         d -= 1
@@ -347,7 +340,7 @@ def sinh_cosh_coeffs(a) -> tuple:
 # starts with `0.0 +`, a difference chain starts with its minuend, and
 # k*a_k is formed before it multiplies.  So every coefficient, the sign
 # of zero included, is the loop's.  MAX_ORDER bounds the keys: at most
-# 2,135 (n, d) products and 65 orders of each other recurrence.
+# 2,139 (n, d) products and 65 orders of each other recurrence.
 # ---------------------------------------------------------------------
 
 
@@ -375,6 +368,11 @@ def _mul_kernel(n: int, d: int):
             for k in range(n + 1)]
     return _compile(f"_mul_{n}_{d}", "a, b",
                     [_unpack("a", n), _unpack("b", n), f"return [{', '.join(rows)}]"])
+
+
+# the products of orders 0-3, which the derived curves run most: full rows,
+# called without the degree scan and the cache lookup
+_LOW_MUL = tuple(_mul_kernel(n, n) for n in range(4))
 
 
 @lru_cache(maxsize=None)

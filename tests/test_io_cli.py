@@ -178,8 +178,20 @@ def test_nested_large_powers_end_in_an_exit_code(tmp_path, capsys):
     path = tmp_path / "powers.json"
     path.write_bytes(_curve_file("0*(((((s^%s)^%s)^%s)^%s)^%s)" % ((exponent,) * 5)))
     assert main(["curvatures", "--curve", str(path), "--samples", "5"]) == 3
-    assert capsys.readouterr().err == (
-        "hypedal: math domain failure: dual undetermined at s=0.0 (at s=0.0)\n")
+    assert capsys.readouterr().err == "hypedal: math domain failure: dual undetermined at s=0.0\n"
+
+
+@pytest.mark.parametrize("args", [["check"], ["curvatures"],
+                                  ["classify", "--point", "1,0,0", "--s0", "0.5"]],
+                         ids=["check", "curvatures", "classify"])
+def test_a_failing_parameter_is_named_once(args, tmp_path, capsys):
+    # a constant curve has no dual: the message that frontal.AutoDual raises
+    # already ends in the parameter, and no caller appends it again
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"name": "flat", "r": ["cosh(1)", "sinh(1)", "0*s"],
+                                "domain": [0.0, 1.0], "samples": 10}))
+    assert main([args[0], "--curve", str(path), *args[1:]]) == 3
+    assert capsys.readouterr().err == "hypedal: math domain failure: dual undetermined at s=0.0\n"
 
 
 _CUSP23 = ["--curve", str(CURVES / "cusp23.json")]

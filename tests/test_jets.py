@@ -313,8 +313,8 @@ _SPECIAL = [0.0, -0.0, 1e-320, -1e-320, 3e300, -3e300, 1.0, -2.5]
 _coeff = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0),
                    st.floats(allow_nan=False, allow_infinity=False))
 _zero = st.sampled_from([0.0, -0.0])
-# the unrolled products, the first kernel orders, the orders classify runs at
-# and one past them, and MAX_ORDER
+# the products compiled at import, the first kernels keyed on degree, the
+# orders classify runs at and one past them, and MAX_ORDER
 _LENGTHS = [1, 2, 3, 4, 5, 17, 18, 22, 23, 24, jets.MAX_ORDER + 1]
 
 
@@ -343,6 +343,11 @@ def _degree(a):
 
 @settings(max_examples=500, deadline=None)
 @given(_coeff_pairs())
+@example(([-0.0], [1.0]))
+@example(([3e300], [3e300]))
+@example(([3e300, -3e300], [3e300, 3e300]))  # inf - inf
+@example(([1.0, 0.0, 3e300], [3e300, 1.0, 1.0]))
+@example(([1.0, -0.0, 0.0, 3e300], [3e300, 1.0, 1.0, -2.5]))
 @example(([-0.0, -0.0], [1.0, 1.0]))
 @example(([-0.0, -0.0, -0.0], [1.0, 1.0, 1.0]))
 @example(([-0.0, -0.0, -0.0, -0.0], [1.0, 1.0, 1.0, 1.0]))
@@ -447,3 +452,14 @@ def test_scalar_operators_match_lifting_to_a_constant_jet(op, c, coeffs):
         return jet(jets.require_finite(_LIFTED[op](a.coeffs, k.coeffs)), base=0.25)
 
     assert _outcome(lambda: _FAST[op](a, c)) == _outcome(lifted)
+
+
+def test_a_domain_error_names_its_parameter_once():
+    located = jets.at_parameter(JetDomainError("jet division by vanishing germ"), 1.0)
+    assert type(located) is JetDomainError
+    assert str(located) == "jet division by vanishing germ (at s=1.0)"
+    named = JetDomainError("dual undetermined at s=1.0")
+    assert jets.at_parameter(named, 1.0) is named
+    # a message that ends in another parameter still gets this one
+    assert (str(jets.at_parameter(ValueError("dual undetermined at s=11.0"), 1.0))
+            == "dual undetermined at s=11.0 (at s=1.0)")
