@@ -139,7 +139,12 @@ def _orthotomic_frame_normal(Q: MVec3, r: MVec3, v: MVec3, mu: MVec3) -> MVec3:
 
 
 class DerivedCurve:
-    """A curve s -> MVec3 derived from a pair, with plain and jet evaluation."""
+    """A curve s -> MVec3 derived from a pair, with plain and jet evaluation.
+
+    `jet` runs `_formula(pair, Q, s0, order)` on the pair's jets, or where
+    every value has at most 4 coefficients the function generated from it
+    (`recording.derived_program`), or the formula where that gives no answer.
+    """
 
     kind = "derived"
 
@@ -147,6 +152,7 @@ class DerivedCurve:
         self.pair = pair
         self.Q = Q
         self.domain = pair.domain
+        self._programs = {}  # order -> `recording.derived_program` of this curve
 
     def at(self, s: float) -> MVec3:
         raise NotImplementedError
@@ -157,15 +163,47 @@ class DerivedCurve:
     def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL):
         return singular_points(self, samples=samples, tol=tol)
 
+    def _formula_args(self):
+        """The pair and the point that `_formula` reads."""
+        return self.pair, self.Q
+
+    def _run_program(self, s0: float, order: int):
+        """(base, the coefficient lists of `_formula`'s jets) at (s0, order) from the
+        generated function, or None where there is none or it gives no answer."""
+        program = self._programs.get(order, False)
+        if program is False:
+            from .recording import derived_program  # loaded with the first formula it runs
+
+            program = self._programs[order] = derived_program(self._formula,
+                                                              *self._formula_args(), order)
+        if program is None:
+            return None
+        runner, leaves = program
+        try:
+            given = [j for leaf, k in leaves for j in leaf(s0, k).components()]
+        except Exception:  # the formula raises what it raises
+            return None
+        return runner(given)
+
+    def _program_jet(self, s0: float, order: int) -> MVec3 | None:
+        """`jet` from the generated function, or None where it gives no answer."""
+        out = self._run_program(s0, order)
+        return None if out is None else _jet_vector(*out)
+
 
 class PedalCurve(DerivedCurve):
     kind = "pedal"
+
+    @staticmethod
+    def _formula(pair, Q, s0, order):
+        return pedal_point(Q, pair.v_jet(s0, order))
 
     def at(self, s: float) -> MVec3:
         return pedal_point(self.Q, self.pair.v(s))
 
     def jet(self, s0: float, order: int) -> MVec3:
-        return pedal_point(self.Q, self.pair.v_jet(s0, order))
+        point = self._program_jet(s0, order)
+        return self._formula(self.pair, self.Q, s0, order) if point is None else point
 
     def induced(self) -> "PedalInducedPair":
         return pedal_induced(self.pair, self.Q)
@@ -174,11 +212,16 @@ class PedalCurve(DerivedCurve):
 class OrthotomicCurve(DerivedCurve):
     kind = "orthotomic"
 
+    @staticmethod
+    def _formula(pair, Q, s0, order):
+        return orthotomic_point(Q, pair.v_jet(s0, order))
+
     def at(self, s: float) -> MVec3:
         return orthotomic_point(self.Q, self.pair.v(s))
 
     def jet(self, s0: float, order: int) -> MVec3:
-        return orthotomic_point(self.Q, self.pair.v_jet(s0, order))
+        point = self._program_jet(s0, order)
+        return self._formula(self.pair, self.Q, s0, order) if point is None else point
 
     def induced(self) -> "OrthotomicInducedPair":
         return orthotomic_induced(self.pair, self.Q)
@@ -303,6 +346,9 @@ class EvoluteCurve(DerivedCurve):
     """Evolute of a pair; lands on H2 where m^2 > ell^2, on dS2 otherwise.
 
     On the hyperbolic branch the sign is chosen so x1 > 0 (upper sheet).
+    The generated function of a jet stops at the branch decision: ell, m,
+    m^2, ell^2, d2 and m r - ell v do not depend on it, and the division
+    by sqrt(|d2|) after it runs as a second one, recorded per branch.
     """
 
     kind = "evolute"
@@ -314,25 +360,50 @@ class EvoluteCurve(DerivedCurve):
         if kind:
             self.kind = kind
 
-    def _branch_split(self, s, ell, m):
+    @staticmethod
+    def _squares(ell, m):
+        """(m^2, ell^2, d2 = m^2 - ell^2), for floats and jets."""
         mm = m * m
         ll = ell * ell
-        d2 = mm - ll
+        return mm, ll, mm - ll
+
+    @staticmethod
+    def _branch(s, mm, ll, d2) -> Branch:
         d2c = jets.constant_part(d2)
         scale = max(jets.constant_part(mm), jets.constant_part(ll), 1.0)
         if abs(d2c) <= _DEGENERACY_RTOL * scale:
             raise EvoluteDegenerateError(f"evolute degenerate at s={s!r}")
-        return (Branch.H2 if d2c > 0.0 else Branch.DS2), d2
+        return Branch.H2 if d2c > 0.0 else Branch.DS2
+
+    def _branch_split(self, s, ell, m):
+        mm, ll, d2 = self._squares(ell, m)
+        return self._branch(s, mm, ll, d2), d2
 
     @staticmethod
-    def _place(branch, d2, num):
-        """The evolute point num / sqrt(|d2|), num = m r - ell v, for floats and jets."""
-        if branch is Branch.H2:
-            point = num / jets.sqrt(d2)
-            if jets.constant_part(point.x1) < 0.0:
-                point = -point
-            return point
-        return num / jets.sqrt(-d2)
+    def _scaled(branch, d2, num):
+        """num / sqrt(|d2|), num = m r - ell v, for floats and jets."""
+        return num / jets.sqrt(d2 if branch is Branch.H2 else -d2)
+
+    @classmethod
+    def _place(cls, branch, d2, num):
+        """The evolute point: `_scaled`, on the upper sheet on the hyperbolic branch."""
+        point = cls._scaled(branch, d2, num)
+        if branch is Branch.H2 and jets.constant_part(point.x1) < 0.0:
+            return -point
+        return point
+
+    @staticmethod
+    def _numerator(ell, m, rj, vj, order):
+        return m * _truncate(rj, order) - ell * _truncate(vj, order)
+
+    @classmethod
+    def _formula(cls, pair, Q, s0, order):
+        """What the jet of the evolute computes before the branch decision."""
+        ell, m, rj, vj = pair._curvature_frame_jets(s0, order)
+        return (*cls._squares(ell, m), *cls._numerator(ell, m, rj, vj, order).components())
+
+    def _formula_args(self):
+        return self.formula_pair, None
 
     def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
         ell, m = self.formula_pair.curvatures(s)
@@ -348,11 +419,33 @@ class EvoluteCurve(DerivedCurve):
         return self.at_with_branch(s)[1]
 
     def jet(self, s0: float, order: int) -> MVec3:
+        point = self._program_jet(s0, order)
+        if point is not None:
+            return point
         ell, m, rj, vj = self.formula_pair._curvature_frame_jets(s0, order)
         branch, d2 = self._branch_split(s0, ell, m)
-        r = _truncate(rj, order)
-        v = _truncate(vj, order)
-        return self._place(branch, d2, m * r - ell * v)
+        return self._place(branch, d2, self._numerator(ell, m, rj, vj, order))
+
+    def _program_jet(self, s0: float, order: int) -> MVec3 | None:
+        terms = self._run_program(s0, order)
+        if terms is None:
+            return None
+        base, (mm, ll, d2, *num) = terms
+        # the values the formula reaches the decision with, so it decides (or
+        # refuses) alike
+        branch = self._branch(s0, mm[0], ll[0], d2[0])
+        from .recording import evolute_tail
+
+        tail = evolute_tail(branch, order)
+        try:
+            point = None if tail is None else tail[0]([d2, *num], tail[1])
+        except Exception:  # the formula raises what it raises
+            return None
+        if point is None:
+            return None
+        if branch is Branch.H2 and point[0][0] < 0.0:
+            point = [[-c for c in coeffs] for coeffs in point]
+        return _jet_vector(base, point)
 
 
 def evolute(pair: LegendrePair) -> EvoluteCurve:
@@ -363,6 +456,10 @@ def catacaustic(pair: LegendrePair, Q: MVec3) -> EvoluteCurve:
     """Evolute of the orthotomic: the envelope of rays from Q after reflection."""
     induced = orthotomic_induced(pair, Q)
     return EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")
+
+
+def _jet_vector(base: float, coeffs) -> MVec3:
+    return MVec3(*[jets._jet(base, tuple(c)) for c in coeffs])
 
 
 # -- singular point detection ---------------------------------------------

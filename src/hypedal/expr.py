@@ -412,6 +412,10 @@ def _f_pow(v, x, n):
     return v[x] ** n
 
 
+# Programs whose values have at most this many coefficients (floats, jets of
+# degree 1-3) run as functions that hypedal.program generates.
+_INLINE_WIDTH = 4
+
 # any other operator divides, as in _eval
 _BINARY = {"+": _k_add, "-": _k_sub, "*": _k_mul}
 _F_BINARY = {"+": lambda v, x, y: v[x] + v[y], "-": lambda v, x, y: v[x] - v[y],
@@ -430,7 +434,51 @@ class _Const:
         self.value = value
 
 
-class _Tape:
+class _Steps:
+    """Hash-consed steps (node, fn, x, y): a node without fn holds a value
+    given from the start, node 0 the variable s."""
+
+    def __init__(self):
+        self.steps = [(None, None, None)]
+        self.deps = [()]
+        self._index = {}
+
+    def _add(self, fn, x, y, deps):
+        self.steps.append((fn, x, y))
+        self.deps.append(deps)
+        return len(self.steps) - 1
+
+    def _node(self, fn, x, y=None):
+        key = (fn, x, y.hex() if isinstance(y, float) else y)
+        node = self._index.get(key)
+        if node is None:
+            deps = (x, y) if fn in _TWO_OPERANDS else (x,) if fn else ()
+            node = self._index[key] = self._add(fn, x, y, deps)
+        return node
+
+    def _program(self, roots, computed=()):
+        """The steps of roots and what they depend on, each after its operands,
+        less those of `computed`: a depth-first post-order, on an explicit stack
+        because a large exponent chains thousands of products."""
+        done = {0}
+        order = []
+        for nodes, out in ((computed, []), (roots, order)):
+            stack = [(None, iter(nodes))]
+            while stack:
+                node, deps = stack[-1]
+                for dep in deps:
+                    if dep not in done:
+                        done.add(dep)
+                        stack.append((dep, iter(self.deps[dep])))
+                        break
+                else:
+                    stack.pop()
+                    if node is not None:
+                        out.append(node)
+        return tuple((node,) + self.steps[node] for node in order if self.steps[node][0])
+
+
+class _Tape(_Steps):
     """The jet or float program of groups of expression trees, e.g. a curve's r and v.
 
     Node 0 is s.  `outputs[g]` holds the nodes of group g's trees and
@@ -440,11 +488,10 @@ class _Tape:
     """
 
     def __init__(self, groups, floats: bool = False):
+        super().__init__()
         self.floats = floats
-        self.steps = [(None, None, None)]  # a node without fn holds y from the start, in init
-        self.deps = [()]
         self.calls = {}  # node -> (function name, argument node), for error messages
-        self._index = {}
+        self._inline = {}  # (id of a program, degree) -> `inline`
         self.outputs = [tuple(self._output(e) for e in trees) for trees in groups]
         self.programs = [self._program(roots) for roots in self.outputs]
         if len(groups) == 2:
@@ -453,20 +500,24 @@ class _Tape:
                          self._program(self.outputs[1], self.outputs[0])]
         self.init = [None if fn else y for fn, x, y in self.steps]
 
-    def _add(self, fn, x, y, deps):
-        self.steps.append((fn, x, y))
-        self.deps.append(deps)
-        return len(self.steps) - 1
-
     def _node(self, fn, x, y=None, call=None):
-        key = (fn, x, y.hex() if isinstance(y, float) else y)
-        node = self._index.get(key)
-        if node is None:
-            deps = (x, y) if fn in _TWO_OPERANDS else (x,) if fn else ()
-            node = self._index[key] = self._add(fn, x, y, deps)
+        node = super()._node(fn, x, y)
         if call is not None:
             self.calls[node] = call
         return node
+
+    def inline(self, program, degree: int):
+        """`program.tape_program` of one of this tape's programs, made once; None
+        for an empty program and for jets wider than `_INLINE_WIDTH` coefficients."""
+        key = (id(program), degree)  # the tape holds its programs, so ids stay theirs
+        if key not in self._inline:
+            self._inline[key] = None
+            if degree < _INLINE_WIDTH and program:
+                # the code generator is loaded with the first program it generates
+                from .program import tape_program
+
+                self._inline[key] = tape_program(self, program, degree)
+        return self._inline[key]
 
     def _fail(self, exc, dep=None):
         return self._add(_k_raise, dep, exc, () if dep is None else (dep,))
@@ -562,36 +613,16 @@ class _Tape:
             result = self._node(_k_div, self._node(_k_lift, result, 1.0), result)
         return result
 
-    def _program(self, roots, computed=()):
-        """The steps of roots and what they depend on, each after its operands,
-        less those of `computed`: a depth-first post-order, on an explicit stack
-        because a large exponent chains thousands of products."""
-        done = {0}
-        order = []
-        for nodes, out in ((computed, []), (roots, order)):
-            stack = [(None, iter(nodes))]
-            while stack:
-                node, deps = stack[-1]
-                for dep in deps:
-                    if dep not in done:
-                        done.add(dep)
-                        stack.append((dep, iter(self.deps[dep])))
-                        break
-                else:
-                    stack.pop()
-                    if node is not None:
-                        out.append(node)
-        return tuple((node,) + self.steps[node] for node in order if self.steps[node][0])
-
 
 class _TapePoint:
     """Node values of a tape at one base point and degree, 0 for floats, filled group by group."""
 
-    __slots__ = ("tape", "base", "values", "done", "results")
+    __slots__ = ("tape", "base", "degree", "values", "done", "results")
 
     def __init__(self, tape: _Tape, base: float, degree: int):
         self.tape = tape
         self.base = base
+        self.degree = degree
         self.values = tape.init.copy()
         self.values[0] = [base, 1.0] + [0.0] * (degree - 1) if degree else base
         self.done = set()
@@ -608,6 +639,17 @@ class _TapePoint:
 
     def _run(self, program):
         v = self.values
+        inline = self.tape.inline(program, self.degree)
+        if inline is not None:
+            function, inputs, outputs, consts = inline
+            try:
+                out = function([v[node] for node in inputs], consts)
+            except Exception:  # the step loop raises what it raises
+                out = None
+            if out is not None:
+                for node, value in zip(outputs, out):
+                    v[node] = value
+                return
         try:
             for node, fn, x, y in program:
                 v[node] = fn(v, x, y)

@@ -271,7 +271,17 @@ def _scalar(c) -> float:
 
 
 def require_finite(coeffs):
-    """`coeffs`, once checked to be finite as `Jet` checks them."""
+    """`coeffs`, once checked to be finite as `Jet` checks them.
+
+    A float sum, which converts each int as the scan does, is finite only
+    if every term is.  Any other sum (an overflow, a term that is no
+    number) goes to the scan, which raises what it always raised.
+    """
+    try:
+        if _isfinite(sum(coeffs, 0.0)):
+            return coeffs
+    except Exception:  # the scan below raises it, or what comes first
+        pass
     for c in coeffs:
         if not _isfinite(c):
             raise ValueError("non-finite jet coefficient")
@@ -341,78 +351,107 @@ def sinh_cosh_coeffs(a) -> tuple:
 # k*a_k is formed before it multiplies.  So every coefficient, the sign
 # of zero included, is the loop's.  MAX_ORDER bounds the keys: at most
 # 2,139 (n, d) products and 65 orders of each other recurrence.
+# The recurrences are line templates on the names of the coefficients they
+# read and write, so hypedal.program emits them inside whole programs.
 # ---------------------------------------------------------------------
 
 
-def _compile(name: str, params: str, lines: list):
-    """The function `name(params)` whose body is `lines`."""
+def compile_lines(name: str, params: str, lines: list):
+    """The function `name(params)` whose body is `lines`; they may call the
+    `math` functions of the expression grammar and `isfinite`."""
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
-                 "sqrt": math.sqrt}
-    exec(compile(source, f"<hypedal.jets {name}>", "exec"), namespace)
+    namespace = {fn: getattr(math, fn) for fn in ("sqrt", "sin", "cos", "sinh", "cosh", "tanh",
+                                                  "isfinite")}
+    exec(compile(source, f"<hypedal {name}>", "exec"), namespace)
     return namespace[name]
 
 
-def _names(prefix: str, n: int) -> str:
-    return ", ".join(f"{prefix}{i}" for i in range(n + 1))
+def _names(prefix: str, n: int) -> list:
+    return [f"{prefix}{i}" for i in range(n + 1)]
 
 
 def _unpack(prefix: str, n: int) -> str:
     # a trailing comma keeps order 0 an unpacking of one item
-    return f"{_names(prefix, n)}, = {prefix}"
+    return f"{', '.join(_names(prefix, n))}, = {prefix}"
+
+
+def mul_rows(a: list, b: list, d: int) -> list:
+    """The product's coefficients, without the terms of a above degree d."""
+    return [" + ".join(["0.0"] + [f"{a[i]}*{b[k - i]}" for i in range(min(k, d) + 1)])
+            for k in range(len(a))]
+
+
+def div_lines(q: list, a: list, b: list) -> list:
+    return [f"{q[i]} = ({' - '.join([a[i]] + [f'{q[k]}*{b[i - k]}' for k in range(i)])}) / {b[0]}"
+            for i in range(len(a))]
+
+
+def sqrt_lines(y: list, a: list, two: str) -> list:
+    """y = sqrt(a); `two` names 2 y_0."""
+    lines = [f"{y[0]} = sqrt({a[0]})", f"{two} = 2.0 * {y[0]}"]
+    for i in range(1, len(a)):
+        chain = " - ".join([a[i]] + [f"{y[k]}*{y[i - k]}" for k in range(1, i)])
+        lines.append(f"{y[i]} = ({chain}) / {two}")
+    return lines
+
+
+def trig_lines(s: list, c: list, k: list, a: list, hyperbolic: bool) -> list:
+    """(s, c) = (sin a, cos a), or (sinh a, cosh a); k names k*a_k."""
+    s_fn, c_fn, sign = ("sinh", "cosh", "") if hyperbolic else ("sin", "cos", "-")
+    lines = [f"{s[0]} = {s_fn}({a[0]})", f"{c[0]} = {c_fn}({a[0]})"]
+    lines += [f"{k[j]} = {j}*{a[j]}" for j in range(1, len(a))]
+    for i in range(1, len(a)):
+        s_terms = " + ".join(["0.0"] + [f"{k[j]}*{c[i - j]}" for j in range(1, i + 1)])
+        c_terms = " + ".join(["0.0"] + [f"{k[j]}*{s[i - j]}" for j in range(1, i + 1)])
+        lines.append(f"{s[i]} = ({s_terms}) / {i}")
+        lines.append(f"{c[i]} = {sign}({c_terms}) / {i}")
+    return lines
 
 
 @lru_cache(maxsize=None)
 def _mul_kernel(n: int, d: int):
-    rows = [" + ".join(["0.0"] + [f"a{i}*b{k - i}" for i in range(min(k, d) + 1)])
-            for k in range(n + 1)]
-    return _compile(f"_mul_{n}_{d}", "a, b",
-                    [_unpack("a", n), _unpack("b", n), f"return [{', '.join(rows)}]"])
+    rows = mul_rows(_names("a", n), _names("b", n), d)
+    return compile_lines(f"_mul_{n}_{d}", "a, b",
+                         [_unpack("a", n), _unpack("b", n), f"return [{', '.join(rows)}]"])
 
 
-# the products of orders 0-3, which the derived curves run most: full rows,
+# the products of orders 0-3, which low-order `Jet` formulas run most: full rows,
 # called without the degree scan and the cache lookup
 _LOW_MUL = tuple(_mul_kernel(n, n) for n in range(4))
 
 
 @lru_cache(maxsize=None)
 def _div_kernel(n: int):
-    lines = [_unpack("a", n), _unpack("b", n)]
-    for i in range(n + 1):
-        chain = " - ".join([f"a{i}"] + [f"q{k}*b{i - k}" for k in range(i)])
-        lines.append(f"q{i} = ({chain}) / b0")
-    return _compile(f"_div_{n}", "a, b", lines + [f"return [{_names('q', n)}]"])
+    q = _names("q", n)
+    return compile_lines(f"_div_{n}", "a, b", [_unpack("a", n), _unpack("b", n),
+                                                *div_lines(q, _names("a", n), _names("b", n)),
+                                                f"return [{', '.join(q)}]"])
 
 
 @lru_cache(maxsize=None)
 def _sqrt_kernel(n: int):
-    lines = [_unpack("a", n), "y0 = sqrt(a0)", "two_y0 = 2.0 * y0"]
-    for i in range(1, n + 1):
-        chain = " - ".join([f"a{i}"] + [f"y{k}*y{i - k}" for k in range(1, i)])
-        lines.append(f"y{i} = ({chain}) / two_y0")
-    return _compile(f"_sqrt_{n}", "a", lines + [f"return [{_names('y', n)}]"])
+    y = _names("y", n)
+    return compile_lines(f"_sqrt_{n}", "a", [_unpack("a", n),
+                                             *sqrt_lines(y, _names("a", n), "two_y0"),
+                                             f"return [{', '.join(y)}]"])
 
 
-def _trig_lines(n: int, s_fn: str, c_fn: str, sign: str) -> list:
-    """The recurrence of (sin a, cos a), or of (sinh a, cosh a) with sign ''."""
-    lines = [_unpack("a", n), f"s0 = {s_fn}(a0)", f"c0 = {c_fn}(a0)"]
-    lines += [f"k{k} = {k}*a{k}" for k in range(1, n + 1)]
-    for i in range(1, n + 1):
-        s_terms = " + ".join(["0.0"] + [f"k{k}*c{i - k}" for k in range(1, i + 1)])
-        c_terms = " + ".join(["0.0"] + [f"k{k}*s{i - k}" for k in range(1, i + 1)])
-        lines.append(f"s{i} = ({s_terms}) / {i}")
-        lines.append(f"c{i} = {sign}({c_terms}) / {i}")
-    return lines + [f"return [{_names('s', n)}], [{_names('c', n)}]"]
+def _trig_kernel(n: int, hyperbolic: bool):
+    s, c = _names("s", n), _names("c", n)
+    lines = trig_lines(s, c, _names("k", n), _names("a", n), hyperbolic)
+    name = f"_sinh_cosh_{n}" if hyperbolic else f"_sin_cos_{n}"
+    return compile_lines(name, "a", [_unpack("a", n), *lines,
+                                     f"return [{', '.join(s)}], [{', '.join(c)}]"])
 
 
 @lru_cache(maxsize=None)
 def _sin_cos_kernel(n: int):
-    return _compile(f"_sin_cos_{n}", "a", _trig_lines(n, "sin", "cos", "-"))
+    return _trig_kernel(n, False)
 
 
 @lru_cache(maxsize=None)
 def _sinh_cosh_kernel(n: int):
-    return _compile(f"_sinh_cosh_{n}", "a", _trig_lines(n, "sinh", "cosh", ""))
+    return _trig_kernel(n, True)
 
 
 # ---------------------------------------------------------------------
@@ -487,7 +526,7 @@ def vanishing_order(a: Jet, tol: float = 1e-8):
     so rounding residue of exact zeros is ignored.  Returns None when every
     coefficient vanishes at this truncation.
     """
-    scale = max(1.0, max(abs(c) for c in a.coeffs))
+    scale = max(1.0, max(map(abs, a.coeffs)))
     for i, c in enumerate(a.coeffs):
         if abs(c) > tol * scale:
             return i

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_h2_point
-from hypedal import jets
+from conftest import CURVES, random_h2_point
+from hypedal import jets, program, recording
 from hypedal import constructions as cons
 from hypedal.constructions import (
     Branch, EvoluteDegenerateError, PedalPointOnCurveError, scalar_zeros,
 )
 from hypedal.frontal import CurveSingularError, LegendrePair, reparametrized
+from hypedal.io import load_curve
 from hypedal.minkowski import GeometryError, MVec3, inner, wedge
 
 
@@ -385,6 +388,137 @@ def test_evolute_jet_reuses_the_curvature_step_unchanged(which, astroid, cusp23,
             assert (_jet_outcome(lambda: curve.jet(s0, order))
                     == _jet_outcome(lambda: _evolute_jet_evaluated_twice(curve, s0, order))), \
                 (which, s0, order)
+
+
+# -- generated derived-curve jets ----------------------------------------------------
+
+
+_KINDS = {"pedal": cons.pedal, "orthotomic": cons.orthotomic,
+          "evolute": lambda pair, Q: cons.evolute(pair), "catacaustic": cons.catacaustic}
+
+
+def _formula_only(curve):
+    """A copy of curve whose jets all run the `Jet` formula."""
+    twin = copy.copy(curve)
+    twin._programs = dict.fromkeys(range(jets.MAX_ORDER + 1))
+    return twin
+
+
+def _outcome(fn):
+    """Each coefficient and base by repr, so the sign of zero counts, or the exception."""
+    try:
+        point = fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [[repr(comp.base)] + [repr(c) for c in comp.coeffs] for comp in point.components()]
+
+
+@pytest.fixture(scope="module")
+def auto_pairs(astroid_curve, cusp23_curve):
+    return {"astroid": LegendrePair.with_auto_dual(astroid_curve),
+            "cusp23": LegendrePair.with_auto_dual(cusp23_curve)}
+
+
+@pytest.mark.parametrize("where", ["generic", "on the curve", "on the tangent geodesic"])
+@pytest.mark.parametrize("which", ["astroid", "cusp23", "astroid auto", "cusp23 auto"])
+def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto_pairs):
+    # up to order 3 (order 2 for the evolute and the caustic, whose curvature
+    # step needs order + 1) a derived jet comes from a generated function;
+    # the `Jet` formula must give the same bits, or raise the same error
+    name = which.split()[0]
+    pair = auto_pairs[name] if "auto" in which else {"astroid": astroid, "cusp23": cusp23}[name]
+    s1 = 0.7
+    Q = {"generic": MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0),
+                          math.sinh(0.7) * math.sin(1.0)),
+         "on the curve": pair.r(s1),
+         "on the tangent geodesic": math.cosh(0.6) * pair.r(s1) + math.sinh(0.6) * pair.mu(s1)}[where]
+    a, b = pair.domain
+    generated = []
+    for kind, make in _KINDS.items():
+        try:
+            curve = make(pair, Q)
+        except PedalPointOnCurveError:
+            assert (kind, where) == ("catacaustic", "on the curve")
+            continue
+        formula = _formula_only(curve)
+        for s0 in (a, -0.0, 0.0, 0.3, s1, 0.5 * (a + b) + 0.41, b):
+            for order in range(4):
+                assert (_outcome(lambda: curve.jet(s0, order))
+                        == _outcome(lambda: formula.jet(s0, order))), (kind, s0, order)
+                generated.append(curve._program_jet(s0, order) is not None)
+    assert sum(generated) >= 0.8 * len(generated)
+
+
+def _rows_pair(r_rows, v_rows):
+    """A pair whose r and v jets at any s0 hold the given coefficient rows."""
+    def jet(rows):
+        return lambda s0, order: MVec3(*(jets.Jet(float(s0), tuple(row[: order + 1]))
+                                         for row in rows))
+
+    return LegendrePair(None, jet(r_rows), None, jet(v_rows), (-1.0, 1.0), name="rows")
+
+
+_ONE, _NIL = [1.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5
+
+
+@pytest.mark.parametrize("case", ["vanishing divisor", "sqrt of a negative", "overflow"])
+def test_generated_jets_fall_back_to_the_formula(case):
+    # where the generated function returns None, the `Jet` formula runs and
+    # raises what it raises; mutation: not testing the finiteness of every value
+    Q = MVec3(1.0, 0.0, 0.0)
+    if case == "vanishing divisor":
+        # the pedal divides by sqrt(1 + <Q, v>^2) = 1 + 5e27 (s - s0)^2 + ...
+        pair = _rows_pair([_ONE, _NIL, _NIL], [[0.0, 1e14, 0.0, 0.0, 0.0], _ONE, _NIL])
+        curve, order = cons.PedalCurve(pair, Q), 2
+        error = (jets.JetDomainError, "jet division by vanishing germ")
+    elif case == "sqrt of a negative":
+        # <Q, r>^2 - 1 = -0.75 under the square root of the orthotomic's dual
+        pair = _rows_pair([[0.5] + _NIL[1:], _NIL, _NIL], [_NIL, _ONE, _NIL])
+        curve = cons.EvoluteCurve(cons.OrthotomicInducedPair(pair, Q), tag_pair=pair, Q=Q,
+                                  kind="catacaustic")
+        order = 1
+        error = (jets.JetDomainError,
+                 "jet domain error: sqrt requires a positive constant term, got -0.75")
+    else:
+        # m = <v', mu> = 1e160, so m^2 overflows ahead of the branch decision,
+        # which would call an infinite d2 degenerate
+        pair = _rows_pair([_ONE, _NIL, _NIL], [_NIL, _ONE, [0.0, 1e160, 0.0, 0.0, 0.0]])
+        curve, order = cons.evolute(pair), 1
+        error = (ValueError, "non-finite jet coefficient")
+    assert recording.derived_program(curve._formula, *curve._formula_args(), order) is not None
+    assert curve._program_jet(0.5, order) is None
+    assert (_outcome(lambda: curve.jet(0.5, order))
+            == _outcome(lambda: _formula_only(curve).jet(0.5, order)) == error)
+
+
+def test_generated_code_is_shared_by_every_pedal_point():
+    # the code of a formula is keyed by its structure, and Q is an argument,
+    # so new pedal points compile nothing new; mutation: Q in the source
+    recorded = recording._record_on_pair
+
+    def compiled(points):
+        for cache in (program._inline_function, recorded):
+            cache.cache_clear()
+        pair = LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
+        rng = random.Random(3)
+        compiles = []
+
+        def counted(*key):
+            with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
+                result = recorded(*key)
+            compiles.append(compile_.call_count)
+            return result
+
+        with mock.patch.object(recording, "_record_on_pair", counted):
+            for _ in range(points):
+                Q = random_h2_point(rng)
+                for make in _KINDS.values():
+                    make(pair, Q).jet(0.3, 2)
+        return sum(compiles)
+
+    one = compiled(1)
+    assert one > 0
+    assert compiled(20) <= one
 
 
 # -- singular point detection ------------------------------------------------------

@@ -421,6 +421,47 @@ def test_float_tape_raises_what_the_walk_raises(text, s, error):
     assert _value_outcome(lambda: eval_scalar(e, s)) == _value_outcome(lambda: _eval(e, s)) == error
 
 
+def _tape_outcome(e, s, degree, inline=True):
+    """e at s from a fresh tape at `degree` (0: floats), by repr, or the
+    exception; run by the generated function, or by the step loop alone."""
+    tape = _Tape(((e,),), floats=not degree)
+    if not inline:
+        tape.inline = lambda program, degree: None
+    return _value_outcome(lambda: _TapePoint(tape, s, degree).outputs(0)[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S, st.integers(min_value=0, max_value=3))
+@example(parse("sin(s)*cos(s)/(1 + s^2)"), 0.3, 3)
+@example(parse("1/(s - s)"), 0.5, 2)  # a vanishing divisor
+@example(parse("sqrt(s - 1)"), 0.5, 2)  # the square root of a negative constant term
+@example(parse("1/((s*1e200)*(s*1e200))"), 0.5, 2)  # an overflow
+def test_generated_tape_functions_are_the_step_loop(e, s, degree):
+    # programs of at most 4 coefficients a value run as generated functions,
+    # which must give what the step loop gives, or raise what it raises
+    assert _tape_outcome(e, s, degree) == _tape_outcome(e, s, degree, inline=False)
+
+
+@pytest.mark.parametrize("floats", [False, True])
+@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37"])
+def test_tape_programs_are_generated_up_to_4_coefficients(name, floats):
+    # each program of a shipped curve runs as its generated function, which
+    # gives an answer, up to jets of degree 3
+    curve = load_curve(CURVES / f"{name}.json")
+    tape = _Tape((curve.components, curve.dual_components), floats=floats)
+    for degree in (0,) if floats else range(1, 5):
+        for first in (0, 1):
+            point = _TapePoint(tape, 0.3, degree)
+            for group in (first, 1 - first):
+                program = (tape.rest if point.done else tape.programs)[group]
+                inline = tape.inline(program, degree)
+                assert (inline is None) == (degree == 4 or not program)
+                if inline is not None:
+                    function, inputs, _, consts = inline
+                    assert function([point.values[node] for node in inputs], consts) is not None
+                point.outputs(group)
+
+
 _REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2
 
 
