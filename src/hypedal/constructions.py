@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import jets
 from .expr import linspace
 from .frontal import LegendrePair, _coeff, _truncate, frenet_regular
-from .minkowski import GeometryError, MVec3, inner, require_upper_sheet, wedge
+from .minkowski import GeometryError, MVec3, _vec, inner, require_upper_sheet, wedge
 
 # Q = r(s) within this tolerance, looked for on this grid before inducing from Q
 _ON_CURVE_TOL = 1e-9
@@ -170,20 +171,7 @@ class DerivedCurve:
     def _run_program(self, s0: float, order: int):
         """(base, the coefficient lists of `_formula`'s jets) at (s0, order) from the
         generated function, or None where there is none or it gives no answer."""
-        program = self._programs.get(order, False)
-        if program is False:
-            from .recording import derived_program  # loaded with the first formula it runs
-
-            program = self._programs[order] = derived_program(self._formula,
-                                                              *self._formula_args(), order)
-        if program is None:
-            return None
-        runner, leaves = program
-        try:
-            given = [j for leaf, k in leaves for j in leaf(s0, k).components()]
-        except Exception:  # the formula raises what it raises
-            return None
-        return runner(given)
+        return _generated(self._programs, order, self._formula, *self._formula_args(), order, s0)
 
     def _program_jet(self, s0: float, order: int) -> MVec3 | None:
         """`jet` from the generated function, or None where it gives no answer."""
@@ -266,12 +254,20 @@ def pedal_derivative(pair: LegendrePair, Q: MVec3, s: float) -> MVec3:
 
 
 class _InducedPair(LegendrePair):
+    """An induced pair: its r, v and mu are formulas of the source's frame and Q.
+
+    Each jet evaluator runs its formula's generated function, recorded once
+    per (class, evaluator, order, shape of the source), or where that gives
+    no answer the `Jet` formula, kept in `_formulas`.  The evaluators hold
+    what they read, not the pair, so a pair is freed as soon as it is dropped.
+    """
+
     def __init__(self, source: LegendrePair, Q: MVec3, point_formula, dual_formula,
                  frame_formula, name):
         self.source = source
         self.Q = Q
 
-        # each evaluator runs on the source's floats, at (s), or jets, at (s0, order)
+        # each formula runs on the source's floats, at (s), or jets, at (s0, order)
         def point(v_of):
             return lambda *at: point_formula(Q, v_of(*at))
 
@@ -282,11 +278,23 @@ class _InducedPair(LegendrePair):
                 return formula(Q, rr, vv, wedge(rr, vv))
             return value
 
-        super().__init__(point(source.v), point(source.v_jet),
-                         framed(dual_formula, source.r, source.v),
-                         framed(dual_formula, source.r_jet, source.v_jet), source.domain,
-                         name=name, mu=framed(frame_formula, source.r, source.v),
-                         mu_jet=framed(frame_formula, source.r_jet, source.v_jet))
+        self._formulas = formulas = (
+            point(source.v_jet), framed(dual_formula, source.r_jet, source.v_jet),
+            framed(frame_formula, source.r_jet, source.v_jet))
+        self._programs = programs = {}  # (evaluator, order) -> `recording.derived_program`
+        cls = type(self)
+
+        def generated(which):
+            recorded = _induced_formula(cls, which)
+
+            def jet(s0, order):
+                out = _generated(programs, (which, order), recorded, source, Q, order, s0)
+                return formulas[which](s0, order) if out is None else _jet_vector(*out)
+            return jet
+
+        super().__init__(point(source.v), generated(0), framed(dual_formula, source.r, source.v),
+                         generated(1), source.domain, name=name,
+                         mu=framed(frame_formula, source.r, source.v), mu_jet=generated(2))
 
     def ell_closed_form(self, s: float) -> float:
         raise NotImplementedError
@@ -323,6 +331,18 @@ class OrthotomicInducedPair(_InducedPair):
         d = inner(self.Q, self.source.r(s))
         _, m = self.source.curvatures(s)
         return -2.0 * m * math.sqrt(d * d - 1.0)
+
+
+# keyed by class and evaluator, never by the public point formulas, which a
+# tracer may rebind to wrappers after the pair classes were defined
+@lru_cache(maxsize=None)
+def _induced_formula(cls, which: int):
+    """formula(pair, Q, s0, order): jet `which` (0 r, 1 v, 2 mu) of the pair that
+    `cls` induces from pair and Q; one function per (cls, which), so that it is
+    recorded once per order and shape of the source."""
+    def formula(pair, Q, s0, order):
+        return cls(pair, Q)._formulas[which](s0, order)
+    return formula
 
 
 def pedal_induced(pair: LegendrePair, Q: MVec3) -> PedalInducedPair:
@@ -458,8 +478,20 @@ def catacaustic(pair: LegendrePair, Q: MVec3) -> EvoluteCurve:
     return EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")
 
 
+def _generated(programs: dict, key, formula, pair, Q, order: int, s0: float):
+    """(base, the coefficient lists of formula(pair, Q, s0, order)) from its
+    generated function, made once per `key` of `programs`; None where there is
+    none or it gives no answer."""
+    program = programs.get(key, False)
+    if program is False:
+        from .recording import derived_program  # loaded with the first formula it runs
+
+        program = programs[key] = derived_program(formula, pair, Q, order)
+    return None if program is None else program(s0)
+
+
 def _jet_vector(base: float, coeffs) -> MVec3:
-    return MVec3(*[jets._jet(base, tuple(c)) for c in coeffs])
+    return _vec(*[jets._jet(base, tuple(c)) for c in coeffs])
 
 
 # -- singular point detection ---------------------------------------------

@@ -27,7 +27,7 @@ from .jets import (
     Jet, JetDomainError, div_coeffs, mul_coeffs, require_finite, sin_cos_coeffs,
     sinh_cosh_coeffs, sqrt_coeffs,
 )
-from .minkowski import MVec3
+from .minkowski import MVec3, _vec
 
 FUNCTIONS = ("sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")
 
@@ -617,7 +617,7 @@ class _Tape(_Steps):
 class _TapePoint:
     """Node values of a tape at one base point and degree, 0 for floats, filled group by group."""
 
-    __slots__ = ("tape", "base", "degree", "values", "done", "results")
+    __slots__ = ("tape", "base", "degree", "values", "done", "results", "vectors")
 
     def __init__(self, tape: _Tape, base: float, degree: int):
         self.tape = tape
@@ -626,7 +626,8 @@ class _TapePoint:
         self.values = tape.init.copy()
         self.values[0] = [base, 1.0] + [0.0] * (degree - 1) if degree else base
         self.done = set()
-        self.results = {}  # (group, order) -> what `ParametricCurve._at` returned
+        self.results = {}  # (group, order) -> what `ParametricCurve._tape_values` returned
+        self.vectors = {}  # (group, order) -> what `ParametricCurve._at` returned
 
     def outputs(self, group: int) -> list:
         """The values of group's trees, once what they need has run."""
@@ -743,6 +744,23 @@ class ParametricCurve:
 
     def _at(self, group: int, s: float, order: int | None = None) -> MVec3:
         """Group's three values at s: floats, or jets truncated to `order`."""
+        point, values = self._tape_values(group, s, order)
+        key = (group, order)
+        vector = point.vectors.get(key)
+        if vector is None:
+            # the base and the order were checked by `_tape_args`, so each
+            # value is checked as `Jet` and `MVec3` check them, without their init
+            if order is not None:
+                values = [jets._jet(point.base, tuple(c)) for c in values]
+            vector = point.vectors[key] = _vec(*values)
+        return vector
+
+    def _tape_values(self, group: int, s: float, order: int | None = None):
+        """(point, values): the memoised `_TapePoint` of s that serves `order`,
+        and group's three values there, floats or the coefficient lists of
+        jets truncated to `order`.  `_at` reads the memo only through here, and
+        so do the generated derived-curve functions, which take the lists
+        as they are."""
         base, degree = (float(s), 0) if order is None else _tape_args(s, order)
         key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
         memo = self._memo
@@ -764,13 +782,13 @@ class ParametricCurve:
         if len(memo) >= JET_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = point
-        result = point.results.get((group, order))
-        if result is None:
+        values = point.results.get((group, order))
+        if values is None:
             values = point.outputs(group)
             if degree:
-                values = [Jet(base, tuple(c[: order + 1])) for c in values]
-            result = point.results[group, order] = MVec3(*values)
-        return result
+                values = [c[: order + 1] for c in values]
+            point.results[group, order] = values
+        return point, values
 
     def has_dual(self) -> bool:
         return self.dual_components is not None

@@ -99,6 +99,7 @@ class LegendrePair:
         self._mu_jet = mu_jet
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
+        self._curve = None  # the curve whose tape gives r and v (`from_curve`)
 
     @classmethod
     def from_curve(cls, curve) -> "LegendrePair":
@@ -107,10 +108,12 @@ class LegendrePair:
             raise ValueError(
                 f"curve {curve.name!r} has no dual components; use with_auto_dual instead"
             )
-        return cls(
+        pair = cls(
             curve.point, curve.point_jet, curve.dual_point, curve.dual_jet,
             curve.domain, name=curve.name,
         )
+        pair._curve = curve
+        return pair
 
     @classmethod
     def with_auto_dual(cls, curve) -> "LegendrePair":

@@ -149,10 +149,81 @@ def record(formula):
     return None if inline is None else (*inline, recording.keys)
 
 
-def run(function, consts, given: list):
-    """(base, coefficient lists) that function(the coefficients of the jets
-    `given`, consts) returns, or None where it returns None or raises, or
-    where the jets differ in their base, the sign of zero included."""
+# -- derived-curve formulas ----------------------------------------------------
+#
+# A derived curve's `_formula`, and each jet evaluator of an induced pair, is
+# recorded once per formula, order and shape of its pair: the induced pairs
+# it is built through, and whether the pair they start from gives mu itself.
+# Each jet (r | v | mu, order) that the formula asks of that pair is an
+# input, and the coordinates of each pedal point Q are parameters, so nothing
+# recorded depends on Q.  Where that pair reads r and v from a curve's tape
+# (`LegendrePair.from_curve`), the inputs are the coefficient lists of the
+# tape's memo; otherwise they are those of the jets its evaluators give.
+
+
+def derived_program(formula, pair, Q, order: int):
+    """program(s0) -> (base, the coefficient lists of the jets that
+    formula(pair, Q, s0, order) returns) from the generated function, or None
+    where that gives no answer; None where there is none, or where a point is
+    not given in floats (a pair being recorded)."""
+    from .constructions import OrthotomicInducedPair, PedalInducedPair
+
+    chain = []
+    while type(pair) in (PedalInducedPair, OrthotomicInducedPair):
+        chain.append(pair)
+        pair = pair.source
+    if type(pair) is not LegendrePair:  # formulas other than the ones recorded here
+        return None
+    points = [induced.Q for induced in reversed(chain)] + ([] if Q is None else [Q])
+    values = [c for point in points for c in point.components()]
+    if any(isinstance(c, Param) for c in values):
+        return None
+    values = [float(c) for c in values]
+    if not all(map(math.isfinite, values)):
+        return None
+    has_mu = pair._mu_jet is not None
+    recorded = _record_on_pair(formula, tuple(type(p) for p in chain), has_mu, Q is not None,
+                               order)
+    if recorded is None:
+        return None
+    function, consts, keys = recorded
+    consts = tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
+    # each jet of the source comes as three inputs, its x1, x2 and x3
+    leaves = [(kind, k) for kind, k, i in keys if i == 0]
+    if pair._curve is not None and not has_mu:
+        groups = [(_GROUPS[kind], k) for kind, k in leaves]
+        return partial(_run_on_tape, pair._curve._tape_values, groups, function, consts)
+    leaves = [(getattr(pair, f"{kind}_jet"), k) for kind, k in leaves]
+    return partial(_run_on_jets, leaves, function, consts)
+
+
+_GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
+
+
+def _run_on_tape(values_at, groups, function, consts, s0):
+    """(base, function(the coefficient lists that `values_at` reads at s0 for
+    each (group, order) of `groups`, consts)), or None where the function
+    returns None or anything raises."""
+    given = []
+    try:
+        for group, k in groups:
+            point, values = values_at(group, s0, k)
+            given += values
+        out = function(given, consts)
+        return None if out is None else (point.base, out)
+    except Exception:  # the checked path raises what it raises
+        return None
+
+
+def _run_on_jets(leaves, function, consts, s0):
+    """(base, function(the coefficients of the jets that each (evaluator,
+    order) of `leaves` gives at s0, consts)), or None where the function
+    returns None or anything raises, or where the jets differ in their base,
+    the sign of zero included."""
+    try:
+        given = [j for leaf, k in leaves for j in leaf(s0, k).components()]
+    except Exception:  # the checked path raises what it raises
+        return None
     base = given[0].base
     sign = math.copysign(1.0, base)
     for j in given:
@@ -163,40 +234,6 @@ def run(function, consts, given: list):
     except Exception:  # the checked path raises what it raises
         return None
     return None if out is None else (base, out)
-
-
-# -- derived-curve formulas ----------------------------------------------------
-#
-# A derived curve's `_formula` is recorded once per curve kind, order and
-# shape of its pair: the induced pairs it is built through, and whether the
-# pair they start from gives mu itself.  Each jet (r | v | mu, order) that
-# the formula asks of that pair is an input, and the coordinates of each
-# pedal point Q are parameters, so nothing recorded depends on Q.
-
-
-def derived_program(formula, pair, Q, order: int):
-    """(runner, [(jet evaluator of the source pair, order)]) of a derived
-    curve's formula(pair, Q, s0, order), runner(the jets the evaluators
-    give) being `run` of the generated function; None where there is none."""
-    from .constructions import OrthotomicInducedPair, PedalInducedPair
-
-    chain = []
-    while type(pair) in (PedalInducedPair, OrthotomicInducedPair):
-        chain.append(pair)
-        pair = pair.source
-    if type(pair) is not LegendrePair:  # formulas other than the ones recorded here
-        return None
-    recorded = _record_on_pair(formula, tuple(type(p) for p in chain),
-                               pair._mu_jet is not None, Q is not None, order)
-    points = [induced.Q for induced in reversed(chain)] + ([] if Q is None else [Q])
-    values = [float(c) for point in points for c in point.components()]
-    if recorded is None or not all(map(math.isfinite, values)):
-        return None
-    function, consts, keys = recorded
-    consts = tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
-    # each jet of the source comes as three inputs, its x1, x2 and x3
-    leaves = [(getattr(pair, f"{kind}_jet"), k) for kind, k, i in keys if i == 0]
-    return partial(run, function, consts), leaves
 
 
 @lru_cache(maxsize=64)

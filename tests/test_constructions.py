@@ -16,6 +16,7 @@ from hypedal.constructions import (
 )
 from hypedal.frontal import CurveSingularError, LegendrePair, reparametrized
 from hypedal.io import load_curve
+from hypedal.expr import linspace
 from hypedal.minkowski import GeometryError, MVec3, inner, wedge
 
 
@@ -446,7 +447,62 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
                 assert (_outcome(lambda: curve.jet(s0, order))
                         == _outcome(lambda: formula.jet(s0, order))), (kind, s0, order)
                 generated.append(curve._program_jet(s0, order) is not None)
+    # the r, v and mu jets of the induced pairs, built without the off-curve
+    # check so that Q on the curve is covered too
+    for cls in (cons.PedalInducedPair, cons.OrthotomicInducedPair):
+        induced = cls(pair, Q)
+        for s0 in (a, -0.0, 0.0, 0.3, s1, 0.5 * (a + b) + 0.41, b):
+            for order in range(4):
+                for which, jet in enumerate((induced.r_jet, induced.v_jet, induced.mu_jet)):
+                    assert (_outcome(lambda: jet(s0, order))
+                            == _outcome(lambda: induced._formulas[which](s0, order))), \
+                        (cls.__name__, which, s0, order)
+                    program = induced._programs[which, order]
+                    generated.append(program is not None and program(s0) is not None)
     assert sum(generated) >= 0.8 * len(generated)
+
+
+def _branch_outcome(fn):
+    """The point by repr with its branch, or the exception."""
+    try:
+        point, branch = fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [repr(c) for c in point.components()], branch
+
+
+@pytest.mark.parametrize("where", ["generic", "on the curve", "on the tangent geodesic"])
+@pytest.mark.parametrize("which", ["astroid", "astroid auto"])
+def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pairs,
+                                                  monkeypatch):
+    # a caustic float sample reads the induced pair's r and v jets at order 1
+    # from generated functions; with the generator off it runs the `Jet`
+    # formulas, and every sample must be the same bits or the same error.
+    # At Q = r(s1), <Q, r>^2 - 1 rounds to 0.0 or below at s1, so the
+    # orthotomic's dual refuses its square root there; mutation: the
+    # generated functions fed the tape's r where they read v
+    pair = auto_pairs["astroid"] if "auto" in which else astroid
+    grid = linspace(pair.domain, 60)
+    s1 = linspace(pair.domain, 50)[4]
+    Q = {"generic": MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0),
+                          math.sinh(0.7) * math.sin(1.0)),
+         "on the curve": pair.r(s1),
+         "on the tangent geodesic": math.cosh(0.6) * pair.r(s1) + math.sinh(0.6) * pair.mu(s1)}[where]
+
+    def samples():
+        induced = cons.OrthotomicInducedPair(pair, Q)
+        caustic = cons.EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")
+        return [_branch_outcome(lambda: caustic.at_with_branch(s)) for s in (*grid, s1)], induced
+
+    generated, induced = samples()
+    assert sorted(induced._programs) == [(0, 1), (1, 1)]
+    assert None not in induced._programs.values()
+    monkeypatch.setattr(recording, "derived_program", lambda *args: None)
+    assert generated == samples()[0]
+    refused = (jets.JetDomainError, "jet domain error: sqrt requires a positive constant term")
+    assert (where == "on the curve") == any(
+        isinstance(out, tuple) and out[0] is refused[0] and out[1].startswith(refused[1])
+        for out in generated)
 
 
 def _rows_pair(r_rows, v_rows):

@@ -11,6 +11,7 @@ from hypedal.expr import (
     JET_MEMO_SIZE, MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
     Pow, Var, _eval, _Tape, _TapePoint, eval_jet, eval_scalar, parse, to_text,
 )
+from hypedal import expr
 from hypedal.io import load_curve
 from hypedal.jets import Jet
 from hypedal.minkowski import MVec3
@@ -551,6 +552,39 @@ def test_a_refused_group_keeps_its_point_in_the_memo(monkeypatch):
     with pytest.raises(ValueError) as again:
         curve.dual_jet(0.0, 3)
     assert (type(again.value), str(again.value)) == (type(refused.value), str(refused.value))
+
+
+@pytest.mark.parametrize("name", ["astroid", "cusp37"])
+def test_tape_values_are_the_jets_coefficients_from_the_same_point(name, monkeypatch):
+    # the coefficient lists that generated derived-curve functions read are
+    # those of point_jet and dual_jet, bit for bit, and come from the one
+    # memoised point per (s, sign of s, degree); mutation: a memo of its own
+    made = []
+
+    class Counted(_TapePoint):
+        __slots__ = ()
+
+        def __init__(self, tape, base, degree):
+            made.append((base, math.copysign(1.0, base), degree))
+            super().__init__(tape, base, degree)
+
+    monkeypatch.setattr(expr, "_TapePoint", Counted)
+    curve = load_curve(CURVES / f"{name}.json")
+    for s in (0.3, 0.0, -0.0, -1.25):
+        point, _ = curve._tape_values(0, s, 3)
+        for order in (3, 2, 1, 0):
+            for group, jet in ((0, curve.point_jet), (1, curve.dual_jet)):
+                got, values = curve._tape_values(group, s, order)
+                assert got is point
+                assert [[repr(c) for c in coeffs] for coeffs in values] == \
+                    [[repr(c) for c in j.coeffs] for j in jet(s, order).components()]
+                assert got.base == float(s) and math.copysign(1.0, got.base) == \
+                    math.copysign(1.0, s)
+        floats, values = curve._tape_values(1, s)
+        assert [repr(c) for c in values] == [repr(c) for c in curve.dual_point(s).components()]
+        assert curve._tape_values(0, s)[0] is floats
+    assert made == [(s, math.copysign(1.0, s), degree)
+                    for s in (0.3, 0.0, -0.0, -1.25) for degree in (3, 0)]
 
 
 @settings(max_examples=300, deadline=None)

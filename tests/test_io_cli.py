@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CURVES, FIXTURES
-from hypedal import cli, constructions
+from hypedal import cli, constructions, minkowski, recording
 from hypedal.cli import main
 from hypedal.io import (
     CurveFileError, csv_text, curve_from_dict, format_float, json_text,
@@ -518,6 +520,35 @@ def _output_digests(tmp) -> dict[str, str]:
 def test_csv_and_json_outputs_match_their_digests(tmp_path):
     expected = json.loads((FIXTURES / "output_digests.json").read_text())
     assert _output_digests(tmp_path) == expected
+
+
+def test_outputs_are_unchanged_with_the_geometry_rebound(monkeypatch):
+    # the benchmark's tracer rebinds public functions in every module that
+    # holds them, so nothing may dispatch on their identity: a table keyed on
+    # them made every traced caustic raise KeyError; mutation: keying the
+    # induced pairs' recorded jets on their point formula
+    argv = [[command, "--curve", _curve_arg("astroid.json"), "--point", _ASTROID_SIDE_POINT,
+             "--samples", "150"] for command in ("caustic", "pedal")]
+
+    def outputs():
+        texts = []
+        for args in argv:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(args) == 0
+            texts.append(out.getvalue())
+        return texts
+
+    plain = outputs()
+    for module, name in ((constructions, "orthotomic_point"), (constructions, "pedal_point"),
+                         (minkowski, "inner"), (minkowski, "wedge")):
+        fn = getattr(module, name)
+        wrapper = functools.wraps(fn)(lambda *args, fn=fn, **kw: fn(*args, **kw))
+        for held in list(sys.modules.values()):
+            if getattr(held, "__name__", "").startswith("hypedal") and vars(held).get(name) is fn:
+                monkeypatch.setattr(held, name, wrapper)
+    recording._record_on_pair.cache_clear()  # recorded again, through the wrappers
+    assert outputs() == plain
 
 
 # -- no tracebacks --------------------------------------------------------------
