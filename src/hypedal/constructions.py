@@ -142,9 +142,9 @@ def _orthotomic_frame_normal(Q: MVec3, r: MVec3, v: MVec3, mu: MVec3) -> MVec3:
 class DerivedCurve:
     """A curve s -> MVec3 derived from a pair, with plain and jet evaluation.
 
-    `jet` runs `_formula(pair, Q, s0, order)` on the pair's jets, or where
-    every value has at most 4 coefficients the function generated from it
-    (`recording.derived_program`), or the formula where that gives no answer.
+    `jet` runs the function generated from `_formula(pair, Q, s0, order)`
+    (`recording.derived_program`), or the formula on the pair's jets where
+    that gives no answer.
     """
 
     kind = "derived"

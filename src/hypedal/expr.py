@@ -412,8 +412,10 @@ def _f_pow(v, x, n):
     return v[x] ** n
 
 
-# Programs whose values have at most this many coefficients (floats, jets of
-# degree 1-3) run as functions that hypedal.program generates.
+# The tape's programs whose values have at most this many coefficients
+# (floats, jets of degree 1-3) run as functions that hypedal.program
+# generates; wider ones keep the step loop, which generating them did not
+# make measurably faster.
 _INLINE_WIDTH = 4
 
 # any other operator divides, as in _eval
@@ -764,24 +766,27 @@ class ParametricCurve:
         base, degree = (float(s), 0) if order is None else _tape_args(s, order)
         key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
         memo = self._memo
-        point = memo.pop(key, None)
-        if point is None and degree:
-            # coefficient k of every step depends on coefficients <= k only,
-            # and a step refused at one degree is refused at every degree above
-            for k, p in memo.items():
-                if k[2] > degree and k[:2] == key[:2] and group in p.done:
-                    key, point = k, memo.pop(k)
-                    break
-        if point is None:
-            if self._tapes is None:
-                groups = (self.components,) if self.dual_components is None else (
-                    self.components, self.dual_components)
-                object.__setattr__(self, "_tapes", (_Tape(groups, floats=True), _Tape(groups)))
-            point = _TapePoint(self._tapes[degree > 0], base, degree)
-        # memoised before the run, so a refused group keeps what the other one computed
-        if len(memo) >= JET_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = point
+        point = memo.get(key)
+        if point is None or next(reversed(memo)) != key:  # else the newest: nothing to reorder
+            if point is not None:
+                del memo[key]  # put back below as the newest
+            elif degree:
+                # coefficient k of every step depends on coefficients <= k only,
+                # and a step refused at one degree is refused at every degree above
+                for k, p in memo.items():
+                    if k[2] > degree and k[:2] == key[:2] and group in p.done:
+                        key, point = k, memo.pop(k)
+                        break
+            if point is None:
+                if self._tapes is None:
+                    groups = (self.components,) if self.dual_components is None else (
+                        self.components, self.dual_components)
+                    object.__setattr__(self, "_tapes", (_Tape(groups, floats=True), _Tape(groups)))
+                point = _TapePoint(self._tapes[degree > 0], base, degree)
+            # memoised before the run, so a refused group keeps what the other one computed
+            if len(memo) >= JET_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = point
         values = point.results.get((group, order))
         if values is None:
             values = point.outputs(group)

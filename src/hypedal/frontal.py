@@ -50,6 +50,11 @@ def _const(vec: MVec3) -> MVec3:
     return vec.map(jets.constant_part)
 
 
+def _ell_m(rj: MVec3, vj: MVec3, mu: MVec3):
+    """(ell, m) = (<r', mu>, <v', mu>), from jets of r and v one order above mu's."""
+    return inner(_d(rj), mu), inner(_d(vj), mu)
+
+
 def _coeff(vec: MVec3, k: int) -> MVec3:
     """The k-th Taylor coefficients of a jet vector."""
     return MVec3(vec.x1.coeffs[k], vec.x2.coeffs[k], vec.x3.coeffs[k])
@@ -160,10 +165,7 @@ class LegendrePair:
         """(ell, m, r, v) at s0; r and v are the order + 1 jets that ell and m need."""
         rj = self._r_jet(s0, order + 1)
         vj = self._v_jet(s0, order + 1)
-        mu = self.mu_jet(s0, order)
-        ell = inner(_d(rj), mu)
-        m = inner(_d(vj), mu)
-        return ell, m, rj, vj
+        return (*_ell_m(rj, vj, self.mu_jet(s0, order)), rj, vj)
 
     # -- validation --------------------------------------------------------
 

@@ -356,12 +356,14 @@ def sinh_cosh_coeffs(a) -> tuple:
 # ---------------------------------------------------------------------
 
 
-def compile_lines(name: str, params: str, lines: list):
+def compile_lines(name: str, params: str, lines: list, bound: dict | None = None):
     """The function `name(params)` whose body is `lines`; they may call the
-    `math` functions of the expression grammar and `isfinite`."""
+    `math` functions of the expression grammar, `isfinite`, and the functions
+    that `bound` maps their names to."""
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace = {fn: getattr(math, fn) for fn in ("sqrt", "sin", "cos", "sinh", "cosh", "tanh",
                                                   "isfinite")}
+    namespace.update(bound or {})
     exec(compile(source, f"<hypedal {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -519,15 +521,17 @@ def derivative(a: Jet, i: int) -> float:
     return a.coeffs[i] * math.factorial(i)
 
 
-def vanishing_order(a: Jet, tol: float = 1e-8):
-    """Index of the first structurally non-zero Taylor coefficient.
+def vanishing_order(a, tol: float = 1e-8):
+    """Index of the first structurally non-zero Taylor coefficient of a jet,
+    or of a sequence of Taylor coefficients.
 
     A coefficient counts as non-zero when |c_i| > tol * max(1, max_j |c_j|),
     so rounding residue of exact zeros is ignored.  Returns None when every
     coefficient vanishes at this truncation.
     """
-    scale = max(1.0, max(map(abs, a.coeffs)))
-    for i, c in enumerate(a.coeffs):
+    coeffs = a.coeffs if isinstance(a, Jet) else a
+    scale = max(1.0, max(map(abs, coeffs)))
+    for i, c in enumerate(coeffs):
         if abs(c) > tol * scale:
             return i
     return None

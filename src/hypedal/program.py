@@ -5,23 +5,35 @@ computing node from node x and y (a second node, a constant, a function
 or a name), in the format of the tape that `hypedal.expr` compiles a
 curve's expression trees into (Griewank & Walther, "Evaluating
 Derivatives", ch. 13); `hypedal.recording` records formulas written for
-`Jet`s, such as the derived curves', into such programs.
+`Jet`s, such as the derived curves' and `classify_pedal`'s, into such
+programs.
 
-Where every value of a program has at most `INLINE_WIDTH` coefficients
-(floats, and jets of degree 0-3), the program also runs as one generated
-Python function (`inline_program`).  Each step is emitted on local names
-from the line templates of the `jets` kernels, or as the float operation
-of its step function, so every value keeps its bits, the sign of zero
-included.  A refusal that a kernel raises (a vanishing divisor, the square
-root of a constant term that is not positive) makes the function return
-None, and so does a value that is not finite, found by one test over all
-of them.  The caller then runs the checked path, the step loop or the
-`Jet` formula, and so returns or raises exactly what it always did; it
-does the same when the function raises.  Wider values keep the step loop:
-it multiplies by the degree-keyed kernels of `jets.mul_coeffs`, which
-inlined full rows would lose.  The code is keyed by the program's
-structure, with its constants as arguments, so a program recorded for
-another pedal point Q, or read from another copy of a curve, reuses it.
+A program runs as one generated Python function (`inline_program`), whose
+steps do the floating-point operations of the step loop in its order, so
+every value keeps its bits, the sign of zero included.  Where every value
+has at most `INLINE_WIDTH` coefficients (floats, and jets of degree 0-3),
+each step is emitted on local names from the line templates of the `jets`
+kernels, or as the float operation of its step function.  Wider jets are
+whole coefficient lists, and each step is one statement on them: a product
+calls `jets.mul_coeffs`, so the degree-keyed kernels stay; a quotient, a
+square root and a sin/cos or sinh/cosh pair call the kernel of their
+order, bound when the code is generated; sums, scales, lifts, d/ds and
+truncations run the float operations of their step functions.
+
+A refusal that a kernel would raise (a vanishing divisor, the square root
+of a constant term that is not positive) makes the function return None,
+and so does a value that is not finite.  The caller then runs the checked
+path, the step loop or the `Jet` formula, and so returns or raises exactly
+what it always did; it does the same when the function raises.  Narrow
+programs test every value they compute.  Wide ones test their outputs,
+every coefficient that a truncation or d/ds drops, and both halves of a
+pair, once, at the end: + - * / carry a nan or an infinity in coefficient
+k of an operand into coefficient k of the result (a divisor with one in
+its constant term is refused, and a product's degree-keyed kernel leaves
+out only terms of exact zeros), so one of these is not finite whenever an
+intermediate value is not.  The code is keyed by the program's structure,
+with its constants as arguments, so a program recorded for another pedal
+point Q, or read from another copy of a curve, reuses it.
 
 The library imports this module with the first program it generates.
 """
@@ -73,7 +85,7 @@ def inline_program(program, shapes: dict, outputs):
     A constant that is not a float (a `recording.Param`) stands for the
     value given in its place.
     """
-    if len(program) > _INLINE_STEPS or max(map(abs, shapes.values()), default=0) > INLINE_WIDTH:
+    if len(program) > _INLINE_STEPS:
         return None
     slots = {}  # a float's bits, or a `Param` -> argument index
     consts = []
@@ -108,16 +120,18 @@ def tape_program(tape, program, degree: int):
     return None if inline is None else (inline[0], list(shapes), outputs, inline[1])
 
 
-def _div_refused(b: list) -> str:
-    """The condition under which `jets.div_coeffs` refuses the divisor b, or b holds a nan."""
-    scale = f"max({', '.join(f'abs({x})' for x in b)})" if len(b) > 1 else f"abs({b[0]})"
-    return f"not abs({b[0]}) > {jets._DIV_REL_TOL!r} * {scale}"
+def _div_refused(b0: str, scale: str) -> str:
+    """The condition under which `jets.div_coeffs` refuses a divisor whose
+    constant term is b0 and largest magnitude `scale`, or which holds a nan."""
+    return f"not abs({b0}) > {jets._DIV_REL_TOL!r} * {scale}"
 
 
 @lru_cache(maxsize=256)
 def _inline_function(inputs, program, outputs, n_consts):
-    """The generated function of a program's structure (see `inline_program`),
-    or None where a value would be wider than `INLINE_WIDTH`."""
+    """The generated function of a program's structure (see `inline_program`);
+    no step widens a value, so its inputs decide whether it is a wide one."""
+    if max((abs(shape) for _, shape in inputs), default=0) > INLINE_WIDTH:
+        return _list_function(inputs, program, outputs, n_consts)
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
     unpack = []
     for node, shape in inputs:
@@ -165,8 +179,6 @@ def _inline_function(inputs, program, outputs, n_consts):
         if fn is _k_trunc:
             names[node] = a[: y + 1]
             continue
-        if len(a) > INLINE_WIDTH:
-            return None
         if fn is _k_pair:
             s, c = names[node] = (fresh(node, len(a), "s"), fresh(node, len(a), "c"))
             k_a = [None] + fresh(node, len(a) - 1, "k")  # the names of j a_j, j >= 1
@@ -192,7 +204,8 @@ def _inline_function(inputs, program, outputs, n_consts):
             lines.append(f"if not {a[0]} > 0.0: return None")  # sqrt_coeffs' refusal, or a nan
             lines += jets.sqrt_lines(out, a, f"x{node}_two")
         else:  # _k_div, _k_tanh
-            lines.append(f"if {_div_refused(b)}: return None")
+            scale = f"max({', '.join(f'abs({x})' for x in b)})" if len(b) > 1 else f"abs({b[0]})"
+            lines.append(f"if {_div_refused(b[0], scale)}: return None")
             lines += jets.div_lines(out, a, b)
 
     def value(node):
@@ -206,6 +219,71 @@ def _inline_function(inputs, program, outputs, n_consts):
     return _chained(prologue, body, f"({''.join(value(node) + ', ' for node in outputs)})")
 
 
+def _list_function(inputs, program, outputs, n_consts):
+    """The generated function of a program of jets wider than `INLINE_WIDTH`,
+    each value a whole coefficient list (see the module docstring), or None
+    where a step is not one on jets."""
+    names = {node: f"x{node}" for node, _ in inputs}
+    widths = {node: abs(shape) for node, shape in inputs}
+    given = set(names)  # the inputs, which callers give finite
+    prologue = [f"{''.join(name + ', ' for name in names.values())}= i"]
+    if n_consts:
+        prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
+    bound = {"mul": jets.mul_coeffs}
+    body = []
+    tested = [f"sum(x{node}, 0.0)" for node in dict.fromkeys(outputs) if node not in given]
+    divisors = set()  # the values whose refusal is tested
+
+    def kernel(name, make, n):
+        bound[f"{name}{n}"] = make(n)
+        return f"{name}{n}"
+
+    for node, fn, x, y in program:
+        a = names[x]
+        n = widths[x]
+        out = names[node] = f"x{node}"
+        widths[node] = n
+        lines = []
+        if fn is _k_neg:
+            value = f"[-p for p in {a}]"
+        elif fn is _k_add or fn is _k_sub:
+            value = f"[p {'+' if fn is _k_add else '-'} q for p, q in zip({a}, {names[y]})]"
+        elif fn is _k_mul:
+            value = f"mul({a}, {names[y]})"
+        elif fn is _k_scale:
+            value = f"[p*k{y} + 0.0 for p in {a}]"
+        elif fn is _k_lift:
+            value = f"[k{y}] + [0.0] * {n - 1}"
+        elif fn is _k_d or fn is _k_trunc:
+            value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
+            widths[node] = n - 1 if fn is _k_d else y + 1
+            if x not in given:
+                tested.append(f"{a}[0]" if fn is _k_d else f"sum({a}[{y + 1}:], 0.0)")
+        elif fn is _k_half:
+            value = f"{a}[{y}]"
+        elif fn is _k_pair:
+            hyperbolic = y is sinh_cosh_coeffs
+            trig = jets._sinh_cosh_kernel if hyperbolic else jets._sin_cos_kernel
+            value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
+            tested += [f"sum({out}[0], 0.0)", f"sum({out}[1], 0.0)"]
+        elif fn is _k_sqrt:
+            lines.append(f"if not {a}[0] > 0.0: return None")  # sqrt_coeffs' refusal, or a nan
+            value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
+        elif fn is _k_div or fn is _k_tanh:
+            a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
+            if b not in divisors:
+                divisors.add(b)
+                lines.append(f"if {_div_refused(f'{b}[0]', f'max(map(abs, {b}))')}: return None")
+            value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
+        else:  # a float step
+            return None
+        lines.append(f"{out} = {value}")
+        body.append((lines, []))
+    if tested:
+        body.append(([f"if not isfinite({' + '.join(tested)}): return None"], []))
+    return _chained(prologue, body, f"({''.join(names[node] + ', ' for node in outputs)})", bound)
+
+
 # The compiler's memory grows with the source it compiles, about 100 bytes a
 # character, and the largest recorded formulas run to 20,000 characters.  So
 # a longer program is compiled as a chain of functions, each of at most this
@@ -214,11 +292,11 @@ _PART_CHARS = 4000
 _NAME = re.compile(r"\b(?:x\d+[sck]?_\w+|k\d+|x\d+)\b")
 
 
-def _chained(prologue: list, body: list, result: str):
+def _chained(prologue: list, body: list, result: str, bound: dict | None = None):
     """The function of `prologue` (which unpacks its arguments i and k), the
-    steps' (lines, assigned names) of `body`, a test that every assigned
-    value is finite, and `return result`; compiled in parts of at most
-    `_PART_CHARS` characters."""
+    steps' (lines, assigned floats) of `body`, a test that every assigned
+    float is finite, and `return result`, calling the functions of `bound`;
+    compiled in parts of at most `_PART_CHARS` characters."""
     parts = [[]]
     size = sum(map(len, prologue))
     for step in body:
@@ -247,13 +325,13 @@ def _chained(prologue: list, body: list, result: str):
             lines.append(f"t = {chain}" if start == 0 else f"t = t + {chain}")
         if assigned:
             lines.append("if not isfinite(t): return None")
-        defined += assigned
+        defined += _NAME.findall(sources[p])
         if p == len(parts) - 1:
             lines.append(f"return {result}")
         else:
             receive = [name for name in dict.fromkeys(defined) if name in handed[p]]
             lines.append(f"return ({''.join(name + ', ' for name in receive)})")
-        functions.append(jets.compile_lines("_program", "i, k" if p == 0 else "v", lines))
+        functions.append(jets.compile_lines("_program", "i, k" if p == 0 else "v", lines, bound))
     if len(functions) == 1:
         return functions[0]
     first, rest = functions[0], functions[1:]

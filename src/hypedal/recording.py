@@ -3,7 +3,8 @@
 A formula such as a derived curve's runs once on `Node`s, jets whose
 operators add the steps of `hypedal.program`'s format, and the program is
 then generated as one Python function (`hypedal.program.inline_program`).
-The library imports this module with the first derived-curve jet it runs.
+The library imports this module with the first derived-curve jet, or the
+first `classify_pedal`, it runs.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 from functools import lru_cache, partial
 
 from .expr import _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps
-from .frontal import LegendrePair
+from .frontal import LegendrePair, _ell_m, _truncate
 from .jets import Jet, require_finite
-from .minkowski import MVec3
+from .minkowski import MVec3, wedge
 from .program import _k_d, _k_trunc, inline_program
 
 
@@ -266,3 +267,57 @@ def evolute_tail(branch, order: int):
                                                         for i in range(3))))
 
     return record(scaled)
+
+
+# -- the germs of `singularity.classify_pedal` ---------------------------------
+
+
+def pedal_germs(pair, Q, s0, order: int):
+    """(base, ell, m, P): the coefficient lists of the curvature jets of order
+    `order` at s0 and of the pedal germ's three components, from the
+    generated function of a `from_curve` pair; None where that gives no
+    answer, and for other pairs, whose jets at `order` need not be those at
+    order + 1 truncated (`AutoDual` factors r' by its vanishing power, read
+    at a depth that grows with the order).  r and v are read once, at
+    order + 1."""
+    if pair._curve is None:
+        return None
+    program = derived_program(_germs, pair, Q, order)
+    out = None if program is None else program(s0)
+    if out is None:
+        return None
+    base, (ell, m, *P) = out
+    return base, ell, m, P
+
+
+def _germs(pair, Q, s0, order):
+    """`LegendrePair.curvature_jets` and the pedal germ P = `pedal_point`(Q, v),
+    with r and v at order truncated from the jets at order + 1 that ell and m
+    need, as the memo of a `from_curve` pair truncates them."""
+    from .constructions import pedal_point
+
+    rj = pair.r_jet(s0, order + 1)
+    vj = pair.v_jet(s0, order + 1)
+    v = _truncate(vj, order)
+    return (*_ell_m(rj, vj, wedge(_truncate(rj, order), v)), *pedal_point(Q, v).components())
+
+
+def pedal_det(P: list):
+    """The coefficients of det(P, P', P'') (`singularity._det_jet`) of a germ
+    whose components are coefficient lists of one length, from its
+    generated function; None where that gives no answer."""
+    recorded = _det_program(len(P[0]) - 1)
+    try:
+        out = None if recorded is None else recorded[0](P, recorded[1])
+    except Exception:  # the formula raises what it raises
+        return None
+    return None if out is None else out[0]
+
+
+@lru_cache(maxsize=16)
+def _det_program(order: int):
+    """`record` of det(P, P', P'') from the three components of P, inputs of order `order`."""
+    from .singularity import _det_jet
+
+    return record(lambda recording: (
+        _det_jet(MVec3(*(recording.input(i, order) for i in range(3)))),))

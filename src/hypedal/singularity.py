@@ -28,7 +28,7 @@ from enum import Enum
 from . import jets
 from .constructions import _is_curve_point, _require_point, pedal_point
 from .frontal import LegendrePair, _const, _d, _truncate
-from .minkowski import MVec3, det3, inner, wedge
+from .minkowski import MVec3, _vec, det3, inner, wedge
 
 SMOOTH = "smooth"
 
@@ -134,9 +134,15 @@ def measure_exponents(P: MVec3, tol: float = 1e-8):
     d is the vanishing order of det(P, P', P''), and b = d - a + 3.
     Returns SMOOTH when a = 1 and None when the orders exceed truncation.
     """
-    order = min(c.order for c in P.components())
-    shifted = P - _const(P)
-    comp_orders = [jets.vanishing_order(c, tol) for c in shifted.components()]
+    return _exponents([c.coeffs for c in P.components()], tol, lambda: _det_jet(P).coeffs)
+
+
+def _exponents(P: list, tol: float, det):
+    """`measure_exponents` of a germ whose components have the coefficient
+    sequences P; det() gives the coefficients of det(P, P', P'')."""
+    order = min(map(len, P)) - 1
+    # each component shifted to vanish at s0, as P - P(s0) computes it
+    comp_orders = [jets.vanishing_order([c[0] - c[0], *c[1:]], tol) for c in P]
     comp_orders = [v for v in comp_orders if v is not None]
     if not comp_orders:
         return None
@@ -145,17 +151,19 @@ def measure_exponents(P: MVec3, tol: float = 1e-8):
         return SMOOTH
     if a > order - 3:
         return None
-    Pt = _truncate(P, order - 2)
-    P1 = _truncate(_d(P), order - 2)
-    P2 = _d(_d(P))
-    det = det3(Pt, P1, P2)
-    d = jets.vanishing_order(det, tol)
+    d = jets.vanishing_order(det(), tol)
     if d is None:
         return None
     b = d - a + 3
     if b <= a:
         return None
     return (a, b)
+
+
+def _det_jet(P: MVec3) -> jets.Jet:
+    """det(P, P', P''), at the order of P''."""
+    order = min(c.order for c in P.components())
+    return det3(_truncate(P, order - 2), _truncate(_d(P), order - 2), _d(_d(P)))
 
 
 def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
@@ -168,7 +176,16 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
     Q must lie on the upper hyperboloid sheet, as for `constructions.pedal`.
     """
     _require_point(Q)
-    ell_jet, m_jet = pair.curvature_jets(s0, order)
+    # the jets from generated functions where they give an answer (see
+    # `recording.pedal_germs`), or else from the `Jet` formulas
+    from .recording import pedal_germs
+
+    germs = pedal_germs(pair, Q, s0, order)
+    if germs is None:
+        ell_jet, m_jet = pair.curvature_jets(s0, order)
+    else:
+        base, ell, m, P = germs
+        ell_jet, m_jet = jets._jet(base, tuple(ell)), jets._jet(base, tuple(m))
     m_germ = detect_Ak(m_jet, tol)
     ell_germ = detect_Ak(ell_jet, tol)
     geo = location_case(pair, Q, s0, tol)
@@ -198,8 +215,10 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
         else:
             predicted = (j + 1, j + k + 2)
 
-    P = pedal_point(Q, pair.v_jet(s0, order))
-    measured = measure_exponents(P, tol)
+    if germs is None:
+        measured = measure_exponents(pedal_point(Q, pair.v_jet(s0, order)), tol)
+    else:
+        measured = _exponents(P, tol, lambda: _generated_det(base, P))
 
     if predicted is None or measured is None:
         verdict = Verdict.UNDETERMINED
@@ -213,6 +232,16 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
         j=j, k=k, location=location,
         predicted=predicted, measured=measured, verdict=verdict,
     )
+
+
+def _generated_det(base: float, P: list) -> list:
+    """The coefficients of det(P, P', P'') of the pedal germ P given as
+    coefficient lists, from its generated function, or else from the `Jet`
+    formula, which raises what it raises."""
+    from .recording import pedal_det
+
+    det = pedal_det(P)
+    return _det_jet(_vec(*[jets._jet(base, tuple(c)) for c in P])).coeffs if det is None else det
 
 
 @dataclass(frozen=True)

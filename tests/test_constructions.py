@@ -423,9 +423,10 @@ def auto_pairs(astroid_curve, cusp23_curve):
 @pytest.mark.parametrize("where", ["generic", "on the curve", "on the tangent geodesic"])
 @pytest.mark.parametrize("which", ["astroid", "cusp23", "astroid auto", "cusp23 auto"])
 def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto_pairs):
-    # up to order 3 (order 2 for the evolute and the caustic, whose curvature
-    # step needs order + 1) a derived jet comes from a generated function;
-    # the `Jet` formula must give the same bits, or raise the same error
+    # a derived jet comes from a generated function, of inlined rows up to
+    # order 3 (order 2 for the evolute and the caustic, whose curvature step
+    # needs order + 1) and of whole coefficient lists above; the `Jet`
+    # formula must give the same bits, or raise the same error
     name = which.split()[0]
     pair = auto_pairs[name] if "auto" in which else {"astroid": astroid, "cusp23": cusp23}[name]
     s1 = 0.7
@@ -443,7 +444,7 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
             continue
         formula = _formula_only(curve)
         for s0 in (a, -0.0, 0.0, 0.3, s1, 0.5 * (a + b) + 0.41, b):
-            for order in range(4):
+            for order in (0, 1, 2, 3, 4, 9):
                 assert (_outcome(lambda: curve.jet(s0, order))
                         == _outcome(lambda: formula.jet(s0, order))), (kind, s0, order)
                 generated.append(curve._program_jet(s0, order) is not None)
@@ -452,7 +453,7 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
     for cls in (cons.PedalInducedPair, cons.OrthotomicInducedPair):
         induced = cls(pair, Q)
         for s0 in (a, -0.0, 0.0, 0.3, s1, 0.5 * (a + b) + 0.41, b):
-            for order in range(4):
+            for order in (0, 1, 2, 3, 4, 9):
                 for which, jet in enumerate((induced.r_jet, induced.v_jet, induced.mu_jet)):
                     assert (_outcome(lambda: jet(s0, order))
                             == _outcome(lambda: induced._formulas[which](s0, order))), \

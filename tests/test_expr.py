@@ -11,7 +11,8 @@ from hypedal.expr import (
     JET_MEMO_SIZE, MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
     Pow, Var, _eval, _Tape, _TapePoint, eval_jet, eval_scalar, parse, to_text,
 )
-from hypedal import expr
+from hypedal import expr, jets, program
+from hypedal.program import _k_d, _k_trunc
 from hypedal.io import load_curve
 from hypedal.jets import Jet
 from hypedal.minkowski import MVec3
@@ -441,6 +442,94 @@ def test_generated_tape_functions_are_the_step_loop(e, s, degree):
     # programs of at most 4 coefficients a value run as generated functions,
     # which must give what the step loop gives, or raise what it raises
     assert _tape_outcome(e, s, degree) == _tape_outcome(e, s, degree, inline=False)
+
+
+# one program per step kind, on input nodes 1 and 2; "d" and "truncate" act on
+# a product, so that a value they drop is one the program computed
+_STEP_KINDS = {
+    "neg": ([(3, expr._k_neg, 1, None)], (3,)),
+    "add": ([(3, expr._k_add, 1, 2)], (3,)),
+    "sub": ([(3, expr._k_sub, 1, 2)], (3,)),
+    "mul": ([(3, expr._k_mul, 1, 2)], (3,)),
+    "div": ([(3, expr._k_div, 1, 2)], (3,)),
+    "lift": ([(3, expr._k_lift, 1, -0.0), (4, expr._k_add, 3, 2)], (4,)),
+    "scale": ([(3, expr._k_scale, 1, -1.5)], (3,)),
+    "sqrt": ([(3, expr._k_sqrt, 1, None)], (3,)),
+    "d": ([(3, expr._k_mul, 1, 2), (4, _k_d, 3, None)], (4,)),
+    "truncate": ([(3, expr._k_mul, 1, 2), (4, _k_trunc, 3, 2)], (4,)),
+    "sin of a sin/cos pair": ([(3, expr._k_pair, 1, jets.sin_cos_coeffs),
+                               (4, expr._k_half, 3, 0)], (4,)),
+    "tanh": ([(3, expr._k_pair, 1, jets.sinh_cosh_coeffs), (4, expr._k_tanh, 3, None)], (4,)),
+}
+
+
+def _step_inputs(width: int, case: str):
+    """Two coefficient lists of `width`, with signed zeros, for one case."""
+    rng = random.Random(f"{width} {case}")
+    a, b = ([rng.choice((0.0, -0.0)) if i % 3 == 2 else rng.uniform(-1.0, 1.0)
+             for i in range(width)] for _ in range(2))
+    a[0], b[0] = 0.75, -1.25
+    if case == "1e300 constant terms":  # a product's constant term overflows
+        a[0] = b[0] = 1e300
+    elif case == "1e300 in the middle":  # a product's tail overflows
+        a[(width - 1) // 2] = b[(width - 1) // 2] = 1e300
+    elif case == "nan constant term":
+        a[0] = math.nan
+    elif case == "refused":  # a vanishing divisor, the square root of a negative
+        a[0], b[0] = -0.5, 1e-14
+    elif case == "a cos overflows":  # c_4 = -a_2^2 / 2 overflows; at width 5, sin a stays finite
+        a = [0.0, 0.0, -3.4595005287720934e+291] + [0.0] * (width - 3)
+    return a, b
+
+
+def _step_loop_outcome(steps, outputs, inputs):
+    """The outputs of the step loop by repr, or "refused" where a step raises or
+    a value is not finite, as the `Jet` formula checks each (a pair, both halves)."""
+    values = {1: inputs[0], 2: inputs[1]}
+    try:
+        for node, fn, x, y in steps:
+            values[node] = fn(values, x, y)
+            for half in values[node] if fn is expr._k_pair else (values[node],):
+                jets.require_finite(half)
+    except (ValueError, ArithmeticError):
+        return "refused"
+    return [[repr(c) for c in values[node]] for node in outputs]
+
+
+@pytest.mark.parametrize("case", ["signed zeros", "1e300 constant terms", "1e300 in the middle",
+                                  "nan constant term", "refused", "a cos overflows"])
+@pytest.mark.parametrize("width", [5, 17, 23, 64])
+def test_wide_generated_steps_are_the_step_loop(width, case):
+    # above 4 coefficients each step is one statement on whole lists, and
+    # finiteness is tested once, on the outputs and on what d/ds and truncation
+    # drop; each step kind must give the step loop's bits, or no answer where
+    # a step refuses or a value is not finite.  Mutations: no test of the
+    # dropped coefficients ("d" and "truncate" answer on an overflow), of
+    # both halves of a pair ("sin" answers where cos overflows at width 5),
+    # or of a divisor's refusal ("div" answers on 1e-14 at width 5)
+    inputs = _step_inputs(width, case)
+    for kind, (steps, outputs) in _STEP_KINDS.items():
+        function, consts = program.inline_program(steps, {1: width, 2: width}, outputs)
+        try:
+            out = function([list(c) for c in inputs], consts)
+        except Exception:  # the callers run the checked path
+            out = None
+        generated = "refused" if out is None else [[repr(c) for c in o] for o in out]
+        expected = _step_loop_outcome(steps, outputs, inputs)
+        assert generated == expected, (kind, case)
+        assert (expected == "refused") == (kind in _REFUSED[case]), (kind, case)
+
+
+# the kinds that refuse, in each case; where a constant term overflows, d/ds
+# drops it, and where the middle does, the truncation drops it
+_REFUSED = {
+    "signed zeros": set(),
+    "1e300 constant terms": {"mul", "d", "truncate", "tanh"},
+    "1e300 in the middle": {"mul", "div", "sqrt", "d", "truncate", "sin of a sin/cos pair", "tanh"},
+    "nan constant term": set(_STEP_KINDS) - {"lift"},
+    "refused": {"div", "sqrt"},
+    "a cos overflows": {"sqrt", "sin of a sin/cos pair", "tanh"},
+}
 
 
 @pytest.mark.parametrize("floats", [False, True])

@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
-from hypedal import jets
+import pytest
+
+from conftest import CURVES
+from hypedal import jets, program, recording
 from hypedal import constructions as cons
-from hypedal.frontal import reparametrized
+from hypedal.expr import ParametricCurve, parse
+from hypedal.frontal import LegendrePair, reparametrized
+from hypedal.io import load_curve
 from hypedal.jets import Jet
 from hypedal.minkowski import MVec3, boost_to_origin, inner
 from hypedal.singularity import (
-    SMOOTH, GermKind, LocationCase, Verdict, classify_pedal, detect_Ak,
+    SMOOTH, GermKind, LocationCase, Verdict, _det_jet, classify_pedal, detect_Ak,
     dual_identity_check, location_case, measure_exponents,
 )
 
@@ -209,3 +215,140 @@ def test_higher_identity_with_first_order_ell_germ(cusp23):
     report = dual_identity_check(cusp23, 0.0)
     assert report.k == 1
     assert report.max_residual <= 1e-7
+
+
+
+# -- generated germs ------------------------------------------------------------------
+
+
+def _lists_outcome(fn):
+    """Coefficient lists by repr, so the sign of zero counts, or the exception."""
+    try:
+        return [[repr(c) for c in coeffs] for coeffs in fn()]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _report_outcome(fn):
+    """The report by repr, or the exception."""
+    try:
+        return repr(fn())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_CUSP_S0 = {"astroid": 0.5 * math.pi, "circle": 0.0, "cusp23": 0.0, "cusp37": 0.0}
+_ORDERS = (4, 16, 22, 40, 60)
+
+
+def _draws(pair, name, where):
+    """(Q, s0, order) at a cusp parameter and a generic one, Q of one kind."""
+    draws = []
+    for s0 in (_CUSP_S0[name], 0.37):
+        Q = {"generic": MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0),
+                              math.sinh(0.7) * math.sin(1.0)),
+             "on the curve": pair.r(s0),
+             "on the tangent geodesic": math.cosh(0.6) * pair.r(s0) + math.sinh(0.6) * pair.mu(s0),
+             }[where]
+        draws += [(Q, s0, order) for order in _ORDERS]
+    return draws
+
+
+@pytest.mark.parametrize("where", ["generic", "on the curve", "on the tangent geodesic"])
+@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37"])
+def test_generated_germs_are_the_jet_formulas(name, where, golden_pairs, monkeypatch):
+    # a from_curve pair's ell, m, pedal germ P and det(P, P', P'') come from
+    # generated functions; the `Jet` formulas must give the same bits, and
+    # the generated functions no answer only where those raise.  Mutations:
+    # the pedal germ read from r, the tape's r and v swapped
+    pair = golden_pairs[name]
+    draws = _draws(pair, name, where)
+    generated = []
+    for Q, s0, order in draws:
+        def formulas():
+            P = cons.pedal_point(Q, pair.v_jet(s0, order))
+            return [j.coeffs for j in (*pair.curvature_jets(s0, order), *P.components())]
+
+        germs = recording.pedal_germs(pair, Q, s0, order)
+        expected = _lists_outcome(formulas)
+        generated.append(germs is not None)
+        if germs is None:
+            assert isinstance(expected, tuple), (s0, order)
+            continue
+        base, ell, m, P = germs
+        assert _lists_outcome(lambda: [ell, m, *P]) == expected, (s0, order)
+        det = recording.pedal_det(P)
+        jet_det = _lists_outcome(lambda: [_det_jet(MVec3(*(Jet(base, tuple(c)) for c in P))).coeffs])
+        if det is None:
+            assert isinstance(jet_det, tuple), (s0, order)
+        else:
+            assert _lists_outcome(lambda: [det]) == jet_det, (s0, order)
+    assert sum(generated) >= 0.7 * len(generated)
+    reports = [_report_outcome(lambda: classify_pedal(pair, Q, s0, order)) for Q, s0, order in draws]
+    monkeypatch.setattr(recording, "pedal_germs", lambda *args: None)  # the `Jet` path alone
+    assert reports == [_report_outcome(lambda: classify_pedal(pair, Q, s0, order))
+                       for Q, s0, order in draws]
+
+
+def _overflow_pair():
+    # r has coefficients of 1e200, so ell = <r', r ^ v> overflows at s0 = 0.5
+    curve = ParametricCurve("overflow", (parse("1 + 1e200*s^2"), parse("1e200*s^2"), parse("0")),
+                            (-1.0, 1.0), dual_components=(parse("0"), parse("0"), parse("1")))
+    return LegendrePair.from_curve(curve)
+
+
+@pytest.mark.parametrize("case", ["cusp37 order 40", "cusp37 order 60", "overflow",
+                                  "no v", "no v order 60", "det"])
+def test_generated_germs_fall_back_to_the_jet_formulas(case, cusp37, cusp37_curve, monkeypatch):
+    # where a generated function gives no answer, or a pair has none, the
+    # `Jet` formulas run and return or raise what they did before
+    Q, s0, order = MVec3(1.0, 0.0, 0.0), 0.5, 22
+    pair = cusp37
+    error = None
+    if case.startswith("cusp37"):  # the pinned example of a refused divisor
+        order = int(case.split()[-1])
+        error = (jets.JetDomainError, "jet division by vanishing germ")
+    elif case == "overflow":
+        pair = _overflow_pair()
+        error = (ValueError, "non-finite jet coefficient")
+    elif case.startswith("no v"):  # a curve file without "v"
+        pair = LegendrePair.with_auto_dual(cusp37_curve)
+        if case.endswith("60"):
+            order = 60
+            error = (jets.JetDomainError, "jet division by vanishing germ")
+    else:  # det(P, P', P'') from the `Jet` formula, Q = r(0)
+        monkeypatch.setattr(recording, "pedal_det", lambda P: None)
+        s0 = 0.0
+    assert recording.pedal_germs(pair, Q, s0, order) is None or case == "det"
+    outcome = _report_outcome(lambda: classify_pedal(pair, Q, s0, order))
+    if case == "det":
+        assert "measured=(7, 11)" in outcome
+    with mock.patch.object(recording, "pedal_germs", lambda *args: None):
+        assert outcome == _report_outcome(lambda: classify_pedal(pair, Q, s0, order))
+    assert (outcome if error else None) == error
+
+
+def test_classify_code_is_shared_by_every_pedal_point():
+    # the germ and det programs are recorded once per order and their code
+    # is keyed by its structure, with Q as arguments, so new pedal points
+    # compile nothing new; mutation: the recordings and the code uncached
+    rng = random.Random(5)
+    # Q = r(s0), where the pedal germ is singular, or a generic Q
+    draws = [(0.0, None)] + [(rng.uniform(-1.5, 1.5), rng.choice([None, MVec3(
+        math.cosh(0.7), math.sinh(0.7) * math.cos(phi), math.sinh(0.7) * math.sin(phi))]))
+        for phi in (rng.uniform(0.0, 6.0) for _ in range(19))]
+
+    def compiled(points):
+        for cache in (program._inline_function, recording._record_on_pair,
+                      recording._det_program):
+            cache.cache_clear()
+        pair = LegendrePair.from_curve(load_curve(CURVES / "cusp23.json"))
+        pair.r(0.3), pair.v(0.3)  # the curve's own float programs
+        with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
+            for s0, Q in draws[:points]:
+                classify_pedal(pair, pair.r(s0) if Q is None else Q, s0)
+        return sum(call.args[0] == "_program" for call in compile_.call_args_list)
+
+    one = compiled(1)
+    assert one >= 2  # the germs and det(P, P', P'')
+    assert compiled(20) <= one
