@@ -761,8 +761,8 @@ class ParametricCurve:
         """(point, values): the memoised `_TapePoint` of s that serves `order`,
         and group's three values there, floats or the coefficient lists of
         jets truncated to `order`.  `_at` reads the memo only through here, and
-        so do the generated derived-curve functions, which take the lists
-        as they are."""
+        so do `frontal.AutoDual` and the generated derived-curve functions,
+        which take the lists as they are."""
         base, degree = (float(s), 0) if order is None else _tape_args(s, order)
         key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
         memo = self._memo

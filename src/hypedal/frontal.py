@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from . import jets
 from .expr import linspace
-from .jets import Jet
-from .minkowski import MVec3, det3, inner, wedge
+from .jets import Jet, require_finite
+from .minkowski import MVec3, _vec, det3, inner, wedge
 
 # A point counts as regular when the speed exceeds this fraction of the
 # domain scale; separates the astroid's cusps cleanly at double precision.
@@ -229,7 +229,10 @@ class AutoDual:
     continuity along a precomputed grid; the first sample is oriented so
     its x3 component (or first non-zero component) is positive.  The curve's
     jets are read at order `jets.DEFAULT_ORDER`, or higher where a requested
-    jet needs it.
+    jet needs it, as coefficient lists from the curve's tape memo
+    (`ParametricCurve._tape_values`); a dual jet runs as the generated
+    function of `_unit_normal` (`recording.auto_dual_program`), or as that
+    `Jet` formula wherever the function gives no answer.
     """
 
     def __init__(self, curve):
@@ -259,23 +262,29 @@ class AutoDual:
         self._signed = signed
 
     def _leading(self, s: float, order: int):
-        """Vanishing power p of r' at s and the order-(order) factored jets."""
-        rj = self.curve.point_jet(s, order + 1)
-        rd = _d(rj)
-        orders = [jets.vanishing_order(c, _FLAT_TOL) for c in rd.components()]
+        """Vanishing power p of r' at s, from the coefficient lists of r's jet
+        of order `order` + 1 and of their derivatives, as `Jet.d_ds` computes
+        and checks them; and those lists."""
+        _, r = self.curve._tape_values(0, s, order + 1)
+        rd = [require_finite([(i + 1) * c[i + 1] for i in range(len(c) - 1)]) for c in r]
+        orders = [jets.vanishing_order(c, _FLAT_TOL) for c in rd]
         orders = [o for o in orders if o is not None]
         if not orders:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
-        return min(orders), rj, rd
+        return min(orders), r, rd
 
     def _raw(self, s: float) -> MVec3:
-        p, rj, rd = self._leading(s, jets.DEFAULT_ORDER)
-        w = _coeff(rd, p)
-        q = inner(w, w)
+        """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', in floats."""
+        p, r, rd = self._leading(s, jets.DEFAULT_ORDER)
+        w1, w2, w3 = (c[p] for c in rd)
+        q = -(w1 * w1) + w2 * w2 + w3 * w3  # inner(w, w)
         if q <= 0.0:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
-        r0 = _const(rj)
-        return wedge(r0, w / math.sqrt(q))
+        n = math.sqrt(q)
+        u1, u2, u3 = w1 / n, w2 / n, w3 / n
+        r1, r2, r3 = r[0][0], r[1][0], r[2][0]
+        # wedge(r0, u); a non-finite u makes its value non-finite, which _vec refuses
+        return _vec(-(r2 * u3) + r3 * u2, r3 * u1 - r1 * u3, -(r2 * u1) + r1 * u2)
 
     def _sign_at(self, s: float, raw_value: MVec3) -> float:
         a, b = self.curve.domain
@@ -295,14 +304,45 @@ class AutoDual:
                 f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
                 f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
             )
+        generated = self._generated_jet(s0, order, p)
+        if generated is not None:
+            return generated
         rj = self.curve.point_jet(s0, order + 1 + p)
         rd = _d(rj)
         # divide the derivative germ by (s - s0)^p: drop the first p coefficients
         w = rd.map(lambda j: Jet(j.base, j.coeffs[p : p + order + 1]))
-        unit = w / jets.sqrt(inner(w, w))
-        vj = wedge(_truncate(rj, order), unit)
+        vj = _unit_normal(_truncate(rj, order), w)
         sign = self._sign_at(s0, _const(vj))
         return sign * vj
+
+    def _generated_jet(self, s0: float, order: int, p: int):
+        """`jet`'s value from the generated function of `_unit_normal`, on r
+        truncated to `order` and w, the coefficients p to p + order of r';
+        None where that gives no answer.  `_leading` has checked r' up to an
+        order of at least p, so the lists the formula checks are finite iff w is."""
+        from .recording import auto_dual_program  # loaded with the first program it runs
+
+        recorded = auto_dual_program(order)
+        if recorded is None:
+            return None
+        function, consts, _ = recorded
+        try:
+            point, r = self.curve._tape_values(0, s0, order + 1 + p)
+            w = [[(i + 1) * c[i + 1] for i in range(p, p + order + 1)] for c in r]
+            if not math.isfinite(sum(map(sum, w))):
+                return None
+            out = function([c[: order + 1] for c in r] + w, consts)
+        except Exception:  # the formula raises what it raises
+            return None
+        if out is None:
+            return None
+        sign = self._sign_at(s0, _vec(*(c[0] for c in out)))
+        return _vec(*(jets._jet(point.base, tuple([x * sign + 0.0 for x in c])) for c in out))
+
+
+def _unit_normal(r: MVec3, w: MVec3) -> MVec3:
+    """wedge(r, w / sqrt(<w, w>)): `AutoDual`'s dual jet before its sign."""
+    return wedge(r, w / jets.sqrt(inner(w, w)))
 
 
 def _dot_euclid(u: MVec3, w: MVec3) -> float:

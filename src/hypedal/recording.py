@@ -3,8 +3,8 @@
 A formula such as a derived curve's runs once on `Node`s, jets whose
 operators add the steps of `hypedal.program`'s format, and the program is
 then generated as one Python function (`hypedal.program.inline_program`).
-The library imports this module with the first derived-curve jet, or the
-first `classify_pedal`, it runs.
+The library imports this module with the first derived-curve jet, the
+first `classify_pedal` or the first `AutoDual` jet it runs.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
+from . import jets
 from .expr import _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps
-from .frontal import LegendrePair, _ell_m, _truncate
+from .frontal import LegendrePair, _ell_m, _truncate, _unit_normal
 from .jets import Jet, require_finite
 from .minkowski import MVec3, wedge
 from .program import _k_d, _k_trunc, inline_program
@@ -321,3 +322,14 @@ def _det_program(order: int):
 
     return record(lambda recording: (
         _det_jet(MVec3(*(recording.input(i, order) for i in range(3)))),))
+
+
+# -- the dual jet of `frontal.AutoDual` ----------------------------------------
+
+
+@lru_cache(maxsize=jets.MAX_ORDER)
+def auto_dual_program(order: int):
+    """`record` of `frontal._unit_normal`, the dual jet before its sign, from
+    inputs r (x1, x2, x3) and then w, the factored derivative, of order `order`."""
+    return record(lambda recording: _unit_normal(
+        *(MVec3(*(recording.input((kind, i), order) for i in range(3))) for kind in "rw")))

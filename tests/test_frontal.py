@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from conftest import CURVES
 
-from hypedal import jets
+from hypedal import frontal, jets, recording
 from hypedal.frontal import (
     AutoDual, CurveSingularError, DualUndeterminedError, LegendrePair, frenet_regular,
     reparametrized,
 )
 from hypedal.io import curve_from_dict
+from hypedal.jets import Jet
 from hypedal.minkowski import MVec3, inner, wedge
 
 
@@ -204,6 +207,150 @@ def test_auto_dual_refuses_orders_past_the_maximum_as_undetermined():
     assert dual.jet(0.0, top).x1.order == top
     with pytest.raises(DualUndeterminedError, match=r"s=0\.0: r' vanishes to order 3"):
         dual.jet(0.0, top + 1)
+
+
+# -- AutoDual as the `Jet` formula ---------------------------------------------
+#
+# `AutoDual` decides p on r's coefficient lists and runs its dual jet as a
+# generated function; the `Jet` formulas below are the reference for both.
+
+
+def _formula_leading(curve, s, order):
+    """(p, r' as jets): p from `jets.vanishing_order` of `Jet.d_ds`."""
+    rd = curve.point_jet(s, order + 1).map(lambda j: j.d_ds())
+    orders = [jets.vanishing_order(c, frontal._FLAT_TOL) for c in rd.components()]
+    orders = [o for o in orders if o is not None]
+    if not orders:
+        raise DualUndeterminedError(f"dual undetermined at s={s!r}")
+    return min(orders), rd
+
+
+def _formula_raw(curve, s):
+    p, rd = _formula_leading(curve, s, jets.DEFAULT_ORDER)
+    w = MVec3(*(c.coeffs[p] for c in rd.components()))
+    q = inner(w, w)
+    if q <= 0.0:
+        raise DualUndeterminedError(f"dual undetermined at s={s!r}")
+    r0 = curve.point_jet(s, jets.DEFAULT_ORDER + 1).map(jets.constant_part)
+    return wedge(r0, w / math.sqrt(q))
+
+
+def _formula_jet(dual, s0, order):
+    p, _ = _formula_leading(dual.curve, s0, max(jets.DEFAULT_ORDER, order + 2))
+    rj = dual.curve.point_jet(s0, order + 1 + p)
+    w = rj.map(lambda j: Jet(j.base, j.d_ds().coeffs[p : p + order + 1]))
+    vj = wedge(rj.map(lambda j: j.truncate(order)), w / jets.sqrt(inner(w, w)))
+    return dual._sign_at(s0, vj.map(jets.constant_part)) * vj
+
+
+def _outcome(fn):
+    """The value by repr, bases and signs of zero included, or the exception."""
+    try:
+        return repr(fn())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _without_dual(name):
+    doc = json.loads((CURVES / f"{name}.json").read_text())
+    del doc["v"]
+    return curve_from_dict(doc)
+
+
+# the parameters where r' vanishes on each shipped curve
+_CUSPS = {"astroid": [k * math.pi / 2 for k in range(5)], "circle": [],
+          "cusp23": [0.0], "cusp37": [0.0]}
+
+
+@pytest.mark.parametrize("name", sorted(_CUSPS))
+def test_auto_dual_jets_are_the_formula_jets(name):
+    # p and the float dual on the sign grid, and the dual jets at grid points,
+    # -0.0 and the cusps, must be the bits of the `Jet` formulas; the jets
+    # must come from the generated function wherever the formula answers.
+    # Mutations: the sign applied without + 0.0, w shifted by p - 1
+    curve = _without_dual(name)
+    dual = AutoDual(curve)
+    for s in dual._grid:
+        assert dual._leading(s, jets.DEFAULT_ORDER)[0] == _formula_leading(
+            curve, s, jets.DEFAULT_ORDER)[0], s
+        assert _outcome(lambda: dual._raw(s)) == _outcome(lambda: _formula_raw(curve, s)), s
+    for s in _CUSPS[name]:
+        assert _formula_leading(curve, s, jets.DEFAULT_ORDER)[0] >= 1, s
+    for s0 in curve.grid(21) + [-0.0] + _CUSPS[name]:
+        for order in (0, 1, 2, 3, 5, 22):
+            expected = _outcome(lambda: _formula_jet(dual, s0, order))
+            assert _outcome(lambda: dual.jet(s0, order)) == expected, (s0, order)
+            p = _formula_leading(curve, s0, max(jets.DEFAULT_ORDER, order + 2))[0]
+            generated = dual._generated_jet(s0, order, p)
+            assert (generated is None) == isinstance(expected, tuple), (s0, order)
+
+
+def _spy_on_program(monkeypatch):
+    """The answers that the generated functions give from now on."""
+    answers = []
+    program = recording.auto_dual_program
+
+    def spied(order):
+        function, consts, keys = program(order)
+
+        def run(i, k):
+            answers.append(function(i, k))
+            return answers[-1]
+        return run, consts, keys
+
+    monkeypatch.setattr(recording, "auto_dual_program", spied)
+    return answers
+
+
+def _curve(r, domain):
+    return curve_from_dict({"schema": 1, "name": "made", "r": r, "domain": domain, "samples": 41})
+
+
+def test_auto_dual_falls_back_to_the_formula(astroid_curve, monkeypatch):
+    # wherever the generated function gives no answer the `Jet` formula runs,
+    # and returns or raises what it did before the function existed
+    astroid = AutoDual(astroid_curve)
+    flat_cusp = AutoDual(_curve(["sqrt(1 + s^8 + s^10)", "s^4", "s^5"], [-1.0, 1.0]))
+    top = jets.MAX_ORDER - 4
+    limit = (DualUndeterminedError, "dual undetermined at s=0.0: r' vanishes to order 3, "
+             f"which needs a jet of order {jets.MAX_ORDER + 1}, above the maximum {jets.MAX_ORDER}")
+    cases = [(astroid, s0, order) for s0 in (0.0, 0.7, math.pi / 2) for order in (0, 3, 22)]
+    for generator in ("on", "no answer"):
+        if generator == "no answer":
+            monkeypatch.setattr(recording, "auto_dual_program",
+                                lambda order: (lambda i, k: None, (), []))
+        for dual, s0, order in cases + [(flat_cusp, 0.0, top)]:
+            assert _outcome(lambda: dual.jet(s0, order)) == _outcome(
+                lambda: _formula_jet(dual, s0, order)), (generator, s0, order)
+        assert _outcome(lambda: flat_cusp.jet(0.0, top + 1)) == limit
+    monkeypatch.undo()
+
+    # <w, w> overflows: the float dual is a zero vector (a nan wedge where it
+    # is the difference of two overflows), and the jets refuse
+    answers = _spy_on_program(monkeypatch)
+    scaled = ["1e160*cosh(1)", "1e160*sinh(1)*cos(s)", "1e160*sinh(1)*sin(s)"]
+    dual = AutoDual(_curve(scaled, [-1.0, 1.0]))
+    assert repr(dual(0.5)) == "MVec3(x1=-0.0, x2=0.0, x3=-0.0)"
+    for s0 in (0.0, 0.5):
+        for order in (0, 3, 22):
+            assert _outcome(lambda: dual.jet(s0, order)) == (
+                ValueError, "non-finite jet coefficient"), (s0, order)
+    assert len(answers) == 6 and answers == [None] * 6
+    with pytest.raises(ValueError, match=r"^non-finite vector component \(at s=-1\.0\)$"):
+        AutoDual(_curve(["1e160*sqrt(1 + s^4 + s^6)", "1e160*s^2", "1e160*s^3"], [-1.0, 1.0]))
+
+    # r' overflows where r does not: refused on the sign grid, and in a jet
+    # whose w reaches past the order at which p was decided (p = 3, and
+    # 20 * 1e307 is coefficient 19 of r')
+    with pytest.raises(ValueError, match=r"^non-finite jet coefficient \(at s=-0\.01\)$"):
+        AutoDual(_curve(["1", "s + 1e308*s^2", "s^2"], [-0.01, 0.01]))
+    dual = AutoDual(_curve(["sqrt(1 + s^8 + s^10)", "s^4 + 1e307*s^20", "s^5"], [-0.01, 0.01]))
+    del answers[:]
+    assert _outcome(lambda: dual.jet(0.0, 15)) == _outcome(lambda: _formula_jet(dual, 0.0, 15))
+    assert answers and answers[-1] is not None
+    del answers[:]
+    assert _outcome(lambda: dual.jet(0.0, 16)) == (ValueError, "non-finite jet coefficient")
+    assert answers == []  # refused on w, before the function runs
 
 
 def test_dual_identities(golden_pairs):
