@@ -15,14 +15,15 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 from . import jets
 from .expr import linspace
-from .frontal import LegendrePair, _coeff, _truncate, frenet_regular
-from .minkowski import GeometryError, MVec3, _vec, inner, require_upper_sheet, wedge
+from .frontal import LegendrePair, _coeff, _generated, _truncate, frenet_regular
+from .minkowski import GeometryError, MVec3, _tested_vec, _vec, inner, require_upper_sheet, wedge
 
 # Q = r(s) within this tolerance, looked for on this grid before inducing from Q
 _ON_CURVE_TOL = 1e-9
@@ -144,7 +145,10 @@ class DerivedCurve:
 
     `jet` runs the function generated from `_formula(pair, Q, s0, order)`
     (`recording.derived_program`), or the formula on the pair's jets where
-    that gives no answer.
+    that gives no answer; with `coeffs` it returns the coefficient lists of
+    the three components instead of the jets.  `at` runs the function
+    generated from the sample formula `_sample(pair, Q, s, None)` in the
+    same way.
     """
 
     kind = "derived"
@@ -153,13 +157,29 @@ class DerivedCurve:
         self.pair = pair
         self.Q = Q
         self.domain = pair.domain
-        self._programs = {}  # order -> `recording.derived_program` of this curve
+        # order -> `recording.derived_program` of this curve, None -> that of `_sample`
+        self._programs = {}
 
     def at(self, s: float) -> MVec3:
         raise NotImplementedError
 
-    def jet(self, s0: float, order: int) -> MVec3:
+    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
         raise NotImplementedError
+
+    def _jet(self, s0: float, order: int, coeffs: bool):
+        """`jet`: from the generated function, or from `_formula_jet` where it gives no answer."""
+        out = self._program_coeffs(s0, order)
+        if out is not None:
+            return out[1] if coeffs else _jet_vector(*out)
+        point = self._formula_jet(s0, order)
+        return [j.coeffs for j in point.components()] if coeffs else point
+
+    def _formula_jet(self, s0: float, order: int) -> MVec3:
+        return self._formula(*self._formula_args(), s0, order)
+
+    def _sampled(self, s: float):
+        """The floats `_sample` returns at s, from its generated function, or None."""
+        return _generated(self._programs, None, self._sample, *self._formula_args(), None, s)
 
     def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL):
         return singular_points(self, samples=samples, tol=tol)
@@ -173,10 +193,20 @@ class DerivedCurve:
         generated function, or None where there is none or it gives no answer."""
         return _generated(self._programs, order, self._formula, *self._formula_args(), order, s0)
 
+    def _program_coeffs(self, s0: float, order: int):
+        """(base, the coefficient lists of `jet`) from the generated function, or
+        None where it gives no answer."""
+        return self._run_program(s0, order)
+
     def _program_jet(self, s0: float, order: int) -> MVec3 | None:
         """`jet` from the generated function, or None where it gives no answer."""
-        out = self._run_program(s0, order)
+        out = self._program_coeffs(s0, order)
         return None if out is None else _jet_vector(*out)
+
+    def _point_at(self, s: float) -> MVec3:
+        """`at` of a curve whose sample is a point formula, `_sample`."""
+        out = self._sampled(s)
+        return self._sample(*self._formula_args(), s, None) if out is None else _tested_vec(*out)
 
 
 class PedalCurve(DerivedCurve):
@@ -186,12 +216,15 @@ class PedalCurve(DerivedCurve):
     def _formula(pair, Q, s0, order):
         return pedal_point(Q, pair.v_jet(s0, order))
 
-    def at(self, s: float) -> MVec3:
-        return pedal_point(self.Q, self.pair.v(s))
+    @staticmethod
+    def _sample(pair, Q, s, order):
+        return pedal_point(Q, pair.v(s))
 
-    def jet(self, s0: float, order: int) -> MVec3:
-        point = self._program_jet(s0, order)
-        return self._formula(self.pair, self.Q, s0, order) if point is None else point
+    def at(self, s: float) -> MVec3:
+        return self._point_at(s)
+
+    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
+        return self._jet(s0, order, coeffs)
 
     def induced(self) -> "PedalInducedPair":
         return pedal_induced(self.pair, self.Q)
@@ -204,12 +237,15 @@ class OrthotomicCurve(DerivedCurve):
     def _formula(pair, Q, s0, order):
         return orthotomic_point(Q, pair.v_jet(s0, order))
 
-    def at(self, s: float) -> MVec3:
-        return orthotomic_point(self.Q, self.pair.v(s))
+    @staticmethod
+    def _sample(pair, Q, s, order):
+        return orthotomic_point(Q, pair.v(s))
 
-    def jet(self, s0: float, order: int) -> MVec3:
-        point = self._program_jet(s0, order)
-        return self._formula(self.pair, self.Q, s0, order) if point is None else point
+    def at(self, s: float) -> MVec3:
+        return self._point_at(s)
+
+    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
+        return self._jet(s0, order, coeffs)
 
     def induced(self) -> "OrthotomicInducedPair":
         return orthotomic_induced(self.pair, self.Q)
@@ -258,8 +294,10 @@ class _InducedPair(LegendrePair):
 
     Each jet evaluator runs its formula's generated function, recorded once
     per (class, evaluator, order, shape of the source), or where that gives
-    no answer the `Jet` formula, kept in `_formulas`.  The evaluators hold
-    what they read, not the pair, so a pair is freed as soon as it is dropped.
+    no answer the `Jet` formula, kept in `_formulas`; `_jet_lists` gives the
+    function's coefficient lists, which the sample formulas of the pair read.
+    The evaluators hold what they read, not the pair, so a pair is freed as
+    soon as it is dropped.
     """
 
     def __init__(self, source: LegendrePair, Q: MVec3, point_formula, dual_formula,
@@ -282,15 +320,20 @@ class _InducedPair(LegendrePair):
             point(source.v_jet), framed(dual_formula, source.r_jet, source.v_jet),
             framed(frame_formula, source.r_jet, source.v_jet))
         self._programs = programs = {}  # (evaluator, order) -> `recording.derived_program`
-        cls = type(self)
+        recorded = [_induced_formula(type(self), which) for which in range(3)]
+
+        def jet_lists(which, order, s0):
+            """(base, the coefficient lists of jet `which` (0 r, 1 v, 2 mu) at
+            (s0, order)) from its generated function, or None."""
+            return _generated(programs, (which, order), recorded[which], source, Q, order, s0)
 
         def generated(which):
-            recorded = _induced_formula(cls, which)
-
             def jet(s0, order):
-                out = _generated(programs, (which, order), recorded, source, Q, order, s0)
+                out = jet_lists(which, order, s0)
                 return formulas[which](s0, order) if out is None else _jet_vector(*out)
             return jet
+
+        self._jet_lists = jet_lists
 
         super().__init__(point(source.v), generated(0), framed(dual_formula, source.r, source.v),
                          generated(1), source.domain, name=name,
@@ -366,9 +409,10 @@ class EvoluteCurve(DerivedCurve):
     """Evolute of a pair; lands on H2 where m^2 > ell^2, on dS2 otherwise.
 
     On the hyperbolic branch the sign is chosen so x1 > 0 (upper sheet).
-    The generated function of a jet stops at the branch decision: ell, m,
-    m^2, ell^2, d2 and m r - ell v do not depend on it, and the division
-    by sqrt(|d2|) after it runs as a second one, recorded per branch.
+    The generated function of a jet or a sample stops at the branch
+    decision: ell, m, m^2, ell^2, d2 and m r - ell v do not depend on it,
+    and the division by sqrt(|d2|) after it runs as a second one, recorded
+    per branch.
     """
 
     kind = "evolute"
@@ -413,24 +457,37 @@ class EvoluteCurve(DerivedCurve):
         return point
 
     @staticmethod
-    def _numerator(ell, m, rj, vj, order):
-        return m * _truncate(rj, order) - ell * _truncate(vj, order)
+    def _numerator(ell, m, r, v):
+        """m r - ell v, for floats and jets."""
+        return m * r - ell * v
 
     @classmethod
     def _formula(cls, pair, Q, s0, order):
         """What the jet of the evolute computes before the branch decision."""
         ell, m, rj, vj = pair._curvature_frame_jets(s0, order)
-        return (*cls._squares(ell, m), *cls._numerator(ell, m, rj, vj, order).components())
+        num = cls._numerator(ell, m, _truncate(rj, order), _truncate(vj, order))
+        return (*cls._squares(ell, m), *num.components())
+
+    @classmethod
+    def _sample(cls, pair, Q, s, order):
+        """What a sample of the evolute computes before the branch decision."""
+        ell, m = pair.curvatures(s)
+        return (*cls._squares(ell, m), *cls._numerator(ell, m, pair.r(s), pair.v(s)).components())
 
     def _formula_args(self):
         return self.formula_pair, None
 
     def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
+        head = self._sampled(s)
+        if head is not None:
+            point, branch = self._decided(s, None, head)
+            if point is not None:
+                return _tested_vec(*point), branch
         ell, m = self.formula_pair.curvatures(s)
         branch, d2 = self._branch_split(s, ell, m)
         r = self.formula_pair.r(s)
         v = self.formula_pair.v(s)
-        return self._place(branch, d2, m * r - ell * v), branch
+        return self._place(branch, d2, self._numerator(ell, m, r, v)), branch
 
     def at(self, s: float) -> MVec3:
         return self.at_with_branch(s)[0]
@@ -438,34 +495,43 @@ class EvoluteCurve(DerivedCurve):
     def branch(self, s: float) -> Branch:
         return self.at_with_branch(s)[1]
 
-    def jet(self, s0: float, order: int) -> MVec3:
-        point = self._program_jet(s0, order)
-        if point is not None:
-            return point
+    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
+        return self._jet(s0, order, coeffs)
+
+    def _formula_jet(self, s0: float, order: int) -> MVec3:
         ell, m, rj, vj = self.formula_pair._curvature_frame_jets(s0, order)
         branch, d2 = self._branch_split(s0, ell, m)
-        return self._place(branch, d2, self._numerator(ell, m, rj, vj, order))
+        num = self._numerator(ell, m, _truncate(rj, order), _truncate(vj, order))
+        return self._place(branch, d2, num)
 
-    def _program_jet(self, s0: float, order: int) -> MVec3 | None:
+    def _program_coeffs(self, s0: float, order: int):
         terms = self._run_program(s0, order)
         if terms is None:
             return None
-        base, (mm, ll, d2, *num) = terms
-        # the values the formula reaches the decision with, so it decides (or
-        # refuses) alike
-        branch = self._branch(s0, mm[0], ll[0], d2[0])
+        base, head = terms
+        point, _ = self._decided(s0, order, head)
+        return None if point is None else (base, point)
+
+    def _decided(self, s0: float, order: int | None, head):
+        """(point, branch) from the values (m^2, ell^2, d2, m r - ell v) that a
+        generated function of `_formula` (jets of `order`) or of `_sample` (floats,
+        `order` None) reached the branch decision with, so that it decides, or
+        raises, as the formula does; the point is None where the tail of the
+        branch gives no answer."""
+        mm, ll, d2, *num = head
+        lead = float if order is None else operator.itemgetter(0)
+        branch = self._branch(s0, lead(mm), lead(ll), lead(d2))
         from .recording import evolute_tail
 
         tail = evolute_tail(branch, order)
         try:
             point = None if tail is None else tail[0]([d2, *num], tail[1])
         except Exception:  # the formula raises what it raises
-            return None
-        if point is None:
-            return None
-        if branch is Branch.H2 and point[0][0] < 0.0:
-            point = [[-c for c in coeffs] for coeffs in point]
-        return _jet_vector(base, point)
+            return None, branch
+        if point is not None and branch is Branch.H2 and lead(point[0]) < 0.0:
+            point = ([-c for c in point] if order is None
+                     else [[-c for c in coeffs] for coeffs in point])
+        return point, branch
 
 
 def evolute(pair: LegendrePair) -> EvoluteCurve:
@@ -476,18 +542,6 @@ def catacaustic(pair: LegendrePair, Q: MVec3) -> EvoluteCurve:
     """Evolute of the orthotomic: the envelope of rays from Q after reflection."""
     induced = orthotomic_induced(pair, Q)
     return EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")
-
-
-def _generated(programs: dict, key, formula, pair, Q, order: int, s0: float):
-    """(base, the coefficient lists of formula(pair, Q, s0, order)) from its
-    generated function, made once per `key` of `programs`; None where there is
-    none or it gives no answer."""
-    program = programs.get(key, False)
-    if program is False:
-        from .recording import derived_program  # loaded with the first formula it runs
-
-        program = programs[key] = derived_program(formula, pair, Q, order)
-    return None if program is None else program(s0)
 
 
 def _jet_vector(base: float, coeffs) -> MVec3:
@@ -604,22 +658,36 @@ def singular_points(curve: DerivedCurve, samples: int = 1000,
     closer than twice the grid step are reported once.  Each accepted point
     carries a cause tag, read from the curve's `pair` and `Q`.
     """
+    lists = isinstance(curve, DerivedCurve)  # else any object with a `jet`
+
     def speed(s):
-        """|curve'| and d/ds |curve'|^2 at s from the order-2 jet."""
+        """|curve'| and d/ds |curve'|^2 at s from the order-2 jet's coefficient lists."""
         try:
-            V = curve.jet(s, 2)
+            if lists:
+                V = curve.jet(s, 2, coeffs=True)
+            else:
+                V = [j.coeffs for j in curve.jet(s, 2).components()]
         except jets.DOMAIN_ERRORS:
             return None
-        d1 = (V.x1.coeffs[1], V.x2.coeffs[1], V.x3.coeffs[1])
-        d2 = (2.0 * V.x1.coeffs[2], 2.0 * V.x2.coeffs[2], 2.0 * V.x3.coeffs[2])
+        d1 = (V[0][1], V[1][1], V[2][1])
+        d2 = (2.0 * V[0][2], 2.0 * V[1][2], 2.0 * V[2][2])
         return math.sqrt(sum(c * c for c in d1)), 2.0 * sum(a * b for a, b in zip(d1, d2))
 
     found = _zeros(speed, curve.domain, samples, tol)
     if not found:
         return []
     pair, Q = curve.pair, curve.Q
-    m_scale = max([abs(pair.curvatures(s)[1]) for s in linspace(pair.domain, 101)] + [1.0])
+    m = [_m_or_none(pair, s) for s in linspace(pair.domain, 101)]
+    m_scale = max([abs(x) for x in m if x is not None] + [1.0])
     return [SingularPoint(s=s, cause=_cause(s, pair, Q, m_scale), speed=v) for s, v in found]
+
+
+def _m_or_none(pair: LegendrePair, s: float):
+    """m at s, or None where it is undefined: a gap, as in the scan."""
+    try:
+        return pair.curvatures(s)[1]
+    except jets.DOMAIN_ERRORS:
+        return None
 
 
 def _cause(s: float, pair: LegendrePair, Q: MVec3 | None, m_scale: float) -> str:

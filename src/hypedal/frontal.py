@@ -105,6 +105,7 @@ class LegendrePair:
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
         self._curve = None  # the curve whose tape gives r and v (`from_curve`)
+        self._samplers = {}  # sample formula -> `recording.derived_program`
 
     @classmethod
     def from_curve(cls, curve) -> "LegendrePair":
@@ -150,11 +151,10 @@ class LegendrePair:
         return wedge(self._r_jet(s0, order), self._v_jet(s0, order))
 
     def curvatures(self, s: float) -> tuple[float, float]:
-        """The pair (ell, m) = (<r', mu>, <v', mu>) at s."""
-        rj = self._r_jet(s, 1)
-        vj = self._v_jet(s, 1)
-        mu0 = self.mu(s)
-        return inner(_coeff(rj, 1), mu0), inner(_coeff(vj, 1), mu0)
+        """The pair (ell, m) = (<r', mu>, <v', mu>) at s, from the generated
+        function of `_curvatures`, or that formula where it gives no answer."""
+        out = _generated(self._samplers, _curvatures, _curvatures, self, None, None, s)
+        return _curvatures(self, None, s, None) if out is None else (out[0], out[1])
 
     def curvature_jets(self, s0: float, order: int) -> tuple[Jet, Jet]:
         """Jets of ell and m at s0, exact to the requested order."""
@@ -195,6 +195,26 @@ class LegendrePair:
             worst["rv_orth"] = max(worst["rv_orth"], abs(inner(r0, v0)) / (nr * nv))
             worst["tangency"] = max(worst["tangency"], abs(inner(rd, v0)) / (nd * nv))
         return ValidationReport(worst, tol, samples)
+
+
+def _curvatures(pair, Q, s, order):
+    """`LegendrePair.curvatures`, as a sample formula of `recording.derived_program`."""
+    rj = pair._r_jet(s, 1)
+    vj = pair._v_jet(s, 1)
+    mu0 = pair.mu(s)
+    return inner(_coeff(rj, 1), mu0), inner(_coeff(vj, 1), mu0)
+
+
+def _generated(programs: dict, key, formula, pair, Q, order, s0):
+    """What the generated function of formula(pair, Q, s0, order) returns
+    (`recording.derived_program`), made once per `key` of `programs`; None
+    where there is none or it gives no answer."""
+    program = programs.get(key, False)
+    if program is False:
+        from .recording import derived_program  # loaded with the first formula it runs
+
+        program = programs[key] = derived_program(formula, pair, Q, order)
+    return None if program is None else program(s0)
 
 
 def frenet_regular(curve, s: float) -> FrenetData:
@@ -264,14 +284,20 @@ class AutoDual:
     def _leading(self, s: float, order: int):
         """Vanishing power p of r' at s, from the coefficient lists of r's jet
         of order `order` + 1 and of their derivatives, as `Jet.d_ds` computes
-        and checks them; and those lists."""
-        _, r = self.curve._tape_values(0, s, order + 1)
+        and checks them; and those lists.  They depend on r's lists alone, so
+        a decision is kept with them, in the results of the memoised tape
+        point that holds them."""
+        point, r = self.curve._tape_values(0, s, order + 1)
+        decided = point.results.get(("leading", order))
+        if decided is not None:
+            return decided
         rd = [require_finite([(i + 1) * c[i + 1] for i in range(len(c) - 1)]) for c in r]
         orders = [jets.vanishing_order(c, _FLAT_TOL) for c in rd]
         orders = [o for o in orders if o is not None]
         if not orders:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
-        return min(orders), r, rd
+        decided = point.results["leading", order] = (min(orders), r, rd)
+        return decided
 
     def _raw(self, s: float) -> MVec3:
         """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', in floats."""

@@ -61,6 +61,12 @@ class MVec3:
 def _vec(x1, x2, x3) -> MVec3:
     """An `MVec3` checked as `__post_init__` checks it, without the dataclass init."""
     _require_finite(x1, x2, x3)
+    return _tested_vec(x1, x2, x3)
+
+
+def _tested_vec(x1, x2, x3) -> MVec3:
+    """An `MVec3` of components already tested finite, such as a generated
+    function's outputs, without the dataclass init."""
     vec = object.__new__(MVec3)
     fields = vec.__dict__
     fields["x1"] = x1

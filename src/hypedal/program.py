@@ -5,8 +5,8 @@ computing node from node x and y (a second node, a constant, a function
 or a name), in the format of the tape that `hypedal.expr` compiles a
 curve's expression trees into (Griewank & Walther, "Evaluating
 Derivatives", ch. 13); `hypedal.recording` records formulas written for
-`Jet`s, such as the derived curves' and `classify_pedal`'s, into such
-programs.
+`Jet`s, such as the derived curves' and `classify_pedal`'s, and float
+formulas, such as a derived curve's sample, into such programs.
 
 A program runs as one generated Python function (`inline_program`), whose
 steps do the floating-point operations of the step loop in its order, so
@@ -66,10 +66,20 @@ def _k_trunc(v, x, order):
     return v[x][: order + 1]
 
 
+# what a recorded float formula reads of a jet (`Jet.coeffs[k]`), and a
+# scalar that it computes with, the steps that only recorded formulas take
+def _k_coeff(v, x, k):
+    return v[x][k]
+
+
+def _f_const(v, x, c):
+    return c
+
+
 # -- generated functions -------------------------------------------------------
 
 _EMITTED = {_k_neg, _k_add, _k_sub, _k_mul, _k_div, _k_lift, _k_scale, _k_sqrt, _k_pair, _k_half,
-            _k_tanh, _k_d, _k_trunc, _f_call, _f_pow, *_F_BINARY.values()}
+            _k_tanh, _k_d, _k_trunc, _k_coeff, _f_call, _f_const, _f_pow, *_F_BINARY.values()}
 _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sinh",
             math.cosh: "cosh", math.tanh: "tanh", abs: "abs"}
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
@@ -93,7 +103,7 @@ def inline_program(program, shapes: dict, outputs):
     for node, fn, x, y in program:
         if fn not in _EMITTED:  # a step that raises, such as abs of a jet
             return None
-        if fn is _k_lift or fn is _k_scale:
+        if fn is _k_lift or fn is _k_scale or fn is _f_const:
             slot = slots.setdefault(y.hex() if isinstance(y, float) else y, len(slots))
             if slot == len(consts):
                 consts.append(y)
@@ -161,6 +171,9 @@ def _inline_function(inputs, program, outputs, n_consts):
         body.append(([], []))
         lines = body[-1][0]
         if isinstance(a, str):  # a float program
+            if fn is _f_const:
+                names[node] = k[y]
+                continue
             out = names[node] = f"x{node}"
             body[-1][1].append(out)
             if fn is _f_call:
@@ -173,7 +186,7 @@ def _inline_function(inputs, program, outputs, n_consts):
         if fn is _k_lift:
             names[node] = [k[y]] + ["0.0"] * (len(a) - 1)
             continue
-        if fn is _k_half:
+        if fn is _k_half or fn is _k_coeff:
             names[node] = a[y]
             continue
         if fn is _k_trunc:

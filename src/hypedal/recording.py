@@ -1,23 +1,28 @@
-"""Formulas written for `Jet`s, recorded as straight-line programs.
+"""Formulas written for `Jet`s and floats, recorded as straight-line programs.
 
 A formula such as a derived curve's runs once on `Node`s, jets whose
-operators add the steps of `hypedal.program`'s format, and the program is
-then generated as one Python function (`hypedal.program.inline_program`).
-The library imports this module with the first derived-curve jet, the
-first `classify_pedal` or the first `AutoDual` jet it runs.
+operators add the steps of `hypedal.program`'s format, and on `Scalar`s,
+the floats of a sample formula, whose operators add float steps; the
+program is then generated as one Python function
+(`hypedal.program.inline_program`).  The library imports this module with
+the first derived-curve jet or sample, curvature pair, `classify_pedal` or
+`AutoDual` jet it runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache, partial
 
 from . import jets
-from .expr import _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps
+from .expr import (
+    _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps,
+)
 from .frontal import LegendrePair, _ell_m, _truncate, _unit_normal
 from .jets import Jet, require_finite
 from .minkowski import MVec3, wedge
-from .program import _k_d, _k_trunc, inline_program
+from .program import _f_const, _k_coeff, _k_d, _k_trunc, inline_program
 
 
 class Param:
@@ -104,10 +109,64 @@ class Node(Jet):
             raise ValueError("cannot truncate to a higher order")
         return self if order == self.order else self._step(_k_trunc, self.node, order, order + 1)
 
+    @property
+    def coeffs(self):
+        """The coefficients, each a `Scalar` that reads it."""
+        return tuple(Scalar(self.recording, self.recording._node(_k_coeff, self.node, k))
+                     for k in range(self.width))
+
     def _unrecorded(self, *args):
         raise TypeError("this jet operation is not recorded")
 
     __pow__ = recip = sin = cos = sinh = cosh = tanh = asinh = eval_at_offset = _unrecorded
+
+
+class Scalar(Node):
+    """A float of a formula being recorded.
+
+    Its operators add the float steps of `expr`'s float programs, with the
+    operands in the order the float operation has them; a scalar operand
+    is a constant step.  `jets.sqrt` reaches `sqrt` because a `Scalar` is
+    a `Jet`.
+    """
+
+    def __init__(self, recording: "Recording", node: int):
+        super().__init__(recording, node, 0)
+
+    def _step(self, fn, x, y=None, width=None):
+        return Scalar(self.recording, self.recording._node(fn, x, y))
+
+    def _operand(self, other):
+        if isinstance(other, Scalar):
+            return other.node
+        c = self._constant(other)
+        return None if c is None else self.recording._node(_f_const, self.node, c)
+
+    def _binary(op, reflected=False):
+        """The float operator `op`, or its reflection, on a `Scalar` or a scalar."""
+        fn = _F_BINARY[op]
+
+        def method(self, other):
+            y = self._operand(other)
+            if y is None:
+                return NotImplemented
+            return self._step(fn, y, self.node) if reflected else self._step(fn, self.node, y)
+        return method
+
+    __add__, __radd__ = _binary("+"), _binary("+", True)
+    __sub__, __rsub__ = _binary("-"), _binary("-", True)
+    __mul__, __rmul__ = _binary("*"), _binary("*", True)
+    __truediv__, __rtruediv__ = _binary("/"), _binary("/", True)
+    del _binary
+
+    def __neg__(self):
+        return self._step(_f_call, self.node, operator.neg)
+
+    def sqrt(self):
+        return self._step(_f_call, self.node, math.sqrt)
+
+    coeffs = property(Node._unrecorded)
+    d_ds = truncate = Node._unrecorded
 
 
 class Recording(_Steps):
@@ -120,13 +179,13 @@ class Recording(_Steps):
         self.keys = []  # the key of each input, in that order
         self.params = 0
 
-    def input(self, key, order: int) -> Node:
-        """The jet of order `order` given under `key`."""
+    def input(self, key, order: int | None) -> Node:
+        """The jet of order `order` given under `key`, or the float if `order` is None."""
         node = self._node(None, None, key)
         if node not in self.shapes:
-            self.shapes[node] = order + 1
+            self.shapes[node] = 0 if order is None else order + 1
             self.keys.append(key)
-        return Node(self, node, order + 1)
+        return Scalar(self, node) if order is None else Node(self, node, order + 1)
 
     def point(self) -> MVec3:
         """A point whose coordinates are given when the function runs, as the
@@ -161,20 +220,34 @@ def record(formula):
 # recorded depends on Q.  Where that pair reads r and v from a curve's tape
 # (`LegendrePair.from_curve`), the inputs are the coefficient lists of the
 # tape's memo; otherwise they are those of the jets its evaluators give.
+#
+# A sample formula (order None), such as `LegendrePair.curvatures` or a
+# derived curve's `_sample`, computes floats at s.  Its inputs are the
+# floats r, v (and mu) of the pair the induced pairs start from, read like
+# the jets, and the jets of order 1 of the pair it is given, whose
+# coefficient 1 it reads: an induced pair's come from its generated jet
+# functions (`_InducedPair._jet_lists`).
 
 
-def derived_program(formula, pair, Q, order: int):
+class _Recorded(LegendrePair):
+    """The pair a formula is recorded on: `derived_program` makes no program
+    for it, so that its methods record their formulas too."""
+
+
+def derived_program(formula, pair, Q, order: int | None):
     """program(s0) -> (base, the coefficient lists of the jets that
     formula(pair, Q, s0, order) returns) from the generated function, or None
     where that gives no answer; None where there is none, or where a point is
-    not given in floats (a pair being recorded)."""
+    not given in floats (a pair being recorded).  For a sample formula
+    (`order` None), program(s) -> the list of the floats it returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
 
     chain = []
-    while type(pair) in (PedalInducedPair, OrthotomicInducedPair):
-        chain.append(pair)
-        pair = pair.source
-    if type(pair) is not LegendrePair:  # formulas other than the ones recorded here
+    source = pair
+    while type(source) in (PedalInducedPair, OrthotomicInducedPair):
+        chain.append(source)
+        source = source.source
+    if type(source) is not LegendrePair:  # formulas other than the ones recorded here
         return None
     points = [induced.Q for induced in reversed(chain)] + ([] if Q is None else [Q])
     values = [c for point in points for c in point.components()]
@@ -183,23 +256,82 @@ def derived_program(formula, pair, Q, order: int):
     values = [float(c) for c in values]
     if not all(map(math.isfinite, values)):
         return None
-    has_mu = pair._mu_jet is not None
+    has_mu = source._mu_jet is not None
     recorded = _record_on_pair(formula, tuple(type(p) for p in chain), has_mu, Q is not None,
                                order)
     if recorded is None:
         return None
     function, consts, keys = recorded
     consts = tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
-    # each jet of the source comes as three inputs, its x1, x2 and x3
+    # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
     leaves = [(kind, k) for kind, k, i in keys if i == 0]
-    if pair._curve is not None and not has_mu:
+    tape = source._curve is not None and not has_mu
+    if order is None:
+        return partial(_run_reads, [_read(leaf, pair, source, tape) for leaf in leaves],
+                       function, consts)
+    if tape:
         groups = [(_GROUPS[kind], k) for kind, k in leaves]
-        return partial(_run_on_tape, pair._curve._tape_values, groups, function, consts)
-    leaves = [(getattr(pair, f"{kind}_jet"), k) for kind, k in leaves]
+        return partial(_run_on_tape, source._curve._tape_values, groups, function, consts)
+    leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
     return partial(_run_on_jets, leaves, function, consts)
 
 
 _GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
+
+
+def _read(leaf, pair, source, tape: bool):
+    """read(s) -> the three values of the input `leaf` of a sample formula
+    given `pair` built on `source`, or None where they are not given.  The
+    evaluators are the pairs' own, not their methods, so a program kept by
+    the pair does not keep it alive."""
+    kind, k = leaf
+    if k is None:  # a float triple of the source
+        if tape:
+            return partial(_tape_floats, source._curve._tape_values, _GROUPS[kind])
+        return partial(_evaluated, getattr(source, f"_{kind}"))
+    if pair is not source:  # an induced pair's jet, from its generated function
+        return partial(_generated_lists, pair._jet_lists, "rv".index(kind), k)
+    if tape:
+        return partial(_tape_lists, source._curve._tape_values, _GROUPS[kind], k)
+    return partial(_jet_coeffs, getattr(source, f"_{kind}_jet"), k)
+
+
+def _tape_floats(values_at, group, s):
+    """group's floats at s, which the tape computes unchecked: None unless finite."""
+    values = values_at(group, s)[1]
+    return values if math.isfinite(sum(values)) else None
+
+
+def _evaluated(evaluator, s):
+    return evaluator(s).components()
+
+
+def _generated_lists(jet_lists, which, order, s):
+    out = jet_lists(which, order, s)
+    return None if out is None else out[1]
+
+
+def _tape_lists(values_at, group, order, s):
+    return values_at(group, s, order)[1]
+
+
+def _jet_coeffs(evaluator, order, s):
+    return [j.coeffs for j in evaluator(s, order).components()]
+
+
+def _run_reads(reads, function, consts, s):
+    """function(the values that each of `reads` gives at s, consts), or None
+    where a read gives none, the function returns None or anything raises."""
+    given = []
+    try:
+        for read in reads:
+            values = read(s)
+            if values is None:
+                return None
+            given += values
+        return function(given, consts)
+    except Exception:  # the formula raises what it raises
+        return None
 
 
 def _run_on_tape(values_at, groups, function, consts, s0):
@@ -239,27 +371,34 @@ def _run_on_jets(leaves, function, consts, s0):
 
 
 @lru_cache(maxsize=64)
-def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int):
+def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):
     """`record` of formula(pair, Q, s0, order) on a pair built by `kinds` (induced
     pair classes, outermost first) around one whose r, v and, if `has_mu`, mu
-    jets are inputs; Q a point if `with_q`."""
+    jets and floats are inputs; Q a point if `with_q`.  A sample formula
+    (`order` None) reads the jets of the outermost pair as inputs."""
     def on_inputs(recording):
         def inputs(kind):
             return lambda s0, k: MVec3(*(recording.input((kind, k, i), k) for i in range(3)))
 
-        pair = LegendrePair(None, inputs("r"), None, inputs("v"), (0.0, 1.0), name="recorded",
-                            mu_jet=inputs("mu") if has_mu else None)
+        def floats(kind):
+            return lambda s: MVec3(*(recording.input((kind, None, i), None) for i in range(3)))
+
+        pair = _Recorded(floats("r"), inputs("r"), floats("v"), inputs("v"), (0.0, 1.0),
+                         name="recorded", mu=floats("mu") if has_mu else None,
+                         mu_jet=inputs("mu") if has_mu else None)
         for cls in reversed(kinds):
             pair = cls(pair, recording.point())
+        if order is None:
+            pair._r_jet, pair._v_jet = inputs("r"), inputs("v")
         return formula(pair, recording.point() if with_q else None, 0.0, order)
 
     return record(on_inputs)
 
 
 @lru_cache(maxsize=16)
-def evolute_tail(branch, order: int):
+def evolute_tail(branch, order: int | None):
     """`record` of `EvoluteCurve._scaled` on the branch, from inputs d2 and then
-    m r - ell v."""
+    m r - ell v: jets of order `order`, or floats if it is None."""
     from .constructions import EvoluteCurve
 
     def scaled(recording):

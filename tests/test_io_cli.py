@@ -412,6 +412,24 @@ def test_bisection_into_an_undefined_parameter_leaves_a_gap(argv, tmp_path):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["evolute"],
+    ["caustic", "--point", "1.1276259652063807,0.3126571832962484,0.41687624439499793"],
+])
+def test_a_parameter_undefined_off_the_scan_grid_is_a_gap(args, tmp_path):
+    # s^3 * s / s is undefined at s = 0, which the 100-point scan does not
+    # sample, but the 101-point grid of the curvature scale that tags the
+    # cause of each singular point does; it is a gap there too
+    doc = {"schema": 1, "name": "gap", "r": ["sqrt(1 + s^4 + s^6)", "s^2", "s^3 * s / s"],
+           "domain": [-1, 1], "samples": 100}
+    f = tmp_path / "gap.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert main([*args, "--curve", str(f), "--samples", "100", "--out", str(out)]) == 0
+    sidecar = json.loads(out.with_name("out.singular.json").read_text())
+    assert len(sidecar["singular_points"]) == 2
+
+
 _SINGULAR = json.loads((FIXTURES / "singular_points.json").read_text())
 
 

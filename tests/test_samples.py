@@ -1,0 +1,237 @@
+"""Float samples, curvature pairs and the singular-point scan on generated programs.
+
+`LegendrePair.curvatures`, `DerivedCurve.at`, `EvoluteCurve.at_with_branch`
+and the scan's speed run functions generated from their formulas
+(`recording.derived_program` with order None, and the jets' programs for
+the scan).  With the generator off every one of them runs its formula, and
+each must then give the same bits, compared by repr so that the sign of
+zero counts, or raise the same error.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from conftest import CURVES
+from hypedal import constructions as cons
+from hypedal import frontal, recording
+from hypedal.constructions import EvoluteDegenerateError
+from hypedal.expr import linspace
+from hypedal.frontal import LegendrePair
+from hypedal.io import curve_from_dict, load_curve
+from hypedal.minkowski import MVec3
+
+NAMES = ("astroid", "cusp23", "cusp37", "circle")
+CUSPS = {"astroid": (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi), "cusp23": (0.0,),
+         "cusp37": (0.0,), "circle": ()}
+WHERE = ("generic", "on the curve", "on the tangent geodesic")
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    """Each shipped curve with its dual from the file, and derived by `AutoDual`."""
+    out = {}
+    for name in NAMES:
+        curve = load_curve(CURVES / f"{name}.json")
+        out[name] = LegendrePair.from_curve(curve)
+        out[name + " auto"] = LegendrePair.with_auto_dual(curve)
+    return out
+
+
+def _point(pair, where):
+    a, b = pair.domain
+    s1 = a + 0.37 * (b - a)
+    return {"generic": MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0),
+                             math.sinh(0.7) * math.sin(1.0)),
+            "on the curve": pair.r(s1),
+            "on the tangent geodesic": math.cosh(0.6) * pair.r(s1) + math.sinh(0.6) * pair.mu(s1),
+            }[where]
+
+
+def _parameters(name, pair):
+    """A grid, -0.0, the domain ends and the cusp parameters."""
+    return (*linspace(pair.domain, 23), -0.0, *pair.domain, *CUSPS[name])
+
+
+def _outcome(fn):
+    """The value by repr (a point's components, with its branch), or the exception."""
+    try:
+        value = fn()
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+    if isinstance(value, tuple) and isinstance(value[0], MVec3):
+        return [repr(c) for c in value[0].components()], value[1]
+    if isinstance(value, MVec3):
+        return [repr(c) for c in value.components()]
+    return repr(value)
+
+
+def _curves(pair, Q):
+    """Each derived curve that samples, and the pairs whose curvatures it reads;
+    the induced pairs are built without the off-curve check, so that Q on the
+    curve is covered too."""
+    induced = cons.OrthotomicInducedPair(pair, Q)
+    curves = {"pedal": cons.PedalCurve(pair, Q), "orthotomic": cons.OrthotomicCurve(pair, Q),
+              "evolute": cons.EvoluteCurve(pair),
+              "catacaustic": cons.EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")}
+    return curves, {"source": pair, "pedal-induced": cons.PedalInducedPair(pair, Q),
+                    "orthotomic-induced": induced}
+
+
+def _samples(pair, Q, grid):
+    curves, induced = _curves(pair, Q)
+    out = {}
+    for kind, curve in curves.items():
+        sample = curve.at_with_branch if isinstance(curve, cons.EvoluteCurve) else curve.at
+        out[kind] = [_outcome(lambda: sample(s)) for s in grid]
+    for kind, p in induced.items():
+        out[kind + " curvatures"] = [_outcome(lambda: p.curvatures(s)) for s in grid]
+    return out
+
+
+def _answered(pair, Q, grid):
+    """The share of samples and curvature pairs that a generated function gave."""
+    curves, induced = _curves(pair, Q)
+    answers = [curve._sampled(s) is not None for curve in curves.values() for s in grid]
+    for p in induced.values():
+        for s in grid:
+            out = frontal._generated(p._samplers, frontal._curvatures, frontal._curvatures, p,
+                                     None, None, s)
+            answers.append(out is not None)
+    return sum(answers) / len(answers)
+
+
+def _formula_only(monkeypatch):
+    monkeypatch.setattr(recording, "derived_program", lambda *args: None)
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("which", [*NAMES, *(name + " auto" for name in NAMES)])
+def test_samples_and_curvatures_are_those_of_the_formulas(which, where, pairs, monkeypatch):
+    # mutations: the H2 sign flip of the evolute's tail dropped; coefficient 0
+    # read where the curvature pair reads r' and v'
+    pair = pairs[which]
+    Q = _point(pair, where)
+    grid = _parameters(which.split()[0], pair)
+    generated = _samples(pair, Q, grid)
+    assert _answered(pair, Q, grid) >= 0.8
+    _formula_only(monkeypatch)
+    assert generated == _samples(pair, Q, grid)
+
+
+def _speeds(curve, grid):
+    """The scan's (speed, slope) at each parameter, or None where it is a gap."""
+    captured = []
+    real = cons._zeros
+
+    def zeros(f, *args):
+        captured.append(f)
+        return []
+
+    cons._zeros = zeros
+    try:
+        cons.singular_points(curve, samples=len(grid))
+    finally:
+        cons._zeros = real
+    return [repr(captured[0](s)) for s in grid]
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("which", ["astroid", "cusp23", "astroid auto", "cusp37 auto"])
+def test_the_scan_reads_the_speeds_of_the_formulas(which, where, pairs, monkeypatch):
+    pair = pairs[which]
+    Q = _point(pair, where)
+    grid = _parameters(which.split()[0], pair)
+    generated = {kind: _speeds(curve, grid) for kind, curve in _curves(pair, Q)[0].items()}
+    _formula_only(monkeypatch)
+    assert generated == {kind: _speeds(curve, grid) for kind, curve in _curves(pair, Q)[0].items()}
+
+
+# -- where a generated function gives no answer ----------------------------------
+
+
+def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
+    def fresh():  # a pair keeps the programs it made
+        return LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
+
+    pair = fresh()
+    Q = _point(pair, "generic")
+    grid = _parameters("astroid", pair)
+    generated = _samples(pair, Q, grid)
+    monkeypatch.setattr(recording, "_run_reads", lambda *args: None)
+    assert _answered(fresh(), Q, grid) == 0.0
+    assert _samples(fresh(), Q, grid) == generated
+
+
+def _huge_dual_pair():
+    # v = (0, 0, 1e160): <Q, v> v overflows in the pedal and the orthotomic,
+    # and ell^2 in the evolute's squares, ahead of its branch decision
+    return LegendrePair.from_curve(curve_from_dict({
+        "schema": 1, "name": "huge-dual", "r": ["sqrt(1 + s^2)", "s", "0"],
+        "v": ["0", "0", "1e160"], "domain": [-1.0, 1.0]}))
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("pedal", (ValueError, "non-finite vector component")),
+    ("orthotomic", (ValueError, "non-finite vector component")),
+    ("evolute", (EvoluteDegenerateError, "evolute degenerate at s=0.5")),
+])
+def test_a_non_finite_value_raises_what_the_formula_raises(kind, error, monkeypatch):
+    # mutation: the generated functions' finiteness test skipped
+    pair = _huge_dual_pair()
+    Q = _point(pair, "generic")
+    curve = _curves(pair, Q)[0][kind]
+    sample = curve.at_with_branch if kind == "evolute" else curve.at
+    assert curve._sampled(0.5) is None
+    assert _outcome(lambda: sample(0.5)) == error
+    _formula_only(monkeypatch)
+    assert _outcome(lambda: sample(0.5)) == error
+
+
+def _degenerate_parameter(lo, hi, d2):
+    """A parameter in [lo, hi] where d2(s) changes sign, bisected to rounding."""
+    flo = d2(lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if (d2(mid) > 0.0) == (flo > 0.0):
+            lo, flo = mid, d2(mid)
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_the_branch_decision_raises_on_the_generated_values(pairs, monkeypatch):
+    # the sample's decision reads m^2 - ell^2 from the generated function, and the
+    # scan's from the jet's: both raise there as the formula does, and the scan
+    # makes the parameter a gap
+    pair = pairs["cusp23"]
+    ev = cons.evolute(pair)
+    crossing = _degenerate_parameter(0.0, 0.5, lambda s: ev._sampled(s)[2])
+    error = (EvoluteDegenerateError, f"evolute degenerate at s={crossing!r}")
+    assert _outcome(lambda: ev.at_with_branch(crossing)) == error
+    jet_crossing = _degenerate_parameter(0.0, 0.5, lambda s: ev._run_program(s, 2)[1][2][0])
+    assert ev._run_program(jet_crossing, 2) is not None
+    with pytest.raises(EvoluteDegenerateError):
+        ev.jet(jet_crossing, 2, coeffs=True)
+    assert _speeds(ev, [jet_crossing]) == ["None"]
+    _formula_only(monkeypatch)
+    assert _outcome(lambda: cons.evolute(pair).at_with_branch(crossing)) == error
+    assert _speeds(cons.evolute(pair), [jet_crossing]) == ["None"]
+
+
+# -- the cause of a singular point ------------------------------------------------
+
+
+def test_an_undefined_curvature_pair_is_left_out_of_the_cause_scale():
+    # s^3 * s / s is undefined at s = 0, which the 101-point grid of the cause
+    # scale holds and the scan's 100-point grid does not
+    curve = curve_from_dict({"schema": 1, "name": "gap",
+                             "r": ["sqrt(1 + s^4 + s^6)", "s^2", "s^3 * s / s"],
+                             "domain": [-1, 1], "samples": 100})
+    pair = LegendrePair.with_auto_dual(curve)
+    with pytest.raises(ValueError):
+        pair.curvatures(0.0)
+    found = cons.evolute(pair).singular_points(samples=100)
+    assert [p.cause for p in found] == ["other", "other"]
