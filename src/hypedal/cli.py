@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__, constructions, io, jets, singularity
@@ -39,27 +40,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built once per process."""
     parser = _Parser(prog="hypedal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hypedal {__version__}")
-    # each command's handler is its `run` default
+    # each command's handler is named by its `run` default and looked up when
+    # it runs, so the parser holds no function of this module
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("check", help="validate the Legendrian conditions (exit 0 pass, 2 fail)")
-    p.set_defaults(run=_cmd_check)
+    p.set_defaults(run="_cmd_check")
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
     p.add_argument("--tol", type=float, default=1e-9, help="max allowed relative residual (default 1e-9)")
 
     p = sub.add_parser("curvatures", help="CSV of the curvature pair: columns s,l,m")
-    p.set_defaults(run=_cmd_curvatures)
+    p.set_defaults(run="_cmd_curvatures")
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     for kind, (_, point, help_text) in _KINDS.items():
         p = sub.add_parser(kind, help=help_text)
-        p.set_defaults(run=_cmd_derived)
+        p.set_defaults(run="_cmd_derived")
         p.add_argument("--curve", required=True, help="curve JSON file")
         if point:
             p.add_argument("--point", required=True, help='pedal point "x1,x2,x3" on the upper sheet')
@@ -71,7 +75,7 @@ def _build_parser() -> _Parser:
                             "largest speed on the grid (default 1e-7)")
 
     p = sub.add_parser("classify", help="classify the pedal singularity at s0 (exit 0/4/5 per verdict)")
-    p.set_defaults(run=_cmd_classify)
+    p.set_defaults(run="_cmd_classify")
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--point", required=True, help='pedal point "x1,x2,x3" on the upper sheet')
     p.add_argument("--s0", type=float, required=True, help="parameter value to classify at")
@@ -82,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("plot", help="SVG figure with the source and derived curves")
-    p.set_defaults(run=_cmd_plot)
+    p.set_defaults(run="_cmd_plot")
     p.add_argument("--curve", required=True)
     p.add_argument("--point", default=None)
     p.add_argument("--kind", default="pedal",
@@ -299,7 +303,7 @@ def _cmd_plot(ns) -> int:
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        return ns.run(ns)
+        return globals()[ns.run](ns)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except (UsageError, CurveFileError, ParseError, OSError) as exc:

@@ -58,11 +58,21 @@ def _is_curve_point(Q: MVec3, r: MVec3, tol: float) -> bool:
     return abs(d + 1.0) <= tol * max(1.0, abs(d))
 
 
+def _off_curve_gap(pair, Q, s, order):
+    """(-(<Q, r(s)> + 1),), as a sample formula of `recording.derived_program`."""
+    return (-(inner(Q, pair.r(s)) + 1.0),)
+
+
 def _require_off_curve(pair: LegendrePair, Q: MVec3):
     # The proxy f = -(<Q, r> + 1) >= 0 touches zero quadratically where Q = r(s),
     # so the grid minimum is refined as a sign change of f' before the test.
+    from .recording import derived_program  # loaded with the first formula it runs
+
+    program = derived_program(_off_curve_gap, pair, Q, None, True)  # fused only
+
     def f(s):
-        return -(inner(Q, pair.r(s)) + 1.0)
+        out = None if program is None else program(s)
+        return _off_curve_gap(pair, Q, s, None)[0] if out is None else out[0]
 
     def fprime(s):
         return -inner(Q, _coeff(pair.r_jet(s, 1), 1))

@@ -697,6 +697,25 @@ def to_text(e: CurveExpr) -> str:
 
 # -- parametric curves -------------------------------------------------
 
+# The tapes of the last curves evaluated, keyed by the text of their
+# expressions, so that a fresh load of a curve file reuses its tapes and
+# every program generated for them, `hypedal.recording`'s fused ones included.
+TAPES_SIZE = 16
+_TAPES: dict = {}
+
+
+def _shared_tapes(groups) -> tuple:
+    """(float tape, jet tape, {}) of groups of expression trees, made once
+    per text; the dict holds what `hypedal.recording` fuses with them."""
+    key = tuple(tuple(map(to_text, trees)) for trees in groups)  # repr keeps -0.0
+    tapes = _TAPES.pop(key, None)
+    if tapes is None:
+        tapes = (_Tape(groups, floats=True), _Tape(groups), {})
+        if len(_TAPES) >= TAPES_SIZE:
+            del _TAPES[next(iter(_TAPES))]
+    _TAPES[key] = tapes
+    return tapes
+
 
 def linspace(domain, n: int) -> list[float]:
     """n >= 2 evenly spaced parameters a + i * step of [a, b], the last exactly b."""
@@ -716,8 +735,9 @@ class ParametricCurve:
     numerically (see frontal.AutoDual).
 
     `point`, `dual_point`, `point_jet` and `dual_jet` run a float and a jet
-    tape, each compiled from all six trees on first use, so r and v at one
-    point share their common subtrees.  The node values of the last
+    tape, each compiled from all six trees on first use (and shared with
+    every curve of the same expressions), so r and v at one point share
+    their common subtrees.  The node values of the last
     `JET_MEMO_SIZE` points are kept in a memo keyed on (s, sign of s,
     degree), degree 0 for floats, so a repeated request costs a lookup.
     """
@@ -763,8 +783,9 @@ class ParametricCurve:
         """(point, values): the memoised `_TapePoint` of s that serves `order`,
         and group's three values there, floats or the coefficient lists of
         jets truncated to `order`.  `_at` reads the memo only through here, and
-        so do `frontal.AutoDual` and the generated derived-curve functions,
-        which take the lists as they are."""
+        so do `frontal.AutoDual` and the generated derived-curve functions
+        that run apart from the tape (`hypedal.recording`'s wide ones), which
+        take the lists as they are."""
         base, degree = (float(s), 0) if order is None else _tape_args(s, order)
         key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
         memo = self._memo
@@ -780,11 +801,7 @@ class ParametricCurve:
                         key, point = k, memo.pop(k)
                         break
             if point is None:
-                if self._tapes is None:
-                    groups = (self.components,) if self.dual_components is None else (
-                        self.components, self.dual_components)
-                    object.__setattr__(self, "_tapes", (_Tape(groups, floats=True), _Tape(groups)))
-                point = _TapePoint(self._tapes[degree > 0], base, degree)
+                point = _TapePoint(self._tape_set()[degree > 0], base, degree)
             # memoised before the run, so a refused group keeps what the other one computed
             if len(memo) >= JET_MEMO_SIZE:
                 del memo[next(iter(memo))]
@@ -796,6 +813,15 @@ class ParametricCurve:
                 values = [c[: order + 1] for c in values]
             point.results[group, order] = values
         return point, values
+
+    def _tape_set(self) -> tuple:
+        """(float tape, jet tape, programs fused with them) of r and v, shared
+        with every curve of the same expressions (`_shared_tapes`)."""
+        if self._tapes is None:
+            groups = (self.components,) if self.dual_components is None else (
+                self.components, self.dual_components)
+            object.__setattr__(self, "_tapes", _shared_tapes(groups))
+        return self._tapes
 
     def has_dual(self) -> bool:
         return self.dual_components is not None

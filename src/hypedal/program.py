@@ -48,7 +48,7 @@ from functools import lru_cache
 from . import jets
 from .expr import (
     _F_BINARY, _INLINE_WIDTH as INLINE_WIDTH, _TWO_OPERANDS, _f_call, _f_pow, _k_add, _k_div,
-    _k_half, _k_lift, _k_mul, _k_neg, _k_pair, _k_scale, _k_sqrt, _k_sub, _k_tanh,
+    _k_half, _k_lift, _k_mul, _k_neg, _k_pair, _k_scale, _k_sqrt, _k_sub, _k_tanh, _Steps,
 )
 from .jets import sinh_cosh_coeffs
 
@@ -76,17 +76,25 @@ def _f_const(v, x, c):
     return c
 
 
+# the variable s as a jet of degree `degree`, (s, 1.0, 0.0, ...), from the
+# float s: how a fused program feeds a curve's jet tape
+def _k_var(v, x, degree):
+    return [v[x], 1.0] + [0.0] * (degree - 1)
+
+
 # -- generated functions -------------------------------------------------------
 
 _EMITTED = {_k_neg, _k_add, _k_sub, _k_mul, _k_div, _k_lift, _k_scale, _k_sqrt, _k_pair, _k_half,
-            _k_tanh, _k_d, _k_trunc, _k_coeff, _f_call, _f_const, _f_pow, *_F_BINARY.values()}
+            _k_tanh, _k_d, _k_trunc, _k_coeff, _k_var, _f_call, _f_const, _f_pow,
+            *_F_BINARY.values()}
 _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sinh",
             math.cosh: "cosh", math.tanh: "tanh", abs: "abs"}
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
 
 
-def inline_program(program, shapes: dict, outputs):
-    """(function, constants) running `program`, or None where it does not inline.
+def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS):
+    """(function, constants) running `program`, or None where it does not
+    inline, or where it has more than `max_steps` steps.
 
     `shapes` maps each input node, in the order the function takes their
     values, to 0 (a float), w (a jet of w coefficients) or -w (a sin/cos or
@@ -95,7 +103,7 @@ def inline_program(program, shapes: dict, outputs):
     A constant that is not a float (a `recording.Param`) stands for the
     value given in its place.
     """
-    if len(program) > _INLINE_STEPS:
+    if len(program) > max_steps:
         return None
     slots = {}  # a float's bits, or a `Param` -> argument index
     consts = []
@@ -128,6 +136,48 @@ def tape_program(tape, program, degree: int):
     outputs = [node for node, *_ in program if node in read]
     inline = inline_program(program, shapes, outputs)
     return None if inline is None else (inline[0], list(shapes), outputs, inline[1])
+
+
+def fused_program(tapes, program, reads: dict, outputs, degree: int):
+    """`inline_program` of a recorded `program` together with the steps of a
+    curve's tapes (float tape, jet tape) that its inputs read, as one function
+    of the float s; None where it does not inline.
+
+    `reads` maps each input node of `program` to (group, None, i), component
+    i of the group's floats, or (group, k, i), its jet truncated to order
+    k <= `degree`, the degree the jet tape runs at.  The function takes (s,)
+    and the constants: the recorded ones, such as Q, and the tapes'.  It is
+    made wherever `program` and each tape program it reads inline alone.
+    """
+    if len(program) > _INLINE_STEPS:
+        return None
+    fused = _Steps()  # node 0 is the float s
+    nodes = [{0: 0}, {}]  # per tape: its node -> the fused node
+
+    def node(t, n):
+        if n not in nodes[t]:  # s of the jet tape, or a constant of the float tape
+            nodes[t][n] = (fused._node(_k_var, 0, degree) if t
+                           else fused._node(_f_const, 0, tapes[0].steps[n][2]))
+        return nodes[t][n]
+
+    for t, group in sorted({(int(k is not None), group) for group, k, _ in reads.values()}):
+        steps = tapes[t].programs[group]
+        if len(steps) > _INLINE_STEPS:
+            return None
+        for n, fn, x, y in steps:
+            if fn not in _EMITTED:  # a step that always raises
+                return None
+            if n not in nodes[t]:
+                nodes[t][n] = fused._node(fn, node(t, x), node(t, y) if fn in _TWO_OPERANDS else y)
+    given = {}
+    for n, (group, k, i) in reads.items():
+        t = int(k is not None)
+        value = node(t, tapes[t].outputs[group][i])
+        given[n] = value if k is None or k == degree else fused._node(_k_trunc, value, k)
+    for n, fn, x, y in program:
+        given[n] = fused._node(fn, given[x], given[y] if fn in _TWO_OPERANDS else y)
+    outputs = [given[n] for n in outputs]
+    return inline_program(fused._program(outputs), {0: 0}, outputs, max_steps=math.inf)
 
 
 def _div_refused(b0: str, scale: str) -> str:
@@ -170,6 +220,9 @@ def _inline_function(inputs, program, outputs, n_consts):
         a = names[x]
         body.append(([], []))
         lines = body[-1][0]
+        if fn is _k_var:  # the float s, then literals
+            names[node] = [a, "1.0"] + ["0.0"] * (y - 1)
+            continue
         if isinstance(a, str):  # a float program
             if fn is _f_const:
                 names[node] = k[y]

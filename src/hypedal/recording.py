@@ -4,7 +4,9 @@ A formula such as a derived curve's runs once on `Node`s, jets whose
 operators add the steps of `hypedal.program`'s format, and on `Scalar`s,
 the floats of a sample formula, whose operators add float steps; the
 program is then generated as one Python function
-(`hypedal.program.inline_program`).  The library imports this module with
+(`hypedal.program.inline_program`), for a curve's derived curves together
+with the tape steps it reads (`hypedal.program.fused_program`).  The
+library imports this module with
 the first derived-curve jet or sample, curvature pair, `classify_pedal` or
 `AutoDual` jet it runs.
 """
@@ -22,7 +24,9 @@ from .expr import (
 from .frontal import LegendrePair, _ell_m, _truncate, _unit_normal
 from .jets import Jet, require_finite
 from .minkowski import MVec3, wedge
-from .program import _f_const, _k_coeff, _k_d, _k_trunc, inline_program
+from .program import (
+    INLINE_WIDTH, _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program,
+)
 
 
 class Param:
@@ -194,18 +198,28 @@ class Recording(_Steps):
         return MVec3(*(Param(self.params - 3 + i) for i in range(3)))
 
 
-def record(formula):
-    """(function, constants, input keys) of formula(recording), a `Jet`
-    formula run on a `Recording`'s inputs and points, or None where it does
-    not record or inline.  The function takes the coefficient sequences of
-    the inputs, in the order of the keys, and returns the coefficient lists
-    of the jets the formula returns (a tuple of jets or an `MVec3`)."""
+def _steps(formula):
+    """(recording, output nodes) of formula(recording), a `Jet` formula run on
+    a `Recording`'s inputs and points, or None where it does not record."""
     recording = Recording()
     try:
         outputs = formula(recording)
     except (TypeError, ValueError, ArithmeticError, AttributeError):  # not recordable
         return None
-    nodes = [out.node for out in (outputs.components() if isinstance(outputs, MVec3) else outputs)]
+    return recording, [out.node for out in (outputs.components() if isinstance(outputs, MVec3)
+                                            else outputs)]
+
+
+def record(formula):
+    """(function, constants, input keys) of `_steps`' recording, or None where
+    it does not record or inline.  The function takes the coefficient
+    sequences of the inputs, in the order of the keys, and returns the
+    coefficient lists of the jets the formula returns (a tuple of jets or an
+    `MVec3`)."""
+    recorded = _steps(formula)
+    if recorded is None:
+        return None
+    recording, nodes = recorded
     inline = inline_program(recording._program(nodes), recording.shapes, nodes)
     return None if inline is None else (*inline, recording.keys)
 
@@ -217,15 +231,20 @@ def record(formula):
 # it is built through, and whether the pair they start from gives mu itself.
 # Each jet (r | v | mu, order) that the formula asks of that pair is an
 # input, and the coordinates of each pedal point Q are parameters, so nothing
-# recorded depends on Q.  Where that pair reads r and v from a curve's tape
-# (`LegendrePair.from_curve`), the inputs are the coefficient lists of the
-# tape's memo; otherwise they are those of the jets its evaluators give.
+# recorded depends on Q.  A sample formula (order None), such as
+# `LegendrePair.curvatures` or a derived curve's `_sample`, computes floats
+# at s from the floats r, v (and mu) of that pair, and from coefficient 1 of
+# jets of order 1.
 #
-# A sample formula (order None), such as `LegendrePair.curvatures` or a
-# derived curve's `_sample`, computes floats at s.  Its inputs are the
-# floats r, v (and mu) of the pair the induced pairs start from, read like
-# the jets, and the jets of order 1 of the pair it is given, whose
-# coefficient 1 it reads: an induced pair's come from its generated jet
+# Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`)
+# and no jet is wider than `INLINE_WIDTH` coefficients, the recording is
+# fused with the tape steps its inputs read (`program.fused_program`): one
+# generated function from s to the formula's values, kept with the tapes.  A
+# sample formula given an induced pair records that pair's jets too, from
+# the tapes.  Elsewhere the inputs are read apart from the formula's
+# function: a wide jet's lists from the tape memo, the jets and floats of
+# other pairs (`AutoDual`, reparametrized) from their evaluators, and a
+# sample formula's jets of an induced pair from that pair's generated jet
 # functions (`_InducedPair._jet_lists`).
 
 
@@ -234,12 +253,13 @@ class _Recorded(LegendrePair):
     for it, so that its methods record their formulas too."""
 
 
-def derived_program(formula, pair, Q, order: int | None):
+def derived_program(formula, pair, Q, order: int | None, fused_only: bool = False):
     """program(s0) -> (base, the coefficient lists of the jets that
     formula(pair, Q, s0, order) returns) from the generated function, or None
     where that gives no answer; None where there is none, or where a point is
-    not given in floats (a pair being recorded).  For a sample formula
-    (`order` None), program(s) -> the list of the floats it returns."""
+    not given in floats (a pair being recorded), or where it is not fused
+    with a curve's tapes and `fused_only`.  For a sample formula (`order`
+    None), program(s) -> the list of the floats it returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
 
     chain = []
@@ -256,22 +276,28 @@ def derived_program(formula, pair, Q, order: int | None):
     values = [float(c) for c in values]
     if not all(map(math.isfinite, values)):
         return None
+    kinds = tuple(type(p) for p in chain)
     has_mu = source._mu_jet is not None
-    recorded = _record_on_pair(formula, tuple(type(p) for p in chain), has_mu, Q is not None,
-                               order)
+    curve = None if has_mu else source._curve
+    if curve is not None:
+        fused = _fused(curve._tape_set(), formula, kinds, Q is not None, order)
+        if fused is not None:
+            return partial(_run_fused, fused[0], _given(fused[1], values), order is not None)
+    if fused_only or curve is not None and order is None:
+        return None  # not fused: a sample of a curve's pair runs its formula
+    recorded = _record_on_pair(formula, kinds, has_mu, Q is not None, order)
     if recorded is None:
         return None
     function, consts, keys = recorded
-    consts = tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
+    consts = _given(consts, values)
     # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
     leaves = [(kind, k) for kind, k, i in keys if i == 0]
-    tape = source._curve is not None and not has_mu
     if order is None:
-        return partial(_run_reads, [_read(leaf, pair, source, tape) for leaf in leaves],
+        return partial(_run_reads, [_read(leaf, pair, source) for leaf in leaves],
                        function, consts)
-    if tape:
+    if curve is not None:  # a wide jet
         groups = [(_GROUPS[kind], k) for kind, k in leaves]
-        return partial(_run_on_tape, source._curve._tape_values, groups, function, consts)
+        return partial(_run_on_tape, curve._tape_values, groups, function, consts)
     leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
     return partial(_run_on_jets, leaves, function, consts)
 
@@ -279,27 +305,55 @@ def derived_program(formula, pair, Q, order: int | None):
 _GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
 
 
-def _read(leaf, pair, source, tape: bool):
+def _given(consts, values):
+    """The constants of a recorded function, each `Param` replaced by its value."""
+    return tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
+
+
+def _fused(tapes, formula, kinds: tuple, with_q: bool, order: int | None):
+    """(function, constants) of `program.fused_program` for formula recorded on
+    a `from_curve` pair with these tapes (`ParametricCurve._tape_set`), made once
+    per tapes; None where a jet is wide or it does not record or inline."""
+    key = (formula, kinds, with_q, order)
+    fused = tapes[2]
+    if key not in fused:
+        recorded = _fusable(*key)
+        fused[key] = None if recorded is None else fused_program(tapes, *recorded)
+    return fused[key]
+
+
+@lru_cache(maxsize=64)
+def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
+    """(program, reads, outputs, degree) of formula recorded on a `from_curve`
+    pair: its steps, the (tape group, order or None, component) that each
+    input reads, and the degree the jet tape runs at, at least 1; None where
+    that degree needs jets wider than `INLINE_WIDTH`, or it does not record.
+    Only fused programs keep their recorded steps."""
+    if order is not None and order >= INLINE_WIDTH:  # a jet formula reads jets of `order` or more
+        return None
+    recorded = _steps(_on_pair(formula, kinds, False, with_q, order, fused=True))
+    if recorded is None:
+        return None
+    recording, outputs = recorded
+    reads = {node: (_GROUPS[kind], k, i)
+             for node, (kind, k, i) in zip(recording.shapes, recording.keys)}
+    degree = max([1] + [k for _, k, _ in reads.values() if k is not None])
+    if degree >= INLINE_WIDTH:
+        return None
+    return recording._program(outputs), reads, outputs, degree
+
+
+def _read(leaf, pair, source):
     """read(s) -> the three values of the input `leaf` of a sample formula
     given `pair` built on `source`, or None where they are not given.  The
     evaluators are the pairs' own, not their methods, so a program kept by
     the pair does not keep it alive."""
     kind, k = leaf
     if k is None:  # a float triple of the source
-        if tape:
-            return partial(_tape_floats, source._curve._tape_values, _GROUPS[kind])
         return partial(_evaluated, getattr(source, f"_{kind}"))
     if pair is not source:  # an induced pair's jet, from its generated function
         return partial(_generated_lists, pair._jet_lists, "rv".index(kind), k)
-    if tape:
-        return partial(_tape_lists, source._curve._tape_values, _GROUPS[kind], k)
     return partial(_jet_coeffs, getattr(source, f"_{kind}_jet"), k)
-
-
-def _tape_floats(values_at, group, s):
-    """group's floats at s, which the tape computes unchecked: None unless finite."""
-    values = values_at(group, s)[1]
-    return values if math.isfinite(sum(values)) else None
 
 
 def _evaluated(evaluator, s):
@@ -311,12 +365,19 @@ def _generated_lists(jet_lists, which, order, s):
     return None if out is None else out[1]
 
 
-def _tape_lists(values_at, group, order, s):
-    return values_at(group, s, order)[1]
-
-
 def _jet_coeffs(evaluator, order, s):
     return [j.coeffs for j in evaluator(s, order).components()]
+
+
+def _run_fused(function, consts, jets: bool, s):
+    """function((s,), consts), and s before it for a jet program; None where
+    s is not finite, or where the function returns None or anything raises."""
+    try:
+        s = float(s)
+        out = function((s,), consts) if math.isfinite(s) else None
+    except Exception:  # the formula raises what it raises
+        return None
+    return (s, out) if jets and out is not None else out
 
 
 def _run_reads(reads, function, consts, s):
@@ -376,6 +437,12 @@ def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: in
     pair classes, outermost first) around one whose r, v and, if `has_mu`, mu
     jets and floats are inputs; Q a point if `with_q`.  A sample formula
     (`order` None) reads the jets of the outermost pair as inputs."""
+    return record(_on_pair(formula, kinds, has_mu, with_q, order, fused=False))
+
+
+def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None, fused: bool):
+    """formula(recording) of `_record_on_pair`; where `fused`, a sample formula
+    reads the outermost pair's jets through the formulas of its induced pairs."""
     def on_inputs(recording):
         def inputs(kind):
             return lambda s0, k: MVec3(*(recording.input((kind, k, i), k) for i in range(3)))
@@ -388,11 +455,11 @@ def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: in
                          mu_jet=inputs("mu") if has_mu else None)
         for cls in reversed(kinds):
             pair = cls(pair, recording.point())
-        if order is None:
+        if order is None and not fused:
             pair._r_jet, pair._v_jet = inputs("r"), inputs("v")
         return formula(pair, recording.point() if with_q else None, 0.0, order)
 
-    return record(on_inputs)
+    return on_inputs
 
 
 @lru_cache(maxsize=16)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CURVES, random_h2_point
-from hypedal import jets, program, recording
+from hypedal import expr, jets, program, recording
 from hypedal import constructions as cons
 from hypedal.constructions import (
     Branch, EvoluteDegenerateError, PedalPointOnCurveError, scalar_zeros,
@@ -476,9 +476,11 @@ def _branch_outcome(fn):
 @pytest.mark.parametrize("which", ["astroid", "astroid auto"])
 def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pairs,
                                                   monkeypatch):
-    # a caustic float sample reads the induced pair's r and v jets at order 1
-    # from generated functions; with the generator off it runs the `Jet`
-    # formulas, and every sample must be the same bits or the same error.
+    # a caustic float sample reads the induced pair's r and v jets at order 1:
+    # a `from_curve` pair's recorded into the sample's fused function, an
+    # auto-dual pair's from the induced pair's generated functions; with the
+    # generator off it runs the `Jet` formulas, and every sample must be the
+    # same bits or the same error.
     # At Q = r(s1), <Q, r>^2 - 1 rounds to 0.0 or below at s1, so the
     # orthotomic's dual refuses its square root there; mutation: the
     # generated functions fed the tape's r where they read v
@@ -493,11 +495,16 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
     def samples():
         induced = cons.OrthotomicInducedPair(pair, Q)
         caustic = cons.EvoluteCurve(induced, tag_pair=pair, Q=Q, kind="catacaustic")
-        return [_branch_outcome(lambda: caustic.at_with_branch(s)) for s in (*grid, s1)], induced
+        return [_branch_outcome(lambda: caustic.at_with_branch(s)) for s in (*grid, s1)], caustic
 
-    generated, induced = samples()
-    assert sorted(induced._programs) == [(0, 1), (1, 1)]
-    assert None not in induced._programs.values()
+    generated, caustic = samples()
+    induced = caustic.formula_pair
+    if "auto" in which:
+        assert sorted(induced._programs) == [(0, 1), (1, 1)]
+        assert None not in induced._programs.values()
+    else:  # the induced pair's jet functions run only where a fused sample gives no answer
+        assert caustic._programs[None] is not None
+        assert (induced._programs == {}) == (where != "on the curve")
     monkeypatch.setattr(recording, "derived_program", lambda *args: None)
     assert generated == samples()[0]
     refused = (jets.JetDomainError, "jet domain error: sqrt requires a positive constant term")
@@ -548,30 +555,25 @@ def test_generated_jets_fall_back_to_the_formula(case):
             == _outcome(lambda: _formula_only(curve).jet(0.5, order)) == error)
 
 
-def test_generated_code_is_shared_by_every_pedal_point():
+def test_generated_code_is_shared_by_every_pedal_point(monkeypatch):
     # the code of a formula is keyed by its structure, and Q is an argument,
-    # so new pedal points compile nothing new; mutation: Q in the source
-    recorded = recording._record_on_pair
-
+    # so new pedal points compile nothing new: neither the jets nor the
+    # samples, which are fused with the curve's tapes, nor the off-curve scan
+    # of the caustic's induced pair; mutation: Q in the source
     def compiled(points):
-        for cache in (program._inline_function, recorded):
+        for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
             cache.cache_clear()
+        monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
         pair = LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
         rng = random.Random(3)
-        compiles = []
-
-        def counted(*key):
-            with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
-                result = recorded(*key)
-            compiles.append(compile_.call_count)
-            return result
-
-        with mock.patch.object(recording, "_record_on_pair", counted):
+        with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
             for _ in range(points):
                 Q = random_h2_point(rng)
                 for make in _KINDS.values():
-                    make(pair, Q).jet(0.3, 2)
-        return sum(compiles)
+                    curve = make(pair, Q)
+                    curve.jet(0.3, 2)
+                    curve.at(0.3)
+        return compile_.call_count
 
     one = compiled(1)
     assert one > 0

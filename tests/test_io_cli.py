@@ -10,12 +10,13 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CURVES, FIXTURES
-from hypedal import cli, constructions, minkowski, recording
+from hypedal import cli, constructions, expr, jets, minkowski, recording
 from hypedal.cli import main
 from hypedal.io import (
     CurveFileError, csv_text, curve_from_dict, format_float, json_text,
@@ -128,6 +129,67 @@ def test_usage_errors_exit_1(capsys):
                  "--point", "1,0", "--s0", "0"]) == 1
     assert main(["check", "--curve", "/nonexistent/file.json"]) == 1
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_and_keeps_its_texts(monkeypatch, capsys):
+    # mutations: the parser built on every call; a handler bound in it
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self.prog)
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli._build_parser.cache_clear()
+    try:
+        runs = [[run(argv) for argv in (["--help"], ["--version"], ["check"], ["pedal", "--help"])]
+                for _ in range(2)]
+        assert built.count("hypedal") == 1
+        monkeypatch.setattr(cli, "_cmd_check", lambda ns: 7)  # looked up when it runs
+        assert main(["check", "--curve", _curve_arg("astroid.json")]) == 7
+    finally:
+        cli._build_parser.cache_clear()
+    assert runs[0] == runs[1]
+    (help_code, help_text, _), version, usage, (pedal_code, pedal_help, _) = runs[0]
+    assert help_code == 0 and help_text == cli._build_parser().format_help()
+    assert help_text.startswith("usage: hypedal [-h] [--version]")
+    assert version == (0, f"hypedal {cli.__version__}\n", "")
+    assert usage == (1, "", "hypedal: error: the following arguments are required: --curve\n")
+    assert pedal_code == 0 and pedal_help.startswith("usage: hypedal pedal [-h] --curve CURVE")
+
+
+def test_a_second_run_of_the_same_commands_compiles_nothing(tmp_path):
+    # generated code is cached by structure (`program._inline_function`), and
+    # fused code also with the tapes that curves of the same expressions share,
+    # so a second round of the benchmark's commands reloads every curve file
+    # and compiles nothing; mutation: both caches too small for one round
+    # (`expr.TAPES_SIZE` 1 and a code cache of 32; either alone still passes)
+    out = str(tmp_path / "out.csv")
+    point = _ASTROID_SIDE_POINT
+    argv = []
+    for name in ("astroid", "cusp23", "cusp37", "circle"):
+        curve = ["--curve", _curve_arg(f"{name}.json"), "--samples", "30"]
+        argv += [["check", *curve], ["curvatures", *curve, "--out", out],
+                 ["evolute", *curve, "--out", out]]
+        argv += [[kind, *curve, "--point", point, "--out", out]
+                 for kind in ("pedal", "orthotomic", "caustic")]
+        argv.append(["classify", "--curve", _curve_arg(f"{name}.json"), "--point", point,
+                     "--s0", "0.3", "--out", out])
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return [main(args) for args in argv]
+
+    first = run()
+    with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
+        assert run() == first
+    assert compile_.call_count == 0
 
 
 # Python's json reads Infinity, NaN and 1e999; none of them, no bool and no
@@ -565,7 +627,10 @@ def test_outputs_are_unchanged_with_the_geometry_rebound(monkeypatch):
         for held in list(sys.modules.values()):
             if getattr(held, "__name__", "").startswith("hypedal") and vars(held).get(name) is fn:
                 monkeypatch.setattr(held, name, wrapper)
-    recording._record_on_pair.cache_clear()  # recorded again, through the wrappers
+    # recorded again, through the wrappers
+    recording._record_on_pair.cache_clear()
+    recording._fusable.cache_clear()
+    monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
     assert outputs() == plain
 
 

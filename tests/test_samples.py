@@ -11,14 +11,15 @@ zero counts, or raise the same error.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
 from conftest import CURVES
 from hypedal import constructions as cons
-from hypedal import frontal, recording
+from hypedal import expr, frontal, program, recording
 from hypedal.constructions import EvoluteDegenerateError
-from hypedal.expr import linspace
+from hypedal.expr import ParametricCurve, linspace
 from hypedal.frontal import LegendrePair
 from hypedal.io import curve_from_dict, load_curve
 from hypedal.minkowski import MVec3
@@ -149,20 +150,103 @@ def test_the_scan_reads_the_speeds_of_the_formulas(which, where, pairs, monkeypa
     assert generated == {kind: _speeds(curve, grid) for kind, curve in _curves(pair, Q)[0].items()}
 
 
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("name", NAMES)
+def test_the_off_curve_scan_reads_the_gaps_of_the_formula(name, where, pairs):
+    # -(<Q, r> + 1) on the scan's grid, fused with a `from_curve` pair's float
+    # tape, is the formula's to the bit; an auto-dual pair's stays the formula
+    pair = pairs[name]
+    Q = _point(pair, where)
+    program = recording.derived_program(cons._off_curve_gap, pair, Q, None, fused_only=True)
+    grid = linspace(pair.domain, cons._ON_CURVE_SAMPLES)
+    assert ([repr(program(s)[0]) for s in grid]
+            == [repr(cons._off_curve_gap(pair, Q, s, None)[0]) for s in grid])
+    auto = pairs[name + " auto"]
+    assert recording.derived_program(cons._off_curve_gap, auto, Q, None, fused_only=True) is None
+
+
+def test_a_larger_curve_fuses_wherever_its_parts_inline(monkeypatch):
+    # the caustic sample of this curve fuses more than 400 steps, the most a
+    # recorded program or a tape program inlines alone, and each of its parts
+    # inlines alone; mutation: the fused program held to 400 steps
+    f = " + ".join(f"{i + 1}*s^{i}/{i + 7}" for i in range(14))
+    g = " + ".join(f"sin({i + 1}*s)/{i + 3}" for i in range(7))
+    norm = f"sqrt(({f})^2 + ({g})^2)"
+    pair = LegendrePair.from_curve(curve_from_dict({
+        "schema": 1, "name": "larger", "r": [f"sqrt(1 + ({f})^2 + ({g})^2)", f, g],
+        "v": ["0", f"({g})/{norm}", f"-({f})/{norm}"], "domain": [-1.0, 1.0]}))
+    monkeypatch.setattr(expr, "_TAPES", {})
+    sizes = []
+    inline_program = program.inline_program
+
+    def spied(steps, *args, **kw):
+        sizes.append(len(steps))
+        return inline_program(steps, *args, **kw)
+
+    monkeypatch.setattr(program, "inline_program", spied)
+    Q = _point(pair, "generic")
+    caustic = _curves(pair, Q)[0]["catacaustic"]
+    grid = linspace(pair.domain, 9)
+    generated = [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
+    assert max(sizes) > program._INLINE_STEPS
+    assert caustic._programs[None].func is recording._run_fused
+    assert all(caustic._sampled(s) is not None for s in grid)
+    _formula_only(monkeypatch)
+    caustic = _curves(pair, Q)[0]["catacaustic"]
+    assert generated == [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
+
+
 # -- where a generated function gives no answer ----------------------------------
 
 
 def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
-    def fresh():  # a pair keeps the programs it made
+    # every fused function gives no answer, by returning None and then by
+    # raising, so each sample and curvature pair runs its formula
+    def fresh():  # a pair keeps the programs it made, the curve's tapes the fused ones
+        monkeypatch.setattr(expr, "_TAPES", {})
         return LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
 
     pair = fresh()
     Q = _point(pair, "generic")
     grid = _parameters("astroid", pair)
     generated = _samples(pair, Q, grid)
-    monkeypatch.setattr(recording, "_run_reads", lambda *args: None)
-    assert _answered(fresh(), Q, grid) == 0.0
-    assert _samples(fresh(), Q, grid) == generated
+    fused_program = recording.fused_program
+    for answer in (lambda i, k: None, lambda i, k: 1.0 / 0.0):
+        def silent(*args, answer=answer):
+            fused = fused_program(*args)
+            return None if fused is None else (answer, fused[1])
+
+        monkeypatch.setattr(recording, "fused_program", silent)
+        assert _answered(fresh(), Q, grid) == 0.0
+        assert _samples(fresh(), Q, grid) == generated
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fused_programs_read_nothing_of_the_tape_memo(name, pairs, monkeypatch):
+    # the scans and samples of a `from_curve` pair's derived curves, the
+    # caustic's included, run functions fused with the curve's tapes, which
+    # take s and never read the memo; mutation: the narrow jets read through
+    # `ParametricCurve._tape_values`, as the wide ones do
+    pair = pairs[name]
+    Q = _point(pair, "generic")
+    grid = _parameters(name, pair)
+    callers = []
+    tape_values = ParametricCurve._tape_values
+
+    def spied(self, *args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return tape_values(self, *args)
+
+    monkeypatch.setattr(ParametricCurve, "_tape_values", spied)
+    for curve in _curves(pair, Q)[0].values():
+        cons.singular_points(curve, samples=60)
+        for s in grid:
+            curve._sampled(s)
+        assert set(curve._programs) == {None, 2}
+        assert all(program.func is recording._run_fused for program in curve._programs.values())
+    assert "hypedal.recording" not in callers
+    pair.r(0.5)  # the spy sees what reads the memo
+    assert callers[-1] == "hypedal.expr"
 
 
 def _huge_dual_pair():
@@ -188,6 +272,19 @@ def test_a_non_finite_value_raises_what_the_formula_raises(kind, error, monkeypa
     assert _outcome(lambda: sample(0.5)) == error
     _formula_only(monkeypatch)
     assert _outcome(lambda: sample(0.5)) == error
+
+
+def test_a_jet_at_a_non_finite_parameter_raises_what_the_formula_raises():
+    # v is constant, so a fused pedal jet would compute finite coefficients
+    # at s = nan or inf; the formula refuses the base; mutation: s not tested
+    # finite before a fused call
+    pair = LegendrePair.from_curve(curve_from_dict({
+        "schema": 1, "name": "constant-dual", "r": ["sqrt(1 + s^2)", "s", "0"],
+        "v": ["0", "0", "1"], "domain": [-1.0, 1.0]}))
+    curve = _curves(pair, _point(pair, "generic"))[0]["pedal"]
+    assert curve.jet(0.5, 2) is not None and curve._programs[2] is not None
+    for s in (math.nan, math.inf, -math.inf):
+        assert _outcome(lambda: curve.jet(s, 2)) == (ValueError, "non-finite jet base")
 
 
 def _degenerate_parameter(lo, hi, d2):
