@@ -494,6 +494,7 @@ class _Tape(_Steps):
         self.floats = floats
         self.calls = {}  # node -> (function name, argument node), for error messages
         self._inline = {}  # (id of a program, degree) -> `inline`
+        self._lists = {}  # (group, degree) -> `lists`
         self.outputs = [tuple(self._output(e) for e in trees) for trees in groups]
         self.programs = [self._program(roots) for roots in self.outputs]
         if len(groups) == 2:
@@ -520,6 +521,25 @@ class _Tape(_Steps):
 
                 self._inline[key] = tape_program(self, program, degree)
         return self._inline[key]
+
+    def lists(self, group: int, degree: int):
+        """(function, constants, positions): `program.tape_program` of group's
+        whole program at `degree`, wide or narrow, whose function takes s's jet
+        alone and gives group's values at `positions` of its outputs (None: s
+        itself); made once, None where it does not inline."""
+        key = (group, degree)
+        if key not in self._lists:
+            self._lists[key] = None
+            program = self.programs[group]
+            if program:
+                from .program import tape_program  # loaded with the first program it generates
+
+                inline = tape_program(self, program, degree)
+                if inline is not None and inline[1] == [0]:
+                    function, _, outputs, consts = inline
+                    self._lists[key] = (function, consts, [
+                        outputs.index(node) if node else None for node in self.outputs[group]])
+        return self._lists[key]
 
     def _fail(self, exc, dep=None):
         return self._add(_k_raise, dep, exc, () if dep is None else (dep,))
@@ -813,6 +833,22 @@ class ParametricCurve:
                 values = [c[: order + 1] for c in values]
             point.results[group, order] = values
         return point, values
+
+    def _wide_lists(self, group: int, s: float, degree: int):
+        """Group's coefficient lists at s, those of `_tape_values` at order
+        `degree`, from one call of the generated function of `_Tape.lists`; None
+        where that gives no answer.  Nothing of the memo is read or written."""
+        base = float(s)
+        lists = self._tape_set()[1].lists(group, degree)
+        if lists is None or not math.isfinite(base):
+            return None
+        function, consts, positions = lists
+        s_jet = [base, 1.0] + [0.0] * (degree - 1)
+        try:
+            out = function([s_jet], consts)
+        except Exception:  # the step loop raises what it raises
+            return None
+        return None if out is None else [s_jet if i is None else out[i] for i in positions]
 
     def _tape_set(self) -> tuple:
         """(float tape, jet tape, programs fused with them) of r and v, shared

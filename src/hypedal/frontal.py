@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import jets
 from .expr import linspace
 from .jets import Jet, require_finite
-from .minkowski import MVec3, _vec, det3, inner, wedge
+from .minkowski import MVec3, _tested_vec, _vec, det3, inner, wedge
 
 # A point counts as regular when the speed exceeds this fraction of the
 # domain scale; separates the astroid's cusps cleanly at double precision.
@@ -58,10 +58,6 @@ def _ell_m(rj: MVec3, vj: MVec3, mu: MVec3):
 def _coeff(vec: MVec3, k: int) -> MVec3:
     """The k-th Taylor coefficients of a jet vector."""
     return MVec3(vec.x1.coeffs[k], vec.x2.coeffs[k], vec.x3.coeffs[k])
-
-
-def _sup(vec: MVec3) -> float:
-    return max(abs(vec.x1), abs(vec.x2), abs(vec.x3))
 
 
 @dataclass
@@ -105,6 +101,7 @@ class LegendrePair:
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
         self._curve = None  # the curve whose tape gives r and v (`from_curve`)
+        self._r_curve = None  # the curve whose tape gives r (`from_curve`, `with_auto_dual`)
         self._samplers = {}  # sample formula -> `recording.derived_program`
 
     @classmethod
@@ -118,13 +115,15 @@ class LegendrePair:
             curve.point, curve.point_jet, curve.dual_point, curve.dual_jet,
             curve.domain, name=curve.name,
         )
-        pair._curve = curve
+        pair._curve = pair._r_curve = curve
         return pair
 
     @classmethod
     def with_auto_dual(cls, curve) -> "LegendrePair":
         dual = AutoDual(curve)
-        return cls(curve.point, curve.point_jet, dual, dual.jet, curve.domain, name=curve.name)
+        pair = cls(curve.point, curve.point_jet, dual, dual.jet, curve.domain, name=curve.name)
+        pair._r_curve = curve
+        return pair
 
     # -- frame evaluation ------------------------------------------------
 
@@ -181,20 +180,32 @@ class LegendrePair:
         worst = {"r_unit": 0.0, "v_unit": 0.0, "rv_orth": 0.0, "tangency": 0.0}
         for s in linspace(self.domain, samples):
             try:
-                rj = self._r_jet(s, 1)
-                r0 = _const(rj)
-                rd = _coeff(rj, 1)
-                v0 = self._v(s)
+                frame = _generated(self._samplers, _frame, _frame, self, None, None, s)
+                if frame is None:
+                    frame = _frame(self, None, s, None)
             except jets.DOMAIN_ERRORS as exc:
                 raise jets.at_parameter(exc, s) from None
-            nr = max(1.0, _sup(r0))
-            nv = max(1.0, _sup(v0))
-            nd = max(1.0, _sup(rd))
-            worst["r_unit"] = max(worst["r_unit"], abs(inner(r0, r0) + 1.0) / (nr * nr))
-            worst["v_unit"] = max(worst["v_unit"], abs(inner(v0, v0) - 1.0) / (nv * nv))
-            worst["rv_orth"] = max(worst["rv_orth"], abs(inner(r0, v0)) / (nr * nv))
-            worst["tangency"] = max(worst["tangency"], abs(inner(rd, v0)) / (nd * nv))
+            r1, r2, r3, d1, d2, d3, v1, v2, v3 = frame
+            nr = max(1.0, abs(r1), abs(r2), abs(r3))
+            nv = max(1.0, abs(v1), abs(v2), abs(v3))
+            nd = max(1.0, abs(d1), abs(d2), abs(d3))
+            # `inner`'s float operations, in its order
+            rr = -(r1 * r1) + r2 * r2 + r3 * r3
+            vv = -(v1 * v1) + v2 * v2 + v3 * v3
+            rv = -(r1 * v1) + r2 * v2 + r3 * v3
+            dv = -(d1 * v1) + d2 * v2 + d3 * v3
+            worst["r_unit"] = max(worst["r_unit"], abs(rr + 1.0) / (nr * nr))
+            worst["v_unit"] = max(worst["v_unit"], abs(vv - 1.0) / (nv * nv))
+            worst["rv_orth"] = max(worst["rv_orth"], abs(rv) / (nr * nv))
+            worst["tangency"] = max(worst["tangency"], abs(dv) / (nd * nv))
         return ValidationReport(worst, tol, samples)
+
+
+def _frame(pair, Q, s, order):
+    """r(s), r'(s) and v(s), nine floats: `validate`'s reads, r and r' from r's
+    jet of order 1; a sample formula of `recording.derived_program`."""
+    rj = pair._r_jet(s, 1)
+    return (*_const(rj).components(), *_coeff(rj, 1).components(), *pair._v(s).components())
 
 
 def _curvatures(pair, Q, s, order):
@@ -248,11 +259,14 @@ class AutoDual:
     direction with no step-size tuning.  The overall sign is fixed by
     continuity along a precomputed grid; the first sample is oriented so
     its x3 component (or first non-zero component) is positive.  The curve's
-    jets are read at order `jets.DEFAULT_ORDER`, or higher where a requested
-    jet needs it, as coefficient lists from the curve's tape memo
-    (`ParametricCurve._tape_values`); a dual jet runs as the generated
-    function of `_unit_normal` (`recording.auto_dual_program`), or as that
-    `Jet` formula wherever the function gives no answer.
+    jets are read at order `jets.DEFAULT_ORDER` + 1, or higher where a
+    requested jet needs it, as coefficient lists: a float dual, on the sign
+    grid and at every call, from one call of the generated function of the
+    curve's tape (`ParametricCurve._wide_lists`), which keeps nothing; a
+    dual jet, and a float dual where that function gives no answer, from the
+    curve's tape memo (`ParametricCurve._tape_values`).  A dual jet runs as
+    the generated function of `_unit_normal` (`recording.auto_dual_program`),
+    or as that `Jet` formula wherever the function gives no answer.
     """
 
     def __init__(self, curve):
@@ -264,19 +278,16 @@ class AutoDual:
                 raw.append(self._raw(s))
             except jets.DOMAIN_ERRORS as exc:
                 raise jets.at_parameter(exc, s) from None
-        signed = []
-        sign = 1.0
         first = raw[0]
-        pick = first.x3
-        if abs(pick) <= 1e-12 * max(1.0, _sup(first)):
-            pick = first.x1 if abs(first.x1) > abs(first.x2) else first.x2
-        if pick < 0.0:
-            sign = -1.0
-        prev = sign * first
-        signed.append(prev)
+        pick = first[2]
+        if abs(pick) <= 1e-12 * max(1.0, abs(first[0]), abs(first[1]), abs(first[2])):
+            pick = first[0] if abs(first[0]) > abs(first[1]) else first[1]
+        sign = -1.0 if pick < 0.0 else 1.0
+        prev = (first[0] * sign, first[1] * sign, first[2] * sign)
+        signed = [prev]
         for vec in raw[1:]:
             if _dot_euclid(vec, prev) < 0.0:
-                vec = -vec
+                vec = (-vec[0], -vec[1], -vec[2])
             signed.append(vec)
             prev = vec
         self._signed = signed
@@ -292,27 +303,36 @@ class AutoDual:
         if decided is not None:
             return decided
         rd = [require_finite([(i + 1) * c[i + 1] for i in range(len(c) - 1)]) for c in r]
-        orders = [jets.vanishing_order(c, _FLAT_TOL) for c in rd]
-        orders = [o for o in orders if o is not None]
-        if not orders:
+        p = _vanishing_power(rd)
+        if p is None:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
-        decided = point.results["leading", order] = (min(orders), r, rd)
+        decided = point.results["leading", order] = (p, r, rd)
         return decided
 
-    def _raw(self, s: float) -> MVec3:
-        """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', in floats."""
+    def _raw(self, s: float) -> tuple:
+        """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', as a
+        float triple; from the lists of the curve's generated read at order
+        `jets.DEFAULT_ORDER` + 1, or, where it gives no answer, r' is not
+        finite, p is not found or <w, w> <= 0, from `_leading`'s lists, which
+        raises what it raises."""
+        r = self.curve._wide_lists(0, s, jets.DEFAULT_ORDER + 1)
+        if r is not None:
+            rd = [[(i + 1) * c[i + 1] for i in range(len(c) - 1)] for c in r]
+            # a sum is finite only if every term is
+            p = _vanishing_power(rd) if math.isfinite(sum(map(sum, rd))) else None
+            raw = None if p is None else _unit_wedge(r, rd, p)
+            if raw is not None and math.isfinite(raw[0] + raw[1] + raw[2]):
+                return raw
         p, r, rd = self._leading(s, jets.DEFAULT_ORDER)
-        w1, w2, w3 = (c[p] for c in rd)
-        q = -(w1 * w1) + w2 * w2 + w3 * w3  # inner(w, w)
-        if q <= 0.0:
+        raw = _unit_wedge(r, rd, p)
+        if raw is None:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
-        n = math.sqrt(q)
-        u1, u2, u3 = w1 / n, w2 / n, w3 / n
-        r1, r2, r3 = r[0][0], r[1][0], r[2][0]
-        # wedge(r0, u); a non-finite u makes its value non-finite, which _vec refuses
-        return _vec(-(r2 * u3) + r3 * u2, r3 * u1 - r1 * u3, -(r2 * u1) + r1 * u2)
+        _vec(*raw)  # refuses a non-finite component
+        return raw
 
-    def _sign_at(self, s: float, raw_value: MVec3) -> float:
+    def _sign_at(self, s: float, raw_value) -> float:
+        """The sign of the float triple `raw_value`, the dual at s before its
+        sign, that continues the sign grid."""
         a, b = self.curve.domain
         n = len(self._grid)
         idx = round((s - a) / (b - a) * (n - 1))
@@ -320,8 +340,9 @@ class AutoDual:
         return 1.0 if _dot_euclid(raw_value, self._signed[idx]) >= 0.0 else -1.0
 
     def __call__(self, s: float) -> MVec3:
-        raw = self._raw(s)
-        return self._sign_at(s, raw) * raw
+        x1, x2, x3 = raw = self._raw(s)
+        sign = self._sign_at(s, raw)
+        return _tested_vec(x1 * sign, x2 * sign, x3 * sign)
 
     def jet(self, s0: float, order: int) -> MVec3:
         p, _, _ = self._leading(s0, max(jets.DEFAULT_ORDER, order + 2))
@@ -338,7 +359,7 @@ class AutoDual:
         # divide the derivative germ by (s - s0)^p: drop the first p coefficients
         w = rd.map(lambda j: Jet(j.base, j.coeffs[p : p + order + 1]))
         vj = _unit_normal(_truncate(rj, order), w)
-        sign = self._sign_at(s0, _const(vj))
+        sign = self._sign_at(s0, _const(vj).components())
         return sign * vj
 
     def _generated_jet(self, s0: float, order: int, p: int):
@@ -362,7 +383,7 @@ class AutoDual:
             return None
         if out is None:
             return None
-        sign = self._sign_at(s0, _vec(*(c[0] for c in out)))
+        sign = self._sign_at(s0, [c[0] for c in out])
         return _vec(*(jets._jet(point.base, tuple([x * sign + 0.0 for x in c])) for c in out))
 
 
@@ -371,8 +392,38 @@ def _unit_normal(r: MVec3, w: MVec3) -> MVec3:
     return wedge(r, w / jets.sqrt(inner(w, w)))
 
 
-def _dot_euclid(u: MVec3, w: MVec3) -> float:
-    return u.x1 * w.x1 + u.x2 * w.x2 + u.x3 * w.x3
+def _vanishing_power(rd) -> int | None:
+    """The power p that `AutoDual` divides r' by: the least
+    `jets.vanishing_order` of r''s three coefficient lists at `_FLAT_TOL`, by
+    its comparisons, each list searched below the p found so far; None where
+    all three vanish."""
+    p = None
+    for c in rd:
+        bound = _FLAT_TOL * max(1.0, max(map(abs, c)))
+        for i in range(len(c) if p is None else p):
+            if abs(c[i]) > bound:
+                p = i
+                break
+    return p
+
+
+def _unit_wedge(r, rd, p: int):
+    """wedge(r0, w / sqrt(<w, w>)) in floats, r0 the constant terms of r's
+    coefficient lists and w the p-th coefficients of r''s; None where
+    <w, w> <= 0."""
+    w1, w2, w3 = (c[p] for c in rd)
+    q = -(w1 * w1) + w2 * w2 + w3 * w3  # inner(w, w)
+    if q <= 0.0:
+        return None
+    n = math.sqrt(q)
+    u1, u2, u3 = w1 / n, w2 / n, w3 / n
+    r1, r2, r3 = r[0][0], r[1][0], r[2][0]
+    return (-(r2 * u3) + r3 * u2, r3 * u1 - r1 * u3, -(r2 * u1) + r1 * u2)  # wedge(r0, u)
+
+
+def _dot_euclid(u, w) -> float:
+    """The Euclidean dot product of two float triples."""
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
 def reparametrized(pair: LegendrePair, change, new_domain, name=None) -> LegendrePair:

@@ -241,11 +241,13 @@ def record(formula):
 # fused with the tape steps its inputs read (`program.fused_program`): one
 # generated function from s to the formula's values, kept with the tapes.  A
 # sample formula given an induced pair records that pair's jets too, from
-# the tapes.  Elsewhere the inputs are read apart from the formula's
-# function: a wide jet's lists from the tape memo, the jets and floats of
-# other pairs (`AutoDual`, reparametrized) from their evaluators, and a
-# sample formula's jets of an induced pair from that pair's generated jet
-# functions (`_InducedPair._jet_lists`).
+# the tapes.  A formula that reads r alone, such as the off-curve scan's, is
+# fused the same way on a pair whose r alone comes from a curve's tapes
+# (`LegendrePair.with_auto_dual`).  Elsewhere the inputs are read apart from
+# the formula's function: a wide jet's lists from the tape memo, the jets and
+# floats of other pairs (`AutoDual`, reparametrized) from their evaluators,
+# and a sample formula's jets of an induced pair from that pair's generated
+# jet functions (`_InducedPair._jet_lists`).
 
 
 class _Recorded(LegendrePair):
@@ -258,7 +260,8 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     formula(pair, Q, s0, order) returns) from the generated function, or None
     where that gives no answer; None where there is none, or where a point is
     not given in floats (a pair being recorded), or where it is not fused
-    with a curve's tapes and `fused_only`.  For a sample formula (`order`
+    with a curve's tapes and `fused_only`; a formula that reads v is fused
+    only where v comes from the tapes too.  For a sample formula (`order`
     None), program(s) -> the list of the floats it returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
 
@@ -279,8 +282,9 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     kinds = tuple(type(p) for p in chain)
     has_mu = source._mu_jet is not None
     curve = None if has_mu else source._curve
-    if curve is not None:
-        fused = _fused(curve._tape_set(), formula, kinds, Q is not None, order)
+    r_curve = None if has_mu else source._r_curve
+    if r_curve is not None:
+        fused = _fused(r_curve._tape_set(), formula, kinds, Q is not None, order, curve is None)
         if fused is not None:
             return partial(_run_fused, fused[0], _given(fused[1], values), order is not None)
     if fused_only or curve is not None and order is None:
@@ -310,14 +314,17 @@ def _given(consts, values):
     return tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
 
 
-def _fused(tapes, formula, kinds: tuple, with_q: bool, order: int | None):
+def _fused(tapes, formula, kinds: tuple, with_q: bool, order: int | None, r_only: bool):
     """(function, constants) of `program.fused_program` for formula recorded on
     a `from_curve` pair with these tapes (`ParametricCurve._tape_set`), made once
-    per tapes; None where a jet is wide or it does not record or inline."""
-    key = (formula, kinds, with_q, order)
+    per tapes; None where a jet is wide or it does not record or inline, and,
+    where `r_only` (the tapes give r, not v), where it reads v."""
+    key = (formula, kinds, with_q, order, r_only)
     fused = tapes[2]
     if key not in fused:
-        recorded = _fusable(*key)
+        recorded = _fusable(formula, kinds, with_q, order)
+        if recorded is not None and r_only and any(group for group, _, _ in recorded[1].values()):
+            recorded = None
         fused[key] = None if recorded is None else fused_program(tapes, *recorded)
     return fused[key]
 

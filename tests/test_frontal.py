@@ -6,8 +6,10 @@ import random
 
 import pytest
 from conftest import CURVES
+from hypothesis import example, given, settings, strategies as st
+from test_expr import _exprs
 
-from hypedal import frontal, jets, recording
+from hypedal import expr, frontal, jets, recording
 from hypedal.frontal import (
     AutoDual, CurveSingularError, DualUndeterminedError, LegendrePair, frenet_regular,
     reparametrized,
@@ -232,7 +234,7 @@ def _formula_raw(curve, s):
     if q <= 0.0:
         raise DualUndeterminedError(f"dual undetermined at s={s!r}")
     r0 = curve.point_jet(s, jets.DEFAULT_ORDER + 1).map(jets.constant_part)
-    return wedge(r0, w / math.sqrt(q))
+    return wedge(r0, w / math.sqrt(q)).components()
 
 
 def _formula_jet(dual, s0, order):
@@ -240,7 +242,7 @@ def _formula_jet(dual, s0, order):
     rj = dual.curve.point_jet(s0, order + 1 + p)
     w = rj.map(lambda j: Jet(j.base, j.d_ds().coeffs[p : p + order + 1]))
     vj = wedge(rj.map(lambda j: j.truncate(order)), w / jets.sqrt(inner(w, w)))
-    return dual._sign_at(s0, vj.map(jets.constant_part)) * vj
+    return dual._sign_at(s0, vj.map(jets.constant_part).components()) * vj
 
 
 def _outcome(fn):
@@ -270,7 +272,7 @@ def test_auto_dual_jets_are_the_formula_jets(name):
     # Mutations: the sign applied without + 0.0, w shifted by p - 1
     curve = _without_dual(name)
     dual = AutoDual(curve)
-    for s in dual._grid:
+    for s in dual._grid + [-0.0, *curve.domain, *_CUSPS[name]]:
         assert dual._leading(s, jets.DEFAULT_ORDER)[0] == _formula_leading(
             curve, s, jets.DEFAULT_ORDER)[0], s
         assert _outcome(lambda: dual._raw(s)) == _outcome(lambda: _formula_raw(curve, s)), s
@@ -283,6 +285,85 @@ def test_auto_dual_jets_are_the_formula_jets(name):
             p = _formula_leading(curve, s0, max(jets.DEFAULT_ORDER, order + 2))[0]
             generated = dual._generated_jet(s0, order, p)
             assert (generated is None) == isinstance(expected, tuple), (s0, order)
+
+
+@pytest.mark.parametrize("name", sorted(_CUSPS))
+def test_auto_dual_floats_make_no_tape_point(name, monkeypatch):
+    # the sign grid and every float dual read r's order-17 lists from one call
+    # of the curve's generated function, which keeps nothing; mutation: `_raw`
+    # read through `_leading`, which memoises a tape point per parameter
+    curve = _without_dual(name)
+    made = []
+    init = expr._TapePoint.__init__
+
+    def spied(self, *args):
+        made.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(expr._TapePoint, "__init__", spied)
+    dual = AutoDual(curve)
+    values = [dual(s) for s in curve.grid()]
+    assert made == [] and not curve._memo
+    assert all(isinstance(value, MVec3) for value in values)
+
+
+def _raw_outcomes(curve, s):
+    """`AutoDual._raw` at s through the generated read, and through the step
+    loop of `_leading` alone (the read gives no answer), each on a curve of
+    its own, so that neither reads what the other memoised."""
+    outcomes = []
+    for read in (True, False):
+        fresh = expr.ParametricCurve(curve.name, curve.components, curve.domain)
+        dual = object.__new__(AutoDual)  # no sign grid: `_raw` reads the curve alone
+        dual.curve = fresh
+        if not read:  # the curve is frozen, so set as its __init__ sets
+            object.__setattr__(fresh, "_wide_lists", lambda group, s, degree: None)
+        outcomes.append(_outcome(lambda: dual._raw(s)))
+    return outcomes
+
+
+@pytest.mark.parametrize("r, domain, error", [
+    # <w, w> overflows to a nan: the float dual is not finite
+    (["1e160*sqrt(1 + s^4 + s^6)", "1e160*s^2", "1e160*s^3"], [-1.0, 1.0],
+     (ValueError, "non-finite vector component (at s=-1.0)")),
+    # r' overflows where r does not
+    (["1", "s + 1e308*s^2", "s^2"], [-0.01, 0.01],
+     (ValueError, "non-finite jet coefficient (at s=-0.01)")),
+    # a divisor refused at order 3: the generated read gives no answer
+    (["1", "s/(1 + 100000000000000*s^3)", "s^2"], [0.0, 1.0],
+     (jets.JetDomainError, "jet division by vanishing germ (at s=0.0)")),
+])
+def test_auto_dual_floats_fall_back_to_the_memoised_path(r, domain, error):
+    # where the generated read gives no answer, r' is not finite, or the float
+    # dual is not, `_leading`'s memoised path runs and raises what it raises
+    curve = _curve(r, domain)
+    assert _outcome(lambda: AutoDual(curve)) == error
+    s = curve.domain[0]
+    generated, step_loop = _raw_outcomes(curve, s)
+    assert generated == step_loop == (error[0], error[1].replace(f" (at s={s!r})", ""))
+
+
+# a random tree plus s^k: r' vanishes on no component to every order, so most
+# draws decide p; x1 is 1 or such a sum, so that <w, w> > 0 in about half
+_TERMS = st.builds(lambda e, k: expr.BinOp("+", e, expr.Pow(expr.Var(), k)),
+                   _exprs(jet_ops=True), st.integers(min_value=1, max_value=4))
+_R = st.tuples(st.just(expr.Num(1.0)) | _TERMS, _TERMS | _exprs(jet_ops=True), _TERMS)
+_S = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 1e154, math.inf, math.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_R, _S)
+@example(tuple(expr.parse(t) for t in ("sqrt(1 + s^4 + s^6)", "s^2", "s^3")), 0.0)  # p = 1
+@example(tuple(expr.parse(t) for t in ("cosh(s)", "sinh(s)", "0.0")), 0.5)  # <w, w> = 0
+def test_auto_dual_floats_from_the_generated_read_are_the_step_loop(trees, s):
+    # on random r, the float dual through the generated order-17 read must
+    # give the bits of the step loop's and of the `Jet` formula's, or raise
+    # what they raise; mutations: r read at order 16, whose shorter lists
+    # change the zero test's scale; x3 left out of p's search
+    curve = expr.ParametricCurve("random", trees, (-2.0, 2.0))
+    generated, step_loop = _raw_outcomes(curve, s)
+    assert generated == step_loop == _outcome(lambda: _formula_raw(curve, s))
 
 
 def _spy_on_program(monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import CURVES
 from hypedal import constructions as cons
-from hypedal import expr, frontal, program, recording
+from hypedal import expr, frontal, jets, program, recording
 from hypedal.constructions import EvoluteDegenerateError
 from hypedal.expr import ParametricCurve, linspace
 from hypedal.frontal import LegendrePair
@@ -153,16 +153,18 @@ def test_the_scan_reads_the_speeds_of_the_formulas(which, where, pairs, monkeypa
 @pytest.mark.parametrize("where", WHERE)
 @pytest.mark.parametrize("name", NAMES)
 def test_the_off_curve_scan_reads_the_gaps_of_the_formula(name, where, pairs):
-    # -(<Q, r> + 1) on the scan's grid, fused with a `from_curve` pair's float
-    # tape, is the formula's to the bit; an auto-dual pair's stays the formula
-    pair = pairs[name]
-    Q = _point(pair, where)
-    program = recording.derived_program(cons._off_curve_gap, pair, Q, None, fused_only=True)
-    grid = linspace(pair.domain, cons._ON_CURVE_SAMPLES)
-    assert ([repr(program(s)[0]) for s in grid]
-            == [repr(cons._off_curve_gap(pair, Q, s, None)[0]) for s in grid])
+    # -(<Q, r> + 1) on the scan's grid, fused with the curve's float tape, is
+    # the formula's to the bit, for a `from_curve` and an auto-dual pair alike;
+    # an auto-dual pair's formulas that read v fuse with no tape
+    grid = linspace(pairs[name].domain, cons._ON_CURVE_SAMPLES)
+    Q = _point(pairs[name], where)
+    for pair in (pairs[name], pairs[name + " auto"]):
+        program = recording.derived_program(cons._off_curve_gap, pair, Q, None, fused_only=True)
+        assert ([repr(program(s)[0]) for s in grid]
+                == [repr(cons._off_curve_gap(pair, Q, s, None)[0]) for s in grid])
     auto = pairs[name + " auto"]
-    assert recording.derived_program(cons._off_curve_gap, auto, Q, None, fused_only=True) is None
+    for formula in (cons.PedalCurve._sample, frontal._curvatures, frontal._frame):
+        assert recording.derived_program(formula, auto, Q, None, fused_only=True) is None
 
 
 def test_a_larger_curve_fuses_wherever_its_parts_inline(monkeypatch):
@@ -194,6 +196,82 @@ def test_a_larger_curve_fuses_wherever_its_parts_inline(monkeypatch):
     _formula_only(monkeypatch)
     caustic = _curves(pair, Q)[0]["catacaustic"]
     assert generated == [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
+
+
+# -- validation on floats --------------------------------------------------------
+
+
+def _vector_residuals(pair, samples):
+    """`LegendrePair.validate`'s residuals as `MVec3`s and `inner` compute them,
+    or the exception it raises."""
+    from hypedal.minkowski import inner
+
+    def sup(vec):
+        return max(abs(vec.x1), abs(vec.x2), abs(vec.x3))
+
+    worst = {"r_unit": 0.0, "v_unit": 0.0, "rv_orth": 0.0, "tangency": 0.0}
+    for s in linspace(pair.domain, samples):
+        try:
+            rj = pair.r_jet(s, 1)
+            r0 = MVec3(*(c.coeffs[0] for c in rj.components()))
+            rd = MVec3(*(c.coeffs[1] for c in rj.components()))
+            v0 = pair.v(s)
+        except (ValueError, ArithmeticError) as exc:
+            raise jets.at_parameter(exc, s) from None
+        nr, nv, nd = (max(1.0, sup(vec)) for vec in (r0, v0, rd))
+        worst["r_unit"] = max(worst["r_unit"], abs(inner(r0, r0) + 1.0) / (nr * nr))
+        worst["v_unit"] = max(worst["v_unit"], abs(inner(v0, v0) - 1.0) / (nv * nv))
+        worst["rv_orth"] = max(worst["rv_orth"], abs(inner(r0, v0)) / (nr * nv))
+        worst["tangency"] = max(worst["tangency"], abs(inner(rd, v0)) / (nd * nv))
+    return worst
+
+
+def _validations(pair, Q, samples):
+    """The residuals of the pair and of its two induced pairs, or the exceptions."""
+    return {kind: _outcome(lambda: p.validate(samples=samples).residuals)
+            for kind, p in _curves(pair, Q)[1].items()}
+
+
+@pytest.mark.parametrize("which", [*NAMES, *(name + " auto" for name in NAMES)])
+def test_validation_residuals_are_those_of_the_vector_formula(which, pairs, monkeypatch):
+    # `validate` reads r, r' and v as floats from a generated function (fused
+    # with the curve's tapes for a `from_curve` pair) and does `inner`'s float
+    # operations in its order, so each residual keeps its bits, as it does
+    # where the formula runs; mutation: <r, v> summed in another order
+    def fresh():  # a pair keeps the programs it made
+        curve = load_curve(CURVES / f"{which.split()[0]}.json")
+        return (LegendrePair.with_auto_dual if "auto" in which else LegendrePair.from_curve)(curve)
+
+    pair = pairs[which]
+    Q = _point(pair, "generic")
+    expected = {kind: _outcome(lambda: _vector_residuals(p, 57))
+                for kind, p in _curves(pair, Q)[1].items()}
+    assert _validations(pair, Q, 57) == expected
+    answered = frontal._generated(pair._samplers, frontal._frame, frontal._frame, pair, None,
+                                  None, 0.25)
+    assert answered is not None
+    assert (pair._samplers[frontal._frame].func is recording._run_fused) == ("auto" not in which)
+    _formula_only(monkeypatch)
+    assert _validations(fresh(), Q, 57) == expected
+
+
+@pytest.mark.parametrize("r, v, error", [
+    (["sqrt(1 + s^2)", "s", "sqrt(s)"], ["0", "0", "1"], "sqrt requires a positive constant term"),
+    (["sqrt(1 + s^2)", "s", "0"], ["0", "0", "1e308*(s + 2)"], "non-finite vector component"),
+])
+def test_a_validation_that_fails_raises_what_the_formula_raises(r, v, error, monkeypatch):
+    # where r's jet or v cannot be evaluated, the generated function gives no
+    # answer and the formula raises, with the parameter in its message
+    def validated():
+        pair = LegendrePair.from_curve(curve_from_dict({
+            "schema": 1, "name": "failing", "r": r, "v": v, "domain": [-1.0, 1.0]}))
+        return _outcome(lambda: pair.validate(samples=11)), _outcome(
+            lambda: _vector_residuals(pair, 11))
+
+    generated, expected = validated()
+    assert generated == expected and error in expected[1]
+    _formula_only(monkeypatch)
+    assert validated() == (expected, expected)
 
 
 # -- where a generated function gives no answer ----------------------------------
