@@ -666,7 +666,11 @@ def singular_points(curve: DerivedCurve, samples: int = 1000,
     accepted when the speed there is below tol relative to the largest
     speed seen.  Parameters where the curve is undefined are gaps.  Zeros
     closer than twice the grid step are reported once.  Each accepted point
-    carries a cause tag, read from the curve's `pair` and `Q`.
+    carries a cause tag, read from the curve's `pair` and `Q`, against the
+    scale of m on the pair (`_m_scale`), which is computed once per curve,
+    domain and dual for a pair of `LegendrePair.from_curve` or
+    `with_auto_dual` and kept with the curve's shared tapes: a process that
+    scans derived curves of the same curve again reuses it.
     """
     lists = isinstance(curve, DerivedCurve)  # else any object with a `jet`
 
@@ -687,9 +691,28 @@ def singular_points(curve: DerivedCurve, samples: int = 1000,
     if not found:
         return []
     pair, Q = curve.pair, curve.Q
-    m = [_m_or_none(pair, s) for s in linspace(pair.domain, 101)]
-    m_scale = max([abs(x) for x in m if x is not None] + [1.0])
+    m_scale = _m_scale(pair)
     return [SingularPoint(s=s, cause=_cause(s, pair, Q, m_scale), speed=v) for s, v in found]
+
+
+def _m_scale(pair: LegendrePair) -> float:
+    """The largest |m| at 101 points of the pair's domain, and 1.0: the scale of
+    the cause tags.  The m of a pair that `from_curve` or `with_auto_dual`
+    makes depends on the curve, the domain and, for the second, the dual's
+    sign grid alone, so there it is kept with the curve's shared tapes
+    (`ParametricCurve._kept`); any other pair computes it at each call."""
+    def scale():
+        m = [_m_or_none(pair, s) for s in linspace(pair.domain, 101)]
+        return max([abs(x) for x in m if x is not None] + [1.0])
+
+    if type(pair) is not LegendrePair or pair._r_curve is None:
+        return scale()
+    key = tuple(float(x).hex() for x in pair.domain)
+    if pair._curve is None:  # `with_auto_dual`: v is the curve's `frontal.AutoDual`
+        kind, key = "with_auto_dual", key + pair._v._key
+    else:
+        kind = "from_curve"
+    return pair._r_curve._kept(("cause scale", kind), key, scale)
 
 
 def _m_or_none(pair: LegendrePair, s: float):

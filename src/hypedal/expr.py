@@ -495,6 +495,7 @@ class _Tape(_Steps):
         self.calls = {}  # node -> (function name, argument node), for error messages
         self._inline = {}  # (id of a program, degree) -> `inline`
         self._lists = {}  # (group, degree) -> `lists`
+        self.kept = {}  # product -> (key, value): see `ParametricCurve._kept`
         self.outputs = [tuple(self._output(e) for e in trees) for trees in groups]
         self.programs = [self._program(roots) for roots in self.outputs]
         if len(groups) == 2:
@@ -718,8 +719,10 @@ def to_text(e: CurveExpr) -> str:
 # -- parametric curves -------------------------------------------------
 
 # The tapes of the last curves evaluated, keyed by the text of their
-# expressions, so that a fresh load of a curve file reuses its tapes and
-# every program generated for them, `hypedal.recording`'s fused ones included.
+# expressions, so that a fresh load of a curve file reuses its tapes, every
+# program generated for them, `hypedal.recording`'s fused ones included, and
+# what the jet tape keeps of a pair built on the curve (`ParametricCurve._kept`:
+# `frontal.AutoDual`'s sign grid, `constructions.singular_points`' cause scale).
 TAPES_SIZE = 16
 _TAPES: dict = {}
 
@@ -849,6 +852,18 @@ class ParametricCurve:
         except Exception:  # the step loop raises what it raises
             return None
         return None if out is None else [s_jet if i is None else out[i] for i in positions]
+
+    def _kept(self, product, key, make):
+        """make(), kept with the curve's shared tapes (`_shared_tapes`) under
+        `product` while `key` holds, so a later curve of the same expressions
+        reuses it; one key per product, so a new key replaces the value, and
+        a make() that raises keeps nothing.  `key` must hold all that make()
+        depends on besides the expressions."""
+        kept = self._tape_set()[1].kept
+        entry = kept.get(product)
+        if entry is None or entry[0] != key:
+            entry = kept[product] = (key, make())
+        return entry[1]
 
     def _tape_set(self) -> tuple:
         """(float tape, jet tape, programs fused with them) of r and v, shared

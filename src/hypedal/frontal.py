@@ -257,8 +257,13 @@ class AutoDual:
     At a singular point the derivative germ is divided by its vanishing
     power of (s - s0) before normalizing, which gives the exact limiting
     direction with no step-size tuning.  The overall sign is fixed by
-    continuity along a precomputed grid; the first sample is oriented so
-    its x3 component (or first non-zero component) is positive.  The curve's
+    continuity along a precomputed grid of min(samples, 400) points; the
+    first sample is oriented so its x3 component (or first non-zero
+    component) is positive.  The signed grid depends on r's expressions, the
+    domain and its size alone, so it is kept with the curve's shared tapes
+    (`ParametricCurve._kept`): a process that builds the dual of the same
+    curve again, from a fresh load of its file too, reuses it, and a one-shot
+    CLI process builds it once, as before.  The curve's
     jets are read at order `jets.DEFAULT_ORDER` + 1, or higher where a
     requested jet needs it, as coefficient lists: a float dual, on the sign
     grid and at every call, from one call of the generated function of the
@@ -271,26 +276,33 @@ class AutoDual:
 
     def __init__(self, curve):
         self.curve = curve
-        self._grid = curve.grid(min(curve.samples, 400))
-        raw = []
-        for s in self._grid:
+        self._n = n = min(curve.samples, 400)
+        # the grid's duals depend on r's expressions, the domain's bits (-0.0
+        # is not 0.0) and n alone, so they are kept with the curve's tapes
+        self._key = (*(float(x).hex() for x in curve.domain), n)
+        self._signed = curve._kept("sign grid", self._key, self._signed_grid)
+
+    def _signed_grid(self) -> memoryview:
+        """The duals on the sign grid, signed by continuity from the first, as
+        x1, x2, x3 of each point one after another: 3n doubles in one
+        buffer, a memoryview of a bytearray (importing `array` instead would
+        load a shared library into every process that loads this module)."""
+        signed = memoryview(bytearray(24 * self._n)).cast("d")
+        for j, s in enumerate(self.curve.grid(self._n)):
             try:
-                raw.append(self._raw(s))
+                x1, x2, x3 = self._raw(s)
             except jets.DOMAIN_ERRORS as exc:
                 raise jets.at_parameter(exc, s) from None
-        first = raw[0]
-        pick = first[2]
-        if abs(pick) <= 1e-12 * max(1.0, abs(first[0]), abs(first[1]), abs(first[2])):
-            pick = first[0] if abs(first[0]) > abs(first[1]) else first[1]
-        sign = -1.0 if pick < 0.0 else 1.0
-        prev = (first[0] * sign, first[1] * sign, first[2] * sign)
-        signed = [prev]
-        for vec in raw[1:]:
-            if _dot_euclid(vec, prev) < 0.0:
-                vec = (-vec[0], -vec[1], -vec[2])
-            signed.append(vec)
-            prev = vec
-        self._signed = signed
+            if not j:
+                pick = x3
+                if abs(pick) <= 1e-12 * max(1.0, abs(x1), abs(x2), abs(x3)):
+                    pick = x1 if abs(x1) > abs(x2) else x2
+                sign = -1.0 if pick < 0.0 else 1.0
+                x1, x2, x3 = x1 * sign, x2 * sign, x3 * sign
+            elif x1 * signed[3 * j - 3] + x2 * signed[3 * j - 2] + x3 * signed[3 * j - 1] < 0.0:
+                x1, x2, x3 = -x1, -x2, -x3  # the Euclidean dot product above is negative
+            signed[3 * j], signed[3 * j + 1], signed[3 * j + 2] = x1, x2, x3
+        return signed
 
     def _leading(self, s: float, order: int):
         """Vanishing power p of r' at s, from the coefficient lists of r's jet
@@ -334,10 +346,12 @@ class AutoDual:
         """The sign of the float triple `raw_value`, the dual at s before its
         sign, that continues the sign grid."""
         a, b = self.curve.domain
-        n = len(self._grid)
+        n = self._n
         idx = round((s - a) / (b - a) * (n - 1))
-        idx = min(max(idx, 0), n - 1)
-        return 1.0 if _dot_euclid(raw_value, self._signed[idx]) >= 0.0 else -1.0
+        j = 3 * min(max(idx, 0), n - 1)
+        g = self._signed
+        u1, u2, u3 = raw_value
+        return 1.0 if u1 * g[j] + u2 * g[j + 1] + u3 * g[j + 2] >= 0.0 else -1.0  # Euclidean dot
 
     def __call__(self, s: float) -> MVec3:
         x1, x2, x3 = raw = self._raw(s)
@@ -419,11 +433,6 @@ def _unit_wedge(r, rd, p: int):
     u1, u2, u3 = w1 / n, w2 / n, w3 / n
     r1, r2, r3 = r[0][0], r[1][0], r[2][0]
     return (-(r2 * u3) + r3 * u2, r3 * u1 - r1 * u3, -(r2 * u1) + r1 * u2)  # wedge(r0, u)
-
-
-def _dot_euclid(u, w) -> float:
-    """The Euclidean dot product of two float triples."""
-    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
 def reparametrized(pair: LegendrePair, change, new_domain, name=None) -> LegendrePair:

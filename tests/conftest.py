@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hypedal import expr
 from hypedal.frontal import LegendrePair
 from hypedal.io import curve_from_dict, load_curve
 from hypedal.minkowski import MVec3
@@ -12,6 +13,14 @@ from hypedal.minkowski import MVec3
 ROOT = Path(__file__).resolve().parent.parent
 CURVES = ROOT / "curves"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@pytest.fixture
+def fresh_tapes(monkeypatch):
+    """Empty shared tapes for the test, so that a curve loaded in it computes
+    what the tapes keep (the sign grid of `AutoDual`, the cause scale of
+    `singular_points`) instead of reading what an earlier test kept."""
+    monkeypatch.setattr(expr, "_TAPES", {})
 
 
 @pytest.fixture(scope="session")

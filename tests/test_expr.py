@@ -444,8 +444,10 @@ def test_generated_tape_functions_are_the_step_loop(e, s, degree):
     assert _tape_outcome(e, s, degree) == _tape_outcome(e, s, degree, inline=False)
 
 
-# one program per step kind, on input nodes 1 and 2; "d" and "truncate" act on
-# a product, so that a value they drop is one the program computed
+# one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
+# "truncate" act on a product, so that a value they drop is one the program
+# computed; the last four multiply with a left operand whose degree the steps
+# bound below its width: s, s^2, a lift of -0.0, and a sum of s and a lift
 _STEP_KINDS = {
     "neg": ([(3, expr._k_neg, 1, None)], (3,)),
     "add": ([(3, expr._k_add, 1, 2)], (3,)),
@@ -460,11 +462,18 @@ _STEP_KINDS = {
     "sin of a sin/cos pair": ([(3, expr._k_pair, 1, jets.sin_cos_coeffs),
                                (4, expr._k_half, 3, 0)], (4,)),
     "tanh": ([(3, expr._k_pair, 1, jets.sinh_cosh_coeffs), (4, expr._k_tanh, 3, None)], (4,)),
+    "s times": ([(3, expr._k_mul, 0, 1)], (3,)),
+    "s^2 times": ([(3, expr._k_mul, 0, 0), (4, expr._k_mul, 3, 2)], (4,)),
+    "a lift of -0.0 times": ([(3, expr._k_lift, 1, -0.0), (4, expr._k_mul, 3, 2)], (4,)),
+    "s and a lift times": ([(3, expr._k_lift, 1, 0.5), (4, expr._k_add, 3, 0),
+                            (5, expr._k_neg, 4, None), (6, expr._k_scale, 5, -1.5),
+                            (7, expr._k_mul, 6, 1)], (7,)),
 }
 
 
 def _step_inputs(width: int, case: str):
-    """Two coefficient lists of `width`, with signed zeros, for one case."""
+    """The jet of s and two coefficient lists of `width`, with signed zeros, for one case."""
+    s = [-0.0 if case == "signed zeros" else 0.5, 1.0] + [0.0] * (width - 2)
     rng = random.Random(f"{width} {case}")
     a, b = ([rng.choice((0.0, -0.0)) if i % 3 == 2 else rng.uniform(-1.0, 1.0)
              for i in range(width)] for _ in range(2))
@@ -479,13 +488,13 @@ def _step_inputs(width: int, case: str):
         a[0], b[0] = -0.5, 1e-14
     elif case == "a cos overflows":  # c_4 = -a_2^2 / 2 overflows; at width 5, sin a stays finite
         a = [0.0, 0.0, -3.4595005287720934e+291] + [0.0] * (width - 3)
-    return a, b
+    return s, a, b
 
 
 def _step_loop_outcome(steps, outputs, inputs):
     """The outputs of the step loop by repr, or "refused" where a step raises or
     a value is not finite, as the `Jet` formula checks each (a pair, both halves)."""
-    values = {1: inputs[0], 2: inputs[1]}
+    values = dict(enumerate(inputs))
     try:
         for node, fn, x, y in steps:
             values[node] = fn(values, x, y)
@@ -509,7 +518,8 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
     # or of a divisor's refusal ("div" answers on 1e-14 at width 5)
     inputs = _step_inputs(width, case)
     for kind, (steps, outputs) in _STEP_KINDS.items():
-        function, consts = program.inline_program(steps, {1: width, 2: width}, outputs)
+        function, consts = program.inline_program(steps, {0: width, 1: width, 2: width},
+                                                  outputs)
         try:
             out = function([list(c) for c in inputs], consts)
         except Exception:  # the callers run the checked path
@@ -526,7 +536,7 @@ _REFUSED = {
     "signed zeros": set(),
     "1e300 constant terms": {"mul", "d", "truncate", "tanh"},
     "1e300 in the middle": {"mul", "div", "sqrt", "d", "truncate", "sin of a sin/cos pair", "tanh"},
-    "nan constant term": set(_STEP_KINDS) - {"lift"},
+    "nan constant term": set(_STEP_KINDS) - {"lift", "s^2 times", "a lift of -0.0 times"},
     "refused": {"div", "sqrt"},
     "a cos overflows": {"sqrt", "sin of a sin/cos pair", "tanh"},
 }

@@ -9,12 +9,14 @@ from conftest import CURVES
 from hypothesis import example, given, settings, strategies as st
 from test_expr import _exprs
 
+from hypedal import constructions as cons
 from hypedal import expr, frontal, jets, recording
+from hypedal.expr import linspace
 from hypedal.frontal import (
     AutoDual, CurveSingularError, DualUndeterminedError, LegendrePair, frenet_regular,
     reparametrized,
 )
-from hypedal.io import curve_from_dict
+from hypedal.io import curve_from_dict, load_curve
 from hypedal.jets import Jet
 from hypedal.minkowski import MVec3, inner, wedge
 
@@ -272,7 +274,7 @@ def test_auto_dual_jets_are_the_formula_jets(name):
     # Mutations: the sign applied without + 0.0, w shifted by p - 1
     curve = _without_dual(name)
     dual = AutoDual(curve)
-    for s in dual._grid + [-0.0, *curve.domain, *_CUSPS[name]]:
+    for s in curve.grid(dual._n) + [-0.0, *curve.domain, *_CUSPS[name]]:
         assert dual._leading(s, jets.DEFAULT_ORDER)[0] == _formula_leading(
             curve, s, jets.DEFAULT_ORDER)[0], s
         assert _outcome(lambda: dual._raw(s)) == _outcome(lambda: _formula_raw(curve, s)), s
@@ -288,7 +290,7 @@ def test_auto_dual_jets_are_the_formula_jets(name):
 
 
 @pytest.mark.parametrize("name", sorted(_CUSPS))
-def test_auto_dual_floats_make_no_tape_point(name, monkeypatch):
+def test_auto_dual_floats_make_no_tape_point(name, fresh_tapes, monkeypatch):
     # the sign grid and every float dual read r's order-17 lists from one call
     # of the curve's generated function, which keeps nothing; mutation: `_raw`
     # read through `_leading`, which memoises a tape point per parameter
@@ -333,7 +335,7 @@ def _raw_outcomes(curve, s):
     (["1", "s/(1 + 100000000000000*s^3)", "s^2"], [0.0, 1.0],
      (jets.JetDomainError, "jet division by vanishing germ (at s=0.0)")),
 ])
-def test_auto_dual_floats_fall_back_to_the_memoised_path(r, domain, error):
+def test_auto_dual_floats_fall_back_to_the_memoised_path(r, domain, error, fresh_tapes):
     # where the generated read gives no answer, r' is not finite, or the float
     # dual is not, `_leading`'s memoised path runs and raises what it raises
     curve = _curve(r, domain)
@@ -432,6 +434,175 @@ def test_auto_dual_falls_back_to_the_formula(astroid_curve, monkeypatch):
     del answers[:]
     assert _outcome(lambda: dual.jet(0.0, 16)) == (ValueError, "non-finite jet coefficient")
     assert answers == []  # refused on w, before the function runs
+
+
+# -- what a curve's shared tapes keep ----------------------------------------------
+
+
+def _raw_calls(monkeypatch):
+    """The parameters at which `AutoDual._raw` runs from now on."""
+    calls = []
+    raw = AutoDual._raw
+
+    def spied(self, s):
+        calls.append(s)
+        return raw(self, s)
+
+    monkeypatch.setattr(AutoDual, "_raw", spied)
+    return calls
+
+
+def _auto_outcomes(pair, grid):
+    """v, its jet of order 2 and (ell, m) at each parameter, by repr or the exception."""
+    return [(_outcome(lambda: pair.v(s)), _outcome(lambda: pair.v_jet(s, 2)),
+             _outcome(lambda: pair.curvatures(s))) for s in grid]
+
+
+@pytest.mark.parametrize("name", sorted(_CUSPS))
+def test_a_second_load_builds_no_sign_grid(name, tmp_path, fresh_tapes, monkeypatch):
+    # the signed grid is kept with the curve's shared tapes: a fresh load of
+    # the same file and its auto-dual pair run no `_raw`, and give the duals
+    # and curvatures of a build on tapes of their own; mutation: the grid
+    # built in every __init__
+    doc = json.loads((CURVES / f"{name}.json").read_text())
+    del doc["v"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    calls = _raw_calls(monkeypatch)
+    first = LegendrePair.with_auto_dual(load_curve(path))
+    assert len(calls) == min(doc["samples"], 400)
+    del calls[:]
+    second = LegendrePair.with_auto_dual(load_curve(path))
+    assert calls == [] and second._v._signed is first._v._signed
+    grid = [*linspace(second.domain, 23), -0.0, *second.domain]
+    kept = _auto_outcomes(second, grid)
+    monkeypatch.setattr(expr, "_TAPES", {})
+    del calls[:]
+    unshared = LegendrePair.with_auto_dual(load_curve(path))
+    assert len(calls) == min(doc["samples"], 400)
+    assert repr(unshared._v._signed.tolist()) == repr(second._v._signed.tolist())
+    assert _auto_outcomes(unshared, grid) == kept
+
+
+def _made(r, domain, samples):
+    return curve_from_dict({"schema": 1, "name": "made", "r": r, "domain": domain,
+                            "samples": samples})
+
+
+def test_each_domain_and_grid_size_has_its_own_sign_grid(fresh_tapes, monkeypatch):
+    # the grid is keyed by the bits of the domain ends and by its size, so
+    # -0.0 and 0.0 differ; mutations: the ends keyed by value, the key
+    # without the size
+    r = ["sqrt(1 + s^4 + s^6)", "s^2", "s^3"]
+    calls = _raw_calls(monkeypatch)
+    for domain, samples in [([-0.0, 1.0], 200), ([0.0, 1.0], 200), ([0.0, 1.0], 1000),
+                            ([0.0, 1.0], 200), ([-0.0, 1.0], 200)]:
+        curve = _made(r, domain, samples)
+        del calls[:]
+        dual = AutoDual(curve)
+        assert repr(calls) == repr(curve.grid(min(samples, 400))), (domain, samples)
+        with monkeypatch.context() as unshared:
+            unshared.setattr(expr, "_TAPES", {})
+            unshared_grid = AutoDual(_made(r, domain, samples))._signed
+            assert repr(unshared_grid.tolist()) == repr(dual._signed.tolist())
+
+
+@pytest.mark.parametrize("r, domain, samples, message", [
+    (["sqrt(1 + sinh(s)^2)", "sinh(s)", "0"], [0, 800], 10,
+     "dual undetermined at s=88.88888888888889"),
+    (["1", "0", "0"], [0, 1], 41, "dual undetermined at s=0.0"),
+])
+def test_a_sign_grid_that_raises_is_not_kept(r, domain, samples, message, fresh_tapes,
+                                             monkeypatch):
+    # mutation: the grid kept before it is complete
+    calls = _raw_calls(monkeypatch)
+    curve = _made(r, domain, samples)
+    for _ in range(2):
+        del calls[:]
+        with pytest.raises(DualUndeterminedError) as raised:
+            AutoDual(curve)
+        assert str(raised.value) == message and calls
+        assert curve._tape_set()[1].kept == {}
+
+
+def test_twenty_domains_of_one_curve_keep_one_sign_grid(fresh_tapes):
+    # one grid per tape set, so what is kept stays within the tapes' bound
+    r = ["sqrt(1 + s^4 + s^6)", "s^2", "s^3"]
+    for k in range(20):
+        dual = AutoDual(_made(r, [-1.0, 1.0 + k / 8], 41))
+    (tapes,) = expr._TAPES.values()
+    assert tapes[1].kept == {"sign grid": (dual._key, dual._signed)}
+
+
+def test_the_cause_scale_is_kept_for_a_curve_pair_alone(fresh_tapes, monkeypatch):
+    # a caustic's cause scale is m's on its source pair, kept with the curve's
+    # tapes for a `from_curve` and an auto-dual pair, per kind; the scale of a
+    # pair that is not one of these, here an induced pair, is never kept.
+    # Mutation: an induced pair's scale kept with its source's curve
+    scaled = []
+    m_or_none = cons._m_or_none
+
+    def spied(pair, s):
+        scaled.append(s)
+        return m_or_none(pair, s)
+
+    monkeypatch.setattr(cons, "_m_or_none", spied)
+    Q = MVec3(1.0, 0.0, 0.0)
+    astroid = CURVES / "astroid.json"
+
+    def points(make):
+        del scaled[:]
+        pair = make(load_curve(astroid))
+        found = repr(cons.catacaustic(pair, Q).singular_points(samples=200))
+        return found, len(scaled)
+
+    for make in (LegendrePair.from_curve, LegendrePair.with_auto_dual):
+        found, computed = points(make)
+        assert found != "[]" and computed == 101
+        assert points(make) == (found, 0)
+        with monkeypatch.context() as unshared:
+            unshared.setattr(expr, "_TAPES", {})
+            assert points(make) == (found, 101)
+    pair = LegendrePair.from_curve(load_curve(astroid))
+    kept = dict(pair._r_curve._tape_set()[1].kept)
+    assert sorted(k for k in kept if k != "sign grid") == [
+        ("cause scale", "from_curve"), ("cause scale", "with_auto_dual")]
+    evolute = cons.evolute(cons.orthotomic_induced(pair, Q))
+    for _ in range(2):
+        del scaled[:]
+        assert evolute.singular_points(samples=200) and len(scaled) == 101
+    assert pair._r_curve._tape_set()[1].kept == kept
+
+
+# s at 0.0, -0.0, the domain ends and random points of the domain
+_AT = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)
+_DOMAIN = st.tuples(st.floats(min_value=-2.0, max_value=2.0) | st.just(-0.0),
+                    st.floats(min_value=0.01, max_value=3.0))
+
+
+@settings(max_examples=60, deadline=10_000)
+@given(_R, _DOMAIN, st.integers(min_value=2, max_value=60), _AT)
+def test_shared_and_unshared_auto_dual_builds_agree(trees, domain, samples, at):
+    # a pair whose sign grid and cause scale come from the shared tapes gives
+    # the bits of a pair built on tapes of its own, or raises what it raises
+    a, b = domain[0], domain[0] + domain[1]
+    grid = [0.0, -0.0, a, b] + [a + t * (b - a) for t in at]
+
+    def build():
+        curve = expr.ParametricCurve("random", trees, (a, b), samples=samples)
+        try:
+            pair = LegendrePair.with_auto_dual(curve)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        return (_auto_outcomes(pair, grid), _outcome(lambda: cons._m_scale(pair)),
+                _outcome(lambda: cons.singular_points(cons.evolute(pair), samples=20)))
+
+    with pytest.MonkeyPatch.context() as tapes:
+        tapes.setattr(expr, "_TAPES", {})
+        build()
+        shared = build()
+        tapes.setattr(expr, "_TAPES", {})
+        assert shared == build()
 
 
 def test_dual_identities(golden_pairs):

@@ -32,12 +32,17 @@ WHERE = ("generic", "on the curve", "on the tangent geodesic")
 
 @pytest.fixture(scope="module")
 def pairs():
-    """Each shipped curve with its dual from the file, and derived by `AutoDual`."""
+    """Each shipped curve with its dual from the file, and derived by `AutoDual`,
+    on shared tapes of their own, so that the sign grids and cause scales that
+    the tests compare with the generator off are computed here, not kept from
+    an earlier module."""
     out = {}
-    for name in NAMES:
-        curve = load_curve(CURVES / f"{name}.json")
-        out[name] = LegendrePair.from_curve(curve)
-        out[name + " auto"] = LegendrePair.with_auto_dual(curve)
+    with pytest.MonkeyPatch.context() as tapes:
+        tapes.setattr(expr, "_TAPES", {})
+        for name in NAMES:
+            curve = load_curve(CURVES / f"{name}.json")
+            out[name] = LegendrePair.from_curve(curve)
+            out[name + " auto"] = LegendrePair.with_auto_dual(curve)
     return out
 
 
