@@ -697,22 +697,16 @@ def singular_points(curve: DerivedCurve, samples: int = 1000,
 
 def _m_scale(pair: LegendrePair) -> float:
     """The largest |m| at 101 points of the pair's domain, and 1.0: the scale of
-    the cause tags.  The m of a pair that `from_curve` or `with_auto_dual`
-    makes depends on the curve, the domain and, for the second, the dual's
-    sign grid alone, so there it is kept with the curve's shared tapes
-    (`ParametricCurve._kept`); any other pair computes it at each call."""
+    the cause tags, kept with the curve's shared tapes for a pair of
+    `from_curve` or `with_auto_dual` (`LegendrePair._kept`); any other pair
+    computes it at each call."""
     def scale():
         m = [_m_or_none(pair, s) for s in linspace(pair.domain, 101)]
         return max([abs(x) for x in m if x is not None] + [1.0])
 
-    if type(pair) is not LegendrePair or pair._r_curve is None:
+    if not isinstance(pair, LegendrePair):  # a stand-in with `domain` and `curvatures`
         return scale()
-    key = tuple(float(x).hex() for x in pair.domain)
-    if pair._curve is None:  # `with_auto_dual`: v is the curve's `frontal.AutoDual`
-        kind, key = "with_auto_dual", key + pair._v._key
-    else:
-        kind = "from_curve"
-    return pair._r_curve._kept(("cause scale", kind), key, scale)
+    return pair._kept("cause scale", scale)
 
 
 def _m_or_none(pair: LegendrePair, s: float):

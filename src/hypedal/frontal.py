@@ -102,6 +102,7 @@ class LegendrePair:
         self.name = name
         self._curve = None  # the curve whose tape gives r and v (`from_curve`)
         self._r_curve = None  # the curve whose tape gives r (`from_curve`, `with_auto_dual`)
+        self._kept_key = None  # (pair kind, key) of `_kept` (`from_curve`, `with_auto_dual`)
         self._samplers = {}  # sample formula -> `recording.derived_program`
 
     @classmethod
@@ -116,6 +117,7 @@ class LegendrePair:
             curve.domain, name=curve.name,
         )
         pair._curve = pair._r_curve = curve
+        pair._kept_key = ("from_curve", _domain_bits(pair.domain))
         return pair
 
     @classmethod
@@ -123,7 +125,20 @@ class LegendrePair:
         dual = AutoDual(curve)
         pair = cls(curve.point, curve.point_jet, dual, dual.jet, curve.domain, name=curve.name)
         pair._r_curve = curve
+        pair._kept_key = ("with_auto_dual", dual._key)
         return pair
+
+    def _kept(self, product, make):
+        """make(), for a pair of `from_curve` or `with_auto_dual` kept with its
+        curve's shared tapes (`ParametricCurve._kept`) under the product and
+        the pair kind: such a pair's frame depends on the curve's expressions
+        and `_kept_key` (the domain's bits, or the dual's `AutoDual._key`)
+        alone, so a later pair of the same kind reuses it.  Any other pair
+        (induced, reparametrized, built by hand) runs make() at each call."""
+        if self._kept_key is None:
+            return make()
+        kind, key = self._kept_key
+        return self._r_curve._kept((product, kind), key, make)
 
     # -- frame evaluation ------------------------------------------------
 
@@ -279,7 +294,7 @@ class AutoDual:
         self._n = n = min(curve.samples, 400)
         # the grid's duals depend on r's expressions, the domain's bits (-0.0
         # is not 0.0) and n alone, so they are kept with the curve's tapes
-        self._key = (*(float(x).hex() for x in curve.domain), n)
+        self._key = (*_domain_bits(curve.domain), n)
         self._signed = curve._kept("sign grid", self._key, self._signed_grid)
 
     def _signed_grid(self) -> memoryview:
@@ -433,6 +448,12 @@ def _unit_wedge(r, rd, p: int):
     u1, u2, u3 = w1 / n, w2 / n, w3 / n
     r1, r2, r3 = r[0][0], r[1][0], r[2][0]
     return (-(r2 * u3) + r3 * u2, r3 * u1 - r1 * u3, -(r2 * u1) + r1 * u2)  # wedge(r0, u)
+
+
+def _domain_bits(domain) -> tuple:
+    """The exact bits of a domain's ends (`float.hex`: -0.0 is not 0.0), the
+    part of the keys of what a curve's shared tapes keep that the domain gives."""
+    return tuple(float(x).hex() for x in domain)
 
 
 def reparametrized(pair: LegendrePair, change, new_domain, name=None) -> LegendrePair:

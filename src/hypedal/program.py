@@ -14,13 +14,11 @@ every value keeps its bits, the sign of zero included.  Where every value
 has at most `INLINE_WIDTH` coefficients (floats, and jets of degree 0-3),
 each step is emitted on local names from the line templates of the `jets`
 kernels, or as the float operation of its step function.  Wider jets are
-whole coefficient lists, and each step is one statement on them: a
-product, a quotient, a square root and a sin/cos or sinh/cosh pair call the
-kernel of their order, bound when the code is generated, a product's for a
-bound on its left operand's degree that the steps give (s has degree 1, a
-lift 0; a sum the larger of its operands', a product the sum); sums,
-scales, lifts, d/ds and truncations run the float operations of their step
-functions.
+whole coefficient lists, and each step is one statement on them: a product
+calls `jets.mul_coeffs`, so the degree-keyed kernels stay; a quotient, a
+square root and a sin/cos or sinh/cosh pair call the kernel of their
+order, bound when the code is generated; sums, scales, lifts, d/ds and
+truncations run the float operations of their step functions.
 
 A refusal that a kernel would raise (a vanishing divisor, the square root
 of a constant term that is not positive) makes the function return None,
@@ -32,9 +30,7 @@ every coefficient that a truncation or d/ds drops, and both halves of a
 pair, once, at the end: + - * / carry a nan or an infinity in coefficient
 k of an operand into coefficient k of the result (a divisor with one in
 its constant term is refused, and a product's degree-keyed kernel leaves
-out only terms of coefficients above its degree bound, which are exact
-zeros where the operand is finite; where it is not, it has a nan or an
-infinity within its bound), so one of these is not finite whenever an
+out only terms of exact zeros), so one of these is not finite whenever an
 intermediate value is not.  The code is keyed by the program's structure,
 with its constants as arguments, so a program recorded for another pedal
 point Q, or read from another copy of a curve, reuses it.
@@ -295,15 +291,11 @@ def _list_function(inputs, program, outputs, n_consts):
     where a step is not one on jets."""
     names = {node: f"x{node}" for node, _ in inputs}
     widths = {node: abs(shape) for node, shape in inputs}
-    # a bound on each value's degree, the index of its last non-zero coefficient
-    degrees = {node: abs(shape) - 1 for node, shape in inputs}
-    if 0 in degrees:  # node 0 is s: (s, 1.0, 0.0, ...)
-        degrees[0] = 1
     given = set(names)  # the inputs, which callers give finite
     prologue = [f"{''.join(name + ', ' for name in names.values())}= i"]
     if n_consts:
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
-    bound = {}
+    bound = {"mul": jets.mul_coeffs}
     body = []
     tested = [f"sum(x{node}, 0.0)" for node in dict.fromkeys(outputs) if node not in given]
     divisors = set()  # the values whose refusal is tested
@@ -317,33 +309,20 @@ def _list_function(inputs, program, outputs, n_consts):
         n = widths[x]
         out = names[node] = f"x{node}"
         widths[node] = n
-        degree = degrees[x]
-        degrees[node] = n - 1  # as high as it gets, unless a step below says less
         lines = []
         if fn is _k_neg:
             value = f"[-p for p in {a}]"
-            degrees[node] = degree
         elif fn is _k_add or fn is _k_sub:
             value = f"[p {'+' if fn is _k_add else '-'} q for p, q in zip({a}, {names[y]})]"
-            degrees[node] = max(degree, degrees[y])
         elif fn is _k_mul:
-            # the kernel that `jets.mul_coeffs` picks where a's degree is
-            # `degree`; where it is less, each extra term, +-0.0 times a
-            # finite b_k, adds +-0.0 to a sum that starts at +0.0: no bit changes
-            kernel_name = f"mul{n - 1}_{degree}"
-            bound[kernel_name] = jets._mul_kernel(n - 1, degree)
-            value = f"{kernel_name}({a}, {names[y]})"
-            degrees[node] = min(degree + degrees[y], n - 1)
+            value = f"mul({a}, {names[y]})"
         elif fn is _k_scale:
             value = f"[p*k{y} + 0.0 for p in {a}]"
-            degrees[node] = degree
         elif fn is _k_lift:
             value = f"[k{y}] + [0.0] * {n - 1}"
-            degrees[node] = 0
         elif fn is _k_d or fn is _k_trunc:
             value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
             widths[node] = n - 1 if fn is _k_d else y + 1
-            degrees[node] = min(degree, widths[node] - 1)
             if x not in given:
                 tested.append(f"{a}[0]" if fn is _k_d else f"sum({a}[{y + 1}:], 0.0)")
         elif fn is _k_half:

@@ -446,8 +446,9 @@ def test_generated_tape_functions_are_the_step_loop(e, s, degree):
 
 # one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
 # "truncate" act on a product, so that a value they drop is one the program
-# computed; the last four multiply with a left operand whose degree the steps
-# bound below its width: s, s^2, a lift of -0.0, and a sum of s and a lift
+# computed; the last four multiply with a left operand that ends in zeros,
+# whose degree `jets.mul_coeffs` finds below its width: s, s^2, a lift of
+# -0.0, and a sum of s and a lift
 _STEP_KINDS = {
     "neg": ([(3, expr._k_neg, 1, None)], (3,)),
     "add": ([(3, expr._k_add, 1, 2)], (3,)),

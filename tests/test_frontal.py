@@ -563,6 +563,18 @@ def test_the_cause_scale_is_kept_for_a_curve_pair_alone(fresh_tapes, monkeypatch
         with monkeypatch.context() as unshared:
             unshared.setattr(expr, "_TAPES", {})
             assert points(make) == (found, 101)
+    # the same expressions on another domain, or on one whose end is -0.0,
+    # compute their own scale; mutations: the key without the domain, or
+    # with its ends by value
+    doc = json.loads(astroid.read_text())
+    for domain in ([-0.0, doc["domain"][1]], [0.5, 3.0]):
+        for make in (LegendrePair.from_curve, LegendrePair.with_auto_dual):
+            with monkeypatch.context() as unshared:
+                unshared.setattr(expr, "_TAPES", {})
+                alone = cons._m_scale(make(curve_from_dict({**doc, "domain": domain})))
+            del scaled[:]
+            assert cons._m_scale(make(curve_from_dict({**doc, "domain": domain}))) == alone
+            assert len(scaled) == 101
     pair = LegendrePair.from_curve(load_curve(astroid))
     kept = dict(pair._r_curve._tape_set()[1].kept)
     assert sorted(k for k in kept if k != "sign grid") == [
