@@ -304,10 +304,8 @@ class _InducedPair(LegendrePair):
 
     Each jet evaluator runs its formula's generated function, recorded once
     per (class, evaluator, order, shape of the source), or where that gives
-    no answer the `Jet` formula, kept in `_formulas`; `_jet_lists` gives the
-    function's coefficient lists, which the sample formulas of the pair read.
-    The evaluators hold what they read, not the pair, so a pair is freed as
-    soon as it is dropped.
+    no answer the `Jet` formula, kept in `_formulas`.  The evaluators hold
+    what they read, not the pair, so a pair is freed as soon as it is dropped.
     """
 
     def __init__(self, source: LegendrePair, Q: MVec3, point_formula, dual_formula,
@@ -332,18 +330,12 @@ class _InducedPair(LegendrePair):
         self._programs = programs = {}  # (evaluator, order) -> `recording.derived_program`
         recorded = [_induced_formula(type(self), which) for which in range(3)]
 
-        def jet_lists(which, order, s0):
-            """(base, the coefficient lists of jet `which` (0 r, 1 v, 2 mu) at
-            (s0, order)) from its generated function, or None."""
-            return _generated(programs, (which, order), recorded[which], source, Q, order, s0)
-
         def generated(which):
+            """Jet `which` (0 r, 1 v, 2 mu): its generated function, or its formula."""
             def jet(s0, order):
-                out = jet_lists(which, order, s0)
+                out = _generated(programs, (which, order), recorded[which], source, Q, order, s0)
                 return formulas[which](s0, order) if out is None else _jet_vector(*out)
             return jet
-
-        self._jet_lists = jet_lists
 
         super().__init__(point(source.v), generated(0), framed(dual_formula, source.r, source.v),
                          generated(1), source.domain, name=name,

@@ -102,6 +102,7 @@ class LegendrePair:
         self.name = name
         self._curve = None  # the curve whose tape gives r and v (`from_curve`)
         self._r_curve = None  # the curve whose tape gives r (`from_curve`, `with_auto_dual`)
+        self._dual = None  # the `AutoDual` that gives v (`with_auto_dual`)
         self._kept_key = None  # (pair kind, key) of `_kept` (`from_curve`, `with_auto_dual`)
         self._samplers = {}  # sample formula -> `recording.derived_program`
 
@@ -124,7 +125,7 @@ class LegendrePair:
     def with_auto_dual(cls, curve) -> "LegendrePair":
         dual = AutoDual(curve)
         pair = cls(curve.point, curve.point_jet, dual, dual.jet, curve.domain, name=curve.name)
-        pair._r_curve = curve
+        pair._r_curve, pair._dual = curve, dual
         pair._kept_key = ("with_auto_dual", dual._key)
         return pair
 
@@ -278,15 +279,14 @@ class AutoDual:
     domain and its size alone, so it is kept with the curve's shared tapes
     (`ParametricCurve._kept`): a process that builds the dual of the same
     curve again, from a fresh load of its file too, reuses it, and a one-shot
-    CLI process builds it once, as before.  The curve's
-    jets are read at order `jets.DEFAULT_ORDER` + 1, or higher where a
-    requested jet needs it, as coefficient lists: a float dual, on the sign
-    grid and at every call, from one call of the generated function of the
-    curve's tape (`ParametricCurve._wide_lists`), which keeps nothing; a
-    dual jet, and a float dual where that function gives no answer, from the
-    curve's tape memo (`ParametricCurve._tape_values`).  A dual jet runs as
-    the generated function of `_unit_normal` (`recording.auto_dual_program`),
-    or as that `Jet` formula wherever the function gives no answer.
+    CLI process builds it once, as before.  Each read of r, by
+    the sign grid, a float dual, a dual jet or, for an auto-dual pair's
+    derived curves, `hypedal.recording`, is one call of the generated function
+    of the curve's tape at order 17 or more, which keeps nothing (`_lists`,
+    `_jet_degree`); a dual jet runs as the generated function of
+    `_unit_normal` on its lists (`_from_lists`).  Where the read gives no
+    answer, or w reaches past it, r's lists come from the curve's tape memo
+    (`_leading`), and where the function gives none the `Jet` formula runs.
     """
 
     def __init__(self, curve):
@@ -329,27 +329,71 @@ class AutoDual:
         decided = point.results.get(("leading", order))
         if decided is not None:
             return decided
-        rd = [require_finite([(i + 1) * c[i + 1] for i in range(len(c) - 1)]) for c in r]
+        rd = [require_finite(c) for c in _derivative(r)]
         p = _vanishing_power(rd)
         if p is None:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
         decided = point.results["leading", order] = (p, r, rd)
         return decided
 
+    def _lists(self, s: float, degree: int):
+        """(base, r, r', p): r's coefficient lists at s from one generated read
+        at `degree` (`ParametricCurve._wide_lists`), r''s, and the p that
+        `_leading` decides on them; None where the read gives no answer,
+        `degree` is past `jets.MAX_ORDER`, r' is not finite or p not found."""
+        r = None if degree > jets.MAX_ORDER else self.curve._wide_lists(0, s, degree)
+        if r is None:
+            return None
+        rd = _derivative(r)
+        # a sum is finite only if every term is
+        p = _vanishing_power(rd) if math.isfinite(sum(map(sum, rd))) else None
+        return None if p is None else (float(s), r, rd, p)
+
+    def _from_lists(self, s: float, order: int | None, r, rd, p: int):
+        """The dual at s with its sign, from r's and r''s lists and p: the float
+        triple of `__call__` where `order` is None, else the lists of the jet
+        of that order, the generated function of `_unit_normal` on r and w,
+        coefficients p to p + order of r'; None where w is short, or where
+        anything is not finite or gives no answer.  Lists read deeper than
+        `_jet_degree`(order) get p decided again, as a read at that degree
+        decides it."""
+        degree = _jet_degree(order)
+        if len(rd[0]) > degree:
+            p = _vanishing_power([c[:degree] for c in rd])
+            if p is None:
+                return None
+        if order is None:
+            raw = _unit_wedge(r, rd, p)
+            if raw is None or not math.isfinite(raw[0] + raw[1] + raw[2]):
+                return None
+            sign = self._sign_at(s, raw)
+            return [x * sign for x in raw]
+        from .recording import auto_dual_program  # loaded with the first program it runs
+
+        w = [c[p : p + order + 1] for c in rd]
+        if len(w[0]) <= order or not math.isfinite(sum(map(sum, w))):
+            return None
+        recorded = auto_dual_program(order)
+        if recorded is None:
+            return None
+        try:
+            out = recorded[0]([c[: order + 1] for c in r] + w, recorded[1])
+        except Exception:  # the formula raises what it raises
+            return None
+        if out is None:
+            return None
+        sign = self._sign_at(s, [c[0] for c in out])
+        return [[x * sign + 0.0 for x in c] for c in out]
+
     def _raw(self, s: float) -> tuple:
         """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', as a
-        float triple; from the lists of the curve's generated read at order
-        `jets.DEFAULT_ORDER` + 1, or, where it gives no answer, r' is not
-        finite, p is not found or <w, w> <= 0, from `_leading`'s lists, which
+        float triple; from `_lists` at degree `jets.DEFAULT_ORDER` + 1, or,
+        where that or <w, w> gives no answer, from `_leading`'s lists, which
         raises what it raises."""
-        r = self.curve._wide_lists(0, s, jets.DEFAULT_ORDER + 1)
-        if r is not None:
-            rd = [[(i + 1) * c[i + 1] for i in range(len(c) - 1)] for c in r]
-            # a sum is finite only if every term is
-            p = _vanishing_power(rd) if math.isfinite(sum(map(sum, rd))) else None
-            raw = None if p is None else _unit_wedge(r, rd, p)
-            if raw is not None and math.isfinite(raw[0] + raw[1] + raw[2]):
-                return raw
+        read = self._lists(s, jets.DEFAULT_ORDER + 1)
+        raw = None if read is None else _unit_wedge(*read[1:])
+        if raw is not None and math.isfinite(raw[0] + raw[1] + raw[2]):
+            return raw
         p, r, rd = self._leading(s, jets.DEFAULT_ORDER)
         raw = _unit_wedge(r, rd, p)
         if raw is None:
@@ -374,46 +418,42 @@ class AutoDual:
         return _tested_vec(x1 * sign, x2 * sign, x3 * sign)
 
     def jet(self, s0: float, order: int) -> MVec3:
-        p, _, _ = self._leading(s0, max(jets.DEFAULT_ORDER, order + 2))
-        if order + 1 + p > jets.MAX_ORDER:
-            raise DualUndeterminedError(
-                f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
-                f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
-            )
-        generated = self._generated_jet(s0, order, p)
-        if generated is not None:
-            return generated
+        """`_from_lists` on the lists of `_lists` at `_jet_degree`(order), or of
+        the tape memo where that gives no answer or w reaches past it; the
+        `Jet` formula where `_from_lists` gives none."""
+        degree = _jet_degree(order)
+        read = self._lists(s0, degree)
+        if read is not None and order + 1 + read[3] <= degree:
+            base, r, rd, p = read
+        else:
+            p = self._leading(s0, degree - 1)[0]
+            if order + 1 + p > jets.MAX_ORDER:
+                raise DualUndeterminedError(
+                    f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
+                    f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
+                )
+            point, r = self.curve._tape_values(0, s0, order + 1 + p)
+            base, rd = point.base, _derivative(r)
+        out = self._from_lists(s0, order, r, rd, p)
+        if out is not None:
+            return _vec(*(jets._jet(base, tuple(c)) for c in out))
         rj = self.curve.point_jet(s0, order + 1 + p)
-        rd = _d(rj)
         # divide the derivative germ by (s - s0)^p: drop the first p coefficients
-        w = rd.map(lambda j: Jet(j.base, j.coeffs[p : p + order + 1]))
+        w = _d(rj).map(lambda j: Jet(j.base, j.coeffs[p : p + order + 1]))
         vj = _unit_normal(_truncate(rj, order), w)
         sign = self._sign_at(s0, _const(vj).components())
         return sign * vj
 
-    def _generated_jet(self, s0: float, order: int, p: int):
-        """`jet`'s value from the generated function of `_unit_normal`, on r
-        truncated to `order` and w, the coefficients p to p + order of r';
-        None where that gives no answer.  `_leading` has checked r' up to an
-        order of at least p, so the lists the formula checks are finite iff w is."""
-        from .recording import auto_dual_program  # loaded with the first program it runs
 
-        recorded = auto_dual_program(order)
-        if recorded is None:
-            return None
-        function, consts, _ = recorded
-        try:
-            point, r = self.curve._tape_values(0, s0, order + 1 + p)
-            w = [[(i + 1) * c[i + 1] for i in range(p, p + order + 1)] for c in r]
-            if not math.isfinite(sum(map(sum, w))):
-                return None
-            out = function([c[: order + 1] for c in r] + w, consts)
-        except Exception:  # the formula raises what it raises
-            return None
-        if out is None:
-            return None
-        sign = self._sign_at(s0, [c[0] for c in out])
-        return _vec(*(jets._jet(point.base, tuple([x * sign + 0.0 for x in c])) for c in out))
+def _jet_degree(order) -> int:
+    """The degree of r's lists on which `AutoDual` decides p for its jet of
+    `order`, or its float dual where `order` is None."""
+    return max(jets.DEFAULT_ORDER, (order or 0) + 2) + 1
+
+
+def _derivative(r) -> list:
+    """The coefficient lists of r', as `Jet.d_ds` computes them from r's."""
+    return [[(i + 1) * c[i + 1] for i in range(len(c) - 1)] for c in r]
 
 
 def _unit_normal(r: MVec3, w: MVec3) -> MVec3:

@@ -21,7 +21,7 @@ from . import jets
 from .expr import (
     _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps,
 )
-from .frontal import LegendrePair, _ell_m, _truncate, _unit_normal
+from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal
 from .jets import Jet, require_finite
 from .minkowski import MVec3, wedge
 from .program import (
@@ -233,21 +233,22 @@ def record(formula):
 # input, and the coordinates of each pedal point Q are parameters, so nothing
 # recorded depends on Q.  A sample formula (order None), such as
 # `LegendrePair.curvatures` or a derived curve's `_sample`, computes floats
-# at s from the floats r, v (and mu) of that pair, and from coefficient 1 of
-# jets of order 1.
+# at s from the floats r, v (and mu) of the pair the induced pairs start
+# from, and from coefficient 1 of jets of order 1, an induced pair's jets
+# recorded into it from that pair's.
 #
 # Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`)
 # and no jet is wider than `INLINE_WIDTH` coefficients, the recording is
 # fused with the tape steps its inputs read (`program.fused_program`): one
 # generated function from s to the formula's values, kept with the tapes.  A
-# sample formula given an induced pair records that pair's jets too, from
-# the tapes.  A formula that reads r alone, such as the off-curve scan's, is
-# fused the same way on a pair whose r alone comes from a curve's tapes
+# formula that reads r alone, such as the off-curve scan's, is fused the same
+# way on a pair whose r alone comes from a curve's tapes
 # (`LegendrePair.with_auto_dual`).  Elsewhere the inputs are read apart from
-# the formula's function: a wide jet's lists from the tape memo, the jets and
-# floats of other pairs (`AutoDual`, reparametrized) from their evaluators,
-# and a sample formula's jets of an induced pair from that pair's generated
-# jet functions (`_InducedPair._jet_lists`).
+# the formula's function: a wide jet's lists from the tape memo; every r and
+# v leaf of an auto-dual pair from one generated read of r per call
+# (`AutoDual._lists`, `_run_auto_dual`), r's floats from the float tape; and
+# the jets and floats of other pairs (reparametrized, built by hand), and of
+# an auto-dual pair where that read gives no answer, from their evaluators.
 
 
 class _Recorded(LegendrePair):
@@ -296,14 +297,20 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     consts = _given(consts, values)
     # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
     leaves = [(kind, k) for kind, k, i in keys if i == 0]
+    dual = None if has_mu else source._dual
     if order is None:
-        return partial(_run_reads, [_read(leaf, pair, source) for leaf in leaves],
-                       function, consts)
-    if curve is not None:  # a wide jet
+        run = partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
+    elif curve is not None:  # a wide jet
         groups = [(_GROUPS[kind], k) for kind, k in leaves]
         return partial(_run_on_tape, curve._tape_values, groups, function, consts)
-    leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
-    return partial(_run_on_jets, leaves, function, consts)
+    else:
+        run = partial(_run_on_jets, [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves],
+                      function, consts)
+    if dual is None:
+        return run
+    # one read deep enough for every leaf, and for the p that each v leaf decides
+    top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves), default=1)
+    return partial(_run_auto_dual, dual, leaves, top, function, consts, order is not None, run)
 
 
 _GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
@@ -338,7 +345,7 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     Only fused programs keep their recorded steps."""
     if order is not None and order >= INLINE_WIDTH:  # a jet formula reads jets of `order` or more
         return None
-    recorded = _steps(_on_pair(formula, kinds, False, with_q, order, fused=True))
+    recorded = _steps(_on_pair(formula, kinds, False, with_q, order))
     if recorded is None:
         return None
     recording, outputs = recorded
@@ -350,26 +357,18 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     return recording._program(outputs), reads, outputs, degree
 
 
-def _read(leaf, pair, source):
-    """read(s) -> the three values of the input `leaf` of a sample formula
-    given `pair` built on `source`, or None where they are not given.  The
-    evaluators are the pairs' own, not their methods, so a program kept by
-    the pair does not keep it alive."""
+def _read(leaf, source):
+    """read(s) -> the three values of the input `leaf` of a sample formula, a
+    float triple or a jet of `source`.  The evaluators are the pair's own,
+    not its methods, so a program kept by the pair does not keep it alive."""
     kind, k = leaf
-    if k is None:  # a float triple of the source
+    if k is None:
         return partial(_evaluated, getattr(source, f"_{kind}"))
-    if pair is not source:  # an induced pair's jet, from its generated function
-        return partial(_generated_lists, pair._jet_lists, "rv".index(kind), k)
     return partial(_jet_coeffs, getattr(source, f"_{kind}_jet"), k)
 
 
 def _evaluated(evaluator, s):
     return evaluator(s).components()
-
-
-def _generated_lists(jet_lists, which, order, s):
-    out = jet_lists(which, order, s)
-    return None if out is None else out[1]
 
 
 def _jet_coeffs(evaluator, order, s):
@@ -438,18 +437,42 @@ def _run_on_jets(leaves, function, consts, s0):
     return None if out is None else (base, out)
 
 
+def _run_auto_dual(dual, leaves, top, function, consts, jets: bool, fallback, s):
+    """`_run_on_jets` or `_run_reads` of an auto-dual pair's `leaves`: r's floats
+    from the float tape, every other leaf from one `AutoDual._lists` read at
+    degree `top`; fallback(s) where the read or a v leaf gives no answer."""
+    read = dual._lists(s, top)
+    if read is None:
+        return fallback(s)
+    base, r, rd, p = read
+    given = []
+    try:
+        for kind, k in leaves:
+            if kind == "r":
+                values = dual.curve.point(s).components() if k is None else [c[: k + 1] for c in r]
+            else:
+                values = dual._from_lists(s, k, r, rd, p)
+                if values is None:
+                    return fallback(s)
+            given += values
+        out = function(given, consts)
+    except Exception:  # the formula raises what it raises
+        return None
+    return (base, out) if jets and out is not None else out
+
+
 @lru_cache(maxsize=64)
 def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):
     """`record` of formula(pair, Q, s0, order) on a pair built by `kinds` (induced
     pair classes, outermost first) around one whose r, v and, if `has_mu`, mu
     jets and floats are inputs; Q a point if `with_q`.  A sample formula
-    (`order` None) reads the jets of the outermost pair as inputs."""
-    return record(_on_pair(formula, kinds, has_mu, with_q, order, fused=False))
+    (`order` None) reads the outermost pair's jets through the formulas of
+    its induced pairs, as a jet formula does."""
+    return record(_on_pair(formula, kinds, has_mu, with_q, order))
 
 
-def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None, fused: bool):
-    """formula(recording) of `_record_on_pair`; where `fused`, a sample formula
-    reads the outermost pair's jets through the formulas of its induced pairs."""
+def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):
+    """formula(recording) of `_record_on_pair`."""
     def on_inputs(recording):
         def inputs(kind):
             return lambda s0, k: MVec3(*(recording.input((kind, k, i), k) for i in range(3)))
@@ -462,8 +485,6 @@ def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | Non
                          mu_jet=inputs("mu") if has_mu else None)
         for cls in reversed(kinds):
             pair = cls(pair, recording.point())
-        if order is None and not fused:
-            pair._r_jet, pair._v_jet = inputs("r"), inputs("v")
         return formula(pair, recording.point() if with_q else None, 0.0, order)
 
     return on_inputs

@@ -476,11 +476,11 @@ def _branch_outcome(fn):
 @pytest.mark.parametrize("which", ["astroid", "astroid auto"])
 def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pairs,
                                                   monkeypatch):
-    # a caustic float sample reads the induced pair's r and v jets at order 1:
-    # a `from_curve` pair's recorded into the sample's fused function, an
-    # auto-dual pair's from the induced pair's generated functions; with the
-    # generator off it runs the `Jet` formulas, and every sample must be the
-    # same bits or the same error.
+    # a caustic float sample reads the induced pair's r and v jets at order 1,
+    # recorded into the sample's function: fused with the tapes for a
+    # `from_curve` pair, on one generated read of r for an auto-dual pair;
+    # with the generator off it runs the `Jet` formulas, and every sample must
+    # be the same bits or the same error.
     # At Q = r(s1), <Q, r>^2 - 1 rounds to 0.0 or below at s1, so the
     # orthotomic's dual refuses its square root there; mutation: the
     # generated functions fed the tape's r where they read v
@@ -499,12 +499,10 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
 
     generated, caustic = samples()
     induced = caustic.formula_pair
-    if "auto" in which:
-        assert sorted(induced._programs) == [(0, 1), (1, 1)]
-        assert None not in induced._programs.values()
-    else:  # the induced pair's jet functions run only where a fused sample gives no answer
-        assert caustic._programs[None] is not None
-        assert (induced._programs == {}) == (where != "on the curve")
+    run = recording._run_auto_dual if "auto" in which else recording._run_fused
+    assert caustic._programs[None].func is run
+    # the induced pair's jet functions run only where the sample gives no answer
+    assert (induced._programs == {}) == (where != "on the curve")
     monkeypatch.setattr(recording, "derived_program", lambda *args: None)
     assert generated == samples()[0]
     refused = (jets.JetDomainError, "jet domain error: sqrt requires a positive constant term")

@@ -270,7 +270,8 @@ _CUSPS = {"astroid": [k * math.pi / 2 for k in range(5)], "circle": [],
 def test_auto_dual_jets_are_the_formula_jets(name):
     # p and the float dual on the sign grid, and the dual jets at grid points,
     # -0.0 and the cusps, must be the bits of the `Jet` formulas; the jets
-    # must come from the generated function wherever the formula answers.
+    # must come from the generated function on the lists of one generated read
+    # wherever the formula answers.
     # Mutations: the sign applied without + 0.0, w shifted by p - 1
     curve = _without_dual(name)
     dual = AutoDual(curve)
@@ -285,7 +286,9 @@ def test_auto_dual_jets_are_the_formula_jets(name):
             expected = _outcome(lambda: _formula_jet(dual, s0, order))
             assert _outcome(lambda: dual.jet(s0, order)) == expected, (s0, order)
             p = _formula_leading(curve, s0, max(jets.DEFAULT_ORDER, order + 2))[0]
-            generated = dual._generated_jet(s0, order, p)
+            base, r, rd, read_p = dual._lists(s0, frontal._jet_degree(order))
+            assert read_p == p, (s0, order)
+            generated = dual._from_lists(s0, order, r, rd, p)
             assert (generated is None) == isinstance(expected, tuple), (s0, order)
 
 

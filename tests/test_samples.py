@@ -14,8 +14,11 @@ import math
 import sys
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis import given
 
 from conftest import CURVES
+from test_frontal import _R, _S
 from hypedal import constructions as cons
 from hypedal import expr, frontal, jets, program, recording
 from hypedal.constructions import EvoluteDegenerateError
@@ -26,7 +29,8 @@ from hypedal.minkowski import MVec3
 
 NAMES = ("astroid", "cusp23", "cusp37", "circle")
 CUSPS = {"astroid": (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi), "cusp23": (0.0,),
-         "cusp37": (0.0,), "circle": ()}
+         "cusp37": (0.0,), "circle": (), "flat-cusp": (0.0,),
+         "p-split": (0.0,)}
 WHERE = ("generic", "on the curve", "on the tangent geodesic")
 
 
@@ -47,11 +51,12 @@ def pairs():
 
 
 def _point(pair, where):
+    if where == "generic":
+        return MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0),
+                     math.sinh(0.7) * math.sin(1.0))
     a, b = pair.domain
     s1 = a + 0.37 * (b - a)
-    return {"generic": MVec3(math.cosh(0.7), math.sinh(0.7) * math.cos(1.0),
-                             math.sinh(0.7) * math.sin(1.0)),
-            "on the curve": pair.r(s1),
+    return {"on the curve": pair.r(s1),
             "on the tangent geodesic": math.cosh(0.6) * pair.r(s1) + math.sinh(0.6) * pair.mu(s1),
             }[where]
 
@@ -415,3 +420,175 @@ def test_an_undefined_curvature_pair_is_left_out_of_the_cause_scale():
         pair.curvatures(0.0)
     found = cons.evolute(pair).singular_points(samples=100)
     assert [p.cause for p in found] == ["other", "other"]
+
+
+# -- auto-dual pairs' programs on one generated read -------------------------------
+#
+# The derived-curve jets and samples of a pair of `LegendrePair.with_auto_dual`,
+# and the jets of the pairs induced from it, read every r and v leaf from one
+# generated order-17 read of r per call (`recording._run_auto_dual`).  From
+# order 14, w reaches past that read where p >= 3, as at the flat cusp below,
+# and those leaves fall back to the memoised path.
+
+AUTO_ORDERS = (0, 1, 2, 3, 14, 15, 16)
+_INDUCED_JETS = ("r_jet", "v_jet", "mu_jet")
+
+
+def _auto_outcomes(pair, Q, grid):
+    """Each derived jet, the induced pairs' jets, each sample, curvature pair and
+    `validate` frame, by repr, or the exception."""
+    curves, induced = _curves(pair, Q)
+    out = _samples(pair, Q, grid)
+    for kind, curve in curves.items():
+        out[kind + " jets"] = [_outcome(lambda: curve.jet(s, k))
+                               for s in grid for k in AUTO_ORDERS]
+    for kind, p in induced.items():
+        out[kind + " frames"] = [_outcome(lambda: _frame(p, s)) for s in grid]
+        if kind != "source":
+            for name in _INDUCED_JETS:
+                out[kind, name] = [_outcome(lambda: getattr(p, name)(s, k))
+                                   for s in grid for k in AUTO_ORDERS]
+    return out
+
+
+def _frame(pair, s):
+    """r, r' and v at s, as `LegendrePair.validate` reads them."""
+    out = frontal._generated(pair._samplers, frontal._frame, frontal._frame, pair, None, None, s)
+    return frontal._frame(pair, None, s, None) if out is None else out
+
+
+_MADE = {
+    # r' vanishes to order p = 3 at s = 0, so that w reaches past the read from order 14
+    "flat-cusp": ["sqrt(1 + s^8 + s^10)", "s^4", "s^5"],
+    # at s = 0, coefficient 18 of x2' puts its coefficient 0 under the zero
+    # test's scale: p is 0 on r' to degree 18 (order 15), 1 from degree 19
+    "p-split": ["sqrt(1 + (0.001*s + 10000000*s^19)^2 + s^4)", "0.001*s + 10000000*s^19",
+                "s^2"],
+}
+
+
+@pytest.mark.parametrize("name", [*NAMES, *_MADE])
+def test_auto_dual_programs_are_the_formulas(name, pairs, monkeypatch):
+    # mutations: p decided on the whole read where a leaf's own degree is
+    # lower; the float dual's sign applied with + 0.0
+    def fresh():  # a pair keeps the programs it made; the sign grid is kept with the tapes
+        if name in _MADE:
+            return LegendrePair.with_auto_dual(curve_from_dict(
+                {"schema": 1, "name": name, "r": _MADE[name], "domain": [-1.0, 1.0]}))
+        return LegendrePair.with_auto_dual(pairs[name + " auto"]._r_curve)
+
+    pair = fresh()
+    Q = _point(pair, "generic")
+    grid = _parameters(name, pair)
+    generated = _auto_outcomes(pair, Q, grid)
+    programs = [program.func for program in pair._samplers.values()]
+    assert programs and set(programs) == {recording._run_auto_dual}
+    _formula_only(monkeypatch)
+    assert generated == _auto_outcomes(fresh(), Q, grid)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_auto_dual_pedals_read_no_tape_point_and_no_dual_jet(name, fresh_tapes, monkeypatch):
+    # an auto-dual pedal's scan jets and samples read r's lists from one call
+    # of the curve's generated function and build no jet or memo point;
+    # mutation: the jets read through `AutoDual.jet` and `_run_on_jets`
+    calls = []
+
+    def spy(owner, attribute):
+        real = getattr(owner, attribute)
+
+        def spied(*args):
+            calls.append(attribute)
+            return real(*args)
+
+        monkeypatch.setattr(owner, attribute, spied)
+
+    spy(frontal.AutoDual, "jet")  # before the pair binds it
+    pair = LegendrePair.with_auto_dual(load_curve(CURVES / f"{name}.json"))
+    spy(expr._TapePoint, "__init__")
+    spy(recording, "_run_on_jets")
+    pedal = cons.pedal(pair, _point(pair, "generic"))
+    for s in linspace(pair.domain, 100):
+        pedal.jet(s, 2, coeffs=True)
+        pedal.at(s)
+    assert calls == []
+    assert {program.func for program in pedal._programs.values()} == {recording._run_auto_dual}
+
+
+def _unsigned_grid(dual):
+    """A sign grid of zeros, on which every dual keeps the sign it has."""
+    return memoryview(bytearray(24 * dual._n)).cast("d")
+
+
+@pytest.mark.parametrize("r, domain, jet_error, sample_error", [
+    # <w, w> overflows to a nan: the float dual is not finite
+    (["1e160*sqrt(1 + s^4 + s^6)", "1e160*s^2", "1e160*s^3"], [-1.0, 1.0],
+     (ValueError, "non-finite jet coefficient"), (ValueError, "non-finite vector component")),
+    # r' overflows where r does not
+    (["1", "s + 1e308*s^2", "s^2"], [-0.01, 0.01],
+     (ValueError, "non-finite jet coefficient"), (ValueError, "non-finite jet coefficient")),
+    # a divisor refused at order 3: the generated read gives no answer
+    (["1", "s/(1 + 100000000000000*s^3)", "s^2"], [0.0, 1.0],
+     (jets.JetDomainError, "jet division by vanishing germ"),
+     (jets.JetDomainError, "jet division by vanishing germ")),
+])
+def test_auto_dual_pedals_fall_back_to_the_memoised_path(r, domain, jet_error, sample_error,
+                                                         fresh_tapes, monkeypatch):
+    # where the read gives no answer, r' is not finite, or the float dual is
+    # not, a pedal's jet and sample raise what `AutoDual`'s memoised path
+    # raises, as with the generator off; the sign grid, which raises on these
+    # curves, is left unsigned
+    monkeypatch.setattr(frontal.AutoDual, "_signed_grid", _unsigned_grid)
+    curve = curve_from_dict({"schema": 1, "name": "made", "r": r, "domain": domain})
+    s = curve.domain[0]
+
+    def outcomes():
+        pedal = cons.pedal(LegendrePair.with_auto_dual(curve), _point(None, "generic"))
+        return _outcome(lambda: pedal.jet(s, 2)), _outcome(lambda: pedal.at(s))
+
+    assert outcomes() == (jet_error, sample_error)
+    _formula_only(monkeypatch)
+    assert outcomes() == (jet_error, sample_error)
+
+
+def _mixed_grid(dual):
+    """A sign grid of three points whose signs differ, so that `_sign_at` flips
+    the duals of some parameters and keeps those of others."""
+    grid = memoryview(bytearray(72)).cast("d")
+    grid[2], grid[3], grid[7] = 1.0, -1.0, 1.0
+    return grid
+
+
+_Q = st.builds(lambda rho, phi: MVec3(math.cosh(rho), math.sinh(rho) * math.cos(phi),
+                                      math.sinh(rho) * math.sin(phi)),
+               st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=6.3))
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_R, _Q, _S)
+def test_auto_dual_programs_on_random_curves_are_the_formulas(trees, Q, s):
+    # on random r without v, the pedal, orthotomic and evolute jets of orders
+    # 1-3 and their samples from `recording._run_auto_dual` must be the bits
+    # of the formulas on `AutoDual`'s evaluators, or raise what they raise;
+    # mutations: r's leaves cut one coefficient short, r's floats taken from
+    # its jets, the read one degree short
+    def outcomes():
+        pair = LegendrePair.with_auto_dual(ParametricCurve("random", trees, (-2.0, 2.0),
+                                                           samples=3))
+        curves = (cons.PedalCurve(pair, Q), cons.OrthotomicCurve(pair, Q), cons.EvoluteCurve(pair))
+        out = []
+        for derived in curves:
+            evolute = isinstance(derived, cons.EvoluteCurve)
+            sample = derived.at_with_branch if evolute else derived.at
+            out += [_outcome(lambda: derived.jet(s, k)) for k in (1, 2, 3)]
+            out.append(_outcome(lambda: sample(s)))
+        return out, {p and p.func for derived in curves for p in derived._programs.values()}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "_TAPES", {})  # the sign grid kept here is made up
+        patch.setattr(frontal.AutoDual, "_signed_grid", _mixed_grid)
+        generated, runs = outcomes()
+        patch.setattr(recording, "derived_program", lambda *args: None)
+        expected, none = outcomes()
+    assert runs == {recording._run_auto_dual} and none == {None}
+    assert generated == expected
