@@ -649,9 +649,7 @@ class _TapePoint:
         self.values = tape.init.copy()
         self.values[0] = [base, 1.0] + [0.0] * (degree - 1) if degree else base
         self.done = set()
-        # (group, order) -> what `ParametricCurve._tape_values` returned, and
-        # ("leading", order) -> what `frontal.AutoDual._leading` decided on group 0's
-        self.results = {}
+        self.results = {}  # (group, order) -> what `ParametricCurve._tape_values` returned
         self.vectors = {}  # (group, order) -> what `ParametricCurve._at` returned
 
     def outputs(self, group: int) -> list:

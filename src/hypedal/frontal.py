@@ -284,9 +284,10 @@ class AutoDual:
     derived curves, `hypedal.recording`, is one call of the generated function
     of the curve's tape at order 17 or more, which keeps nothing (`_lists`,
     `_jet_degree`); a dual jet runs as the generated function of
-    `_unit_normal` on its lists (`_from_lists`).  Where the read gives no
-    answer, or w reaches past it, r's lists come from the curve's tape memo
-    (`_leading`), and where the function gives none the `Jet` formula runs.
+    `_unit_normal` on its lists (`_from_lists`).  Where the function gives no
+    answer the `Jet` formula runs, and where the read gives none, or w reaches
+    past it, the formula runs on the curve's tape memo, which decides p
+    (`_leading`).
     """
 
     def __init__(self, curve):
@@ -320,21 +321,15 @@ class AutoDual:
         return signed
 
     def _leading(self, s: float, order: int):
-        """Vanishing power p of r' at s, from the coefficient lists of r's jet
-        of order `order` + 1 and of their derivatives, as `Jet.d_ds` computes
-        and checks them; and those lists.  They depend on r's lists alone, so
-        a decision is kept with them, in the results of the memoised tape
-        point that holds them."""
-        point, r = self.curve._tape_values(0, s, order + 1)
-        decided = point.results.get(("leading", order))
-        if decided is not None:
-            return decided
+        """(p, r, r'): the vanishing power p of r' at s and the lists it is
+        decided on, r's of order `order` + 1 from the curve's tape memo and
+        their derivatives, as `Jet.d_ds` computes and checks them."""
+        r = self.curve._tape_values(0, s, order + 1)[1]
         rd = [require_finite(c) for c in _derivative(r)]
         p = _vanishing_power(rd)
         if p is None:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
-        decided = point.results["leading", order] = (p, r, rd)
-        return decided
+        return p, r, rd
 
     def _lists(self, s: float, degree: int):
         """(base, r, r', p): r's coefficient lists at s from one generated read
@@ -418,13 +413,16 @@ class AutoDual:
         return _tested_vec(x1 * sign, x2 * sign, x3 * sign)
 
     def jet(self, s0: float, order: int) -> MVec3:
-        """`_from_lists` on the lists of `_lists` at `_jet_degree`(order), or of
-        the tape memo where that gives no answer or w reaches past it; the
-        `Jet` formula where `_from_lists` gives none."""
+        """`_from_lists` on the lists of `_lists` at `_jet_degree`(order); the
+        `Jet` formula where that gives no answer, with p from `_leading` where
+        the read gives none or w reaches past it."""
         degree = _jet_degree(order)
         read = self._lists(s0, degree)
         if read is not None and order + 1 + read[3] <= degree:
             base, r, rd, p = read
+            out = self._from_lists(s0, order, r, rd, p)
+            if out is not None:
+                return _vec(*(jets._jet(base, tuple(c)) for c in out))
         else:
             p = self._leading(s0, degree - 1)[0]
             if order + 1 + p > jets.MAX_ORDER:
@@ -432,11 +430,6 @@ class AutoDual:
                     f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
                     f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
                 )
-            point, r = self.curve._tape_values(0, s0, order + 1 + p)
-            base, rd = point.base, _derivative(r)
-        out = self._from_lists(s0, order, r, rd, p)
-        if out is not None:
-            return _vec(*(jets._jet(base, tuple(c)) for c in out))
         rj = self.curve.point_jet(s0, order + 1 + p)
         # divide the derivative germ by (s - s0)^p: drop the first p coefficients
         w = _d(rj).map(lambda j: Jet(j.base, j.coeffs[p : p + order + 1]))

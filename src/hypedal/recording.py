@@ -246,9 +246,10 @@ def record(formula):
 # (`LegendrePair.with_auto_dual`).  Elsewhere the inputs are read apart from
 # the formula's function: a wide jet's lists from the tape memo; every r and
 # v leaf of an auto-dual pair from one generated read of r per call
-# (`AutoDual._lists`, `_run_auto_dual`), r's floats from the float tape; and
-# the jets and floats of other pairs (reparametrized, built by hand), and of
-# an auto-dual pair where that read gives no answer, from their evaluators.
+# (`AutoDual._lists`, `_run_auto_dual`), r's floats from the float tape, the
+# derived curve's formula running where that read gives no answer; and the
+# jets and floats of other pairs (reparametrized, built by hand) from their
+# evaluators.
 
 
 class _Recorded(LegendrePair):
@@ -298,19 +299,18 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
     leaves = [(kind, k) for kind, k, i in keys if i == 0]
     dual = None if has_mu else source._dual
+    if dual is not None:
+        # one read deep enough for every leaf, and for the p that each v leaf decides
+        top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves),
+                  default=1)
+        return partial(_run_auto_dual, dual, leaves, top, function, consts, order is not None)
     if order is None:
-        run = partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
-    elif curve is not None:  # a wide jet
+        return partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
+    if curve is not None:  # a wide jet
         groups = [(_GROUPS[kind], k) for kind, k in leaves]
         return partial(_run_on_tape, curve._tape_values, groups, function, consts)
-    else:
-        run = partial(_run_on_jets, [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves],
-                      function, consts)
-    if dual is None:
-        return run
-    # one read deep enough for every leaf, and for the p that each v leaf decides
-    top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves), default=1)
-    return partial(_run_auto_dual, dual, leaves, top, function, consts, order is not None, run)
+    leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
+    return partial(_run_on_jets, leaves, function, consts)
 
 
 _GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
@@ -437,13 +437,14 @@ def _run_on_jets(leaves, function, consts, s0):
     return None if out is None else (base, out)
 
 
-def _run_auto_dual(dual, leaves, top, function, consts, jets: bool, fallback, s):
+def _run_auto_dual(dual, leaves, top, function, consts, jets: bool, s):
     """`_run_on_jets` or `_run_reads` of an auto-dual pair's `leaves`: r's floats
     from the float tape, every other leaf from one `AutoDual._lists` read at
-    degree `top`; fallback(s) where the read or a v leaf gives no answer."""
+    degree `top`; None where the read or a v leaf gives no answer, and the
+    derived curve's formula then runs on `AutoDual`'s evaluators."""
     read = dual._lists(s, top)
     if read is None:
-        return fallback(s)
+        return None
     base, r, rd, p = read
     given = []
     try:
@@ -453,7 +454,7 @@ def _run_auto_dual(dual, leaves, top, function, consts, jets: bool, fallback, s)
             else:
                 values = dual._from_lists(s, k, r, rd, p)
                 if values is None:
-                    return fallback(s)
+                    return None
             given += values
         out = function(given, consts)
     except Exception:  # the formula raises what it raises

@@ -428,26 +428,34 @@ def test_an_undefined_curvature_pair_is_left_out_of_the_cause_scale():
 # and the jets of the pairs induced from it, read every r and v leaf from one
 # generated order-17 read of r per call (`recording._run_auto_dual`).  From
 # order 14, w reaches past that read where p >= 3, as at the flat cusp below,
-# and those leaves fall back to the memoised path.
+# and those jets run the formula on the tape memo, as with the generator off.
+# Orders 14-16 cost the formula most, so they are compared on every fourth
+# grid point and the special parameters alone, which keeps tier-1 in budget.
 
-AUTO_ORDERS = (0, 1, 2, 3, 14, 15, 16)
 _INDUCED_JETS = ("r_jet", "v_jet", "mu_jet")
 
 
-def _auto_outcomes(pair, Q, grid):
-    """Each derived jet, the induced pairs' jets, each sample, curvature pair and
-    `validate` frame, by repr, or the exception."""
+def _auto_jets(name, pair):
+    """(s, order) of the jets compared: orders 0-3 at `_parameters`, and 14-16
+    at every fourth grid point, -0.0, the domain ends and the cusps."""
+    special = (-0.0, *pair.domain, *CUSPS[name])
+    return ([(s, k) for s in _parameters(name, pair) for k in (0, 1, 2, 3)]
+            + [(s, k) for s in (*linspace(pair.domain, 23)[::4], *special) for k in (14, 15, 16)])
+
+
+def _auto_outcomes(pair, Q, grid, at):
+    """Each derived jet and the induced pairs' jets at each (s, order) of `at`,
+    and each sample, curvature pair and `validate` frame on `grid`, by repr,
+    or the exception."""
     curves, induced = _curves(pair, Q)
     out = _samples(pair, Q, grid)
     for kind, curve in curves.items():
-        out[kind + " jets"] = [_outcome(lambda: curve.jet(s, k))
-                               for s in grid for k in AUTO_ORDERS]
+        out[kind + " jets"] = [_outcome(lambda: curve.jet(s, k)) for s, k in at]
     for kind, p in induced.items():
         out[kind + " frames"] = [_outcome(lambda: _frame(p, s)) for s in grid]
         if kind != "source":
             for name in _INDUCED_JETS:
-                out[kind, name] = [_outcome(lambda: getattr(p, name)(s, k))
-                                   for s in grid for k in AUTO_ORDERS]
+                out[kind, name] = [_outcome(lambda: getattr(p, name)(s, k)) for s, k in at]
     return out
 
 
@@ -479,12 +487,31 @@ def test_auto_dual_programs_are_the_formulas(name, pairs, monkeypatch):
 
     pair = fresh()
     Q = _point(pair, "generic")
-    grid = _parameters(name, pair)
-    generated = _auto_outcomes(pair, Q, grid)
+    grid, at = _parameters(name, pair), _auto_jets(name, pair)
+    generated = _auto_outcomes(pair, Q, grid, at)
     programs = [program.func for program in pair._samplers.values()]
     assert programs and set(programs) == {recording._run_auto_dual}
     _formula_only(monkeypatch)
-    assert generated == _auto_outcomes(fresh(), Q, grid)
+    assert generated == _auto_outcomes(fresh(), Q, grid, at)
+
+
+def test_auto_dual_programs_read_the_degree_that_decides_p(monkeypatch):
+    # at s = 0, coefficient 16 of x2' puts its coefficient 0 under the zero
+    # test's scale: p is 0 on r' to degree 16 and 1 on the order-17 read at
+    # which jets of orders 0-3 decide it; mutation: the read one degree short
+    r = ["sqrt(1 + (0.001*s + 100000*s^17)^2 + s^4)", "0.001*s + 100000*s^17", "s^2"]
+
+    def fresh():
+        return LegendrePair.with_auto_dual(curve_from_dict(
+            {"schema": 1, "name": "p-split-17", "r": r, "domain": [-1.0, 1.0]}))
+
+    pair = fresh()
+    assert [pair._dual._lists(0.0, degree)[3] for degree in (16, 17)] == [0, 1]
+    Q, grid = _point(pair, "generic"), (-0.0, 0.0, 0.5)
+    at = [(s, k) for s in grid for k in (0, 1, 2, 3)]
+    generated = _auto_outcomes(pair, Q, grid, at)
+    _formula_only(monkeypatch)
+    assert generated == _auto_outcomes(fresh(), Q, grid, at)
 
 
 @pytest.mark.parametrize("name", NAMES)
