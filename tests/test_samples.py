@@ -30,7 +30,7 @@ from hypedal.minkowski import MVec3
 NAMES = ("astroid", "cusp23", "cusp37", "circle")
 CUSPS = {"astroid": (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi), "cusp23": (0.0,),
          "cusp37": (0.0,), "circle": (), "flat-cusp": (0.0,),
-         "p-split": (0.0,)}
+         "p-split": (0.0,), "p-split-17": (0.0,)}
 WHERE = ("generic", "on the curve", "on the tangent geodesic")
 
 
@@ -472,13 +472,17 @@ _MADE = {
     # test's scale: p is 0 on r' to degree 18 (order 15), 1 from degree 19
     "p-split": ["sqrt(1 + (0.001*s + 10000000*s^19)^2 + s^4)", "0.001*s + 10000000*s^19",
                 "s^2"],
+    # the same with coefficient 16 of x2': p is 0 on r' to degree 16, 1 on the
+    # order-17 read at which jets of orders 0-3 decide it
+    "p-split-17": ["sqrt(1 + (0.001*s + 100000*s^17)^2 + s^4)", "0.001*s + 100000*s^17", "s^2"],
 }
 
 
 @pytest.mark.parametrize("name", [*NAMES, *_MADE])
 def test_auto_dual_programs_are_the_formulas(name, pairs, monkeypatch):
     # mutations: p decided on the whole read where a leaf's own degree is
-    # lower; the float dual's sign applied with + 0.0
+    # lower (p-split); the read one degree short (p-split-17); the float
+    # dual's sign applied with + 0.0
     def fresh():  # a pair keeps the programs it made; the sign grid is kept with the tapes
         if name in _MADE:
             return LegendrePair.with_auto_dual(curve_from_dict(
@@ -491,25 +495,6 @@ def test_auto_dual_programs_are_the_formulas(name, pairs, monkeypatch):
     generated = _auto_outcomes(pair, Q, grid, at)
     programs = [program.func for program in pair._samplers.values()]
     assert programs and set(programs) == {recording._run_auto_dual}
-    _formula_only(monkeypatch)
-    assert generated == _auto_outcomes(fresh(), Q, grid, at)
-
-
-def test_auto_dual_programs_read_the_degree_that_decides_p(monkeypatch):
-    # at s = 0, coefficient 16 of x2' puts its coefficient 0 under the zero
-    # test's scale: p is 0 on r' to degree 16 and 1 on the order-17 read at
-    # which jets of orders 0-3 decide it; mutation: the read one degree short
-    r = ["sqrt(1 + (0.001*s + 100000*s^17)^2 + s^4)", "0.001*s + 100000*s^17", "s^2"]
-
-    def fresh():
-        return LegendrePair.with_auto_dual(curve_from_dict(
-            {"schema": 1, "name": "p-split-17", "r": r, "domain": [-1.0, 1.0]}))
-
-    pair = fresh()
-    assert [pair._dual._lists(0.0, degree)[3] for degree in (16, 17)] == [0, 1]
-    Q, grid = _point(pair, "generic"), (-0.0, 0.0, 0.5)
-    at = [(s, k) for s in grid for k in (0, 1, 2, 3)]
-    generated = _auto_outcomes(pair, Q, grid, at)
     _formula_only(monkeypatch)
     assert generated == _auto_outcomes(fresh(), Q, grid, at)
 
