@@ -412,10 +412,12 @@ def _f_pow(v, x, n):
     return v[x] ** n
 
 
-# The tape's programs whose values have at most this many coefficients
-# (floats, jets of degree 1-3) run as functions that hypedal.program
-# generates; wider ones keep the step loop, which generating them did not
-# make measurably faster.
+# On the memo path (`_TapePoint._run`), the tape's programs whose values have
+# at most this many coefficients (floats, jets of degree 1-3) run as
+# functions that hypedal.program generates, and wider ones keep the step
+# loop, which only the `Jet` formulas' requests reach: wide reads run the
+# generated functions of `_Tape.lists` (`frontal.AutoDual`'s) or of the
+# derived-curve programs fused with the tapes (`classify_pedal`'s germs).
 _INLINE_WIDTH = 4
 
 # any other operator divides, as in _eval
@@ -804,9 +806,7 @@ class ParametricCurve:
         """(point, values): the memoised `_TapePoint` of s that serves `order`,
         and group's three values there, floats or the coefficient lists of
         jets truncated to `order`.  `_at` reads the memo only through here, and
-        so do `frontal.AutoDual` and the generated derived-curve functions
-        that run apart from the tape (`hypedal.recording`'s wide ones), which
-        take the lists as they are."""
+        so does `frontal.AutoDual`, which takes the lists as they are."""
         base, degree = (float(s), 0) if order is None else _tape_args(s, order)
         key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
         memo = self._memo

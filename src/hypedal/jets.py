@@ -344,13 +344,15 @@ def sinh_cosh_coeffs(a) -> tuple:
 # ---------------------------------------------------------------------
 # Straight-line kernels.  Each recurrence above is generated, for one
 # truncation order n, as a Python function without loops, and compiled
-# on first use.  The source is built from the integers n and d alone.
-# A kernel does the floating-point operations of the nested loop it
-# replaced in that loop's order: a sum is one left-to-right chain that
-# starts with `0.0 +`, a difference chain starts with its minuend, and
-# k*a_k is formed before it multiplies.  So every coefficient, the sign
-# of zero included, is the loop's.  MAX_ORDER bounds the keys: at most
-# 2,139 (n, d) products and 65 orders of each other recurrence.
+# on first use.  The source is built from the integers n and the
+# operands' degrees alone.  A kernel does the floating-point operations of
+# the nested loop it replaced in that loop's order: a sum is one
+# left-to-right chain that starts with `0.0 +`, a difference chain starts
+# with its minuend, and k*a_k is formed before it multiplies.  So every
+# coefficient, the sign of zero included, is the loop's.  MAX_ORDER bounds
+# the keys: at most 2,139 (n, d) products of `mul_coeffs` and 65 orders of
+# each other recurrence; the products bound into generated code keep the
+# last MAX_ORDER (n, da, db).
 # The recurrences are line templates on the names of the coefficients they
 # read and write, so hypedal.program emits them inside whole programs.
 # ---------------------------------------------------------------------
@@ -377,10 +379,14 @@ def _unpack(prefix: str, n: int) -> str:
     return f"{', '.join(_names(prefix, n))}, = {prefix}"
 
 
-def mul_rows(a: list, b: list, d: int) -> list:
-    """The product's coefficients, without the terms of a above degree d."""
-    return [" + ".join(["0.0"] + [f"{a[i]}*{b[k - i]}" for i in range(min(k, d) + 1)])
-            for k in range(len(a))]
+def mul_rows(a: list, b: list, da: int, db: int | None = None) -> list:
+    """The product's coefficients, without the terms of a above degree da or
+    of b above degree db (default: all of b's); a row without terms, one
+    above da + db, is the literal 0.0."""
+    db = len(b) - 1 if db is None else db
+    return [" + ".join(["0.0"] + [f"{a[i]}*{b[k - i]}" for i in range(max(0, k - db),
+                                                                      min(k, da) + 1)])
+            if k <= da + db else "0.0" for k in range(len(a))]
 
 
 def div_lines(q: list, a: list, b: list) -> list:
@@ -410,11 +416,24 @@ def trig_lines(s: list, c: list, k: list, a: list, hyperbolic: bool) -> list:
     return lines
 
 
+def _product_kernel(n: int, da: int, db: int):
+    rows = mul_rows(_names("a", n), _names("b", n), da, db)
+    return compile_lines(f"_mul_{n}_{da}_{db}", "a, b",
+                         [_unpack("a", n), _unpack("b", n), f"return [{', '.join(rows)}]"])
+
+
 @lru_cache(maxsize=None)
 def _mul_kernel(n: int, d: int):
-    rows = mul_rows(_names("a", n), _names("b", n), d)
-    return compile_lines(f"_mul_{n}_{d}", "a, b",
-                         [_unpack("a", n), _unpack("b", n), f"return [{', '.join(rows)}]"])
+    """The kernel of `mul_coeffs` for a left operand of degree d."""
+    return _product_kernel(n, d, n)
+
+
+@lru_cache(maxsize=MAX_ORDER)
+def _bound_mul_kernel(n: int, da: int, db: int):
+    """The product of operands of degree at most da and db, as bound into
+    generated code whose operands' degrees are known (`hypedal.program`);
+    the last MAX_ORDER are kept, and each function holds what it binds."""
+    return _mul_kernel(n, da) if db >= n else _product_kernel(n, da, db)
 
 
 # the products of orders 0-3, which low-order `Jet` formulas run most: full rows,

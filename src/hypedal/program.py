@@ -14,11 +14,17 @@ every value keeps its bits, the sign of zero included.  Where every value
 has at most `INLINE_WIDTH` coefficients (floats, and jets of degree 0-3),
 each step is emitted on local names from the line templates of the `jets`
 kernels, or as the float operation of its step function.  Wider jets are
-whole coefficient lists, and each step is one statement on them: a product
-calls `jets.mul_coeffs`, so the degree-keyed kernels stay; a quotient, a
-square root and a sin/cos or sinh/cosh pair call the kernel of their
+whole coefficient lists, and each step is one statement on them: a quotient,
+a square root and a sin/cos or sinh/cosh pair call the kernel of their
 order, bound when the code is generated; sums, scales, lifts, d/ds and
-truncations run the float operations of their step functions.
+truncations run the float operations of their step functions.  Each value
+has a bound on its degree, fixed when the code is generated (s's jet 1, a
+lift 0, a product the sum of its operands', up to the order, and so on),
+above which its coefficients are structural zeros: where the only input is
+s, a product calls the kernel bound to its operands' bounds, which leaves
+out only terms with a structural zero and gives the literal 0.0 above the
+sum of the bounds; a program of given lists, whose bounds are their widths,
+calls `jets.mul_coeffs`, which finds the left operand's degree at each call.
 
 A refusal that a kernel would raise (a vanishing divisor, the square root
 of a constant term that is not positive) makes the function return None,
@@ -29,11 +35,15 @@ programs test every value they compute.  Wide ones test their outputs,
 every coefficient that a truncation or d/ds drops, and both halves of a
 pair, once, at the end: + - * / carry a nan or an infinity in coefficient
 k of an operand into coefficient k of the result (a divisor with one in
-its constant term is refused, and a product's degree-keyed kernel leaves
-out only terms of exact zeros), so one of these is not finite whenever an
-intermediate value is not.  The code is keyed by the program's structure,
-with its constants as arguments, so a program recorded for another pedal
-point Q, or read from another copy of a curve, reuses it.
+its constant term is refused), so one of these is not finite whenever an
+intermediate value is not.  A term left out has a factor that is an exact
+zero while every value before it is finite, so leaving it out keeps each
+sum's bits (each starts at +0.0); where it would be inf*0.0 in the step
+loop, an earlier value has a coefficient that is not finite within its
+bound, one that the program computes as the step loop does and carries to
+what it tests.  The code is keyed by the program's structure, with its
+constants as arguments, so a program recorded for another pedal point Q,
+or read from another copy of a curve, reuses it.
 
 The library imports this module with the first program it generates.
 """
@@ -98,7 +108,8 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS):
 
     `shapes` maps each input node, in the order the function takes their
     values, to 0 (a float), w (a jet of w coefficients) or -w (a sin/cos or
-    sinh/cosh pair).  function(values of the inputs, constants) returns the
+    sinh/cosh pair); a jet at node 0 is s's, (s, 1.0, 0.0, ...), as in
+    every tape and recording.  function(values of the inputs, constants) returns the
     values of the `outputs` nodes, or None where the checked path must run.
     A constant that is not a float (a `recording.Param`) stands for the
     value given in its place.
@@ -147,9 +158,12 @@ def fused_program(tapes, program, reads: dict, outputs, degree: int):
     i of the group's floats, or (group, k, i), its jet truncated to order
     k <= `degree`, the degree the jet tape runs at.  The function takes (s,)
     and the constants: the recorded ones, such as Q, and the tapes'.  It is
-    made wherever `program` and each tape program it reads inline alone.
+    made wherever `program` and each tape program it reads inline alone, and
+    where its jets are wider than `INLINE_WIDTH` coefficients, only if it
+    reads no floats: a program of coefficient lists takes no float step.
     """
-    if len(program) > _INLINE_STEPS:
+    floats = any(k is None for _, k, _ in reads.values())
+    if len(program) > _INLINE_STEPS or floats and degree >= INLINE_WIDTH:
         return None
     fused = _Steps()  # node 0 is the float s
     nodes = [{0: 0}, {}]  # per tape: its node -> the fused node
@@ -189,8 +203,11 @@ def _div_refused(b0: str, scale: str) -> str:
 @lru_cache(maxsize=256)
 def _inline_function(inputs, program, outputs, n_consts):
     """The generated function of a program's structure (see `inline_program`);
-    no step widens a value, so its inputs decide whether it is a wide one."""
-    if max((abs(shape) for _, shape in inputs), default=0) > INLINE_WIDTH:
+    no step but s's jet (`_k_var`) widens a value, so its inputs and that
+    step decide whether it is a wide one."""
+    widths = [abs(shape) for _, shape in inputs]
+    widths += [y + 1 for _, fn, _, y in program if fn is _k_var]
+    if max(widths, default=0) > INLINE_WIDTH:
         return _list_function(inputs, program, outputs, n_consts)
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
     unpack = []
@@ -288,9 +305,17 @@ def _inline_function(inputs, program, outputs, n_consts):
 def _list_function(inputs, program, outputs, n_consts):
     """The generated function of a program of jets wider than `INLINE_WIDTH`,
     each value a whole coefficient list (see the module docstring), or None
-    where a step is not one on jets."""
+    where a step is not one on jets.
+
+    Each value has a bound on its degree, fixed here: above it every
+    coefficient is a structural zero.  Where the only input is s (node 0,
+    the float or its jet (s, 1.0, 0.0, ...)), each product calls the kernel
+    of its operands' bounds; given lists have no bound below their width,
+    so their products call `jets.mul_coeffs`, which finds a's degree."""
     names = {node: f"x{node}" for node, _ in inputs}
     widths = {node: abs(shape) for node, shape in inputs}
+    degrees = {node: 1 if node == 0 else abs(shape) - 1 for node, shape in inputs}
+    from_s = list(names) == [0]
     given = set(names)  # the inputs, which callers give finite
     prologue = [f"{''.join(name + ', ' for name in names.values())}= i"]
     if n_consts:
@@ -300,29 +325,42 @@ def _list_function(inputs, program, outputs, n_consts):
     tested = [f"sum(x{node}, 0.0)" for node in dict.fromkeys(outputs) if node not in given]
     divisors = set()  # the values whose refusal is tested
 
-    def kernel(name, make, n):
-        bound[f"{name}{n}"] = make(n)
-        return f"{name}{n}"
+    def kernel(name, make, *key):
+        name += "_".join(map(str, key))
+        bound[name] = make(*key)
+        return name
 
     for node, fn, x, y in program:
         a = names[x]
         n = widths[x]
+        da = degrees[x]
         out = names[node] = f"x{node}"
         widths[node] = n
+        degrees[node] = da
         lines = []
-        if fn is _k_neg:
+        if fn is _k_var:
+            value = f"[{a}, 1.0] + [0.0] * {y - 1}"
+            widths[node] = y + 1
+            degrees[node] = 1
+        elif fn is _k_neg:
             value = f"[-p for p in {a}]"
         elif fn is _k_add or fn is _k_sub:
             value = f"[p {'+' if fn is _k_add else '-'} q for p, q in zip({a}, {names[y]})]"
+            degrees[node] = max(da, degrees[y])
         elif fn is _k_mul:
-            value = f"mul({a}, {names[y]})"
+            db = degrees[y]
+            degrees[node] = min(n - 1, da + db)
+            product = kernel("mul", jets._bound_mul_kernel, n - 1, da, db) if from_s else "mul"
+            value = f"{product}({a}, {names[y]})"
         elif fn is _k_scale:
             value = f"[p*k{y} + 0.0 for p in {a}]"
         elif fn is _k_lift:
             value = f"[k{y}] + [0.0] * {n - 1}"
+            degrees[node] = 0
         elif fn is _k_d or fn is _k_trunc:
             value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
             widths[node] = n - 1 if fn is _k_d else y + 1
+            degrees[node] = max(da - 1, 0) if fn is _k_d else min(da, y)
             if x not in given:
                 tested.append(f"{a}[0]" if fn is _k_d else f"sum({a}[{y + 1}:], 0.0)")
         elif fn is _k_half:
@@ -332,15 +370,18 @@ def _list_function(inputs, program, outputs, n_consts):
             trig = jets._sinh_cosh_kernel if hyperbolic else jets._sin_cos_kernel
             value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
             tested += [f"sum({out}[0], 0.0)", f"sum({out}[1], 0.0)"]
+            degrees[node] = n - 1
         elif fn is _k_sqrt:
             lines.append(f"if not {a}[0] > 0.0: return None")  # sqrt_coeffs' refusal, or a nan
             value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
+            degrees[node] = n - 1
         elif fn is _k_div or fn is _k_tanh:
             a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
             if b not in divisors:
                 divisors.add(b)
                 lines.append(f"if {_div_refused(f'{b}[0]', f'max(map(abs, {b}))')}: return None")
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
+            degrees[node] = n - 1
         else:  # a float step
             return None
         lines.append(f"{out} = {value}")

@@ -25,7 +25,7 @@ from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal
 from .jets import Jet, require_finite
 from .minkowski import MVec3, wedge
 from .program import (
-    INLINE_WIDTH, _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program,
+    _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program,
 )
 
 
@@ -237,15 +237,16 @@ def record(formula):
 # from, and from coefficient 1 of jets of order 1, an induced pair's jets
 # recorded into it from that pair's.
 #
-# Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`)
-# and no jet is wider than `INLINE_WIDTH` coefficients, the recording is
-# fused with the tape steps its inputs read (`program.fused_program`): one
-# generated function from s to the formula's values, kept with the tapes.  A
-# formula that reads r alone, such as the off-curve scan's, is fused the same
-# way on a pair whose r alone comes from a curve's tapes
-# (`LegendrePair.with_auto_dual`).  Elsewhere the inputs are read apart from
-# the formula's function: a wide jet's lists from the tape memo; every r and
-# v leaf of an auto-dual pair from one generated read of r per call
+# Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`),
+# the recording is fused with the tape steps its inputs read
+# (`program.fused_program`): one generated function from s to the formula's
+# values, kept with the tapes, for jets of any order (a wide one reads no
+# floats), `classify_pedal`'s order-22 germs among them; where it is not
+# fused, the formula runs on the tape memo.  A formula that reads r alone,
+# such as the off-curve scan's, is fused the same way on a pair whose r
+# alone comes from a curve's tapes (`LegendrePair.with_auto_dual`).
+# Elsewhere the inputs are read apart from the formula's function: every r
+# and v leaf of an auto-dual pair from one generated read of r per call
 # (`AutoDual._lists`, `_run_auto_dual`), r's floats from the float tape, the
 # derived curve's formula running where that read gives no answer; and the
 # jets and floats of other pairs (reparametrized, built by hand) from their
@@ -262,9 +263,10 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     formula(pair, Q, s0, order) returns) from the generated function, or None
     where that gives no answer; None where there is none, or where a point is
     not given in floats (a pair being recorded), or where it is not fused
-    with a curve's tapes and `fused_only`; a formula that reads v is fused
-    only where v comes from the tapes too.  For a sample formula (`order`
-    None), program(s) -> the list of the floats it returns."""
+    with a curve's tapes and `fused_only` or the pair is a `from_curve` one;
+    a formula that reads v is fused only where v comes from the tapes too.
+    For a sample formula (`order` None), program(s) -> the list of the
+    floats it returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
 
     chain = []
@@ -289,8 +291,8 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
         fused = _fused(r_curve._tape_set(), formula, kinds, Q is not None, order, curve is None)
         if fused is not None:
             return partial(_run_fused, fused[0], _given(fused[1], values), order is not None)
-    if fused_only or curve is not None and order is None:
-        return None  # not fused: a sample of a curve's pair runs its formula
+    if fused_only or curve is not None:
+        return None  # not fused: a formula of a curve's pair runs on the tape memo
     recorded = _record_on_pair(formula, kinds, has_mu, Q is not None, order)
     if recorded is None:
         return None
@@ -306,9 +308,6 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
         return partial(_run_auto_dual, dual, leaves, top, function, consts, order is not None)
     if order is None:
         return partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
-    if curve is not None:  # a wide jet
-        groups = [(_GROUPS[kind], k) for kind, k in leaves]
-        return partial(_run_on_tape, curve._tape_values, groups, function, consts)
     leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
     return partial(_run_on_jets, leaves, function, consts)
 
@@ -324,8 +323,8 @@ def _given(consts, values):
 def _fused(tapes, formula, kinds: tuple, with_q: bool, order: int | None, r_only: bool):
     """(function, constants) of `program.fused_program` for formula recorded on
     a `from_curve` pair with these tapes (`ParametricCurve._tape_set`), made once
-    per tapes; None where a jet is wide or it does not record or inline, and,
-    where `r_only` (the tapes give r, not v), where it reads v."""
+    per tapes; None where it does not record or inline, and, where `r_only`
+    (the tapes give r, not v), where it reads v."""
     key = (formula, kinds, with_q, order, r_only)
     fused = tapes[2]
     if key not in fused:
@@ -341,10 +340,7 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     """(program, reads, outputs, degree) of formula recorded on a `from_curve`
     pair: its steps, the (tape group, order or None, component) that each
     input reads, and the degree the jet tape runs at, at least 1; None where
-    that degree needs jets wider than `INLINE_WIDTH`, or it does not record.
-    Only fused programs keep their recorded steps."""
-    if order is not None and order >= INLINE_WIDTH:  # a jet formula reads jets of `order` or more
-        return None
+    it does not record.  Only fused programs keep their recorded steps."""
     recorded = _steps(_on_pair(formula, kinds, False, with_q, order))
     if recorded is None:
         return None
@@ -352,8 +348,6 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     reads = {node: (_GROUPS[kind], k, i)
              for node, (kind, k, i) in zip(recording.shapes, recording.keys)}
     degree = max([1] + [k for _, k, _ in reads.values() if k is not None])
-    if degree >= INLINE_WIDTH:
-        return None
     return recording._program(outputs), reads, outputs, degree
 
 
@@ -398,21 +392,6 @@ def _run_reads(reads, function, consts, s):
             given += values
         return function(given, consts)
     except Exception:  # the formula raises what it raises
-        return None
-
-
-def _run_on_tape(values_at, groups, function, consts, s0):
-    """(base, function(the coefficient lists that `values_at` reads at s0 for
-    each (group, order) of `groups`, consts)), or None where the function
-    returns None or anything raises."""
-    given = []
-    try:
-        for group, k in groups:
-            point, values = values_at(group, s0, k)
-            given += values
-        out = function(given, consts)
-        return None if out is None else (point.base, out)
-    except Exception:  # the checked path raises what it raises
         return None
 
 

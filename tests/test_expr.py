@@ -432,23 +432,58 @@ def _tape_outcome(e, s, degree, inline=True):
     return _value_outcome(lambda: _TapePoint(tape, s, degree).outputs(0)[0])
 
 
+def _lists_outcome(e, s, degree):
+    """e at s from the generated function of `_Tape.lists` at `degree`, by
+    repr, or "refused" where it gives no answer; None where there is none."""
+    lists = _Tape(((e,),)).lists(0, degree)
+    if lists is None:
+        return None
+    function, consts, (position,) = lists
+    s_jet = [s, 1.0] + [0.0] * (degree - 1)
+    try:
+        out = function([s_jet], consts)
+    except Exception:  # the callers run the step loop
+        out = None
+    return "refused" if out is None else repr(s_jet if position is None else out[position])
+
+
 @settings(max_examples=500, deadline=None)
-@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S, st.integers(min_value=0, max_value=3))
+@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S,
+       st.sampled_from([0, 1, 2, 3, 5, 17, 23]))
 @example(parse("sin(s)*cos(s)/(1 + s^2)"), 0.3, 3)
 @example(parse("1/(s - s)"), 0.5, 2)  # a vanishing divisor
 @example(parse("sqrt(s - 1)"), 0.5, 2)  # the square root of a negative constant term
 @example(parse("1/((s*1e200)*(s*1e200))"), 0.5, 2)  # an overflow
+@example(parse("sin(s)*s^2"), 0.3, 17)  # a sparse right operand
+# a structural zero meets an overflow: coefficient 3 of the square is inf*0.0
+@example(parse("((s*1e200)*(s*1e200))*s"), 0.5, 23)
+# at s = +-0.0 the coefficients of one parity of sin(s), cos(s) and sin(s)^2
+# vanish, so a left operand's degree found at run time can be below its
+# bound: cos(s)'s at degree 5, sin(s)^2's at 17
+@example(parse("sin(s)*sin(s)"), 0.0, 23)
+@example(parse("(sin(s)*sin(s))*s"), -0.0, 17)
+@example(parse("cos(s)*sin(s)"), -0.0, 5)
 def test_generated_tape_functions_are_the_step_loop(e, s, degree):
     # programs of at most 4 coefficients a value run as generated functions,
-    # which must give what the step loop gives, or raise what it raises
-    assert _tape_outcome(e, s, degree) == _tape_outcome(e, s, degree, inline=False)
+    # which must give what the step loop gives, or raise what it raises;
+    # above that, `_Tape.lists`' function, its products' kernels bound to the
+    # degrees of their operands, must give the step loop's bits, or no answer
+    # where a step raises; its callers give it a finite s alone, as
+    # `_tape_args` does the step loop
+    loop = _tape_outcome(e, s, degree, inline=False)
+    if degree <= 3:
+        assert _tape_outcome(e, s, degree) == loop
+    elif math.isfinite(s):
+        assert _lists_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
 
 
 # one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
 # "truncate" act on a product, so that a value they drop is one the program
-# computed; the last four multiply with a left operand that ends in zeros,
+# computed; the next four multiply with a left operand that ends in zeros,
 # whose degree `jets.mul_coeffs` finds below its width: s, s^2, a lift of
-# -0.0, and a sum of s and a lift
+# -0.0, and a sum of s and a lift; the last two read s alone, so their
+# products call kernels bound to their operands' degrees: sin(s) (every
+# degree) times s (degree 1), and s^2 times s^3
 _STEP_KINDS = {
     "neg": ([(3, expr._k_neg, 1, None)], (3,)),
     "add": ([(3, expr._k_add, 1, 2)], (3,)),
@@ -469,7 +504,12 @@ _STEP_KINDS = {
     "s and a lift times": ([(3, expr._k_lift, 1, 0.5), (4, expr._k_add, 3, 0),
                             (5, expr._k_neg, 4, None), (6, expr._k_scale, 5, -1.5),
                             (7, expr._k_mul, 6, 1)], (7,)),
+    "times s": ([(3, expr._k_pair, 0, jets.sin_cos_coeffs), (4, expr._k_half, 3, 0),
+                 (5, expr._k_mul, 4, 0)], (5,)),
+    "s^2 times s^3": ([(3, expr._k_mul, 0, 0), (4, expr._k_mul, 3, 0), (5, expr._k_mul, 3, 4)],
+                      (5,)),
 }
+_FROM_S = {"times s", "s^2 times s^3"}
 
 
 def _step_inputs(width: int, case: str):
@@ -513,16 +553,25 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
     # above 4 coefficients each step is one statement on whole lists, and
     # finiteness is tested once, on the outputs and on what d/ds and truncation
     # drop; each step kind must give the step loop's bits, or no answer where
-    # a step refuses or a value is not finite.  Mutations: no test of the
+    # a step refuses or a value is not finite; a product calls a kernel bound
+    # to its operands' degrees where the program reads s alone, and
+    # `jets.mul_coeffs` where it reads given lists.  Mutations: no test of the
     # dropped coefficients ("d" and "truncate" answer on an overflow), of
     # both halves of a pair ("sin" answers where cos overflows at width 5),
-    # or of a divisor's refusal ("div" answers on 1e-14 at width 5)
+    # of a divisor's refusal ("div" answers on 1e-14 at width 5); a term
+    # inside a bound left out, or the right operand's degree one too low
+    # ("times s" and "s^2 times s^3" differ in their bits); a bound kernel
+    # for given lists (the products of "mul" and the others call no `mul`)
     inputs = _step_inputs(width, case)
     for kind, (steps, outputs) in _STEP_KINDS.items():
-        function, consts = program.inline_program(steps, {0: width, 1: width, 2: width},
-                                                  outputs)
+        read = sorted({node for _, fn, x, y in steps
+                       for node in ((x, y) if fn in expr._TWO_OPERANDS else (x,)) if node < 3})
+        function, consts = program.inline_program(steps, dict.fromkeys(read, width), outputs)
+        products = sum(fn is expr._k_mul for _, fn, _, _ in steps)
+        calls_mul = "mul" in function.__code__.co_names
+        assert calls_mul == (products > 0 and kind not in _FROM_S), kind
         try:
-            out = function([list(c) for c in inputs], consts)
+            out = function([list(inputs[node]) for node in read], consts)
         except Exception:  # the callers run the checked path
             out = None
         generated = "refused" if out is None else [[repr(c) for c in o] for o in out]
@@ -537,7 +586,8 @@ _REFUSED = {
     "signed zeros": set(),
     "1e300 constant terms": {"mul", "d", "truncate", "tanh"},
     "1e300 in the middle": {"mul", "div", "sqrt", "d", "truncate", "sin of a sin/cos pair", "tanh"},
-    "nan constant term": set(_STEP_KINDS) - {"lift", "s^2 times", "a lift of -0.0 times"},
+    "nan constant term": set(_STEP_KINDS) - {"lift", "s^2 times", "a lift of -0.0 times",
+                                             *_FROM_S},
     "refused": {"div", "sqrt"},
     "a cos overflows": {"sqrt", "sin of a sin/cos pair", "tanh"},
 }

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from conftest import CURVES
-from hypedal import jets, program, recording
+from hypedal import expr, jets, program, recording
 from hypedal import constructions as cons
 from hypedal.expr import ParametricCurve, parse
 from hypedal.frontal import LegendrePair, reparametrized
@@ -328,10 +328,12 @@ def test_generated_germs_fall_back_to_the_jet_formulas(case, cusp37, cusp37_curv
     assert (outcome if error else None) == error
 
 
-def test_classify_code_is_shared_by_every_pedal_point():
+def test_classify_code_is_shared_by_every_pedal_point(monkeypatch):
     # the germ and det programs are recorded once per order and their code
     # is keyed by its structure, with Q as arguments, so new pedal points
-    # compile nothing new; mutation: the recordings and the code uncached
+    # compile nothing new; the germs' code, fused with the curve's tapes, is
+    # kept with them, so each count starts from fresh tapes; mutation: the
+    # recordings and the code uncached
     rng = random.Random(5)
     # Q = r(s0), where the pedal germ is singular, or a generic Q
     draws = [(0.0, None)] + [(rng.uniform(-1.5, 1.5), rng.choice([None, MVec3(
@@ -340,8 +342,9 @@ def test_classify_code_is_shared_by_every_pedal_point():
 
     def compiled(points):
         for cache in (program._inline_function, recording._record_on_pair,
-                      recording._det_program):
+                      recording._det_program, recording._fusable):
             cache.cache_clear()
+        monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
         pair = LegendrePair.from_curve(load_curve(CURVES / "cusp23.json"))
         pair.r(0.3), pair.v(0.3)  # the curve's own float programs
         with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
