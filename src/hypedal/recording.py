@@ -240,9 +240,10 @@ def record(formula):
 # Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`),
 # the recording is fused with the tape steps its inputs read
 # (`program.fused_program`): one generated function from s to the formula's
-# values, kept with the tapes, for jets of any order (a wide one reads no
-# floats), `classify_pedal`'s order-22 germs among them; where it is not
-# fused, the formula runs on the tape memo.  A formula that reads r alone,
+# values, kept with the tapes, for jets of any order up to `jets.MAX_ORDER`
+# (a wide one reads no floats), `classify_pedal`'s order-22 germs among
+# them; where it is not fused, the formula runs on the tape memo, which
+# raises past that order.  A formula that reads r alone,
 # such as the off-curve scan's, is fused the same way on a pair whose r
 # alone comes from a curve's tapes (`LegendrePair.with_auto_dual`).
 # Elsewhere the inputs are read apart from the formula's function: every r
@@ -340,7 +341,11 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     """(program, reads, outputs, degree) of formula recorded on a `from_curve`
     pair: its steps, the (tape group, order or None, component) that each
     input reads, and the degree the jet tape runs at, at least 1; None where
-    it does not record.  Only fused programs keep their recorded steps."""
+    it does not record, or where order or that degree is past
+    `jets.MAX_ORDER`, so the formula raises as the tape's reads do.  Only
+    fused programs keep their recorded steps."""
+    if order is not None and order > jets.MAX_ORDER:
+        return None
     recorded = _steps(_on_pair(formula, kinds, False, with_q, order))
     if recorded is None:
         return None
@@ -348,6 +353,8 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     reads = {node: (_GROUPS[kind], k, i)
              for node, (kind, k, i) in zip(recording.shapes, recording.keys)}
     degree = max([1] + [k for _, k, _ in reads.values() if k is not None])
+    if degree > jets.MAX_ORDER:
+        return None
     return recording._program(outputs), reads, outputs, degree
 
 

@@ -448,12 +448,20 @@ def _lists_outcome(e, s, degree):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S,
-       st.sampled_from([0, 1, 2, 3, 5, 17, 23]))
+@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S, st.integers(min_value=0, max_value=3))
 @example(parse("sin(s)*cos(s)/(1 + s^2)"), 0.3, 3)
 @example(parse("1/(s - s)"), 0.5, 2)  # a vanishing divisor
 @example(parse("sqrt(s - 1)"), 0.5, 2)  # the square root of a negative constant term
 @example(parse("1/((s*1e200)*(s*1e200))"), 0.5, 2)  # an overflow
+def test_generated_tape_functions_are_the_step_loop(e, s, degree):
+    # programs of at most 4 coefficients a value run as generated functions,
+    # which must give what the step loop gives, or raise what it raises
+    assert _tape_outcome(e, s, degree) == _tape_outcome(e, s, degree, inline=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S.filter(math.isfinite),
+       st.sampled_from([5, 17, 23]))
 @example(parse("sin(s)*s^2"), 0.3, 17)  # a sparse right operand
 # a structural zero meets an overflow: coefficient 3 of the square is inf*0.0
 @example(parse("((s*1e200)*(s*1e200))*s"), 0.5, 23)
@@ -463,27 +471,25 @@ def _lists_outcome(e, s, degree):
 @example(parse("sin(s)*sin(s)"), 0.0, 23)
 @example(parse("(sin(s)*sin(s))*s"), -0.0, 17)
 @example(parse("cos(s)*sin(s)"), -0.0, 5)
-def test_generated_tape_functions_are_the_step_loop(e, s, degree):
-    # programs of at most 4 coefficients a value run as generated functions,
-    # which must give what the step loop gives, or raise what it raises;
-    # above that, `_Tape.lists`' function, its products' kernels bound to the
-    # degrees of their operands, must give the step loop's bits, or no answer
-    # where a step raises; its callers give it a finite s alone, as
-    # `_tape_args` does the step loop
+def test_wide_generated_tape_functions_are_the_step_loop(e, s, degree):
+    # above 4 coefficients a value, `_Tape.lists`' function, its products'
+    # kernels bound to the degrees of their operands, must give the step
+    # loop's bits, or no answer where a step raises; its callers give it a
+    # finite s alone, as `_tape_args` does the step loop
     loop = _tape_outcome(e, s, degree, inline=False)
-    if degree <= 3:
-        assert _tape_outcome(e, s, degree) == loop
-    elif math.isfinite(s):
-        assert _lists_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
+    assert _lists_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
 
 
 # one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
 # "truncate" act on a product, so that a value they drop is one the program
 # computed; the next four multiply with a left operand that ends in zeros,
 # whose degree `jets.mul_coeffs` finds below its width: s, s^2, a lift of
-# -0.0, and a sum of s and a lift; the last two read s alone, so their
+# -0.0, and a sum of s and a lift; the last four read s alone, so their
 # products call kernels bound to their operands' degrees: sin(s) (every
-# degree) times s (degree 1), and s^2 times s^3
+# degree) times s (degree 1), s^2 times s^3, and two whose bound product
+# meets a value that is not finite, where the step loop's terms with a
+# structural zero are inf*0.0 or nan*0.0: s scaled by 1e200 twice, which
+# overflows, times s, and a lift of nan times s
 _STEP_KINDS = {
     "neg": ([(3, expr._k_neg, 1, None)], (3,)),
     "add": ([(3, expr._k_add, 1, 2)], (3,)),
@@ -508,8 +514,12 @@ _STEP_KINDS = {
                  (5, expr._k_mul, 4, 0)], (5,)),
     "s^2 times s^3": ([(3, expr._k_mul, 0, 0), (4, expr._k_mul, 3, 0), (5, expr._k_mul, 3, 4)],
                       (5,)),
+    "s overflowed times s": ([(3, expr._k_scale, 0, 1e200), (4, expr._k_scale, 3, 1e200),
+                              (5, expr._k_mul, 4, 0)], (5,)),
+    "a lift of nan times s": ([(3, expr._k_lift, 0, math.nan), (4, expr._k_mul, 3, 0)], (4,)),
 }
-_FROM_S = {"times s", "s^2 times s^3"}
+_NOT_FINITE_FROM_S = {"s overflowed times s", "a lift of nan times s"}  # refused in every case
+_FROM_S = {"times s", "s^2 times s^3", *_NOT_FINITE_FROM_S}
 
 
 def _step_inputs(width: int, case: str):
@@ -560,8 +570,11 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
     # both halves of a pair ("sin" answers where cos overflows at width 5),
     # of a divisor's refusal ("div" answers on 1e-14 at width 5); a term
     # inside a bound left out, or the right operand's degree one too low
-    # ("times s" and "s^2 times s^3" differ in their bits); a bound kernel
-    # for given lists (the products of "mul" and the others call no `mul`)
+    # ("times s" and "s^2 times s^3" differ in their bits, and with the
+    # term left out "s overflowed times s" answers at s = -0.0); no test of
+    # the outputs of a program that reads s alone (the two kinds that are
+    # not finite answer); a bound kernel for given lists (the products of
+    # "mul" and the others call no `mul`)
     inputs = _step_inputs(width, case)
     for kind, (steps, outputs) in _STEP_KINDS.items():
         read = sorted({node for _, fn, x, y in steps
@@ -582,7 +595,7 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
 
 # the kinds that refuse, in each case; where a constant term overflows, d/ds
 # drops it, and where the middle does, the truncation drops it
-_REFUSED = {
+_REFUSED = {case: kinds | _NOT_FINITE_FROM_S for case, kinds in {
     "signed zeros": set(),
     "1e300 constant terms": {"mul", "d", "truncate", "tanh"},
     "1e300 in the middle": {"mul", "div", "sqrt", "d", "truncate", "sin of a sin/cos pair", "tanh"},
@@ -590,7 +603,7 @@ _REFUSED = {
                                              *_FROM_S},
     "refused": {"div", "sqrt"},
     "a cos overflows": {"sqrt", "sin of a sin/cos pair", "tanh"},
-}
+}.items()}
 
 
 @pytest.mark.parametrize("floats", [False, True])

@@ -328,6 +328,27 @@ def test_generated_germs_fall_back_to_the_jet_formulas(case, cusp37, cusp37_curv
     assert (outcome if error else None) == error
 
 
+@pytest.mark.parametrize("what", ["pedal jet", "classify"])
+def test_generated_code_stops_at_the_maximum_order(what, cusp23):
+    # a from_curve pair's fused programs run up to jets.MAX_ORDER and no
+    # further, as the tape's reads do, so past it the formulas raise what
+    # they raise without them; mutation: the fused programs' order unbounded
+    Q, s0, top = Q_CENTER, 0.5, jets.MAX_ORDER
+    error = (ValueError, f"jet order {top + 1} exceeds the configured maximum {top}")
+    if what == "pedal jet":  # reads v at its order
+        curve = cons.pedal(cusp23, Q)
+        assert curve._run_program(s0, top) is not None
+        assert curve._run_program(s0, top + 1) is None
+        assert _report_outcome(lambda: curve.jet(s0, top + 1)) == error
+        assert _report_outcome(lambda: curve._formula_jet(s0, top + 1)) == error
+    else:  # reads r and v at order + 1
+        assert recording.pedal_germs(cusp23, Q, s0, top - 1) is not None
+        assert recording.pedal_germs(cusp23, Q, s0, top) is None
+        assert _report_outcome(lambda: classify_pedal(cusp23, Q, s0, top)) == error
+        with mock.patch.object(recording, "pedal_germs", lambda *args: None):
+            assert _report_outcome(lambda: classify_pedal(cusp23, Q, s0, top)) == error
+
+
 def test_classify_code_is_shared_by_every_pedal_point(monkeypatch):
     # the germ and det programs are recorded once per order and their code
     # is keyed by its structure, with Q as arguments, so new pedal points
