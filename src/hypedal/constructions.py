@@ -51,31 +51,49 @@ def _require_point(Q: MVec3):
     require_upper_sheet(Q, "pedal point")
 
 
-def _is_curve_point(Q: MVec3, r: MVec3, tol: float) -> bool:
-    """Q = r within tol: two upper-sheet points coincide exactly when <Q, r> = -1,
-    here |<Q, r> + 1| <= tol * max(1, |<Q, r>|)."""
-    d = inner(Q, r)
+def _coincident(d: float, tol: float) -> bool:
+    """Q = r within tol, for upper-sheet points Q and r with d = <Q, r>: they
+    coincide exactly when d = -1, here |d + 1| <= tol * max(1, |d|)."""
     return abs(d + 1.0) <= tol * max(1.0, abs(d))
 
 
 def _off_curve_gap(pair, Q, s, order):
-    """(-(<Q, r(s)> + 1),), as a sample formula of `recording.derived_program`."""
-    return (-(inner(Q, pair.r(s)) + 1.0),)
+    """(-(<Q, r(s)> + 1), <Q, r(s)>), as a sample formula of `recording.derived_program`."""
+    d = inner(Q, pair.r(s))
+    return -(d + 1.0), d
+
+
+def _off_curve_slope(pair, Q, s, order):
+    """(-<Q, r'(s)>,), as a sample formula of `recording.derived_program`."""
+    return (-inner(Q, _coeff(pair.r_jet(s, 1), 1)),)
+
+
+def _fused_sample(formula, pair, Q):
+    """s -> formula(pair, Q, s, None), a sample formula that reads r alone,
+    from its program fused with the curve's tapes (`recording.derived_program`),
+    which builds no memo point; the formula where there is none or it gives
+    no answer."""
+    from .recording import derived_program  # loaded with the first formula it runs
+
+    program = derived_program(formula, pair, Q, None, True)  # fused only
+
+    def at(s):
+        out = None if program is None else program(s)
+        return formula(pair, Q, s, None) if out is None else out
+    return at
 
 
 def _require_off_curve(pair: LegendrePair, Q: MVec3):
     # The proxy f = -(<Q, r> + 1) >= 0 touches zero quadratically where Q = r(s),
     # so the grid minimum is refined as a sign change of f' before the test.
-    from .recording import derived_program  # loaded with the first formula it runs
-
-    program = derived_program(_off_curve_gap, pair, Q, None, True)  # fused only
+    gap = _fused_sample(_off_curve_gap, pair, Q)
+    slope = _fused_sample(_off_curve_slope, pair, Q)
 
     def f(s):
-        out = None if program is None else program(s)
-        return _off_curve_gap(pair, Q, s, None)[0] if out is None else out[0]
+        return gap(s)[0]
 
     def fprime(s):
-        return -inner(Q, _coeff(pair.r_jet(s, 1), 1))
+        return slope(s)[0]
 
     grid = linspace(pair.domain, _ON_CURVE_SAMPLES)
     vals = [f(s) for s in grid]
@@ -86,7 +104,7 @@ def _require_off_curve(pair: LegendrePair, Q: MVec3):
         ga, gb = fprime(lo), fprime(hi)
         if ga != 0.0 and gb != 0.0 and (ga > 0.0) != (gb > 0.0):
             s_star = _itp(fprime, lo, hi, ga, gb, 1e-12)
-    if _is_curve_point(Q, pair.r(s_star), _ON_CURVE_TOL):
+    if _coincident(gap(s_star)[1], _ON_CURVE_TOL):
         raise PedalPointOnCurveError(f"pedal point on curve near s={s_star!r}")
 
 
@@ -580,8 +598,11 @@ def _itp(fn, lo, hi, flo, fhi, width: float):
         r = radius - 0.5 * (hi - lo)
         radius *= 0.5
         x = (lo * fhi - hi * flo) / (fhi - flo)
-        delta = k1 * (hi - lo) ** 2
-        x = x + math.copysign(delta, mid - x) if delta <= abs(mid - x) else mid
+        try:
+            delta = k1 * (hi - lo) ** 2
+            x = x + math.copysign(delta, mid - x) if delta <= abs(mid - x) else mid
+        except OverflowError:  # a bracket wider than about 1.3e154: the midpoint step
+            x = mid
         if abs(x - mid) > r:
             x = mid - math.copysign(r, mid - x)
         if not lo < x < hi:  # overflow or nan in the interpolation
@@ -713,7 +734,7 @@ def _cause(s: float, pair: LegendrePair, Q: MVec3 | None, m_scale: float) -> str
     _, m = pair.curvatures(s)
     if abs(m) <= 1e-6 * m_scale:
         return "m_zero"
-    if Q is not None and _is_curve_point(Q, pair.r(s), _ON_CURVE_TOL):
+    if Q is not None and _coincident(_fused_sample(_off_curve_gap, pair, Q)(s)[1], _ON_CURVE_TOL):
         return "point_on_curve"
     return "other"
 

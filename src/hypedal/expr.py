@@ -527,16 +527,24 @@ class _Tape(_Steps):
 
     def lists(self, group: int, degree: int):
         """(function, constants, positions): `program.tape_program` of group's
-        whole program at `degree`, wide or narrow, whose function takes s's jet
-        alone and gives group's values at `positions` of its outputs (None: s
-        itself); made once, None where it does not inline."""
+        whole program at `degree` (0 on a float tape), wide or narrow, whose
+        function takes s, or s's jet, alone and gives group's values at
+        `positions` of its outputs (None: s itself); made once, None where it
+        does not inline.  A float program's constant nodes, which a point
+        starts with (`init`), are constant steps here."""
         key = (group, degree)
         if key not in self._lists:
             self._lists[key] = None
             program = self.programs[group]
             if program:
-                from .program import tape_program  # loaded with the first program it generates
+                # the code generator is loaded with the first program it generates
+                from .program import _f_const, tape_program
 
+                if self.floats:
+                    read = dict.fromkeys([*(dep for node, *_ in program for dep in self.deps[node]),
+                                          *self.outputs[group]])
+                    program = tuple((node, _f_const, 0, self.init[node]) for node in read
+                                    if node and not self.steps[node][0]) + program
                 inline = tape_program(self, program, degree)
                 if inline is not None and inline[1] == [0]:
                     function, _, outputs, consts = inline
@@ -720,16 +728,18 @@ def to_text(e: CurveExpr) -> str:
 
 # The tapes of the last curves evaluated, keyed by the text of their
 # expressions, so that a fresh load of a curve file reuses its tapes, every
-# program generated for them, `hypedal.recording`'s fused ones included, and
-# what the jet tape keeps of a pair built on the curve (`ParametricCurve._kept`:
-# `frontal.AutoDual`'s sign grid, `constructions.singular_points`' cause scale).
+# program generated for them, `hypedal.recording`'s fused ones and
+# `frontal.auto_dual_read`'s reads included, and what the jet tape keeps of a
+# pair built on the curve (`ParametricCurve._kept`: `frontal.AutoDual`'s sign
+# grid, `constructions.singular_points`' cause scale).
 TAPES_SIZE = 16
 _TAPES: dict = {}
 
 
 def _shared_tapes(groups) -> tuple:
     """(float tape, jet tape, {}) of groups of expression trees, made once
-    per text; the dict holds what `hypedal.recording` fuses with them."""
+    per text; the dict holds what `hypedal.recording` fuses with them and
+    the reads of `frontal.auto_dual_read`."""
     key = tuple(tuple(map(to_text, trees)) for trees in groups)  # repr keeps -0.0
     tapes = _TAPES.pop(key, None)
     if tapes is None:
@@ -835,22 +845,6 @@ class ParametricCurve:
             point.results[group, order] = values
         return point, values
 
-    def _wide_lists(self, group: int, s: float, degree: int):
-        """Group's coefficient lists at s, those of `_tape_values` at order
-        `degree`, from one call of the generated function of `_Tape.lists`; None
-        where that gives no answer.  Nothing of the memo is read or written."""
-        base = float(s)
-        lists = self._tape_set()[1].lists(group, degree)
-        if lists is None or not math.isfinite(base):
-            return None
-        function, consts, positions = lists
-        s_jet = [base, 1.0] + [0.0] * (degree - 1)
-        try:
-            out = function([s_jet], consts)
-        except Exception:  # the step loop raises what it raises
-            return None
-        return None if out is None else [s_jet if i is None else out[i] for i in positions]
-
     def _kept(self, product, key, make):
         """make(), kept with the curve's shared tapes (`_shared_tapes`) under
         `product` while `key` holds, so a later curve of the same expressions
@@ -864,7 +858,7 @@ class ParametricCurve:
         return entry[1]
 
     def _tape_set(self) -> tuple:
-        """(float tape, jet tape, programs fused with them) of r and v, shared
+        """(float tape, jet tape, programs generated on them) of r and v, shared
         with every curve of the same expressions (`_shared_tapes`)."""
         if self._tapes is None:
             groups = (self.components,) if self.dual_components is None else (

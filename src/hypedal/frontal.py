@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import jets
-from .expr import linspace
+from .expr import _INLINE_WIDTH, linspace
 from .jets import Jet, require_finite
 from .minkowski import MVec3, _tested_vec, _vec, det3, inner, wedge
 
@@ -279,15 +279,15 @@ class AutoDual:
     domain and its size alone, so it is kept with the curve's shared tapes
     (`ParametricCurve._kept`): a process that builds the dual of the same
     curve again, from a fresh load of its file too, reuses it, and a one-shot
-    CLI process builds it once, as before.  Each read of r, by
-    the sign grid, a float dual, a dual jet or, for an auto-dual pair's
-    derived curves, `hypedal.recording`, is one call of the generated function
-    of the curve's tape at order 17 or more, which keeps nothing (`_lists`,
-    `_jet_degree`); a dual jet runs as the generated function of
-    `_unit_normal` on its lists (`_from_lists`).  Where the function gives no
-    answer the `Jet` formula runs, and where the read gives none, or w reaches
-    past it, the formula runs on the curve's tape memo, which decides p
-    (`_leading`).
+    CLI process builds it once, as before.  The sign grid, a float dual, a
+    dual jet and every input of an auto-dual pair's derived-curve programs
+    (`hypedal.recording`) come from one generated function of s per set of
+    inputs (`auto_dual_read`), kept with the curve's tapes, which keeps
+    nothing per point: it reads r's lists from one call of the curve's jet
+    tape at degree 17 or more (`_jet_degree`) and r's floats from one call
+    of its float tape, decides p for each dual at its own degree, and factors,
+    normalizes and signs it.  Where the read gives no answer, the `Jet`
+    formula runs on the curve's tape memo, which decides p (`_leading`).
     """
 
     def __init__(self, curve):
@@ -331,70 +331,36 @@ class AutoDual:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
         return p, r, rd
 
-    def _lists(self, s: float, degree: int):
-        """(base, r, r', p): r's coefficient lists at s from one generated read
-        at `degree` (`ParametricCurve._wide_lists`), r''s, and the p that
-        `_leading` decides on them; None where the read gives no answer,
-        `degree` is past `jets.MAX_ORDER`, r' is not finite or p not found."""
-        r = None if degree > jets.MAX_ORDER else self.curve._wide_lists(0, s, degree)
-        if r is None:
-            return None
-        rd = _derivative(r)
-        # a sum is finite only if every term is
-        p = _vanishing_power(rd) if math.isfinite(sum(map(sum, rd))) else None
-        return None if p is None else (float(s), r, rd, p)
-
-    def _from_lists(self, s: float, order: int | None, r, rd, p: int):
-        """The dual at s with its sign, from r's and r''s lists and p: the float
-        triple of `__call__` where `order` is None, else the lists of the jet
-        of that order, the generated function of `_unit_normal` on r and w,
-        coefficients p to p + order of r'; None where w is short, or where
-        anything is not finite or gives no answer.  Lists read deeper than
-        `_jet_degree`(order) get p decided again, as a read at that degree
-        decides it."""
-        degree = _jet_degree(order)
-        if len(rd[0]) > degree:
-            p = _vanishing_power([c[:degree] for c in rd])
-            if p is None:
-                return None
-        if order is None:
-            raw = _unit_wedge(r, rd, p)
-            if raw is None or not math.isfinite(raw[0] + raw[1] + raw[2]):
-                return None
-            sign = self._sign_at(s, raw)
-            return [x * sign for x in raw]
-        from .recording import auto_dual_program  # loaded with the first program it runs
-
-        w = [c[p : p + order + 1] for c in rd]
-        if len(w[0]) <= order or not math.isfinite(sum(map(sum, w))):
-            return None
-        recorded = auto_dual_program(order)
-        if recorded is None:
-            return None
+    def _read(self, leaves: tuple, top: int, s, sign_at):
+        """What the generated read of `leaves` at degree `top` gives at s with
+        sign_at(s, dual) as the sign of each dual (`auto_dual_read`):
+        a flat list of each leaf's three values; None where there is no read,
+        or it gives no answer or raises."""
+        read = auto_dual_read(self.curve._tape_set(), leaves, top)
         try:
-            out = recorded[0]([c[: order + 1] for c in r] + w, recorded[1])
-        except Exception:  # the formula raises what it raises
+            return None if read is None else read(float(s), sign_at)
+        except Exception:  # the memoised path raises what it raises
             return None
-        if out is None:
-            return None
-        sign = self._sign_at(s, [c[0] for c in out])
-        return [[x * sign + 0.0 for x in c] for c in out]
 
     def _raw(self, s: float) -> tuple:
         """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', as a
-        float triple; from `_lists` at degree `jets.DEFAULT_ORDER` + 1, or,
-        where that or <w, w> gives no answer, from `_leading`'s lists, which
-        raises what it raises."""
-        read = self._lists(s, jets.DEFAULT_ORDER + 1)
-        raw = None if read is None else _unit_wedge(*read[1:])
-        if raw is not None and math.isfinite(raw[0] + raw[1] + raw[2]):
-            return raw
+        float triple (the dual before its sign); see `_float`."""
+        return self._float(s, _unsigned)
+
+    def _float(self, s: float, sign_at) -> tuple:
+        """The float dual at s times sign_at(s, it), as a triple, from the
+        generated read, or, where that gives no answer, from `_leading`'s
+        lists, which raises what it raises."""
+        out = self._read(_FLOAT_LEAF, _jet_degree(None), s, sign_at)
+        if out is not None:
+            return tuple(out)
         p, r, rd = self._leading(s, jets.DEFAULT_ORDER)
         raw = _unit_wedge(r, rd, p)
         if raw is None:
             raise DualUndeterminedError(f"dual undetermined at s={s!r}")
         _vec(*raw)  # refuses a non-finite component
-        return raw
+        sign = sign_at(s, raw)
+        return tuple(x * sign for x in raw)
 
     def _sign_at(self, s: float, raw_value) -> float:
         """The sign of the float triple `raw_value`, the dual at s before its
@@ -408,34 +374,36 @@ class AutoDual:
         return 1.0 if u1 * g[j] + u2 * g[j + 1] + u3 * g[j + 2] >= 0.0 else -1.0  # Euclidean dot
 
     def __call__(self, s: float) -> MVec3:
-        x1, x2, x3 = raw = self._raw(s)
-        sign = self._sign_at(s, raw)
-        return _tested_vec(x1 * sign, x2 * sign, x3 * sign)
+        return _tested_vec(*self._float(s, self._sign_at))
 
     def jet(self, s0: float, order: int) -> MVec3:
-        """`_from_lists` on the lists of `_lists` at `_jet_degree`(order); the
-        `Jet` formula where that gives no answer, with p from `_leading` where
-        the read gives none or w reaches past it."""
+        """The dual jet from the generated read of its leaf; where that gives no
+        answer, the `Jet` formula, with p from `_leading`."""
         degree = _jet_degree(order)
-        read = self._lists(s0, degree)
-        if read is not None and order + 1 + read[3] <= degree:
-            base, r, rd, p = read
-            out = self._from_lists(s0, order, r, rd, p)
-            if out is not None:
-                return _vec(*(jets._jet(base, tuple(c)) for c in out))
-        else:
-            p = self._leading(s0, degree - 1)[0]
-            if order + 1 + p > jets.MAX_ORDER:
-                raise DualUndeterminedError(
-                    f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
-                    f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
-                )
+        out = self._read((("v", order),), degree, s0, self._sign_at)
+        if out is not None:
+            base = float(s0)
+            return _vec(*(jets._jet(base, tuple(c)) for c in out))
+        p = self._leading(s0, degree - 1)[0]
+        if order + 1 + p > jets.MAX_ORDER:
+            raise DualUndeterminedError(
+                f"dual undetermined at s={s0!r}: r' vanishes to order {p}, which needs a "
+                f"jet of order {order + 1 + p}, above the maximum {jets.MAX_ORDER}"
+            )
         rj = self.curve.point_jet(s0, order + 1 + p)
         # divide the derivative germ by (s - s0)^p: drop the first p coefficients
         w = _d(rj).map(lambda j: Jet(j.base, j.coeffs[p : p + order + 1]))
         vj = _unit_normal(_truncate(rj, order), w)
         sign = self._sign_at(s0, _const(vj).components())
         return sign * vj
+
+
+_FLOAT_LEAF = (("v", None),)  # the one leaf of the float dual's read
+
+
+def _unsigned(s, dual) -> float:
+    """The sign of a dual read without its sign, such as the sign grid's."""
+    return 1.0
 
 
 def _jet_degree(order) -> int:
@@ -461,6 +429,8 @@ def _vanishing_power(rd) -> int | None:
     all three vanish."""
     p = None
     for c in rd:
+        if p == 0:  # no coefficient is below it
+            break
         bound = _FLAT_TOL * max(1.0, max(map(abs, c)))
         for i in range(len(c) if p is None else p):
             if abs(c[i]) > bound:
@@ -481,6 +451,96 @@ def _unit_wedge(r, rd, p: int):
     u1, u2, u3 = w1 / n, w2 / n, w3 / n
     r1, r2, r3 = r[0][0], r[1][0], r[2][0]
     return (-(r2 * u3) + r3 * u2, r3 * u1 - r1 * u3, -(r2 * u1) + r1 * u2)  # wedge(r0, u)
+
+
+def auto_dual_read(tapes, leaves: tuple, top: int):
+    """read(s, sign_at) -> the values of `leaves`, each (kind, order) of an
+    auto-dual pair: r ("r") or its dual ("v"), a jet of that order, or the
+    floats where it is None; three values a leaf, flattened, or None where
+    one is not given.  A generated function of the float s (`_read_lines`),
+    made once per curve's tapes (`ParametricCurve._tape_set`), leaves and
+    `top`, the degree of the one read of r's jet tape; None where there is
+    none.  Each dual's sign is sign_at(s, its value or constant terms), as
+    `AutoDual._sign_at` gives it."""
+    key = ("auto-dual read", leaves, top)
+    reads = tapes[2]
+    if key not in reads:
+        bound = {"vanishing_power": _vanishing_power, "unit_wedge": _unit_wedge}
+        lines = _read_lines(tapes, leaves, top, bound)
+        reads[key] = None if lines is None else jets.compile_lines(
+            "_read", "s, sign_at", lines, bound)
+    return reads[key]
+
+
+def _read_lines(tapes, leaves: tuple, top: int, bound: dict):
+    """The lines of `auto_dual_read`'s function, calling the functions they
+    add to `bound`, or None where a tape program or a dual jet's program
+    does not inline.  The dual of order k is `AutoDual.jet`'s: p decided by
+    `_vanishing_power` on r''s lists to `_jet_degree`(k), w = coefficients
+    p to p + k of r', `recording.auto_dual_program`(k)'s function on r and w
+    (`_unit_wedge` for the floats), times the sign (+ 0.0 for a jet); r's
+    jets are truncated from the read, its floats come from the float tape."""
+    orders = [k for kind, k in leaves if kind == "v"]
+    if top > jets.MAX_ORDER or any(k is not None and k < 0 for k in orders):
+        return None
+    lines = ["if not isfinite(s): return None"]
+    if ("r", None) in leaves:
+        floats = tapes[0].lists(0, 0)
+        if floats is None:
+            return None
+        bound["floats"], bound["float_k"], positions = floats
+        lines += ["f = floats((s,), float_k)", "if f is None: return None"]
+        r_floats = ["s" if i is None else f"f[{i}]" for i in positions]
+    if orders or any(k is not None for _, k in leaves):
+        lists = tapes[1].lists(0, top)
+        if lists is None:
+            return None
+        bound["tape"], bound["tape_k"], positions = lists
+        lines += [f"sj = [s, 1.0{', 0.0' * (top - 1)}]", "t = tape((sj,), tape_k)",
+                  "if t is None: return None"]
+        lines += [f"r{c} = {'sj' if i is None else f't[{i}]'}" for c, i in enumerate(positions)]
+    if orders:
+        # r''s lists as `_derivative` computes them
+        lines += [f"d{c} = [{', '.join(f'{j}*r{c}[{j}]' for j in range(1, top + 1))}]"
+                  for c in range(3)]
+        lines.append("if not isfinite(sum(d0) + sum(d1) + sum(d2)): return None")
+        for degree in sorted({_jet_degree(k) for k in orders}):
+            rd = ", ".join(f"d{c}" if degree == top else f"d{c}[:{degree}]" for c in range(3))
+            lines += [f"p{degree} = vanishing_power(({rd}))", f"if p{degree} is None: return None"]
+    values = []
+    for n, (kind, k) in enumerate(leaves):
+        names = [f"v{n}_{c}" for c in range(3)]
+        if kind == "r":
+            values += r_floats if k is None else [
+                f"r{c}" if k == top else f"r{c}[:{k + 1}]" for c in range(3)]
+            continue
+        p = f"p{_jet_degree(k)}"
+        if k is None:
+            lines += [f"u = unit_wedge((r0, r1, r2), (d0, d1, d2), {p})",
+                      "if u is None: return None",
+                      "if not isfinite(u[0] + u[1] + u[2]): return None",
+                      "g = sign_at(s, u)"]
+            lines += [f"{name} = u[{c}] * g" for c, name in enumerate(names)]
+        else:
+            from .recording import auto_dual_program  # loaded with the first dual jet read
+
+            recorded = auto_dual_program(k)
+            if recorded is None:
+                return None
+            bound[f"normal{k}"], bound[f"normal{k}_k"] = recorded[:2]
+            lines += [f"w{c} = d{c}[{p}:{p} + {k + 1}]" for c in range(3)]
+            lines += [f"if len(w0) <= {k}: return None",
+                      f"u = normal{k}((r0[:{k + 1}], r1[:{k + 1}], r2[:{k + 1}], w0, w1, w2), "
+                      f"normal{k}_k)",
+                      "if u is None: return None",
+                      "u0, u1, u2 = u",
+                      "g = sign_at(s, (u0[0], u1[0], u2[0]))"]
+            lines += [f"{name} = [{', '.join(f'u{c}[{i}] * g + 0.0' for i in range(k + 1))}]"
+                      if k < _INLINE_WIDTH else f"{name} = [x * g + 0.0 for x in u{c}]"
+                      for c, name in enumerate(names)]
+        values += names
+    lines.append(f"return [{', '.join(values)}]")
+    return lines
 
 
 def _domain_bits(domain) -> tuple:

@@ -21,12 +21,10 @@ from . import jets
 from .expr import (
     _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps,
 )
-from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal
+from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal, auto_dual_read
 from .jets import Jet, require_finite
 from .minkowski import MVec3, wedge
-from .program import (
-    _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program,
-)
+from .program import _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program
 
 
 class Param:
@@ -247,11 +245,11 @@ def record(formula):
 # such as the off-curve scan's, is fused the same way on a pair whose r
 # alone comes from a curve's tapes (`LegendrePair.with_auto_dual`).
 # Elsewhere the inputs are read apart from the formula's function: every r
-# and v leaf of an auto-dual pair from one generated read of r per call
-# (`AutoDual._lists`, `_run_auto_dual`), r's floats from the float tape, the
-# derived curve's formula running where that read gives no answer; and the
-# jets and floats of other pairs (reparametrized, built by hand) from their
-# evaluators.
+# and v input of an auto-dual pair from one call of a generated function of
+# s (`frontal.auto_dual_read`, `_run_auto_dual`), so that a call is two
+# generated calls, the derived curve's formula running where the read gives
+# no answer; and the jets and floats of other pairs (reparametrized, built
+# by hand) from their evaluators.
 
 
 class _Recorded(LegendrePair):
@@ -306,7 +304,9 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
         # one read deep enough for every leaf, and for the p that each v leaf decides
         top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves),
                   default=1)
-        return partial(_run_auto_dual, dual, leaves, top, function, consts, order is not None)
+        read = auto_dual_read(r_curve._tape_set(), tuple(leaves), top)
+        return None if read is None else partial(
+            _run_auto_dual, read, dual._sign_at, function, consts, order is not None)
     if order is None:
         return partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
     leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
@@ -423,29 +423,18 @@ def _run_on_jets(leaves, function, consts, s0):
     return None if out is None else (base, out)
 
 
-def _run_auto_dual(dual, leaves, top, function, consts, jets: bool, s):
-    """`_run_on_jets` or `_run_reads` of an auto-dual pair's `leaves`: r's floats
-    from the float tape, every other leaf from one `AutoDual._lists` read at
-    degree `top`; None where the read or a v leaf gives no answer, and the
-    derived curve's formula then runs on `AutoDual`'s evaluators."""
-    read = dual._lists(s, top)
-    if read is None:
-        return None
-    base, r, rd, p = read
-    given = []
+def _run_auto_dual(read, sign_at, function, consts, jets: bool, s):
+    """function(read(s, sign_at), consts), and s before it for a jet program:
+    an auto-dual pair's formula on the values of `auto_dual_read`; None where
+    s is not finite, or where the read or the function gives no answer or
+    anything raises, and the formula then runs on `AutoDual`'s evaluators."""
     try:
-        for kind, k in leaves:
-            if kind == "r":
-                values = dual.curve.point(s).components() if k is None else [c[: k + 1] for c in r]
-            else:
-                values = dual._from_lists(s, k, r, rd, p)
-                if values is None:
-                    return None
-            given += values
-        out = function(given, consts)
+        s = float(s)
+        given = read(s, sign_at)
+        out = None if given is None else function(given, consts)
     except Exception:  # the formula raises what it raises
         return None
-    return (base, out) if jets and out is not None else out
+    return (s, out) if jets and out is not None else out
 
 
 @lru_cache(maxsize=64)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import jets
-from .constructions import _is_curve_point, _require_point, pedal_point
+from .constructions import _coincident, _require_point, pedal_point
 from .frontal import LegendrePair, _const, _d, _truncate
 from .minkowski import MVec3, _vec, det3, inner, wedge
 
@@ -81,7 +81,7 @@ def location_case(pair: LegendrePair, Q: MVec3, s0: float, tol: float = 1e-8) ->
     The geodesic tangent to mu at r(s0) is the hyperboloid section by the
     plane <x, v(s0)> = 0, so membership is the vanishing of <Q, v(s0)>.
     """
-    if _is_curve_point(Q, pair.r(s0), tol):
+    if _coincident(inner(Q, pair.r(s0)), tol):
         return LocationCase.Q_EQUALS_CURVE_POINT
     if abs(inner(Q, pair.v(s0))) <= tol:
         return LocationCase.Q_ON_TANGENT_GEODESIC

@@ -285,10 +285,8 @@ def test_auto_dual_jets_are_the_formula_jets(name):
         for order in (0, 1, 2, 3, 5, 22):
             expected = _outcome(lambda: _formula_jet(dual, s0, order))
             assert _outcome(lambda: dual.jet(s0, order)) == expected, (s0, order)
-            p = _formula_leading(curve, s0, max(jets.DEFAULT_ORDER, order + 2))[0]
-            base, r, rd, read_p = dual._lists(s0, frontal._jet_degree(order))
-            assert read_p == p, (s0, order)
-            generated = dual._from_lists(s0, order, r, rd, p)
+            generated = dual._read((("v", order),), frontal._jet_degree(order), s0,
+                                   dual._sign_at)
             assert (generated is None) == isinstance(expected, tuple), (s0, order)
 
 
@@ -321,8 +319,11 @@ def _raw_outcomes(curve, s):
         fresh = expr.ParametricCurve(curve.name, curve.components, curve.domain)
         dual = object.__new__(AutoDual)  # no sign grid: `_raw` reads the curve alone
         dual.curve = fresh
-        if not read:  # the curve is frozen, so set as its __init__ sets
-            object.__setattr__(fresh, "_wide_lists", lambda group, s, degree: None)
+        if not read:  # tapes of its own, on which the read of r gives no answer
+            jet_tape = expr._Tape((curve.components,))
+            jet_tape.lists = lambda group, degree: None
+            tapes = (expr._Tape((curve.components,), floats=True), jet_tape, {})
+            object.__setattr__(fresh, "_tapes", tapes)  # the curve is frozen
         outcomes.append(_outcome(lambda: dual._raw(s)))
     return outcomes
 

@@ -464,13 +464,23 @@ def test_evolute_on_every_curve(curve, fmt, tmp_path):
 _ASTROID_SIDE_POINT = "1.6685185538222564,-0.87303744856929,-1.0108213382416986"
 
 
+# the circle's expressions on [0, 1e308], written by the test that names it:
+# the off-curve scan's brackets are 1e305 wide, and their squares overflow
+_WIDE_CIRCLE = "wide-circle.json"
+
+
 @pytest.mark.parametrize("argv", [
     ["evolute", "--curve", str(CURVES / "astroid.json"), "--samples", "150"],
     ["plot", "--curve", str(CURVES / "astroid.json"), "--kind", "evolute"],
     ["caustic", "--curve", str(CURVES / "astroid.json"), "--point", _ASTROID_SIDE_POINT,
      "--samples", "120"],
+    ["caustic", "--curve", _WIDE_CIRCLE, "--point", "1.5,1,0.5", "--samples", "100"],
 ])
 def test_bisection_into_an_undefined_parameter_leaves_a_gap(argv, tmp_path):
+    doc = json.loads((CURVES / "circle.json").read_text())
+    doc["domain"] = [0.0, 1e308]
+    (tmp_path / _WIDE_CIRCLE).write_text(json.dumps(doc))
+    argv = [str(tmp_path / arg) if arg == _WIDE_CIRCLE else arg for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 

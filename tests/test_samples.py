@@ -501,9 +501,13 @@ def test_auto_dual_programs_are_the_formulas(name, pairs, monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_auto_dual_pedals_read_no_tape_point_and_no_dual_jet(name, fresh_tapes, monkeypatch):
-    # an auto-dual pedal's scan jets and samples read r's lists from one call
-    # of the curve's generated function and build no jet or memo point;
-    # mutation: the jets read through `AutoDual.jet` and `_run_on_jets`
+    # an auto-dual pair's pedal, orthotomic, evolute and caustic (its
+    # off-curve scan included), their samples and order-2 scan jets, its
+    # curvature pairs and its validation read r's floats and lists from one
+    # call of the curve's generated functions each, build no memo point and
+    # evaluate no dual through `AutoDual`'s evaluators; mutations: the jets
+    # read through `AutoDual.jet` and `_run_on_jets`, r's floats read from
+    # the memo, the off-curve scan's slope read from the memo
     calls = []
 
     def spy(owner, attribute):
@@ -516,15 +520,26 @@ def test_auto_dual_pedals_read_no_tape_point_and_no_dual_jet(name, fresh_tapes, 
         monkeypatch.setattr(owner, attribute, spied)
 
     spy(frontal.AutoDual, "jet")  # before the pair binds it
-    pair = LegendrePair.with_auto_dual(load_curve(CURVES / f"{name}.json"))
+    spy(frontal.AutoDual, "__call__")
     spy(expr._TapePoint, "__init__")
     spy(recording, "_run_on_jets")
-    pedal = cons.pedal(pair, _point(pair, "generic"))
-    for s in linspace(pair.domain, 100):
-        pedal.jet(s, 2, coeffs=True)
-        pedal.at(s)
+    pair = LegendrePair.with_auto_dual(load_curve(CURVES / f"{name}.json"))
+    Q = _point(pair, "generic")
+    curves = (cons.pedal(pair, Q), cons.orthotomic(pair, Q), cons.evolute(pair),
+              cons.catacaustic(pair, Q))
+    grid = linspace(pair.domain, 60)
+    for curve in curves:
+        sample = curve.at_with_branch if isinstance(curve, cons.EvoluteCurve) else curve.at
+        for s in grid:
+            curve.jet(s, 2, coeffs=True)
+            sample(s)
+    for s in grid:
+        pair.curvatures(s)
+    pair.validate(samples=60)
     assert calls == []
-    assert {program.func for program in pedal._programs.values()} == {recording._run_auto_dual}
+    programs = [*pair._samplers.values(),
+                *(program for curve in curves for program in curve._programs.values())]
+    assert {program.func for program in programs} == {recording._run_auto_dual}
 
 
 def _unsigned_grid(dual):
@@ -563,11 +578,13 @@ def test_auto_dual_pedals_fall_back_to_the_memoised_path(r, domain, jet_error, s
     assert outcomes() == (jet_error, sample_error)
 
 
-def _mixed_grid(dual):
+def _mixed_grid(dual, sign=1.0):
     """A sign grid of three points whose signs differ, so that `_sign_at` flips
-    the duals of some parameters and keeps those of others."""
+    the duals of some parameters and keeps those of others; `sign` -1.0 flips
+    those it keeps and keeps those it flips (where the dot product is not 0),
+    such as the dual (0, 0, 1) of a cusp at s = 0."""
     grid = memoryview(bytearray(72)).cast("d")
-    grid[2], grid[3], grid[7] = 1.0, -1.0, 1.0
+    grid[2], grid[3], grid[5], grid[7] = sign, -sign, sign, sign
     return grid
 
 
@@ -576,31 +593,51 @@ _Q = st.builds(lambda rho, phi: MVec3(math.cosh(rho), math.sinh(rho) * math.cos(
                st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=6.3))
 
 
+def _cusp(a, b):
+    """(sqrt(1 + s^2a + s^2b), s^a, s^b), whose r' vanishes at s = 0 to p = a - 1."""
+    return tuple(expr.parse(text) for text in (f"sqrt(1 + s^{2 * a} + s^{2 * b})", f"s^{a}",
+                                               f"s^{b}"))
+
+
+# random r at random s, and cusps with 2 <= a < b <= 5 at s = 0
+_R_AT_S = st.tuples(_R, _S) | st.sampled_from(
+    [(_cusp(a, b), 0.0) for a in range(2, 6) for b in range(a + 1, 6)])
+
+
 @settings(max_examples=150, deadline=5000)
-@given(_R, _Q, _S)
-def test_auto_dual_programs_on_random_curves_are_the_formulas(trees, Q, s):
-    # on random r without v, the pedal, orthotomic and evolute jets of orders
-    # 1-3 and their samples from `recording._run_auto_dual` must be the bits
-    # of the formulas on `AutoDual`'s evaluators, or raise what they raise;
-    # mutations: r's leaves cut one coefficient short, r's floats taken from
-    # its jets, the read one degree short
+@given(_R_AT_S, _Q, st.sampled_from([1.0, -1.0]))
+def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
+    # on random r without v, and on cusps at s = 0, the pedal, orthotomic and
+    # evolute jets of orders 1-3, their samples, the caustic's sample and the
+    # curvature pair from `recording._run_auto_dual` must be the bits of the
+    # formulas on `AutoDual`'s evaluators, or raise what they raise, under a
+    # sign grid whose signs are drawn; a program is made wherever r's jet tape
+    # reads at degree 17; mutations: r's leaves cut one coefficient short, r's
+    # floats taken from its jets, the read one degree short
+    trees, s = r_at_s
+
     def outcomes():
         pair = LegendrePair.with_auto_dual(ParametricCurve("random", trees, (-2.0, 2.0),
                                                            samples=3))
+        caustic = cons.EvoluteCurve(cons.OrthotomicInducedPair(pair, Q), tag_pair=pair, Q=Q,
+                                    kind="catacaustic")
         curves = (cons.PedalCurve(pair, Q), cons.OrthotomicCurve(pair, Q), cons.EvoluteCurve(pair))
-        out = []
+        out = [_outcome(lambda: pair.curvatures(s)), _outcome(lambda: caustic.at_with_branch(s))]
         for derived in curves:
             evolute = isinstance(derived, cons.EvoluteCurve)
             sample = derived.at_with_branch if evolute else derived.at
             out += [_outcome(lambda: derived.jet(s, k)) for k in (1, 2, 3)]
             out.append(_outcome(lambda: sample(s)))
-        return out, {p and p.func for derived in curves for p in derived._programs.values()}
+        programs = [*pair._samplers.values(),
+                    *(p for derived in (*curves, caustic) for p in derived._programs.values())]
+        return out, {p and p.func for p in programs}
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "_TAPES", {})  # the sign grid kept here is made up
-        patch.setattr(frontal.AutoDual, "_signed_grid", _mixed_grid)
+        patch.setattr(frontal.AutoDual, "_signed_grid", lambda dual: _mixed_grid(dual, sign))
         generated, runs = outcomes()
+        read = ParametricCurve("random", trees, (-2.0, 2.0))._tape_set()[1].lists(0, 17)
         patch.setattr(recording, "derived_program", lambda *args: None)
         expected, none = outcomes()
-    assert runs == {recording._run_auto_dual} and none == {None}
+    assert runs == {None if read is None else recording._run_auto_dual} and none == {None}
     assert generated == expected
