@@ -187,11 +187,14 @@ def _build(pair, kind: str, Q):
 
 def _derive(pair, kinds, Q, grid, tol) -> list:
     """(curve, its points on the grid or None where undefined, its singular points)
-    for each derived curve of `kinds`; all are built first, so that a bad kind or
-    point fails before any sampling."""
-    derived_list = [_build(pair, kind, Q) for kind in kinds]
-    return [(derived, _sample(derived, grid), derived.singular_points(samples=len(grid), tol=tol))
-            for derived in derived_list]
+    for each derived curve of `kinds`, sampled by its singular-point scan; all
+    are built first, so that a bad kind or point fails before any sampling."""
+    scanned = []
+    for derived in [_build(pair, kind, Q) for kind in kinds]:
+        points = []
+        singular = derived.singular_points(samples=len(grid), tol=tol, points=points)
+        scanned.append((derived, points, singular))
+    return scanned
 
 
 def _cmd_derived(ns) -> int:
@@ -222,17 +225,6 @@ def _cmd_derived(ns) -> int:
     if ns.out:
         _sidecar_path(ns.out).write_text(io.json_text(singular_doc) + "\n")
     return 0
-
-
-def _sample(derived, grid) -> list:
-    """derived.at(s) on the grid, None where it is undefined."""
-    points = []
-    for s in grid:
-        try:
-            points.append(derived.at(s))
-        except jets.DOMAIN_ERRORS:
-            points.append(None)
-    return points
 
 
 def _figure(pair, Q, grid, scanned) -> str:

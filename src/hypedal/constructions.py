@@ -176,7 +176,10 @@ class DerivedCurve:
     that gives no answer; with `coeffs` it returns the coefficient lists of
     the three components instead of the jets.  `at` runs the function
     generated from the sample formula `_sample(pair, Q, s, None)` in the
-    same way.
+    same way.  With `sample`, `jet` returns (`at`(s0), or None where that is
+    undefined, and the jet): on an auto-dual pair both come from one
+    generated call (`recording.sampled_jet_program`) where it answers, and
+    elsewhere from `at` and then `jet`, as two calls give them.
     """
 
     kind = "derived"
@@ -185,18 +188,32 @@ class DerivedCurve:
         self.pair = pair
         self.Q = Q
         self.domain = pair.domain
-        # order -> `recording.derived_program` of this curve, None -> that of `_sample`
+        # order -> `recording.derived_program` of this curve, None -> that of
+        # `_sample`, (None, order) -> `recording.sampled_jet_program` of the two
         self._programs = {}
 
     def at(self, s: float) -> MVec3:
         raise NotImplementedError
 
-    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
+    def jet(self, s0: float, order: int, coeffs: bool = False, sample: bool = False) -> MVec3:
         raise NotImplementedError
 
-    def _jet(self, s0: float, order: int, coeffs: bool):
-        """`jet`: from the generated function, or from `_formula_jet` where it gives no answer."""
-        out = self._program_coeffs(s0, order)
+    def _jet(self, s0: float, order: int, coeffs: bool, sample: bool = False):
+        """`jet`: from the generated functions, or from the formulas where they give no answer."""
+        if sample:
+            program = self._sampled_jet_program(order)
+            both = None if program is None else program(s0)
+            if both is not None:
+                return _defined(self._at, s0, both[0]), self._jet_of(s0, order, coeffs, both[1])
+            # `at` first, then the jet, as two calls run them
+            return _defined(self.at, s0), self._jet_of(s0, order, coeffs,
+                                                       self._run_program(s0, order))
+        return self._jet_of(s0, order, coeffs, self._run_program(s0, order))
+
+    def _jet_of(self, s0: float, order: int, coeffs: bool, terms):
+        """`jet` from `terms`, what `_run_program` gives at (s0, order), or from
+        `_formula_jet` where they give no answer."""
+        out = self._program_coeffs(s0, order, terms)
         if out is not None:
             return out[1] if coeffs else _jet_vector(*out)
         point = self._formula_jet(s0, order)
@@ -209,8 +226,24 @@ class DerivedCurve:
         """The floats `_sample` returns at s, from its generated function, or None."""
         return _generated(self._programs, None, self._sample, *self._formula_args(), None, s)
 
-    def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL):
-        return singular_points(self, samples=samples, tol=tol)
+    def _sampled_jet_program(self, order: int):
+        """`recording.sampled_jet_program` of `_sample` and of `_formula` at
+        `order`, made once: program(s0) -> (what `_sampled` gives at s0, what
+        `_run_program` gives at (s0, order)) or None; None where there is none."""
+        key = (None, order)
+        program = self._programs.get(key, False)
+        if program is False:
+            from .recording import derived_program, sampled_jet_program
+
+            args = self._formula_args()
+            program = self._programs[key] = sampled_jet_program(
+                derived_program(self._sample, *args, None),
+                derived_program(self._formula, *args, order))
+        return program
+
+    def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL,
+                        points: list | None = None):
+        return singular_points(self, samples=samples, tol=tol, points=points)
 
     def _formula_args(self):
         """The pair and the point that `_formula` reads."""
@@ -221,19 +254,19 @@ class DerivedCurve:
         generated function, or None where there is none or it gives no answer."""
         return _generated(self._programs, order, self._formula, *self._formula_args(), order, s0)
 
-    def _program_coeffs(self, s0: float, order: int):
-        """(base, the coefficient lists of `jet`) from the generated function, or
-        None where it gives no answer."""
-        return self._run_program(s0, order)
+    def _program_coeffs(self, s0: float, order: int, terms):
+        """(base, the coefficient lists of `jet`) from `terms`, what
+        `_run_program` gives at (s0, order), or None where they give no answer."""
+        return terms
 
     def _program_jet(self, s0: float, order: int) -> MVec3 | None:
         """`jet` from the generated function, or None where it gives no answer."""
-        out = self._program_coeffs(s0, order)
+        out = self._program_coeffs(s0, order, self._run_program(s0, order))
         return None if out is None else _jet_vector(*out)
 
-    def _point_at(self, s: float) -> MVec3:
-        """`at` of a curve whose sample is a point formula, `_sample`."""
-        out = self._sampled(s)
+    def _at(self, s: float, out) -> MVec3:
+        """`at` of a curve whose sample is a point formula, `_sample`, from
+        `out`, what `_sampled` gives at s."""
         return self._sample(*self._formula_args(), s, None) if out is None else _tested_vec(*out)
 
 
@@ -249,10 +282,10 @@ class PedalCurve(DerivedCurve):
         return pedal_point(Q, pair.v(s))
 
     def at(self, s: float) -> MVec3:
-        return self._point_at(s)
+        return self._at(s, self._sampled(s))
 
-    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
-        return self._jet(s0, order, coeffs)
+    def jet(self, s0: float, order: int, coeffs: bool = False, sample: bool = False) -> MVec3:
+        return self._jet(s0, order, coeffs, sample)
 
     def induced(self) -> "PedalInducedPair":
         return pedal_induced(self.pair, self.Q)
@@ -270,10 +303,10 @@ class OrthotomicCurve(DerivedCurve):
         return orthotomic_point(Q, pair.v(s))
 
     def at(self, s: float) -> MVec3:
-        return self._point_at(s)
+        return self._at(s, self._sampled(s))
 
-    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
-        return self._jet(s0, order, coeffs)
+    def jet(self, s0: float, order: int, coeffs: bool = False, sample: bool = False) -> MVec3:
+        return self._jet(s0, order, coeffs, sample)
 
     def induced(self) -> "OrthotomicInducedPair":
         return orthotomic_induced(self.pair, self.Q)
@@ -498,7 +531,10 @@ class EvoluteCurve(DerivedCurve):
         return self.formula_pair, None
 
     def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
-        head = self._sampled(s)
+        return self._at_with_branch(s, self._sampled(s))
+
+    def _at_with_branch(self, s: float, head) -> tuple[MVec3, Branch]:
+        """`at_with_branch` from `head`, what `_sampled` gives at s."""
         if head is not None:
             point, branch = self._decided(s, None, head)
             if point is not None:
@@ -512,11 +548,14 @@ class EvoluteCurve(DerivedCurve):
     def at(self, s: float) -> MVec3:
         return self.at_with_branch(s)[0]
 
+    def _at(self, s: float, head) -> MVec3:
+        return self._at_with_branch(s, head)[0]
+
     def branch(self, s: float) -> Branch:
         return self.at_with_branch(s)[1]
 
-    def jet(self, s0: float, order: int, coeffs: bool = False) -> MVec3:
-        return self._jet(s0, order, coeffs)
+    def jet(self, s0: float, order: int, coeffs: bool = False, sample: bool = False) -> MVec3:
+        return self._jet(s0, order, coeffs, sample)
 
     def _formula_jet(self, s0: float, order: int) -> MVec3:
         ell, m, rj, vj = self.formula_pair._curvature_frame_jets(s0, order)
@@ -524,8 +563,7 @@ class EvoluteCurve(DerivedCurve):
         num = self._numerator(ell, m, _truncate(rj, order), _truncate(vj, order))
         return self._place(branch, d2, num)
 
-    def _program_coeffs(self, s0: float, order: int):
-        terms = self._run_program(s0, order)
+    def _program_coeffs(self, s0: float, order: int, terms):
         if terms is None:
             return None
         base, head = terms
@@ -566,6 +604,14 @@ def catacaustic(pair: LegendrePair, Q: MVec3) -> EvoluteCurve:
 
 def _jet_vector(base: float, coeffs) -> MVec3:
     return _vec(*[jets._jet(base, tuple(c)) for c in coeffs])
+
+
+def _defined(fn, *args):
+    """fn(*args), or None where it raises a math domain error."""
+    try:
+        return fn(*args)
+    except jets.DOMAIN_ERRORS:
+        return None
 
 
 # -- singular point detection ---------------------------------------------
@@ -619,7 +665,7 @@ def _itp(fn, lo, hi, flo, fhi, width: float):
     return 0.5 * (lo + hi)
 
 
-def _zeros(f, domain, samples: int, tol: float):
+def _zeros(f, domain, samples: int, tol: float, on_grid=None):
     """Zeros of a size function on a grid, as (s, size) pairs in increasing s.
 
     `f(s)` is (size, slope) with size >= 0 and slope changing sign where
@@ -630,10 +676,12 @@ def _zeros(f, domain, samples: int, tol: float):
     under the same threshold; an undefined probe drops its bracket.
     Candidates closer than twice the grid step are reported once, by the one
     of smallest size.  Empty when no grid point has a non-zero size.
+    `on_grid`, where given, is called in place of f at the grid points, in
+    increasing s.
     """
     grid = linspace(domain, samples)
     step = (domain[1] - domain[0]) / (samples - 1)
-    data = [f(s) for s in grid]
+    data = [(on_grid or f)(s) for s in grid]
     smax = max([d[0] for d in data if d is not None], default=0.0)
     if smax == 0.0:
         return []
@@ -670,8 +718,8 @@ def _zeros(f, domain, samples: int, tol: float):
     return found
 
 
-def singular_points(curve: DerivedCurve, samples: int = 1000,
-                    tol: float = SINGULAR_TOL) -> list[SingularPoint]:
+def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGULAR_TOL,
+                    points: list | None = None) -> list[SingularPoint]:
     """Locate parameters where the derived curve's velocity vanishes.
 
     Candidates come from sign changes of d/ds |curve'|^2 on the grid (plus
@@ -684,23 +732,49 @@ def singular_points(curve: DerivedCurve, samples: int = 1000,
     domain and dual for a pair of `LegendrePair.from_curve` or
     `with_auto_dual` and kept with the curve's shared tapes: a process that
     scans derived curves of the same curve again reuses it.
+
+    Where `points` is a list, the curve's samples on the grid, `at`(s) or
+    None where that is undefined, are appended to it, as sampling the grid
+    before the scan gives them, or raises.  Where one generated call reads
+    both (`DerivedCurve._sampled_jet_program`, on an auto-dual pair), each
+    comes from the scan's `jet` call with `sample` at its grid point;
+    elsewhere the grid is sampled first, which is faster than alternating
+    two generated functions.
     """
     lists = isinstance(curve, DerivedCurve)  # else any object with a `jet`
 
-    def speed(s):
-        """|curve'| and d/ds |curve'|^2 at s from the order-2 jet's coefficient lists."""
+    def speed(s, V=None):
+        """|curve'| and d/ds |curve'|^2 at s from the coefficient lists V of the
+        order-2 jet, read here where they are not given."""
         try:
-            if lists:
-                V = curve.jet(s, 2, coeffs=True)
-            else:
-                V = [j.coeffs for j in curve.jet(s, 2).components()]
+            if V is None:
+                V = (curve.jet(s, 2, coeffs=True) if lists
+                     else [j.coeffs for j in curve.jet(s, 2).components()])
         except jets.DOMAIN_ERRORS:
             return None
         d1 = (V[0][1], V[1][1], V[2][1])
         d2 = (2.0 * V[0][2], 2.0 * V[1][2], 2.0 * V[2][2])
         return math.sqrt(sum(c * c for c in d1)), 2.0 * sum(a * b for a, b in zip(d1, d2))
 
-    found = _zeros(speed, curve.domain, samples, tol)
+    def sampled(s):
+        """`speed` at the grid point s, its sample appended to `points`."""
+        try:
+            point, V = curve.jet(s, 2, coeffs=True, sample=True)
+        except jets.DOMAIN_ERRORS:
+            points.append(_defined(curve.at, s))
+            return None
+        except Exception:
+            # sampling the grid first would raise the first such error of `at`
+            for t in linspace(curve.domain, samples)[len(points):]:
+                points.append(_defined(curve.at, t))
+            raise
+        points.append(point)
+        return speed(s, V)
+
+    one_pass = points is not None and lists and curve._sampled_jet_program(2) is not None
+    if points is not None and not one_pass:
+        points += [_defined(curve.at, s) for s in linspace(curve.domain, samples)]
+    found = _zeros(speed, curve.domain, samples, tol, sampled if one_pass else None)
     if not found:
         return []
     pair, Q = curve.pair, curve.Q

@@ -286,8 +286,12 @@ class AutoDual:
     nothing per point: it reads r's lists from one call of the curve's jet
     tape at degree 17 or more (`_jet_degree`) and r's floats from one call
     of its float tape, decides p for each dual at its own degree, and factors,
-    normalizes and signs it.  Where the read gives no answer, the `Jet`
-    formula runs on the curve's tape memo, which decides p (`_leading`).
+    normalizes and signs it.  A derived curve's sample and order-2 jet at a
+    grid point of its singular-point scan share one read of the union of
+    their inputs (`recording.sampled_jet_program`), so a derived-curve
+    command reads r once per grid point.  Where the read gives no answer,
+    the `Jet` formula runs on the curve's tape memo, which decides p
+    (`_leading`).
     """
 
     def __init__(self, curve):

@@ -249,7 +249,12 @@ def record(formula):
 # s (`frontal.auto_dual_read`, `_run_auto_dual`), so that a call is two
 # generated calls, the derived curve's formula running where the read gives
 # no answer; and the jets and floats of other pairs (reparametrized, built
-# by hand) from their evaluators.
+# by hand) from their evaluators.  The inputs of a recording on such a
+# pair are in `_leaf_order`, so formulas of one input set share one read.
+# At a grid point of a derived curve's singular-point scan, the sample and
+# the order-2 jet of an auto-dual pair take their inputs from one read of
+# the union of their inputs (`sampled_jet_program`), so that r is read once
+# per grid point; where that gives no answer, each runs as above.
 
 
 class _Recorded(LegendrePair):
@@ -304,9 +309,13 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
         # one read deep enough for every leaf, and for the p that each v leaf decides
         top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves),
                   default=1)
-        read = auto_dual_read(r_curve._tape_set(), tuple(leaves), top)
-        return None if read is None else partial(
-            _run_auto_dual, read, dual._sign_at, function, consts, order is not None)
+        tapes, leaves = r_curve._tape_set(), tuple(leaves)
+        read = auto_dual_read(tapes, leaves, top)
+        if read is None:
+            return None
+        program = partial(_run_auto_dual, read, dual._sign_at, function, consts, order is not None)
+        program.tapes, program.leaves, program.top = tapes, leaves, top  # for `sampled_jet_program`
+        return program
     if order is None:
         return partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
     leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
@@ -437,14 +446,69 @@ def _run_auto_dual(read, sign_at, function, consts, jets: bool, s):
     return (s, out) if jets and out is not None else out
 
 
+def sampled_jet_program(sample, jet):
+    """program(s) -> (sample(s), jet(s)), for the `derived_program`s of a
+    sample formula and a jet formula on one auto-dual pair at one top
+    degree (`_run_auto_dual`): one `auto_dual_read` of the union of their
+    leaves, in `_leaf_order`, gives each function the values of its own
+    leaves, so r's jet tape is read once at s.  None where they are not two
+    such programs or there is no read; program(s) is None where the read or
+    either function gives no answer or anything raises, and the two then
+    run apart."""
+    if not (all(isinstance(p, partial) and p.func is _run_auto_dual and p.leaves
+                for p in (sample, jet)) and sample.top == jet.top):
+        return None
+    leaves = tuple(sorted({*sample.leaves, *jet.leaves}, key=_leaf_order))
+    read = auto_dual_read(sample.tapes, leaves, sample.top)
+    if read is None:
+        return None
+
+    def picked(program):
+        """program's function, its constants and a getter of its leaves' values."""
+        at = [3 * leaves.index(leaf) + i for leaf in program.leaves for i in range(3)]
+        return (*program.args[2:4], operator.itemgetter(*at))
+
+    return partial(_run_sampled_jet, read, sample.args[1], *picked(sample), *picked(jet))
+
+
+def _run_sampled_jet(read, sign_at, sample, sample_consts, sample_at, jet, jet_consts, jet_at, s):
+    """(sample's floats, (s, jet's lists)) of `sampled_jet_program`."""
+    try:
+        s = float(s)
+        given = read(s, sign_at)
+        if given is None:
+            return None
+        floats = sample(sample_at(given), sample_consts)
+        lists = None if floats is None else jet(jet_at(given), jet_consts)
+    except Exception:  # the formulas raise what they raise
+        return None
+    return None if lists is None else (floats, (s, lists))
+
+
 @lru_cache(maxsize=64)
 def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):
     """`record` of formula(pair, Q, s0, order) on a pair built by `kinds` (induced
     pair classes, outermost first) around one whose r, v and, if `has_mu`, mu
     jets and floats are inputs; Q a point if `with_q`.  A sample formula
     (`order` None) reads the outermost pair's jets through the formulas of
-    its induced pairs, as a jet formula does."""
-    return record(_on_pair(formula, kinds, has_mu, with_q, order))
+    its induced pairs, as a jet formula does.  The inputs are in the order
+    of `_leaf_order`, whatever order the formula asks for them in, so that
+    formulas of one leaf set share one `auto_dual_read`."""
+    recorded = _steps(_on_pair(formula, kinds, has_mu, with_q, order))
+    if recorded is None:
+        return None
+    recording, nodes = recorded
+    inputs = sorted(zip(recording.keys, recording.shapes.items()),
+                    key=lambda given: _leaf_order(given[0]))
+    inline = inline_program(recording._program(nodes), dict(shape for _, shape in inputs), nodes)
+    return None if inline is None else (*inline, [key for key, _ in inputs])
+
+
+def _leaf_order(key):
+    """The sort key of an input's (kind, order or None, component), or of a
+    leaf's (kind, order or None): floats before jets, lower orders first."""
+    kind, k, *i = key
+    return kind, k is not None, k or 0, *i
 
 
 def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):

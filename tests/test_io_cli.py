@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from hypedal.io import (
     CurveFileError, csv_text, curve_from_dict, format_float, json_text,
     load_curve, parse_csv, project_poincare, render_svg,
 )
+from hypedal.expr import linspace
 from hypedal.frontal import LegendrePair
 from hypedal.minkowski import GeometryError, MVec3
 
@@ -313,6 +315,54 @@ def test_classify_past_the_jet_maximum_is_a_math_domain_failure(tmp_path, capsys
     assert main(["classify", "--curve", str(path), "--point", "1,0,0", "--s0", "0",
                  "--order", "60"]) == 3
     assert "math domain failure: dual undetermined at s=0.0" in capsys.readouterr().err
+
+
+def test_derived_commands_read_each_grid_point_once(tmp_path, fresh_tapes, monkeypatch):
+    # on a curve without v, a derived-curve command samples and scans each
+    # grid point from one order-17 read of r's jet tape: within one command
+    # no (tape, degree, s) is read twice at a grid parameter, except at a
+    # singular point that it reports, whose cause tag reads the curvature
+    # pair there again.  The tapes are fresh, so that their list functions
+    # are made, and wrapped, here; each command runs once before it is
+    # counted, since the first command on a curve makes the sign grid and
+    # the cause scale, which the tapes keep.  Mutation: `cli._derive` sampling
+    # the grid with `at` before the scan
+    reads = []
+    counters = set()
+    real = expr._Tape.lists
+
+    def lists(tape, group, degree):
+        out = real(tape, group, degree)
+        if out is None or tape.floats or out[0] in counters:
+            return out
+
+        def counted(i, k, function=out[0]):
+            reads.append((id(tape), degree, i[0][0].hex()))
+            return function(i, k)
+        counters.add(counted)
+        tape._lists[group, degree] = (counted, *out[1:])
+        return tape._lists[group, degree]
+
+    monkeypatch.setattr(expr._Tape, "lists", lists)
+    out = tmp_path / "out.json"
+    for name in ("astroid", "circle", "cusp23", "cusp37"):
+        path = _without_dual(tmp_path, f"{name}.json")
+        grid = linspace(load_curve(path).domain, 40)
+        for point in ("1.5430806348152437,1.1752011936438014,0", _ASTROID_SIDE_POINT):
+            for command in ("pedal", "orthotomic", "caustic"):
+                argv = [command, "--curve", path, "--point", point, "--samples", "40",
+                        "--format", "json", "--out", str(out)]
+                with contextlib.redirect_stderr(io.StringIO()):
+                    main(argv)
+                    reads.clear()
+                    code = main(argv)
+                if code != 0:  # Q on the circle: no scan
+                    continue
+                singular = json.loads(out.read_text())["singular_points"]
+                at_grid = {s.hex() for s in grid} - {float(p["s"]).hex() for p in singular}
+                assert 17 in {degree for _, degree, _ in reads}, (name, command)
+                repeated = [key for key, n in Counter(reads).items() if n > 1 and key[2] in at_grid]
+                assert repeated == [], (name, point, command)
 
 
 def test_svg_evaluates_each_sample_once(monkeypatch, tmp_path):
@@ -655,6 +705,7 @@ _KIND_NAMES = ["pedal", "orthotomic", "evolute", "caustic"]
 
 @st.composite
 def _cli_argv(draw):
+    """(argv, whether the curve file is read from a copy without "v")."""
     command = draw(st.sampled_from(["check", "curvatures", *_KIND_NAMES, "classify", "plot"]))
     curve = draw(st.sampled_from(["astroid", "circle", "cusp23", "cusp37"]))
     argv = [command, "--curve", str(CURVES / f"{curve}.json")]
@@ -672,16 +723,20 @@ def _cli_argv(draw):
                  "--order=" + draw(st.sampled_from(_HOSTILE) | st.integers(-2, 66).map(str))]
     if command == "plot":
         argv += ["--kind", ",".join(draw(st.lists(st.sampled_from(_KIND_NAMES), min_size=1, max_size=3)))]
-    return argv
+    return argv, draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(_cli_argv())
 # the pedal jets overflow: a plain ValueError, which is a math domain failure (exit 3)
-@example(["classify", "--curve", str(CURVES / "circle.json"), "--point=1e300,0,0", "--s0=0",
-          "--order=0"])
-def test_cli_never_ends_in_a_traceback(argv):
+@example((["classify", "--curve", str(CURVES / "circle.json"), "--point=1e300,0,0", "--s0=0",
+           "--order=0"], False))
+def test_cli_never_ends_in_a_traceback(drawn):
+    argv, without_v = drawn
     with tempfile.TemporaryDirectory() as tmp:
+        if without_v:  # so that `AutoDual` derives the dual
+            at = argv.index("--curve") + 1
+            argv = [*argv[:at], _without_dual(Path(tmp), Path(argv[at]).name), *argv[at + 1:]]
         if argv[0] != "check":
             argv = argv + ["--out", f"{tmp}/out"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -19,6 +19,7 @@ from hypothesis import given
 
 from conftest import CURVES
 from test_frontal import _R, _S
+from hypedal import cli
 from hypedal import constructions as cons
 from hypedal import expr, frontal, jets, program, recording
 from hypedal.constructions import EvoluteDegenerateError
@@ -641,3 +642,49 @@ def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
         expected, none = outcomes()
     assert runs == {None if read is None else recording._run_auto_dual} and none == {None}
     assert generated == expected
+
+
+def _scanned(pair, kind, Q, samples, one_pass):
+    """The samples on the grid and the singular points of a fresh derived curve
+    of `kind` (`cli._build`), by repr, from one scan that samples the grid
+    (`singular_points` with `points`) or from `at` on the grid and then the
+    scan, as two passes; or the exception.  With the derived curve, or None."""
+    curve, points = None, []
+    try:
+        curve = cli._build(pair, kind, Q)
+        if one_pass:
+            singular = curve.singular_points(samples=samples, points=points)
+        else:
+            for s in linspace(pair.domain, samples):
+                try:
+                    points.append(curve.at(s))
+                except jets.DOMAIN_ERRORS:
+                    points.append(None)
+            singular = curve.singular_points(samples=samples)
+    except Exception as exc:  # compared, whatever it is
+        return (type(exc), str(exc)), curve
+    return (repr(points), repr(singular)), curve
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(NAMES),
+       kind=st.sampled_from(["pedal", "orthotomic", "evolute", "caustic"]), Q=_Q,
+       samples=st.integers(min_value=2, max_value=60), unread=st.booleans())
+def test_one_pass_scan_is_the_samples_and_then_the_scan(pairs, name, kind, Q, samples, unread):
+    # on a curve without v, the scan that samples each grid point from one
+    # call, in which one read of the union of the sample's and the jet's
+    # leaves serves both generated functions, must give the bits of `at` on
+    # the grid and then the scan, or raise what they raise; `unread`: the
+    # union read gives no answer, and each point runs the two calls;
+    # mutations: a leaf's values shifted by one in the union, the sample
+    # taken from coefficient 0 of the jet, the two calls skipped
+    pair = pairs[name + " auto"]
+    with pytest.MonkeyPatch.context() as patch:
+        if unread:
+            patch.setattr(recording, "_run_sampled_jet", lambda *args: None)
+        one_pass, curve = _scanned(pair, kind, Q, samples, True)
+    two_pass, _ = _scanned(pair, kind, Q, samples, False)
+    assert one_pass == two_pass
+    if curve is not None and isinstance(one_pass[0], str) and not unread:
+        union = curve._programs[None, 2]
+        assert any(union(s) is not None for s in linspace(pair.domain, samples))
