@@ -71,8 +71,8 @@ def _off_curve_slope(pair, Q, s, order):
 def _fused_sample(formula, pair, Q):
     """s -> formula(pair, Q, s, None), a sample formula that reads r alone,
     from its program fused with the curve's tapes (`recording.derived_program`),
-    which builds no memo point; the formula where there is none or it gives
-    no answer."""
+    one generated call per s; the formula where there is none or it gives no
+    answer."""
     from .recording import derived_program  # loaded with the first formula it runs
 
     program = derived_program(formula, pair, Q, None, True)  # fused only
@@ -354,9 +354,10 @@ class _InducedPair(LegendrePair):
     """An induced pair: its r, v and mu are formulas of the source's frame and Q.
 
     Each jet evaluator runs its formula's generated function, recorded once
-    per (class, evaluator, order, shape of the source), or where that gives
-    no answer the `Jet` formula, kept in `_formulas`.  The evaluators hold
-    what they read, not the pair, so a pair is freed as soon as it is dropped.
+    per (class, evaluator, order, the induced pairs the source is built
+    through), or where that gives no answer the `Jet` formula, kept in
+    `_formulas`.  The evaluators hold what they read, not the pair, so a
+    pair is freed as soon as it is dropped.
     """
 
     def __init__(self, source: LegendrePair, Q: MVec3, point_formula, dual_formula,
@@ -435,7 +436,7 @@ class OrthotomicInducedPair(_InducedPair):
 def _induced_formula(cls, which: int):
     """formula(pair, Q, s0, order): jet `which` (0 r, 1 v, 2 mu) of the pair that
     `cls` induces from pair and Q; one function per (cls, which), so that it is
-    recorded once per order and shape of the source."""
+    recorded once per order and induced pairs of the source."""
     def formula(pair, Q, s0, order):
         return cls(pair, Q)._formulas[which](s0, order)
     return formula

@@ -35,12 +35,6 @@ FUNCTIONS = ("sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")
 # about twice per level, Python stops at 1000 frames, the shipped curves reach 8.
 MAX_DEPTH = 200
 
-# Points whose tape values a ParametricCurve keeps, least recently used first
-# out, floats and jets alike.  Of a benchmark round's jet requests, 1, 2 and 8
-# entries serve without running a step 38 %, 45 % and 45 % on autodual and
-# 40 %, 60 % and 64 % on classify; render's 31 % does not depend on the size.
-JET_MEMO_SIZE = 4
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -412,12 +406,9 @@ def _f_pow(v, x, n):
     return v[x] ** n
 
 
-# On the memo path (`_TapePoint._run`), the tape's programs whose values have
-# at most this many coefficients (floats, jets of degree 1-3) run as
-# functions that hypedal.program generates, and wider ones keep the step
-# loop, which only the `Jet` formulas' requests reach: wide reads run the
-# generated functions of `_Tape.lists` (`frontal.AutoDual`'s) or of the
-# derived-curve programs fused with the tapes (`classify_pedal`'s germs).
+# The most coefficients of a value that hypedal.program's generated code
+# holds in local names, one per coefficient (floats, jets of degree 1-3);
+# wider jets are whole coefficient lists.
 _INLINE_WIDTH = 4
 
 # any other operator divides, as in _eval
@@ -460,25 +451,24 @@ class _Steps:
             node = self._index[key] = self._add(fn, x, y, deps)
         return node
 
-    def _program(self, roots, computed=()):
-        """The steps of roots and what they depend on, each after its operands,
-        less those of `computed`: a depth-first post-order, on an explicit stack
-        because a large exponent chains thousands of products."""
+    def _program(self, roots):
+        """The steps of roots and what they depend on, each after its operands:
+        a depth-first post-order, on an explicit stack because a large
+        exponent chains thousands of products."""
         done = {0}
         order = []
-        for nodes, out in ((computed, []), (roots, order)):
-            stack = [(None, iter(nodes))]
-            while stack:
-                node, deps = stack[-1]
-                for dep in deps:
-                    if dep not in done:
-                        done.add(dep)
-                        stack.append((dep, iter(self.deps[dep])))
-                        break
-                else:
-                    stack.pop()
-                    if node is not None:
-                        out.append(node)
+        stack = [(None, iter(roots))]
+        while stack:
+            node, deps = stack[-1]
+            for dep in deps:
+                if dep not in done:
+                    done.add(dep)
+                    stack.append((dep, iter(self.deps[dep])))
+                    break
+            else:
+                stack.pop()
+                if node is not None:
+                    order.append(node)
         return tuple((node,) + self.steps[node] for node in order if self.steps[node][0])
 
 
@@ -495,15 +485,10 @@ class _Tape(_Steps):
         super().__init__()
         self.floats = floats
         self.calls = {}  # node -> (function name, argument node), for error messages
-        self._inline = {}  # (id of a program, degree) -> `inline`
         self._lists = {}  # (group, degree) -> `lists`
         self.kept = {}  # product -> (key, value): see `ParametricCurve._kept`
         self.outputs = [tuple(self._output(e) for e in trees) for trees in groups]
         self.programs = [self._program(roots) for roots in self.outputs]
-        if len(groups) == 2:
-            # what is left of one group once the other has run
-            self.rest = [self._program(self.outputs[0], self.outputs[1]),
-                         self._program(self.outputs[1], self.outputs[0])]
         self.init = [None if fn else y for fn, x, y in self.steps]
 
     def _node(self, fn, x, y=None, call=None):
@@ -512,44 +497,18 @@ class _Tape(_Steps):
             self.calls[node] = call
         return node
 
-    def inline(self, program, degree: int):
-        """`program.tape_program` of one of this tape's programs, made once; None
-        for an empty program and for jets wider than `_INLINE_WIDTH` coefficients."""
-        key = (id(program), degree)  # the tape holds its programs, so ids stay theirs
-        if key not in self._inline:
-            self._inline[key] = None
-            if degree < _INLINE_WIDTH and program:
-                # the code generator is loaded with the first program it generates
-                from .program import tape_program
-
-                self._inline[key] = tape_program(self, program, degree)
-        return self._inline[key]
-
     def lists(self, group: int, degree: int):
         """(function, constants, positions): `program.tape_program` of group's
         whole program at `degree` (0 on a float tape), wide or narrow, whose
         function takes s, or s's jet, alone and gives group's values at
         `positions` of its outputs (None: s itself); made once, None where it
-        does not inline.  A float program's constant nodes, which a point
-        starts with (`init`), are constant steps here."""
+        does not inline."""
         key = (group, degree)
         if key not in self._lists:
-            self._lists[key] = None
-            program = self.programs[group]
-            if program:
-                # the code generator is loaded with the first program it generates
-                from .program import _f_const, tape_program
+            # the code generator is loaded with the first program it generates
+            from .program import tape_program
 
-                if self.floats:
-                    read = dict.fromkeys([*(dep for node, *_ in program for dep in self.deps[node]),
-                                          *self.outputs[group]])
-                    program = tuple((node, _f_const, 0, self.init[node]) for node in read
-                                    if node and not self.steps[node][0]) + program
-                inline = tape_program(self, program, degree)
-                if inline is not None and inline[1] == [0]:
-                    function, _, outputs, consts = inline
-                    self._lists[key] = (function, consts, [
-                        outputs.index(node) if node else None for node in self.outputs[group]])
+            self._lists[key] = tape_program(self, group, degree)
         return self._lists[key]
 
     def _fail(self, exc, dep=None):
@@ -648,42 +607,25 @@ class _Tape(_Steps):
 
 
 class _TapePoint:
-    """Node values of a tape at one base point and degree, 0 for floats, filled group by group."""
+    """Node values of a tape at one base point and degree, 0 for floats,
+    computed by the step loop."""
 
-    __slots__ = ("tape", "base", "degree", "values", "done", "results", "vectors")
+    __slots__ = ("tape", "base", "values")
 
     def __init__(self, tape: _Tape, base: float, degree: int):
         self.tape = tape
         self.base = base
-        self.degree = degree
         self.values = tape.init.copy()
         self.values[0] = [base, 1.0] + [0.0] * (degree - 1) if degree else base
-        self.done = set()
-        self.results = {}  # (group, order) -> what `ParametricCurve._tape_values` returned
-        self.vectors = {}  # (group, order) -> what `ParametricCurve._at` returned
 
     def outputs(self, group: int) -> list:
-        """The values of group's trees, once what they need has run."""
-        tape = self.tape
-        if group not in self.done:
-            self._run(tape.rest[group] if self.done else tape.programs[group])
-            self.done.add(group)
+        """The values of group's trees, once its program has run."""
+        self._run(self.tape.programs[group])
         v = self.values
-        return [v[node] for node in tape.outputs[group]]
+        return [v[node] for node in self.tape.outputs[group]]
 
     def _run(self, program):
         v = self.values
-        inline = self.tape.inline(program, self.degree)
-        if inline is not None:
-            function, inputs, outputs, consts = inline
-            try:
-                out = function([v[node] for node in inputs], consts)
-            except Exception:  # the step loop raises what it raises
-                out = None
-            if out is not None:
-                for node, value in zip(outputs, out):
-                    v[node] = value
-                return
         try:
             for node, fn, x, y in program:
                 v[node] = fn(v, x, y)
@@ -767,12 +709,12 @@ class ParametricCurve:
     that makes the pair Legendrian; otherwise the dual has to be derived
     numerically (see frontal.AutoDual).
 
-    `point`, `dual_point`, `point_jet` and `dual_jet` run a float and a jet
-    tape, each compiled from all six trees on first use (and shared with
-    every curve of the same expressions), so r and v at one point share
-    their common subtrees.  The node values of the last
-    `JET_MEMO_SIZE` points are kept in a memo keyed on (s, sign of s,
-    degree), degree 0 for floats, so a repeated request costs a lookup.
+    `point`, `dual_point`, `point_jet` and `dual_jet` read a float and a
+    jet tape, each compiled from all six trees on first use and shared with
+    every curve of the same expressions: each read is one call of the
+    generated function of its group at its degree (`_Tape.lists`), and
+    only where there is none, or it gives no answer, does the step loop
+    run, which raises what the tree walk raises.  Nothing is kept per point.
     """
 
     name: str
@@ -781,7 +723,6 @@ class ParametricCurve:
     dual_components: tuple[CurveExpr, CurveExpr, CurveExpr] | None = None
     samples: int = 1000
     _tapes: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.domain
@@ -801,49 +742,35 @@ class ParametricCurve:
 
     def _at(self, group: int, s: float, order: int | None = None) -> MVec3:
         """Group's three values at s: floats, or jets truncated to `order`."""
-        point, values = self._tape_values(group, s, order)
-        key = (group, order)
-        vector = point.vectors.get(key)
-        if vector is None:
-            # the base and the order were checked by `_tape_args`, so each
-            # value is checked as `Jet` and `MVec3` check them, without their init
-            if order is not None:
-                values = [jets._jet(point.base, tuple(c)) for c in values]
-            vector = point.vectors[key] = _vec(*values)
-        return vector
+        values = self._tape_values(group, s, order)
+        # the base and the order were checked by `_tape_args`, so each value
+        # is checked as `Jet` and `MVec3` check them, without their init
+        if order is not None:
+            base = float(s)
+            values = [jets._jet(base, tuple(c)) for c in values]
+        return _vec(*values)
 
-    def _tape_values(self, group: int, s: float, order: int | None = None):
-        """(point, values): the memoised `_TapePoint` of s that serves `order`,
-        and group's three values there, floats or the coefficient lists of
-        jets truncated to `order`.  `_at` reads the memo only through here, and
-        so does `frontal.AutoDual`, which takes the lists as they are."""
+    def _tape_values(self, group: int, s: float, order: int | None = None) -> list:
+        """Group's three values at s, floats or the coefficient lists of jets
+        truncated to `order`, from one call of the generated function of
+        `_Tape.lists`, or from the step loop where there is none or it gives
+        no answer.  `_at` reads the tapes only through here, and so does
+        `frontal.AutoDual`, which takes the lists as they are."""
         base, degree = (float(s), 0) if order is None else _tape_args(s, order)
-        key = (base, math.copysign(1.0, base), degree)  # 0.0 == -0.0, but s keeps the sign
-        memo = self._memo
-        point = memo.get(key)
-        if point is None or next(reversed(memo)) != key:  # else the newest: nothing to reorder
-            if point is not None:
-                del memo[key]  # put back below as the newest
-            elif degree:
-                # coefficient k of every step depends on coefficients <= k only,
-                # and a step refused at one degree is refused at every degree above
-                for k, p in memo.items():
-                    if k[2] > degree and k[:2] == key[:2] and group in p.done:
-                        key, point = k, memo.pop(k)
-                        break
-            if point is None:
-                point = _TapePoint(self._tape_set()[degree > 0], base, degree)
-            # memoised before the run, so a refused group keeps what the other one computed
-            if len(memo) >= JET_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = point
-        values = point.results.get((group, order))
-        if values is None:
-            values = point.outputs(group)
-            if degree:
-                values = [c[: order + 1] for c in values]
-            point.results[group, order] = values
-        return point, values
+        tape = self._tape_set()[degree > 0]
+        x = [base, 1.0] + [0.0] * (degree - 1) if degree else base
+        lists = tape.lists(group, degree)
+        try:
+            out = None if lists is None else lists[0]((x,), lists[1])
+        except Exception:  # the step loop raises what it raises
+            out = None
+        if out is None:
+            values = _TapePoint(tape, base, degree).outputs(group)
+        else:
+            values = [x if i is None else out[i] for i in lists[2]]
+        if order == 0:  # run at degree 1
+            values = [c[:1] for c in values]
+        return values
 
     def _kept(self, product, key, make):
         """make(), kept with the curve's shared tapes (`_shared_tapes`) under

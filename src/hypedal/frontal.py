@@ -290,8 +290,8 @@ class AutoDual:
     grid point of its singular-point scan share one read of the union of
     their inputs (`recording.sampled_jet_program`), so a derived-curve
     command reads r once per grid point.  Where the read gives no answer,
-    the `Jet` formula runs on the curve's tape memo, which decides p
-    (`_leading`).
+    the `Jet` formula runs on the curve's own reads, with p decided by
+    `_leading`.
     """
 
     def __init__(self, curve):
@@ -326,9 +326,10 @@ class AutoDual:
 
     def _leading(self, s: float, order: int):
         """(p, r, r'): the vanishing power p of r' at s and the lists it is
-        decided on, r's of order `order` + 1 from the curve's tape memo and
-        their derivatives, as `Jet.d_ds` computes and checks them."""
-        r = self.curve._tape_values(0, s, order + 1)[1]
+        decided on: r's of order `order` + 1, read from the curve's tape
+        (`ParametricCurve._tape_values`), and their derivatives, as
+        `Jet.d_ds` computes and checks them."""
+        r = self.curve._tape_values(0, s, order + 1)
         rd = [require_finite(c) for c in _derivative(r)]
         p = _vanishing_power(rd)
         if p is None:
@@ -343,7 +344,7 @@ class AutoDual:
         read = auto_dual_read(self.curve._tape_set(), leaves, top)
         try:
             return None if read is None else read(float(s), sign_at)
-        except Exception:  # the memoised path raises what it raises
+        except Exception:  # the formula raises what it raises
             return None
 
     def _raw(self, s: float) -> tuple:

@@ -107,9 +107,8 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS):
     inline, or where it has more than `max_steps` steps.
 
     `shapes` maps each input node, in the order the function takes their
-    values, to 0 (a float), w (a jet of w coefficients) or -w (a sin/cos or
-    sinh/cosh pair); a jet at node 0 is s's, (s, 1.0, 0.0, ...), as in
-    every tape and recording.  function(values of the inputs, constants) returns the
+    values, to 0 (a float) or w (a jet of w coefficients); a jet at node 0
+    is s's, (s, 1.0, 0.0, ...), as in every tape and recording.  function(values of the inputs, constants) returns the
     values of the `outputs` nodes, or None where the checked path must run.
     A constant that is not a float (a `recording.Param`) stands for the
     value given in its place.
@@ -133,20 +132,26 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS):
     return None if function is None else (function, tuple(consts))
 
 
-def tape_program(tape, program, degree: int):
-    """(function, input nodes, output nodes, constants) of `inline_program` for
-    one of an `expr._Tape`'s programs at `degree` (0 for floats), or None.  Its
-    outputs are the nodes that a later program, or the tape's outputs, read."""
-    computed = {node for node, *_ in program}
-    inputs = dict.fromkeys(dep for node, *_ in program for dep in tape.deps[node]
-                           if dep not in computed)
-    width = degree + 1 if degree else 0
-    shapes = {node: -width if tape.steps[node][0] is _k_pair else width for node in inputs}
-    read = {dep for node, deps in enumerate(tape.deps) if node not in computed for dep in deps}
-    read.update(node for nodes in tape.outputs for node in nodes)
-    outputs = [node for node, *_ in program if node in read]
-    inline = inline_program(program, shapes, outputs)
-    return None if inline is None else (inline[0], list(shapes), outputs, inline[1])
+def tape_program(tape, group: int, degree: int):
+    """(function, constants, positions) of `inline_program` for group's whole
+    program on an `expr._Tape` at `degree` (0 for floats): function((s or
+    s's jet,), constants) returns the values of the group's trees, each at
+    its position there (None: s itself); None where the program is empty or
+    does not inline.  A float tape's constant nodes, which a `_TapePoint`
+    starts with, are constant steps here."""
+    program = tape.programs[group]
+    if not program:
+        return None
+    roots = tape.outputs[group]
+    if tape.floats:
+        read = dict.fromkeys([*(dep for node, *_ in program for dep in tape.deps[node]), *roots])
+        program = tuple((node, _f_const, 0, tape.init[node]) for node in read
+                        if node and not tape.steps[node][0]) + program
+    outputs = list(dict.fromkeys(node for node in roots if node))
+    inline = inline_program(program, {0: degree + 1 if degree else 0}, outputs)
+    if inline is None:
+        return None
+    return inline[0], inline[1], [outputs.index(node) if node else None for node in roots]
 
 
 def fused_program(tapes, program, reads: dict, outputs, degree: int):
@@ -205,7 +210,7 @@ def _inline_function(inputs, program, outputs, n_consts):
     """The generated function of a program's structure (see `inline_program`);
     no step but s's jet (`_k_var`) widens a value, so its inputs and that
     step decide whether it is a wide one."""
-    widths = [abs(shape) for _, shape in inputs]
+    widths = [shape for _, shape in inputs]
     widths += [y + 1 for _, fn, _, y in program if fn is _k_var]
     if max(widths, default=0) > INLINE_WIDTH:
         return _list_function(inputs, program, outputs, n_consts)
@@ -215,13 +220,9 @@ def _inline_function(inputs, program, outputs, n_consts):
         if shape == 0:
             names[node] = f"x{node}"
             unpack.append(names[node])
-        elif shape > 0:
+        else:
             names[node] = [f"x{node}_{i}" for i in range(shape)]
             unpack.append(f"({', '.join(names[node])},)")
-        else:
-            names[node] = ([f"x{node}s_{i}" for i in range(-shape)],
-                           [f"x{node}c_{i}" for i in range(-shape)])
-            unpack.append("(({},), ({},))".format(*(", ".join(half) for half in names[node])))
     prologue = [f"{', '.join(unpack)}, = i"] if unpack else []
     k = [f"k{j}" for j in range(n_consts)]
     if k:
@@ -295,8 +296,6 @@ def _inline_function(inputs, program, outputs, n_consts):
         name = names[node]
         if isinstance(name, str):
             return name
-        if isinstance(name, tuple):
-            return "([{}], [{}])".format(*(", ".join(half) for half in name))
         return f"[{', '.join(name)}]"
 
     return _chained(prologue, body, f"({''.join(value(node) + ', ' for node in outputs)})")
@@ -313,8 +312,8 @@ def _list_function(inputs, program, outputs, n_consts):
     of its operands' bounds; given lists have no bound below their width,
     so their products call `jets.mul_coeffs`, which finds a's degree."""
     names = {node: f"x{node}" for node, _ in inputs}
-    widths = {node: abs(shape) for node, shape in inputs}
-    degrees = {node: 1 if node == 0 else abs(shape) - 1 for node, shape in inputs}
+    widths = dict(inputs)
+    degrees = {node: 1 if node == 0 else shape - 1 for node, shape in inputs}
     from_s = list(names) == [0]
     given = set(names)  # the inputs, which callers give finite
     prologue = [f"{''.join(name + ', ' for name in names.values())}= i"]

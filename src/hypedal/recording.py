@@ -225,52 +225,49 @@ def record(formula):
 # -- derived-curve formulas ----------------------------------------------------
 #
 # A derived curve's `_formula`, and each jet evaluator of an induced pair, is
-# recorded once per formula, order and shape of its pair: the induced pairs
-# it is built through, and whether the pair they start from gives mu itself.
-# Each jet (r | v | mu, order) that the formula asks of that pair is an
-# input, and the coordinates of each pedal point Q are parameters, so nothing
-# recorded depends on Q.  A sample formula (order None), such as
+# recorded once per formula, order and the induced pairs it is built
+# through, on a pair whose values come from a curve.  Each jet (r | v,
+# order) that the formula asks of the pair the induced pairs start from is
+# an input, and the coordinates of each pedal point Q are parameters, so
+# nothing recorded depends on Q.  A sample formula (order None), such as
 # `LegendrePair.curvatures` or a derived curve's `_sample`, computes floats
-# at s from the floats r, v (and mu) of the pair the induced pairs start
-# from, and from coefficient 1 of jets of order 1, an induced pair's jets
-# recorded into it from that pair's.
+# at s from the floats r and v of that pair, and from coefficient 1 of jets
+# of order 1, an induced pair's jets recorded into it from that pair's.
 #
 # Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`),
 # the recording is fused with the tape steps its inputs read
 # (`program.fused_program`): one generated function from s to the formula's
 # values, kept with the tapes, for jets of any order up to `jets.MAX_ORDER`
 # (a wide one reads no floats), `classify_pedal`'s order-22 germs among
-# them; where it is not fused, the formula runs on the tape memo, which
-# raises past that order.  A formula that reads r alone,
-# such as the off-curve scan's, is fused the same way on a pair whose r
-# alone comes from a curve's tapes (`LegendrePair.with_auto_dual`).
-# Elsewhere the inputs are read apart from the formula's function: every r
-# and v input of an auto-dual pair from one call of a generated function of
-# s (`frontal.auto_dual_read`, `_run_auto_dual`), so that a call is two
+# them; where it is not fused, the formula runs on the curve's reads
+# (`ParametricCurve._tape_values`), which raise past that order.  A formula
+# that reads r alone, such as the off-curve scan's, is fused the same way on
+# a pair whose r alone comes from a curve's tapes
+# (`LegendrePair.with_auto_dual`).  Elsewhere on an auto-dual pair, every r
+# and v input comes from one call of a generated function of s
+# (`frontal.auto_dual_read`, `_run_auto_dual`), so that a call is two
 # generated calls, the derived curve's formula running where the read gives
-# no answer; and the jets and floats of other pairs (reparametrized, built
-# by hand) from their evaluators.  The inputs of a recording on such a
-# pair are in `_leaf_order`, so formulas of one input set share one read.
-# At a grid point of a derived curve's singular-point scan, the sample and
-# the order-2 jet of an auto-dual pair take their inputs from one read of
-# the union of their inputs (`sampled_jet_program`), so that r is read once
-# per grid point; where that gives no answer, each runs as above.
-
-
-class _Recorded(LegendrePair):
-    """The pair a formula is recorded on: `derived_program` makes no program
-    for it, so that its methods record their formulas too."""
+# no answer.  The inputs of such a recording are in `_leaf_order`, so
+# formulas of one input set share one read.  At a grid point of a derived
+# curve's singular-point scan, the sample and the order-2 jet of an
+# auto-dual pair take their inputs from one read of the union of their
+# inputs (`sampled_jet_program`), so that r is read once per grid point;
+# where that gives no answer, each runs as above.  Other pairs
+# (reparametrized, built by hand) get no program and run their formulas.
 
 
 def derived_program(formula, pair, Q, order: int | None, fused_only: bool = False):
     """program(s0) -> (base, the coefficient lists of the jets that
     formula(pair, Q, s0, order) returns) from the generated function, or None
-    where that gives no answer; None where there is none, or where a point is
-    not given in floats (a pair being recorded), or where it is not fused
-    with a curve's tapes and `fused_only` or the pair is a `from_curve` one;
-    a formula that reads v is fused only where v comes from the tapes too.
-    For a sample formula (`order` None), program(s) -> the list of the
-    floats it returns."""
+    where that gives no answer; None where there is none: where the pair
+    does not read r from a curve's tapes (reparametrized and hand-built
+    pairs, and the pair a formula is recorded on, run their `Jet`/`MVec3`
+    formulas), where a point is not finite, or where it is not fused with
+    the curve's tapes and `fused_only` or the pair is a `from_curve` one; a
+    formula that reads v is fused only where v comes from the tapes too,
+    and on an auto-dual pair it runs on `frontal.auto_dual_read`.  For a
+    sample formula (`order` None), program(s) -> the list of the floats it
+    returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
 
     chain = []
@@ -278,48 +275,35 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     while type(source) in (PedalInducedPair, OrthotomicInducedPair):
         chain.append(source)
         source = source.source
-    if type(source) is not LegendrePair:  # formulas other than the ones recorded here
-        return None
+    if type(source) is not LegendrePair or source._r_curve is None:
+        return None  # formulas other than the ones recorded here, or not read from a curve
     points = [induced.Q for induced in reversed(chain)] + ([] if Q is None else [Q])
-    values = [c for point in points for c in point.components()]
-    if any(isinstance(c, Param) for c in values):
-        return None
-    values = [float(c) for c in values]
+    values = [float(c) for point in points for c in point.components()]
     if not all(map(math.isfinite, values)):
         return None
     kinds = tuple(type(p) for p in chain)
-    has_mu = source._mu_jet is not None
-    curve = None if has_mu else source._curve
-    r_curve = None if has_mu else source._r_curve
-    if r_curve is not None:
-        fused = _fused(r_curve._tape_set(), formula, kinds, Q is not None, order, curve is None)
-        if fused is not None:
-            return partial(_run_fused, fused[0], _given(fused[1], values), order is not None)
-    if fused_only or curve is not None:
-        return None  # not fused: a formula of a curve's pair runs on the tape memo
-    recorded = _record_on_pair(formula, kinds, has_mu, Q is not None, order)
+    tapes, dual = source._r_curve._tape_set(), source._dual
+    fused = _fused(tapes, formula, kinds, Q is not None, order, source._curve is None)
+    if fused is not None:
+        return partial(_run_fused, fused[0], _given(fused[1], values), order is not None)
+    if fused_only or dual is None:
+        return None  # not fused: a formula of a curve's pair runs on the curve's reads
+    recorded = _record_on_pair(formula, kinds, Q is not None, order)
     if recorded is None:
         return None
     function, consts, keys = recorded
-    consts = _given(consts, values)
     # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
-    leaves = [(kind, k) for kind, k, i in keys if i == 0]
-    dual = None if has_mu else source._dual
-    if dual is not None:
-        # one read deep enough for every leaf, and for the p that each v leaf decides
-        top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves),
-                  default=1)
-        tapes, leaves = r_curve._tape_set(), tuple(leaves)
-        read = auto_dual_read(tapes, leaves, top)
-        if read is None:
-            return None
-        program = partial(_run_auto_dual, read, dual._sign_at, function, consts, order is not None)
-        program.tapes, program.leaves, program.top = tapes, leaves, top  # for `sampled_jet_program`
-        return program
-    if order is None:
-        return partial(_run_reads, [_read(leaf, source) for leaf in leaves], function, consts)
-    leaves = [(getattr(source, f"{kind}_jet"), k) for kind, k in leaves]
-    return partial(_run_on_jets, leaves, function, consts)
+    leaves = tuple((kind, k) for kind, k, i in keys if i == 0)
+    # one read deep enough for every leaf, and for the p that each v leaf decides
+    top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves),
+              default=1)
+    read = auto_dual_read(tapes, leaves, top)
+    if read is None:
+        return None
+    program = partial(_run_auto_dual, read, dual._sign_at, function, _given(consts, values),
+                      order is not None)
+    program.tapes, program.leaves, program.top = tapes, leaves, top  # for `sampled_jet_program`
+    return program
 
 
 _GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
@@ -355,7 +339,7 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     fused programs keep their recorded steps."""
     if order is not None and order > jets.MAX_ORDER:
         return None
-    recorded = _steps(_on_pair(formula, kinds, False, with_q, order))
+    recorded = _steps(_on_pair(formula, kinds, with_q, order))
     if recorded is None:
         return None
     recording, outputs = recorded
@@ -367,24 +351,6 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     return recording._program(outputs), reads, outputs, degree
 
 
-def _read(leaf, source):
-    """read(s) -> the three values of the input `leaf` of a sample formula, a
-    float triple or a jet of `source`.  The evaluators are the pair's own,
-    not its methods, so a program kept by the pair does not keep it alive."""
-    kind, k = leaf
-    if k is None:
-        return partial(_evaluated, getattr(source, f"_{kind}"))
-    return partial(_jet_coeffs, getattr(source, f"_{kind}_jet"), k)
-
-
-def _evaluated(evaluator, s):
-    return evaluator(s).components()
-
-
-def _jet_coeffs(evaluator, order, s):
-    return [j.coeffs for j in evaluator(s, order).components()]
-
-
 def _run_fused(function, consts, jets: bool, s):
     """function((s,), consts), and s before it for a jet program; None where
     s is not finite, or where the function returns None or anything raises."""
@@ -394,42 +360,6 @@ def _run_fused(function, consts, jets: bool, s):
     except Exception:  # the formula raises what it raises
         return None
     return (s, out) if jets and out is not None else out
-
-
-def _run_reads(reads, function, consts, s):
-    """function(the values that each of `reads` gives at s, consts), or None
-    where a read gives none, the function returns None or anything raises."""
-    given = []
-    try:
-        for read in reads:
-            values = read(s)
-            if values is None:
-                return None
-            given += values
-        return function(given, consts)
-    except Exception:  # the formula raises what it raises
-        return None
-
-
-def _run_on_jets(leaves, function, consts, s0):
-    """(base, function(the coefficients of the jets that each (evaluator,
-    order) of `leaves` gives at s0, consts)), or None where the function
-    returns None or anything raises, or where the jets differ in their base,
-    the sign of zero included."""
-    try:
-        given = [j for leaf, k in leaves for j in leaf(s0, k).components()]
-    except Exception:  # the checked path raises what it raises
-        return None
-    base = given[0].base
-    sign = math.copysign(1.0, base)
-    for j in given:
-        if j.base != base or (not base and math.copysign(1.0, j.base) != sign):
-            return None
-    try:
-        out = function([j.coeffs for j in given], consts)
-    except Exception:  # the checked path raises what it raises
-        return None
-    return None if out is None else (base, out)
 
 
 def _run_auto_dual(read, sign_at, function, consts, jets: bool, s):
@@ -486,15 +416,15 @@ def _run_sampled_jet(read, sign_at, sample, sample_consts, sample_at, jet, jet_c
 
 
 @lru_cache(maxsize=64)
-def _record_on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):
+def _record_on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
     """`record` of formula(pair, Q, s0, order) on a pair built by `kinds` (induced
-    pair classes, outermost first) around one whose r, v and, if `has_mu`, mu
-    jets and floats are inputs; Q a point if `with_q`.  A sample formula
+    pair classes, outermost first) around one whose r and v jets and floats
+    are inputs; Q a point if `with_q`.  A sample formula
     (`order` None) reads the outermost pair's jets through the formulas of
     its induced pairs, as a jet formula does.  The inputs are in the order
     of `_leaf_order`, whatever order the formula asks for them in, so that
     formulas of one leaf set share one `auto_dual_read`."""
-    recorded = _steps(_on_pair(formula, kinds, has_mu, with_q, order))
+    recorded = _steps(_on_pair(formula, kinds, with_q, order))
     if recorded is None:
         return None
     recording, nodes = recorded
@@ -511,7 +441,7 @@ def _leaf_order(key):
     return kind, k is not None, k or 0, *i
 
 
-def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | None):
+def _on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
     """formula(recording) of `_record_on_pair`."""
     def on_inputs(recording):
         def inputs(kind):
@@ -520,9 +450,10 @@ def _on_pair(formula, kinds: tuple, has_mu: bool, with_q: bool, order: int | Non
         def floats(kind):
             return lambda s: MVec3(*(recording.input((kind, None, i), None) for i in range(3)))
 
-        pair = _Recorded(floats("r"), inputs("r"), floats("v"), inputs("v"), (0.0, 1.0),
-                         name="recorded", mu=floats("mu") if has_mu else None,
-                         mu_jet=inputs("mu") if has_mu else None)
+        # read from no curve, so `derived_program` makes no program for it and
+        # its methods record their formulas too
+        pair = LegendrePair(floats("r"), inputs("r"), floats("v"), inputs("v"), (0.0, 1.0),
+                            name="recorded")
         for cls in reversed(kinds):
             pair = cls(pair, recording.point())
         return formula(pair, recording.point() if with_q else None, 0.0, order)
@@ -568,7 +499,8 @@ def pedal_germs(pair, Q, s0, order: int):
 def _germs(pair, Q, s0, order):
     """`LegendrePair.curvature_jets` and the pedal germ P = `pedal_point`(Q, v),
     with r and v at order truncated from the jets at order + 1 that ell and m
-    need, as the memo of a `from_curve` pair truncates them."""
+    need: where those are defined, the jets at order of a `from_curve` pair
+    are their truncations."""
     from .constructions import pedal_point
 
     rj = pair.r_jet(s0, order + 1)

@@ -511,31 +511,29 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
         for out in generated)
 
 
-def _rows_pair(r_rows, v_rows):
-    """A pair whose r and v jets at any s0 hold the given coefficient rows."""
-    def jet(rows):
-        return lambda s0, order: MVec3(*(jets.Jet(float(s0), tuple(row[: order + 1]))
-                                         for row in rows))
-
-    return LegendrePair(None, jet(r_rows), None, jet(v_rows), (-1.0, 1.0), name="rows")
-
-
-_ONE, _NIL = [1.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5
+def _rows_pair(r, v):
+    """A `from_curve` pair of the expressions r and v, polynomials in s - 0.5
+    whose jets at s0 = 0.5 hold the coefficient rows of their texts."""
+    curve = expr.ParametricCurve("rows", tuple(map(expr.parse, r)), (-1.0, 1.0),
+                                 dual_components=tuple(map(expr.parse, v)))
+    return LegendrePair.from_curve(curve)
 
 
 @pytest.mark.parametrize("case", ["vanishing divisor", "sqrt of a negative", "overflow"])
-def test_generated_jets_fall_back_to_the_formula(case):
-    # where the generated function returns None, the `Jet` formula runs and
-    # raises what it raises; mutation: not testing the finiteness of every value
+def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
+    # where the function fused with the curve's tapes returns None, the `Jet`
+    # formula runs on the curve's reads and raises what it raises; mutation:
+    # not testing the finiteness of every value
+    monkeypatch.setattr(expr, "_TAPES", {})  # the fused programs of fresh tapes
     Q = MVec3(1.0, 0.0, 0.0)
     if case == "vanishing divisor":
         # the pedal divides by sqrt(1 + <Q, v>^2) = 1 + 5e27 (s - s0)^2 + ...
-        pair = _rows_pair([_ONE, _NIL, _NIL], [[0.0, 1e14, 0.0, 0.0, 0.0], _ONE, _NIL])
+        pair = _rows_pair(["1", "0", "0"], ["1e14*(s - 0.5)", "1", "0"])
         curve, order = cons.PedalCurve(pair, Q), 2
         error = (jets.JetDomainError, "jet division by vanishing germ")
     elif case == "sqrt of a negative":
         # <Q, r>^2 - 1 = -0.75 under the square root of the orthotomic's dual
-        pair = _rows_pair([[0.5] + _NIL[1:], _NIL, _NIL], [_NIL, _ONE, _NIL])
+        pair = _rows_pair(["0.5", "0", "0"], ["0", "1", "0"])
         curve = cons.EvoluteCurve(cons.OrthotomicInducedPair(pair, Q), tag_pair=pair, Q=Q,
                                   kind="catacaustic")
         order = 1
@@ -544,10 +542,11 @@ def test_generated_jets_fall_back_to_the_formula(case):
     else:
         # m = <v', mu> = 1e160, so m^2 overflows ahead of the branch decision,
         # which would call an infinite d2 degenerate
-        pair = _rows_pair([_ONE, _NIL, _NIL], [_NIL, _ONE, [0.0, 1e160, 0.0, 0.0, 0.0]])
+        pair = _rows_pair(["1", "0", "0"], ["0", "1", "1e160*(s - 0.5)"])
         curve, order = cons.evolute(pair), 1
         error = (ValueError, "non-finite jet coefficient")
-    assert recording.derived_program(curve._formula, *curve._formula_args(), order) is not None
+    program = recording.derived_program(curve._formula, *curve._formula_args(), order)
+    assert program.func is recording._run_fused
     assert curve._program_jet(0.5, order) is None
     assert (_outcome(lambda: curve.jet(0.5, order))
             == _outcome(lambda: _formula_only(curve).jet(0.5, order)) == error)

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import CURVES
 from hypedal.expr import (
-    JET_MEMO_SIZE, MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
+    MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
     Pow, Var, _eval, _Tape, _TapePoint, eval_jet, eval_scalar, parse, to_text,
 )
 from hypedal import expr, jets, program
@@ -336,20 +336,19 @@ def test_tape_shares_equal_subtrees_and_sin_cos():
     assert len(tape.steps) == 6
 
 
-def _recursive_program(tape, roots, computed=()):
+def _recursive_program(tape, roots):
     """`_Tape._program` as a recursive walk: the reference of its post-order."""
     done = {0}
     order = []
 
-    def visit(nodes, out):
+    def visit(nodes):
         for node in nodes:
             if node not in done:
                 done.add(node)
-                visit(tape.deps[node], out)
-                out.append(node)
+                visit(tape.deps[node])
+                order.append(node)
 
-    visit(computed, [])
-    visit(roots, order)
+    visit(roots)
     return tuple((node,) + tape.steps[node] for node in order if tape.steps[node][0])
 
 
@@ -360,7 +359,6 @@ def test_tape_programs_are_the_recursive_walks(name, floats):
     tape = _Tape((curve.components, curve.dual_components), floats=floats)
     r, v = tape.outputs
     assert tape.programs == [_recursive_program(tape, r), _recursive_program(tape, v)]
-    assert tape.rest == [_recursive_program(tape, r, v), _recursive_program(tape, v, r)]
 
 
 def _bare_curve():
@@ -380,10 +378,9 @@ def test_curve_jet_memo_matches_fresh_evaluation(name):
             got = getattr(curve, method)(s0, order)
             assert [_outcome(lambda: j) for j in got.components()] == \
                 [_outcome(lambda: _walked(t, s0, order)) for t in trees]
-            assert len(curve._memo) <= JET_MEMO_SIZE
 
 
-# -- the float tape and the curve memo against the tree walk -----------------
+# -- the float tape and the curve's reads against the tree walk --------------
 
 
 def _value_outcome(fn):
@@ -423,28 +420,27 @@ def test_float_tape_raises_what_the_walk_raises(text, s, error):
     assert _value_outcome(lambda: eval_scalar(e, s)) == _value_outcome(lambda: _eval(e, s)) == error
 
 
-def _tape_outcome(e, s, degree, inline=True):
-    """e at s from a fresh tape at `degree` (0: floats), by repr, or the
-    exception; run by the generated function, or by the step loop alone."""
+def _tape_outcome(e, s, degree):
+    """e at s from the step loop of a fresh tape at `degree` (0: floats), by
+    repr, or the exception."""
     tape = _Tape(((e,),), floats=not degree)
-    if not inline:
-        tape.inline = lambda program, degree: None
     return _value_outcome(lambda: _TapePoint(tape, s, degree).outputs(0)[0])
 
 
 def _lists_outcome(e, s, degree):
-    """e at s from the generated function of `_Tape.lists` at `degree`, by
-    repr, or "refused" where it gives no answer; None where there is none."""
-    lists = _Tape(((e,),)).lists(0, degree)
+    """e at s from the generated function of `_Tape.lists` at `degree` (0:
+    floats), by repr, or "refused" where it gives no answer; None where
+    there is none."""
+    lists = _Tape(((e,),), floats=not degree).lists(0, degree)
     if lists is None:
         return None
     function, consts, (position,) = lists
-    s_jet = [s, 1.0] + [0.0] * (degree - 1)
+    x = [s, 1.0] + [0.0] * (degree - 1) if degree else s
     try:
-        out = function([s_jet], consts)
+        out = function((x,), consts)
     except Exception:  # the callers run the step loop
         out = None
-    return "refused" if out is None else repr(s_jet if position is None else out[position])
+    return "refused" if out is None else repr(x if position is None else out[position])
 
 
 @settings(max_examples=500, deadline=None)
@@ -454,9 +450,10 @@ def _lists_outcome(e, s, degree):
 @example(parse("sqrt(s - 1)"), 0.5, 2)  # the square root of a negative constant term
 @example(parse("1/((s*1e200)*(s*1e200))"), 0.5, 2)  # an overflow
 def test_generated_tape_functions_are_the_step_loop(e, s, degree):
-    # programs of at most 4 coefficients a value run as generated functions,
-    # which must give what the step loop gives, or raise what it raises
-    assert _tape_outcome(e, s, degree) == _tape_outcome(e, s, degree, inline=False)
+    # at most 4 coefficients a value, `_Tape.lists`' function must give the
+    # step loop's bits, or no answer, where the callers run the loop, which
+    # raises what it raises
+    assert _lists_outcome(e, s, degree) in (None, "refused", _tape_outcome(e, s, degree))
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,7 +473,7 @@ def test_wide_generated_tape_functions_are_the_step_loop(e, s, degree):
     # kernels bound to the degrees of their operands, must give the step
     # loop's bits, or no answer where a step raises; its callers give it a
     # finite s alone, as `_tape_args` does the step loop
-    loop = _tape_outcome(e, s, degree, inline=False)
+    loop = _tape_outcome(e, s, degree)
     assert _lists_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
 
 
@@ -609,27 +606,27 @@ _REFUSED = {case: kinds | _NOT_FINITE_FROM_S for case, kinds in {
 @pytest.mark.parametrize("floats", [False, True])
 @pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37"])
 def test_tape_programs_are_generated_up_to_4_coefficients(name, floats):
-    # each program of a shipped curve runs as its generated function, which
-    # gives an answer, up to jets of degree 3
+    # each group of a shipped curve reads through its generated function
+    # (`_Tape.lists`), which answers with the step loop's bits: floats and
+    # jets of up to 4 coefficients on local names, wider jets on lists
     curve = load_curve(CURVES / f"{name}.json")
     tape = _Tape((curve.components, curve.dual_components), floats=floats)
-    for degree in (0,) if floats else range(1, 5):
-        for first in (0, 1):
-            point = _TapePoint(tape, 0.3, degree)
-            for group in (first, 1 - first):
-                program = (tape.rest if point.done else tape.programs)[group]
-                inline = tape.inline(program, degree)
-                assert (inline is None) == (degree == 4 or not program)
-                if inline is not None:
-                    function, inputs, _, consts = inline
-                    assert function([point.values[node] for node in inputs], consts) is not None
-                point.outputs(group)
+    for degree in (0,) if floats else (1, 2, 3, 4, 17):
+        for group in (0, 1):
+            function, consts, positions = tape.lists(group, degree)
+            x = [0.3, 1.0] + [0.0] * (degree - 1) if degree else 0.3
+            out = function((x,), consts)
+            assert out is not None
+            loop = _TapePoint(tape, 0.3, degree).outputs(group)
+            assert [repr(x if i is None else out[i]) for i in positions] == list(map(repr, loop))
 
 
 _REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2
 
 
 def _memo_curve():
+    """A curve whose v is refused at order 3 and s0 = 0, not at 2, and whose r
+    mixes floats and jets that differ in their bits (see `_CALL_S`)."""
     return ParametricCurve(
         "memo", (parse("sin(cosh(s^4))"), parse("s^3"), parse("s")), (-2.0, 2.0),
         dual_components=(parse(_REFUSED_AT_3), parse("sqrt(1 + s^2)"), parse("-0.0")))
@@ -649,7 +646,6 @@ def _check_calls(curve, calls):
         args = (s, order) if method.endswith("_jet") else (s,)
         assert _value_outcome(lambda: getattr(curve, method)(*args)) == \
             _value_outcome(lambda: _walked_point(trees, method, s, order)), (method, s, order)
-        assert len(curve._memo) <= JET_MEMO_SIZE
 
 
 _METHODS = ("point", "dual_point", "point_jet", "dual_jet")
@@ -663,7 +659,7 @@ def test_interleaved_curve_calls_match_tree_walk(name):
     curve = _memo_curve() if name == "memo" else load_curve(CURVES / f"{name}.json")
     rng = random.Random(name)
     s_values = _CALL_S + tuple(curve.grid(7))
-    calls = [(rng.choice(_METHODS), rng.choice(s_values), rng.choice((0, 1, 2, 3, 5)))
+    calls = [(rng.choice(_METHODS), rng.choice(s_values), rng.choice((0, 1, 2, 3, 5, 17, 23)))
              for _ in range(300)]
     _check_calls(curve, calls)
 
@@ -671,83 +667,59 @@ def test_interleaved_curve_calls_match_tree_walk(name):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_exprs(jet_ops=True, abs_calls=True), min_size=6, max_size=6),
        st.lists(st.tuples(st.sampled_from(_METHODS), st.sampled_from(_CALL_S),
-                          st.sampled_from([0, 1, 2, 3, 5])), max_size=16))
+                          st.sampled_from([0, 1, 2, 3, 5, 17, 23])), max_size=16))
 def test_random_curve_calls_match_tree_walk(trees, calls):
     curve = ParametricCurve("random", tuple(trees[:3]), (-2.0, 2.0),
                             dual_components=tuple(trees[3:]))
     _check_calls(curve, calls)
 
 
-def test_lower_orders_are_served_only_where_their_group_ran():
+def test_lower_orders_are_served_only_where_their_group_ran(monkeypatch):
+    # each read runs its group at its own degree through the generated
+    # function, so a refusal at a higher order leaves the lower orders as a
+    # fresh evaluation gives them, and only a read the function refuses
+    # builds a point, whose step loop raises; mutation: a point per read
+    made = []
+    init = _TapePoint.__init__
+
+    def spied(self, tape, base, degree):
+        made.append((base, degree))
+        init(self, tape, base, degree)
+
+    monkeypatch.setattr(_TapePoint, "__init__", spied)
     curve = _memo_curve()
     fresh = [_value_outcome(lambda: eval_jet(t, 0.0, 2)) for t in curve.dual_components]
+    orders = (3, 2, 1, 0)
+    fresh_r = [[_value_outcome(lambda: eval_jet(t, 0.5, order)) for t in curve.components]
+               for order in orders]
+    made.clear()
     with pytest.raises(ValueError, match="vanishing germ"):
         curve.dual_jet(0.0, 3)
-    curve.point_jet(0.0, 3)  # a point of degree 3 that has run r, not v
+    assert made == [(0.0, 3)]
+    curve.point_jet(0.0, 3)
     got = curve.dual_jet(0.0, 2)
     assert [_value_outcome(lambda: j) for j in got.components()] == fresh
-    # r has run at degree 3, so r at order 2, 1 or 0 is read from that point
-    curve.point_jet(0.5, 3)
-    before = list(curve._memo)
-    for order in (2, 1, 0):
-        got = curve.point_jet(0.5, order)
-        assert [_value_outcome(lambda: j) for j in got.components()] == \
-            [_value_outcome(lambda: eval_jet(t, 0.5, order)) for t in curve.components]
-    assert list(curve._memo) == before
-
-
-def test_a_refused_group_keeps_its_point_in_the_memo(monkeypatch):
-    # mutation: memoising the point only after its group ran
-    runs = []
-    run = _TapePoint._run
-
-    def counted(self, program):
-        runs.append(program)
-        return run(self, program)
-
-    monkeypatch.setattr(_TapePoint, "_run", counted)
-    curve = _memo_curve()
-    first = curve.point_jet(0.0, 3)
-    with pytest.raises(ValueError) as refused:
-        curve.dual_jet(0.0, 3)
-    assert curve.point_jet(0.0, 3) is first
-    assert len(runs) == 2  # r's group, then v's refused one
-    with pytest.raises(ValueError) as again:
-        curve.dual_jet(0.0, 3)
-    assert (type(again.value), str(again.value)) == (type(refused.value), str(refused.value))
+    got = [curve.point_jet(0.5, order) for order in orders]
+    assert [[_value_outcome(lambda: j) for j in g.components()] for g in got] == fresh_r
+    assert made == [(0.0, 3)]
 
 
 @pytest.mark.parametrize("name", ["astroid", "cusp37"])
-def test_tape_values_are_the_jets_coefficients_from_the_same_point(name, monkeypatch):
-    # the coefficient lists that generated derived-curve functions read are
-    # those of point_jet and dual_jet, bit for bit, and come from the one
-    # memoised point per (s, sign of s, degree); mutation: a memo of its own
-    made = []
-
-    class Counted(_TapePoint):
-        __slots__ = ()
-
-        def __init__(self, tape, base, degree):
-            made.append((base, math.copysign(1.0, base), degree))
-            super().__init__(tape, base, degree)
-
-    monkeypatch.setattr(expr, "_TapePoint", Counted)
+def test_tape_values_are_the_jets_coefficients_from_the_same_point(name):
+    # the coefficient lists and floats that `frontal.AutoDual` reads are those
+    # of point_jet, dual_jet and dual_point at the same s, bit for bit, the
+    # sign of a zero s included
     curve = load_curve(CURVES / f"{name}.json")
     for s in (0.3, 0.0, -0.0, -1.25):
-        point, _ = curve._tape_values(0, s, 3)
-        for order in (3, 2, 1, 0):
+        for order in (3, 2, 1, 0, 17):
             for group, jet in ((0, curve.point_jet), (1, curve.dual_jet)):
-                got, values = curve._tape_values(group, s, order)
-                assert got is point
+                values = curve._tape_values(group, s, order)
+                components = jet(s, order).components()
                 assert [[repr(c) for c in coeffs] for coeffs in values] == \
-                    [[repr(c) for c in j.coeffs] for j in jet(s, order).components()]
-                assert got.base == float(s) and math.copysign(1.0, got.base) == \
-                    math.copysign(1.0, s)
-        floats, values = curve._tape_values(1, s)
+                    [[repr(c) for c in j.coeffs] for j in components]
+                assert all(repr(j.base) == repr(float(s)) for j in components)
+        values = curve._tape_values(1, s)
         assert [repr(c) for c in values] == [repr(c) for c in curve.dual_point(s).components()]
-        assert curve._tape_values(0, s)[0] is floats
-    assert made == [(s, math.copysign(1.0, s), degree)
-                    for s in (0.3, 0.0, -0.0, -1.25) for degree in (3, 0)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -755,7 +727,8 @@ def test_tape_values_are_the_jets_coefficients_from_the_same_point(name, monkeyp
        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from([0.0, -0.0]),
        st.sampled_from([0, 1, 2, 3, 17]), st.integers(min_value=1, max_value=6))
 def test_lower_order_jet_is_the_truncated_higher_one(e, s0, order, step):
-    # what serving a lower order from a memoised higher degree rests on
+    # what the fused programs' truncations of a jet read at a higher degree
+    # (`program._k_trunc`) rest on
     try:
         high = eval_jet(e, s0, order + step)
     except Exception:

@@ -293,20 +293,21 @@ def test_auto_dual_jets_are_the_formula_jets(name):
 @pytest.mark.parametrize("name", sorted(_CUSPS))
 def test_auto_dual_floats_make_no_tape_point(name, fresh_tapes, monkeypatch):
     # the sign grid and every float dual read r's order-17 lists from one call
-    # of the curve's generated function, which keeps nothing; mutation: `_raw`
-    # read through `_leading`, which memoises a tape point per parameter
+    # of the curve's generated read, which keeps nothing, and neither read r
+    # through the curve's own reads nor build a tape point; mutation: `_raw`
+    # read through `_leading`
     curve = _without_dual(name)
     made = []
-    init = expr._TapePoint.__init__
+    for owner, attribute in ((expr._TapePoint, "__init__"),
+                             (expr.ParametricCurve, "_tape_values")):
+        def spied(*args, real=getattr(owner, attribute), attribute=attribute):
+            made.append(attribute)
+            return real(*args)
 
-    def spied(self, *args):
-        made.append(args[1:])
-        init(self, *args)
-
-    monkeypatch.setattr(expr._TapePoint, "__init__", spied)
+        monkeypatch.setattr(owner, attribute, spied)
     dual = AutoDual(curve)
     values = [dual(s) for s in curve.grid()]
-    assert made == [] and not curve._memo
+    assert made == []
     assert all(isinstance(value, MVec3) for value in values)
 
 

@@ -11,7 +11,7 @@ zero counts, or raise the same error.
 from __future__ import annotations
 
 import math
-import sys
+import traceback
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -314,16 +314,18 @@ def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
 def test_fused_programs_read_nothing_of_the_tape_memo(name, pairs, monkeypatch):
     # the scans and samples of a `from_curve` pair's derived curves, the
     # caustic's included, run functions fused with the curve's tapes, which
-    # take s and never read the memo; mutation: the narrow jets read through
-    # `ParametricCurve._tape_values`, as the wide ones do
+    # take s and read nothing through the curve's own reads
+    # (`ParametricCurve._tape_values`), which only the formulas run where a
+    # function gives no answer; mutation: a program of `hypedal.recording`
+    # that runs the formula on the pair's jets
     pair = pairs[name]
     Q = _point(pair, "generic")
     grid = _parameters(name, pair)
-    callers = []
+    callers = []  # per read, the modules on the stack
     tape_values = ParametricCurve._tape_values
 
     def spied(self, *args):
-        callers.append(sys._getframe(1).f_globals["__name__"])
+        callers.append({frame.f_globals["__name__"] for frame, _ in traceback.walk_stack(None)})
         return tape_values(self, *args)
 
     monkeypatch.setattr(ParametricCurve, "_tape_values", spied)
@@ -333,9 +335,9 @@ def test_fused_programs_read_nothing_of_the_tape_memo(name, pairs, monkeypatch):
             curve._sampled(s)
         assert set(curve._programs) == {None, 2}
         assert all(program.func is recording._run_fused for program in curve._programs.values())
-    assert "hypedal.recording" not in callers
-    pair.r(0.5)  # the spy sees what reads the memo
-    assert callers[-1] == "hypedal.expr"
+    assert not any("hypedal.recording" in modules for modules in callers)
+    pair.r(0.5)  # the spy sees the curve's reads
+    assert "hypedal.expr" in callers[-1]
 
 
 def _huge_dual_pair():
@@ -505,10 +507,11 @@ def test_auto_dual_pedals_read_no_tape_point_and_no_dual_jet(name, fresh_tapes, 
     # an auto-dual pair's pedal, orthotomic, evolute and caustic (its
     # off-curve scan included), their samples and order-2 scan jets, its
     # curvature pairs and its validation read r's floats and lists from one
-    # call of the curve's generated functions each, build no memo point and
-    # evaluate no dual through `AutoDual`'s evaluators; mutations: the jets
-    # read through `AutoDual.jet` and `_run_on_jets`, r's floats read from
-    # the memo, the off-curve scan's slope read from the memo
+    # call of the curve's generated functions each, read nothing through the
+    # curve's own reads, build no tape point and evaluate no dual through
+    # `AutoDual`'s evaluators; mutations: the jets read through
+    # `AutoDual.jet`, r's floats read through `ParametricCurve.point`, the
+    # off-curve scan's slope read through `ParametricCurve.point_jet`
     calls = []
 
     def spy(owner, attribute):
@@ -523,7 +526,7 @@ def test_auto_dual_pedals_read_no_tape_point_and_no_dual_jet(name, fresh_tapes, 
     spy(frontal.AutoDual, "jet")  # before the pair binds it
     spy(frontal.AutoDual, "__call__")
     spy(expr._TapePoint, "__init__")
-    spy(recording, "_run_on_jets")
+    spy(expr.ParametricCurve, "_tape_values")
     pair = LegendrePair.with_auto_dual(load_curve(CURVES / f"{name}.json"))
     Q = _point(pair, "generic")
     curves = (cons.pedal(pair, Q), cons.orthotomic(pair, Q), cons.evolute(pair),
