@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from . import __version__, constructions, io, jets, singularity
+from . import __version__, constructions, decide, io, jets, singularity
 from .expr import ParseError, linspace
 from .frontal import LegendrePair
 from .io import CurveFileError
@@ -40,6 +40,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _sci(tol: float) -> str:
+    return f"{tol:.0e}".replace("e-0", "e-")  # 1e-9, as README writes it, not 1e-09
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The parser, built once per process."""
@@ -53,7 +57,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(run="_cmd_check")
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
-    p.add_argument("--tol", type=float, default=1e-9, help="max allowed relative residual (default 1e-9)")
+    p.add_argument("--tol", type=float, default=decide.VALIDATE_TOL,
+                   help=f"max allowed relative residual (default {_sci(decide.VALIDATE_TOL)})")
 
     p = sub.add_parser("curvatures", help="CSV of the curvature pair: columns s,l,m")
     p.set_defaults(run="_cmd_curvatures")
@@ -70,9 +75,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--samples", type=int, default=None, help="grid size (default: from the curve file)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json", "svg"), default="csv", dest="fmt")
-        p.add_argument("--tol", type=float, default=constructions.SINGULAR_TOL,
+        p.add_argument("--tol", type=float, default=decide.SINGULAR_TOL,
                        help="singular-point acceptance tolerance, relative to the "
-                            "largest speed on the grid (default 1e-7)")
+                            f"largest speed on the grid (default {_sci(decide.SINGULAR_TOL)})")
 
     p = sub.add_parser("classify", help="classify the pedal singularity at s0 (exit 0/4/5 per verdict)")
     p.set_defaults(run="_cmd_classify")
@@ -82,7 +87,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=singularity.DEFAULT_CLASSIFY_ORDER,
                    help=f"jet truncation order for germ detection "
                         f"(default {singularity.DEFAULT_CLASSIFY_ORDER})")
-    p.add_argument("--tol", type=float, default=1e-8, help="germ/location tolerance (default 1e-8)")
+    p.add_argument("--tol", type=float, default=decide.GERM_TOL,
+                   help=f"germ/location tolerance (default {_sci(decide.GERM_TOL)})")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("plot", help="SVG figure with the source and derived curves")
@@ -240,7 +246,7 @@ def _figure(pair, Q, grid, scanned) -> str:
     for derived, _, singular in scanned:
         for sp in singular:
             try:
-                u, v = io.project_poincare(derived.at(sp.s), tol=io.FIGURE_SHEET_TOL)
+                u, v = io.project_poincare(derived.at(sp.s), tol=decide.FIGURE_SHEET_TOL)
             except jets.DOMAIN_ERRORS:
                 continue
             markers.append((u, v, io.CAUSE_COLORS[sp.cause], 0.012))
@@ -288,7 +294,7 @@ def _cmd_plot(ns) -> int:
         raise UsageError(f"--point is required for kinds: {', '.join(needs_point)}")
     Q = _parse_point(ns.point) if ns.point else None
     grid = linspace(pair.domain, _samples(ns, curve))
-    _emit(_figure(pair, Q, grid, _derive(pair, kinds, Q, grid, constructions.SINGULAR_TOL)), ns.out)
+    _emit(_figure(pair, Q, grid, _derive(pair, kinds, Q, grid, decide.SINGULAR_TOL)), ns.out)
     return 0
 
 

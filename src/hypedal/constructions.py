@@ -20,18 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from . import jets
+from . import decide, jets
 from .expr import linspace
 from .frontal import LegendrePair, _coeff, _generated, _truncate, frenet_regular
 from .minkowski import GeometryError, MVec3, _tested_vec, _vec, inner, require_upper_sheet, wedge
 
-# Q = r(s) within this tolerance, looked for on this grid before inducing from Q
-_ON_CURVE_TOL = 1e-9
+# Q = r(s) within `decide.ON_CURVE_TOL` is looked for on this grid before inducing from Q
 _ON_CURVE_SAMPLES = 1000
-
-# A zero is accepted where the size is below this fraction of the largest
-# size on the grid.
-SINGULAR_TOL = 1e-7
 
 
 class PedalPointOnCurveError(GeometryError):
@@ -49,12 +44,6 @@ class Branch(Enum):
 
 def _require_point(Q: MVec3):
     require_upper_sheet(Q, "pedal point")
-
-
-def _coincident(d: float, tol: float) -> bool:
-    """Q = r within tol, for upper-sheet points Q and r with d = <Q, r>: they
-    coincide exactly when d = -1, here |d + 1| <= tol * max(1, |d|)."""
-    return abs(d + 1.0) <= tol * max(1.0, abs(d))
 
 
 def _off_curve_gap(pair, Q, s, order):
@@ -104,7 +93,7 @@ def _require_off_curve(pair: LegendrePair, Q: MVec3):
         ga, gb = fprime(lo), fprime(hi)
         if ga != 0.0 and gb != 0.0 and (ga > 0.0) != (gb > 0.0):
             s_star = _itp(fprime, lo, hi, ga, gb, 1e-12)
-    if _coincident(gap(s_star)[1], _ON_CURVE_TOL):
+    if decide.coincident(gap(s_star)[1], decide.ON_CURVE_TOL):
         raise PedalPointOnCurveError(f"pedal point on curve near s={s_star!r}")
 
 
@@ -241,7 +230,7 @@ class DerivedCurve:
                 derived_program(self._formula, *args, order))
         return program
 
-    def singular_points(self, samples: int = 1000, tol: float = SINGULAR_TOL,
+    def singular_points(self, samples: int = 1000, tol: float = decide.SINGULAR_TOL,
                         points: list | None = None):
         return singular_points(self, samples=samples, tol=tol, points=points)
 
@@ -456,8 +445,6 @@ def orthotomic_induced(pair: LegendrePair, Q: MVec3) -> OrthotomicInducedPair:
 
 # -- evolute and catacaustic ----------------------------------------------
 
-_DEGENERACY_RTOL = 1e-12
-
 
 class EvoluteCurve(DerivedCurve):
     """Evolute of a pair; lands on H2 where m^2 > ell^2, on dS2 otherwise.
@@ -489,7 +476,7 @@ class EvoluteCurve(DerivedCurve):
     def _branch(s, mm, ll, d2) -> Branch:
         d2c = jets.constant_part(d2)
         scale = max(jets.constant_part(mm), jets.constant_part(ll), 1.0)
-        if abs(d2c) <= _DEGENERACY_RTOL * scale:
+        if abs(d2c) <= decide.DEGENERACY_RTOL * scale:
             raise EvoluteDegenerateError(f"evolute degenerate at s={s!r}")
         return Branch.H2 if d2c > 0.0 else Branch.DS2
 
@@ -673,8 +660,8 @@ def _zeros(f, domain, samples: int, tol: float, on_grid=None):
     size has an isolated minimum, or None where it is undefined.  Candidates
     are grid points of size below tol relative to the largest size on the
     grid, and sign changes of the slope between grid neighbours of which one
-    is below 5 % of that size, refined by `_itp` to 1e-10 and accepted
-    under the same threshold; an undefined probe drops its bracket.
+    is below `decide.CANDIDATE_GATE` of it, refined by `_itp` to 1e-10 and
+    accepted under the same threshold; an undefined probe drops its bracket.
     Candidates closer than twice the grid step are reported once, by the one
     of smallest size.  Empty when no grid point has a non-zero size.
     `on_grid`, where given, is called in place of f at the grid points, in
@@ -687,7 +674,7 @@ def _zeros(f, domain, samples: int, tol: float, on_grid=None):
     if smax == 0.0:
         return []
     accept = tol * smax
-    gate = 0.05 * smax
+    gate = decide.CANDIDATE_GATE * smax
 
     def slope(s):
         value = f(s)
@@ -719,7 +706,7 @@ def _zeros(f, domain, samples: int, tol: float, on_grid=None):
     return found
 
 
-def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = SINGULAR_TOL,
+def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = decide.SINGULAR_TOL,
                     points: list | None = None) -> list[SingularPoint]:
     """Locate parameters where the derived curve's velocity vanishes.
 
@@ -807,15 +794,16 @@ def _m_or_none(pair: LegendrePair, s: float):
 
 def _cause(s: float, pair: LegendrePair, Q: MVec3 | None, m_scale: float) -> str:
     _, m = pair.curvatures(s)
-    if abs(m) <= 1e-6 * m_scale:
+    if abs(m) <= decide.M_ZERO_TOL * m_scale:
         return "m_zero"
-    if Q is not None and _coincident(_fused_sample(_off_curve_gap, pair, Q)(s)[1], _ON_CURVE_TOL):
+    if Q is not None and decide.coincident(_fused_sample(_off_curve_gap, pair, Q)(s)[1],
+                                           decide.ON_CURVE_TOL):
         return "point_on_curve"
     return "other"
 
 
 def scalar_zeros(value, deriv, domain, samples: int = 1000,
-                 tol: float = SINGULAR_TOL) -> list[float]:
+                 tol: float = decide.SINGULAR_TOL) -> list[float]:
     """Zeros of a smooth scalar function, including zeros without sign change.
 
     Works on h = value^2 whose derivative 2*value*deriv changes sign at any

@@ -18,16 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import jets
+from . import decide, jets
 from .expr import _INLINE_WIDTH, linspace
 from .jets import Jet, require_finite
 from .minkowski import MVec3, _tested_vec, _vec, det3, inner, wedge
-
-# A point counts as regular when the speed exceeds this fraction of the
-# domain scale; separates the astroid's cusps cleanly at double precision.
-REGULARITY_RTOL = 1e-7
-
-_FLAT_TOL = 1e-9
 
 
 class CurveSingularError(ValueError):
@@ -184,7 +178,7 @@ class LegendrePair:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, samples: int = 1000, tol: float = 1e-9) -> ValidationReport:
+    def validate(self, samples: int = 1000, tol: float = decide.VALIDATE_TOL) -> ValidationReport:
         """Check the four Legendrian conditions on a parameter grid.
 
         Residuals are relative to the square of the local frame magnitude,
@@ -248,7 +242,7 @@ def frenet_regular(curve, s: float) -> FrenetData:
     """Unit tangent, normal and geodesic curvature of a regular curve point.
 
     kappa = det(r, r', r'') / |r'|^3; defined only where the speed exceeds
-    `REGULARITY_RTOL` times the domain scale.
+    `decide.REGULARITY_RTOL` times the domain scale.
     """
     rj = curve.point_jet(s, 2)
     r0 = _const(rj)
@@ -257,7 +251,7 @@ def frenet_regular(curve, s: float) -> FrenetData:
     speed_sq = inner(rd, rd)
     a, b = curve.domain
     scale = max(1.0, b - a)
-    if speed_sq <= (REGULARITY_RTOL * scale) ** 2:
+    if speed_sq <= (decide.REGULARITY_RTOL * scale) ** 2:
         raise CurveSingularError(f"curve singular at s={s!r}")
     speed = math.sqrt(speed_sq)
     T = rd / speed
@@ -315,7 +309,7 @@ class AutoDual:
                 raise jets.at_parameter(exc, s) from None
             if not j:
                 pick = x3
-                if abs(pick) <= 1e-12 * max(1.0, abs(x1), abs(x2), abs(x3)):
+                if abs(pick) <= decide.DUAL_PICK_TOL * max(1.0, abs(x1), abs(x2), abs(x3)):
                     pick = x1 if abs(x1) > abs(x2) else x2
                 sign = -1.0 if pick < 0.0 else 1.0
                 x1, x2, x3 = x1 * sign, x2 * sign, x3 * sign
@@ -429,18 +423,16 @@ def _unit_normal(r: MVec3, w: MVec3) -> MVec3:
 
 def _vanishing_power(rd) -> int | None:
     """The power p that `AutoDual` divides r' by: the least
-    `jets.vanishing_order` of r''s three coefficient lists at `_FLAT_TOL`, by
-    its comparisons, each list searched below the p found so far; None where
-    all three vanish."""
+    `decide.first_nonzero` of r''s three coefficient lists at
+    `decide.FLAT_TOL`, each list searched below the p found so far; None
+    where all three vanish."""
     p = None
     for c in rd:
         if p == 0:  # no coefficient is below it
             break
-        bound = _FLAT_TOL * max(1.0, max(map(abs, c)))
-        for i in range(len(c) if p is None else p):
-            if abs(c[i]) > bound:
-                p = i
-                break
+        i = decide.first_nonzero(c, decide.FLAT_TOL, p)
+        if i is not None:
+            p = i
     return p
 
 

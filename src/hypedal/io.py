@@ -24,13 +24,10 @@ import json
 import math
 from pathlib import Path
 
-from . import expr
+from . import decide, expr
 from .minkowski import GeometryError, MVec3, require_upper_sheet
 
 SCHEMA_VERSION = 1
-
-# The sheet tolerance of figure points, which carry a derived curve's rounding
-FIGURE_SHEET_TOL = 1e-6
 
 
 class CurveFileError(ValueError):
@@ -146,7 +143,7 @@ def parse_csv(text: str) -> tuple[list[str], list[list[float]]]:
 # -- Poincare disk projection --------------------------------------------
 
 
-def project_poincare(p: MVec3, tol: float = 1e-9) -> tuple[float, float]:
+def project_poincare(p: MVec3, tol: float = decide.SHEET_TOL) -> tuple[float, float]:
     """Map an upper-sheet point to the open unit disk, (x2, x3)/(1 + x1)."""
     require_upper_sheet(p, "point", tol)
     return (p.x2 / (1.0 + p.x1), p.x3 / (1.0 + p.x1))
@@ -193,7 +190,8 @@ def render_svg(polylines, markers, title: str = "") -> str:
     """
     parts = [_SVG_OPEN]
     if title:
-        parts.append(f"<title>{title}</title>\n")
+        escaped = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f"<title>{escaped}</title>\n")
     parts.append(_SVG_BACKDROP)
     for points, color, width in polylines:
         if len(points) < 2:
@@ -221,7 +219,7 @@ def disk_runs(points) -> list[list[tuple[float, float]]]:
     for p in points:
         if p is not None:
             with contextlib.suppress(GeometryError):  # off the sheet: the run breaks
-                current.append(project_poincare(p, FIGURE_SHEET_TOL))
+                current.append(project_poincare(p, decide.FIGURE_SHEET_TOL))
                 continue
         if len(current) >= 2:
             runs.append(current)

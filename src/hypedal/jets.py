@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
 
+from . import decide
+
 DEFAULT_ORDER = 16
 MAX_ORDER = 64
 
@@ -35,12 +37,6 @@ def at_parameter(exc: Exception, s: float) -> Exception:
     """
     where = f"at s={s!r}"
     return exc if str(exc).endswith(where) else exc.__class__(f"{exc} ({where})")
-
-
-# A quotient a/b is refused when the constant term of b is this small
-# relative to b's largest coefficient: the denominator germ vanishes at the
-# base point and the series 1/b does not exist.
-_DIV_REL_TOL = 1e-13
 
 
 class JetDomainError(ValueError):
@@ -311,10 +307,9 @@ def mul_coeffs(a, b) -> list:
 def div_coeffs(a, b) -> list:
     """Quotient a/b: q_i = (a_i - q_0 b_i - ... - q_(i-1) b_1) / b_0.
 
-    Refused when b vanishes at the base point.
+    Refused when b vanishes at the base point (`decide.DIVISOR_REFUSED`).
     """
-    scale = max(map(abs, b))
-    if scale == 0.0 or abs(b[0]) <= _DIV_REL_TOL * scale:
+    if decide.refuses_divisor(b[0], max(map(abs, b))):
         raise JetDomainError("jet division by vanishing germ")
     return _div_kernel(len(a) - 1)(a, b)
 
@@ -325,7 +320,7 @@ def div_coeffs(a, b) -> list:
 
 def sqrt_coeffs(a) -> list:
     """y = sqrt(a): y_i = (a_i - y_1 y_(i-1) - ... - y_(i-1) y_1) / (2.0 y_0)."""
-    if a[0] <= 0.0:
+    if decide.refuses_sqrt(a[0]):
         raise JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a[0]!r}")
     return _sqrt_kernel(len(a) - 1)(a)
 
@@ -540,20 +535,14 @@ def derivative(a: Jet, i: int) -> float:
     return a.coeffs[i] * math.factorial(i)
 
 
-def vanishing_order(a, tol: float = 1e-8):
+def vanishing_order(a, tol: float = decide.GERM_TOL):
     """Index of the first structurally non-zero Taylor coefficient of a jet,
     or of a sequence of Taylor coefficients.
 
-    A coefficient counts as non-zero when |c_i| > tol * max(1, max_j |c_j|),
-    so rounding residue of exact zeros is ignored.  Returns None when every
-    coefficient vanishes at this truncation.
+    Zero is decided by `decide.first_nonzero`, so rounding residue of exact
+    zeros is ignored; None when every coefficient vanishes at this truncation.
     """
-    coeffs = a.coeffs if isinstance(a, Jet) else a
-    scale = max(1.0, max(map(abs, coeffs)))
-    for i, c in enumerate(coeffs):
-        if abs(c) > tol * scale:
-            return i
-    return None
+    return decide.first_nonzero(a.coeffs if isinstance(a, Jet) else a, tol)
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:
@@ -561,7 +550,7 @@ def compose(outer: Jet, inner: Jet) -> Jet:
 
     Requires inner's value to equal outer's base point.
     """
-    if abs(inner.coeffs[0] - outer.base) > 1e-9 * max(1.0, abs(outer.base)):
+    if abs(inner.coeffs[0] - outer.base) > decide.COMPOSE_TOL * max(1.0, abs(outer.base)):
         raise ValueError("composition base mismatch: inner value must equal outer base")
     delta = Jet(inner.base, (0.0,) + inner.coeffs[1:])
     acc = Jet.constant(outer.coeffs[-1], inner.base, inner.order)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import decide
+
 
 class GeometryError(ValueError):
     """A point fails a pseudo-sphere membership or degeneracy requirement."""
@@ -118,36 +120,36 @@ def pseudo_norm(u: MVec3) -> float:
 def causal_class(u: MVec3) -> CausalClass:
     """Classify a non-zero vector as spacelike, timelike or lightlike.
 
-    The zero decision is relative: |<u,u>| <= 1e-9 * max(1, |u|_euclid^2),
-    so the classification does not depend on the overall scale of u.
+    The zero decision is relative, |<u,u>| <= tol * max(1, |u|_euclid^2) with
+    tol `decide.LIGHTLIKE_TOL`, so it does not depend on the overall scale of u.
     """
     n2 = euclid_norm_sq(u)
     if n2 == 0.0:
         raise GeometryError("null input")
     q = inner(u, u)
-    if abs(q) <= 1e-9 * max(1.0, n2):
+    if abs(q) <= decide.LIGHTLIKE_TOL * max(1.0, n2):
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if q > 0.0 else CausalClass.TIMELIKE
 
 
-def on_hyperboloid(u: MVec3, tol: float = 1e-9) -> bool:
+def on_hyperboloid(u: MVec3, tol: float = decide.SHEET_TOL) -> bool:
     """True iff <u,u> = -1 within tol * max(1, x1^2), its rounding scale (either sheet)."""
     q = inner(u, u)
     # where x1^2 overflows the tolerance is infinite, so <u,u> must stay finite
     return math.isfinite(q) and abs(q + 1.0) <= tol * max(1.0, u.x1 * u.x1)
 
 
-def on_upper_hyperboloid(u: MVec3, tol: float = 1e-9) -> bool:
+def on_upper_hyperboloid(u: MVec3, tol: float = decide.SHEET_TOL) -> bool:
     """True iff `on_hyperboloid` and x1 > 0 (the upper sheet)."""
     return on_hyperboloid(u, tol) and u.x1 > 0.0
 
 
-def require_upper_sheet(p: MVec3, name: str, tol: float = 1e-9) -> None:
+def require_upper_sheet(p: MVec3, name: str, tol: float = decide.SHEET_TOL) -> None:
     if not on_upper_hyperboloid(p, tol):
         raise GeometryError(f"{name} ({p.x1!r}, {p.x2!r}, {p.x3!r}) is not on the upper hyperboloid sheet")
 
 
-def on_desitter(u: MVec3, tol: float = 1e-9) -> bool:
+def on_desitter(u: MVec3, tol: float = decide.SHEET_TOL) -> bool:
     """True iff <u,u> = +1 within tol."""
     return abs(inner(u, u) - 1.0) <= tol
 

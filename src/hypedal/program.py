@@ -32,8 +32,8 @@ and so does a value that is not finite.  The caller then runs the checked
 path, the step loop or the `Jet` formula, and so returns or raises exactly
 what it always did; it does the same when the function raises.  Narrow
 programs test every value they compute.  Wide ones test their outputs,
-every coefficient that a truncation or d/ds drops, and both halves of a
-pair, once, at the end: + - * / carry a nan or an infinity in coefficient
+every coefficient that a lift, a truncation or d/ds drops, and both halves
+of a pair, once, at the end: + - * / carry a nan or an infinity in coefficient
 k of an operand into coefficient k of the result (a divisor with one in
 its constant term is refused), so one of these is not finite whenever an
 intermediate value is not.  A term left out has a factor that is an exact
@@ -55,7 +55,7 @@ import operator
 import re
 from functools import lru_cache
 
-from . import jets
+from . import decide, jets
 from .expr import (
     _F_BINARY, _INLINE_WIDTH as INLINE_WIDTH, _TWO_OPERANDS, _f_call, _f_pow, _k_add, _k_div,
     _k_half, _k_lift, _k_mul, _k_neg, _k_pair, _k_scale, _k_sqrt, _k_sub, _k_tanh, _Steps,
@@ -199,12 +199,6 @@ def fused_program(tapes, program, reads: dict, outputs, degree: int):
     return inline_program(fused._program(outputs), {0: 0}, outputs, max_steps=math.inf)
 
 
-def _div_refused(b0: str, scale: str) -> str:
-    """The condition under which `jets.div_coeffs` refuses a divisor whose
-    constant term is b0 and largest magnitude `scale`, or which holds a nan."""
-    return f"not abs({b0}) > {jets._DIV_REL_TOL!r} * {scale}"
-
-
 @lru_cache(maxsize=256)
 def _inline_function(inputs, program, outputs, n_consts):
     """The generated function of a program's structure (see `inline_program`);
@@ -285,11 +279,11 @@ def _inline_function(inputs, program, outputs, n_consts):
         elif fn is _k_d:
             lines += [f"{o} = {i + 1}*{a[i + 1]}" for i, o in enumerate(out)]
         elif fn is _k_sqrt:
-            lines.append(f"if not {a[0]} > 0.0: return None")  # sqrt_coeffs' refusal, or a nan
+            lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: return None")
             lines += jets.sqrt_lines(out, a, f"x{node}_two")
         else:  # _k_div, _k_tanh
             scale = f"max({', '.join(f'abs({x})' for x in b)})" if len(b) > 1 else f"abs({b[0]})"
-            lines.append(f"if {_div_refused(b[0], scale)}: return None")
+            lines.append(f"if {decide.DIVISOR_REFUSED.format(b0=b[0], scale=scale)}: return None")
             lines += jets.div_lines(out, a, b)
 
     def value(node):
@@ -356,6 +350,8 @@ def _list_function(inputs, program, outputs, n_consts):
         elif fn is _k_lift:
             value = f"[k{y}] + [0.0] * {n - 1}"
             degrees[node] = 0
+            if x not in given:  # the step loop checks what the lift drops
+                tested.append(f"sum({a}, 0.0)")
         elif fn is _k_d or fn is _k_trunc:
             value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
             widths[node] = n - 1 if fn is _k_d else y + 1
@@ -371,14 +367,15 @@ def _list_function(inputs, program, outputs, n_consts):
             tested += [f"sum({out}[0], 0.0)", f"sum({out}[1], 0.0)"]
             degrees[node] = n - 1
         elif fn is _k_sqrt:
-            lines.append(f"if not {a}[0] > 0.0: return None")  # sqrt_coeffs' refusal, or a nan
+            lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: return None")
             value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
             degrees[node] = n - 1
         elif fn is _k_div or fn is _k_tanh:
             a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
             if b not in divisors:
                 divisors.add(b)
-                lines.append(f"if {_div_refused(f'{b}[0]', f'max(map(abs, {b}))')}: return None")
+                refused = decide.DIVISOR_REFUSED.format(b0=f"{b}[0]", scale=f"max(map(abs, {b}))")
+                lines.append(f"if {refused}: return None")
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
             degrees[node] = n - 1
         else:  # a float step

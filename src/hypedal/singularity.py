@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import jets
-from .constructions import _coincident, _require_point, pedal_point
+from .constructions import pedal_point
+from .decide import GERM_TOL, coincident
 from .frontal import LegendrePair, _const, _d, _truncate
-from .minkowski import MVec3, _vec, det3, inner, wedge
+from .minkowski import MVec3, _vec, det3, inner, require_upper_sheet, wedge
 
 SMOOTH = "smooth"
 
@@ -51,7 +52,7 @@ class GermOrder:
         return {"kind": self.kind.value, "k": self.k, "first_nonzero": self.first_nonzero}
 
 
-def detect_Ak(f: jets.Jet, tol: float = 1e-8, max_depth: int | None = None) -> GermOrder:
+def detect_Ak(f: jets.Jet, tol: float = GERM_TOL, max_depth: int | None = None) -> GermOrder:
     """Classify a scalar germ from its jet.
 
     The detection depth is capped at order - 3 by default so the exponent
@@ -75,13 +76,13 @@ class LocationCase(Enum):
     REGULAR = "regular"  # report-only: the pedal germ is regular at s0
 
 
-def location_case(pair: LegendrePair, Q: MVec3, s0: float, tol: float = 1e-8) -> LocationCase:
+def location_case(pair: LegendrePair, Q: MVec3, s0: float, tol: float = GERM_TOL) -> LocationCase:
     """Geometric position of Q relative to the tangent geodesic at s0.
 
     The geodesic tangent to mu at r(s0) is the hyperboloid section by the
     plane <x, v(s0)> = 0, so membership is the vanishing of <Q, v(s0)>.
     """
-    if _coincident(inner(Q, pair.r(s0)), tol):
+    if coincident(inner(Q, pair.r(s0)), tol):
         return LocationCase.Q_EQUALS_CURVE_POINT
     if abs(inner(Q, pair.v(s0))) <= tol:
         return LocationCase.Q_ON_TANGENT_GEODESIC
@@ -127,7 +128,7 @@ class SingularityReport:
         }
 
 
-def measure_exponents(P: MVec3, tol: float = 1e-8):
+def measure_exponents(P: MVec3, tol: float = GERM_TOL):
     """Measured normal-form exponents (a, b) of a curve germ given as jets.
 
     a is the minimum vanishing order of the shifted ambient components;
@@ -167,7 +168,7 @@ def _det_jet(P: MVec3) -> jets.Jet:
 
 
 def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
-                   order: int = DEFAULT_CLASSIFY_ORDER, tol: float = 1e-8) -> SingularityReport:
+                   order: int = DEFAULT_CLASSIFY_ORDER, tol: float = GERM_TOL) -> SingularityReport:
     """Predict the pedal germ's normal form and verify it independently.
 
     The prediction follows the decision table in the module docstring; the
@@ -175,7 +176,7 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
     flat to truncation yield an Undetermined verdict rather than a guess.
     Q must lie on the upper hyperboloid sheet, as for `constructions.pedal`.
     """
-    _require_point(Q)
+    require_upper_sheet(Q, "pedal point")
     # the jets from generated functions where they give an answer (see
     # `recording.pedal_germs`), or else from the `Jet` formulas
     from .recording import pedal_germs
@@ -261,7 +262,7 @@ class IdentityReport:
         return max(rs)
 
 
-def dual_identity_check(pair: LegendrePair, s0: float, depth: int = 8, tol: float = 1e-8) -> IdentityReport:
+def dual_identity_check(pair: LegendrePair, s0: float, depth: int = 8, tol: float = GERM_TOL) -> IdentityReport:
     """Evaluate the dual-curve differentiation identities from jets at s0.
 
     The first two hold for every validated pair; the third needs the germ

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from test_expr import _exprs
 
 from hypedal import constructions as cons
-from hypedal import expr, frontal, jets, recording
+from hypedal import decide, expr, frontal, jets, recording
 from hypedal.expr import linspace
 from hypedal.frontal import (
     AutoDual, CurveSingularError, DualUndeterminedError, LegendrePair, frenet_regular,
@@ -222,7 +222,7 @@ def test_auto_dual_refuses_orders_past_the_maximum_as_undetermined():
 def _formula_leading(curve, s, order):
     """(p, r' as jets): p from `jets.vanishing_order` of `Jet.d_ds`."""
     rd = curve.point_jet(s, order + 1).map(lambda j: j.d_ds())
-    orders = [jets.vanishing_order(c, frontal._FLAT_TOL) for c in rd.components()]
+    orders = [jets.vanishing_order(c, decide.FLAT_TOL) for c in rd.components()]
     orders = [o for o in orders if o is not None]
     if not orders:
         raise DualUndeterminedError(f"dual undetermined at s={s!r}")

@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import tempfile
+import xml.dom.minidom
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -619,6 +620,20 @@ def test_render_svg_marker_layout():
     assert "<title>demo</title>" in text
     assert '<circle cx="0.500000" cy="-0.500000"' in text
     assert text.endswith("</svg>\n")
+
+
+def test_svg_title_escapes_the_curve_name(tmp_path):
+    # the curve name is XML text in <title>; unescaped, "R&D <astroid>" made a
+    # figure that no XML parser reads ("not well-formed (invalid token)")
+    doc = json.loads((CURVES / "astroid.json").read_text())
+    doc["name"] = name = "R&D <astroid> ]]>"
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "named.svg"
+    assert main(["pedal", "--curve", str(path), "--point", "1,0,0", "--format", "svg",
+                 "--samples", "50", "--out", str(out)]) == 0
+    title = xml.dom.minidom.parse(str(out)).getElementsByTagName("title")[0]
+    assert title.firstChild.data == name
 
 
 # -- output digests --------------------------------------------------------------

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypedal import jets
+from hypedal import decide, jets
 from hypedal.jets import Jet, JetDomainError, compose, derivative, vanishing_order
 
 
@@ -249,7 +249,7 @@ def _reference_mul(a, b):
 
 def _reference_div(a, b):
     scale = max(abs(c) for c in b)
-    if scale == 0.0 or abs(b[0]) <= jets._DIV_REL_TOL * scale:
+    if scale == 0.0 or abs(b[0]) <= decide.DIV_REL_TOL * scale:
         raise JetDomainError("jet division by vanishing germ")
     n = len(a) - 1
     q = [0.0] * (n + 1)
