@@ -193,7 +193,9 @@ class DerivedCurve:
             program = self._sampled_jet_program(order)
             both = None if program is None else program(s0)
             if both is not None:
-                return _defined(self._at, s0, both[0]), self._jet_of(s0, order, coeffs, both[1])
+                base, (floats, lists) = both
+                return (_defined(self._at, s0, floats),
+                        self._jet_of(s0, order, coeffs, (base, lists)))
             # `at` first, then the jet, as two calls run them
             return _defined(self.at, s0), self._jet_of(s0, order, coeffs,
                                                        self._run_program(s0, order))
@@ -217,8 +219,9 @@ class DerivedCurve:
 
     def _sampled_jet_program(self, order: int):
         """`recording.sampled_jet_program` of `_sample` and of `_formula` at
-        `order`, made once: program(s0) -> (what `_sampled` gives at s0, what
-        `_run_program` gives at (s0, order)) or None; None where there is none."""
+        `order`, made once: program(s0) -> (base, (what `_sampled` gives at
+        s0, the lists of what `_run_program` gives at (s0, order))) or None;
+        None where there is none."""
         key = (None, order)
         program = self._programs.get(key, False)
         if program is False:
@@ -247,11 +250,6 @@ class DerivedCurve:
         """(base, the coefficient lists of `jet`) from `terms`, what
         `_run_program` gives at (s0, order), or None where they give no answer."""
         return terms
-
-    def _program_jet(self, s0: float, order: int) -> MVec3 | None:
-        """`jet` from the generated function, or None where it gives no answer."""
-        out = self._program_coeffs(s0, order, self._run_program(s0, order))
-        return None if out is None else _jet_vector(*out)
 
     def _at(self, s: float, out) -> MVec3:
         """`at` of a curve whose sample is a point formula, `_sample`, from
@@ -570,10 +568,7 @@ class EvoluteCurve(DerivedCurve):
         from .recording import evolute_tail
 
         tail = evolute_tail(branch, order)
-        try:
-            point = None if tail is None else tail[0]([d2, *num], tail[1])
-        except Exception:  # the formula raises what it raises
-            return None, branch
+        point = None if tail is None else jets.answer(tail[0], [d2, *num], tail[1])
         if point is not None and branch is Branch.H2 and lead(point[0]) < 0.0:
             point = ([-c for c in point] if order is None
                      else [[-c for c in coeffs] for coeffs in point])

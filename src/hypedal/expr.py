@@ -760,10 +760,7 @@ class ParametricCurve:
         tape = self._tape_set()[degree > 0]
         x = [base, 1.0] + [0.0] * (degree - 1) if degree else base
         lists = tape.lists(group, degree)
-        try:
-            out = None if lists is None else lists[0]((x,), lists[1])
-        except Exception:  # the step loop raises what it raises
-            out = None
+        out = None if lists is None else jets.answer(lists[0], (x,), lists[1])
         if out is None:
             values = _TapePoint(tape, base, degree).outputs(group)
         else:

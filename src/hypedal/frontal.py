@@ -334,12 +334,9 @@ class AutoDual:
         """What the generated read of `leaves` at degree `top` gives at s with
         sign_at(s, dual) as the sign of each dual (`auto_dual_read`):
         a flat list of each leaf's three values; None where there is no read,
-        or it gives no answer or raises."""
+        or it gives no answer (`jets.answer`)."""
         read = auto_dual_read(self.curve._tape_set(), leaves, top)
-        try:
-            return None if read is None else read(float(s), sign_at)
-        except Exception:  # the formula raises what it raises
-            return None
+        return None if read is None else jets.answer(read, s, sign_at)
 
     def _raw(self, s: float) -> tuple:
         """wedge(r, w / sqrt(<w, w>)) at s, w the p-th coefficients of r', as a
@@ -454,7 +451,7 @@ def auto_dual_read(tapes, leaves: tuple, top: int):
     """read(s, sign_at) -> the values of `leaves`, each (kind, order) of an
     auto-dual pair: r ("r") or its dual ("v"), a jet of that order, or the
     floats where it is None; three values a leaf, flattened, or None where
-    one is not given.  A generated function of the float s (`_read_lines`),
+    one is not given.  A generated function of float(s) (`_read_lines`),
     made once per curve's tapes (`ParametricCurve._tape_set`), leaves and
     `top`, the degree of the one read of r's jet tape; None where there is
     none.  Each dual's sign is sign_at(s, its value or constant terms), as
@@ -480,7 +477,7 @@ def _read_lines(tapes, leaves: tuple, top: int, bound: dict):
     orders = [k for kind, k in leaves if kind == "v"]
     if top > jets.MAX_ORDER or any(k is not None and k < 0 for k in orders):
         return None
-    lines = ["if not isfinite(s): return None"]
+    lines = ["s = float(s)", "if not isfinite(s): return None"]
     if ("r", None) in leaves:
         floats = tapes[0].lists(0, 0)
         if floats is None:

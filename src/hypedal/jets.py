@@ -365,6 +365,17 @@ def compile_lines(name: str, params: str, lines: list, bound: dict | None = None
     return namespace[name]
 
 
+def answer(function, *args):
+    """function(*args), a generated function's answer, or None where it
+    refuses: where it returns None or raises one of `DOMAIN_ERRORS`, which
+    the checked path then raises or answers as it does.  Any other exception
+    is a fault of the generated code and propagates."""
+    try:
+        return function(*args)
+    except DOMAIN_ERRORS:
+        return None
+
+
 def _names(prefix: str, n: int) -> list:
     return [f"{prefix}{i}" for i in range(n + 1)]
 

@@ -30,11 +30,14 @@ A refusal that a kernel would raise (a vanishing divisor, the square root
 of a constant term that is not positive) makes the function return None,
 and so does a value that is not finite.  The caller then runs the checked
 path, the step loop or the `Jet` formula, and so returns or raises exactly
-what it always did; it does the same when the function raises.  Narrow
+what it always did; it does the same when the function raises a domain
+error, and lets any other exception propagate (`jets.answer`).  Narrow
 programs test every value they compute.  Wide ones test their outputs,
 every coefficient that a lift, a truncation or d/ds drops, and both halves
-of a pair, once, at the end: + - * / carry a nan or an infinity in coefficient
-k of an operand into coefficient k of the result (a divisor with one in
+of a pair, once, at the end; each test sums them, and where the sum is
+not finite, as finite values can make it, tests them one by one.  In a wide
+program + - * / carry a nan or an infinity in coefficient k of an operand
+into coefficient k of the result (a divisor with one in
 its constant term is refused), so one of these is not finite whenever an
 intermediate value is not.  A term left out has a factor that is an exact
 zero while every value before it is finite, so leaving it out keeps each
@@ -315,7 +318,9 @@ def _list_function(inputs, program, outputs, n_consts):
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
     bound = {"mul": jets.mul_coeffs}
     body = []
-    tested = [f"sum(x{node}, 0.0)" for node in dict.fromkeys(outputs) if node not in given]
+    # the tested coefficients: (their sum, the sequence of them)
+    tested = [(f"sum(x{node}, 0.0)", f"x{node}") for node in dict.fromkeys(outputs)
+              if node not in given]
     divisors = set()  # the values whose refusal is tested
 
     def kernel(name, make, *key):
@@ -351,20 +356,21 @@ def _list_function(inputs, program, outputs, n_consts):
             value = f"[k{y}] + [0.0] * {n - 1}"
             degrees[node] = 0
             if x not in given:  # the step loop checks what the lift drops
-                tested.append(f"sum({a}, 0.0)")
+                tested.append((f"sum({a}, 0.0)", a))
         elif fn is _k_d or fn is _k_trunc:
             value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
             widths[node] = n - 1 if fn is _k_d else y + 1
             degrees[node] = max(da - 1, 0) if fn is _k_d else min(da, y)
             if x not in given:
-                tested.append(f"{a}[0]" if fn is _k_d else f"sum({a}[{y + 1}:], 0.0)")
+                tested.append((f"{a}[0]", f"{a}[:1]") if fn is _k_d
+                              else (f"sum({a}[{y + 1}:], 0.0)", f"{a}[{y + 1}:]"))
         elif fn is _k_half:
             value = f"{a}[{y}]"
         elif fn is _k_pair:
             hyperbolic = y is sinh_cosh_coeffs
             trig = jets._sinh_cosh_kernel if hyperbolic else jets._sin_cos_kernel
             value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
-            tested += [f"sum({out}[0], 0.0)", f"sum({out}[1], 0.0)"]
+            tested += [(f"sum({out}[{j}], 0.0)", f"{out}[{j}]") for j in (0, 1)]
             degrees[node] = n - 1
         elif fn is _k_sqrt:
             lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: return None")
@@ -383,7 +389,10 @@ def _list_function(inputs, program, outputs, n_consts):
         lines.append(f"{out} = {value}")
         body.append((lines, []))
     if tested:
-        body.append(([f"if not isfinite({' + '.join(tested)}): return None"], []))
+        # as in `_chained`, each coefficient is tested only where the sum is not finite
+        total = " + ".join(total for total, _ in tested)
+        each = f"all(isfinite(c) for v in ({''.join(v + ', ' for _, v in tested)}) for c in v)"
+        body.append(([f"if not isfinite({total}) and not {each}: return None"], []))
     return _chained(prologue, body, f"({''.join(names[node] + ', ' for node in outputs)})", bound)
 
 
@@ -422,12 +431,14 @@ def _chained(prologue: list, body: list, result: str, bound: dict | None = None)
         lines = prologue if p == 0 else ([f"{', '.join(receive)}, = v"] if receive else [])
         lines = lines + [line for step_lines, _ in part for line in step_lines]
         assigned = [name for _, names in part for name in names]
-        # a sum is finite only if every term is; summed in short chains
+        # a sum is finite only if every term is, summed in short chains; a sum
+        # of finite terms may overflow, and only then is each term tested
         for start in range(0, len(assigned), 64):
             chain = " + ".join(assigned[start:start + 64])
             lines.append(f"t = {chain}" if start == 0 else f"t = t + {chain}")
         if assigned:
-            lines.append("if not isfinite(t): return None")
+            lines.append(f"if not isfinite(t) and not all(map(isfinite, "
+                         f"({''.join(name + ', ' for name in assigned)}))): return None")
         defined += _NAME.findall(sources[p])
         if p == len(parts) - 1:
             lines.append(f"return {result}")

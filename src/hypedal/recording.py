@@ -22,7 +22,7 @@ from .expr import (
     _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps,
 )
 from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal, auto_dual_read
-from .jets import Jet, require_finite
+from .jets import Jet, answer, require_finite
 from .minkowski import MVec3, wedge
 from .program import _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program
 
@@ -245,15 +245,16 @@ def record(formula):
 # a pair whose r alone comes from a curve's tapes
 # (`LegendrePair.with_auto_dual`).  Elsewhere on an auto-dual pair, every r
 # and v input comes from one call of a generated function of s
-# (`frontal.auto_dual_read`, `_run_auto_dual`), so that a call is two
-# generated calls, the derived curve's formula running where the read gives
-# no answer.  The inputs of such a recording are in `_leaf_order`, so
-# formulas of one input set share one read.  At a grid point of a derived
-# curve's singular-point scan, the sample and the order-2 jet of an
-# auto-dual pair take their inputs from one read of the union of their
-# inputs (`sampled_jet_program`), so that r is read once per grid point;
-# where that gives no answer, each runs as above.  Other pairs
-# (reparametrized, built by hand) get no program and run their formulas.
+# (`frontal.auto_dual_read`), so that a call is two generated calls.  The
+# inputs of such a recording are in `_leaf_order`, so formulas of one input
+# set share one read.  At a grid point of a derived curve's singular-point
+# scan, the sample and the order-2 jet of an auto-dual pair take their
+# inputs from one read of the union of their inputs (`sampled_jet_program`),
+# so that r is read once per grid point; where that gives no answer, each
+# runs as above.  Every program runs as `_run`: a read of s, then the
+# function, each answered or refused (`jets.answer`); where either refuses,
+# the formula runs.  Other pairs (reparametrized, built by hand) get no
+# program and run their formulas.
 
 
 def derived_program(formula, pair, Q, order: int | None, fused_only: bool = False):
@@ -285,7 +286,8 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     tapes, dual = source._r_curve._tape_set(), source._dual
     fused = _fused(tapes, formula, kinds, Q is not None, order, source._curve is None)
     if fused is not None:
-        return partial(_run_fused, fused[0], _given(fused[1], values), order is not None)
+        return partial(_run, _fused_read, None, fused[0], _given(fused[1], values),
+                       order is not None)
     if fused_only or dual is None:
         return None  # not fused: a formula of a curve's pair runs on the curve's reads
     recorded = _record_on_pair(formula, kinds, Q is not None, order)
@@ -300,7 +302,7 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     read = auto_dual_read(tapes, leaves, top)
     if read is None:
         return None
-    program = partial(_run_auto_dual, read, dual._sign_at, function, _given(consts, values),
+    program = partial(_run, read, dual._sign_at, function, _given(consts, values),
                       order is not None)
     program.tapes, program.leaves, program.top = tapes, leaves, top  # for `sampled_jet_program`
     return program
@@ -351,41 +353,34 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     return recording._program(outputs), reads, outputs, degree
 
 
-def _run_fused(function, consts, jets: bool, s):
-    """function((s,), consts), and s before it for a jet program; None where
-    s is not finite, or where the function returns None or anything raises."""
-    try:
-        s = float(s)
-        out = function((s,), consts) if math.isfinite(s) else None
-    except Exception:  # the formula raises what it raises
-        return None
-    return (s, out) if jets and out is not None else out
+def _fused_read(s, sign_at):
+    """The read of a fused program, whose function takes s alone: (s,), or
+    None where s is not finite."""
+    s = float(s)
+    return (s,) if math.isfinite(s) else None
 
 
-def _run_auto_dual(read, sign_at, function, consts, jets: bool, s):
+def _run(read, sign_at, function, consts, jets: bool, s):
     """function(read(s, sign_at), consts), and s before it for a jet program:
-    an auto-dual pair's formula on the values of `auto_dual_read`; None where
-    s is not finite, or where the read or the function gives no answer or
-    anything raises, and the formula then runs on `AutoDual`'s evaluators."""
-    try:
-        s = float(s)
-        given = read(s, sign_at)
-        out = None if given is None else function(given, consts)
-    except Exception:  # the formula raises what it raises
-        return None
-    return (s, out) if jets and out is not None else out
+    a function fused with a curve's tapes on `_fused_read`, or an auto-dual
+    pair's formula on the values of `auto_dual_read`.  None where the read
+    or the function gives no answer (`jets.answer`), and the formula then
+    runs on the curve's reads or on `AutoDual`'s evaluators."""
+    given = answer(read, s, sign_at)
+    out = None if given is None else answer(function, given, consts)
+    return (float(s), out) if jets and out is not None else out
 
 
 def sampled_jet_program(sample, jet):
-    """program(s) -> (sample(s), jet(s)), for the `derived_program`s of a
-    sample formula and a jet formula on one auto-dual pair at one top
-    degree (`_run_auto_dual`): one `auto_dual_read` of the union of their
-    leaves, in `_leaf_order`, gives each function the values of its own
-    leaves, so r's jet tape is read once at s.  None where they are not two
-    such programs or there is no read; program(s) is None where the read or
-    either function gives no answer or anything raises, and the two then
-    run apart."""
-    if not (all(isinstance(p, partial) and p.func is _run_auto_dual and p.leaves
+    """program(s) -> (s, [sample's floats, jet's lists]), for the
+    `derived_program`s of a sample formula and a jet formula on one
+    auto-dual pair at one top degree: a `_run` whose one `auto_dual_read`
+    of the union of their leaves, in `_leaf_order`, gives each function the
+    values of its own leaves (`_each`), so r's jet tape is read once at s.
+    None where they are not two such programs, which a fused program's read
+    is not, or there is no read; program(s) is None where the read or
+    either function gives no answer, and the two then run apart."""
+    if not (all(isinstance(p, partial) and p.args[0] is not _fused_read and p.leaves
                 for p in (sample, jet)) and sample.top == jet.top):
         return None
     leaves = tuple(sorted({*sample.leaves, *jet.leaves}, key=_leaf_order))
@@ -398,21 +393,14 @@ def sampled_jet_program(sample, jet):
         at = [3 * leaves.index(leaf) + i for leaf in program.leaves for i in range(3)]
         return (*program.args[2:4], operator.itemgetter(*at))
 
-    return partial(_run_sampled_jet, read, sample.args[1], *picked(sample), *picked(jet))
+    return partial(_run, read, sample.args[1], _each, (picked(sample), picked(jet)), True)
 
 
-def _run_sampled_jet(read, sign_at, sample, sample_consts, sample_at, jet, jet_consts, jet_at, s):
-    """(sample's floats, (s, jet's lists)) of `sampled_jet_program`."""
-    try:
-        s = float(s)
-        given = read(s, sign_at)
-        if given is None:
-            return None
-        floats = sample(sample_at(given), sample_consts)
-        lists = None if floats is None else jet(jet_at(given), jet_consts)
-    except Exception:  # the formulas raise what they raise
-        return None
-    return None if lists is None else (floats, (s, lists))
+def _each(given, parts):
+    """The values of each (function, constants, getter of its leaves' values)
+    of `parts` on one read, `given`; None where one gives no answer."""
+    out = [function(at(given), consts) for function, consts, at in parts]
+    return None if None in out else out
 
 
 @lru_cache(maxsize=64)
@@ -514,10 +502,7 @@ def pedal_det(P: list):
     whose components are coefficient lists of one length, from its
     generated function; None where that gives no answer."""
     recorded = _det_program(len(P[0]) - 1)
-    try:
-        out = None if recorded is None else recorded[0](P, recorded[1])
-    except Exception:  # the formula raises what it raises
-        return None
+    out = None if recorded is None else answer(recorded[0], P, recorded[1])
     return None if out is None else out[0]
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypedal import expr
+from hypedal import expr, recording
 from hypedal.frontal import LegendrePair
 from hypedal.io import curve_from_dict, load_curve
 from hypedal.minkowski import MVec3
@@ -79,6 +79,16 @@ def wave_pair():
         "samples": 800,
     })
     return LegendrePair.with_auto_dual(curve)
+
+
+def read_of(program):
+    """How `recording._run` reads s for a derived program: "fused" (s alone,
+    for a function fused with a curve's tapes), "auto-dual" (a generated
+    read of r, `frontal.auto_dual_read`), or None where there is none."""
+    if program is None:
+        return None
+    assert program.func is recording._run
+    return "fused" if program.args[0] is recording._fused_read else "auto-dual"
 
 
 def random_h2_point(rng, rho_max: float = 1.2) -> MVec3:

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import CURVES, random_h2_point
+from conftest import CURVES, random_h2_point, read_of
 from hypedal import expr, jets, program, recording
 from hypedal import constructions as cons
 from hypedal.constructions import (
@@ -447,7 +447,8 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
             for order in (0, 1, 2, 3, 4, 9):
                 assert (_outcome(lambda: curve.jet(s0, order))
                         == _outcome(lambda: formula.jet(s0, order))), (kind, s0, order)
-                generated.append(curve._program_jet(s0, order) is not None)
+                generated.append(curve._program_coeffs(s0, order, curve._run_program(s0, order))
+                                 is not None)
     # the r, v and mu jets of the induced pairs, built without the off-curve
     # check so that Q on the curve is covered too
     for cls in (cons.PedalInducedPair, cons.OrthotomicInducedPair):
@@ -499,8 +500,7 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
 
     generated, caustic = samples()
     induced = caustic.formula_pair
-    run = recording._run_auto_dual if "auto" in which else recording._run_fused
-    assert caustic._programs[None].func is run
+    assert read_of(caustic._programs[None]) == ("auto-dual" if "auto" in which else "fused")
     # the induced pair's jet functions run only where the sample gives no answer
     assert (induced._programs == {}) == (where != "on the curve")
     monkeypatch.setattr(recording, "derived_program", lambda *args: None)
@@ -546,8 +546,8 @@ def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
         curve, order = cons.evolute(pair), 1
         error = (ValueError, "non-finite jet coefficient")
     program = recording.derived_program(curve._formula, *curve._formula_args(), order)
-    assert program.func is recording._run_fused
-    assert curve._program_jet(0.5, order) is None
+    assert read_of(program) == "fused"
+    assert curve._program_coeffs(0.5, order, curve._run_program(0.5, order)) is None
     assert (_outcome(lambda: curve.jet(0.5, order))
             == _outcome(lambda: _formula_only(curve).jet(0.5, order)) == error)
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis import given
 
-from conftest import CURVES
+from conftest import CURVES, read_of
 from test_frontal import _R, _S
 from hypedal import cli
 from hypedal import constructions as cons
@@ -202,7 +202,7 @@ def test_a_larger_curve_fuses_wherever_its_parts_inline(monkeypatch):
     grid = linspace(pair.domain, 9)
     generated = [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
     assert max(sizes) > program._INLINE_STEPS
-    assert caustic._programs[None].func is recording._run_fused
+    assert read_of(caustic._programs[None]) == "fused"
     assert all(caustic._sampled(s) is not None for s in grid)
     _formula_only(monkeypatch)
     caustic = _curves(pair, Q)[0]["catacaustic"]
@@ -261,7 +261,7 @@ def test_validation_residuals_are_those_of_the_vector_formula(which, pairs, monk
     answered = frontal._generated(pair._samplers, frontal._frame, frontal._frame, pair, None,
                                   None, 0.25)
     assert answered is not None
-    assert (pair._samplers[frontal._frame].func is recording._run_fused) == ("auto" not in which)
+    assert (read_of(pair._samplers[frontal._frame]) == "fused") == ("auto" not in which)
     _formula_only(monkeypatch)
     assert _validations(fresh(), Q, 57) == expected
 
@@ -334,7 +334,7 @@ def test_fused_programs_read_nothing_of_the_tape_memo(name, pairs, monkeypatch):
         for s in grid:
             curve._sampled(s)
         assert set(curve._programs) == {None, 2}
-        assert all(program.func is recording._run_fused for program in curve._programs.values())
+        assert all(read_of(program) == "fused" for program in curve._programs.values())
     assert not any("hypedal.recording" in modules for modules in callers)
     pair.r(0.5)  # the spy sees the curve's reads
     assert "hypedal.expr" in callers[-1]
@@ -429,7 +429,7 @@ def test_an_undefined_curvature_pair_is_left_out_of_the_cause_scale():
 #
 # The derived-curve jets and samples of a pair of `LegendrePair.with_auto_dual`,
 # and the jets of the pairs induced from it, read every r and v leaf from one
-# generated order-17 read of r per call (`recording._run_auto_dual`).  From
+# generated order-17 read of r per call (`recording._run`).  From
 # order 14, w reaches past that read where p >= 3, as at the flat cusp below,
 # and those jets run the formula on the tape memo, as with the generator off.
 # Orders 14-16 cost the formula most, so they are compared on every fourth
@@ -496,8 +496,8 @@ def test_auto_dual_programs_are_the_formulas(name, pairs, monkeypatch):
     Q = _point(pair, "generic")
     grid, at = _parameters(name, pair), _auto_jets(name, pair)
     generated = _auto_outcomes(pair, Q, grid, at)
-    programs = [program.func for program in pair._samplers.values()]
-    assert programs and set(programs) == {recording._run_auto_dual}
+    programs = [read_of(program) for program in pair._samplers.values()]
+    assert programs and set(programs) == {"auto-dual"}
     _formula_only(monkeypatch)
     assert generated == _auto_outcomes(fresh(), Q, grid, at)
 
@@ -543,7 +543,7 @@ def test_auto_dual_pedals_read_no_tape_point_and_no_dual_jet(name, fresh_tapes, 
     assert calls == []
     programs = [*pair._samplers.values(),
                 *(program for curve in curves for program in curve._programs.values())]
-    assert {program.func for program in programs} == {recording._run_auto_dual}
+    assert {read_of(program) for program in programs} == {"auto-dual"}
 
 
 def _unsigned_grid(dual):
@@ -613,7 +613,7 @@ _R_AT_S = st.tuples(_R, _S) | st.sampled_from(
 def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
     # on random r without v, and on cusps at s = 0, the pedal, orthotomic and
     # evolute jets of orders 1-3, their samples, the caustic's sample and the
-    # curvature pair from `recording._run_auto_dual` must be the bits of the
+    # curvature pair from `recording._run` must be the bits of the
     # formulas on `AutoDual`'s evaluators, or raise what they raise, under a
     # sign grid whose signs are drawn; a program is made wherever r's jet tape
     # reads at degree 17; mutations: r's leaves cut one coefficient short, r's
@@ -634,7 +634,7 @@ def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
             out.append(_outcome(lambda: sample(s)))
         programs = [*pair._samplers.values(),
                     *(p for derived in (*curves, caustic) for p in derived._programs.values())]
-        return out, {p and p.func for p in programs}
+        return out, {read_of(p) for p in programs}
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "_TAPES", {})  # the sign grid kept here is made up
@@ -643,7 +643,7 @@ def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
         read = ParametricCurve("random", trees, (-2.0, 2.0))._tape_set()[1].lists(0, 17)
         patch.setattr(recording, "derived_program", lambda *args: None)
         expected, none = outcomes()
-    assert runs == {None if read is None else recording._run_auto_dual} and none == {None}
+    assert runs == {None if read is None else "auto-dual"} and none == {None}
     assert generated == expected
 
 
@@ -684,7 +684,7 @@ def test_one_pass_scan_is_the_samples_and_then_the_scan(pairs, name, kind, Q, sa
     pair = pairs[name + " auto"]
     with pytest.MonkeyPatch.context() as patch:
         if unread:
-            patch.setattr(recording, "_run_sampled_jet", lambda *args: None)
+            patch.setattr(recording, "_each", lambda *args: None)
         one_pass, curve = _scanned(pair, kind, Q, samples, True)
     two_pass, _ = _scanned(pair, kind, Q, samples, False)
     assert one_pass == two_pass
