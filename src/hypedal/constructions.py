@@ -735,9 +735,11 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = decid
                      else [j.coeffs for j in curve.jet(s, 2).components()])
         except jets.DOMAIN_ERRORS:
             return None
-        d1 = (V[0][1], V[1][1], V[2][1])
-        d2 = (2.0 * V[0][2], 2.0 * V[1][2], 2.0 * V[2][2])
-        return math.sqrt(sum(c * c for c in d1)), 2.0 * sum(a * b for a, b in zip(d1, d2))
+        x, y, z = V[0][1], V[1][1], V[2][1]
+        # sums from +0.0, left to right: builtin sum() compensates a float sum
+        # from Python 3.12 on, which would make their last bits depend on it
+        return (math.sqrt(0.0 + x * x + y * y + z * z),
+                2.0 * (0.0 + x * (2.0 * V[0][2]) + y * (2.0 * V[1][2]) + z * (2.0 * V[2][2])))
 
     def sampled(s):
         """`speed` at the grid point s, its sample appended to `points`."""

@@ -17,34 +17,45 @@ kernels, or as the float operation of its step function.  Wider jets are
 whole coefficient lists, and each step is one statement on them: a quotient,
 a square root and a sin/cos or sinh/cosh pair call the kernel of their
 order, bound when the code is generated; sums, scales, lifts, d/ds and
-truncations run the float operations of their step functions.  Each value
-has a bound on its degree, fixed when the code is generated (s's jet 1, a
-lift 0, a product the sum of its operands', up to the order, and so on),
-above which its coefficients are structural zeros: where the only input is
-s, a product calls the kernel bound to its operands' bounds, which leaves
-out only terms with a structural zero and gives the literal 0.0 above the
-sum of the bounds; a program of given lists, whose bounds are their widths,
-calls `jets.mul_coeffs`, which finds the left operand's degree at each call.
+truncations run the float operations of their step functions.
+
+Each jet value has a bound on its degree, fixed when the code is generated
+(`_degree`: s's jet 1, a lift 0, a product the sum of its operands', up to
+the order, and so on), above which its coefficients are structural zeros.
+A product leaves out the terms with a factor above its bound and is the
+literal 0.0 above the sum of the bounds: on local names its rows are
+emitted so, and a wide product calls the kernel bound to its operands'
+bounds where the only input is s.  A given list's bound is its width, so
+a narrow product of given lists takes every term, as `jets.mul_coeffs`
+does up to order 3, and a wide one calls `jets.mul_coeffs`, which finds the
+left operand's degree at each call.  A term left out has a factor that is
+an exact zero while every value is finite, so leaving it out keeps each
+sum's bits (each starts at +0.0).  Every other step is emitted whole, as a
+structural zero can be -0.0 after a negation.
 
 A refusal that a kernel would raise (a vanishing divisor, the square root
 of a constant term that is not positive) makes the function return None,
-and so does a value that is not finite.  The caller then runs the checked
-path, the step loop or the `Jet` formula, and so returns or raises exactly
-what it always did; it does the same when the function raises a domain
-error, and lets any other exception propagate (`jets.answer`).  Narrow
-programs test every value they compute.  Wide ones test their outputs,
-every coefficient that a lift, a truncation or d/ds drops, and both halves
-of a pair, once, at the end; each test sums them, and where the sum is
-not finite, as finite values can make it, tests them one by one.  In a wide
-program + - * / carry a nan or an infinity in coefficient k of an operand
-into coefficient k of the result (a divisor with one in
-its constant term is refused), so one of these is not finite whenever an
-intermediate value is not.  A term left out has a factor that is an exact
-zero while every value before it is finite, so leaving it out keeps each
-sum's bits (each starts at +0.0); where it would be inf*0.0 in the step
-loop, an earlier value has a coefficient that is not finite within its
-bound, one that the program computes as the step loop does and carries to
-what it tests.  The code is keyed by the program's structure, with its
+and so does a value that it computes and that is not finite.  The caller
+then runs the checked path, the step loop or the `Jet` formula, and so
+returns or raises exactly what it always did; it does the same when the
+function raises a domain error, and lets any other exception propagate
+(`jets.answer`).  Only a value that could hold a nan or an infinity
+without it reaching an output is tested: the outputs, what a lift, a
+truncation, d/ds or a coefficient read drops, the halves of a pair, a value
+that no step reads, and the float operands whose nan or infinity can vanish
+from the result, a divisor (x/inf is 0.0), the argument of tanh (tanh(inf)
+is 1.0) and the base of x ** n for n <= 0 (inf ** 0 is 1.0).  Every other
+operand is carried into a value that is tested: + - *, negation, the square
+root, sin, cos, sinh, cosh, abs and a quotient's numerator keep a nan or an
+infinity in their result, and a jet divisor or square root with one is
+refused.  A term that a product leaves out would be inf*0.0 in the step
+loop only where a coefficient within an operand's bound is not finite, and
+that one is carried or tested.  Narrow code tests each coefficient that no
+later step carries, at the end of the part of the function that computes
+it; wide code tests its outputs, what lifts, truncations and d/ds drop,
+and both halves of each pair, once, at the end.  Each test sums the values,
+and where the sum is not finite, as finite values can make it, tests them
+one by one.  The code is keyed by the program's structure, with its
 constants as arguments, so a program recorded for another pedal point Q,
 or read from another copy of a curve, reuses it.
 
@@ -202,6 +213,27 @@ def fused_program(tapes, program, reads: dict, outputs, degree: int):
     return inline_program(fused._program(outputs), {0: 0}, outputs, max_steps=math.inf)
 
 
+def _degree(fn, n, da, db, y):
+    """The bound on the degree of the jet value of step fn, above which its
+    coefficients are structural zeros: da and db are its operands' bounds,
+    n their order, y the step's argument."""
+    if fn is _k_var:
+        return 1
+    if fn is _k_lift:
+        return 0
+    if fn is _k_add or fn is _k_sub:
+        return max(da, db)
+    if fn is _k_mul:
+        return min(n, da + db)
+    if fn is _k_d:
+        return max(da - 1, 0)
+    if fn is _k_trunc:
+        return min(da, y)
+    if fn is _k_div or fn is _k_tanh or fn is _k_sqrt or fn is _k_pair:
+        return n
+    return da  # a negation, a scale, a half of a pair
+
+
 @lru_cache(maxsize=256)
 def _inline_function(inputs, program, outputs, n_consts):
     """The generated function of a program's structure (see `inline_program`);
@@ -212,6 +244,7 @@ def _inline_function(inputs, program, outputs, n_consts):
     if max(widths, default=0) > INLINE_WIDTH:
         return _list_function(inputs, program, outputs, n_consts)
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
+    degrees = {}  # jet or pair node -> the bound on its degree
     unpack = []
     for node, shape in inputs:
         if shape == 0:
@@ -220,74 +253,96 @@ def _inline_function(inputs, program, outputs, n_consts):
         else:
             names[node] = [f"x{node}_{i}" for i in range(shape)]
             unpack.append(f"({', '.join(names[node])},)")
+            degrees[node] = 1 if node == 0 else shape - 1
     prologue = [f"{', '.join(unpack)}, = i"] if unpack else []
     k = [f"k{j}" for j in range(n_consts)]
     if k:
         prologue.append(f"{', '.join(k)}, = k")
-    body = []  # per step: its lines, and the names they assign
+    body = []  # per step: its lines, and the names they assign within its bound
+    carried = set()  # the names that a later step keeps, if not finite, in one it assigns
+    divisors = set()  # the jets whose refusal is tested
 
-    def fresh(node, width, tag=""):
+    def fresh(node, width, tag="", bound=None):
         out = [f"x{node}{tag}_{i}" for i in range(width)]
-        body[-1][1].extend(out)
+        body[-1][1].extend(out if bound is None else out[:bound + 1])
         return out
 
     for node, fn, x, y in program:
         a = names[x]
         body.append(([], []))
         lines = body[-1][0]
-        if fn is _k_var:  # the float s, then literals
-            names[node] = [a, "1.0"] + ["0.0"] * (y - 1)
-            continue
-        if isinstance(a, str):  # a float program
+        if isinstance(a, str) and fn is not _k_var:  # a float program
             if fn is _f_const:
                 names[node] = k[y]
                 continue
             out = names[node] = f"x{node}"
             body[-1][1].append(out)
             if fn is _f_call:
-                lines.append(f"{out} = -{a}" if y is operator.neg else f"{out} = {_F_NAMES[y]}({a})")
+                lines.append(f"{out} = -{a}" if y is operator.neg
+                             else f"{out} = {_F_NAMES[y]}({a})")
+                if y is not math.tanh:  # tanh(inf) is 1.0
+                    carried.add(a)
             elif fn is _f_pow:
                 lines.append(f"{out} = {a} ** {y}")
+                if y > 0:  # inf ** 0 is 1.0, inf ** -1 is 0.0
+                    carried.add(a)
             else:
                 lines.append(f"{out} = {a} {_F_SYMBOLS[fn]} {names[y]}")
+                carried.update((a,) if _F_SYMBOLS[fn] == "/" else (a, names[y]))  # x / inf is 0.0
             continue
-        if fn is _k_lift:
-            names[node] = [k[y]] + ["0.0"] * (len(a) - 1)
-            continue
-        if fn is _k_half or fn is _k_coeff:
+        if fn is _k_coeff:
             names[node] = a[y]
-            continue
-        if fn is _k_trunc:
-            names[node] = a[: y + 1]
-            continue
-        if fn is _k_pair:
-            s, c = names[node] = (fresh(node, len(a), "s"), fresh(node, len(a), "c"))
-            k_a = [None] + fresh(node, len(a) - 1, "k")  # the names of j a_j, j >= 1
-            lines += jets.trig_lines(s, c, k_a, a, hyperbolic=y is sinh_cosh_coeffs)
             continue
         if fn is _k_tanh:
             a, b = a
         elif fn in _TWO_OPERANDS:
             b = names[y]
-        out = names[node] = fresh(node, len(a) - 1 if fn is _k_d else len(a))
-        if fn is _k_neg:
-            lines += [f"{o} = -{p}" for o, p in zip(out, a)]
-        elif fn is _k_add or fn is _k_sub:
-            sign = "+" if fn is _k_add else "-"
-            lines += [f"{o} = {p} {sign} {q}" for o, p, q in zip(out, a, b)]
-        elif fn is _k_mul:
-            lines += [f"{o} = {row}" for o, row in zip(out, jets.mul_rows(a, b, len(a) - 1))]
-        elif fn is _k_scale:
-            lines += [f"{o} = {p}*{k[y]} + 0.0" for o, p in zip(out, a)]
-        elif fn is _k_d:
-            lines += [f"{o} = {i + 1}*{a[i + 1]}" for i, o in enumerate(out)]
-        elif fn is _k_sqrt:
-            lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: return None")
-            lines += jets.sqrt_lines(out, a, f"x{node}_two")
-        else:  # _k_div, _k_tanh
-            scale = f"max({', '.join(f'abs({x})' for x in b)})" if len(b) > 1 else f"abs({b[0]})"
-            lines.append(f"if {decide.DIVISOR_REFUSED.format(b0=b[0], scale=scale)}: return None")
-            lines += jets.div_lines(out, a, b)
+        da, db = degrees.get(x), degrees.get(y) if fn in _TWO_OPERANDS else None
+        d = degrees[node] = _degree(fn, len(a) - 1, da, db, y)
+        if fn is _k_var:  # the float s, then literals
+            names[node] = [a, "1.0"] + ["0.0"] * (y - 1)
+        elif fn is _k_lift:
+            names[node] = [k[y]] + ["0.0"] * (len(a) - 1)
+        elif fn is _k_half:
+            names[node] = a[y]
+        elif fn is _k_trunc:
+            names[node] = a[: y + 1]
+        elif fn is _k_pair:
+            s, c = names[node] = (fresh(node, len(a), "s"), fresh(node, len(a), "c"))
+            k_a = [None] + fresh(node, len(a) - 1, "k")  # the names of j a_j, j >= 1
+            lines += jets.trig_lines(s, c, k_a, a, hyperbolic=y is sinh_cosh_coeffs)
+            carried.update(a + k_a[1:])
+        elif fn is _k_mul:  # rows above the bound are the literal 0.0
+            out = fresh(node, d + 1)
+            names[node] = out + ["0.0"] * (len(a) - 1 - d)
+            lines += [f"{o} = {row}" for o, row in zip(out, jets.mul_rows(a, b, da, db))]
+            carried.update(a[:da + 1] + b[:db + 1])
+        else:
+            out = names[node] = fresh(node, len(a) - 1 if fn is _k_d else len(a), bound=d)
+            if fn is _k_neg:
+                lines += [f"{o} = -{p}" for o, p in zip(out, a)]
+            elif fn is _k_add or fn is _k_sub:
+                sign = "+" if fn is _k_add else "-"
+                lines += [f"{o} = {p} {sign} {q}" for o, p, q in zip(out, a, b)]
+            elif fn is _k_scale:
+                lines += [f"{o} = {p}*{k[y]} + 0.0" for o, p in zip(out, a)]
+            elif fn is _k_d:
+                lines += [f"{o} = {i + 1}*{a[i + 1]}" for i, o in enumerate(out)]
+            elif fn is _k_sqrt:
+                lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: return None")
+                lines += jets.sqrt_lines(out, a, f"x{node}_two")
+            else:  # _k_div, _k_tanh
+                if tuple(b) not in divisors:  # tested once
+                    divisors.add(tuple(b))
+                    scale = f"max({', '.join(f'abs({c})' for c in b)})" if b[1:] else f"abs({b[0]})"
+                    refused = decide.DIVISOR_REFUSED.format(b0=b[0], scale=scale)
+                    lines.append(f"if {refused}: return None")
+                lines += jets.div_lines(out, a, b)
+            # d/ds keeps all but a_0; the others keep every coefficient, and a
+            # divisor that is not finite is refused
+            carried.update(a[1:] if fn is _k_d else a)
+            if fn in _TWO_OPERANDS or fn is _k_tanh:
+                carried.update(b)
 
     def value(node):
         name = names[node]
@@ -295,6 +350,7 @@ def _inline_function(inputs, program, outputs, n_consts):
             return name
         return f"[{', '.join(name)}]"
 
+    body = [(lines, [name for name in assigned if name not in carried]) for lines, assigned in body]
     return _chained(prologue, body, f"({''.join(value(node) + ', ' for node in outputs)})")
 
 
@@ -303,8 +359,8 @@ def _list_function(inputs, program, outputs, n_consts):
     each value a whole coefficient list (see the module docstring), or None
     where a step is not one on jets.
 
-    Each value has a bound on its degree, fixed here: above it every
-    coefficient is a structural zero.  Where the only input is s (node 0,
+    Each value has a bound on its degree (`_degree`), fixed here: above it
+    every coefficient is a structural zero.  Where the only input is s (node 0,
     the float or its jet (s, 1.0, 0.0, ...)), each product calls the kernel
     of its operands' bounds; given lists have no bound below their width,
     so their products call `jets.mul_coeffs`, which finds a's degree."""
@@ -334,33 +390,28 @@ def _list_function(inputs, program, outputs, n_consts):
         da = degrees[x]
         out = names[node] = f"x{node}"
         widths[node] = n
-        degrees[node] = da
+        db = degrees[y] if fn in _TWO_OPERANDS else None
+        degrees[node] = _degree(fn, n - 1, da, db, y)
         lines = []
         if fn is _k_var:
             value = f"[{a}, 1.0] + [0.0] * {y - 1}"
             widths[node] = y + 1
-            degrees[node] = 1
         elif fn is _k_neg:
             value = f"[-p for p in {a}]"
         elif fn is _k_add or fn is _k_sub:
             value = f"[p {'+' if fn is _k_add else '-'} q for p, q in zip({a}, {names[y]})]"
-            degrees[node] = max(da, degrees[y])
         elif fn is _k_mul:
-            db = degrees[y]
-            degrees[node] = min(n - 1, da + db)
             product = kernel("mul", jets._bound_mul_kernel, n - 1, da, db) if from_s else "mul"
             value = f"{product}({a}, {names[y]})"
         elif fn is _k_scale:
             value = f"[p*k{y} + 0.0 for p in {a}]"
         elif fn is _k_lift:
             value = f"[k{y}] + [0.0] * {n - 1}"
-            degrees[node] = 0
             if x not in given:  # the step loop checks what the lift drops
                 tested.append((f"sum({a}, 0.0)", a))
         elif fn is _k_d or fn is _k_trunc:
             value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
             widths[node] = n - 1 if fn is _k_d else y + 1
-            degrees[node] = max(da - 1, 0) if fn is _k_d else min(da, y)
             if x not in given:
                 tested.append((f"{a}[0]", f"{a}[:1]") if fn is _k_d
                               else (f"sum({a}[{y + 1}:], 0.0)", f"{a}[{y + 1}:]"))
@@ -371,11 +422,9 @@ def _list_function(inputs, program, outputs, n_consts):
             trig = jets._sinh_cosh_kernel if hyperbolic else jets._sin_cos_kernel
             value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
             tested += [(f"sum({out}[{j}], 0.0)", f"{out}[{j}]") for j in (0, 1)]
-            degrees[node] = n - 1
         elif fn is _k_sqrt:
             lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: return None")
             value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
-            degrees[node] = n - 1
         elif fn is _k_div or fn is _k_tanh:
             a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
             if b not in divisors:
@@ -383,7 +432,6 @@ def _list_function(inputs, program, outputs, n_consts):
                 refused = decide.DIVISOR_REFUSED.format(b0=f"{b}[0]", scale=f"max(map(abs, {b}))")
                 lines.append(f"if {refused}: return None")
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
-            degrees[node] = n - 1
         else:  # a float step
             return None
         lines.append(f"{out} = {value}")
@@ -406,8 +454,8 @@ _NAME = re.compile(r"\b(?:x\d+[sck]?_\w+|k\d+|x\d+)\b")
 
 def _chained(prologue: list, body: list, result: str, bound: dict | None = None):
     """The function of `prologue` (which unpacks its arguments i and k), the
-    steps' (lines, assigned floats) of `body`, a test that every assigned
-    float is finite, and `return result`, calling the functions of `bound`;
+    steps' (lines, floats to test) of `body`, a test that each of those
+    floats is finite, and `return result`, calling the functions of `bound`;
     compiled in parts of at most `_PART_CHARS` characters."""
     parts = [[]]
     size = sum(map(len, prologue))
@@ -430,15 +478,15 @@ def _chained(prologue: list, body: list, result: str, bound: dict | None = None)
     for p, part in enumerate(parts):
         lines = prologue if p == 0 else ([f"{', '.join(receive)}, = v"] if receive else [])
         lines = lines + [line for step_lines, _ in part for line in step_lines]
-        assigned = [name for _, names in part for name in names]
+        tested = [name for _, names in part for name in names]
         # a sum is finite only if every term is, summed in short chains; a sum
         # of finite terms may overflow, and only then is each term tested
-        for start in range(0, len(assigned), 64):
-            chain = " + ".join(assigned[start:start + 64])
+        for start in range(0, len(tested), 64):
+            chain = " + ".join(tested[start:start + 64])
             lines.append(f"t = {chain}" if start == 0 else f"t = t + {chain}")
-        if assigned:
+        if tested:
             lines.append(f"if not isfinite(t) and not all(map(isfinite, "
-                         f"({''.join(name + ', ' for name in assigned)}))): return None")
+                         f"({''.join(name + ', ' for name in tested)}))): return None")
         defined += _NAME.findall(sources[p])
         if p == len(parts) - 1:
             lines.append(f"return {result}")

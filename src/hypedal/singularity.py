@@ -229,7 +229,7 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
         verdict = Verdict.MISMATCH
 
     return SingularityReport(
-        s0=s0, Q=Q, m_germ=m_germ, ell_germ=ell_germ,
+        s0=float(s0), Q=Q, m_germ=m_germ, ell_germ=ell_germ,  # the base the germs were taken at
         j=j, k=k, location=location,
         predicted=predicted, measured=measured, verdict=verdict,
     )

@@ -658,6 +658,26 @@ def test_singular_points_drop_a_bracket_whose_bisection_is_undefined():
     assert cons.singular_points(_Parabola((0.62, 0.65)), samples=11) == found
 
 
+class _Skew:
+    """A velocity (1, 1, 1) on [0, 1] but at s = 0.5, where it is tiny and
+    its squares' sum rounds differently left to right and compensated."""
+
+    domain = (0.0, 1.0)
+    pair = _Source()
+    Q = None
+
+    def jet(self, s0, order):
+        d1 = (1e-09, 7.380042128756378e-10, 3.458702014678692e-10) if s0 == 0.5 else (1.0,) * 3
+        return MVec3(*(jets.Jet(s0, (0.0, c) + (0.0,) * (order - 1)) for c in d1))
+
+
+def test_singular_point_speed_is_summed_left_to_right():
+    # the same bits on every Python: from 3.12 on, builtin sum() compensates
+    # a float sum, and sum(c * c for c in d1) would give 1.290068375895485e-09
+    (point,) = cons.singular_points(_Skew(), samples=11)
+    assert (point.s, point.speed, point.cause) == (0.5, 1.2900683758954848e-09, "other")
+
+
 class _Line:
     """s -> (0, s, 0) on [0, 1]: unit speed, no singular point."""
 

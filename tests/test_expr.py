@@ -440,6 +440,28 @@ def _lists_outcome(e, s, degree):
     return "refused" if out is None else repr(x if position is None else out[position])
 
 
+def _finite(value) -> bool:
+    """A float, a jet's coefficient list or a pair of them, all finite."""
+    if isinstance(value, tuple):  # a sin/cos or sinh/cosh pair
+        return all(map(_finite, value))
+    return all(map(math.isfinite, value if isinstance(value, list) else (value,)))
+
+
+def _exact_outcome(e, s, degree):
+    """What a generated function of e at s and `degree` must give: the step
+    loop's output by repr where every value the loop computes is finite, and
+    "refused" where one is not or a step raises."""
+    tape = _Tape(((e,),), floats=not degree)
+    point = _TapePoint(tape, s, degree)
+    try:
+        out = point.outputs(0)[0]
+    except Exception:  # where a function is generated, the step raises a domain error
+        return "refused"
+    if not all(_finite(point.values[node]) for node, *_ in tape.programs[0]):
+        return "refused"
+    return repr(out)
+
+
 @settings(max_examples=500, deadline=None)
 @given(_exprs(jet_ops=True, abs_calls=True), _FLOAT_S, st.integers(min_value=0, max_value=3))
 @example(parse("sin(s)*cos(s)/(1 + s^2)"), 0.3, 3)
@@ -447,17 +469,20 @@ def _lists_outcome(e, s, degree):
 @example(parse("sqrt(s - 1)"), 0.5, 2)  # the square root of a negative constant term
 @example(parse("1/((s*1e200)*(s*1e200))"), 0.5, 2)  # an overflow
 @example(parse("s^-2"), 1e154, 1)  # finite values whose sum overflows
+# a value that is not finite and that the next step's result does not show:
+# x/inf is 0.0, tanh(inf) is 1.0, inf^0 is 1.0 and inf^-1 is 0.0, and a lift
+# keeps only the width of what it lifts
+@example(parse("1/(s*1e308)"), 2.0, 0)
+@example(parse("tanh(s*1e308)"), 2.0, 0)
+@example(parse("(s+s)^0"), 1e308, 0)
+@example(parse("(s+s)^-1"), -1e308, 0)
+@example(parse("(s+s)^0"), 1e308, 1)
 def test_generated_tape_functions_are_the_step_loop(e, s, degree):
-    # at most 4 coefficients a value, `_Tape.lists`' function must give the
-    # step loop's bits, or no answer, where the callers run the loop, which
-    # raises what it raises; on jets at a finite s, as `_tape_args` gives
-    # them, no answer only where the loop raises.  The float loop carries
-    # infinities that the function refuses: (s+s)^-1 at -1e308 is -0.0
-    loop = _tape_outcome(e, s, degree)
-    if degree and math.isfinite(s):
-        assert _lists_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
-    else:
-        assert _lists_outcome(e, s, degree) in (None, "refused", loop)
+    # at most 4 coefficients a value, `_Tape.lists`' function answers iff
+    # every value the step loop computes is finite, and then with the loop's
+    # bits; where it refuses, the callers run the loop, which raises what it
+    # raises or, on floats, carries the infinity (1/(s*1e308) is 0.0 at 2)
+    assert _lists_outcome(e, s, degree) in (None, _exact_outcome(e, s, degree))
 
 
 @settings(max_examples=200, deadline=None)
@@ -544,6 +569,19 @@ def _step_inputs(width: int, case: str):
     return s, a, b
 
 
+def _inline_steps(steps, outputs, width: int):
+    """(the input nodes read, function, constants) of `program.inline_program`
+    for a step kind whose inputs, s and nodes 1 and 2, are jets of `width`."""
+    read = sorted({node for _, fn, x, y in steps
+                   for node in ((x, y) if fn in expr._TWO_OPERANDS else (x,)) if node < 3})
+    return (read, *program.inline_program(steps, dict.fromkeys(read, width), outputs))
+
+
+def _reprs(values):
+    """Floats and coefficient lists by repr, so the sign of zero counts."""
+    return [[repr(c) for c in v] if isinstance(v, list) else repr(v) for v in values]
+
+
 def _step_loop_outcome(steps, outputs, inputs):
     """The outputs of the step loop by repr, or "refused" where a step raises or
     a value is not finite, as the `Jet` formula checks each (a pair, both halves)."""
@@ -551,11 +589,11 @@ def _step_loop_outcome(steps, outputs, inputs):
     try:
         for node, fn, x, y in steps:
             values[node] = fn(values, x, y)
-            for half in values[node] if fn is expr._k_pair else (values[node],):
-                jets.require_finite(half)
-    except (ValueError, ArithmeticError):
+            if not _finite(values[node]):
+                return "refused"
+    except jets.DOMAIN_ERRORS:
         return "refused"
-    return [[repr(c) for c in values[node]] for node in outputs]
+    return _reprs(values[node] for node in outputs)
 
 
 @pytest.mark.parametrize("case", ["signed zeros", "1e300 constant terms", "1e300 in the middle",
@@ -579,9 +617,7 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
     # "mul" and the others call no `mul`)
     inputs = _step_inputs(width, case)
     for kind, (steps, outputs) in _STEP_KINDS.items():
-        read = sorted({node for _, fn, x, y in steps
-                       for node in ((x, y) if fn in expr._TWO_OPERANDS else (x,)) if node < 3})
-        function, consts = program.inline_program(steps, dict.fromkeys(read, width), outputs)
+        read, function, consts = _inline_steps(steps, outputs, width)
         products = sum(fn is expr._k_mul for _, fn, _, _ in steps)
         calls_mul = "mul" in function.__code__.co_names
         assert calls_mul == (products > 0 and kind not in _FROM_S), kind
@@ -589,7 +625,7 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
             out = function([list(inputs[node]) for node in read], consts)
         except Exception:  # the callers run the checked path
             out = None
-        generated = "refused" if out is None else [[repr(c) for c in o] for o in out]
+        generated = "refused" if out is None else _reprs(out)
         expected = _step_loop_outcome(steps, outputs, inputs)
         assert generated == expected, (kind, case)
         assert (expected == "refused") == (kind in _REFUSED[case]), (kind, case)
@@ -606,6 +642,44 @@ _REFUSED = {case: kinds | _NOT_FINITE_FROM_S for case, kinds in {
     "refused": {"div", "sqrt"},
     "a cos overflows": {"sqrt", "sin of a sin/cos pair", "tanh"},
 }.items()}
+
+
+# the step kinds, and two whose first step's value only a lift or a
+# coefficient read takes
+_NARROW_KINDS = {
+    **_STEP_KINDS,
+    "a lift of a product": ([(3, expr._k_mul, 1, 2), (4, expr._k_lift, 3, 0.5),
+                             (5, expr._k_add, 4, 2)], (5,)),
+    "coefficient 1 of a product": ([(3, expr._k_mul, 1, 2), (4, program._k_coeff, 3, 1)], (4,)),
+}
+_COEFFS = st.floats() | st.sampled_from([0.0, -0.0, 1e-14, 1e154, -1e200, 1e300, 1.5e308])
+_OVERFLOW_AT_0 = [1e300, 0.0, 0.0, 0.0], [1e10, 0.0, 0.0, 0.0]  # the product's c_0 alone
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_NARROW_KINDS)), st.integers(min_value=2, max_value=4), st.floats(),
+       st.lists(_COEFFS, min_size=4, max_size=4), st.lists(_COEFFS, min_size=4, max_size=4))
+# the only coefficient that is not finite is one that a step drops
+@example("truncate", 4, 0.5, [1.0, 0.0, 0.0, 1e300], [1e10, 0.0, 0.0, 0.0])  # c_3
+@example("d", 4, 0.5, *_OVERFLOW_AT_0)
+@example("coefficient 1 of a product", 4, 0.5, *_OVERFLOW_AT_0)
+@example("a lift of a product", 3, 0.5, *_OVERFLOW_AT_0)
+# a pair whose cos half alone overflows, read by its sin half
+@example("sin of a sin/cos pair", 3, 0.5, [0.0, 1e200, 0.0, 0.0], [0.0] * 4)
+@example("s overflowed times s", 2, 0.5, [0.0] * 4, [0.0] * 4)
+@example("div", 3, 0.5, [1.0] * 4, [1e-14, 1.0, 0.0, 0.0])  # a vanishing divisor
+def test_narrow_generated_steps_are_the_step_loop(kind, width, s, a, b):
+    # up to 4 coefficients a value, each step kind's generated function
+    # answers iff every value the step loop computes is finite, and then with
+    # the loop's bits, whatever the coefficients of the given lists; s's jet
+    # is (s, 1.0, 0.0, ...), as its callers give it.  It tests only what no
+    # later step keeps, if not finite, in a value it computes
+    steps, outputs = _NARROW_KINDS[kind]
+    inputs = [s, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
+    read, function, consts = _inline_steps(steps, outputs, width)
+    out = jets.answer(function, [list(inputs[node]) for node in read], consts)
+    generated = "refused" if out is None else _reprs(out)
+    assert generated == _step_loop_outcome(steps, outputs, inputs)
 
 
 @pytest.mark.parametrize("floats", [False, True])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from unittest import mock
@@ -184,6 +185,26 @@ def test_report_serialization(cusp23):
     ]
     assert doc["predicted"] == [3, 4]
     assert doc["verdict"] == "match"
+
+
+@pytest.mark.parametrize("s0", ["0", True, 0, False, -0.0])
+def test_report_gives_s0_as_the_float_the_germs_were_taken_at(cusp23, s0):
+    report = classify_pedal(cusp23, Q_CENTER, s0)
+    assert type(report.s0) is float and repr(report.s0) == repr(float(s0))
+    assert json.dumps(report.to_dict()["s0"]) == repr(float(s0))
+    assert report.to_dict() == classify_pedal(cusp23, Q_CENTER, float(s0)).to_dict()
+
+
+@pytest.mark.parametrize("s0, error", [
+    ("abc", (ValueError, "could not convert string to float: 'abc'")),
+    (10**400, (OverflowError, "int too large to convert to float")),
+    (None, (TypeError, "float() argument must be a string or a real number, not 'NoneType'")),
+    (math.nan, (ValueError, "non-finite jet base")),
+])
+def test_report_refuses_an_s0_that_is_no_finite_float(cusp23, s0, error):
+    with pytest.raises(error[0]) as raised:
+        classify_pedal(cusp23, Q_CENTER, s0)
+    assert str(raised.value) == error[1]
 
 
 # -- structural identities of the dual curve -----------------------------------------
