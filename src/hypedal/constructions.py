@@ -15,7 +15,6 @@ construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -448,10 +447,11 @@ class EvoluteCurve(DerivedCurve):
     """Evolute of a pair; lands on H2 where m^2 > ell^2, on dS2 otherwise.
 
     On the hyperbolic branch the sign is chosen so x1 > 0 (upper sheet).
-    The generated function of a jet or a sample stops at the branch
-    decision: ell, m, m^2, ell^2, d2 and m r - ell v do not depend on it,
-    and the division by sqrt(|d2|) after it runs as a second one, recorded
-    per branch.
+    A jet or a sample is one generated function, of `_formula` or of
+    `_sample`: it returns the branch sign (1.0 on H2, -1.0 on dS2) with the
+    point, or the sign 0.0 alone where the branch is degenerate, which
+    raises as `_branch` does.  `_formula_jet` and `_at_with_branch` run the
+    `Jet`/`MVec3` formulas where it gives no answer.
     """
 
     kind = "evolute"
@@ -471,26 +471,23 @@ class EvoluteCurve(DerivedCurve):
         return mm, ll, mm - ll
 
     @staticmethod
-    def _branch(s, mm, ll, d2) -> Branch:
-        d2c = jets.constant_part(d2)
-        scale = max(jets.constant_part(mm), jets.constant_part(ll), 1.0)
-        if abs(d2c) <= decide.DEGENERACY_RTOL * scale:
-            raise EvoluteDegenerateError(f"evolute degenerate at s={s!r}")
-        return Branch.H2 if d2c > 0.0 else Branch.DS2
+    def _branch(s, mm, ll) -> Branch:
+        """The branch of the constant terms of m^2 and ell^2, whose difference is d2's."""
+        mm, ll = jets.constant_part(mm), jets.constant_part(ll)
+        d2 = mm - ll
+        if decide.degenerate(d2, mm, ll):
+            raise _degenerate(s)
+        return Branch.H2 if d2 > 0.0 else Branch.DS2
 
     def _branch_split(self, s, ell, m):
         mm, ll, d2 = self._squares(ell, m)
-        return self._branch(s, mm, ll, d2), d2
+        return self._branch(s, mm, ll), d2
 
     @staticmethod
-    def _scaled(branch, d2, num):
-        """num / sqrt(|d2|), num = m r - ell v, for floats and jets."""
-        return num / jets.sqrt(d2 if branch is Branch.H2 else -d2)
-
-    @classmethod
-    def _place(cls, branch, d2, num):
-        """The evolute point: `_scaled`, on the upper sheet on the hyperbolic branch."""
-        point = cls._scaled(branch, d2, num)
+    def _place(branch, d2, num):
+        """The evolute point num / sqrt(|d2|), num = m r - ell v, on the upper
+        sheet on the hyperbolic branch, for floats and jets."""
+        point = num / jets.sqrt(d2 if branch is Branch.H2 else -d2)
         if branch is Branch.H2 and jets.constant_part(point.x1) < 0.0:
             return -point
         return point
@@ -500,18 +497,29 @@ class EvoluteCurve(DerivedCurve):
         """m r - ell v, for floats and jets."""
         return m * r - ell * v
 
+    @staticmethod
+    def _signed(ell, m, num):
+        """(branch sign, the point's components): `_branch` and `_place` as
+        recorded on `recording.Node`s or `Scalar`s, whose signs are steps
+        of the program (`program._f_branch`)."""
+        mm, ll, d2 = EvoluteCurve._squares(ell, m)
+        sign = mm.branch_sign(ll)
+        point = num / jets.sqrt(d2.flip(sign))
+        upper = sign.sheet_sign(point.x1)
+        return (sign, *(c.flip(upper) for c in point.components()))
+
     @classmethod
     def _formula(cls, pair, Q, s0, order):
-        """What the jet of the evolute computes before the branch decision."""
+        """The recorded jet of the evolute, with its branch sign."""
         ell, m, rj, vj = pair._curvature_frame_jets(s0, order)
-        num = cls._numerator(ell, m, _truncate(rj, order), _truncate(vj, order))
-        return (*cls._squares(ell, m), *num.components())
+        return cls._signed(ell, m, cls._numerator(ell, m, _truncate(rj, order),
+                                                  _truncate(vj, order)))
 
     @classmethod
     def _sample(cls, pair, Q, s, order):
-        """What a sample of the evolute computes before the branch decision."""
+        """The recorded sample of the evolute, with its branch sign."""
         ell, m = pair.curvatures(s)
-        return (*cls._squares(ell, m), *cls._numerator(ell, m, pair.r(s), pair.v(s)).components())
+        return cls._signed(ell, m, cls._numerator(ell, m, pair.r(s), pair.v(s)))
 
     def _formula_args(self):
         return self.formula_pair, None
@@ -519,12 +527,11 @@ class EvoluteCurve(DerivedCurve):
     def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
         return self._at_with_branch(s, self._sampled(s))
 
-    def _at_with_branch(self, s: float, head) -> tuple[MVec3, Branch]:
-        """`at_with_branch` from `head`, what `_sampled` gives at s."""
-        if head is not None:
-            point, branch = self._decided(s, None, head)
-            if point is not None:
-                return _tested_vec(*point), branch
+    def _at_with_branch(self, s: float, out) -> tuple[MVec3, Branch]:
+        """`at_with_branch` from `out`, what `_sampled` gives at s."""
+        if out is not None:
+            sign, *point = _answered(s, out)
+            return _tested_vec(*point), _BRANCHES[sign]
         ell, m = self.formula_pair.curvatures(s)
         branch, d2 = self._branch_split(s, ell, m)
         r = self.formula_pair.r(s)
@@ -534,8 +541,8 @@ class EvoluteCurve(DerivedCurve):
     def at(self, s: float) -> MVec3:
         return self.at_with_branch(s)[0]
 
-    def _at(self, s: float, head) -> MVec3:
-        return self._at_with_branch(s, head)[0]
+    def _at(self, s: float, out) -> MVec3:
+        return self._at_with_branch(s, out)[0]
 
     def branch(self, s: float) -> Branch:
         return self.at_with_branch(s)[1]
@@ -552,27 +559,23 @@ class EvoluteCurve(DerivedCurve):
     def _program_coeffs(self, s0: float, order: int, terms):
         if terms is None:
             return None
-        base, head = terms
-        point, _ = self._decided(s0, order, head)
-        return None if point is None else (base, point)
+        base, out = terms
+        return base, _answered(s0, out)[1:]
 
-    def _decided(self, s0: float, order: int | None, head):
-        """(point, branch) from the values (m^2, ell^2, d2, m r - ell v) that a
-        generated function of `_formula` (jets of `order`) or of `_sample` (floats,
-        `order` None) reached the branch decision with, so that it decides, or
-        raises, as the formula does; the point is None where the tail of the
-        branch gives no answer."""
-        mm, ll, d2, *num = head
-        lead = float if order is None else operator.itemgetter(0)
-        branch = self._branch(s0, lead(mm), lead(ll), lead(d2))
-        from .recording import evolute_tail
 
-        tail = evolute_tail(branch, order)
-        point = None if tail is None else jets.answer(tail[0], [d2, *num], tail[1])
-        if point is not None and branch is Branch.H2 and lead(point[0]) < 0.0:
-            point = ([-c for c in point] if order is None
-                     else [[-c for c in coeffs] for coeffs in point])
-        return point, branch
+_BRANCHES = {1.0: Branch.H2, -1.0: Branch.DS2}  # of a branch sign
+
+
+def _degenerate(s) -> EvoluteDegenerateError:
+    return EvoluteDegenerateError(f"evolute degenerate at s={s!r}")
+
+
+def _answered(s, out):
+    """What an evolute's generated function answered at s, (branch sign, the
+    point's components); raises where the sign is 0.0, degenerate."""
+    if not out[0]:
+        raise _degenerate(s)
+    return out
 
 
 def evolute(pair: LegendrePair) -> EvoluteCurve:

@@ -25,6 +25,10 @@ DIVISOR_REFUSED = f"not abs({{b0}}) > {DIV_REL_TOL!r} * {{scale}}"  # scale: max
 SQRT_REFUSED = "not {a0} > 0.0"
 refuses_divisor = eval("lambda b0, scale: " + DIVISOR_REFUSED.format(b0="b0", scale="scale"))
 refuses_sqrt = eval("lambda a0: " + SQRT_REFUSED.format(a0="a0"))
+# The evolute's lightlike test on the constant terms of d2 = m^2 - ell^2, m^2 and ell^2, false at
+# a nan d2: `constructions.EvoluteCurve` tests the function, `hypedal.program` emits the template.
+DEGENERATE = f"abs({{d2}}) <= {DEGENERACY_RTOL!r} * max({{mm}}, {{ll}}, 1.0)"
+degenerate = eval("lambda d2, mm, ll: " + DEGENERATE.format(d2="d2", mm="mm", ll="ll"))
 
 
 def first_nonzero(coeffs, tol: float, stop: int | None = None) -> int | None:

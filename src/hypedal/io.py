@@ -128,9 +128,15 @@ def json_text(value, _indent: int = 0) -> str:
 
 
 def csv_text(header: list[str], rows) -> str:
+    """The rows under the header, each value as `format_float` writes it:
+    a float sum is finite only if every value is, and "%.17g" is format's
+    ".17g"."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
+        row = tuple(row)
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise ValueError("non-finite number in output")
+        lines.append(",".join(["%.17g"] * len(row)) % row)
     return "\n".join(lines) + "\n"
 
 

@@ -53,11 +53,26 @@ loop only where a coefficient within an operand's bound is not finite, and
 that one is carried or tested.  Narrow code tests each coefficient that no
 later step carries, at the end of the part of the function that computes
 it; wide code tests its outputs, what lifts, truncations and d/ds drop,
-and both halves of each pair, once, at the end.  Each test sums the values,
-and where the sum is not finite, as finite values can make it, tests them
-one by one.  The code is keyed by the program's structure, with its
-constants as arguments, so a program recorded for another pedal point Q,
-or read from another copy of a curve, reuses it.
+both halves of each pair and what only a sign (below) reads, once, at the
+end.  Each test sums the values, and where the sum is not finite, as
+finite values can make it, tests them one by one.
+
+An evolute's recorded formula takes three steps of its own: its branch
+sign, its upper-sheet sign, each a float 1.0 or -1.0 read from constant
+terms, and a flip, which multiplies each coefficient by such a sign and so
+keeps every bit a negation gives.  A sign is finite by construction and
+never tested; it carries no operand, so its operands are tested unless
+another step carries them.  A flip carries its operand.  Where the branch
+sign is degenerate (0.0), the function ends there: it returns (0.0,) where
+every value it computed is finite, testing each that no step so far has
+carried into another (narrow code), or each list that no step has read,
+with what lifts, truncations and d/ds dropped and the halves of pairs
+(wide code), and None where one is not.  A function compiled in parts
+hands its values on as a list, so a part that ends it returns the tuple.
+
+The code is keyed by the program's structure, with its constants as
+arguments, so a program recorded for another pedal point Q, or read from
+another copy of a curve, reuses it.
 
 The library imports this module with the first program it generates.
 """
@@ -100,6 +115,38 @@ def _f_const(v, x, c):
     return c
 
 
+# the evolute's signs, the steps that only its recorded formula takes:
+# - the branch sign of m^2 (node x) and ell^2 (node y), from their constant
+#   terms: 1.0 where d2 = m^2 - ell^2 > 0.0 (the hyperbolic branch), 0.0
+#   where `decide.DEGENERATE` holds, which ends the program, and -1.0 else;
+# - the upper-sheet sign of a branch sign (x) and the point's x1 (y): -1.0
+#   on the hyperbolic branch where x1's constant term is below 0.0, else 1.0;
+# - a jet flipped by such a sign, each coefficient times +-1.0, which keeps
+#   the sign of zero as a negation does (`_k_scale`'s + 0.0 would not).
+def _f_branch(v, x, y):
+    mm, ll = _lead(v[x]), _lead(v[y])
+    d2 = mm - ll
+    if decide.degenerate(d2, mm, ll):
+        return 0.0
+    return 1.0 if d2 > 0.0 else -1.0
+
+
+def _f_sheet(v, x, y):
+    return -1.0 if v[x] > 0.0 and _lead(v[y]) < 0.0 else 1.0
+
+
+def _k_flip(v, x, y):
+    return [a * v[y] for a in v[x]]
+
+
+def _lead(value):
+    """A float, or the constant term of a jet."""
+    return value if isinstance(value, float) else value[0]
+
+
+_TWO_OPERANDS.update((_f_branch, _f_sheet, _k_flip))  # the node operands of `_Steps`
+
+
 # the variable s as a jet of degree `degree`, (s, 1.0, 0.0, ...), from the
 # float s: how a fused program feeds a curve's jet tape
 def _k_var(v, x, degree):
@@ -109,8 +156,8 @@ def _k_var(v, x, degree):
 # -- generated functions -------------------------------------------------------
 
 _EMITTED = {_k_neg, _k_add, _k_sub, _k_mul, _k_div, _k_lift, _k_scale, _k_sqrt, _k_pair, _k_half,
-            _k_tanh, _k_d, _k_trunc, _k_coeff, _k_var, _f_call, _f_const, _f_pow,
-            *_F_BINARY.values()}
+            _k_tanh, _k_d, _k_trunc, _k_coeff, _k_var, _k_flip, _f_call, _f_const, _f_pow,
+            _f_branch, _f_sheet, *_F_BINARY.values()}
 _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sinh",
             math.cosh: "cosh", math.tanh: "tanh", abs: "abs"}
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
@@ -271,6 +318,19 @@ def _inline_function(inputs, program, outputs, n_consts):
         a = names[x]
         body.append(([], []))
         lines = body[-1][0]
+        if fn is _f_branch or fn is _f_sheet:  # +-1.0, so never tested
+            out = names[node] = f"x{node}"
+            p, q = (c if isinstance(c, str) else c[0] for c in (a, names[y]))
+            # what no step so far has carried into another value
+            each = [name for _, assigned in body for name in assigned if name not in carried]
+            lines += _sign_lines(fn, out, p, q, each and f"all(map(isfinite, ({_listed(each)})))")
+            continue
+        if fn is _k_flip:  # by a sign, +-1.0
+            d = degrees[node] = degrees[x]
+            out = names[node] = fresh(node, len(a), bound=d)
+            lines += [f"{o} = {c} * {names[y]}" for o, c in zip(out, a)]
+            carried.update(a)
+            continue
         if isinstance(a, str) and fn is not _k_var:  # a float program
             if fn is _f_const:
                 names[node] = k[y]
@@ -351,7 +411,7 @@ def _inline_function(inputs, program, outputs, n_consts):
         return f"[{', '.join(name)}]"
 
     body = [(lines, [name for name in assigned if name not in carried]) for lines, assigned in body]
-    return _chained(prologue, body, f"({''.join(value(node) + ', ' for node in outputs)})")
+    return _chained(prologue, body, f"({_listed(map(value, outputs))})")
 
 
 def _list_function(inputs, program, outputs, n_consts):
@@ -369,15 +429,16 @@ def _list_function(inputs, program, outputs, n_consts):
     degrees = {node: 1 if node == 0 else shape - 1 for node, shape in inputs}
     from_s = list(names) == [0]
     given = set(names)  # the inputs, which callers give finite
-    prologue = [f"{''.join(name + ', ' for name in names.values())}= i"]
+    prologue = [f"{_listed(names.values())}= i"]
     if n_consts:
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
     bound = {"mul": jets.mul_coeffs}
     body = []
-    # the tested coefficients: (their sum, the sequence of them)
-    tested = [(f"sum(x{node}, 0.0)", f"x{node}") for node in dict.fromkeys(outputs)
-              if node not in given]
+    # the tested coefficients besides the outputs': (their sum, the sequence of them)
+    tested = []
     divisors = set()  # the values whose refusal is tested
+    signs = set()  # the nodes of signs, the floats +-1.0
+    unread = {}  # the lists that no step has read yet, in order
 
     def kernel(name, make, *key):
         name += "_".join(map(str, key))
@@ -386,13 +447,29 @@ def _list_function(inputs, program, outputs, n_consts):
 
     for node, fn, x, y in program:
         a = names[x]
+        out = names[node] = f"x{node}"
+        lines = []
+        if fn is _f_branch or fn is _f_sheet:
+            signs.add(node)
+            p, q = (c if n in signs else f"{c}[0]" for n, c in ((x, a), (y, names[y])))
+            each = [*(names[n] for n in unread), *(v for _, v in tested)]  # as at the end
+            body.append((_sign_lines(fn, out, p, q, each and _each_finite(each)), []))
+            continue
+        unread.pop(x, None)
+        if fn in _TWO_OPERANDS:
+            unread.pop(y, None)
         n = widths[x]
         da = degrees[x]
-        out = names[node] = f"x{node}"
         widths[node] = n
+        if fn is _k_flip:  # by a sign, +-1.0
+            degrees[node] = da
+            unread[node] = None
+            body.append(([f"{out} = [p * {names[y]} for p in {a}]"], []))
+            continue
         db = degrees[y] if fn in _TWO_OPERANDS else None
         degrees[node] = _degree(fn, n - 1, da, db, y)
-        lines = []
+        if fn is not _k_pair:  # whose halves are tested
+            unread[node] = None
         if fn is _k_var:
             value = f"[{a}, 1.0] + [0.0] * {y - 1}"
             widths[node] = y + 1
@@ -436,12 +513,38 @@ def _list_function(inputs, program, outputs, n_consts):
             return None
         lines.append(f"{out} = {value}")
         body.append((lines, []))
+    # the outputs, and what only signs read
+    tested[:0] = [(f"sum(x{node}, 0.0)", f"x{node}") for node in dict.fromkeys([*outputs, *unread])
+                  if node not in given and node not in signs]
     if tested:
         # as in `_chained`, each coefficient is tested only where the sum is not finite
         total = " + ".join(total for total, _ in tested)
-        each = f"all(isfinite(c) for v in ({''.join(v + ', ' for _, v in tested)}) for c in v)"
+        each = _each_finite([v for _, v in tested])
         body.append(([f"if not isfinite({total}) and not {each}: return None"], []))
-    return _chained(prologue, body, f"({''.join(names[node] + ', ' for node in outputs)})", bound)
+    return _chained(prologue, body, f"({_listed(names[node] for node in outputs)})", bound)
+
+
+def _listed(sources) -> str:
+    """The items of a tuple display: "a, b, "."""
+    return "".join(source + ", " for source in sources)
+
+
+def _each_finite(lists: list) -> str:
+    """The test that every coefficient of the `lists` (their sources) is finite."""
+    return f"all(isfinite(c) for v in ({_listed(lists)}) for c in v)"
+
+
+def _sign_lines(fn, out: str, p: str, q: str, finite: str) -> list:
+    """The lines of a sign step, `_f_branch` or `_f_sheet`, on the sources p and
+    q of what it reads; where the branch sign is 0.0, degenerate, the function
+    returns (0.0,) if the test `finite` (if any) of the values before holds,
+    and None if not."""
+    if fn is _f_sheet:
+        return [f"{out} = -1.0 if {p} > 0.0 and {q} < 0.0 else 1.0"]
+    ended = f"(0.0,) if {finite} else None" if finite else "(0.0,)"
+    return [f"{out} = {p} - {q}",
+            f"if {decide.DEGENERATE.format(d2=out, mm=p, ll=q)}: return {ended}",
+            f"{out} = 1.0 if {out} > 0.0 else -1.0"]
 
 
 # The compiler's memory grows with the source it compiles, about 100 bytes a
@@ -485,14 +588,14 @@ def _chained(prologue: list, body: list, result: str, bound: dict | None = None)
             chain = " + ".join(tested[start:start + 64])
             lines.append(f"t = {chain}" if start == 0 else f"t = t + {chain}")
         if tested:
-            lines.append(f"if not isfinite(t) and not all(map(isfinite, "
-                         f"({''.join(name + ', ' for name in tested)}))): return None")
+            lines.append(f"if not isfinite(t) and not all(map(isfinite, ({_listed(tested)}))): "
+                         f"return None")
         defined += _NAME.findall(sources[p])
         if p == len(parts) - 1:
             lines.append(f"return {result}")
         else:
             receive = [name for name in dict.fromkeys(defined) if name in handed[p]]
-            lines.append(f"return ({''.join(name + ', ' for name in receive)})")
+            lines.append(f"return [{', '.join(receive)}]")  # a list: see `run`
         functions.append(jets.compile_lines("_program", "i, k" if p == 0 else "v", lines, bound))
     if len(functions) == 1:
         return functions[0]
@@ -501,8 +604,8 @@ def _chained(prologue: list, body: list, result: str, bound: dict | None = None)
     def run(i, k):
         v = first(i, k)
         for part in rest:
-            if v is None:
-                return None
+            if v.__class__ is not list:  # None, or the answer of a program its branch sign ended
+                return v
             v = part(v)
         return v
     return run

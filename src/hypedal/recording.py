@@ -24,7 +24,9 @@ from .expr import (
 from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal, auto_dual_read
 from .jets import Jet, answer, require_finite
 from .minkowski import MVec3, wedge
-from .program import _f_const, _k_coeff, _k_d, _k_trunc, fused_program, inline_program
+from .program import (
+    _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, fused_program, inline_program,
+)
 
 
 class Param:
@@ -117,6 +119,19 @@ class Node(Jet):
         return tuple(Scalar(self.recording, self.recording._node(_k_coeff, self.node, k))
                      for k in range(self.width))
 
+    # the evolute's signs, which only recorded formulas compute (see `program._f_branch`)
+    def branch_sign(self, ll):
+        """The branch sign of this m^2 and of ell^2, a `Scalar`."""
+        return Scalar(self.recording, self.recording._node(_f_branch, self.node, ll.node))
+
+    def sheet_sign(self, x1):
+        """The upper-sheet sign of this branch sign and of the point's x1, a `Scalar`."""
+        return Scalar(self.recording, self.recording._node(_f_sheet, self.node, x1.node))
+
+    def flip(self, sign):
+        """Each coefficient times a sign, +-1.0."""
+        return self._step(_k_flip, self.node, sign.node)
+
     def _unrecorded(self, *args):
         raise TypeError("this jet operation is not recorded")
 
@@ -166,6 +181,9 @@ class Scalar(Node):
 
     def sqrt(self):
         return self._step(_f_call, self.node, math.sqrt)
+
+    def flip(self, sign):
+        return self * sign
 
     coeffs = property(Node._unrecorded)
     d_ds = truncate = Node._unrecorded
@@ -252,9 +270,12 @@ def record(formula):
 # inputs from one read of the union of their inputs (`sampled_jet_program`),
 # so that r is read once per grid point; where that gives no answer, each
 # runs as above.  Every program runs as `_run`: a read of s, then the
-# function, each answered or refused (`jets.answer`); where either refuses,
-# the formula runs.  Other pairs (reparametrized, built by hand) get no
-# program and run their formulas.
+# function, under one guard that refuses as `jets.answer` does; where either
+# refuses, the formula runs.  An evolute's formulas return its branch sign
+# with its point, both computed by steps of the program (`Node.branch_sign`),
+# which ends, answering the sign 0.0 alone, where the branch is degenerate.
+# Other pairs (reparametrized, built by hand) get no program and run their
+# formulas.
 
 
 def derived_program(formula, pair, Q, order: int | None, fused_only: bool = False):
@@ -360,15 +381,18 @@ def _fused_read(s, sign_at):
     return (s,) if math.isfinite(s) else None
 
 
-def _run(read, sign_at, function, consts, jets: bool, s):
+def _run(read, sign_at, function, consts, jet: bool, s):
     """function(read(s, sign_at), consts), and s before it for a jet program:
     a function fused with a curve's tapes on `_fused_read`, or an auto-dual
     pair's formula on the values of `auto_dual_read`.  None where the read
-    or the function gives no answer (`jets.answer`), and the formula then
-    runs on the curve's reads or on `AutoDual`'s evaluators."""
-    given = answer(read, s, sign_at)
-    out = None if given is None else answer(function, given, consts)
-    return (float(s), out) if jets and out is not None else out
+    or the function gives no answer, as `jets.answer` refuses, and the
+    formula then runs on the curve's reads or on `AutoDual`'s evaluators."""
+    try:
+        given = read(s, sign_at)
+        out = None if given is None else function(given, consts)
+    except jets.DOMAIN_ERRORS:
+        return None
+    return (float(s), out) if jet and out is not None else out
 
 
 def sampled_jet_program(sample, jet):
@@ -447,20 +471,6 @@ def _on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
         return formula(pair, recording.point() if with_q else None, 0.0, order)
 
     return on_inputs
-
-
-@lru_cache(maxsize=16)
-def evolute_tail(branch, order: int | None):
-    """`record` of `EvoluteCurve._scaled` on the branch, from inputs d2 and then
-    m r - ell v: jets of order `order`, or floats if it is None."""
-    from .constructions import EvoluteCurve
-
-    def scaled(recording):
-        d2 = recording.input("d2", order)
-        return EvoluteCurve._scaled(branch, d2, MVec3(*(recording.input(("num", i), order)
-                                                        for i in range(3))))
-
-    return record(scaled)
 
 
 # -- the germs of `singularity.classify_pedal` ---------------------------------

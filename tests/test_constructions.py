@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -575,6 +576,49 @@ def test_generated_code_is_shared_by_every_pedal_point(monkeypatch):
     one = compiled(1)
     assert one > 0
     assert compiled(20) <= one
+
+
+def _compiling_tape() -> bool:
+    """Whether the caller compiles a tape's function (`program.tape_program`)."""
+    frame = sys._getframe()
+    while frame is not None and frame.f_code is not program.tape_program.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+def test_an_evolute_point_is_one_generated_call(monkeypatch):
+    # an evolute or caustic jet or sample decides its branch and divides in
+    # the one function generated from its formula, so each is one call of it
+    # on a `from_curve` pair, and one besides the read of the curve's tapes
+    # on an auto-dual pair; mutation: a second function after the branch
+    # decision, as there was
+    for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
+        cache.cache_clear()
+    monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
+    calls = []
+    compile_lines = jets.compile_lines
+
+    def counted(name, params, lines, bound=None):
+        function = compile_lines(name, params, lines, bound)
+        if params != "i, k" or _compiling_tape():  # a later part, or a tape's read
+            return function
+
+        def call(i, k):
+            calls.append(function)
+            return function(i, k)
+        return call
+
+    monkeypatch.setattr(jets, "compile_lines", counted)
+    grid = linspace((0.1, 6.0), 7)
+    astroid = load_curve(CURVES / "astroid.json")  # a fresh one, whose tapes keep no program
+    for pair in (LegendrePair.from_curve(astroid), LegendrePair.with_auto_dual(astroid)):
+        for curve in (cons.evolute(pair), cons.catacaustic(pair, Q_CENTER)):
+            for evaluate in (curve.at_with_branch, lambda s: curve.jet(s, 2)):
+                evaluate(grid[0])  # compiles
+                for s in grid:
+                    calls.clear()
+                    evaluate(s)
+                    assert len(calls) == 1, (pair.name, curve.kind, s)
 
 
 # -- singular point detection ------------------------------------------------------

@@ -544,7 +544,19 @@ _STEP_KINDS = {
     "s overflowed times s": ([(3, expr._k_scale, 0, 1e200), (4, expr._k_scale, 3, 1e200),
                               (5, expr._k_mul, 4, 0)], (5,)),
     "a lift of nan times s": ([(3, expr._k_lift, 0, math.nan), (4, expr._k_mul, 3, 0)], (4,)),
+    # the evolute's signs: the branch sign of (m^2, ell^2) = (node 1, node 2),
+    # node 2 flipped by it, node 2 flipped to the upper sheet on the
+    # hyperbolic branch, as x1 is; and the branch sign of a product, which is
+    # computed first, so a degenerate branch must find it finite
+    "branch sign": ([(3, program._f_branch, 1, 2)], (3,)),
+    "flip by the branch sign": ([(3, program._f_branch, 1, 2), (4, program._k_flip, 2, 3)], (3, 4)),
+    "flip to the upper sheet": ([(3, program._f_branch, 1, 2), (4, program._f_sheet, 3, 2),
+                                 (5, program._k_flip, 2, 4)], (3, 5)),
+    "branch sign of a product": ([(3, expr._k_mul, 1, 2), (4, program._f_branch, 3, 2),
+                                  (5, program._k_flip, 3, 4)], (4, 5)),
 }
+_SIGN_KINDS = sorted(kind for kind, (steps, _) in _STEP_KINDS.items()
+                     if any(fn is program._f_branch for _, fn, _, _ in steps))
 _NOT_FINITE_FROM_S = {"s overflowed times s", "a lift of nan times s"}  # refused in every case
 _FROM_S = {"times s", "s^2 times s^3", *_NOT_FINITE_FROM_S}
 
@@ -584,13 +596,16 @@ def _reprs(values):
 
 def _step_loop_outcome(steps, outputs, inputs):
     """The outputs of the step loop by repr, or "refused" where a step raises or
-    a value is not finite, as the `Jet` formula checks each (a pair, both halves)."""
+    a value is not finite, as the `Jet` formula checks each (a pair, both halves);
+    a branch sign of 0.0, degenerate, ends the program, whose output it is."""
     values = dict(enumerate(inputs))
     try:
         for node, fn, x, y in steps:
             values[node] = fn(values, x, y)
             if not _finite(values[node]):
                 return "refused"
+            if fn is program._f_branch and values[node] == 0.0:
+                return _reprs([0.0])
     except jets.DOMAIN_ERRORS:
         return "refused"
     return _reprs(values[node] for node in outputs)
@@ -633,12 +648,16 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
 
 # the kinds that refuse, in each case; where a constant term overflows, d/ds
 # drops it, and where the middle does, the truncation drops it
+# (1e300 constant terms are a degenerate branch, which ends the program, and
+# a nan one the de Sitter branch, where node 2 alone is flipped)
 _REFUSED = {case: kinds | _NOT_FINITE_FROM_S for case, kinds in {
     "signed zeros": set(),
-    "1e300 constant terms": {"mul", "d", "truncate", "tanh"},
-    "1e300 in the middle": {"mul", "div", "sqrt", "d", "truncate", "sin of a sin/cos pair", "tanh"},
+    "1e300 constant terms": {"mul", "d", "truncate", "tanh", "branch sign of a product"},
+    "1e300 in the middle": {"mul", "div", "sqrt", "d", "truncate", "sin of a sin/cos pair", "tanh",
+                            "branch sign of a product"},
     "nan constant term": set(_STEP_KINDS) - {"lift", "s^2 times", "a lift of -0.0 times",
-                                             *_FROM_S},
+                                             "branch sign", "flip by the branch sign",
+                                             "flip to the upper sheet", *_FROM_S},
     "refused": {"div", "sqrt"},
     "a cos overflows": {"sqrt", "sin of a sin/cos pair", "tanh"},
 }.items()}
@@ -656,9 +675,33 @@ _COEFFS = st.floats() | st.sampled_from([0.0, -0.0, 1e-14, 1e154, -1e200, 1e300,
 _OVERFLOW_AT_0 = [1e300, 0.0, 0.0, 0.0], [1e10, 0.0, 0.0, 0.0]  # the product's c_0 alone
 
 
+# (kind, a, b) of the sign steps, each list padded with zeros to any width
+_SIGN_EXAMPLES = [
+    # degenerate: m^2 = ell^2, and after a product that overflows, found there
+    ("branch sign of a product", [1.0, 2.0, 0.0], [1.0, -1.0, 0.5]),
+    ("branch sign of a product", [1.0, 0.0, 0.0, 1.5e308], [1.0, 0.0, 0.0, 1.5e308]),
+    ("flip by the branch sign", [0.0], [-0.0]),  # d2 = 0.0
+    ("branch sign", [-0.0], [0.0]),  # d2 = -0.0
+    ("flip by the branch sign", [math.nan], [1.0, -0.0, 0.0, 2.0]),  # the de Sitter branch
+    ("flip by the branch sign", [1.0], [math.nan]),
+    ("flip to the upper sheet", [1.0], [-0.5, -0.0, 0.0, 3.0]),  # an H2 point whose x1 < 0
+]
+
+
+def _sign_examples(width: int, s: bool):
+    """The `_SIGN_EXAMPLES` as `example`s at `width`, with s = 0.5 if `s`."""
+    def examples(test):
+        for kind, a, b in _SIGN_EXAMPLES:
+            a, b = (c + [0.0] * (width - len(c)) for c in (a, b))
+            test = example(kind, width, *([0.5] if s else []), a, b)(test)
+        return test
+    return examples
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(_NARROW_KINDS)), st.integers(min_value=2, max_value=4), st.floats(),
        st.lists(_COEFFS, min_size=4, max_size=4), st.lists(_COEFFS, min_size=4, max_size=4))
+@_sign_examples(4, s=True)
 # the only coefficient that is not finite is one that a step drops
 @example("truncate", 4, 0.5, [1.0, 0.0, 0.0, 1e300], [1e10, 0.0, 0.0, 0.0])  # c_3
 @example("d", 4, 0.5, *_OVERFLOW_AT_0)
@@ -676,6 +719,24 @@ def test_narrow_generated_steps_are_the_step_loop(kind, width, s, a, b):
     # later step keeps, if not finite, in a value it computes
     steps, outputs = _NARROW_KINDS[kind]
     inputs = [s, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
+    read, function, consts = _inline_steps(steps, outputs, width)
+    out = jets.answer(function, [list(inputs[node]) for node in read], consts)
+    generated = "refused" if out is None else _reprs(out)
+    assert generated == _step_loop_outcome(steps, outputs, inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SIGN_KINDS), st.integers(min_value=5, max_value=23),
+       st.lists(_COEFFS, min_size=23, max_size=23), st.lists(_COEFFS, min_size=23, max_size=23))
+@_sign_examples(17, s=False)
+def test_wide_generated_sign_steps_are_the_step_loop(kind, width, a, b):
+    # as the narrow test, on coefficient lists: the branch sign ends the
+    # program where it is degenerate, answering its 0.0 where every value
+    # before it is finite (mutation: a degenerate end that tests nothing
+    # answers on the product that overflows); a flip keeps each zero's sign
+    # flipped (mutation: p*sign + 0.0, on the upper-sheet example)
+    steps, outputs = _STEP_KINDS[kind]
+    inputs = [0.5, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width)
     out = jets.answer(function, [list(inputs[node]) for node in read], consts)
     generated = "refused" if out is None else _reprs(out)

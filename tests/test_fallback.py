@@ -177,3 +177,59 @@ def test_a_parameter_that_is_no_finite_float_raises_as_with_the_generator_off(
     with _generator_off():
         assert _odd_outcomes(astroid_curve) == on
     assert any(isinstance(o, tuple) and o[0] is TypeError for o in on)
+
+
+def _evolutes(curve) -> list:
+    """The evolute and the caustic of each kind of pair of the curve."""
+    curves = []
+    for pair in (LegendrePair.from_curve(curve), LegendrePair.with_auto_dual(curve)):
+        curves += [cons.evolute(pair), cons.catacaustic(pair, _Q)]
+    return curves
+
+
+def _branch_outcomes(curves, grid) -> list:
+    """What `at_with_branch` and `branch` give on each curve at each s: the
+    value by repr, or the exception's class and message."""
+    out = []
+    for curve in curves:
+        for s in grid:
+            for call in (curve.at_with_branch, curve.branch):
+                try:
+                    out.append(repr(call(s)))
+                except Exception as exc:  # compared, whatever it is
+                    out.append((type(exc), str(exc)))
+    return out
+
+
+def _degenerate_s(pair, lo, hi) -> float:
+    """A parameter where m^2 - ell^2 changes sign, bisected to rounding."""
+    def d2(s):
+        ell, m = pair.curvatures(s)
+        return m * m - ell * ell
+
+    above = d2(lo) > 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (d2(mid) > 0.0) == above else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_evolute_branches_are_those_with_the_generator_off(cusp23_curve, monkeypatch):
+    # the generated functions decide the branch, take the square root and
+    # flip the point to the upper sheet as the formulas do: on both branches,
+    # with and without the flip, and at a degenerate parameter, which raises;
+    # mutation: the upper-sheet flip on the de Sitter branch too
+    monkeypatch.setattr(expr, "_TAPES", {})
+    curves = _evolutes(cusp23_curve)
+    grid = [*expr.linspace(cusp23_curve.domain, 41), _degenerate_s(curves[0].pair, 0.0, 0.5)]
+    on = _branch_outcomes(curves, grid)
+    with _generator_off():
+        assert _branch_outcomes(_evolutes(cusp23_curve), grid) == on
+    # each branch, the flip and the degenerate parameter are met
+    branches = {(curve.branch(s), curve._numerator(
+        *curve.formula_pair.curvatures(s), curve.formula_pair.r(s), curve.formula_pair.v(s)
+    ).x1 < 0.0) for curve in curves for s in grid[:-1]}
+    assert branches == {(cons.Branch.H2, False), (cons.Branch.H2, True), (cons.Branch.DS2, False),
+                        (cons.Branch.DS2, True)}
+    degenerate = (cons.EvoluteDegenerateError, f"evolute degenerate at s={grid[-1]!r}")
+    assert _branch_outcomes(curves[::2], grid[-1:]) == [degenerate] * 4  # the two evolutes

@@ -76,6 +76,21 @@ def test_csv_roundtrip_bit_exact():
     assert text.endswith("\n") and "\r" not in text
 
 
+def test_csv_rows_are_formatted_as_each_value_is():
+    # a row is formatted by one "%" after one finiteness test, the sum's, and
+    # only where the sum is not finite each value's; mutations: a sum test
+    # alone (the two largest floats refuse), no per-value test (nan passes)
+    big = 1.7976931348623157e308
+    values = [-0.0, 5e-324, big, big, 3, True, 0.1]
+    header = [f"c{i}" for i in range(len(values))]
+    expected = ",".join(header) + "\n" + ",".join(map(format_float, values)) + "\n"
+    assert csv_text(header, [values]) == expected
+    assert csv_text(header, [tuple(values)] * 2) == expected + expected.split("\n")[1] + "\n"
+    for odd in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^non-finite number in output$"):
+            csv_text(header, [values[:-1] + [odd]])
+
+
 def test_json_text_deterministic_order():
     doc = {"b": 1, "a": [1.5, {"z": 0.1}], "c": None, "d": True}
     out = json_text(doc)

@@ -378,35 +378,36 @@ def test_a_jet_at_a_non_finite_parameter_raises_what_the_formula_raises():
         assert _outcome(lambda: curve.jet(s, 2)) == (ValueError, "non-finite jet base")
 
 
-def _degenerate_parameter(lo, hi, d2):
-    """A parameter in [lo, hi] where d2(s) changes sign, bisected to rounding."""
-    flo = d2(lo)
+def _degenerate_parameter(lo, hi, sign):
+    """A parameter in [lo, hi] where the branch sign, 1.0 at lo and -1.0 at
+    hi, is 0.0, degenerate, bisected to it."""
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if (d2(mid) > 0.0) == (flo > 0.0):
-            lo, flo = mid, d2(mid)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if sign(mid) == 0.0:
+            return mid
+        lo, hi = (mid, hi) if sign(mid) > 0.0 else (lo, mid)
+    raise AssertionError("no degenerate parameter")
 
 
 def test_the_branch_decision_raises_on_the_generated_values(pairs, monkeypatch):
-    # the sample's decision reads m^2 - ell^2 from the generated function, and the
-    # scan's from the jet's: both raise there as the formula does, and the scan
-    # makes the parameter a gap
+    # the sample's and the scan's generated functions decide the branch from
+    # m^2 - ell^2, and answer the sign 0.0 alone where it is degenerate: both
+    # raise there as the formula does, and the scan makes the parameter a gap
     pair = pairs["cusp23"]
     ev = cons.evolute(pair)
-    crossing = _degenerate_parameter(0.0, 0.5, lambda s: ev._sampled(s)[2])
+    crossing = _degenerate_parameter(0.0, 0.5, lambda s: ev._sampled(s)[0])
+    assert ev._sampled(crossing) == (0.0,)
     error = (EvoluteDegenerateError, f"evolute degenerate at s={crossing!r}")
     assert _outcome(lambda: ev.at_with_branch(crossing)) == error
-    jet_crossing = _degenerate_parameter(0.0, 0.5, lambda s: ev._run_program(s, 2)[1][2][0])
-    assert ev._run_program(jet_crossing, 2) is not None
+    # the jet's d2 may differ from the sample's in its last bits, far inside the
+    # band that is degenerate (nearer the crossing, its divisor is refused)
+    assert ev._run_program(crossing, 2) == (crossing, (0.0,))
     with pytest.raises(EvoluteDegenerateError):
-        ev.jet(jet_crossing, 2, coeffs=True)
-    assert _speeds(ev, [jet_crossing]) == ["None"]
+        ev.jet(crossing, 2, coeffs=True)
+    assert _speeds(ev, [crossing]) == ["None"]
     _formula_only(monkeypatch)
     assert _outcome(lambda: cons.evolute(pair).at_with_branch(crossing)) == error
-    assert _speeds(cons.evolute(pair), [jet_crossing]) == ["None"]
+    assert _speeds(cons.evolute(pair), [crossing]) == ["None"]
 
 
 # -- the cause of a singular point ------------------------------------------------
