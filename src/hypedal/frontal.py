@@ -473,7 +473,10 @@ def _read_lines(tapes, leaves: tuple, top: int, bound: dict):
     `_vanishing_power` on r''s lists to `_jet_degree`(k), w = coefficients
     p to p + k of r', `recording.auto_dual_program`(k)'s function on r and w
     (`_unit_wedge` for the floats), times the sign (+ 0.0 for a jet); r's
-    jets are truncated from the read, its floats come from the float tape."""
+    jets are truncated from the read, its floats come from the float tape.
+    It is written here, not generated by `hypedal.program`, because p
+    depends on the data: which coefficients of r' make w is decided at run
+    time, so the read is not straight-line code."""
     orders = [k for kind, k in leaves if kind == "v"]
     if top > jets.MAX_ORDER or any(k is not None and k < 0 for k in orders):
         return None

@@ -310,8 +310,18 @@ def div_coeffs(a, b) -> list:
     Refused when b vanishes at the base point (`decide.DIVISOR_REFUSED`).
     """
     if decide.refuses_divisor(b[0], max(map(abs, b))):
-        raise JetDomainError("jet division by vanishing germ")
+        raise refused_division()
     return _div_kernel(len(a) - 1)(a, b)
+
+
+# The errors of the two refusals, defined once: the kernels raise them, and
+# generated code returns them where its refusal is final (`hypedal.program`).
+def refused_division() -> JetDomainError:
+    return JetDomainError("jet division by vanishing germ")
+
+
+def refused_sqrt(a0) -> JetDomainError:
+    return JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a0!r}")
 
 
 # Each recurrence below propagates y = fn(u) from the defining ODE of fn;
@@ -321,7 +331,7 @@ def div_coeffs(a, b) -> list:
 def sqrt_coeffs(a) -> list:
     """y = sqrt(a): y_i = (a_i - y_1 y_(i-1) - ... - y_(i-1) y_1) / (2.0 y_0)."""
     if decide.refuses_sqrt(a[0]):
-        raise JetDomainError(f"jet domain error: sqrt requires a positive constant term, got {a[0]!r}")
+        raise refused_sqrt(a[0])
     return _sqrt_kernel(len(a) - 1)(a)
 
 
@@ -355,11 +365,12 @@ def sinh_cosh_coeffs(a) -> tuple:
 
 def compile_lines(name: str, params: str, lines: list, bound: dict | None = None):
     """The function `name(params)` whose body is `lines`; they may call the
-    `math` functions of the expression grammar, `isfinite`, and the functions
-    that `bound` maps their names to."""
+    `math` functions of the expression grammar, `isfinite`, the refusals'
+    errors, and the functions that `bound` maps their names to."""
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace = {fn: getattr(math, fn) for fn in ("sqrt", "sin", "cos", "sinh", "cosh", "tanh",
                                                   "isfinite")}
+    namespace.update(refused_division=refused_division, refused_sqrt=refused_sqrt)
     namespace.update(bound or {})
     exec(compile(source, f"<hypedal {name}>", "exec"), namespace)
     return namespace[name]
@@ -368,12 +379,17 @@ def compile_lines(name: str, params: str, lines: list, bound: dict | None = None
 def answer(function, *args):
     """function(*args), a generated function's answer, or None where it
     refuses: where it returns None or raises one of `DOMAIN_ERRORS`, which
-    the checked path then raises or answers as it does.  Any other exception
-    is a fault of the generated code and propagates."""
+    the checked path then raises or answers as it does.  Where it returns a
+    `JetDomainError`, its final refusal, that is raised, as the checked path
+    would raise it.  Any other exception is a fault of the generated code
+    and propagates."""
     try:
-        return function(*args)
+        out = function(*args)
     except DOMAIN_ERRORS:
         return None
+    if out.__class__ is JetDomainError:
+        raise out
+    return out
 
 
 def _names(prefix: str, n: int) -> list:

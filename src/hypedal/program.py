@@ -33,29 +33,45 @@ an exact zero while every value is finite, so leaving it out keeps each
 sum's bits (each starts at +0.0).  Every other step is emitted whole, as a
 structural zero can be -0.0 after a negation.
 
-A refusal that a kernel would raise (a vanishing divisor, the square root
-of a constant term that is not positive) makes the function return None,
-and so does a value that it computes and that is not finite.  The caller
-then runs the checked path, the step loop or the `Jet` formula, and so
-returns or raises exactly what it always did; it does the same when the
-function raises a domain error, and lets any other exception propagate
-(`jets.answer`).  Only a value that could hold a nan or an infinity
-without it reaching an output is tested: the outputs, what a lift, a
-truncation, d/ds or a coefficient read drops, the halves of a pair, a value
-that no step reads, and the float operands whose nan or infinity can vanish
-from the result, a divisor (x/inf is 0.0), the argument of tanh (tanh(inf)
-is 1.0) and the base of x ** n for n <= 0 (inf ** 0 is 1.0).  Every other
-operand is carried into a value that is tested: + - *, negation, the square
-root, sin, cos, sinh, cosh, abs and a quotient's numerator keep a nan or an
-infinity in their result, and a jet divisor or square root with one is
-refused.  A term that a product leaves out would be inf*0.0 in the step
-loop only where a coefficient within an operand's bound is not finite, and
-that one is carried or tested.  Narrow code tests each coefficient that no
-later step carries, at the end of the part of the function that computes
-it; wide code tests its outputs, what lifts, truncations and d/ds drop,
-both halves of each pair and what only a sign (below) reads, once, at the
-end.  Each test sums the values, and where the sum is not finite, as
-finite values can make it, tests them one by one.
+A value that the function computes and that is not finite makes it
+return None, and so does a plain refusal, one that a kernel would raise (a
+vanishing divisor, the square root of a constant term that is not
+positive).  The caller then runs the checked path, the step loop or the
+`Jet` formula, and so returns or raises exactly what it always did; it
+does the same when the function raises a domain error, and lets any other
+exception propagate (`jets.answer`).  Only a value that could hold a nan
+or an infinity without it reaching an output is tested: the outputs, what
+a lift, a truncation, d/ds or a coefficient read drops, the halves of a
+pair, a value that no step reads, and the float operands whose nan or
+infinity can vanish from the result, a divisor (x/inf is 0.0), the
+argument of tanh (tanh(inf) is 1.0) and the base of x ** n for n <= 0
+(inf ** 0 is 1.0).  Every other operand is carried into a value that is
+tested: + - *, negation, the square root, sin, cos, sinh, cosh, abs and a
+quotient's numerator keep a nan or an infinity in their result, and a jet
+divisor or square root with one is refused.  A term that a product leaves
+out would be inf*0.0 in the step loop only where a coefficient within an
+operand's bound is not finite, and that one is carried or tested.  Narrow
+code tests each coefficient that no later step carries, at the end of the
+part of the function that computes it; wide code tests its outputs, what
+lifts, truncations and d/ds drop, both halves of each pair and what only a
+sign (below) reads, once, at the end.  Each test sums the values, and
+where the sum is not finite, as finite values can make it, tests them one
+by one.
+
+A function that ends early tests that every value computed so far is
+finite: each that no step so far has carried into another (narrow code),
+or each list that no step has read, with what lifts, truncations and d/ds
+dropped and the halves of pairs (wide code).  A refusal by a step of a
+recorded formula, at or above `inline_program`'s `final` node, is final
+where that test holds and the refused operand is finite too: the function
+returns the error the kernel raises (`jets.refused_division`,
+`jets.refused_sqrt`), and its callers raise it.  The formula would raise
+just that, as it computes the same values in the same order, a recording
+listing its steps so, and tests each `Jet` as it makes it.  Where the test
+fails the refusal is plain.  So is every refusal of a tape's step, alone or
+in a fused program, whose tape steps come first and run at the highest
+degree any input reads, where the checked path may read a lower degree and
+pass.
 
 An evolute's recorded formula takes three steps of its own: its branch
 sign, its upper-sheet sign, each a float 1.0 or -1.0 read from constant
@@ -64,11 +80,9 @@ keeps every bit a negation gives.  A sign is finite by construction and
 never tested; it carries no operand, so its operands are tested unless
 another step carries them.  A flip carries its operand.  Where the branch
 sign is degenerate (0.0), the function ends there: it returns (0.0,) where
-every value it computed is finite, testing each that no step so far has
-carried into another (narrow code), or each list that no step has read,
-with what lifts, truncations and d/ds dropped and the halves of pairs
-(wide code), and None where one is not.  A function compiled in parts
-hands its values on as a list, so a part that ends it returns the tuple.
+every value so far is finite, and None where one is not.  A function
+compiled in parts hands its values on as a list, so a part that ends it
+returns what it ends with.
 
 The code is keyed by the program's structure, with its constants as
 arguments, so a program recorded for another pedal point Q, or read from
@@ -163,16 +177,18 @@ _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sin
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
 
 
-def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS):
+def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, final=None):
     """(function, constants) running `program`, or None where it does not
     inline, or where it has more than `max_steps` steps.
 
     `shapes` maps each input node, in the order the function takes their
     values, to 0 (a float) or w (a jet of w coefficients); a jet at node 0
-    is s's, (s, 1.0, 0.0, ...), as in every tape and recording.  function(values of the inputs, constants) returns the
-    values of the `outputs` nodes, or None where the checked path must run.
-    A constant that is not a float (a `recording.Param`) stands for the
-    value given in its place.
+    is s's, (s, 1.0, 0.0, ...), as in every tape and recording.
+    function(values of the inputs, constants) returns the values of the
+    `outputs` nodes, or None where the checked path must run, or the error
+    of a final refusal by a step of node `final` or above (None: no step's
+    refusal is final; see the module docstring).  A constant that is not a
+    float (a `recording.Param`) stands for the value given in its place.
     """
     if len(program) > max_steps:
         return None
@@ -189,7 +205,7 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS):
             y = slot
         structure.append((node, fn, x, y))
     function = _inline_function(tuple(shapes.items()), tuple(structure), tuple(outputs),
-                                len(consts))
+                                len(consts), final)
     return None if function is None else (function, tuple(consts))
 
 
@@ -227,6 +243,8 @@ def fused_program(tapes, program, reads: dict, outputs, degree: int):
     made wherever `program` and each tape program it reads inline alone, and
     where its jets are wider than `INLINE_WIDTH` coefficients, only if it
     reads no floats: a program of coefficient lists takes no float step.
+    The tape steps come first, and only the recorded steps' refusals may be
+    final (see the module docstring).
     """
     floats = any(k is None for _, k, _ in reads.values())
     if len(program) > _INLINE_STEPS or floats and degree >= INLINE_WIDTH:
@@ -254,10 +272,13 @@ def fused_program(tapes, program, reads: dict, outputs, degree: int):
         t = int(k is not None)
         value = node(t, tapes[t].outputs[group][i])
         given[n] = value if k is None or k == degree else fused._node(_k_trunc, value, k)
+    recorded = len(fused.steps)  # the first node of a recorded step
     for n, fn, x, y in program:
         given[n] = fused._node(fn, given[x], given[y] if fn in _TWO_OPERANDS else y)
     outputs = [given[n] for n in outputs]
-    return inline_program(fused._program(outputs), {0: 0}, outputs, max_steps=math.inf)
+    # the tape steps first, then the recorded ones in their order
+    return inline_program(tuple(sorted(fused._program(outputs))), {0: 0}, outputs,
+                          max_steps=math.inf, final=recorded)
 
 
 def _degree(fn, n, da, db, y):
@@ -282,14 +303,14 @@ def _degree(fn, n, da, db, y):
 
 
 @lru_cache(maxsize=256)
-def _inline_function(inputs, program, outputs, n_consts):
+def _inline_function(inputs, program, outputs, n_consts, final):
     """The generated function of a program's structure (see `inline_program`);
     no step but s's jet (`_k_var`) widens a value, so its inputs and that
     step decide whether it is a wide one."""
     widths = [shape for _, shape in inputs]
     widths += [y + 1 for _, fn, _, y in program if fn is _k_var]
     if max(widths, default=0) > INLINE_WIDTH:
-        return _list_function(inputs, program, outputs, n_consts)
+        return _list_function(inputs, program, outputs, n_consts, final)
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
     degrees = {}  # jet or pair node -> the bound on its degree
     unpack = []
@@ -314,6 +335,18 @@ def _inline_function(inputs, program, outputs, n_consts):
         body[-1][1].extend(out if bound is None else out[:bound + 1])
         return out
 
+    def finite_so_far(*operands):
+        """The test that each value the steps before this one computed, and
+        each of the `operands`' names, is finite: each name that no step so
+        far has carried into another value."""
+        each = [name for _, assigned in body[:-1] for name in assigned if name not in carried]
+        each = dict.fromkeys(each + [name for name in operands if name[0] == "x"])
+        return each and f"all(map(isfinite, ({_listed(each)})))"
+
+    def refusal(node, error, operand):
+        """What the function returns where step node refuses `operand`."""
+        return "None" if final is None or node < final else _ended(error, finite_so_far(*operand))
+
     for node, fn, x, y in program:
         a = names[x]
         body.append(([], []))
@@ -321,9 +354,7 @@ def _inline_function(inputs, program, outputs, n_consts):
         if fn is _f_branch or fn is _f_sheet:  # +-1.0, so never tested
             out = names[node] = f"x{node}"
             p, q = (c if isinstance(c, str) else c[0] for c in (a, names[y]))
-            # what no step so far has carried into another value
-            each = [name for _, assigned in body for name in assigned if name not in carried]
-            lines += _sign_lines(fn, out, p, q, each and f"all(map(isfinite, ({_listed(each)})))")
+            lines += _sign_lines(fn, out, p, q, finite_so_far())
             continue
         if fn is _k_flip:  # by a sign, +-1.0
             d = degrees[node] = degrees[x]
@@ -389,14 +420,15 @@ def _inline_function(inputs, program, outputs, n_consts):
             elif fn is _k_d:
                 lines += [f"{o} = {i + 1}*{a[i + 1]}" for i, o in enumerate(out)]
             elif fn is _k_sqrt:
-                lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: return None")
+                lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: "
+                             f"return {refusal(node, f'refused_sqrt({a[0]})', a)}")
                 lines += jets.sqrt_lines(out, a, f"x{node}_two")
             else:  # _k_div, _k_tanh
                 if tuple(b) not in divisors:  # tested once
                     divisors.add(tuple(b))
                     scale = f"max({', '.join(f'abs({c})' for c in b)})" if b[1:] else f"abs({b[0]})"
                     refused = decide.DIVISOR_REFUSED.format(b0=b[0], scale=scale)
-                    lines.append(f"if {refused}: return None")
+                    lines.append(f"if {refused}: return {refusal(node, 'refused_division()', b)}")
                 lines += jets.div_lines(out, a, b)
             # d/ds keeps all but a_0; the others keep every coefficient, and a
             # divisor that is not finite is refused
@@ -414,7 +446,7 @@ def _inline_function(inputs, program, outputs, n_consts):
     return _chained(prologue, body, f"({_listed(map(value, outputs))})")
 
 
-def _list_function(inputs, program, outputs, n_consts):
+def _list_function(inputs, program, outputs, n_consts, final):
     """The generated function of a program of jets wider than `INLINE_WIDTH`,
     each value a whole coefficient list (see the module docstring), or None
     where a step is not one on jets.
@@ -445,6 +477,17 @@ def _list_function(inputs, program, outputs, n_consts):
         bound[name] = make(*key)
         return name
 
+    def finite_so_far(*operands):
+        """The test that each value the steps before this one computed, and
+        the `operands` (sources), is finite: as at the end, on what no step
+        has read yet."""
+        each = dict.fromkeys([*(names[n] for n in unread), *(v for _, v in tested), *operands])
+        return each and _each_finite(list(each))
+
+    def refusal(node, error, operand):
+        """What the function returns where step node refuses `operand`."""
+        return "None" if final is None or node < final else _ended(error, finite_so_far(operand))
+
     for node, fn, x, y in program:
         a = names[x]
         out = names[node] = f"x{node}"
@@ -452,24 +495,19 @@ def _list_function(inputs, program, outputs, n_consts):
         if fn is _f_branch or fn is _f_sheet:
             signs.add(node)
             p, q = (c if n in signs else f"{c}[0]" for n, c in ((x, a), (y, names[y])))
-            each = [*(names[n] for n in unread), *(v for _, v in tested)]  # as at the end
-            body.append((_sign_lines(fn, out, p, q, each and _each_finite(each)), []))
+            body.append((_sign_lines(fn, out, p, q, finite_so_far()), []))
             continue
-        unread.pop(x, None)
-        if fn in _TWO_OPERANDS:
-            unread.pop(y, None)
         n = widths[x]
         da = degrees[x]
         widths[node] = n
         if fn is _k_flip:  # by a sign, +-1.0
+            unread.pop(x, None)
             degrees[node] = da
             unread[node] = None
             body.append(([f"{out} = [p * {names[y]} for p in {a}]"], []))
             continue
         db = degrees[y] if fn in _TWO_OPERANDS else None
         degrees[node] = _degree(fn, n - 1, da, db, y)
-        if fn is not _k_pair:  # whose halves are tested
-            unread[node] = None
         if fn is _k_var:
             value = f"[{a}, 1.0] + [0.0] * {y - 1}"
             widths[node] = y + 1
@@ -500,17 +538,24 @@ def _list_function(inputs, program, outputs, n_consts):
             value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
             tested += [(f"sum({out}[{j}], 0.0)", f"{out}[{j}]") for j in (0, 1)]
         elif fn is _k_sqrt:
-            lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: return None")
+            lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: "
+                         f"return {refusal(node, f'refused_sqrt({a}[0])', a)}")
             value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
         elif fn is _k_div or fn is _k_tanh:
             a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
             if b not in divisors:
                 divisors.add(b)
                 refused = decide.DIVISOR_REFUSED.format(b0=f"{b}[0]", scale=f"max(map(abs, {b}))")
-                lines.append(f"if {refused}: return None")
+                lines.append(f"if {refused}: return {refusal(node, 'refused_division()', b)}")
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
         else:  # a float step
             return None
+        # what this step reads is carried, or tested as it drops
+        unread.pop(x, None)
+        if fn in _TWO_OPERANDS:
+            unread.pop(y, None)
+        if fn is not _k_pair:  # whose halves are tested
+            unread[node] = None
         lines.append(f"{out} = {value}")
         body.append((lines, []))
     # the outputs, and what only signs read
@@ -534,16 +579,20 @@ def _each_finite(lists: list) -> str:
     return f"all(isfinite(c) for v in ({_listed(lists)}) for c in v)"
 
 
+def _ended(value: str, finite: str) -> str:
+    """What a function that ends early returns: `value` if the test `finite`
+    (if any) of the values before holds, and None if not."""
+    return f"{value} if {finite} else None" if finite else value
+
+
 def _sign_lines(fn, out: str, p: str, q: str, finite: str) -> list:
     """The lines of a sign step, `_f_branch` or `_f_sheet`, on the sources p and
     q of what it reads; where the branch sign is 0.0, degenerate, the function
-    returns (0.0,) if the test `finite` (if any) of the values before holds,
-    and None if not."""
+    ends with (0.0,) (`_ended`)."""
     if fn is _f_sheet:
         return [f"{out} = -1.0 if {p} > 0.0 and {q} < 0.0 else 1.0"]
-    ended = f"(0.0,) if {finite} else None" if finite else "(0.0,)"
     return [f"{out} = {p} - {q}",
-            f"if {decide.DEGENERATE.format(d2=out, mm=p, ll=q)}: return {ended}",
+            f"if {decide.DEGENERATE.format(d2=out, mm=p, ll=q)}: return {_ended('(0.0,)', finite)}",
             f"{out} = 1.0 if {out} > 0.0 else -1.0"]
 
 
@@ -604,7 +653,7 @@ def _chained(prologue: list, body: list, result: str, bound: dict | None = None)
     def run(i, k):
         v = first(i, k)
         for part in rest:
-            if v.__class__ is not list:  # None, or the answer of a program its branch sign ended
+            if v.__class__ is not list:  # None, or what a program that ended early answers
                 return v
             v = part(v)
         return v

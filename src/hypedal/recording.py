@@ -22,7 +22,7 @@ from .expr import (
     _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps,
 )
 from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal, auto_dual_read
-from .jets import Jet, answer, require_finite
+from .jets import Jet, JetDomainError, answer, require_finite
 from .minkowski import MVec3, wedge
 from .program import (
     _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, fused_program, inline_program,
@@ -213,6 +213,12 @@ class Recording(_Steps):
         self.params += 3
         return MVec3(*(Param(self.params - 3 + i) for i in range(3)))
 
+    def _program(self, roots):
+        """The steps of roots and what they depend on, in the order the
+        formula computed them, so that a refusal that the function answers
+        as final is the first error the formula meets (`hypedal.program`)."""
+        return tuple(sorted(super()._program(roots)))
+
 
 def _steps(formula):
     """(recording, output nodes) of formula(recording), a `Jet` formula run on
@@ -271,11 +277,11 @@ def record(formula):
 # so that r is read once per grid point; where that gives no answer, each
 # runs as above.  Every program runs as `_run`: a read of s, then the
 # function, under one guard that refuses as `jets.answer` does; where either
-# refuses, the formula runs.  An evolute's formulas return its branch sign
-# with its point, both computed by steps of the program (`Node.branch_sign`),
-# which ends, answering the sign 0.0 alone, where the branch is degenerate.
-# Other pairs (reparametrized, built by hand) get no program and run their
-# formulas.
+# refuses plainly, the formula runs, and a final refusal raises its error.
+# An evolute's formulas return its branch sign with its point, both computed
+# by steps of the program (`Node.branch_sign`), which ends, answering the
+# sign 0.0 alone, where the branch is degenerate.  Other pairs
+# (reparametrized, built by hand) get no program and run their formulas.
 
 
 def derived_program(formula, pair, Q, order: int | None, fused_only: bool = False):
@@ -386,12 +392,15 @@ def _run(read, sign_at, function, consts, jet: bool, s):
     a function fused with a curve's tapes on `_fused_read`, or an auto-dual
     pair's formula on the values of `auto_dual_read`.  None where the read
     or the function gives no answer, as `jets.answer` refuses, and the
-    formula then runs on the curve's reads or on `AutoDual`'s evaluators."""
+    formula then runs on the curve's reads or on `AutoDual`'s evaluators;
+    raises the error of a final refusal, which the formula would raise."""
     try:
         given = read(s, sign_at)
         out = None if given is None else function(given, consts)
     except jets.DOMAIN_ERRORS:
         return None
+    if out.__class__ is JetDomainError:
+        raise out
     return (float(s), out) if jet and out is not None else out
 
 
@@ -403,7 +412,8 @@ def sampled_jet_program(sample, jet):
     values of its own leaves (`_each`), so r's jet tape is read once at s.
     None where they are not two such programs, which a fused program's read
     is not, or there is no read; program(s) is None where the read or
-    either function gives no answer, and the two then run apart."""
+    either function gives no answer or a final refusal, and the two then
+    run apart."""
     if not (all(isinstance(p, partial) and p.args[0] is not _fused_read and p.leaves
                 for p in (sample, jet)) and sample.top == jet.top):
         return None
@@ -422,9 +432,10 @@ def sampled_jet_program(sample, jet):
 
 def _each(given, parts):
     """The values of each (function, constants, getter of its leaves' values)
-    of `parts` on one read, `given`; None where one gives no answer."""
+    of `parts` on one read, `given`; None where one gives no answer or a
+    final refusal, whose error its own program raises when they run apart."""
     out = [function(at(given), consts) for function, consts, at in parts]
-    return None if None in out else out
+    return None if any(v is None or v.__class__ is JetDomainError for v in out) else out
 
 
 @lru_cache(maxsize=64)
@@ -442,7 +453,8 @@ def _record_on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
     recording, nodes = recorded
     inputs = sorted(zip(recording.keys, recording.shapes.items()),
                     key=lambda given: _leaf_order(given[0]))
-    inline = inline_program(recording._program(nodes), dict(shape for _, shape in inputs), nodes)
+    inline = inline_program(recording._program(nodes), dict(shape for _, shape in inputs), nodes,
+                            final=0)
     return None if inline is None else (*inline, [key for key, _ in inputs])
 
 
@@ -483,11 +495,16 @@ def pedal_germs(pair, Q, s0, order: int):
     answer, and for other pairs, whose jets at `order` need not be those at
     order + 1 truncated (`AutoDual` factors r' by its vanishing power, read
     at a depth that grows with the order).  r and v are read once, at
-    order + 1."""
+    order + 1.  The error of a final refusal is returned, not raised: only
+    P divides, so the formulas raise it after `classify_pedal`'s
+    `location_case`."""
     if pair._curve is None:
         return None
     program = derived_program(_germs, pair, Q, order)
-    out = None if program is None else program(s0)
+    try:
+        out = None if program is None else program(s0)
+    except JetDomainError as refusal:  # the only domain error that `_run` raises
+        return refusal
     if out is None:
         return None
     base, (ell, m, *P) = out

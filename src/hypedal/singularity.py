@@ -16,8 +16,11 @@ Every prediction is cross-checked by an independent measurement that never
 looks at the curvature functions: the minimum vanishing order of the
 ambient components gives the first exponent a, and the vanishing order d
 of the triple product det(P, P', P'') (the intrinsic area pairing on the
-hyperboloid) gives the second through b = d - a + 3.  Both quantities are
-diffeomorphism invariants of germs equivalent to (t^a, t^b).
+hyperboloid) gives the second through b = d - a + 3.  That reading of b is
+right for a germ already of the form (t^a, t^b), but d is not a
+diffeomorphism invariant of every germ: for (t^a, alpha t^(2a) + t^c) with
+c > 2a, d = 3a - 3 whatever c is, so b reads 2a, while the target
+diffeomorphism y -> y - alpha x^2 takes the germ to (t^a, t^c).
 """
 
 from __future__ import annotations
@@ -182,6 +185,12 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
     from .recording import pedal_germs
 
     germs = pedal_germs(pair, Q, s0, order)
+    if germs.__class__ is jets.JetDomainError:
+        # P's divisor refused as final: the formulas raise it after the germ
+        # decisions, which compare with tol first, and `location_case`
+        jets.vanishing_order((0.0,), tol)
+        location_case(pair, Q, s0, tol)
+        raise germs
     if germs is None:
         ell_jet, m_jet = pair.curvature_jets(s0, order)
     else:

@@ -415,6 +415,15 @@ def _outcome(fn):
     return [[repr(comp.base)] + [repr(c) for c in comp.coeffs] for comp in point.components()]
 
 
+def _answers(call) -> bool:
+    """Whether a generated call gives an answer or a final refusal, which it
+    raises, rather than no answer."""
+    try:
+        return call() is not None
+    except jets.JetDomainError:
+        return True
+
+
 @pytest.fixture(scope="module")
 def auto_pairs(astroid_curve, cusp23_curve):
     return {"astroid": LegendrePair.with_auto_dual(astroid_curve),
@@ -448,8 +457,8 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
             for order in (0, 1, 2, 3, 4, 9):
                 assert (_outcome(lambda: curve.jet(s0, order))
                         == _outcome(lambda: formula.jet(s0, order))), (kind, s0, order)
-                generated.append(curve._program_coeffs(s0, order, curve._run_program(s0, order))
-                                 is not None)
+                generated.append(_answers(lambda: curve._program_coeffs(
+                    s0, order, curve._run_program(s0, order))))
     # the r, v and mu jets of the induced pairs, built without the off-curve
     # check so that Q on the curve is covered too
     for cls in (cons.PedalInducedPair, cons.OrthotomicInducedPair):
@@ -461,7 +470,7 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
                             == _outcome(lambda: induced._formulas[which](s0, order))), \
                         (cls.__name__, which, s0, order)
                     program = induced._programs[which, order]
-                    generated.append(program is not None and program(s0) is not None)
+                    generated.append(program is not None and _answers(lambda: program(s0)))
     assert sum(generated) >= 0.8 * len(generated)
 
 
@@ -502,8 +511,9 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
     generated, caustic = samples()
     induced = caustic.formula_pair
     assert read_of(caustic._programs[None]) == ("auto-dual" if "auto" in which else "fused")
-    # the induced pair's jet functions run only where the sample gives no answer
-    assert (induced._programs == {}) == (where != "on the curve")
+    # the induced pair's jet functions never run: where the sample refuses,
+    # on the curve, its refusal is final
+    assert induced._programs == {}
     monkeypatch.setattr(recording, "derived_program", lambda *args: None)
     assert generated == samples()[0]
     refused = (jets.JetDomainError, "jet domain error: sqrt requires a positive constant term")
@@ -523,8 +533,9 @@ def _rows_pair(r, v):
 @pytest.mark.parametrize("case", ["vanishing divisor", "sqrt of a negative", "overflow"])
 def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
     # where the function fused with the curve's tapes returns None, the `Jet`
-    # formula runs on the curve's reads and raises what it raises; mutation:
-    # not testing the finiteness of every value
+    # formula runs on the curve's reads and raises what it raises; where it
+    # refuses with every value before finite, it raises that error itself;
+    # mutation: not testing the finiteness of every value
     monkeypatch.setattr(expr, "_TAPES", {})  # the fused programs of fresh tapes
     Q = MVec3(1.0, 0.0, 0.0)
     if case == "vanishing divisor":
@@ -548,7 +559,12 @@ def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
         error = (ValueError, "non-finite jet coefficient")
     program = recording.derived_program(curve._formula, *curve._formula_args(), order)
     assert read_of(program) == "fused"
-    assert curve._program_coeffs(0.5, order, curve._run_program(0.5, order)) is None
+    if case == "overflow":
+        assert curve._program_coeffs(0.5, order, curve._run_program(0.5, order)) is None
+    else:  # a final refusal
+        with pytest.raises(error[0]) as refused:
+            curve._run_program(0.5, order)
+        assert str(refused.value) == error[1]
     assert (_outcome(lambda: curve.jet(0.5, order))
             == _outcome(lambda: _formula_only(curve).jet(0.5, order)) == error)
 

@@ -581,12 +581,15 @@ def _step_inputs(width: int, case: str):
     return s, a, b
 
 
-def _inline_steps(steps, outputs, width: int):
+def _inline_steps(steps, outputs, width: int, final: int = 0):
     """(the input nodes read, function, constants) of `program.inline_program`
-    for a step kind whose inputs, s and nodes 1 and 2, are jets of `width`."""
+    for a step kind whose inputs, s and nodes 1 and 2, are jets of `width`;
+    the steps from node `final` on are a recorded formula's, whose refusals
+    may be final, and those before it a fused program's tape steps."""
     read = sorted({node for _, fn, x, y in steps
                    for node in ((x, y) if fn in expr._TWO_OPERANDS else (x,)) if node < 3})
-    return (read, *program.inline_program(steps, dict.fromkeys(read, width), outputs))
+    return (read, *program.inline_program(steps, dict.fromkeys(read, width), outputs,
+                                          final=final))
 
 
 def _reprs(values):
@@ -594,10 +597,24 @@ def _reprs(values):
     return [[repr(c) for c in v] if isinstance(v, list) else repr(v) for v in values]
 
 
-def _step_loop_outcome(steps, outputs, inputs):
+def _generated_outcome(function, inputs, consts):
+    """What a generated function gives through `jets.answer`: its outputs by
+    repr, "refused" where it gives no answer, or the class and message of
+    the error of its final refusal, which `jets.answer` raises."""
+    try:
+        out = jets.answer(function, inputs, consts)
+    except jets.JetDomainError as exc:
+        return type(exc), str(exc)
+    return "refused" if out is None else _reprs(out)
+
+
+def _step_loop_outcome(steps, outputs, inputs, final: int = 0):
     """The outputs of the step loop by repr, or "refused" where a step raises or
     a value is not finite, as the `Jet` formula checks each (a pair, both halves);
-    a branch sign of 0.0, degenerate, ends the program, whose output it is."""
+    a branch sign of 0.0, degenerate, ends the program, whose output it is.  A
+    refused divisor or square root of a step from node `final` on, where the
+    refused operand is finite too, is the class and message of its error,
+    which the formula raises, every value before it being finite."""
     values = dict(enumerate(inputs))
     try:
         for node, fn, x, y in steps:
@@ -606,6 +623,10 @@ def _step_loop_outcome(steps, outputs, inputs):
                 return "refused"
             if fn is program._f_branch and values[node] == 0.0:
                 return _reprs([0.0])
+    except jets.JetDomainError as exc:  # a refusal: the divisor, a tanh's cosh, a square root's
+        operand = (values[y] if fn is expr._k_div else values[x][1] if fn is expr._k_tanh
+                   else values[x])
+        return (type(exc), str(exc)) if node >= final and _finite(operand) else "refused"
     except jets.DOMAIN_ERRORS:
         return "refused"
     return _reprs(values[node] for node in outputs)
@@ -636,14 +657,11 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
         products = sum(fn is expr._k_mul for _, fn, _, _ in steps)
         calls_mul = "mul" in function.__code__.co_names
         assert calls_mul == (products > 0 and kind not in _FROM_S), kind
-        try:
-            out = function([list(inputs[node]) for node in read], consts)
-        except Exception:  # the callers run the checked path
-            out = None
-        generated = "refused" if out is None else _reprs(out)
+        generated = _generated_outcome(function, [list(inputs[node]) for node in read], consts)
         expected = _step_loop_outcome(steps, outputs, inputs)
         assert generated == expected, (kind, case)
-        assert (expected == "refused") == (kind in _REFUSED[case]), (kind, case)
+        # no answer: "refused", or a final refusal's error
+        assert (not isinstance(expected, list)) == (kind in _REFUSED[case]), (kind, case)
 
 
 # the kinds that refuse, in each case; where a constant term overflows, d/ds
@@ -663,14 +681,24 @@ _REFUSED = {case: kinds | _NOT_FINITE_FROM_S for case, kinds in {
 }.items()}
 
 
-# the step kinds, and two whose first step's value only a lift or a
-# coefficient read takes
+# the refusals: a divisor after a product, which can overflow, and a tape
+# step's divisor in a fused program (the steps below node 4, `_FINAL`), whose
+# quotient the recorded formula reads truncated to degree 1
+_REFUSAL_KINDS = {
+    "a divisor after a product": ([(3, expr._k_mul, 1, 1), (4, expr._k_div, 2, 2)], (3, 4)),
+    "a tape step's divisor, truncated": ([(3, expr._k_div, 1, 2), (4, _k_trunc, 3, 1)], (4,)),
+}
+_FINAL = {"a tape step's divisor, truncated": 4}  # else 0: every step is a recorded one
+# the step kinds, two whose first step's value only a lift or a coefficient
+# read takes, and the refusals
 _NARROW_KINDS = {
     **_STEP_KINDS,
     "a lift of a product": ([(3, expr._k_mul, 1, 2), (4, expr._k_lift, 3, 0.5),
                              (5, expr._k_add, 4, 2)], (5,)),
     "coefficient 1 of a product": ([(3, expr._k_mul, 1, 2), (4, program._k_coeff, 3, 1)], (4,)),
+    **_REFUSAL_KINDS,
 }
+_REFUSING = sorted(["div", "sqrt", "tanh", *_REFUSAL_KINDS])
 _COEFFS = st.floats() | st.sampled_from([0.0, -0.0, 1e-14, 1e154, -1e200, 1e300, 1.5e308])
 _OVERFLOW_AT_0 = [1e300, 0.0, 0.0, 0.0], [1e10, 0.0, 0.0, 0.0]  # the product's c_0 alone
 
@@ -688,10 +716,21 @@ _SIGN_EXAMPLES = [
 ]
 
 
-def _sign_examples(width: int, s: bool):
-    """The `_SIGN_EXAMPLES` as `example`s at `width`, with s = 0.5 if `s`."""
+# (kind, a, b) of refusals, each list padded with zeros to any width of 4 or more
+_REFUSAL_EXAMPLES = [
+    ("div", [1.0, 0.5], [1.0, 0.0, 0.0, 1e14]),  # 1 + 1e14 s^3 (_REFUSED_AT_3): final
+    ("sqrt", [-0.0, 1.0], [0.0]),  # final, its message naming -0.0
+    ("a divisor after a product", [1e200], [1e-14, 1.0]),  # after an overflow: plain
+    ("div", [1.0], [math.nan, 1.0]),  # a nan divisor: plain
+    # refused at degree 3, where the tape steps run, not at 1, where the formula reads
+    ("a tape step's divisor, truncated", [1.0, 0.5], [1.0, 0.0, 0.0, 1e14]),
+]
+
+
+def _examples(cases, width: int, s: bool):
+    """The (kind, a, b) `cases` as `example`s at `width`, with s = 0.5 if `s`."""
     def examples(test):
-        for kind, a, b in _SIGN_EXAMPLES:
+        for kind, a, b in cases:
             a, b = (c + [0.0] * (width - len(c)) for c in (a, b))
             test = example(kind, width, *([0.5] if s else []), a, b)(test)
         return test
@@ -701,7 +740,8 @@ def _sign_examples(width: int, s: bool):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(_NARROW_KINDS)), st.integers(min_value=2, max_value=4), st.floats(),
        st.lists(_COEFFS, min_size=4, max_size=4), st.lists(_COEFFS, min_size=4, max_size=4))
-@_sign_examples(4, s=True)
+@_examples(_SIGN_EXAMPLES, 4, s=True)
+@_examples(_REFUSAL_EXAMPLES, 4, s=True)
 # the only coefficient that is not finite is one that a step drops
 @example("truncate", 4, 0.5, [1.0, 0.0, 0.0, 1e300], [1e10, 0.0, 0.0, 0.0])  # c_3
 @example("d", 4, 0.5, *_OVERFLOW_AT_0)
@@ -716,19 +756,21 @@ def test_narrow_generated_steps_are_the_step_loop(kind, width, s, a, b):
     # answers iff every value the step loop computes is finite, and then with
     # the loop's bits, whatever the coefficients of the given lists; s's jet
     # is (s, 1.0, 0.0, ...), as its callers give it.  It tests only what no
-    # later step keeps, if not finite, in a value it computes
+    # later step keeps, if not finite, in a value it computes.  A recorded
+    # step's refusal is final, the error the step loop raises, iff every
+    # value before it and the refused operand are finite
     steps, outputs = _NARROW_KINDS[kind]
+    final = _FINAL.get(kind, 0)
     inputs = [s, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
-    read, function, consts = _inline_steps(steps, outputs, width)
-    out = jets.answer(function, [list(inputs[node]) for node in read], consts)
-    generated = "refused" if out is None else _reprs(out)
-    assert generated == _step_loop_outcome(steps, outputs, inputs)
+    read, function, consts = _inline_steps(steps, outputs, width, final)
+    assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
+            == _step_loop_outcome(steps, outputs, inputs, final))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_SIGN_KINDS), st.integers(min_value=5, max_value=23),
        st.lists(_COEFFS, min_size=23, max_size=23), st.lists(_COEFFS, min_size=23, max_size=23))
-@_sign_examples(17, s=False)
+@_examples(_SIGN_EXAMPLES, 17, s=False)
 def test_wide_generated_sign_steps_are_the_step_loop(kind, width, a, b):
     # as the narrow test, on coefficient lists: the branch sign ends the
     # program where it is degenerate, answering its 0.0 where every value
@@ -738,9 +780,27 @@ def test_wide_generated_sign_steps_are_the_step_loop(kind, width, a, b):
     steps, outputs = _STEP_KINDS[kind]
     inputs = [0.5, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width)
-    out = jets.answer(function, [list(inputs[node]) for node in read], consts)
-    generated = "refused" if out is None else _reprs(out)
-    assert generated == _step_loop_outcome(steps, outputs, inputs)
+    assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
+            == _step_loop_outcome(steps, outputs, inputs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_REFUSING), st.integers(min_value=5, max_value=23),
+       st.lists(_COEFFS, min_size=23, max_size=23), st.lists(_COEFFS, min_size=23, max_size=23))
+@_examples(_REFUSAL_EXAMPLES, 17, s=False)
+def test_wide_generated_refusals_are_the_step_loop(kind, width, a, b):
+    # as the narrow test, on coefficient lists: a recorded step's refusal is
+    # final, the error the step loop raises, iff every value before it and
+    # the refused operand are finite, and plain, no answer, where one is not
+    # or the step is a fused program's tape step.  Mutations: a final refusal
+    # without the finiteness test (a divisor after an overflow), or for a
+    # tape step
+    steps, outputs = _NARROW_KINDS[kind]
+    final = _FINAL.get(kind, 0)
+    inputs = [0.5, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
+    read, function, consts = _inline_steps(steps, outputs, width, final)
+    assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
+            == _step_loop_outcome(steps, outputs, inputs, final))
 
 
 @pytest.mark.parametrize("floats", [False, True])

@@ -77,6 +77,15 @@ def test_answer_refuses_domain_errors_only():
     for exc in (IndexError, NameError, TypeError, KeyError, AttributeError):
         with pytest.raises(exc):
             jets.answer(raising, exc())
+    # a final refusal, which a generated function returns, is not no answer:
+    # `jets.answer` raises it, the error that the kernel raises
+    for refusal, kernel in ((jets.refused_division, lambda: jets.div_coeffs([1.0], [0.0])),
+                            (lambda: jets.refused_sqrt(-0.0), lambda: jets.sqrt_coeffs([-0.0]))):
+        with pytest.raises(jets.JetDomainError) as checked:
+            kernel()
+        with pytest.raises(jets.JetDomainError) as answered:
+            jets.answer(refusal)
+        assert str(answered.value) == str(checked.value)
 
 
 @contextlib.contextmanager
@@ -233,3 +242,48 @@ def test_evolute_branches_are_those_with_the_generator_off(cusp23_curve, monkeyp
                         (cons.Branch.DS2, True)}
     degenerate = (cons.EvoluteDegenerateError, f"evolute degenerate at s={grid[-1]!r}")
     assert _branch_outcomes(curves[::2], grid[-1:]) == [degenerate] * 4  # the two evolutes
+
+
+def _lightlike_outcomes(curve, s) -> list:
+    """What the order-2 jet at s, alone and with the sample (which an
+    auto-dual pair reads in one generated call), of the evolute and the
+    caustic of each kind of pair gives: the value by repr, or the
+    exception's class and message."""
+    out = []
+    for derived in _evolutes(curve):
+        for sample in (False, True):
+            try:
+                out.append(repr(derived.jet(s, 2, sample=sample)))
+            except Exception as exc:  # compared, whatever it is
+                out.append((type(exc), str(exc)))
+    return out
+
+
+def test_a_refusal_with_finite_values_raises_without_the_formula(cusp23_curve, monkeypatch):
+    # near a lightlike point the evolute's divisor sqrt(+-(m^2 - ell^2)) is
+    # refused with every value before it finite: the generated function's
+    # refusal is final, so the `Jet` formula, which would raise just that, does
+    # not run; with the generator off it raises the same; mutation: a final
+    # refusal emitted without the test that every value so far is finite
+    s = 0.45888662338256836
+    calls = []
+    formula_jet, div_coeffs = cons.EvoluteCurve._formula_jet, jets.div_coeffs
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(expr, "_TAPES", {})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cons.EvoluteCurve, "_formula_jet", counted("_formula_jet", formula_jet))
+        for module in (jets, expr):  # `Jet` division, and the tape's step loop
+            patch.setattr(module, "div_coeffs", counted("div_coeffs", div_coeffs))
+        on = _lightlike_outcomes(cusp23_curve, s)
+    assert calls == []
+    refused = (jets.JetDomainError, "jet division by vanishing germ")
+    # the evolutes, each call; the caustics, from _Q, answer
+    assert [on[i] for i in (0, 1, 4, 5)] == [refused] * 4
+    with _generator_off():
+        assert _lightlike_outcomes(cusp23_curve, s) == on

@@ -15,9 +15,10 @@ import traceback
 
 import pytest
 from hypothesis import settings, strategies as st
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import CURVES, read_of
+from test_expr import _exprs
 from test_frontal import _R, _S
 from hypedal import cli
 from hypedal import constructions as cons
@@ -645,6 +646,51 @@ def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
         patch.setattr(recording, "derived_program", lambda *args: None)
         expected, none = outcomes()
     assert runs == {None if read is None else "auto-dual"} and none == {None}
+    assert generated == expected
+
+
+# random trees for each component of r and of v, whether or not they make a frontal
+_TREES = st.tuples(*[_exprs(jet_ops=True)] * 3)
+
+
+def _rows(*texts):
+    return tuple(expr.parse(text) for text in texts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES, _TREES, _S, _Q)
+# the pedal's divisor sqrt(1 + <Q, v>^2) = 1 + 5e27 (s - 0.5)^2 + ..., refused
+# at order 2 with every value finite: a final refusal
+@example(_rows("1", "0", "0"), _rows("1e14*(s - 0.5)", "1", "0"), 0.5, MVec3(1.0, 0.0, 0.0))
+# the evolute's divisor sqrt(m^2 - ell^2) near a lightlike point, refused at
+# order 2 while the sample answers
+@example(load_curve(CURVES / "cusp23.json").components,
+         load_curve(CURVES / "cusp23.json").dual_components, 0.45888662338256836,
+         MVec3(1.0, 0.0, 0.0))
+def test_from_curve_programs_on_random_curves_are_the_formulas(r, v, s, Q):
+    # on random r and v, the pedal, orthotomic and evolute jets of orders 1-3
+    # and their samples, each fused with the curve's tapes, must be the bits
+    # of the formulas on the curve's reads, or raise what they raise, a final
+    # refusal included, whose error the formula would raise.  Mutations: a
+    # final refusal for a tape step, or one whose message is not the kernel's
+    def outcomes():
+        pair = LegendrePair.from_curve(ParametricCurve("random", r, (-2.0, 2.0),
+                                                       dual_components=v))
+        curves = (cons.PedalCurve(pair, Q), cons.OrthotomicCurve(pair, Q), cons.EvoluteCurve(pair))
+        out = []
+        for derived in curves:
+            evolute = isinstance(derived, cons.EvoluteCurve)
+            sample = derived.at_with_branch if evolute else derived.at
+            out += [_outcome(lambda: derived.jet(s, k)) for k in (1, 2, 3)]
+            out.append(_outcome(lambda: sample(s)))
+        return out, {read_of(p) for derived in curves for p in derived._programs.values()}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "_TAPES", {})
+        generated, runs = outcomes()
+        patch.setattr(recording, "derived_program", lambda *args: None)
+        expected, none = outcomes()
+    assert runs <= {"fused", None} and none == {None}
     assert generated == expected
 
 

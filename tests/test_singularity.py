@@ -8,13 +8,13 @@ from unittest import mock
 import pytest
 
 from conftest import CURVES
-from hypedal import expr, jets, program, recording
+from hypedal import expr, jets, program, recording, singularity
 from hypedal import constructions as cons
 from hypedal.expr import ParametricCurve, parse
 from hypedal.frontal import LegendrePair, reparametrized
 from hypedal.io import load_curve
 from hypedal.jets import Jet
-from hypedal.minkowski import MVec3, boost_to_origin, inner
+from hypedal.minkowski import GeometryError, MVec3, boost_to_origin, inner
 from hypedal.singularity import (
     SMOOTH, GermKind, LocationCase, Verdict, _det_jet, classify_pedal, detect_Ak,
     dual_identity_check, location_case, measure_exponents,
@@ -280,7 +280,8 @@ def _draws(pair, name, where):
 def test_generated_germs_are_the_jet_formulas(name, where, golden_pairs, monkeypatch):
     # a from_curve pair's ell, m, pedal germ P and det(P, P', P'') come from
     # generated functions; the `Jet` formulas must give the same bits, and
-    # the generated functions no answer only where those raise.  Mutations:
+    # the generated functions no answer, or the error of a final refusal,
+    # only where those raise it.  Mutations:
     # the pedal germ read from r, the tape's r and v swapped
     pair = golden_pairs[name]
     draws = _draws(pair, name, where)
@@ -293,6 +294,9 @@ def test_generated_germs_are_the_jet_formulas(name, where, golden_pairs, monkeyp
         germs = recording.pedal_germs(pair, Q, s0, order)
         expected = _lists_outcome(formulas)
         generated.append(germs is not None)
+        if germs.__class__ is jets.JetDomainError:  # a final refusal
+            assert (type(germs), str(germs)) == expected, (s0, order)
+            continue
         if germs is None:
             assert isinstance(expected, tuple), (s0, order)
             continue
@@ -347,6 +351,33 @@ def test_generated_germs_fall_back_to_the_jet_formulas(case, cusp37, cusp37_curv
     with mock.patch.object(recording, "pedal_germs", lambda *args: None):
         assert outcome == _report_outcome(lambda: classify_pedal(pair, Q, s0, order))
     assert (outcome if error else None) == error
+
+
+def test_a_final_refusal_is_raised_after_the_location_case(cusp23, monkeypatch):
+    # at order 60, P's divisor is refused with every value before it finite,
+    # so the generated germs' refusal is final and no `Jet` formula runs; the
+    # formulas raise it only after `location_case`, whose own error comes
+    # first; mutation: classify_pedal raising the refusal before it
+    Q = math.cosh(0.6) * cusp23.r(0.0) + math.sinh(0.6) * cusp23.mu(0.0)
+    refused = recording.pedal_germs(cusp23, Q, 0.0, 60)
+    assert refused.__class__ is jets.JetDomainError
+    assert (_report_outcome(lambda: classify_pedal(cusp23, Q, 0.0, 60))
+            == (jets.JetDomainError, "jet division by vanishing germ"))
+    # a tol that is no float fails the germ decisions first, as without the generator
+    with pytest.raises(TypeError) as odd:
+        classify_pedal(cusp23, Q, 0.0, 60, 1j)
+    with mock.patch.object(recording, "pedal_germs", lambda *args: None):
+        with pytest.raises(TypeError, match=str(odd.value)):
+            classify_pedal(cusp23, Q, 0.0, 60, 1j)
+
+    def located(*args):
+        raise GeometryError("Q not located")
+
+    monkeypatch.setattr(singularity, "location_case", located)
+    expected = (GeometryError, "Q not located")
+    assert _report_outcome(lambda: classify_pedal(cusp23, Q, 0.0, 60)) == expected
+    with mock.patch.object(recording, "pedal_germs", lambda *args: None):
+        assert _report_outcome(lambda: classify_pedal(cusp23, Q, 0.0, 60)) == expected
 
 
 @pytest.mark.parametrize("what", ["pedal jet", "classify"])
