@@ -56,14 +56,14 @@ def _off_curve_slope(pair, Q, s, order):
     return (-inner(Q, _coeff(pair.r_jet(s, 1), 1)),)
 
 
-def _fused_sample(formula, pair, Q):
+def _tape_sample(formula, pair, Q):
     """s -> formula(pair, Q, s, None), a sample formula that reads r alone,
-    from its program fused with the curve's tapes (`recording.derived_program`),
-    one generated call per s; the formula where there is none or it gives no
-    answer."""
+    from its program on the curve's tapes (`recording.derived_program`), a
+    read and one generated call per s; the formula where there is none or
+    it gives no answer."""
     from .recording import derived_program  # loaded with the first formula it runs
 
-    program = derived_program(formula, pair, Q, None, True)  # fused only
+    program = derived_program(formula, pair, Q, None, True)  # on the tapes only
 
     def at(s):
         out = None if program is None else program(s)
@@ -74,8 +74,8 @@ def _fused_sample(formula, pair, Q):
 def _require_off_curve(pair: LegendrePair, Q: MVec3):
     # The proxy f = -(<Q, r> + 1) >= 0 touches zero quadratically where Q = r(s),
     # so the grid minimum is refined as a sign change of f' before the test.
-    gap = _fused_sample(_off_curve_gap, pair, Q)
-    slope = _fused_sample(_off_curve_slope, pair, Q)
+    gap = _tape_sample(_off_curve_gap, pair, Q)
+    slope = _tape_sample(_off_curve_slope, pair, Q)
 
     def f(s):
         return gap(s)[0]
@@ -207,7 +207,7 @@ class DerivedCurve:
         if out is not None:
             return out[1] if coeffs else _jet_vector(*out)
         point = self._formula_jet(s0, order)
-        return [j.coeffs for j in point.components()] if coeffs else point
+        return tuple(list(j.coeffs) for j in point.components()) if coeffs else point
 
     def _formula_jet(self, s0: float, order: int) -> MVec3:
         return self._formula(*self._formula_args(), s0, order)
@@ -796,7 +796,7 @@ def _cause(s: float, pair: LegendrePair, Q: MVec3 | None, m_scale: float) -> str
     _, m = pair.curvatures(s)
     if abs(m) <= decide.M_ZERO_TOL * m_scale:
         return "m_zero"
-    if Q is not None and decide.coincident(_fused_sample(_off_curve_gap, pair, Q)(s)[1],
+    if Q is not None and decide.coincident(_tape_sample(_off_curve_gap, pair, Q)(s)[1],
                                            decide.ON_CURVE_TOL):
         return "point_on_curve"
     return "other"

@@ -670,9 +670,9 @@ def to_text(e: CurveExpr) -> str:
 
 # The tapes of the last curves evaluated, keyed by the text of their
 # expressions, so that a fresh load of a curve file reuses its tapes, every
-# program generated for them, `hypedal.recording`'s fused ones and
-# `frontal.auto_dual_read`'s reads included, and what the jet tape keeps of a
-# pair built on the curve (`ParametricCurve._kept`: `frontal.AutoDual`'s sign
+# program generated for them, `hypedal.recording`'s, `program.tape_read`'s and
+# `frontal.auto_dual_read`'s included, and what the jet tape keeps of a pair
+# built on the curve (`ParametricCurve._kept`: `frontal.AutoDual`'s sign
 # grid, `constructions.singular_points`' cause scale).
 TAPES_SIZE = 16
 _TAPES: dict = {}
@@ -680,8 +680,8 @@ _TAPES: dict = {}
 
 def _shared_tapes(groups) -> tuple:
     """(float tape, jet tape, {}) of groups of expression trees, made once
-    per text; the dict holds what `hypedal.recording` fuses with them and
-    the reads of `frontal.auto_dual_read`."""
+    per text; the dict holds what `hypedal.recording` runs on them, the
+    reads of `program.tape_read` and those of `frontal.auto_dual_read`."""
     key = tuple(tuple(map(to_text, trees)) for trees in groups)  # repr keeps -0.0
     tapes = _TAPES.pop(key, None)
     if tapes is None:

@@ -19,6 +19,16 @@ a square root and a sin/cos or sinh/cosh pair call the kernel of their
 order, bound when the code is generated; sums, scales, lifts, d/ds and
 truncations run the float operations of their step functions.
 
+A recorded formula of a curve's r and v runs on a read of the curve's tapes
+(`tape_read`): one function of the float s, of the tape steps its inputs
+need and their truncations, which hands the inputs on in the order the
+recorded function takes them.  The recorded function is generated from the
+recording alone, on given lists, and keyed by its structure, so a process
+compiles it once for every curve.  Only a formula that reads jets wider
+than `INLINE_WIDTH` coefficients is fused with the tape steps it reads into
+one function of s (`fused_program`), so that its products call the kernels
+bound to the tape's degree bounds.
+
 Each jet value has a bound on its degree, fixed when the code is generated
 (`_degree`: s's jet 1, a lift 0, a product the sum of its operands', up to
 the order, and so on), above which its coefficients are structural zeros.
@@ -30,8 +40,10 @@ a narrow product of given lists takes every term, as `jets.mul_coeffs`
 does up to order 3, and a wide one calls `jets.mul_coeffs`, which finds the
 left operand's degree at each call.  A term left out has a factor that is
 an exact zero while every value is finite, so leaving it out keeps each
-sum's bits (each starts at +0.0).  Every other step is emitted whole, as a
-structural zero can be -0.0 after a negation.
+sum's bits: each starts at +0.0, so it is never -0.0, and adding +-0.0
+leaves it as it is.  So a recorded function on a read's values computes the
+bits of the same steps fused with the tape.  Every other step is emitted
+whole, as a structural zero can be -0.0 after a negation.
 
 A value that the function computes and that is not finite makes it
 return None, and so does a plain refusal, one that a kernel would raise (a
@@ -68,10 +80,12 @@ returns the error the kernel raises (`jets.refused_division`,
 `jets.refused_sqrt`), and its callers raise it.  The formula would raise
 just that, as it computes the same values in the same order, a recording
 listing its steps so, and tests each `Jet` as it makes it.  Where the test
-fails the refusal is plain.  So is every refusal of a tape's step, alone or
-in a fused program, whose tape steps come first and run at the highest
-degree any input reads, where the checked path may read a lower degree and
-pass.
+fails the refusal is plain.  So is every refusal of a tape's step, alone, in
+a read or in a fused program, whose tape steps come first and run at the
+highest degree any input reads, where the checked path may read a lower
+degree and pass.  A read tests every value it computes, its outputs
+included, so a recorded function that runs on its values refuses finally
+just where the fused function's test of every value so far would hold.
 
 An evolute's recorded formula takes three steps of its own: its branch
 sign, its upper-sheet sign, each a float 1.0 or -1.0 read from constant
@@ -96,7 +110,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import decide, jets
 from .expr import (
@@ -162,7 +176,7 @@ _TWO_OPERANDS.update((_f_branch, _f_sheet, _k_flip))  # the node operands of `_S
 
 
 # the variable s as a jet of degree `degree`, (s, 1.0, 0.0, ...), from the
-# float s: how a fused program feeds a curve's jet tape
+# float s: how a read or a fused program feeds a curve's jet tape
 def _k_var(v, x, degree):
     return [v[x], 1.0] + [0.0] * (degree - 1)
 
@@ -231,47 +245,51 @@ def tape_program(tape, group: int, degree: int):
     return inline[0], inline[1], [outputs.index(node) if node else None for node in roots]
 
 
+def tape_read(tapes, reads: tuple):
+    """read(s, sign_at) -> the values of `reads` at the float s, in order,
+    from a curve's tapes (`ParametricCurve._tape_set`), sign_at unread: each
+    (group, None, i) is component i of the group's floats, (group, k, i) its
+    jet truncated to order k, the jet tape run at the highest order read.
+    Generated once per `reads` and kept with the tapes; None where it does
+    not inline.  A read is None where s or any value it computes is not
+    finite, or where a tape step refuses: plainly (see the module docstring)."""
+    key = ("tape read", reads)
+    kept = tapes[2]
+    if key not in kept:
+        degree = max([1] + [k for _, k, _ in reads if k is not None])
+        steps = _tape_steps(tapes, reads, degree)
+        inline = None if steps is None else inline_program(
+            tuple(sorted(steps[0]._program(steps[1]))), {0: 0}, steps[1], max_steps=math.inf)
+        kept[key] = None if inline is None else partial(_read, *inline)
+    return kept[key]
+
+
+def _read(function, consts, s, sign_at):
+    """`tape_read`'s read: function((s,), consts), None where s is not finite."""
+    s = float(s)
+    return function((s,), consts) if math.isfinite(s) else None
+
+
 def fused_program(tapes, program, reads: dict, outputs, degree: int):
-    """`inline_program` of a recorded `program` together with the steps of a
-    curve's tapes (float tape, jet tape) that its inputs read, as one function
-    of the float s; None where it does not inline.
+    """`inline_program` of a recorded `program` of jets wider than
+    `INLINE_WIDTH` coefficients together with the steps of a curve's jet
+    tape that its inputs read, as one function of the float s; None where
+    it does not inline, or reads floats: a program of coefficient lists
+    takes no float step.
 
-    `reads` maps each input node of `program` to (group, None, i), component
-    i of the group's floats, or (group, k, i), its jet truncated to order
-    k <= `degree`, the degree the jet tape runs at.  The function takes (s,)
-    and the constants: the recorded ones, such as Q, and the tapes'.  It is
-    made wherever `program` and each tape program it reads inline alone, and
-    where its jets are wider than `INLINE_WIDTH` coefficients, only if it
-    reads no floats: a program of coefficient lists takes no float step.
-    The tape steps come first, and only the recorded steps' refusals may be
-    final (see the module docstring).
+    `reads` maps each input node of `program` to (group, k, i), component i
+    of the group's jet truncated to order k <= `degree`, the degree the jet
+    tape runs at.  The function takes (s,) and the constants: the recorded
+    ones, such as Q, and the tape's.  The tape steps come first, and only the
+    recorded steps' refusals may be final (see the module docstring).
     """
-    floats = any(k is None for _, k, _ in reads.values())
-    if len(program) > _INLINE_STEPS or floats and degree >= INLINE_WIDTH:
+    if len(program) > _INLINE_STEPS or any(k is None for _, k, _ in reads.values()):
         return None
-    fused = _Steps()  # node 0 is the float s
-    nodes = [{0: 0}, {}]  # per tape: its node -> the fused node
-
-    def node(t, n):
-        if n not in nodes[t]:  # s of the jet tape, or a constant of the float tape
-            nodes[t][n] = (fused._node(_k_var, 0, degree) if t
-                           else fused._node(_f_const, 0, tapes[0].steps[n][2]))
-        return nodes[t][n]
-
-    for t, group in sorted({(int(k is not None), group) for group, k, _ in reads.values()}):
-        steps = tapes[t].programs[group]
-        if len(steps) > _INLINE_STEPS:
-            return None
-        for n, fn, x, y in steps:
-            if fn not in _EMITTED:  # a step that always raises
-                return None
-            if n not in nodes[t]:
-                nodes[t][n] = fused._node(fn, node(t, x), node(t, y) if fn in _TWO_OPERANDS else y)
-    given = {}
-    for n, (group, k, i) in reads.items():
-        t = int(k is not None)
-        value = node(t, tapes[t].outputs[group][i])
-        given[n] = value if k is None or k == degree else fused._node(_k_trunc, value, k)
+    fused = _tape_steps(tapes, tuple(reads.values()), degree)
+    if fused is None:
+        return None
+    fused, values = fused
+    given = dict(zip(reads, values))
     recorded = len(fused.steps)  # the first node of a recorded step
     for n, fn, x, y in program:
         given[n] = fused._node(fn, given[x], given[y] if fn in _TWO_OPERANDS else y)
@@ -279,6 +297,38 @@ def fused_program(tapes, program, reads: dict, outputs, degree: int):
     # the tape steps first, then the recorded ones in their order
     return inline_program(tuple(sorted(fused._program(outputs))), {0: 0}, outputs,
                           max_steps=math.inf, final=recorded)
+
+
+def _tape_steps(tapes, reads: tuple, degree: int):
+    """(steps, nodes): the steps of a curve's tapes (float tape, jet tape)
+    that `reads` read, node 0 the float s, and the node of each read's
+    value, in order; reads as in `tape_read`, jets to order k <= `degree`,
+    the degree the jet tape runs at.  None where a tape program it reads is
+    longer than `_INLINE_STEPS` steps or takes a step that always raises."""
+    steps = _Steps()
+    nodes = [{0: 0}, {}]  # per tape: its node -> the node of steps
+
+    def node(t, n):
+        if n not in nodes[t]:  # s of the jet tape, or a constant of the float tape
+            nodes[t][n] = (steps._node(_k_var, 0, degree) if t
+                           else steps._node(_f_const, 0, tapes[0].steps[n][2]))
+        return nodes[t][n]
+
+    for t, group in sorted({(int(k is not None), group) for group, k, _ in reads}):
+        program = tapes[t].programs[group]
+        if len(program) > _INLINE_STEPS:
+            return None
+        for n, fn, x, y in program:
+            if fn not in _EMITTED:  # a step that always raises
+                return None
+            if n not in nodes[t]:
+                nodes[t][n] = steps._node(fn, node(t, x), node(t, y) if fn in _TWO_OPERANDS else y)
+    values = []
+    for group, k, i in reads:
+        t = int(k is not None)
+        value = node(t, tapes[t].outputs[group][i])
+        values.append(value if k is None or k == degree else steps._node(_k_trunc, value, k))
+    return steps, values
 
 
 def _degree(fn, n, da, db, y):

@@ -4,11 +4,12 @@ A formula such as a derived curve's runs once on `Node`s, jets whose
 operators add the steps of `hypedal.program`'s format, and on `Scalar`s,
 the floats of a sample formula, whose operators add float steps; the
 program is then generated as one Python function
-(`hypedal.program.inline_program`), for a curve's derived curves together
-with the tape steps it reads (`hypedal.program.fused_program`).  The
-library imports this module with
-the first derived-curve jet or sample, curvature pair, `classify_pedal` or
-`AutoDual` jet it runs.
+(`hypedal.program.inline_program`), which a curve's derived curves run on a
+read of the curve's tapes (`hypedal.program.tape_read`), or, where it reads
+jets wider than `program.INLINE_WIDTH` coefficients, fused with the tape
+steps it reads (`hypedal.program.fused_program`).  The library imports this
+module with the first derived-curve jet or sample, curvature pair,
+`classify_pedal` or `AutoDual` jet it runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal,
 from .jets import Jet, JetDomainError, answer, require_finite
 from .minkowski import MVec3, wedge
 from .program import (
-    _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, fused_program, inline_program,
+    INLINE_WIDTH, _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, fused_program,
+    inline_program, tape_read,
 )
 
 
@@ -258,26 +260,29 @@ def record(formula):
 # at s from the floats r and v of that pair, and from coefficient 1 of jets
 # of order 1, an induced pair's jets recorded into it from that pair's.
 #
-# Where that pair reads r and v from a curve's tapes (`LegendrePair.from_curve`),
-# the recording is fused with the tape steps its inputs read
-# (`program.fused_program`): one generated function from s to the formula's
-# values, kept with the tapes, for jets of any order up to `jets.MAX_ORDER`
-# (a wide one reads no floats), `classify_pedal`'s order-22 germs among
-# them; where it is not fused, the formula runs on the curve's reads
-# (`ParametricCurve._tape_values`), which raise past that order.  A formula
-# that reads r alone, such as the off-curve scan's, is fused the same way on
-# a pair whose r alone comes from a curve's tapes
-# (`LegendrePair.with_auto_dual`).  Elsewhere on an auto-dual pair, every r
-# and v input comes from one call of a generated function of s
-# (`frontal.auto_dual_read`), so that a call is two generated calls.  The
-# inputs of such a recording are in `_leaf_order`, so formulas of one input
-# set share one read.  At a grid point of a derived curve's singular-point
-# scan, the sample and the order-2 jet of an auto-dual pair take their
-# inputs from one read of the union of their inputs (`sampled_jet_program`),
-# so that r is read once per grid point; where that gives no answer, each
-# runs as above.  Every program runs as `_run`: a read of s, then the
-# function, under one guard that refuses as `jets.answer` does; where either
-# refuses plainly, the formula runs, and a final refusal raises its error.
+# Each such recording is compiled once per process (`_record_on_pair`) into
+# a function of its inputs, in `_leaf_order`, so formulas of one input set
+# share one read, and every curve shares the function.  Where the pair
+# reads r and v from a curve's tapes (`LegendrePair.from_curve`), it runs on
+# `program.tape_read` of them, kept with the tapes; a formula that reads r
+# alone, such as the off-curve scan's, does the same on a pair whose r
+# alone comes from a curve's tapes (`LegendrePair.with_auto_dual`).  A
+# formula that reads jets wider than `program.INLINE_WIDTH` coefficients,
+# such as `classify_pedal`'s order-22 germs, is fused with the tape steps it
+# reads instead (`program.fused_program`): one function of s, kept with the
+# tapes, for jets of any order up to `jets.MAX_ORDER` (a wide one reads no
+# floats), whose products call kernels bound to the tape's degree bounds.
+# Where neither is made, the formula runs on the curve's reads
+# (`ParametricCurve._tape_values`), which raise past that order.  Elsewhere
+# on an auto-dual pair, every r and v input comes from one call of a
+# generated function of s (`frontal.auto_dual_read`).  At a grid point of a
+# derived curve's singular-point scan, the sample and the order-2 jet of an
+# auto-dual pair take their inputs from one read of the union of their
+# inputs (`sampled_jet_program`), so that r is read once per grid point;
+# where that gives no answer, each runs as above.  Every program runs as
+# `_run`: a read of s, then the function, under one guard that refuses as
+# `jets.answer` does; where either refuses plainly, the formula runs, and a
+# final refusal raises its error.
 # An evolute's formulas return its branch sign with its point, both computed
 # by steps of the program (`Node.branch_sign`), which ends, answering the
 # sign 0.0 alone, where the branch is degenerate.  Other pairs
@@ -290,10 +295,11 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
     where that gives no answer; None where there is none: where the pair
     does not read r from a curve's tapes (reparametrized and hand-built
     pairs, and the pair a formula is recorded on, run their `Jet`/`MVec3`
-    formulas), where a point is not finite, or where it is not fused with
-    the curve's tapes and `fused_only` or the pair is a `from_curve` one; a
-    formula that reads v is fused only where v comes from the tapes too,
-    and on an auto-dual pair it runs on `frontal.auto_dual_read`.  For a
+    formulas), where a point is not finite, or where it does not run on the
+    curve's tapes (`_on_tapes`) and `fused_only` or the pair is a
+    `from_curve` one; a formula that reads v runs on the tapes only where v
+    comes from them too, and on an auto-dual pair on
+    `frontal.auto_dual_read`.  For a
     sample formula (`order` None), program(s) -> the list of the floats it
     returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
@@ -311,12 +317,12 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
         return None
     kinds = tuple(type(p) for p in chain)
     tapes, dual = source._r_curve._tape_set(), source._dual
-    fused = _fused(tapes, formula, kinds, Q is not None, order, source._curve is None)
-    if fused is not None:
-        return partial(_run, _fused_read, None, fused[0], _given(fused[1], values),
-                       order is not None)
+    on_tapes = _on_tapes(tapes, formula, kinds, Q is not None, order, source._curve is None)
+    if on_tapes is not None:
+        read, function, consts = on_tapes
+        return partial(_run, read, None, function, _given(consts, values), order is not None)
     if fused_only or dual is None:
-        return None  # not fused: a formula of a curve's pair runs on the curve's reads
+        return None  # not on the tapes: a formula of a curve's pair runs on the curve's reads
     recorded = _record_on_pair(formula, kinds, Q is not None, order)
     if recorded is None:
         return None
@@ -343,41 +349,63 @@ def _given(consts, values):
     return tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
 
 
-def _fused(tapes, formula, kinds: tuple, with_q: bool, order: int | None, r_only: bool):
-    """(function, constants) of `program.fused_program` for formula recorded on
-    a `from_curve` pair with these tapes (`ParametricCurve._tape_set`), made once
-    per tapes; None where it does not record or inline, and, where `r_only`
-    (the tapes give r, not v), where it reads v."""
+def _on_tapes(tapes, formula, kinds: tuple, with_q: bool, order: int | None, r_only: bool):
+    """(read, function, constants) of formula recorded on a `from_curve` pair
+    with these tapes (`ParametricCurve._tape_set`), made once per tapes:
+    where the jets it reads have at most `INLINE_WIDTH` coefficients,
+    `program.tape_read` of its inputs and `_record_on_pair`'s function,
+    which every curve shares; where they are wider, `_fused_read` and
+    `program.fused_program`'s function.  None where it does not record or
+    inline, and, where `r_only` (the tapes give r, not v), where it reads v."""
     key = (formula, kinds, with_q, order, r_only)
-    fused = tapes[2]
-    if key not in fused:
+    kept = tapes[2]
+    if key not in kept:
+        kept[key] = None
         recorded = _fusable(formula, kinds, with_q, order)
-        if recorded is not None and r_only and any(group for group, _, _ in recorded[1].values()):
-            recorded = None
-        fused[key] = None if recorded is None else fused_program(tapes, *recorded)
-    return fused[key]
+        if recorded is None:
+            return None
+        program, inputs, outputs, degree = recorded
+        reads = tuple((_GROUPS[kind], k, i) for (kind, k, i), _, _ in inputs)
+        if r_only and any(group for group, _, _ in reads):
+            return None
+        if degree < INLINE_WIDTH:
+            compiled = _record_on_pair(formula, kinds, with_q, order)
+            read = tape_read(tapes, reads)
+            if compiled is not None and read is not None:
+                kept[key] = read, *compiled[:2]
+        else:
+            fused = fused_program(tapes, program, dict(zip((node for _, node, _ in inputs), reads)),
+                                  outputs, degree)
+            if fused is not None:
+                kept[key] = _fused_read, *fused
+    return kept[key]
 
 
 @lru_cache(maxsize=64)
 def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
-    """(program, reads, outputs, degree) of formula recorded on a `from_curve`
-    pair: its steps, the (tape group, order or None, component) that each
-    input reads, and the degree the jet tape runs at, at least 1; None where
-    it does not record, or where order or that degree is past
-    `jets.MAX_ORDER`, so the formula raises as the tape's reads do.  Only
-    fused programs keep their recorded steps."""
+    """(program, inputs, outputs, degree) of formula(pair, Q, s0, order)
+    recorded on a pair built by `kinds` (induced pair classes, outermost
+    first) around one whose r and v jets and floats are inputs, Q a point if
+    `with_q`: its steps, its inputs ((kind, order or None, component), node,
+    width) in `_leaf_order`, whatever order the formula asks for them in,
+    its output nodes and the highest order it reads, at least 1.  A sample
+    formula (`order` None) reads the outermost pair's jets through its
+    induced pairs' formulas.  None where it does not record, or where order
+    or that degree is past `jets.MAX_ORDER`, so the formula raises as the
+    tape's reads do."""
     if order is not None and order > jets.MAX_ORDER:
         return None
     recorded = _steps(_on_pair(formula, kinds, with_q, order))
     if recorded is None:
         return None
     recording, outputs = recorded
-    reads = {node: (_GROUPS[kind], k, i)
-             for node, (kind, k, i) in zip(recording.shapes, recording.keys)}
-    degree = max([1] + [k for _, k, _ in reads.values() if k is not None])
+    inputs = sorted(((key, node, shape) for key, (node, shape)
+                     in zip(recording.keys, recording.shapes.items())),
+                    key=lambda given: _leaf_order(given[0]))
+    degree = max([1] + [k for (_, k, _), _, _ in inputs if k is not None])
     if degree > jets.MAX_ORDER:
         return None
-    return recording._program(outputs), reads, outputs, degree
+    return recording._program(outputs), tuple(inputs), tuple(outputs), degree
 
 
 def _fused_read(s, sign_at):
@@ -389,8 +417,9 @@ def _fused_read(s, sign_at):
 
 def _run(read, sign_at, function, consts, jet: bool, s):
     """function(read(s, sign_at), consts), and s before it for a jet program:
-    a function fused with a curve's tapes on `_fused_read`, or an auto-dual
-    pair's formula on the values of `auto_dual_read`.  None where the read
+    a formula's function on the values of `program.tape_read` or of
+    `auto_dual_read`, or a function fused with a curve's tapes on
+    `_fused_read`.  None where the read
     or the function gives no answer, as `jets.answer` refuses, and the
     formula then runs on the curve's reads or on `AutoDual`'s evaluators;
     raises the error of a final refusal, which the formula would raise."""
@@ -410,12 +439,12 @@ def sampled_jet_program(sample, jet):
     auto-dual pair at one top degree: a `_run` whose one `auto_dual_read`
     of the union of their leaves, in `_leaf_order`, gives each function the
     values of its own leaves (`_each`), so r's jet tape is read once at s.
-    None where they are not two such programs, which a fused program's read
-    is not, or there is no read; program(s) is None where the read or
+    None where they are not two such programs, which a program on a curve's
+    tapes is not, or there is no read; program(s) is None where the read or
     either function gives no answer or a final refusal, and the two then
     run apart."""
-    if not (all(isinstance(p, partial) and p.args[0] is not _fused_read and p.leaves
-                for p in (sample, jet)) and sample.top == jet.top):
+    if not (all(isinstance(p, partial) and getattr(p, "leaves", None) for p in (sample, jet))
+            and sample.top == jet.top):
         return None
     leaves = tuple(sorted({*sample.leaves, *jet.leaves}, key=_leaf_order))
     read = auto_dual_read(sample.tapes, leaves, sample.top)
@@ -440,22 +469,18 @@ def _each(given, parts):
 
 @lru_cache(maxsize=64)
 def _record_on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
-    """`record` of formula(pair, Q, s0, order) on a pair built by `kinds` (induced
-    pair classes, outermost first) around one whose r and v jets and floats
-    are inputs; Q a point if `with_q`.  A sample formula
-    (`order` None) reads the outermost pair's jets through the formulas of
-    its induced pairs, as a jet formula does.  The inputs are in the order
-    of `_leaf_order`, whatever order the formula asks for them in, so that
-    formulas of one leaf set share one `auto_dual_read`."""
-    recorded = _steps(_on_pair(formula, kinds, with_q, order))
+    """`record` of `_fusable`'s recording: (function, constants, input keys),
+    the function on the values of its inputs, in `_leaf_order`, so that
+    formulas of one leaf set share one `auto_dual_read`; keyed by the
+    recording's structure, so every curve, and every pair that reads r and
+    v in this order, shares one."""
+    recorded = _fusable(formula, kinds, with_q, order)
     if recorded is None:
         return None
-    recording, nodes = recorded
-    inputs = sorted(zip(recording.keys, recording.shapes.items()),
-                    key=lambda given: _leaf_order(given[0]))
-    inline = inline_program(recording._program(nodes), dict(shape for _, shape in inputs), nodes,
+    program, inputs, outputs, _ = recorded
+    inline = inline_program(program, {node: shape for _, node, shape in inputs}, outputs,
                             final=0)
-    return None if inline is None else (*inline, [key for key, _ in inputs])
+    return None if inline is None else (*inline, [key for key, _, _ in inputs])
 
 
 def _leaf_order(key):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CURVES, random_h2_point, read_of
-from hypedal import expr, jets, program, recording
+from hypedal import expr, frontal, jets, program, recording
 from hypedal import constructions as cons
 from hypedal.constructions import (
     Branch, EvoluteDegenerateError, PedalPointOnCurveError, scalar_zeros,
@@ -595,9 +595,13 @@ def test_generated_code_is_shared_by_every_pedal_point(monkeypatch):
 
 
 def _compiling_tape() -> bool:
-    """Whether the caller compiles a tape's function (`program.tape_program`)."""
+    """Whether the caller compiles a function of a curve's tapes: a tape's own
+    (`program.tape_program`) or a read of them (`program.tape_read`,
+    `frontal.auto_dual_read` with the dual jets it computes)."""
+    tape_codes = (program.tape_program.__code__, program.tape_read.__code__,
+                  frontal.auto_dual_read.__code__)
     frame = sys._getframe()
-    while frame is not None and frame.f_code is not program.tape_program.__code__:
+    while frame is not None and frame.f_code not in tape_codes:
         frame = frame.f_back
     return frame is not None
 
@@ -605,12 +609,12 @@ def _compiling_tape() -> bool:
 def test_an_evolute_point_is_one_generated_call(monkeypatch):
     # an evolute or caustic jet or sample decides its branch and divides in
     # the one function generated from its formula, so each is one call of it
-    # on a `from_curve` pair, and one besides the read of the curve's tapes
-    # on an auto-dual pair; mutation: a second function after the branch
+    # besides the read of the curve's tapes, on a `from_curve` pair and on an
+    # auto-dual pair alike; mutation: a second function after the branch
     # decision, as there was
     for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
         cache.cache_clear()
-    monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
+    monkeypatch.setattr(expr, "_TAPES", {})  # and the programs they hold
     calls = []
     compile_lines = jets.compile_lines
 
@@ -635,6 +639,69 @@ def test_an_evolute_point_is_one_generated_call(monkeypatch):
                     calls.clear()
                     evaluate(s)
                     assert len(calls) == 1, (pair.name, curve.kind, s)
+
+
+def test_each_recorded_formula_is_compiled_once_for_every_curve(monkeypatch):
+    # the samples and the jets up to order 2 of a `from_curve` pair's derived
+    # curves run a read of the curve's tapes and the function of the formula,
+    # recorded on no curve and keyed by its structure: after the first curve
+    # only reads of the tapes are compiled; mutation: the function keyed by
+    # the curve's tapes
+    for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
+        cache.cache_clear()
+    monkeypatch.setattr(expr, "_TAPES", {})
+    compiled = []  # per compile: whether it is of a curve's tapes
+    compile_lines = jets.compile_lines
+
+    def counted(name, params, lines, bound=None):
+        compiled.append(_compiling_tape())
+        return compile_lines(name, params, lines, bound)
+
+    monkeypatch.setattr(jets, "compile_lines", counted)
+    Q = MVec3(math.cosh(0.4), math.sinh(0.4) * math.cos(2.0), math.sinh(0.4) * math.sin(2.0))
+    per_curve = []
+    for name in ("astroid", "cusp23", "cusp37", "circle"):
+        pair = LegendrePair.from_curve(load_curve(CURVES / f"{name}.json"))
+        a, b = pair.domain
+        grid = [a + t * (b - a) for t in (0.31, 0.62, 0.83)]
+        del compiled[:]
+        for make in _KINDS.values():
+            curve = make(pair, Q)
+            sample = curve.at_with_branch if isinstance(curve, cons.EvoluteCurve) else curve.at
+            for s in grid:
+                sample(s)
+                curve.jet(s, 2)
+            assert all(read_of(p) == "fused" for p in curve._programs.values())
+        per_curve.append((compiled.count(True), compiled.count(False)))
+    assert per_curve[0][0] > 0 and per_curve[0][1] > 0
+    assert [recorded for _, recorded in per_curve[1:]] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("name", ["cusp23", "astroid auto"])
+def test_jet_coefficient_lists_are_those_of_the_formula(name, monkeypatch):
+    # `jet(..., coeffs=True)` gives a tuple of three lists, from a generated
+    # function and from the `Jet` formula alike, so the two compare by repr
+    curve = load_curve(CURVES / f"{name.split()[0]}.json")
+    pair = (LegendrePair.with_auto_dual if "auto" in name else LegendrePair.from_curve)(curve)
+    grid = linspace(pair.domain, 7)[1:-1]
+    Q = MVec3(math.cosh(0.4), math.sinh(0.4) * math.cos(2.0), math.sinh(0.4) * math.sin(2.0))
+
+    def outcomes():
+        out = []
+        for make in _KINDS.values():
+            curve = make(pair, Q)
+            for s in grid:
+                for sample in (False, True):
+                    try:
+                        out.append(repr(curve.jet(s, 2, coeffs=True, sample=sample)))
+                    except (ValueError, ArithmeticError) as exc:
+                        out.append((type(exc), str(exc)))
+        return out
+
+    generated = outcomes()
+    assert sum(isinstance(o, str) for o in generated) > len(generated) // 2
+    monkeypatch.setattr(recording, "derived_program", lambda *args: None)
+    assert outcomes() == generated
 
 
 # -- singular point detection ------------------------------------------------------

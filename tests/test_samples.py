@@ -179,16 +179,19 @@ def test_the_off_curve_scan_reads_the_gaps_of_the_formula(name, where, pairs):
         assert recording.derived_program(formula, auto, Q, None, fused_only=True) is None
 
 
-def test_a_larger_curve_fuses_wherever_its_parts_inline(monkeypatch):
-    # the caustic sample of this curve fuses more than 400 steps, the most a
-    # recorded program or a tape program inlines alone, and each of its parts
-    # inlines alone; mutation: the fused program held to 400 steps
+def test_a_larger_curve_is_read_wherever_its_parts_inline(monkeypatch):
+    # the caustic sample of this curve reads more than 400 tape steps, the
+    # most a recorded program or a tape program inlines alone, and each tape
+    # program inlines alone, as does the recorded formula: the sample is one
+    # read of the curve's tapes and the function that every curve shares;
+    # mutation: the read held to 400 steps
     f = " + ".join(f"{i + 1}*s^{i}/{i + 7}" for i in range(14))
-    g = " + ".join(f"sin({i + 1}*s)/{i + 3}" for i in range(7))
-    norm = f"sqrt(({f})^2 + ({g})^2)"
+    g = " + ".join(f"sin({i + 1}*s)/{i + 3}" for i in range(12))
+    h = " + ".join(f"cos({i + 2}*s)/{i + 5}" for i in range(16))
+    norm = f"sqrt(({f})^2 + ({h})^2)"
     pair = LegendrePair.from_curve(curve_from_dict({
         "schema": 1, "name": "larger", "r": [f"sqrt(1 + ({f})^2 + ({g})^2)", f, g],
-        "v": ["0", f"({g})/{norm}", f"-({f})/{norm}"], "domain": [-1.0, 1.0]}))
+        "v": ["0", f"({h})/{norm}", f"-({f})/{norm}"], "domain": [-1.0, 1.0]}))
     monkeypatch.setattr(expr, "_TAPES", {})
     sizes = []
     inline_program = program.inline_program
@@ -203,11 +206,61 @@ def test_a_larger_curve_fuses_wherever_its_parts_inline(monkeypatch):
     grid = linspace(pair.domain, 9)
     generated = [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
     assert max(sizes) > program._INLINE_STEPS
-    assert read_of(caustic._programs[None]) == "fused"
+    sample = caustic._programs[None]
+    assert read_of(sample) == "fused"
+    recorded = recording._record_on_pair(cons.EvoluteCurve._sample, (cons.OrthotomicInducedPair,),
+                                         False, None)
+    assert sample.args[2] is recorded[0]
     assert all(caustic._sampled(s) is not None for s in grid)
     _formula_only(monkeypatch)
     caustic = _curves(pair, Q)[0]["catacaustic"]
     assert generated == [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
+
+
+@pytest.mark.parametrize("leaves", [
+    (("r", None), ("v", None)),
+    (("r", 1), ("v", None)),
+    (("r", 1), ("v", 2)),  # r's c2 is 1e308 + 1e308, which the truncation drops
+    (("v", 2),),
+])
+@pytest.mark.parametrize("s", [0.0, -0.0, 1e-200, 0.5, -1.0, 1e154, math.inf, math.nan])
+def test_a_read_of_the_tapes_answers_only_finite_values(leaves, s):
+    # a read of a curve's tapes (`program.tape_read`) hands on each value with
+    # the step loop's bits, jets truncated from the highest order read, and
+    # answers only where each value that the step loop computes is finite, what
+    # a truncation drops included; mutations: the read's finiteness test left
+    # out, or only its outputs tested
+    tapes = ParametricCurve(
+        "read", tuple(map(expr.parse, ("sqrt(1 + s^2)", "s + s*s*1e308 + s*s*1e308", "1/(1 + s)"))),
+        (-2.0, 2.0), dual_components=tuple(map(expr.parse, ("0", "cos(s)", "sin(s)"))))._tape_set()
+    reads = tuple((recording._GROUPS[kind], k, i) for kind, k in leaves for i in range(3))
+    degree = max([1] + [k for _, k, _ in reads if k is not None])
+    read = program.tape_read(tapes, reads)
+    try:
+        answered = read(s, None)
+    except jets.DOMAIN_ERRORS:
+        answered = None
+    values = {}
+    for group, k, _ in reads:
+        if (group, k is None) not in values:
+            point = expr._TapePoint(tapes[k is not None], s, 0 if k is None else degree)
+            try:
+                values[group, k is None] = point.outputs(group)
+            except jets.DOMAIN_ERRORS:
+                values[group, k is None] = None
+                continue
+            # floats, jets' lists and the (sin, cos) pairs of lists of each node
+            computed = [c for v in point.values if v is not None
+                        for c in (v if isinstance(v, list) else [v] if isinstance(v, float)
+                                  else v[0] + v[1])]
+            if not all(map(math.isfinite, computed)):
+                values[group, k is None] = None
+    if any(v is None for v in values.values()):
+        assert answered is None
+    else:
+        expected = tuple(values[group, True][i] if k is None else values[group, False][i][:k + 1]
+                         for group, k, i in reads)
+        assert repr(answered) == repr(expected)
 
 
 # -- validation on floats --------------------------------------------------------
@@ -290,9 +343,10 @@ def test_a_validation_that_fails_raises_what_the_formula_raises(r, v, error, mon
 
 
 def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
-    # every fused function gives no answer, by returning None and then by
-    # raising, so each sample and curvature pair runs its formula
-    def fresh():  # a pair keeps the programs it made, the curve's tapes the fused ones
+    # every function of a formula, fused with the curve's tapes or run on a
+    # read of them, gives no answer, by returning None and then by raising,
+    # so each sample and curvature pair runs its formula
+    def fresh():  # a pair keeps the programs it made, the curve's tapes theirs
         monkeypatch.setattr(expr, "_TAPES", {})
         return LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
 
@@ -300,13 +354,14 @@ def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
     Q = _point(pair, "generic")
     grid = _parameters("astroid", pair)
     generated = _samples(pair, Q, grid)
-    fused_program = recording.fused_program
+    makers = {name: getattr(recording, name) for name in ("fused_program", "_record_on_pair")}
     for answer in (lambda i, k: None, lambda i, k: 1.0 / 0.0):
-        def silent(*args, answer=answer):
-            fused = fused_program(*args)
-            return None if fused is None else (answer, fused[1])
+        for name, make in makers.items():
+            def silent(*args, answer=answer, make=make):
+                made = make(*args)
+                return None if made is None else (answer, *made[1:])
 
-        monkeypatch.setattr(recording, "fused_program", silent)
+            monkeypatch.setattr(recording, name, silent)
         assert _answered(fresh(), Q, grid) == 0.0
         assert _samples(fresh(), Q, grid) == generated
 
@@ -668,20 +723,26 @@ def _rows(*texts):
          load_curve(CURVES / "cusp23.json").dual_components, 0.45888662338256836,
          MVec3(1.0, 0.0, 0.0))
 def test_from_curve_programs_on_random_curves_are_the_formulas(r, v, s, Q):
-    # on random r and v, the pedal, orthotomic and evolute jets of orders 1-3
-    # and their samples, each fused with the curve's tapes, must be the bits
-    # of the formulas on the curve's reads, or raise what they raise, a final
-    # refusal included, whose error the formula would raise.  Mutations: a
-    # final refusal for a tape step, or one whose message is not the kernel's
+    # on random r and v, the pedal, orthotomic and evolute jets of orders 1-3,
+    # the catacaustic's of orders 1-2 and their samples, each a read of the
+    # curve's tapes and the formula's function, or fused with the tapes, must
+    # be the bits of the formulas on the curve's reads, or raise what they
+    # raise, a final refusal included, whose error the formula would raise.
+    # Mutations: a final refusal for a tape step, or one whose message is not
+    # the kernel's; a read that hands its values on in another order
     def outcomes():
         pair = LegendrePair.from_curve(ParametricCurve("random", r, (-2.0, 2.0),
                                                        dual_components=v))
-        curves = (cons.PedalCurve(pair, Q), cons.OrthotomicCurve(pair, Q), cons.EvoluteCurve(pair))
+        caustic = cons.EvoluteCurve(cons.OrthotomicInducedPair(pair, Q), tag_pair=pair, Q=Q,
+                                    kind="catacaustic")
+        curves = (cons.PedalCurve(pair, Q), cons.OrthotomicCurve(pair, Q), cons.EvoluteCurve(pair),
+                  caustic)
         out = []
         for derived in curves:
             evolute = isinstance(derived, cons.EvoluteCurve)
             sample = derived.at_with_branch if evolute else derived.at
-            out += [_outcome(lambda: derived.jet(s, k)) for k in (1, 2, 3)]
+            out += [_outcome(lambda: derived.jet(s, k)) for k in ((1, 2) if derived is caustic
+                                                                  else (1, 2, 3))]
             out.append(_outcome(lambda: sample(s)))
         return out, {read_of(p) for derived in curves for p in derived._programs.values()}
 
