@@ -63,7 +63,7 @@ def _tape_sample(formula, pair, Q):
     it gives no answer."""
     from .recording import derived_program  # loaded with the first formula it runs
 
-    program = derived_program(formula, pair, Q, None, True)  # on the tapes only
+    program = derived_program(formula, pair, Q, None)  # a read of the tapes: it reads r alone
 
     def at(s):
         out = None if program is None else program(s)
@@ -165,7 +165,8 @@ class DerivedCurve:
     the three components instead of the jets.  `at` runs the function
     generated from the sample formula `_sample(pair, Q, s, None)` in the
     same way.  With `sample`, `jet` returns (`at`(s0), or None where that is
-    undefined, and the jet): on an auto-dual pair both come from one
+    undefined, and the jet): where their reads run a tape program in common
+    (an auto-dual pair's; an evolute's or caustic's) both come from one
     generated call (`recording.sampled_jet_program`) where it answers, and
     elsewhere from `at` and then `jet`, as two calls give them.
     """
@@ -722,10 +723,9 @@ def singular_points(curve: DerivedCurve, samples: int = 1000, tol: float = decid
     Where `points` is a list, the curve's samples on the grid, `at`(s) or
     None where that is undefined, are appended to it, as sampling the grid
     before the scan gives them, or raises.  Where one generated call reads
-    both (`DerivedCurve._sampled_jet_program`, on an auto-dual pair), each
-    comes from the scan's `jet` call with `sample` at its grid point;
-    elsewhere the grid is sampled first, which is faster than alternating
-    two generated functions.
+    both (`DerivedCurve._sampled_jet_program`), each comes from the scan's
+    `jet` call with `sample` at its grid point; elsewhere the grid is
+    sampled first, which is faster than alternating two generated functions.
     """
     lists = isinstance(curve, DerivedCurve)  # else any object with a `jet`
 

@@ -22,27 +22,25 @@ truncations run the float operations of their step functions.
 A recorded formula of a curve's r and v runs on a read of the curve's tapes
 (`tape_read`): one function of the float s, of the tape steps its inputs
 need and their truncations, which hands the inputs on in the order the
-recorded function takes them.  The recorded function is generated from the
-recording alone, on given lists, and keyed by its structure, so a process
-compiles it once for every curve.  Only a formula that reads jets wider
-than `INLINE_WIDTH` coefficients is fused with the tape steps it reads into
-one function of s (`fused_program`), so that its products call the kernels
-bound to the tape's degree bounds.
+recorded function takes them and states each jet's bound on its degree.
+The recorded function is generated from the recording alone, on given
+lists, and keyed by its structure, so a process compiles it once for every
+curve; a function of jets wider than `INLINE_WIDTH` coefficients is keyed
+by the read's bounds too, so that its products call the kernels bound to
+them.  Tape code and recorded code are never one function.
 
 Each jet value has a bound on its degree, fixed when the code is generated
 (`_degree`: s's jet 1, a lift 0, a product the sum of its operands', up to
 the order, and so on), above which its coefficients are structural zeros.
-A product leaves out the terms with a factor above its bound and is the
-literal 0.0 above the sum of the bounds: on local names its rows are
-emitted so, and a wide product calls the kernel bound to its operands'
-bounds where the only input is s.  A given list's bound is its width, so
-a narrow product of given lists takes every term, as `jets.mul_coeffs`
-does up to order 3, and a wide one calls `jets.mul_coeffs`, which finds the
-left operand's degree at each call.  A term left out has a factor that is
-an exact zero while every value is finite, so leaving it out keeps each
-sum's bits: each starts at +0.0, so it is never -0.0, and adding +-0.0
-leaves it as it is.  So a recorded function on a read's values computes the
-bits of the same steps fused with the tape.  Every other step is emitted
+A given list's bound is its width, unless the caller states a lower one
+(`inline_program`'s `bounds`).  A product leaves out the terms with a factor
+above its bound and is the literal 0.0 above the sum of the bounds: on local
+names its rows are emitted so, and a wide product calls the kernel bound to
+its operands' bounds (`jets._bound_mul_kernel`).  A term left out has a
+factor that is an exact zero while every value is finite, so leaving it out
+keeps each sum's bits: each starts at +0.0, so it is never -0.0, and adding
++-0.0 leaves it as it is.  So a function computes the same bits on given
+lists whether it is given their bounds or not.  Every other step is emitted
 whole, as a structural zero can be -0.0 after a negation.
 
 A value that the function computes and that is not finite makes it
@@ -74,18 +72,17 @@ A function that ends early tests that every value computed so far is
 finite: each that no step so far has carried into another (narrow code),
 or each list that no step has read, with what lifts, truncations and d/ds
 dropped and the halves of pairs (wide code).  A refusal by a step of a
-recorded formula, at or above `inline_program`'s `final` node, is final
-where that test holds and the refused operand is finite too: the function
-returns the error the kernel raises (`jets.refused_division`,
-`jets.refused_sqrt`), and its callers raise it.  The formula would raise
-just that, as it computes the same values in the same order, a recording
-listing its steps so, and tests each `Jet` as it makes it.  Where the test
-fails the refusal is plain.  So is every refusal of a tape's step, alone, in
-a read or in a fused program, whose tape steps come first and run at the
+recorded function (`inline_program`'s `final`) is final where that test
+holds and the refused operand is finite too: the function returns the
+error the kernel raises (`jets.refused_division`, `jets.refused_sqrt`), and
+its callers raise it.  The formula would raise just that, as it computes
+the same values in the same order, a recording listing its steps so, and
+tests each `Jet` as it makes it.  Where the test fails the refusal is plain.
+So is every refusal of a tape's step, alone or in a read, which runs at the
 highest degree any input reads, where the checked path may read a lower
 degree and pass.  A read tests every value it computes, its outputs
-included, so a recorded function that runs on its values refuses finally
-just where the fused function's test of every value so far would hold.
+included, so a recorded function runs only on finite values, and its test
+of every value so far covers what the formula read of the tapes.
 
 An evolute's recorded formula takes three steps of its own: its branch
 sign, its upper-sheet sign, each a float 1.0 or -1.0 read from constant
@@ -176,7 +173,7 @@ _TWO_OPERANDS.update((_f_branch, _f_sheet, _k_flip))  # the node operands of `_S
 
 
 # the variable s as a jet of degree `degree`, (s, 1.0, 0.0, ...), from the
-# float s: how a read or a fused program feeds a curve's jet tape
+# float s: how a read feeds a curve's jet tape
 def _k_var(v, x, degree):
     return [v[x], 1.0] + [0.0] * (degree - 1)
 
@@ -191,18 +188,21 @@ _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sin
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
 
 
-def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, final=None):
+def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, final=False,
+                   bounds=None):
     """(function, constants) running `program`, or None where it does not
     inline, or where it has more than `max_steps` steps.
 
     `shapes` maps each input node, in the order the function takes their
     values, to 0 (a float) or w (a jet of w coefficients); a jet at node 0
-    is s's, (s, 1.0, 0.0, ...), as in every tape and recording.
+    is s's, (s, 1.0, 0.0, ...), as in every tape and recording.  `bounds`,
+    in the same order, is each input jet's bound on its degree, or None for
+    its width's (see the module docstring).
     function(values of the inputs, constants) returns the values of the
-    `outputs` nodes, or None where the checked path must run, or the error
-    of a final refusal by a step of node `final` or above (None: no step's
-    refusal is final; see the module docstring).  A constant that is not a
-    float (a `recording.Param`) stands for the value given in its place.
+    `outputs` nodes, or None where the checked path must run, or, where
+    `final` (a recorded function), the error of a final refusal.  A
+    constant that is not a float (a `recording.Param`) stands for the value
+    given in its place.
     """
     if len(program) > max_steps:
         return None
@@ -219,7 +219,7 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, fina
             y = slot
         structure.append((node, fn, x, y))
     function = _inline_function(tuple(shapes.items()), tuple(structure), tuple(outputs),
-                                len(consts), final)
+                                len(consts), final, bounds)
     return None if function is None else (function, tuple(consts))
 
 
@@ -246,72 +246,37 @@ def tape_program(tape, group: int, degree: int):
 
 
 def tape_read(tapes, reads: tuple):
-    """read(s, sign_at) -> the values of `reads` at the float s, in order,
-    from a curve's tapes (`ParametricCurve._tape_set`), sign_at unread: each
-    (group, None, i) is component i of the group's floats, (group, k, i) its
-    jet truncated to order k, the jet tape run at the highest order read.
-    Generated once per `reads` and kept with the tapes; None where it does
-    not inline.  A read is None where s or any value it computes is not
-    finite, or where a tape step refuses: plainly (see the module docstring)."""
+    """(read, bounds): read(s, sign_at) -> the values of `reads` at the float
+    s, in order, from a curve's tapes (`ParametricCurve._tape_set`), sign_at
+    unread: each (group, None, i) is component i of the group's floats,
+    (group, k, i) its jet truncated to order k, the jet tape run at the
+    highest order read; bounds: each value's bound on its degree (`_degree`
+    over the read's steps), None for a float.  Generated once per `reads`
+    and kept with the tapes; None where a tape program it reads is longer
+    than `_INLINE_STEPS` steps or does not inline.  A read is None where s
+    or any value it computes is not finite, or where a tape step refuses:
+    plainly (see the module docstring)."""
     key = ("tape read", reads)
     kept = tapes[2]
     if key not in kept:
-        degree = max([1] + [k for _, k, _ in reads if k is not None])
-        steps = _tape_steps(tapes, reads, degree)
-        inline = None if steps is None else inline_program(
-            tuple(sorted(steps[0]._program(steps[1]))), {0: 0}, steps[1], max_steps=math.inf)
-        kept[key] = None if inline is None else partial(_read, *inline)
+        kept[key] = _tape_read(tapes, reads)
     return kept[key]
 
 
-def _read(function, consts, s, sign_at):
-    """`tape_read`'s read: function((s,), consts), None where s is not finite."""
-    s = float(s)
-    return function((s,), consts) if math.isfinite(s) else None
-
-
-def fused_program(tapes, program, reads: dict, outputs, degree: int):
-    """`inline_program` of a recorded `program` of jets wider than
-    `INLINE_WIDTH` coefficients together with the steps of a curve's jet
-    tape that its inputs read, as one function of the float s; None where
-    it does not inline, or reads floats: a program of coefficient lists
-    takes no float step.
-
-    `reads` maps each input node of `program` to (group, k, i), component i
-    of the group's jet truncated to order k <= `degree`, the degree the jet
-    tape runs at.  The function takes (s,) and the constants: the recorded
-    ones, such as Q, and the tape's.  The tape steps come first, and only the
-    recorded steps' refusals may be final (see the module docstring).
-    """
-    if len(program) > _INLINE_STEPS or any(k is None for _, k, _ in reads.values()):
-        return None
-    fused = _tape_steps(tapes, tuple(reads.values()), degree)
-    if fused is None:
-        return None
-    fused, values = fused
-    given = dict(zip(reads, values))
-    recorded = len(fused.steps)  # the first node of a recorded step
-    for n, fn, x, y in program:
-        given[n] = fused._node(fn, given[x], given[y] if fn in _TWO_OPERANDS else y)
-    outputs = [given[n] for n in outputs]
-    # the tape steps first, then the recorded ones in their order
-    return inline_program(tuple(sorted(fused._program(outputs))), {0: 0}, outputs,
-                          max_steps=math.inf, final=recorded)
-
-
-def _tape_steps(tapes, reads: tuple, degree: int):
-    """(steps, nodes): the steps of a curve's tapes (float tape, jet tape)
-    that `reads` read, node 0 the float s, and the node of each read's
-    value, in order; reads as in `tape_read`, jets to order k <= `degree`,
-    the degree the jet tape runs at.  None where a tape program it reads is
-    longer than `_INLINE_STEPS` steps or takes a step that always raises."""
+def _tape_read(tapes, reads: tuple):
+    """`tape_read`, made: the steps of the tapes that `reads` read, node 0 the
+    float s, generated as one function."""
+    degree = max([1] + [k for _, k, _ in reads if k is not None])
     steps = _Steps()
-    nodes = [{0: 0}, {}]  # per tape: its node -> the node of steps
+    nodes = [{0: 0}, {}]  # per tape (float, jet): its node -> the node of steps
+    bounds = {}  # the node of steps of a jet -> the bound on its degree
 
     def node(t, n):
         if n not in nodes[t]:  # s of the jet tape, or a constant of the float tape
             nodes[t][n] = (steps._node(_k_var, 0, degree) if t
                            else steps._node(_f_const, 0, tapes[0].steps[n][2]))
+            if t:
+                bounds[nodes[t][n]] = 1
         return nodes[t][n]
 
     for t, group in sorted({(int(k is not None), group) for group, k, _ in reads}):
@@ -322,13 +287,32 @@ def _tape_steps(tapes, reads: tuple, degree: int):
             if fn not in _EMITTED:  # a step that always raises
                 return None
             if n not in nodes[t]:
-                nodes[t][n] = steps._node(fn, node(t, x), node(t, y) if fn in _TWO_OPERANDS else y)
+                two = fn in _TWO_OPERANDS
+                x, y = node(t, x), node(t, y) if two else y
+                at = nodes[t][n] = steps._node(fn, x, y)
+                if t:
+                    bounds[at] = _degree(fn, degree, bounds[x], bounds[y] if two else None, y)
     values = []
     for group, k, i in reads:
         t = int(k is not None)
         value = node(t, tapes[t].outputs[group][i])
-        values.append(value if k is None or k == degree else steps._node(_k_trunc, value, k))
-    return steps, values
+        if t and k < degree:
+            bound = _degree(_k_trunc, degree, bounds[value], None, k)
+            value = steps._node(_k_trunc, value, k)
+            bounds[value] = bound
+        values.append(value)
+    inline = inline_program(tuple(sorted(steps._program(values))), {0: 0}, values,
+                            max_steps=math.inf)
+    if inline is None:
+        return None
+    return partial(_read, *inline), tuple(None if k is None else bounds[value]
+                                          for value, (_, k, _) in zip(values, reads))
+
+
+def _read(function, consts, s, sign_at):
+    """`tape_read`'s read: function((s,), consts), None where s is not finite."""
+    s = float(s)
+    return function((s,), consts) if math.isfinite(s) else None
 
 
 def _degree(fn, n, da, db, y):
@@ -353,14 +337,15 @@ def _degree(fn, n, da, db, y):
 
 
 @lru_cache(maxsize=256)
-def _inline_function(inputs, program, outputs, n_consts, final):
+def _inline_function(inputs, program, outputs, n_consts, final, bounds):
     """The generated function of a program's structure (see `inline_program`);
     no step but s's jet (`_k_var`) widens a value, so its inputs and that
-    step decide whether it is a wide one."""
+    step decide whether it is a wide one, whose products the input `bounds`
+    bind."""
     widths = [shape for _, shape in inputs]
     widths += [y + 1 for _, fn, _, y in program if fn is _k_var]
     if max(widths, default=0) > INLINE_WIDTH:
-        return _list_function(inputs, program, outputs, n_consts, final)
+        return _list_function(inputs, program, outputs, n_consts, final, bounds)
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
     degrees = {}  # jet or pair node -> the bound on its degree
     unpack = []
@@ -393,9 +378,9 @@ def _inline_function(inputs, program, outputs, n_consts, final):
         each = dict.fromkeys(each + [name for name in operands if name[0] == "x"])
         return each and f"all(map(isfinite, ({_listed(each)})))"
 
-    def refusal(node, error, operand):
-        """What the function returns where step node refuses `operand`."""
-        return "None" if final is None or node < final else _ended(error, finite_so_far(*operand))
+    def refusal(error, operand):
+        """What the function returns where a step refuses `operand`."""
+        return _ended(error, finite_so_far(*operand)) if final else "None"
 
     for node, fn, x, y in program:
         a = names[x]
@@ -471,14 +456,14 @@ def _inline_function(inputs, program, outputs, n_consts, final):
                 lines += [f"{o} = {i + 1}*{a[i + 1]}" for i, o in enumerate(out)]
             elif fn is _k_sqrt:
                 lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: "
-                             f"return {refusal(node, f'refused_sqrt({a[0]})', a)}")
+                             f"return {refusal(f'refused_sqrt({a[0]})', a)}")
                 lines += jets.sqrt_lines(out, a, f"x{node}_two")
             else:  # _k_div, _k_tanh
                 if tuple(b) not in divisors:  # tested once
                     divisors.add(tuple(b))
                     scale = f"max({', '.join(f'abs({c})' for c in b)})" if b[1:] else f"abs({b[0]})"
                     refused = decide.DIVISOR_REFUSED.format(b0=b[0], scale=scale)
-                    lines.append(f"if {refused}: return {refusal(node, 'refused_division()', b)}")
+                    lines.append(f"if {refused}: return {refusal('refused_division()', b)}")
                 lines += jets.div_lines(out, a, b)
             # d/ds keeps all but a_0; the others keep every coefficient, and a
             # divisor that is not finite is refused
@@ -496,25 +481,24 @@ def _inline_function(inputs, program, outputs, n_consts, final):
     return _chained(prologue, body, f"({_listed(map(value, outputs))})")
 
 
-def _list_function(inputs, program, outputs, n_consts, final):
+def _list_function(inputs, program, outputs, n_consts, final, bounds):
     """The generated function of a program of jets wider than `INLINE_WIDTH`,
     each value a whole coefficient list (see the module docstring), or None
     where a step is not one on jets.
 
     Each value has a bound on its degree (`_degree`), fixed here: above it
-    every coefficient is a structural zero.  Where the only input is s (node 0,
-    the float or its jet (s, 1.0, 0.0, ...)), each product calls the kernel
-    of its operands' bounds; given lists have no bound below their width,
-    so their products call `jets.mul_coeffs`, which finds a's degree."""
+    every coefficient is a structural zero.  s's jet has bound 1, and a
+    given list the one `bounds` states, or its width's; each product calls
+    the kernel of its operands' bounds."""
     names = {node: f"x{node}" for node, _ in inputs}
     widths = dict(inputs)
-    degrees = {node: 1 if node == 0 else shape - 1 for node, shape in inputs}
-    from_s = list(names) == [0]
+    degrees = {node: (1 if node == 0 else shape - 1) if bound is None else bound
+               for (node, shape), bound in zip(inputs, bounds or [None] * len(inputs))}
     given = set(names)  # the inputs, which callers give finite
     prologue = [f"{_listed(names.values())}= i"]
     if n_consts:
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
-    bound = {"mul": jets.mul_coeffs}
+    bound = {}
     body = []
     # the tested coefficients besides the outputs': (their sum, the sequence of them)
     tested = []
@@ -534,9 +518,9 @@ def _list_function(inputs, program, outputs, n_consts, final):
         each = dict.fromkeys([*(names[n] for n in unread), *(v for _, v in tested), *operands])
         return each and _each_finite(list(each))
 
-    def refusal(node, error, operand):
-        """What the function returns where step node refuses `operand`."""
-        return "None" if final is None or node < final else _ended(error, finite_so_far(operand))
+    def refusal(error, operand):
+        """What the function returns where a step refuses `operand`."""
+        return _ended(error, finite_so_far(operand)) if final else "None"
 
     for node, fn, x, y in program:
         a = names[x]
@@ -566,8 +550,7 @@ def _list_function(inputs, program, outputs, n_consts, final):
         elif fn is _k_add or fn is _k_sub:
             value = f"[p {'+' if fn is _k_add else '-'} q for p, q in zip({a}, {names[y]})]"
         elif fn is _k_mul:
-            product = kernel("mul", jets._bound_mul_kernel, n - 1, da, db) if from_s else "mul"
-            value = f"{product}({a}, {names[y]})"
+            value = f"{kernel('mul', jets._bound_mul_kernel, n - 1, da, db)}({a}, {names[y]})"
         elif fn is _k_scale:
             value = f"[p*k{y} + 0.0 for p in {a}]"
         elif fn is _k_lift:
@@ -589,14 +572,14 @@ def _list_function(inputs, program, outputs, n_consts, final):
             tested += [(f"sum({out}[{j}], 0.0)", f"{out}[{j}]") for j in (0, 1)]
         elif fn is _k_sqrt:
             lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: "
-                         f"return {refusal(node, f'refused_sqrt({a}[0])', a)}")
+                         f"return {refusal(f'refused_sqrt({a}[0])', a)}")
             value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
         elif fn is _k_div or fn is _k_tanh:
             a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
             if b not in divisors:
                 divisors.add(b)
                 refused = decide.DIVISOR_REFUSED.format(b0=f"{b}[0]", scale=f"max(map(abs, {b}))")
-                lines.append(f"if {refused}: return {refusal(node, 'refused_division()', b)}")
+                lines.append(f"if {refused}: return {refusal('refused_division()', b)}")
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
         else:  # a float step
             return None

@@ -5,9 +5,8 @@ operators add the steps of `hypedal.program`'s format, and on `Scalar`s,
 the floats of a sample formula, whose operators add float steps; the
 program is then generated as one Python function
 (`hypedal.program.inline_program`), which a curve's derived curves run on a
-read of the curve's tapes (`hypedal.program.tape_read`), or, where it reads
-jets wider than `program.INLINE_WIDTH` coefficients, fused with the tape
-steps it reads (`hypedal.program.fused_program`).  The library imports this
+read of the curve's tapes (`hypedal.program.tape_read`) or of an auto-dual
+pair's (`frontal.auto_dual_read`).  The library imports this
 module with the first derived-curve jet or sample, curvature pair,
 `classify_pedal` or `AutoDual` jet it runs.
 """
@@ -26,8 +25,8 @@ from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal,
 from .jets import Jet, JetDomainError, answer, require_finite
 from .minkowski import MVec3, wedge
 from .program import (
-    INLINE_WIDTH, _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, fused_program,
-    inline_program, tape_read,
+    INLINE_WIDTH, _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, inline_program,
+    tape_read,
 )
 
 
@@ -260,46 +259,40 @@ def record(formula):
 # at s from the floats r and v of that pair, and from coefficient 1 of jets
 # of order 1, an induced pair's jets recorded into it from that pair's.
 #
-# Each such recording is compiled once per process (`_record_on_pair`) into
-# a function of its inputs, in `_leaf_order`, so formulas of one input set
-# share one read, and every curve shares the function.  Where the pair
-# reads r and v from a curve's tapes (`LegendrePair.from_curve`), it runs on
-# `program.tape_read` of them, kept with the tapes; a formula that reads r
-# alone, such as the off-curve scan's, does the same on a pair whose r
-# alone comes from a curve's tapes (`LegendrePair.with_auto_dual`).  A
-# formula that reads jets wider than `program.INLINE_WIDTH` coefficients,
-# such as `classify_pedal`'s order-22 germs, is fused with the tape steps it
-# reads instead (`program.fused_program`): one function of s, kept with the
-# tapes, for jets of any order up to `jets.MAX_ORDER` (a wide one reads no
-# floats), whose products call kernels bound to the tape's degree bounds.
-# Where neither is made, the formula runs on the curve's reads
-# (`ParametricCurve._tape_values`), which raise past that order.  Elsewhere
-# on an auto-dual pair, every r and v input comes from one call of a
-# generated function of s (`frontal.auto_dual_read`).  At a grid point of a
-# derived curve's singular-point scan, the sample and the order-2 jet of an
-# auto-dual pair take their inputs from one read of the union of their
-# inputs (`sampled_jet_program`), so that r is read once per grid point;
-# where that gives no answer, each runs as above.  Every program runs as
-# `_run`: a read of s, then the function, under one guard that refuses as
-# `jets.answer` does; where either refuses plainly, the formula runs, and a
-# final refusal raises its error.
+# Every program has one shape: a generated read of s, then the recording's
+# function, both run by `_run` under one guard that refuses as `jets.answer`
+# does; where either refuses plainly, the formula runs, and a final refusal
+# raises its error.  The recording's inputs, in `_leaf_order`, come in
+# leaves, each a jet or float triple of r or v.  Where the pair reads r and v
+# from a curve's tapes (`LegendrePair.from_curve`), or the formula reads r
+# alone, the read is `program.tape_read` of the leaves; elsewhere on an
+# auto-dual pair it is `frontal.auto_dual_read` (`_leaf_read`).  Both are kept
+# with the curve's tapes, so formulas of one leaf set share one read.  The
+# function is compiled once per process (`_record_on_pair`) and shared by
+# every curve; one of jets wider than `program.INLINE_WIDTH` coefficients,
+# such as `classify_pedal`'s order-22 germs, once per set of the degree
+# bounds that its tape read states, so that its products call the kernels
+# bound to them.  Where there is no read or no function, the formula runs on
+# the curve's reads (`ParametricCurve._tape_values`), which raise past
+# `jets.MAX_ORDER`.  At a grid point of a derived curve's singular-point
+# scan, a sample and an order-2 jet whose reads run a tape program in common
+# take their inputs from one read of the union of their leaves
+# (`sampled_jet_program`), so that it runs once per grid point; where that
+# gives no answer, each runs as above.
 # An evolute's formulas return its branch sign with its point, both computed
 # by steps of the program (`Node.branch_sign`), which ends, answering the
 # sign 0.0 alone, where the branch is degenerate.  Other pairs
 # (reparametrized, built by hand) get no program and run their formulas.
 
 
-def derived_program(formula, pair, Q, order: int | None, fused_only: bool = False):
+def derived_program(formula, pair, Q, order: int | None):
     """program(s0) -> (base, the coefficient lists of the jets that
-    formula(pair, Q, s0, order) returns) from the generated function, or None
-    where that gives no answer; None where there is none: where the pair
-    does not read r from a curve's tapes (reparametrized and hand-built
-    pairs, and the pair a formula is recorded on, run their `Jet`/`MVec3`
-    formulas), where a point is not finite, or where it does not run on the
-    curve's tapes (`_on_tapes`) and `fused_only` or the pair is a
-    `from_curve` one; a formula that reads v runs on the tapes only where v
-    comes from them too, and on an auto-dual pair on
-    `frontal.auto_dual_read`.  For a
+    formula(pair, Q, s0, order) returns) from the generated read and
+    function, or None where they give no answer; None where there is none:
+    where the pair does not read r from a curve's tapes (reparametrized and
+    hand-built pairs, and the pair a formula is recorded on, run their
+    `Jet`/`MVec3` formulas), where a point is not finite, or where the
+    formula does not record or its read or function does not inline.  For a
     sample formula (`order` None), program(s) -> the list of the floats it
     returns."""
     from .constructions import OrthotomicInducedPair, PedalInducedPair
@@ -317,28 +310,45 @@ def derived_program(formula, pair, Q, order: int | None, fused_only: bool = Fals
         return None
     kinds = tuple(type(p) for p in chain)
     tapes, dual = source._r_curve._tape_set(), source._dual
-    on_tapes = _on_tapes(tapes, formula, kinds, Q is not None, order, source._curve is None)
-    if on_tapes is not None:
-        read, function, consts = on_tapes
-        return partial(_run, read, None, function, _given(consts, values), order is not None)
-    if fused_only or dual is None:
-        return None  # not on the tapes: a formula of a curve's pair runs on the curve's reads
-    recorded = _record_on_pair(formula, kinds, Q is not None, order)
-    if recorded is None:
+    made = _read_and_function(tapes, formula, kinds, Q is not None, order, dual is not None)
+    if made is None:
         return None
-    function, consts, keys = recorded
-    # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
-    leaves = tuple((kind, k) for kind, k, i in keys if i == 0)
-    # one read deep enough for every leaf, and for the p that each v leaf decides
-    top = max((_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves),
-              default=1)
-    read = auto_dual_read(tapes, leaves, top)
-    if read is None:
-        return None
-    program = partial(_run, read, dual._sign_at, function, _given(consts, values),
-                      order is not None)
+    read, function, consts, leaves, top = made
+    program = partial(_run, read, None if top is None else dual._sign_at, function,
+                      _given(consts, values), order is not None)
     program.tapes, program.leaves, program.top = tapes, leaves, top  # for `sampled_jet_program`
     return program
+
+
+def _read_and_function(tapes, formula, kinds: tuple, with_q: bool, order: int | None,
+                       auto: bool):
+    """(read, function, constants, leaves, top) of formula recorded on a pair
+    with these tapes (`ParametricCurve._tape_set`), an auto-dual pair's if
+    `auto`, made once per tapes: `_leaf_read` of the recording's leaves, at
+    degree `top` for an auto-dual read (None: a read of the tapes), and
+    `_record_on_pair`'s function, given the bounds the read states where it
+    is wide.  None where it does not record, or its read or function does
+    not inline."""
+    key = ("program", formula, kinds, with_q, order, auto)
+    kept = tapes[2]
+    if key not in kept:
+        kept[key] = None
+        recorded = _recorded(formula, kinds, with_q, order)
+        if recorded is None:
+            return None
+        _, inputs, _, degree = recorded
+        # each jet or float triple of the source comes as three inputs, its x1, x2 and x3
+        leaves = tuple((kind, k) for (kind, k, i), _, _ in inputs if i == 0)
+        top = None
+        if auto and any(kind == "v" for kind, _ in leaves):
+            # one read deep enough for every leaf, and for the p that each v leaf decides
+            top = max(_jet_degree(k) if kind == "v" else max(k or 0, 1) for kind, k in leaves)
+        read = _leaf_read(tapes, leaves, top)
+        compiled = None if read is None else _record_on_pair(
+            formula, kinds, with_q, order, read[1] if degree >= INLINE_WIDTH else None)
+        if compiled is not None:
+            kept[key] = read[0], *compiled, leaves, top
+    return kept[key]
 
 
 _GROUPS = {"r": 0, "v": 1}  # the tape group of each jet of a `from_curve` pair
@@ -349,40 +359,21 @@ def _given(consts, values):
     return tuple(values[c.index] if isinstance(c, Param) else c for c in consts)
 
 
-def _on_tapes(tapes, formula, kinds: tuple, with_q: bool, order: int | None, r_only: bool):
-    """(read, function, constants) of formula recorded on a `from_curve` pair
-    with these tapes (`ParametricCurve._tape_set`), made once per tapes:
-    where the jets it reads have at most `INLINE_WIDTH` coefficients,
-    `program.tape_read` of its inputs and `_record_on_pair`'s function,
-    which every curve shares; where they are wider, `_fused_read` and
-    `program.fused_program`'s function.  None where it does not record or
-    inline, and, where `r_only` (the tapes give r, not v), where it reads v."""
-    key = (formula, kinds, with_q, order, r_only)
-    kept = tapes[2]
-    if key not in kept:
-        kept[key] = None
-        recorded = _fusable(formula, kinds, with_q, order)
-        if recorded is None:
-            return None
-        program, inputs, outputs, degree = recorded
-        reads = tuple((_GROUPS[kind], k, i) for (kind, k, i), _, _ in inputs)
-        if r_only and any(group for group, _, _ in reads):
-            return None
-        if degree < INLINE_WIDTH:
-            compiled = _record_on_pair(formula, kinds, with_q, order)
-            read = tape_read(tapes, reads)
-            if compiled is not None and read is not None:
-                kept[key] = read, *compiled[:2]
-        else:
-            fused = fused_program(tapes, program, dict(zip((node for _, node, _ in inputs), reads)),
-                                  outputs, degree)
-            if fused is not None:
-                kept[key] = _fused_read, *fused
-    return kept[key]
+def _leaf_read(tapes, leaves: tuple, top: int | None):
+    """(read, bounds) of `leaves`, each (kind, order or None) in `_leaf_order`,
+    from a curve's tapes (`ParametricCurve._tape_set`): where `top` is None,
+    `program.tape_read` of each leaf's three components, with the bound on
+    each jet's degree; else `frontal.auto_dual_read` at degree `top`, with
+    no bounds.  None where there is no read."""
+    if top is None:
+        return tape_read(tapes, tuple((_GROUPS[kind], k, i) for kind, k in leaves
+                                      for i in range(3)))
+    read = auto_dual_read(tapes, leaves, top)
+    return None if read is None else (read, None)
 
 
 @lru_cache(maxsize=64)
-def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
+def _recorded(formula, kinds: tuple, with_q: bool, order: int | None):
     """(program, inputs, outputs, degree) of formula(pair, Q, s0, order)
     recorded on a pair built by `kinds` (induced pair classes, outermost
     first) around one whose r and v jets and floats are inputs, Q a point if
@@ -408,21 +399,13 @@ def _fusable(formula, kinds: tuple, with_q: bool, order: int | None):
     return recording._program(outputs), tuple(inputs), tuple(outputs), degree
 
 
-def _fused_read(s, sign_at):
-    """The read of a fused program, whose function takes s alone: (s,), or
-    None where s is not finite."""
-    s = float(s)
-    return (s,) if math.isfinite(s) else None
-
-
 def _run(read, sign_at, function, consts, jet: bool, s):
     """function(read(s, sign_at), consts), and s before it for a jet program:
     a formula's function on the values of `program.tape_read` or of
-    `auto_dual_read`, or a function fused with a curve's tapes on
-    `_fused_read`.  None where the read
-    or the function gives no answer, as `jets.answer` refuses, and the
-    formula then runs on the curve's reads or on `AutoDual`'s evaluators;
-    raises the error of a final refusal, which the formula would raise."""
+    `auto_dual_read`.  None where the read or the function gives no answer,
+    as `jets.answer` refuses, and the formula then runs on the curve's
+    reads or on `AutoDual`'s evaluators; raises the error of a final
+    refusal, which the formula would raise."""
     try:
         given = read(s, sign_at)
         out = None if given is None else function(given, consts)
@@ -435,19 +418,20 @@ def _run(read, sign_at, function, consts, jet: bool, s):
 
 def sampled_jet_program(sample, jet):
     """program(s) -> (s, [sample's floats, jet's lists]), for the
-    `derived_program`s of a sample formula and a jet formula on one
-    auto-dual pair at one top degree: a `_run` whose one `auto_dual_read`
-    of the union of their leaves, in `_leaf_order`, gives each function the
-    values of its own leaves (`_each`), so r's jet tape is read once at s.
-    None where they are not two such programs, which a program on a curve's
-    tapes is not, or there is no read; program(s) is None where the read or
+    `derived_program`s of a sample formula and a jet formula on one pair
+    whose leaves one kind of read gives (`_leaf_read`, at one top degree
+    for an auto-dual read), and whose reads run a tape program in common
+    (`_tapes_run`): a `_run` whose one read of the union of their leaves, in
+    `_leaf_order`, gives each function the values of its own leaves
+    (`_each`), so that program runs once at s.  None where they are not two
+    such programs or there is no read; program(s) is None where the read or
     either function gives no answer or a final refusal, and the two then
     run apart."""
-    if not (all(isinstance(p, partial) and getattr(p, "leaves", None) for p in (sample, jet))
-            and sample.top == jet.top):
+    if (sample is None or jet is None or sample.top != jet.top
+            or not _tapes_run(sample) & _tapes_run(jet)):
         return None
     leaves = tuple(sorted({*sample.leaves, *jet.leaves}, key=_leaf_order))
-    read = auto_dual_read(sample.tapes, leaves, sample.top)
+    read = _leaf_read(sample.tapes, leaves, sample.top)
     if read is None:
         return None
 
@@ -456,7 +440,16 @@ def sampled_jet_program(sample, jet):
         at = [3 * leaves.index(leaf) + i for leaf in program.leaves for i in range(3)]
         return (*program.args[2:4], operator.itemgetter(*at))
 
-    return partial(_run, read, sample.args[1], _each, (picked(sample), picked(jet)), True)
+    return partial(_run, read[0], sample.args[1], _each, (picked(sample), picked(jet)), True)
+
+
+def _tapes_run(program):
+    """The tape programs that a `derived_program`'s read runs: r's jet tape
+    for an auto-dual read; each group's float or jet tape that its leaves
+    read for a read of the tapes."""
+    if program.top is not None:
+        return {("r", False)}
+    return {(kind, k is None) for kind, k in program.leaves}
 
 
 def _each(given, parts):
@@ -468,19 +461,20 @@ def _each(given, parts):
 
 
 @lru_cache(maxsize=64)
-def _record_on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
-    """`record` of `_fusable`'s recording: (function, constants, input keys),
-    the function on the values of its inputs, in `_leaf_order`, so that
-    formulas of one leaf set share one `auto_dual_read`; keyed by the
-    recording's structure, so every curve, and every pair that reads r and
-    v in this order, shares one."""
-    recorded = _fusable(formula, kinds, with_q, order)
+def _record_on_pair(formula, kinds: tuple, with_q: bool, order: int | None, bounds=None):
+    """(function, constants) of `_recorded`'s recording, the function on the
+    values of its inputs, in `_leaf_order`, so that formulas of one leaf set
+    share one read; a recorded function, whose refusals may be final.  Keyed
+    by the recording's structure, so every curve, and every pair that reads r
+    and v in this order, shares one; and by the `bounds` on its inputs'
+    degrees that a tape read states, which a wide function is given so that
+    its products call the kernels bound to them (`program.inline_program`)."""
+    recorded = _recorded(formula, kinds, with_q, order)
     if recorded is None:
         return None
     program, inputs, outputs, _ = recorded
-    inline = inline_program(program, {node: shape for _, node, shape in inputs}, outputs,
-                            final=0)
-    return None if inline is None else (*inline, [key for key, _, _ in inputs])
+    return inline_program(program, {node: shape for _, node, shape in inputs}, outputs,
+                          final=True, bounds=bounds)
 
 
 def _leaf_order(key):

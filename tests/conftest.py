@@ -82,15 +82,14 @@ def wave_pair():
 
 
 def read_of(program):
-    """How `recording._run` reads s for a derived program: "fused" (from a
-    curve's tapes by a function of s alone: `program.tape_read`, or s itself
-    for a function fused with the tapes), "auto-dual" (a generated read of
+    """How `recording._run` reads s for a derived program: "tapes" (from a
+    curve's tapes by a function of s alone, `program.tape_read`), "auto-dual" (a generated read of
     r, `frontal.auto_dual_read`, and each dual's sign), or None where there
     is none."""
     if program is None:
         return None
     assert program.func is recording._run
-    return "fused" if program.args[1] is None else "auto-dual"
+    return "tapes" if program.args[1] is None else "auto-dual"
 
 
 def random_h2_point(rng, rho_max: float = 1.2) -> MVec3:

@@ -488,7 +488,7 @@ def _branch_outcome(fn):
 def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pairs,
                                                   monkeypatch):
     # a caustic float sample reads the induced pair's r and v jets at order 1,
-    # recorded into the sample's function: fused with the tapes for a
+    # recorded into the sample's function: on a read of the tapes for a
     # `from_curve` pair, on one generated read of r for an auto-dual pair;
     # with the generator off it runs the `Jet` formulas, and every sample must
     # be the same bits or the same error.
@@ -510,7 +510,7 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
 
     generated, caustic = samples()
     induced = caustic.formula_pair
-    assert read_of(caustic._programs[None]) == ("auto-dual" if "auto" in which else "fused")
+    assert read_of(caustic._programs[None]) == ("auto-dual" if "auto" in which else "tapes")
     # the induced pair's jet functions never run: where the sample refuses,
     # on the curve, its refusal is final
     assert induced._programs == {}
@@ -532,11 +532,11 @@ def _rows_pair(r, v):
 
 @pytest.mark.parametrize("case", ["vanishing divisor", "sqrt of a negative", "overflow"])
 def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
-    # where the function fused with the curve's tapes returns None, the `Jet`
+    # where the function on a read of the curve's tapes returns None, the `Jet`
     # formula runs on the curve's reads and raises what it raises; where it
     # refuses with every value before finite, it raises that error itself;
     # mutation: not testing the finiteness of every value
-    monkeypatch.setattr(expr, "_TAPES", {})  # the fused programs of fresh tapes
+    monkeypatch.setattr(expr, "_TAPES", {})  # the reads of fresh tapes
     Q = MVec3(1.0, 0.0, 0.0)
     if case == "vanishing divisor":
         # the pedal divides by sqrt(1 + <Q, v>^2) = 1 + 5e27 (s - s0)^2 + ...
@@ -558,7 +558,7 @@ def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
         curve, order = cons.evolute(pair), 1
         error = (ValueError, "non-finite jet coefficient")
     program = recording.derived_program(curve._formula, *curve._formula_args(), order)
-    assert read_of(program) == "fused"
+    assert read_of(program) == "tapes"
     if case == "overflow":
         assert curve._program_coeffs(0.5, order, curve._run_program(0.5, order)) is None
     else:  # a final refusal
@@ -572,12 +572,12 @@ def test_generated_jets_fall_back_to_the_formula(case, monkeypatch):
 def test_generated_code_is_shared_by_every_pedal_point(monkeypatch):
     # the code of a formula is keyed by its structure, and Q is an argument,
     # so new pedal points compile nothing new: neither the jets nor the
-    # samples, which are fused with the curve's tapes, nor the off-curve scan
+    # samples, which run on reads of the curve's tapes, nor the off-curve scan
     # of the caustic's induced pair; mutation: Q in the source
     def compiled(points):
-        for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
+        for cache in (program._inline_function, recording._record_on_pair, recording._recorded):
             cache.cache_clear()
-        monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
+        monkeypatch.setattr(expr, "_TAPES", {})  # and the reads they hold
         pair = LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
         rng = random.Random(3)
         with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
@@ -612,7 +612,7 @@ def test_an_evolute_point_is_one_generated_call(monkeypatch):
     # besides the read of the curve's tapes, on a `from_curve` pair and on an
     # auto-dual pair alike; mutation: a second function after the branch
     # decision, as there was
-    for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
+    for cache in (program._inline_function, recording._record_on_pair, recording._recorded):
         cache.cache_clear()
     monkeypatch.setattr(expr, "_TAPES", {})  # and the programs they hold
     calls = []
@@ -647,7 +647,7 @@ def test_each_recorded_formula_is_compiled_once_for_every_curve(monkeypatch):
     # recorded on no curve and keyed by its structure: after the first curve
     # only reads of the tapes are compiled; mutation: the function keyed by
     # the curve's tapes
-    for cache in (program._inline_function, recording._record_on_pair, recording._fusable):
+    for cache in (program._inline_function, recording._record_on_pair, recording._recorded):
         cache.cache_clear()
     monkeypatch.setattr(expr, "_TAPES", {})
     compiled = []  # per compile: whether it is of a curve's tapes
@@ -671,7 +671,7 @@ def test_each_recorded_formula_is_compiled_once_for_every_curve(monkeypatch):
             for s in grid:
                 sample(s)
                 curve.jet(s, 2)
-            assert all(read_of(p) == "fused" for p in curve._programs.values())
+            assert all(read_of(p) == "tapes" for p in curve._programs.values())
         per_curve.append((compiled.count(True), compiled.count(False)))
     assert per_curve[0][0] > 0 and per_curve[0][1] > 0
     assert [recorded for _, recorded in per_curve[1:]] == [0, 0, 0]

@@ -510,8 +510,8 @@ def test_wide_generated_tape_functions_are_the_step_loop(e, s, degree):
 # one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
 # "truncate" act on a product, so that a value they drop is one the program
 # computed; the next four multiply with a left operand that ends in zeros,
-# whose degree `jets.mul_coeffs` finds below its width: s, s^2, a lift of
-# -0.0, and a sum of s and a lift; the last four read s alone, so their
+# whose degree is below the bound of its width: s, s^2, a lift of -0.0, and
+# a sum of s and a lift; the last four read s alone, so their
 # products call kernels bound to their operands' degrees: sin(s) (every
 # degree) times s (degree 1), s^2 times s^3, and two whose bound product
 # meets a value that is not finite, where the step loop's terms with a
@@ -581,11 +581,11 @@ def _step_inputs(width: int, case: str):
     return s, a, b
 
 
-def _inline_steps(steps, outputs, width: int, final: int = 0):
+def _inline_steps(steps, outputs, width: int, final: bool = True):
     """(the input nodes read, function, constants) of `program.inline_program`
     for a step kind whose inputs, s and nodes 1 and 2, are jets of `width`;
-    the steps from node `final` on are a recorded formula's, whose refusals
-    may be final, and those before it a fused program's tape steps."""
+    a recorded function's, whose refusals may be final, where `final`, and
+    else a read's, the steps of a curve's tapes."""
     read = sorted({node for _, fn, x, y in steps
                    for node in ((x, y) if fn in expr._TWO_OPERANDS else (x,)) if node < 3})
     return (read, *program.inline_program(steps, dict.fromkeys(read, width), outputs,
@@ -608,13 +608,13 @@ def _generated_outcome(function, inputs, consts):
     return "refused" if out is None else _reprs(out)
 
 
-def _step_loop_outcome(steps, outputs, inputs, final: int = 0):
+def _step_loop_outcome(steps, outputs, inputs, final: bool = True):
     """The outputs of the step loop by repr, or "refused" where a step raises or
     a value is not finite, as the `Jet` formula checks each (a pair, both halves);
     a branch sign of 0.0, degenerate, ends the program, whose output it is.  A
-    refused divisor or square root of a step from node `final` on, where the
-    refused operand is finite too, is the class and message of its error,
-    which the formula raises, every value before it being finite."""
+    refused divisor or square root of a recorded function's step (`final`),
+    where the refused operand is finite too, is the class and message of its
+    error, which the formula raises, every value before it being finite."""
     values = dict(enumerate(inputs))
     try:
         for node, fn, x, y in steps:
@@ -626,7 +626,7 @@ def _step_loop_outcome(steps, outputs, inputs, final: int = 0):
     except jets.JetDomainError as exc:  # a refusal: the divisor, a tanh's cosh, a square root's
         operand = (values[y] if fn is expr._k_div else values[x][1] if fn is expr._k_tanh
                    else values[x])
-        return (type(exc), str(exc)) if node >= final and _finite(operand) else "refused"
+        return (type(exc), str(exc)) if final and _finite(operand) else "refused"
     except jets.DOMAIN_ERRORS:
         return "refused"
     return _reprs(values[node] for node in outputs)
@@ -640,8 +640,7 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
     # finiteness is tested once, on the outputs and on what d/ds and truncation
     # drop; each step kind must give the step loop's bits, or no answer where
     # a step refuses or a value is not finite; a product calls a kernel bound
-    # to its operands' degrees where the program reads s alone, and
-    # `jets.mul_coeffs` where it reads given lists.  Mutations: no test of the
+    # to its operands' degrees, a given list's its width's.  Mutations: no test of the
     # dropped coefficients ("d" and "truncate" answer on an overflow), of
     # both halves of a pair ("sin" answers where cos overflows at width 5),
     # of a divisor's refusal ("div" answers on 1e-14 at width 5); a term
@@ -649,14 +648,14 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
     # ("times s" and "s^2 times s^3" differ in their bits, and with the
     # term left out "s overflowed times s" answers at s = -0.0); no test of
     # the outputs of a program that reads s alone (the two kinds that are
-    # not finite answer); a bound kernel for given lists (the products of
-    # "mul" and the others call no `mul`)
+    # not finite answer); a product of given lists left to `jets.mul_coeffs`,
+    # the unbound `mul`
     inputs = _step_inputs(width, case)
     for kind, (steps, outputs) in _STEP_KINDS.items():
         read, function, consts = _inline_steps(steps, outputs, width)
         products = sum(fn is expr._k_mul for _, fn, _, _ in steps)
-        calls_mul = "mul" in function.__code__.co_names
-        assert calls_mul == (products > 0 and kind not in _FROM_S), kind
+        kernels = [name for name in function.__code__.co_names if name.startswith("mul")]
+        assert "mul" not in kernels and (products > 0) == bool(kernels), kind
         generated = _generated_outcome(function, [list(inputs[node]) for node in read], consts)
         expected = _step_loop_outcome(steps, outputs, inputs)
         assert generated == expected, (kind, case)
@@ -682,13 +681,13 @@ _REFUSED = {case: kinds | _NOT_FINITE_FROM_S for case, kinds in {
 
 
 # the refusals: a divisor after a product, which can overflow, and a tape
-# step's divisor in a fused program (the steps below node 4, `_FINAL`), whose
-# quotient the recorded formula reads truncated to degree 1
+# step's divisor in a read (`_READS`), whose quotient the read truncates to
+# degree 1
 _REFUSAL_KINDS = {
     "a divisor after a product": ([(3, expr._k_mul, 1, 1), (4, expr._k_div, 2, 2)], (3, 4)),
     "a tape step's divisor, truncated": ([(3, expr._k_div, 1, 2), (4, _k_trunc, 3, 1)], (4,)),
 }
-_FINAL = {"a tape step's divisor, truncated": 4}  # else 0: every step is a recorded one
+_READS = {"a tape step's divisor, truncated"}  # the others are recorded functions
 # the step kinds, two whose first step's value only a lift or a coefficient
 # read takes, and the refusals
 _NARROW_KINDS = {
@@ -760,7 +759,7 @@ def test_narrow_generated_steps_are_the_step_loop(kind, width, s, a, b):
     # step's refusal is final, the error the step loop raises, iff every
     # value before it and the refused operand are finite
     steps, outputs = _NARROW_KINDS[kind]
-    final = _FINAL.get(kind, 0)
+    final = kind not in _READS
     inputs = [s, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width, final)
     assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
@@ -792,11 +791,11 @@ def test_wide_generated_refusals_are_the_step_loop(kind, width, a, b):
     # as the narrow test, on coefficient lists: a recorded step's refusal is
     # final, the error the step loop raises, iff every value before it and
     # the refused operand are finite, and plain, no answer, where one is not
-    # or the step is a fused program's tape step.  Mutations: a final refusal
+    # or the step is a read's tape step.  Mutations: a final refusal
     # without the finiteness test (a divisor after an overflow), or for a
     # tape step
     steps, outputs = _NARROW_KINDS[kind]
-    final = _FINAL.get(kind, 0)
+    final = kind not in _READS
     inputs = [0.5, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width, final)
     assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
@@ -927,7 +926,7 @@ def test_tape_values_are_the_jets_coefficients_from_the_same_point(name):
        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from([0.0, -0.0]),
        st.sampled_from([0, 1, 2, 3, 17]), st.integers(min_value=1, max_value=6))
 def test_lower_order_jet_is_the_truncated_higher_one(e, s0, order, step):
-    # what the fused programs' truncations of a jet read at a higher degree
+    # what the reads' truncations of a jet read at a higher degree
     # (`program._k_trunc`) rest on
     try:
         high = eval_jet(e, s0, order + step)

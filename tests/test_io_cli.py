@@ -184,7 +184,7 @@ def test_the_parser_is_built_once_and_keeps_its_texts(monkeypatch, capsys):
 
 def test_a_second_run_of_the_same_commands_compiles_nothing(tmp_path):
     # generated code is cached by structure (`program._inline_function`), and
-    # fused code also with the tapes that curves of the same expressions share,
+    # reads also with the tapes that curves of the same expressions share,
     # so a second round of the benchmark's commands reloads every curve file
     # and compiles nothing; mutation: both caches too small for one round
     # (`expr.TAPES_SIZE` 1 and a code cache of 32; either alone still passes)
@@ -719,8 +719,8 @@ def test_outputs_are_unchanged_with_the_geometry_rebound(monkeypatch):
                 monkeypatch.setattr(held, name, wrapper)
     # recorded again, through the wrappers
     recording._record_on_pair.cache_clear()
-    recording._fusable.cache_clear()
-    monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
+    recording._recorded.cache_clear()
+    monkeypatch.setattr(expr, "_TAPES", {})  # and the reads they hold
     assert outputs() == plain
 
 

@@ -10,8 +10,10 @@ zero counts, or raise the same error.
 
 from __future__ import annotations
 
+import inspect
 import math
 import traceback
+from collections import Counter
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -165,18 +167,19 @@ def test_the_scan_reads_the_speeds_of_the_formulas(which, where, pairs, monkeypa
 @pytest.mark.parametrize("where", WHERE)
 @pytest.mark.parametrize("name", NAMES)
 def test_the_off_curve_scan_reads_the_gaps_of_the_formula(name, where, pairs):
-    # -(<Q, r> + 1) on the scan's grid, fused with the curve's float tape, is
-    # the formula's to the bit, for a `from_curve` and an auto-dual pair alike;
-    # an auto-dual pair's formulas that read v fuse with no tape
+    # -(<Q, r> + 1) on the scan's grid, on a read of the curve's float tape,
+    # is the formula's to the bit, for a `from_curve` and an auto-dual pair
+    # alike; an auto-dual pair's formulas that read v run on its auto-dual read
     grid = linspace(pairs[name].domain, cons._ON_CURVE_SAMPLES)
     Q = _point(pairs[name], where)
     for pair in (pairs[name], pairs[name + " auto"]):
-        program = recording.derived_program(cons._off_curve_gap, pair, Q, None, fused_only=True)
+        program = recording.derived_program(cons._off_curve_gap, pair, Q, None)
+        assert read_of(program) == "tapes"
         assert ([repr(program(s)[0]) for s in grid]
                 == [repr(cons._off_curve_gap(pair, Q, s, None)[0]) for s in grid])
     auto = pairs[name + " auto"]
     for formula in (cons.PedalCurve._sample, frontal._curvatures, frontal._frame):
-        assert recording.derived_program(formula, auto, Q, None, fused_only=True) is None
+        assert read_of(recording.derived_program(formula, auto, Q, None)) == "auto-dual"
 
 
 def test_a_larger_curve_is_read_wherever_its_parts_inline(monkeypatch):
@@ -207,7 +210,7 @@ def test_a_larger_curve_is_read_wherever_its_parts_inline(monkeypatch):
     generated = [_outcome(lambda: caustic.at_with_branch(s)) for s in grid]
     assert max(sizes) > program._INLINE_STEPS
     sample = caustic._programs[None]
-    assert read_of(sample) == "fused"
+    assert read_of(sample) == "tapes"
     recorded = recording._record_on_pair(cons.EvoluteCurve._sample, (cons.OrthotomicInducedPair,),
                                          False, None)
     assert sample.args[2] is recorded[0]
@@ -228,14 +231,18 @@ def test_a_read_of_the_tapes_answers_only_finite_values(leaves, s):
     # a read of a curve's tapes (`program.tape_read`) hands on each value with
     # the step loop's bits, jets truncated from the highest order read, and
     # answers only where each value that the step loop computes is finite, what
-    # a truncation drops included; mutations: the read's finiteness test left
-    # out, or only its outputs tested
+    # a truncation drops included; it states each jet's bound on its degree,
+    # above which every coefficient is 0.0: 2 for s + s*s*1e308 + s*s*1e308,
+    # 0 for v's constant 0 and the order read for the rest; mutations: the
+    # read's finiteness test left out, or only its outputs tested
     tapes = ParametricCurve(
         "read", tuple(map(expr.parse, ("sqrt(1 + s^2)", "s + s*s*1e308 + s*s*1e308", "1/(1 + s)"))),
         (-2.0, 2.0), dual_components=tuple(map(expr.parse, ("0", "cos(s)", "sin(s)"))))._tape_set()
     reads = tuple((recording._GROUPS[kind], k, i) for kind, k in leaves for i in range(3))
     degree = max([1] + [k for _, k, _ in reads if k is not None])
-    read = program.tape_read(tapes, reads)
+    read, bounds = program.tape_read(tapes, reads)
+    assert bounds == tuple(None if k is None else {(0, 1): min(k, 2), (1, 0): 0}.get((group, i), k)
+                           for group, k, i in reads)
     try:
         answered = read(s, None)
     except jets.DOMAIN_ERRORS:
@@ -261,6 +268,8 @@ def test_a_read_of_the_tapes_answers_only_finite_values(leaves, s):
         expected = tuple(values[group, True][i] if k is None else values[group, False][i][:k + 1]
                          for group, k, i in reads)
         assert repr(answered) == repr(expected)
+        assert all(c == 0.0 for value, bound in zip(answered, bounds) if bound is not None
+                   for c in value[bound + 1:])
 
 
 # -- validation on floats --------------------------------------------------------
@@ -299,8 +308,8 @@ def _validations(pair, Q, samples):
 
 @pytest.mark.parametrize("which", [*NAMES, *(name + " auto" for name in NAMES)])
 def test_validation_residuals_are_those_of_the_vector_formula(which, pairs, monkeypatch):
-    # `validate` reads r, r' and v as floats from a generated function (fused
-    # with the curve's tapes for a `from_curve` pair) and does `inner`'s float
+    # `validate` reads r, r' and v as floats from a generated function (on a
+    # read of the curve's tapes for a `from_curve` pair) and does `inner`'s float
     # operations in its order, so each residual keeps its bits, as it does
     # where the formula runs; mutation: <r, v> summed in another order
     def fresh():  # a pair keeps the programs it made
@@ -315,7 +324,7 @@ def test_validation_residuals_are_those_of_the_vector_formula(which, pairs, monk
     answered = frontal._generated(pair._samplers, frontal._frame, frontal._frame, pair, None,
                                   None, 0.25)
     assert answered is not None
-    assert (read_of(pair._samplers[frontal._frame]) == "fused") == ("auto" not in which)
+    assert (read_of(pair._samplers[frontal._frame]) == "tapes") == ("auto" not in which)
     _formula_only(monkeypatch)
     assert _validations(fresh(), Q, 57) == expected
 
@@ -343,9 +352,9 @@ def test_a_validation_that_fails_raises_what_the_formula_raises(r, v, error, mon
 
 
 def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
-    # every function of a formula, fused with the curve's tapes or run on a
-    # read of them, gives no answer, by returning None and then by raising,
-    # so each sample and curvature pair runs its formula
+    # every function of a formula, run on a read of the curve's tapes, gives
+    # no answer, by returning None and then by raising, so each sample and
+    # curvature pair runs its formula
     def fresh():  # a pair keeps the programs it made, the curve's tapes theirs
         monkeypatch.setattr(expr, "_TAPES", {})
         return LegendrePair.from_curve(load_curve(CURVES / "astroid.json"))
@@ -354,14 +363,13 @@ def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
     Q = _point(pair, "generic")
     grid = _parameters("astroid", pair)
     generated = _samples(pair, Q, grid)
-    makers = {name: getattr(recording, name) for name in ("fused_program", "_record_on_pair")}
+    make = recording._record_on_pair
     for answer in (lambda i, k: None, lambda i, k: 1.0 / 0.0):
-        for name, make in makers.items():
-            def silent(*args, answer=answer, make=make):
-                made = make(*args)
-                return None if made is None else (answer, *made[1:])
+        def silent(*args, answer=answer):
+            made = make(*args)
+            return None if made is None else (answer, *made[1:])
 
-            monkeypatch.setattr(recording, name, silent)
+        monkeypatch.setattr(recording, "_record_on_pair", silent)
         assert _answered(fresh(), Q, grid) == 0.0
         assert _samples(fresh(), Q, grid) == generated
 
@@ -369,8 +377,8 @@ def test_a_program_without_an_answer_runs_the_formula(monkeypatch):
 @pytest.mark.parametrize("name", NAMES)
 def test_fused_programs_read_nothing_of_the_tape_memo(name, pairs, monkeypatch):
     # the scans and samples of a `from_curve` pair's derived curves, the
-    # caustic's included, run functions fused with the curve's tapes, which
-    # take s and read nothing through the curve's own reads
+    # caustic's included, run reads of the curve's tapes, which take s, and
+    # functions on them, and read nothing through the curve's own reads
     # (`ParametricCurve._tape_values`), which only the formulas run where a
     # function gives no answer; mutation: a program of `hypedal.recording`
     # that runs the formula on the pair's jets
@@ -390,7 +398,7 @@ def test_fused_programs_read_nothing_of_the_tape_memo(name, pairs, monkeypatch):
         for s in grid:
             curve._sampled(s)
         assert set(curve._programs) == {None, 2}
-        assert all(read_of(program) == "fused" for program in curve._programs.values())
+        assert all(read_of(program) == "tapes" for program in curve._programs.values())
     assert not any("hypedal.recording" in modules for modules in callers)
     pair.r(0.5)  # the spy sees the curve's reads
     assert "hypedal.expr" in callers[-1]
@@ -422,9 +430,9 @@ def test_a_non_finite_value_raises_what_the_formula_raises(kind, error, monkeypa
 
 
 def test_a_jet_at_a_non_finite_parameter_raises_what_the_formula_raises():
-    # v is constant, so a fused pedal jet would compute finite coefficients
-    # at s = nan or inf; the formula refuses the base; mutation: s not tested
-    # finite before a fused call
+    # v is constant, so a generated pedal jet would compute finite
+    # coefficients at s = nan or inf; the formula refuses the base; mutation:
+    # s not tested finite before a read
     pair = LegendrePair.from_curve(curve_from_dict({
         "schema": 1, "name": "constant-dual", "r": ["sqrt(1 + s^2)", "s", "0"],
         "v": ["0", "0", "1"], "domain": [-1.0, 1.0]}))
@@ -724,12 +732,15 @@ def _rows(*texts):
          MVec3(1.0, 0.0, 0.0))
 def test_from_curve_programs_on_random_curves_are_the_formulas(r, v, s, Q):
     # on random r and v, the pedal, orthotomic and evolute jets of orders 1-3,
-    # the catacaustic's of orders 1-2 and their samples, each a read of the
-    # curve's tapes and the formula's function, or fused with the tapes, must
-    # be the bits of the formulas on the curve's reads, or raise what they
-    # raise, a final refusal included, whose error the formula would raise.
-    # Mutations: a final refusal for a tape step, or one whose message is not
-    # the kernel's; a read that hands its values on in another order
+    # the catacaustic's of orders 1-2 and their samples, and `classify_pedal`'s
+    # germs at orders 22 and jets.MAX_ORDER - 1, wide programs, each a read of
+    # the curve's tapes and the formula's function, must be the bits of the
+    # formulas on the curve's reads, or raise what they raise, a final
+    # refusal included, whose error the formula would raise.  A wide function
+    # binds each product's kernel, from the degree bounds its read states,
+    # and never the unbound `jets.mul_coeffs`.  Mutations: a final refusal
+    # for a tape step, or one whose message is not the kernel's; a read that
+    # hands its values on in another order, or states a bound one too low
     def outcomes():
         pair = LegendrePair.from_curve(ParametricCurve("random", r, (-2.0, 2.0),
                                                        dual_components=v))
@@ -744,15 +755,44 @@ def test_from_curve_programs_on_random_curves_are_the_formulas(r, v, s, Q):
             out += [_outcome(lambda: derived.jet(s, k)) for k in ((1, 2) if derived is caustic
                                                                   else (1, 2, 3))]
             out.append(_outcome(lambda: sample(s)))
-        return out, {read_of(p) for derived in curves for p in derived._programs.values()}
+        wide = [recording.derived_program(recording._germs, pair, Q, order)
+                for order in (22, jets.MAX_ORDER - 1)]
+        out += [_germs_outcome(pair, Q, s, order) for order in (22, jets.MAX_ORDER - 1)]
+        programs = [*wide, *(p for derived in curves for p in derived._programs.values())]
+        return out, {read_of(p) for p in programs}, [p.args[2] for p in wide if p is not None]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "_TAPES", {})
-        generated, runs = outcomes()
+        generated, runs, functions = outcomes()
         patch.setattr(recording, "derived_program", lambda *args: None)
-        expected, none = outcomes()
-    assert runs <= {"fused", None} and none == {None}
+        expected, none, _ = outcomes()
+    assert runs <= {"tapes", None} and none == {None}
     assert generated == expected
+    assert not any("mul" in part.__code__.co_names for f in functions for part in _parts(f))
+
+
+def _germs_outcome(pair, Q, s0, order):
+    """The germs that `classify_pedal` takes, ell, m and P's components, by
+    repr of their coefficient lists, or the error of a final refusal: from
+    `recording.pedal_germs` where it answers, else from the `Jet` formulas."""
+    germs = recording.pedal_germs(pair, Q, s0, order)
+    if germs.__class__ is jets.JetDomainError:
+        return type(germs), str(germs)
+    if germs is None:
+        def formulas():
+            P = cons.pedal_point(Q, pair.v_jet(s0, order))
+            return [list(j.coeffs) for j in (*pair.curvature_jets(s0, order), *P.components())]
+
+        return _outcome(formulas)
+    _, ell, m, P = germs
+    return repr([ell, m, *P])
+
+
+def _parts(function):
+    """The compiled functions of a generated function, one or a chain of parts
+    (`program._chained`)."""
+    nonlocals = inspect.getclosurevars(function).nonlocals
+    return [nonlocals["first"], *nonlocals["rest"]] if "first" in nonlocals else [function]
 
 
 def _scanned(pair, kind, Q, samples, one_pass):
@@ -777,19 +817,55 @@ def _scanned(pair, kind, Q, samples, one_pass):
     return (repr(points), repr(singular)), curve
 
 
+@pytest.mark.parametrize("kind", ["pedal", "evolute", "caustic"])
+def test_a_from_curve_scan_reads_the_tapes_once_a_grid_point(kind, monkeypatch):
+    # a `from_curve` pair's evolute and caustic, as an auto-dual pair's
+    # derived curves, sample and scan each grid point from one read of the
+    # curve's tapes, of the union of the sample's and the order-2 jet's leaves
+    # (`recording.sampled_jet_program`), since both read jets of r and v; the
+    # pedal's sample reads v's floats and its jet v's jets, no tape program in
+    # common, so it keeps the two reads and compiles no third; mutations: the
+    # union for auto-dual pairs alone, or for every from_curve pair
+    monkeypatch.setattr(expr, "_TAPES", {})  # reads made from here on are spied
+    reads = []  # (the read's function, s) of each read of the tapes
+    read = program._read
+    monkeypatch.setattr(program, "_read", lambda function, consts, s, sign_at: (
+        reads.append((function, s)) or read(function, consts, s, sign_at)))
+    pair = LegendrePair.from_curve(load_curve(CURVES / "cusp23.json"))
+    curve = cli._build(pair, kind, MVec3(1.5, 1.0, 0.5))
+    union = curve._sampled_jet_program(2)
+    assert (union is None) == (kind == "pedal")
+    grid = linspace(pair.domain, 50)
+    # the cause scale, kept with the tapes, whose curvature pairs read what
+    # the evolute's sample reads, at the grid's ends too
+    cons._m_scale(pair)
+    del reads[:]
+    points = []
+    curve.singular_points(samples=50, points=points)
+    assert len(points) == 50 and all(p is not None for p in points)
+    sample, jet = (recording.derived_program(formula, pair, curve.Q, order).args[0].args[0]
+                   for formula, order in ((curve._sample, None), (curve._formula, 2)))
+    at_grid = Counter(function for function, s in reads
+                      if function in (sample, jet, union and union.args[0].args[0]) and s in grid)
+    assert at_grid == ({sample: 50, jet: 50} if union is None else {union.args[0].args[0]: 50})
+
+
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(NAMES),
        kind=st.sampled_from(["pedal", "orthotomic", "evolute", "caustic"]), Q=_Q,
-       samples=st.integers(min_value=2, max_value=60), unread=st.booleans())
-def test_one_pass_scan_is_the_samples_and_then_the_scan(pairs, name, kind, Q, samples, unread):
-    # on a curve without v, the scan that samples each grid point from one
-    # call, in which one read of the union of the sample's and the jet's
-    # leaves serves both generated functions, must give the bits of `at` on
-    # the grid and then the scan, or raise what they raise; `unread`: the
-    # union read gives no answer, and each point runs the two calls;
-    # mutations: a leaf's values shifted by one in the union, the sample
-    # taken from coefficient 0 of the jet, the two calls skipped
-    pair = pairs[name + " auto"]
+       samples=st.integers(min_value=2, max_value=60), unread=st.booleans(),
+       auto=st.booleans())
+def test_one_pass_scan_is_the_samples_and_then_the_scan(pairs, name, kind, Q, samples, unread,
+                                                        auto):
+    # on a curve with v (a read of its tapes) or without (`auto`, an auto-dual
+    # read), the scan that samples each grid point from one call, in which
+    # one read of the union of the sample's and the jet's leaves serves both
+    # generated functions where their reads share a tape program, must give
+    # the bits of `at` on the grid and then the scan, or raise what they
+    # raise; `unread`: the union read gives no answer, and each point runs
+    # the two calls; mutations: a leaf's values shifted by one in the union,
+    # the sample taken from coefficient 0 of the jet, the two calls skipped
+    pair = pairs[name + " auto"] if auto else pairs[name]
     with pytest.MonkeyPatch.context() as patch:
         if unread:
             patch.setattr(recording, "_each", lambda *args: None)
@@ -797,5 +873,7 @@ def test_one_pass_scan_is_the_samples_and_then_the_scan(pairs, name, kind, Q, sa
     two_pass, _ = _scanned(pair, kind, Q, samples, False)
     assert one_pass == two_pass
     if curve is not None and isinstance(one_pass[0], str) and not unread:
+        # a pedal's or orthotomic's reads of the tapes share no tape program
         union = curve._programs[None, 2]
-        assert any(union(s) is not None for s in linspace(pair.domain, samples))
+        assert (union is None) == (not auto and kind in ("pedal", "orthotomic"))
+        assert union is None or any(union(s) is not None for s in linspace(pair.domain, samples))

@@ -382,9 +382,9 @@ def test_a_final_refusal_is_raised_after_the_location_case(cusp23, monkeypatch):
 
 @pytest.mark.parametrize("what", ["pedal jet", "classify"])
 def test_generated_code_stops_at_the_maximum_order(what, cusp23):
-    # a from_curve pair's fused programs run up to jets.MAX_ORDER and no
+    # a from_curve pair's programs run up to jets.MAX_ORDER and no
     # further, as the tape's reads do, so past it the formulas raise what
-    # they raise without them; mutation: the fused programs' order unbounded
+    # they raise without them; mutation: the programs' order unbounded
     Q, s0, top = Q_CENTER, 0.5, jets.MAX_ORDER
     error = (ValueError, f"jet order {top + 1} exceeds the configured maximum {top}")
     if what == "pedal jet":  # reads v at its order
@@ -404,8 +404,8 @@ def test_generated_code_stops_at_the_maximum_order(what, cusp23):
 def test_classify_code_is_shared_by_every_pedal_point(monkeypatch):
     # the germ and det programs are recorded once per order and their code
     # is keyed by its structure, with Q as arguments, so new pedal points
-    # compile nothing new; the germs' code, fused with the curve's tapes, is
-    # kept with them, so each count starts from fresh tapes; mutation: the
+    # compile nothing new; the germs' read of the curve's tapes is kept with
+    # them, so each count starts from fresh tapes; mutation: the
     # recordings and the code uncached
     rng = random.Random(5)
     # Q = r(s0), where the pedal germ is singular, or a generic Q
@@ -415,9 +415,9 @@ def test_classify_code_is_shared_by_every_pedal_point(monkeypatch):
 
     def compiled(points):
         for cache in (program._inline_function, recording._record_on_pair,
-                      recording._det_program, recording._fusable):
+                      recording._det_program, recording._recorded):
             cache.cache_clear()
-        monkeypatch.setattr(expr, "_TAPES", {})  # and the fused programs they hold
+        monkeypatch.setattr(expr, "_TAPES", {})  # and the reads they hold
         pair = LegendrePair.from_curve(load_curve(CURVES / "cusp23.json"))
         pair.r(0.3), pair.v(0.3)  # the curve's own float programs
         with mock.patch.object(jets, "compile_lines", wraps=jets.compile_lines) as compile_:
