@@ -485,7 +485,6 @@ class _Tape(_Steps):
         super().__init__()
         self.floats = floats
         self.calls = {}  # node -> (function name, argument node), for error messages
-        self._lists = {}  # (group, degree) -> `lists`
         self.kept = {}  # product -> (key, value): see `ParametricCurve._kept`
         self.outputs = [tuple(self._output(e) for e in trees) for trees in groups]
         self.programs = [self._program(roots) for roots in self.outputs]
@@ -496,20 +495,6 @@ class _Tape(_Steps):
         if call is not None:
             self.calls[node] = call
         return node
-
-    def lists(self, group: int, degree: int):
-        """(function, constants, positions): `program.tape_program` of group's
-        whole program at `degree` (0 on a float tape), wide or narrow, whose
-        function takes s, or s's jet, alone and gives group's values at
-        `positions` of its outputs (None: s itself); made once, None where it
-        does not inline."""
-        key = (group, degree)
-        if key not in self._lists:
-            # the code generator is loaded with the first program it generates
-            from .program import tape_program
-
-            self._lists[key] = tape_program(self, group, degree)
-        return self._lists[key]
 
     def _fail(self, exc, dep=None):
         return self._add(_k_raise, dep, exc, () if dep is None else (dep,))
@@ -680,8 +665,10 @@ _TAPES: dict = {}
 
 def _shared_tapes(groups) -> tuple:
     """(float tape, jet tape, {}) of groups of expression trees, made once
-    per text; the dict holds what `hypedal.recording` runs on them, the
-    reads of `program.tape_read` and those of `frontal.auto_dual_read`."""
+    per text; the dict holds the code generated on them: the reads of
+    `program.tape_read`, the one reader of the tapes, what
+    `hypedal.recording` runs on them, and the reads of
+    `frontal.auto_dual_read`, which call r's."""
     key = tuple(tuple(map(to_text, trees)) for trees in groups)  # repr keeps -0.0
     tapes = _TAPES.pop(key, None)
     if tapes is None:
@@ -690,6 +677,15 @@ def _shared_tapes(groups) -> tuple:
             del _TAPES[next(iter(_TAPES))]
     _TAPES[key] = tapes
     return tapes
+
+
+def _tape_read(tapes, reads: tuple):
+    """`program.tape_read`, which takes this name at the first call: the code
+    generator is loaded with the first program it generates."""
+    global _tape_read
+    from .program import tape_read as _tape_read
+
+    return _tape_read(tapes, reads)
 
 
 def linspace(domain, n: int) -> list[float]:
@@ -712,9 +708,10 @@ class ParametricCurve:
     `point`, `dual_point`, `point_jet` and `dual_jet` read a float and a
     jet tape, each compiled from all six trees on first use and shared with
     every curve of the same expressions: each read is one call of the
-    generated function of its group at its degree (`_Tape.lists`), and
-    only where there is none, or it gives no answer, does the step loop
-    run, which raises what the tree walk raises.  Nothing is kept per point.
+    generated read of its group's three values at its degree
+    (`program.tape_read`), and only where there is none, or it gives no
+    answer, does the step loop run, which raises what the tree walk raises.
+    Nothing is kept per point.
     """
 
     name: str
@@ -750,21 +747,18 @@ class ParametricCurve:
             values = [jets._jet(base, tuple(c)) for c in values]
         return _vec(*values)
 
-    def _tape_values(self, group: int, s: float, order: int | None = None) -> list:
+    def _tape_values(self, group: int, s: float, order: int | None = None) -> tuple | list:
         """Group's three values at s, floats or the coefficient lists of jets
-        truncated to `order`, from one call of the generated function of
-        `_Tape.lists`, or from the step loop where there is none or it gives
-        no answer.  `_at` reads the tapes only through here, and so does
-        `frontal.AutoDual`, which takes the lists as they are."""
-        base, degree = (float(s), 0) if order is None else _tape_args(s, order)
-        tape = self._tape_set()[degree > 0]
-        x = [base, 1.0] + [0.0] * (degree - 1) if degree else base
-        lists = tape.lists(group, degree)
-        out = None if lists is None else jets.answer(lists[0], (x,), lists[1])
-        if out is None:
-            values = _TapePoint(tape, base, degree).outputs(group)
-        else:
-            values = [x if i is None else out[i] for i in lists[2]]
+        truncated to `order`, from one call of the curve's generated read of
+        them (`program.tape_read`), or from the step loop where there is none
+        or it gives no answer.  `_at` reads the tapes only through here, and
+        so does `frontal.AutoDual`, which takes the lists as they are."""
+        base, degree = (float(s), None) if order is None else _tape_args(s, order)
+        tapes = self._tape_set()
+        read = _tape_read(tapes, ((group, degree, 0), (group, degree, 1), (group, degree, 2)))
+        values = None if read is None else jets.answer(read[0], base, None)
+        if values is None:
+            values = _TapePoint(tapes[degree is not None], base, degree or 0).outputs(group)
         if order == 0:  # run at degree 1
             values = [c[:1] for c in values]
         return values

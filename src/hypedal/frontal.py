@@ -277,15 +277,15 @@ class AutoDual:
     dual jet and every input of an auto-dual pair's derived-curve programs
     (`hypedal.recording`) come from one generated function of s per set of
     inputs (`auto_dual_read`), kept with the curve's tapes, which keeps
-    nothing per point: it reads r's lists from one call of the curve's jet
-    tape at degree 17 or more (`_jet_degree`) and r's floats from one call
-    of its float tape, decides p for each dual at its own degree, and factors,
-    normalizes and signs it.  A derived curve's sample and order-2 jet at a
-    grid point of its singular-point scan share one read of the union of
-    their inputs (`recording.sampled_jet_program`), so a derived-curve
-    command reads r once per grid point.  Where the read gives no answer,
-    the `Jet` formula runs on the curve's own reads, with p decided by
-    `_leading`.
+    nothing per point: it reads r's lists at degree 17 or more
+    (`_jet_degree`) and r's floats, each from one call of the curve's read
+    of them (`program.tape_read`), decides p for each dual at its own
+    degree, and factors, normalizes and signs it.  A derived curve's sample
+    and order-2 jet at a grid point of its singular-point scan share one
+    read of the union of their inputs (`recording.sampled_jet_program`), so
+    a derived-curve command reads r once per grid point.  Where the read
+    gives no answer, the `Jet` formula runs on the curve's own reads, with p
+    decided by `_leading`.
     """
 
     def __init__(self, curve):
@@ -473,7 +473,8 @@ def _read_lines(tapes, leaves: tuple, top: int, bound: dict):
     `_vanishing_power` on r''s lists to `_jet_degree`(k), w = coefficients
     p to p + k of r', `recording.auto_dual_program`(k)'s function on r and w
     (`_unit_wedge` for the floats), times the sign (+ 0.0 for a jet); r's
-    jets are truncated from the read, its floats come from the float tape.
+    jets are truncated from its read at `top`, its floats are their own
+    read (`program.tape_read`, as `ParametricCurve._tape_values` reads them).
     It is written here, not generated by `hypedal.program`, because p
     depends on the data: which coefficients of r' make w is decided at run
     time, so the read is not straight-line code."""
@@ -481,21 +482,21 @@ def _read_lines(tapes, leaves: tuple, top: int, bound: dict):
     if top > jets.MAX_ORDER or any(k is not None and k < 0 for k in orders):
         return None
     lines = ["s = float(s)", "if not isfinite(s): return None"]
+    from .program import tape_read  # loaded with the first program generated
+
     if ("r", None) in leaves:
-        floats = tapes[0].lists(0, 0)
+        floats = tape_read(tapes, ((0, None, 0), (0, None, 1), (0, None, 2)))
         if floats is None:
             return None
-        bound["floats"], bound["float_k"], positions = floats
-        lines += ["f = floats((s,), float_k)", "if f is None: return None"]
-        r_floats = ["s" if i is None else f"f[{i}]" for i in positions]
+        bound["floats"] = floats[0]
+        lines += ["f = floats(s, None)", "if f is None: return None"]
+        r_floats = ["f[0]", "f[1]", "f[2]"]
     if orders or any(k is not None for _, k in leaves):
-        lists = tapes[1].lists(0, top)
-        if lists is None:
+        read = tape_read(tapes, ((0, top, 0), (0, top, 1), (0, top, 2)))
+        if read is None:
             return None
-        bound["tape"], bound["tape_k"], positions = lists
-        lines += [f"sj = [s, 1.0{', 0.0' * (top - 1)}]", "t = tape((sj,), tape_k)",
-                  "if t is None: return None"]
-        lines += [f"r{c} = {'sj' if i is None else f't[{i}]'}" for c, i in enumerate(positions)]
+        bound["tape"] = read[0]
+        lines += ["t = tape(s, None)", "if t is None: return None", "r0, r1, r2 = t"]
     if orders:
         # r''s lists as `_derivative` computes them
         lines += [f"d{c} = [{', '.join(f'{j}*r{c}[{j}]' for j in range(1, top + 1))}]"

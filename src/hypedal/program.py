@@ -19,15 +19,18 @@ a square root and a sin/cos or sinh/cosh pair call the kernel of their
 order, bound when the code is generated; sums, scales, lifts, d/ds and
 truncations run the float operations of their step functions.
 
-A recorded formula of a curve's r and v runs on a read of the curve's tapes
-(`tape_read`): one function of the float s, of the tape steps its inputs
-need and their truncations, which hands the inputs on in the order the
-recorded function takes them and states each jet's bound on its degree.
-The recorded function is generated from the recording alone, on given
-lists, and keyed by its structure, so a process compiles it once for every
-curve; a function of jets wider than `INLINE_WIDTH` coefficients is keyed
-by the read's bounds too, so that its products call the kernels bound to
-them.  Tape code and recorded code are never one function.
+Every function generated from a curve's tape steps is a read of them
+(`tape_read`): one function of the float s, of the tape steps its values
+need and their truncations, which hands the values on in the order asked
+and states each jet's bound on its degree.  A point or a jet of r or v is a
+read of its three values (`ParametricCurve._tape_values`), an auto-dual read
+calls r's (`frontal.auto_dual_read`), and a recorded formula of a curve's r
+and v runs on a read of its inputs.  The recorded function is
+generated from the recording alone, on given lists, and keyed by its
+structure, so a process compiles it once for every curve; a function of
+jets wider than `INLINE_WIDTH` coefficients is keyed by the read's bounds
+too, so that its products call the kernels bound to them.  Tape code and
+recorded code are never one function.
 
 Each jet value has a bound on its degree, fixed when the code is generated
 (`_degree`: s's jet 1, a lift 0, a product the sum of its operands', up to
@@ -223,34 +226,12 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, fina
     return None if function is None else (function, tuple(consts))
 
 
-def tape_program(tape, group: int, degree: int):
-    """(function, constants, positions) of `inline_program` for group's whole
-    program on an `expr._Tape` at `degree` (0 for floats): function((s or
-    s's jet,), constants) returns the values of the group's trees, each at
-    its position there (None: s itself); None where the program is empty or
-    does not inline.  A float tape's constant nodes, which a `_TapePoint`
-    starts with, are constant steps here."""
-    program = tape.programs[group]
-    if not program:
-        return None
-    roots = tape.outputs[group]
-    if tape.floats:
-        read = dict.fromkeys([*(dep for node, *_ in program for dep in tape.deps[node]), *roots])
-        program = tuple((node, _f_const, 0, tape.init[node]) for node in read
-                        if node and not tape.steps[node][0]) + program
-    outputs = list(dict.fromkeys(node for node in roots if node))
-    inline = inline_program(program, {0: degree + 1 if degree else 0}, outputs)
-    if inline is None:
-        return None
-    return inline[0], inline[1], [outputs.index(node) if node else None for node in roots]
-
-
 def tape_read(tapes, reads: tuple):
     """(read, bounds): read(s, sign_at) -> the values of `reads` at the float
     s, in order, from a curve's tapes (`ParametricCurve._tape_set`), sign_at
     unread: each (group, None, i) is component i of the group's floats,
     (group, k, i) its jet truncated to order k, the jet tape run at the
-    highest order read; bounds: each value's bound on its degree (`_degree`
+    highest order read, at least 1; bounds: each value's bound on its degree (`_degree`
     over the read's steps), None for a float.  Generated once per `reads`
     and kept with the tapes; None where a tape program it reads is longer
     than `_INLINE_STEPS` steps or does not inline.  A read is None where s
@@ -494,7 +475,7 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
     widths = dict(inputs)
     degrees = {node: (1 if node == 0 else shape - 1) if bound is None else bound
                for (node, shape), bound in zip(inputs, bounds or [None] * len(inputs))}
-    given = set(names)  # the inputs, which callers give finite
+    given = set(names)  # the inputs, which callers give finite, and s's jet (a read's s is)
     prologue = [f"{_listed(names.values())}= i"]
     if n_consts:
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
@@ -545,6 +526,7 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
         if fn is _k_var:
             value = f"[{a}, 1.0] + [0.0] * {y - 1}"
             widths[node] = y + 1
+            given.add(node)
         elif fn is _k_neg:
             value = f"[-p for p in {a}]"
         elif fn is _k_add or fn is _k_sub:

@@ -595,11 +595,10 @@ def test_generated_code_is_shared_by_every_pedal_point(monkeypatch):
 
 
 def _compiling_tape() -> bool:
-    """Whether the caller compiles a function of a curve's tapes: a tape's own
-    (`program.tape_program`) or a read of them (`program.tape_read`,
-    `frontal.auto_dual_read` with the dual jets it computes)."""
-    tape_codes = (program.tape_program.__code__, program.tape_read.__code__,
-                  frontal.auto_dual_read.__code__)
+    """Whether the caller compiles a function of a curve's tapes: a read of
+    them (`program.tape_read`, `frontal.auto_dual_read` with the dual jets it
+    computes)."""
+    tape_codes = (program.tape_read.__code__, frontal.auto_dual_read.__code__)
     frame = sys._getframe()
     while frame is not None and frame.f_code not in tape_codes:
         frame = frame.f_back

@@ -427,17 +427,20 @@ def _tape_outcome(e, s, degree):
     return _value_outcome(lambda: _TapePoint(tape, s, degree).outputs(0)[0])
 
 
-def _lists_outcome(e, s, degree):
-    """e at s from the generated function of `_Tape.lists` at `degree` (0:
-    floats), by repr, or "refused" where it gives no answer; None where
-    there is none."""
-    lists = _Tape(((e,),), floats=not degree).lists(0, degree)
-    if lists is None:
+def _tapes(groups) -> tuple:
+    """Fresh (float tape, jet tape, {}) of groups of trees, as a curve's."""
+    return _Tape(groups, floats=True), _Tape(groups), {}
+
+
+def _read_outcome(e, s, degree):
+    """e at s from the generated read of the tapes (`program.tape_read`) at
+    `degree` (0: floats), by repr, or "refused" where it gives no answer;
+    None where there is none."""
+    read = program.tape_read(_tapes(((e,),)), ((0, degree or None, 0),))
+    if read is None:
         return None
-    function, consts, (position,) = lists
-    x = [s, 1.0] + [0.0] * (degree - 1) if degree else s
-    out = jets.answer(function, (x,), consts)  # where it refuses, the callers run the step loop
-    return "refused" if out is None else repr(x if position is None else out[position])
+    out = jets.answer(read[0], s, None)  # where it refuses, the callers run the step loop
+    return "refused" if out is None else repr(out[0])
 
 
 def _finite(value) -> bool:
@@ -448,9 +451,11 @@ def _finite(value) -> bool:
 
 
 def _exact_outcome(e, s, degree):
-    """What a generated function of e at s and `degree` must give: the step
-    loop's output by repr where every value the loop computes is finite, and
-    "refused" where one is not or a step raises."""
+    """What a generated read of e at s and `degree` must give: the step
+    loop's output by repr where s and every value the loop computes are
+    finite, and "refused" where one is not or a step raises."""
+    if not math.isfinite(s):  # the read tests s, which a step may drop (tanh(inf) is 1.0)
+        return "refused"
     tape = _Tape(((e,),), floats=not degree)
     point = _TapePoint(tape, s, degree)
     try:
@@ -478,11 +483,11 @@ def _exact_outcome(e, s, degree):
 @example(parse("(s+s)^-1"), -1e308, 0)
 @example(parse("(s+s)^0"), 1e308, 1)
 def test_generated_tape_functions_are_the_step_loop(e, s, degree):
-    # at most 4 coefficients a value, `_Tape.lists`' function answers iff
-    # every value the step loop computes is finite, and then with the loop's
+    # at most 4 coefficients a value, the generated read answers iff s and
+    # every value the step loop computes are finite, and then with the loop's
     # bits; where it refuses, the callers run the loop, which raises what it
     # raises or, on floats, carries the infinity (1/(s*1e308) is 0.0 at 2)
-    assert _lists_outcome(e, s, degree) in (None, _exact_outcome(e, s, degree))
+    assert _read_outcome(e, s, degree) in (None, _exact_outcome(e, s, degree))
 
 
 @settings(max_examples=200, deadline=None)
@@ -499,12 +504,12 @@ def test_generated_tape_functions_are_the_step_loop(e, s, degree):
 @example(parse("cos(s)*sin(s)"), -0.0, 5)
 @example(parse("1/(s^-1)"), -1e308, 5)  # finite values whose sum overflows
 def test_wide_generated_tape_functions_are_the_step_loop(e, s, degree):
-    # above 4 coefficients a value, `_Tape.lists`' function, its products'
+    # above 4 coefficients a value, the generated read, its products'
     # kernels bound to the degrees of their operands, must give the step
     # loop's bits, or no answer where a step raises; its callers give it a
     # finite s alone, as `_tape_args` does the step loop
     loop = _tape_outcome(e, s, degree)
-    assert _lists_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
+    assert _read_outcome(e, s, degree) in (None, loop if isinstance(loop, str) else "refused")
 
 
 # one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
@@ -805,19 +810,22 @@ def test_wide_generated_refusals_are_the_step_loop(kind, width, a, b):
 @pytest.mark.parametrize("floats", [False, True])
 @pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37"])
 def test_tape_programs_are_generated_up_to_4_coefficients(name, floats):
-    # each group of a shipped curve reads through its generated function
-    # (`_Tape.lists`), which answers with the step loop's bits: floats and
-    # jets of up to 4 coefficients on local names, wider jets on lists
+    # each group of a shipped curve reads through its generated read
+    # (`program.tape_read`), which answers with the step loop's bits: floats
+    # and jets of up to 4 coefficients on local names, wider jets on lists,
+    # order 0 truncated from degree 1
     curve = load_curve(CURVES / f"{name}.json")
-    tape = _Tape((curve.components, curve.dual_components), floats=floats)
-    for degree in (0,) if floats else (1, 2, 3, 4, 17):
+    tapes = _tapes((curve.components, curve.dual_components))
+    tape = tapes[not floats]
+    for order in (None,) if floats else (0, 1, 2, 3, 4, 17, 22):
         for group in (0, 1):
-            function, consts, positions = tape.lists(group, degree)
-            x = [0.3, 1.0] + [0.0] * (degree - 1) if degree else 0.3
-            out = function((x,), consts)
+            read, _ = program.tape_read(tapes, tuple((group, order, i) for i in range(3)))
+            out = read(0.3, None)
             assert out is not None
-            loop = _TapePoint(tape, 0.3, degree).outputs(group)
-            assert [repr(x if i is None else out[i]) for i in positions] == list(map(repr, loop))
+            loop = _TapePoint(tape, 0.3, 0 if floats else max(order, 1)).outputs(group)
+            if order == 0:
+                loop = [c[:1] for c in loop]
+            assert list(map(repr, out)) == list(map(repr, loop))
 
 
 _REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2
@@ -901,6 +909,41 @@ def test_lower_orders_are_served_only_where_their_group_ran(monkeypatch):
     got = [curve.point_jet(0.5, order) for order in orders]
     assert [[_value_outcome(lambda: j) for j in g.components()] for g in got] == fresh_r
     assert made == [(0.0, 3)]
+
+
+def test_a_group_without_steps_is_read_without_the_step_loop(monkeypatch, fresh_tapes):
+    # a geodesic's v = (0, 0, 1) has no float step, and still reads through
+    # a generated read (`program.tape_read`), so dual_point and dual_jet
+    # answer without a point of the step loop, with its bits; mutation: no
+    # read of a group whose program is empty
+    curve = ParametricCurve("geodesic", (parse("cosh(s)"), parse("sinh(s)"), parse("0")),
+                            (-1.0, 1.0), dual_components=(parse("0"), parse("0"), parse("1")))
+    float_tape, jet_tape, _ = curve._tape_set()
+    assert not float_tape.programs[1]
+    calls = [(s, k) for s in (-1.0, -0.3, 0.0, -0.0, 0.5, 1.0) for k in (None, 0, 1, 2, 3)]
+    loop = []
+    for s, k in calls:
+        if k is None:
+            loop.append(list(map(repr, _TapePoint(float_tape, s, 0).outputs(1))))
+        else:
+            values = _TapePoint(jet_tape, s, max(k, 1)).outputs(1)
+            loop.append([(repr(s), repr(tuple(c[:k + 1]))) for c in values])
+    made = []
+    init = _TapePoint.__init__
+
+    def spied(self, tape, base, degree):
+        made.append((base, degree))
+        init(self, tape, base, degree)
+
+    monkeypatch.setattr(_TapePoint, "__init__", spied)
+    got = []
+    for s, k in calls:
+        if k is None:
+            got.append(list(map(repr, curve.dual_point(s).components())))
+        else:
+            got.append([(repr(j.base), repr(j.coeffs)) for j in curve.dual_jet(s, k).components()])
+    assert made == []
+    assert got == loop
 
 
 @pytest.mark.parametrize("name", ["astroid", "cusp37"])

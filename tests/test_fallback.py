@@ -90,13 +90,14 @@ def test_answer_refuses_domain_errors_only():
 
 @contextlib.contextmanager
 def _generator_off():
-    """No generated function: no derived-curve program, tape list function,
-    auto-dual read or det program."""
+    """No generated function: no derived-curve program, read of a curve's
+    points and jets (`ParametricCurve._tape_values`), auto-dual read or det
+    program."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "_TAPES", {})
         patch.setattr(recording, "derived_program", lambda *args: None)
         patch.setattr(recording, "pedal_det", lambda *args: None)
-        patch.setattr(expr._Tape, "lists", lambda *args: None)
+        patch.setattr(expr, "_tape_read", lambda *args: None)
         patch.setattr(frontal, "auto_dual_read", lambda *args: None)
         yield
 

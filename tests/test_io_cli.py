@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CURVES, FIXTURES
-from hypedal import cli, constructions, expr, jets, minkowski, recording
+from hypedal import cli, constructions, expr, jets, minkowski, program, recording
 from hypedal.cli import main
 from hypedal.io import (
     CurveFileError, csv_text, curve_from_dict, format_float, json_text,
@@ -338,28 +338,26 @@ def test_derived_commands_read_each_grid_point_once(tmp_path, fresh_tapes, monke
     # grid point from one order-17 read of r's jet tape: within one command
     # no (tape, degree, s) is read twice at a grid parameter, except at a
     # singular point that it reports, whose cause tag reads the curvature
-    # pair there again.  The tapes are fresh, so that their list functions
-    # are made, and wrapped, here; each command runs once before it is
-    # counted, since the first command on a curve makes the sign grid and
-    # the cause scale, which the tapes keep.  Mutation: `cli._derive` sampling
-    # the grid with `at` before the scan
+    # pair there again.  The tapes are fresh, so that their reads
+    # (`program.tape_read`) are made, and wrapped, here; each command runs
+    # once before it is counted, since the first command on a curve makes the
+    # sign grid and the cause scale, which the tapes keep.  Mutation:
+    # `cli._derive` sampling the grid with `at` before the scan
     reads = []
-    counters = set()
-    real = expr._Tape.lists
+    real = program._tape_read
 
-    def lists(tape, group, degree):
-        out = real(tape, group, degree)
-        if out is None or tape.floats or out[0] in counters:
+    def made(tapes, reads_of):
+        out = real(tapes, reads_of)
+        degree = max((k for _, k, _ in reads_of if k is not None), default=None)
+        if out is None or degree is None:
             return out
 
-        def counted(i, k, function=out[0]):
-            reads.append((id(tape), degree, i[0][0].hex()))
-            return function(i, k)
-        counters.add(counted)
-        tape._lists[group, degree] = (counted, *out[1:])
-        return tape._lists[group, degree]
+        def counted(s, sign_at, read=out[0]):
+            reads.append((id(tapes), max(degree, 1), s.hex()))
+            return read(s, sign_at)
+        return counted, out[1]
 
-    monkeypatch.setattr(expr._Tape, "lists", lists)
+    monkeypatch.setattr(program, "_tape_read", made)
     out = tmp_path / "out.json"
     for name in ("astroid", "circle", "cusp23", "cusp37"):
         path = _without_dual(tmp_path, f"{name}.json")

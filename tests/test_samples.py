@@ -705,7 +705,8 @@ def test_auto_dual_programs_on_random_curves_are_the_formulas(r_at_s, Q, sign):
         patch.setattr(expr, "_TAPES", {})  # the sign grid kept here is made up
         patch.setattr(frontal.AutoDual, "_signed_grid", lambda dual: _mixed_grid(dual, sign))
         generated, runs = outcomes()
-        read = ParametricCurve("random", trees, (-2.0, 2.0))._tape_set()[1].lists(0, 17)
+        read = program.tape_read(ParametricCurve("random", trees, (-2.0, 2.0))._tape_set(),
+                                 tuple((0, 17, i) for i in range(3)))
         patch.setattr(recording, "derived_program", lambda *args: None)
         expected, none = outcomes()
     assert runs == {None if read is None else "auto-dual"} and none == {None}
