@@ -15,7 +15,6 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -604,11 +603,29 @@ def _defined(fn, *args):
 # -- singular point detection ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class SingularPoint:
-    s: float
-    cause: str  # "m_zero" | "point_on_curve" | "other"
-    speed: float
+    def __init__(self, s: float, cause: str, speed: float):
+        fields = self.__dict__
+        fields["s"] = s
+        fields["cause"] = cause  # "m_zero" | "point_on_curve" | "other"
+        fields["speed"] = speed
+
+    def __repr__(self):
+        return f"SingularPoint(s={self.s!r}, cause={self.cause!r}, speed={self.speed!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.s, self.cause, self.speed) == (other.s, other.cause, other.speed)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s, self.cause, self.speed))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _itp(fn, lo, hi, flo, fhi, width: float):

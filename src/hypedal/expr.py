@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from . import jets
 from .jets import (
@@ -49,44 +48,164 @@ class EvalDomainError(ValueError):
 
 # -- abstract syntax ---------------------------------------------------
 
+# The library's value classes are written out as a frozen dataclass of their
+# fields would be made: an init that sets them, their repr, equality and hash
+# as tuples of them, and no assignment.  So importing it makes no code.
 
-@dataclass(frozen=True)
+
 class Num:
-    value: float
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
+
+    def __repr__(self):
+        return f"Num(value={self.value!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class Var:
-    pass
+    def __repr__(self):
+        return "Var()"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class Pi:
-    pass
+    def __repr__(self):
+        return "Pi()"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class Neg:
-    arg: "CurveExpr"
+    def __init__(self, arg: CurveExpr):
+        self.__dict__["arg"] = arg
+
+    def __repr__(self):
+        return f"Neg(arg={self.arg!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arg,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class BinOp:
-    op: str
-    left: "CurveExpr"
-    right: "CurveExpr"
+    def __init__(self, op: str, left: CurveExpr, right: CurveExpr):
+        fields = self.__dict__
+        fields["op"] = op
+        fields["left"] = left
+        fields["right"] = right
+
+    def __repr__(self):
+        return f"BinOp(op={self.op!r}, left={self.left!r}, right={self.right!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class Pow:
-    base: "CurveExpr"
-    exponent: int
+    def __init__(self, base: CurveExpr, exponent: int):
+        fields = self.__dict__
+        fields["base"] = base
+        fields["exponent"] = exponent
+
+    def __repr__(self):
+        return f"Pow(base={self.base!r}, exponent={self.exponent!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.exponent))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class Call:
-    name: str
-    arg: "CurveExpr"
+    def __init__(self, name: str, arg: CurveExpr):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["arg"] = arg
+
+    def __repr__(self):
+        return f"Call(name={self.name!r}, arg={self.arg!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.arg) == (other.name, other.arg)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.arg))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 CurveExpr = Num | Var | Pi | Neg | BinOp | Pow | Call
@@ -95,11 +214,29 @@ CurveExpr = Num | Var | Pi | Neg | BinOp | Pow | Call
 # -- tokenizer ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "num", "ident", an operator character, or "eof"
-    text: str
-    pos: int
+    def __init__(self, kind: str, text: str, pos: int):
+        fields = self.__dict__
+        fields["kind"] = kind  # "num", "ident", an operator character, or "eof"
+        fields["text"] = text
+        fields["pos"] = pos
+
+    def __repr__(self):
+        return f"_Token(kind={self.kind!r}, text={self.text!r}, pos={self.pos!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.text, self.pos) == (other.kind, other.text, other.pos)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.text, self.pos))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -697,7 +834,6 @@ def linspace(domain, n: int) -> list[float]:
     return pts
 
 
-@dataclass(frozen=True)
 class ParametricCurve:
     """Three expression components on a closed parameter interval.
 
@@ -714,19 +850,44 @@ class ParametricCurve:
     Nothing is kept per point.
     """
 
-    name: str
-    components: tuple[CurveExpr, CurveExpr, CurveExpr]
-    domain: tuple[float, float]
-    dual_components: tuple[CurveExpr, CurveExpr, CurveExpr] | None = None
-    samples: int = 1000
-    _tapes: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a, b = self.domain
+    def __init__(self, name: str, components: tuple[CurveExpr, CurveExpr, CurveExpr],
+                 domain: tuple[float, float],
+                 dual_components: tuple[CurveExpr, CurveExpr, CurveExpr] | None = None,
+                 samples: int = 1000):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["components"] = components
+        fields["domain"] = domain
+        fields["dual_components"] = dual_components
+        fields["samples"] = samples
+        fields["_tapes"] = None  # `_tape_set`'s, not a field: not shown or compared
+        a, b = domain
         if not a < b:
             raise ValueError(f"degenerate domain [{a!r}, {b!r}]")
-        if self.samples < 2:
+        if samples < 2:
             raise ValueError("need at least 2 samples")
+
+    def _fields(self) -> tuple:
+        return self.name, self.components, self.domain, self.dual_components, self.samples
+
+    def __repr__(self):
+        return (f"ParametricCurve(name={self.name!r}, components={self.components!r}, "
+                f"domain={self.domain!r}, dual_components={self.dual_components!r}, "
+                f"samples={self.samples!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def grid(self, n: int | None = None) -> list[float]:
         return linspace(self.domain, n or self.samples)
@@ -781,7 +942,7 @@ class ParametricCurve:
         if self._tapes is None:
             groups = (self.components,) if self.dual_components is None else (
                 self.components, self.dual_components)
-            object.__setattr__(self, "_tapes", _shared_tapes(groups))
+            self.__dict__["_tapes"] = _shared_tapes(groups)
         return self._tapes
 
     def has_dual(self) -> bool:

@@ -16,7 +16,6 @@ on jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
 
@@ -43,21 +42,37 @@ class JetDomainError(ValueError):
     """An elementary function or a quotient left its domain of definition."""
 
 
-@dataclass(frozen=True)
 class Jet:
     """Taylor coefficients (c_0, ..., c_K) of a scalar germ at `base`."""
 
-    base: float
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, base: float, coeffs: tuple[float, ...]):
+        if not coeffs:
             raise ValueError("a jet needs at least its constant coefficient")
-        if len(self.coeffs) - 1 > MAX_ORDER:
-            raise ValueError(f"jet order {len(self.coeffs) - 1} exceeds the maximum {MAX_ORDER}")
-        if not math.isfinite(self.base):
+        if len(coeffs) - 1 > MAX_ORDER:
+            raise ValueError(f"jet order {len(coeffs) - 1} exceeds the maximum {MAX_ORDER}")
+        if not math.isfinite(base):
             raise ValueError("non-finite jet base")
-        require_finite(self.coeffs)
+        require_finite(coeffs)
+        fields = self.__dict__
+        fields["base"] = base
+        fields["coeffs"] = coeffs
+
+    def __repr__(self):
+        return f"Jet(base={self.base!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.coeffs) == (other.base, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- construction -------------------------------------------------
 
@@ -236,7 +251,7 @@ _isfinite = math.isfinite
 
 
 def _jet(base: float, coeffs: tuple) -> Jet:
-    """A `Jet` built from an arithmetic result, skipping the dataclass init.
+    """A `Jet` made from an arithmetic result without calling its init.
 
     `base` and the length of `coeffs` come from an operand that was already
     checked, so only finiteness is left to check, as `Jet` checks it.
@@ -290,7 +305,7 @@ def mul_coeffs(a, b) -> list:
     The sum of each coefficient starts at +0.0 and so never is -0.0, which
     makes a term a_i * b_j = +-0.0 (operands are finite) a no-op.  Every
     order runs a straight-line kernel.  Orders 0-3 run the full rows,
-    compiled at import.  Higher orders run the kernel of the degree d of
+    compiled at first use.  Higher orders run the kernel of the degree d of
     `a`, the index of its last non-zero coefficient (0 if there is none),
     which leaves out the terms of a_(d+1), ..., a_n, so sparse operands
     such as s^2 cost little.
@@ -458,9 +473,17 @@ def _bound_mul_kernel(n: int, da: int, db: int):
     return _mul_kernel(n, da) if db >= n else _product_kernel(n, da, db)
 
 
-# the products of orders 0-3, which low-order `Jet` formulas run most: full rows,
-# called without the degree scan and the cache lookup
-_LOW_MUL = tuple(_mul_kernel(n, n) for n in range(4))
+class _LowMul(dict):
+    """The products of orders 0-3, which low-order `Jet` formulas run most: full
+    rows, called without the degree scan and the cache lookup, each compiled
+    at its first use."""
+
+    def __missing__(self, n):
+        kernel = self[n] = _mul_kernel(n, n)
+        return kernel
+
+
+_LOW_MUL = _LowMul()
 
 
 @lru_cache(maxsize=None)

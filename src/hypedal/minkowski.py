@@ -9,7 +9,6 @@ one shared code path for plain evaluation and derivative propagation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import decide
@@ -25,16 +24,32 @@ def _require_finite(x1, x2, x3) -> None:
             raise ValueError("non-finite vector component")
 
 
-@dataclass(frozen=True)
 class MVec3:
     """Vector in R^3 with the pseudo scalar product <u,w> = -u1 w1 + u2 w2 + u3 w3."""
 
-    x1: float
-    x2: float
-    x3: float
+    def __init__(self, x1: float, x2: float, x3: float):
+        _require_finite(x1, x2, x3)
+        fields = self.__dict__
+        fields["x1"] = x1
+        fields["x2"] = x2
+        fields["x3"] = x3
 
-    def __post_init__(self):
-        _require_finite(self.x1, self.x2, self.x3)
+    def __repr__(self):
+        return f"MVec3(x1={self.x1!r}, x2={self.x2!r}, x3={self.x3!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x1, self.x2, self.x3) == (other.x1, other.x2, other.x3)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x1, self.x2, self.x3))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def components(self):
         return (self.x1, self.x2, self.x3)
@@ -61,14 +76,14 @@ class MVec3:
 
 
 def _vec(x1, x2, x3) -> MVec3:
-    """An `MVec3` checked as `__post_init__` checks it, without the dataclass init."""
+    """An `MVec3` checked as its init checks it, made without calling the init."""
     _require_finite(x1, x2, x3)
     return _tested_vec(x1, x2, x3)
 
 
 def _tested_vec(x1, x2, x3) -> MVec3:
     """An `MVec3` of components already tested finite, such as a generated
-    function's outputs, without the dataclass init."""
+    function's outputs, made without calling the init."""
     vec = object.__new__(MVec3)
     fields = vec.__dict__
     fields["x1"] = x1
@@ -154,11 +169,28 @@ def on_desitter(u: MVec3, tol: float = decide.SHEET_TOL) -> bool:
     return abs(inner(u, u) - 1.0) <= tol
 
 
-@dataclass(frozen=True)
 class LorentzMap:
     """A 3x3 linear map, normally an isometry of the pseudo scalar product."""
 
-    rows: tuple[tuple[float, float, float], ...]
+    def __init__(self, rows: tuple[tuple[float, float, float], ...]):
+        self.__dict__["rows"] = rows
+
+    def __repr__(self):
+        return f"LorentzMap(rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows,) == (other.rows,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def apply(self, v: MVec3) -> MVec3:
         r = self.rows

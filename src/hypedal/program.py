@@ -65,25 +65,22 @@ divisor or square root with one is refused.  A term that a product leaves
 out would be inf*0.0 in the step loop only where a coefficient within an
 operand's bound is not finite, and that one is carried or tested.  Narrow
 code tests each coefficient that no later step carries, at the end of the
-part of the function that computes it; wide code tests its outputs, what
-lifts, truncations and d/ds drop, both halves of each pair and what only a
-sign (below) reads, once, at the end.  Each test sums the values, and
-where the sum is not finite, as finite values can make it, tests them one
-by one.
+part of the function that computes it; wide code tests each list, half of
+a pair and run of coefficients that d/ds or truncations drop that no later
+step carries, once, at the end.  Each test sums the values, and where the
+sum is not finite, as finite values can make it, tests them one by one.
 
 A function that ends early tests that every value computed so far is
-finite: each that no step so far has carried into another (narrow code),
-or each list that no step has read, with what lifts, truncations and d/ds
-dropped and the halves of pairs (wide code).  A refusal by a step of a
-recorded function (`inline_program`'s `final`) is final where that test
-holds and the refused operand is finite too: the function returns the
-error the kernel raises (`jets.refused_division`, `jets.refused_sqrt`), and
-its callers raise it.  The formula would raise just that, as it computes
-the same values in the same order, a recording listing its steps so, and
-tests each `Jet` as it makes it.  Where the test fails the refusal is plain.
-So is every refusal of a tape's step, alone or in a read, which runs at the
-highest degree any input reads, where the checked path may read a lower
-degree and pass.  A read tests every value it computes, its outputs
+finite: each that no step so far has carried into another.  A refusal by a
+step of a recorded function (`inline_program`'s `final`) is final where
+that test holds and the refused operand is finite too: the function
+returns the error the kernel raises (`jets.refused_division`,
+`jets.refused_sqrt`), and its callers raise it.  The formula would raise
+just that, as it computes the same values in the same order, a recording
+listing its steps so, and tests each `Jet` as it makes it.  Where the test
+fails the refusal is plain.  So is every refusal of a tape's step, alone or
+in a read, which runs at the highest degree any input reads, where the
+checked path may read a lower degree and pass.  A read tests every value it computes, its outputs
 included, so a recorded function runs only on finite values, and its test
 of every value so far covers what the formula read of the tapes.
 
@@ -197,8 +194,7 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, fina
     inline, or where it has more than `max_steps` steps.
 
     `shapes` maps each input node, in the order the function takes their
-    values, to 0 (a float) or w (a jet of w coefficients); a jet at node 0
-    is s's, (s, 1.0, 0.0, ...), as in every tape and recording.  `bounds`,
+    values, to 0 (a float) or w (a jet of w coefficients).  `bounds`,
     in the same order, is each input jet's bound on its degree, or None for
     its width's (see the module docstring).
     function(values of the inputs, constants) returns the values of the
@@ -337,7 +333,7 @@ def _inline_function(inputs, program, outputs, n_consts, final, bounds):
         else:
             names[node] = [f"x{node}_{i}" for i in range(shape)]
             unpack.append(f"({', '.join(names[node])},)")
-            degrees[node] = 1 if node == 0 else shape - 1
+            degrees[node] = shape - 1
     prologue = [f"{', '.join(unpack)}, = i"] if unpack else []
     k = [f"k{j}" for j in range(n_consts)]
     if k:
@@ -468,12 +464,12 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
     where a step is not one on jets.
 
     Each value has a bound on its degree (`_degree`), fixed here: above it
-    every coefficient is a structural zero.  s's jet has bound 1, and a
-    given list the one `bounds` states, or its width's; each product calls
-    the kernel of its operands' bounds."""
+    every coefficient is a structural zero.  s's jet (`_k_var`) has bound 1,
+    and a given list the one `bounds` states, or its width's; each product
+    calls the kernel of its operands' bounds."""
     names = {node: f"x{node}" for node, _ in inputs}
     widths = dict(inputs)
-    degrees = {node: (1 if node == 0 else shape - 1) if bound is None else bound
+    degrees = {node: shape - 1 if bound is None else bound
                for (node, shape), bound in zip(inputs, bounds or [None] * len(inputs))}
     given = set(names)  # the inputs, which callers give finite, and s's jet (a read's s is)
     prologue = [f"{_listed(names.values())}= i"]
@@ -481,22 +477,51 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
     bound = {}
     body = []
-    # the tested coefficients besides the outputs': (their sum, the sequence of them)
-    tested = []
     divisors = set()  # the values whose refusal is tested
     signs = set()  # the nodes of signs, the floats +-1.0
-    unread = {}  # the lists that no step has read yet, in order
+    pairs = set()  # the nodes of sin/cos and sinh/cosh pairs
+    # per node, the coefficients (a pair's: halves) that a later step keeps,
+    # if not finite, in a value it computes
+    carried = {}
 
     def kernel(name, make, *key):
         name += "_".join(map(str, key))
         bound[name] = make(*key)
         return name
 
+    def carry(node, kept=None):
+        """Steps so far keep `kept` of node (default: all of it) in their values."""
+        carried.setdefault(node, set()).update(range(widths[node]) if kept is None else kept)
+
+    def untested(first=()):
+        """(the sum, the sequence) of each part that no step so far has carried
+        of the nodes `first`, then of every other value computed so far: a
+        list, a half of a pair, or the coefficients that d/ds or truncations
+        drop, which a prefix and a suffix kept leave in one run."""
+        parts = []
+        for node in dict.fromkeys([*first, *names]):
+            if node in given or node in signs:
+                continue
+            kept = carried.get(node, ())
+            if node in pairs:
+                parts += [(f"sum(x{node}[{j}], 0.0)", f"x{node}[{j}]") for j in (0, 1)
+                          if j not in kept]
+                continue
+            rest = [j for j in range(widths[node]) if j not in kept]
+            if len(rest) == widths[node]:
+                parts.append((f"sum(x{node}, 0.0)", f"x{node}"))
+            elif len(rest) == 1:
+                parts.append((f"x{node}[{rest[0]}]", f"x{node}[{rest[0]}:{rest[0] + 1}]"))
+            elif rest:
+                run = f"x{node}[{rest[0]}:{rest[-1] + 1}]"
+                parts.append((f"sum({run}, 0.0)", run))
+        return parts
+
     def finite_so_far(*operands):
         """The test that each value the steps before this one computed, and
         the `operands` (sources), is finite: as at the end, on what no step
-        has read yet."""
-        each = dict.fromkeys([*(names[n] for n in unread), *(v for _, v in tested), *operands])
+        has carried."""
+        each = dict.fromkeys([*(v for _, v in untested()), *operands])
         return each and _each_finite(list(each))
 
     def refusal(error, operand):
@@ -505,10 +530,11 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
 
     for node, fn, x, y in program:
         a = names[x]
-        out = names[node] = f"x{node}"
+        out = f"x{node}"
         lines = []
         if fn is _f_branch or fn is _f_sheet:
             signs.add(node)
+            names[node] = out
             p, q = (c if n in signs else f"{c}[0]" for n, c in ((x, a), (y, names[y])))
             body.append((_sign_lines(fn, out, p, q, finite_so_far()), []))
             continue
@@ -516,17 +542,19 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
         da = degrees[x]
         widths[node] = n
         if fn is _k_flip:  # by a sign, +-1.0
-            unread.pop(x, None)
+            carry(x)
             degrees[node] = da
-            unread[node] = None
+            names[node] = out
             body.append(([f"{out} = [p * {names[y]} for p in {a}]"], []))
             continue
         db = degrees[y] if fn in _TWO_OPERANDS else None
         degrees[node] = _degree(fn, n - 1, da, db, y)
+        kept = None  # what this step keeps of x: all of it
         if fn is _k_var:
             value = f"[{a}, 1.0] + [0.0] * {y - 1}"
             widths[node] = y + 1
             given.add(node)
+            kept = ()
         elif fn is _k_neg:
             value = f"[-p for p in {a}]"
         elif fn is _k_add or fn is _k_sub:
@@ -535,23 +563,21 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
             value = f"{kernel('mul', jets._bound_mul_kernel, n - 1, da, db)}({a}, {names[y]})"
         elif fn is _k_scale:
             value = f"[p*k{y} + 0.0 for p in {a}]"
-        elif fn is _k_lift:
+        elif fn is _k_lift:  # keeps nothing of x, which the step loop checks
             value = f"[k{y}] + [0.0] * {n - 1}"
-            if x not in given:  # the step loop checks what the lift drops
-                tested.append((f"sum({a}, 0.0)", a))
+            kept = ()
         elif fn is _k_d or fn is _k_trunc:
             value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
             widths[node] = n - 1 if fn is _k_d else y + 1
-            if x not in given:
-                tested.append((f"{a}[0]", f"{a}[:1]") if fn is _k_d
-                              else (f"sum({a}[{y + 1}:], 0.0)", f"{a}[{y + 1}:]"))
+            kept = range(1, n) if fn is _k_d else range(y + 1)
         elif fn is _k_half:
             value = f"{a}[{y}]"
+            kept = (y,)
         elif fn is _k_pair:
             hyperbolic = y is sinh_cosh_coeffs
             trig = jets._sinh_cosh_kernel if hyperbolic else jets._sin_cos_kernel
             value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
-            tested += [(f"sum({out}[{j}], 0.0)", f"{out}[{j}]") for j in (0, 1)]
+            pairs.add(node)
         elif fn is _k_sqrt:
             lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: "
                          f"return {refusal(f'refused_sqrt({a}[0])', a)}")
@@ -563,19 +589,18 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
                 refused = decide.DIVISOR_REFUSED.format(b0=f"{b}[0]", scale=f"max(map(abs, {b}))")
                 lines.append(f"if {refused}: return {refusal('refused_division()', b)}")
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
+            kept = (0, 1) if fn is _k_tanh else None
         else:  # a float step
             return None
-        # what this step reads is carried, or tested as it drops
-        unread.pop(x, None)
+        # what this step keeps of what it reads is carried, and the rest tested;
+        # named only now, so that its own refusal's test reads the values before it
+        carry(x, kept)
         if fn in _TWO_OPERANDS:
-            unread.pop(y, None)
-        if fn is not _k_pair:  # whose halves are tested
-            unread[node] = None
+            carry(y)
+        names[node] = out
         lines.append(f"{out} = {value}")
         body.append((lines, []))
-    # the outputs, and what only signs read
-    tested[:0] = [(f"sum(x{node}, 0.0)", f"x{node}") for node in dict.fromkeys([*outputs, *unread])
-                  if node not in given and node not in signs]
+    tested = untested(outputs)
     if tested:
         # as in `_chained`, each coefficient is tested only where the sum is not finite
         total = " + ".join(total for total, _ in tested)

@@ -25,7 +25,6 @@ diffeomorphism y -> y - alpha x^2 takes the germ to (t^a, t^c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import jets
@@ -45,11 +44,30 @@ class GermKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
 class GermOrder:
-    kind: GermKind
-    k: int | None = None  # A_k index, set only for kind AK
-    first_nonzero: int | None = None  # index of the first non-vanishing derivative
+    def __init__(self, kind: GermKind, k: int | None = None, first_nonzero: int | None = None):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["k"] = k  # A_k index, set only for kind AK
+        fields["first_nonzero"] = first_nonzero  # index of the first non-vanishing derivative
+
+    def __repr__(self):
+        return f"GermOrder(kind={self.kind!r}, k={self.k!r}, first_nonzero={self.first_nonzero!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.k, self.first_nonzero) == (other.kind, other.k,
+                                                                other.first_nonzero)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.k, self.first_nonzero))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_dict(self):
         return {"kind": self.kind.value, "k": self.k, "first_nonzero": self.first_nonzero}
@@ -98,18 +116,46 @@ class Verdict(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
 class SingularityReport:
-    s0: float
-    Q: MVec3
-    m_germ: GermOrder
-    ell_germ: GermOrder
-    j: int | None
-    k: int | None
-    location: LocationCase
-    predicted: tuple[int, int] | str | None
-    measured: tuple[int, int] | str | None
-    verdict: Verdict
+    def __init__(self, s0: float, Q: MVec3, m_germ: GermOrder, ell_germ: GermOrder,
+                 j: int | None, k: int | None, location: LocationCase,
+                 predicted: tuple[int, int] | str | None, measured: tuple[int, int] | str | None,
+                 verdict: Verdict):
+        fields = self.__dict__
+        fields["s0"] = s0
+        fields["Q"] = Q
+        fields["m_germ"] = m_germ
+        fields["ell_germ"] = ell_germ
+        fields["j"] = j
+        fields["k"] = k
+        fields["location"] = location
+        fields["predicted"] = predicted
+        fields["measured"] = measured
+        fields["verdict"] = verdict
+
+    def __repr__(self):
+        return (f"SingularityReport(s0={self.s0!r}, Q={self.Q!r}, m_germ={self.m_germ!r}, "
+                f"ell_germ={self.ell_germ!r}, j={self.j!r}, k={self.k!r}, "
+                f"location={self.location!r}, predicted={self.predicted!r}, "
+                f"measured={self.measured!r}, verdict={self.verdict!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.s0, self.Q, self.m_germ, self.ell_germ, self.j, self.k, self.location,
+                     self.predicted, self.measured, self.verdict)
+                    == (other.s0, other.Q, other.m_germ, other.ell_germ, other.j, other.k,
+                        other.location, other.predicted, other.measured, other.verdict))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s0, self.Q, self.m_germ, self.ell_germ, self.j, self.k, self.location,
+                     self.predicted, self.measured, self.verdict))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_dict(self):
         def exponents(x):
@@ -254,14 +300,37 @@ def _generated_det(base: float, P: list) -> list:
     return _det_jet(_vec(*[jets._jet(base, tuple(c)) for c in P])).coeffs if det is None else det
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """Relative residuals of the structural identities of the dual curve."""
 
-    residual_vv: float       # <v'', v> + m^2
-    residual_vmu: float      # <v'', mu> - m'
-    residual_higher: float | None  # <v^(k+3), r> + (k+2) m' ell^(k) + m ell^(k+1)
-    k: int | None
+    def __init__(self, residual_vv: float, residual_vmu: float, residual_higher: float | None,
+                 k: int | None):
+        fields = self.__dict__
+        fields["residual_vv"] = residual_vv  # <v'', v> + m^2
+        fields["residual_vmu"] = residual_vmu  # <v'', mu> - m'
+        # <v^(k+3), r> + (k+2) m' ell^(k) + m ell^(k+1)
+        fields["residual_higher"] = residual_higher
+        fields["k"] = k
+
+    def __repr__(self):
+        return (f"IdentityReport(residual_vv={self.residual_vv!r}, "
+                f"residual_vmu={self.residual_vmu!r}, "
+                f"residual_higher={self.residual_higher!r}, k={self.k!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.residual_vv, self.residual_vmu, self.residual_higher, self.k)
+                    == (other.residual_vv, other.residual_vmu, other.residual_higher, other.k))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.residual_vv, self.residual_vmu, self.residual_higher, self.k))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def max_residual(self) -> float:

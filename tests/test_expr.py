@@ -590,11 +590,24 @@ def _inline_steps(steps, outputs, width: int, final: bool = True):
     """(the input nodes read, function, constants) of `program.inline_program`
     for a step kind whose inputs, s and nodes 1 and 2, are jets of `width`;
     a recorded function's, whose refusals may be final, where `final`, and
-    else a read's, the steps of a curve's tapes."""
+    else a read's, the steps of a curve's tapes.  The function takes the
+    float s at node 0 (`_given`), and a `_k_var` step makes its jet, as a
+    read does."""
     read = sorted({node for _, fn, x, y in steps
                    for node in ((x, y) if fn in expr._TWO_OPERANDS else (x,)) if node < 3})
-    return (read, *program.inline_program(steps, dict.fromkeys(read, width), outputs,
-                                          final=final))
+    if 0 in read:  # s's jet at a node after the others
+        jet = max(node for node, *_ in steps) + 1
+        steps = [(jet, program._k_var, 0, width - 1)] + [
+            (node, fn, jet if x == 0 else x, jet if y == 0 and fn in expr._TWO_OPERANDS else y)
+            for node, fn, x, y in steps]
+    shapes = {node: 0 if node == 0 else width for node in read}
+    return read, *program.inline_program(steps, shapes, outputs, final=final)
+
+
+def _given(inputs, read):
+    """What the function of `_inline_steps` takes of the `inputs` (s's jet,
+    node 1, node 2) at the nodes it `read`s: the float s and lists."""
+    return [inputs[0][0] if node == 0 else list(inputs[node]) for node in read]
 
 
 def _reprs(values):
@@ -661,11 +674,25 @@ def test_wide_generated_steps_are_the_step_loop(width, case):
         products = sum(fn is expr._k_mul for _, fn, _, _ in steps)
         kernels = [name for name in function.__code__.co_names if name.startswith("mul")]
         assert "mul" not in kernels and (products > 0) == bool(kernels), kind
-        generated = _generated_outcome(function, [list(inputs[node]) for node in read], consts)
+        generated = _generated_outcome(function, _given(inputs, read), consts)
         expected = _step_loop_outcome(steps, outputs, inputs)
         assert generated == expected, (kind, case)
         # no answer: "refused", or a final refusal's error
         assert (not isinstance(expected, list)) == (kind in _REFUSED[case]), (kind, case)
+
+
+@pytest.mark.parametrize("width", [5, 17])
+def test_a_wide_value_that_only_a_lift_reads_is_tested(width):
+    # a lift keeps nothing of its operand, so a product that only a lift
+    # reads is tested, as the step loop checks each value; mutation: a lift
+    # that counts as keeping its operand (the cases where the product
+    # overflows answer)
+    steps, outputs = _NARROW_KINDS["a lift of a product"]
+    read, function, consts = _inline_steps(steps, outputs, width)
+    for case in _REFUSED:
+        inputs = _step_inputs(width, case)
+        assert (_generated_outcome(function, _given(inputs, read), consts)
+                == _step_loop_outcome(steps, outputs, inputs)), case
 
 
 # the kinds that refuse, in each case; where a constant term overflows, d/ds
@@ -759,7 +786,7 @@ def test_narrow_generated_steps_are_the_step_loop(kind, width, s, a, b):
     # up to 4 coefficients a value, each step kind's generated function
     # answers iff every value the step loop computes is finite, and then with
     # the loop's bits, whatever the coefficients of the given lists; s's jet
-    # is (s, 1.0, 0.0, ...), as its callers give it.  It tests only what no
+    # is made from the float s by a `_k_var` step.  It tests only what no
     # later step keeps, if not finite, in a value it computes.  A recorded
     # step's refusal is final, the error the step loop raises, iff every
     # value before it and the refused operand are finite
@@ -767,7 +794,7 @@ def test_narrow_generated_steps_are_the_step_loop(kind, width, s, a, b):
     final = kind not in _READS
     inputs = [s, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width, final)
-    assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
+    assert (_generated_outcome(function, _given(inputs, read), consts)
             == _step_loop_outcome(steps, outputs, inputs, final))
 
 
@@ -784,7 +811,7 @@ def test_wide_generated_sign_steps_are_the_step_loop(kind, width, a, b):
     steps, outputs = _STEP_KINDS[kind]
     inputs = [0.5, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width)
-    assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
+    assert (_generated_outcome(function, _given(inputs, read), consts)
             == _step_loop_outcome(steps, outputs, inputs))
 
 
@@ -803,7 +830,7 @@ def test_wide_generated_refusals_are_the_step_loop(kind, width, a, b):
     final = kind not in _READS
     inputs = [0.5, 1.0] + [0.0] * (width - 2), a[:width], b[:width]
     read, function, consts = _inline_steps(steps, outputs, width, final)
-    assert (_generated_outcome(function, [list(inputs[node]) for node in read], consts)
+    assert (_generated_outcome(function, _given(inputs, read), consts)
             == _step_loop_outcome(steps, outputs, inputs, final))
 
 
@@ -826,6 +853,63 @@ def test_tape_programs_are_generated_up_to_4_coefficients(name, floats):
             if order == 0:
                 loop = [c[:1] for c in loop]
             assert list(map(repr, out)) == list(map(repr, loop))
+
+
+# astroid's r, sqrt(1 + cos(s)^6 + sin(s)^6), cos(s)^3, sin(s)^3, read at
+# degree 17: later steps keep each lift's operand and each half of the pair
+# of s, so the read tests its outputs alone
+_ASTROID_READ_17 = [
+    "x0, = i",
+    "k0, = k",
+    "x1 = [x0, 1.0] + [0.0] * 16",
+    "x2 = sin_cos17(x1)",
+    "x3 = x2[1]",
+    "x4 = [k0] + [0.0] * 17",
+    "x5 = mul17_17_17(x3, x3)",
+    "x6 = mul17_0_17(x4, x5)",
+    "x7 = mul17_17_17(x5, x5)",
+    "x8 = mul17_17_17(x6, x7)",
+    "x9 = [k0] + [0.0] * 17",
+    "x10 = [p + q for p, q in zip(x9, x8)]",
+    "x11 = x2[0]",
+    "x12 = [k0] + [0.0] * 17",
+    "x13 = mul17_17_17(x11, x11)",
+    "x14 = mul17_0_17(x12, x13)",
+    "x15 = mul17_17_17(x13, x13)",
+    "x16 = mul17_17_17(x14, x15)",
+    "x17 = [p + q for p, q in zip(x10, x16)]",
+    "if not x17[0] > 0.0: return None",
+    "x18 = sqrt17(x17)",
+    "x19 = mul17_0_17(x4, x3)",
+    "x20 = mul17_17_17(x19, x5)",
+    "x21 = mul17_0_17(x12, x11)",
+    "x22 = mul17_17_17(x21, x13)",
+    "if not isfinite(sum(x18, 0.0) + sum(x20, 0.0) + sum(x22, 0.0)) and not all(isfinite(c) "
+    "for v in (x18, x20, x22, ) for c in v): return None",
+    "return (x18, x20, x22, )",
+]
+
+
+def test_a_wide_read_tests_only_what_no_step_carries(monkeypatch):
+    # wide code tests what no later step keeps, if not finite, in a value it
+    # computes, as narrow code does, and gives the step loop's bits; mutation:
+    # both halves of each pair and each lift's operand tested as well
+    programs = []
+    compile_lines = jets.compile_lines
+
+    def compiled(name, params, lines, bound=None):
+        if name == "_program":
+            programs.append(lines)
+        return compile_lines(name, params, lines, bound)
+
+    monkeypatch.setattr(jets, "compile_lines", compiled)
+    monkeypatch.setattr(program, "_inline_function", program._inline_function.__wrapped__)
+    curve = load_curve(CURVES / "astroid.json")
+    tapes = _tapes((curve.components, curve.dual_components))
+    read, bounds = program.tape_read(tapes, tuple((0, 17, i) for i in range(3)))
+    assert programs == [_ASTROID_READ_17] and bounds == (17, 17, 17)
+    loop = _TapePoint(tapes[1], 0.3, 17).outputs(0)
+    assert list(map(repr, read(0.3, None))) == list(map(repr, loop))
 
 
 _REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2

@@ -313,7 +313,7 @@ _SPECIAL = [0.0, -0.0, 1e-320, -1e-320, 3e300, -3e300, 1.0, -2.5]
 _coeff = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0),
                    st.floats(allow_nan=False, allow_infinity=False))
 _zero = st.sampled_from([0.0, -0.0])
-# the products compiled at import, the first kernels keyed on degree, the
+# the full-row products of orders 0-3, the first kernels keyed on degree, the
 # orders classify runs at and one past them, and MAX_ORDER
 _LENGTHS = [1, 2, 3, 4, 5, 17, 18, 22, 23, 24, jets.MAX_ORDER + 1]
 
