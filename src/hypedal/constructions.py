@@ -22,6 +22,7 @@ from . import decide, jets
 from .expr import linspace
 from .frontal import LegendrePair, _coeff, _generated, _truncate, frenet_regular
 from .minkowski import GeometryError, MVec3, _tested_vec, _vec, inner, require_upper_sheet, wedge
+from .values import Value
 
 # Q = r(s) within `decide.ON_CURVE_TOL` is looked for on this grid before inducing from Q
 _ON_CURVE_SAMPLES = 1000
@@ -603,29 +604,14 @@ def _defined(fn, *args):
 # -- singular point detection ---------------------------------------------
 
 
-class SingularPoint:
+class SingularPoint(Value):
+    _fields = ("s", "cause", "speed")
+
     def __init__(self, s: float, cause: str, speed: float):
         fields = self.__dict__
         fields["s"] = s
         fields["cause"] = cause  # "m_zero" | "point_on_curve" | "other"
         fields["speed"] = speed
-
-    def __repr__(self):
-        return f"SingularPoint(s={self.s!r}, cause={self.cause!r}, speed={self.speed!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.s, self.cause, self.speed) == (other.s, other.cause, other.speed)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s, self.cause, self.speed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _itp(fn, lo, hi, flo, fhi, width: float):

@@ -27,6 +27,7 @@ from .jets import (
     sinh_cosh_coeffs, sqrt_coeffs,
 )
 from .minkowski import MVec3, _vec
+from .values import Value
 
 FUNCTIONS = ("sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")
 
@@ -48,164 +49,55 @@ class EvalDomainError(ValueError):
 
 # -- abstract syntax ---------------------------------------------------
 
-# The library's value classes are written out as a frozen dataclass of their
-# fields would be made: an init that sets them, their repr, equality and hash
-# as tuples of them, and no assignment.  So importing it makes no code.
 
+class Num(Value):
+    _fields = ("value",)
 
-class Num:
     def __init__(self, value: float):
         self.__dict__["value"] = value
 
-    def __repr__(self):
-        return f"Num(value={self.value!r})"
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+class Var(Value):
+    """The parameter s."""
 
 
-class Var:
-    def __repr__(self):
-        return "Var()"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+class Pi(Value):
+    """The constant pi."""
 
 
-class Pi:
-    def __repr__(self):
-        return "Pi()"
+class Neg(Value):
+    _fields = ("arg",)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Neg:
     def __init__(self, arg: CurveExpr):
         self.__dict__["arg"] = arg
 
-    def __repr__(self):
-        return f"Neg(arg={self.arg!r})"
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.arg,) == (other.arg,)
-        return NotImplemented
+class BinOp(Value):
+    _fields = ("op", "left", "right")
 
-    def __hash__(self):
-        return hash((self.arg,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class BinOp:
     def __init__(self, op: str, left: CurveExpr, right: CurveExpr):
         fields = self.__dict__
         fields["op"] = op
         fields["left"] = left
         fields["right"] = right
 
-    def __repr__(self):
-        return f"BinOp(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
-        return NotImplemented
+class Pow(Value):
+    _fields = ("base", "exponent")
 
-    def __hash__(self):
-        return hash((self.op, self.left, self.right))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Pow:
     def __init__(self, base: CurveExpr, exponent: int):
         fields = self.__dict__
         fields["base"] = base
         fields["exponent"] = exponent
 
-    def __repr__(self):
-        return f"Pow(base={self.base!r}, exponent={self.exponent!r})"
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.exponent) == (other.base, other.exponent)
-        return NotImplemented
+class Call(Value):
+    _fields = ("name", "arg")
 
-    def __hash__(self):
-        return hash((self.base, self.exponent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Call:
     def __init__(self, name: str, arg: CurveExpr):
         fields = self.__dict__
         fields["name"] = name
         fields["arg"] = arg
-
-    def __repr__(self):
-        return f"Call(name={self.name!r}, arg={self.arg!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.arg) == (other.name, other.arg)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.arg))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 CurveExpr = Num | Var | Pi | Neg | BinOp | Pow | Call
@@ -214,29 +106,14 @@ CurveExpr = Num | Var | Pi | Neg | BinOp | Pow | Call
 # -- tokenizer ---------------------------------------------------------
 
 
-class _Token:
+class _Token(Value):
+    _fields = ("kind", "text", "pos")
+
     def __init__(self, kind: str, text: str, pos: int):
         fields = self.__dict__
         fields["kind"] = kind  # "num", "ident", an operator character, or "eof"
         fields["text"] = text
         fields["pos"] = pos
-
-    def __repr__(self):
-        return f"_Token(kind={self.kind!r}, text={self.text!r}, pos={self.pos!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.text, self.pos) == (other.kind, other.text, other.pos)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.text, self.pos))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -834,7 +711,7 @@ def linspace(domain, n: int) -> list[float]:
     return pts
 
 
-class ParametricCurve:
+class ParametricCurve(Value):
     """Three expression components on a closed parameter interval.
 
     `dual_components`, when present, define the unit spacelike dual curve
@@ -849,6 +726,8 @@ class ParametricCurve:
     answer, does the step loop run, which raises what the tree walk raises.
     Nothing is kept per point.
     """
+
+    _fields = ("name", "components", "domain", "dual_components", "samples")
 
     def __init__(self, name: str, components: tuple[CurveExpr, CurveExpr, CurveExpr],
                  domain: tuple[float, float],
@@ -866,28 +745,6 @@ class ParametricCurve:
             raise ValueError(f"degenerate domain [{a!r}, {b!r}]")
         if samples < 2:
             raise ValueError("need at least 2 samples")
-
-    def _fields(self) -> tuple:
-        return self.name, self.components, self.domain, self.dual_components, self.samples
-
-    def __repr__(self):
-        return (f"ParametricCurve(name={self.name!r}, components={self.components!r}, "
-                f"domain={self.domain!r}, dual_components={self.dual_components!r}, "
-                f"samples={self.samples!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def grid(self, n: int | None = None) -> list[float]:
         return linspace(self.domain, n or self.samples)

@@ -21,6 +21,7 @@ from . import decide, jets
 from .expr import _INLINE_WIDTH, linspace
 from .jets import Jet, require_finite
 from .minkowski import MVec3, _tested_vec, _vec, det3, inner, wedge
+from .values import Record, Value
 
 
 class CurveSingularError(ValueError):
@@ -53,32 +54,24 @@ def _coeff(vec: MVec3, k: int) -> MVec3:
     return MVec3(vec.x1.coeffs[k], vec.x2.coeffs[k], vec.x3.coeffs[k])
 
 
-class ValidationReport:
+class ValidationReport(Record):
     """Per-condition maximum relative residuals of the Legendrian conditions."""
+
+    _fields = ("residuals", "tol", "samples")
 
     def __init__(self, residuals: dict[str, float], tol: float, samples: int):
         self.residuals = residuals
         self.tol = tol
         self.samples = samples
 
-    def __repr__(self):
-        return (f"ValidationReport(residuals={self.residuals!r}, tol={self.tol!r}, "
-                f"samples={self.samples!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.residuals, self.tol, self.samples) == (other.residuals, other.tol,
-                                                                 other.samples)
-        return NotImplemented
-
-    __hash__ = None  # mutable
-
     @property
     def passed(self) -> bool:
         return all(r <= self.tol for r in self.residuals.values())
 
 
-class FrenetData:
+class FrenetData(Value):
+    _fields = ("s", "T", "N", "kappa", "speed")
+
     def __init__(self, s: float, T: MVec3, N: MVec3, kappa: float, speed: float):
         fields = self.__dict__
         fields["s"] = s
@@ -86,25 +79,6 @@ class FrenetData:
         fields["N"] = N
         fields["kappa"] = kappa
         fields["speed"] = speed
-
-    def __repr__(self):
-        return (f"FrenetData(s={self.s!r}, T={self.T!r}, N={self.N!r}, kappa={self.kappa!r}, "
-                f"speed={self.speed!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.s, self.T, self.N, self.kappa, self.speed)
-                    == (other.s, other.T, other.N, other.kappa, other.speed))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s, self.T, self.N, self.kappa, self.speed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LegendrePair:

@@ -20,6 +20,7 @@ from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
 
 from . import decide
+from .values import Value
 
 DEFAULT_ORDER = 16
 MAX_ORDER = 64
@@ -42,8 +43,10 @@ class JetDomainError(ValueError):
     """An elementary function or a quotient left its domain of definition."""
 
 
-class Jet:
+class Jet(Value):
     """Taylor coefficients (c_0, ..., c_K) of a scalar germ at `base`."""
+
+    _fields = ("base", "coeffs")
 
     def __init__(self, base: float, coeffs: tuple[float, ...]):
         if not coeffs:
@@ -56,23 +59,6 @@ class Jet:
         fields = self.__dict__
         fields["base"] = base
         fields["coeffs"] = coeffs
-
-    def __repr__(self):
-        return f"Jet(base={self.base!r}, coeffs={self.coeffs!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.coeffs) == (other.base, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- construction -------------------------------------------------
 

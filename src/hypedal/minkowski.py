@@ -12,6 +12,7 @@ import math
 from enum import Enum
 
 from . import decide
+from .values import Value
 
 
 class GeometryError(ValueError):
@@ -24,8 +25,10 @@ def _require_finite(x1, x2, x3) -> None:
             raise ValueError("non-finite vector component")
 
 
-class MVec3:
+class MVec3(Value):
     """Vector in R^3 with the pseudo scalar product <u,w> = -u1 w1 + u2 w2 + u3 w3."""
+
+    _fields = ("x1", "x2", "x3")
 
     def __init__(self, x1: float, x2: float, x3: float):
         _require_finite(x1, x2, x3)
@@ -33,23 +36,6 @@ class MVec3:
         fields["x1"] = x1
         fields["x2"] = x2
         fields["x3"] = x3
-
-    def __repr__(self):
-        return f"MVec3(x1={self.x1!r}, x2={self.x2!r}, x3={self.x3!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x1, self.x2, self.x3) == (other.x1, other.x2, other.x3)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x1, self.x2, self.x3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def components(self):
         return (self.x1, self.x2, self.x3)
@@ -169,28 +155,13 @@ def on_desitter(u: MVec3, tol: float = decide.SHEET_TOL) -> bool:
     return abs(inner(u, u) - 1.0) <= tol
 
 
-class LorentzMap:
+class LorentzMap(Value):
     """A 3x3 linear map, normally an isometry of the pseudo scalar product."""
+
+    _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[float, float, float], ...]):
         self.__dict__["rows"] = rows
-
-    def __repr__(self):
-        return f"LorentzMap(rows={self.rows!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows,) == (other.rows,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def apply(self, v: MVec3) -> MVec3:
         r = self.rows

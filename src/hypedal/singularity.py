@@ -32,6 +32,7 @@ from .constructions import pedal_point
 from .decide import GERM_TOL, coincident
 from .frontal import LegendrePair, _const, _d, _truncate
 from .minkowski import MVec3, _vec, det3, inner, require_upper_sheet, wedge
+from .values import Value
 
 SMOOTH = "smooth"
 
@@ -44,30 +45,14 @@ class GermKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-class GermOrder:
+class GermOrder(Value):
+    _fields = ("kind", "k", "first_nonzero")
+
     def __init__(self, kind: GermKind, k: int | None = None, first_nonzero: int | None = None):
         fields = self.__dict__
         fields["kind"] = kind
         fields["k"] = k  # A_k index, set only for kind AK
         fields["first_nonzero"] = first_nonzero  # index of the first non-vanishing derivative
-
-    def __repr__(self):
-        return f"GermOrder(kind={self.kind!r}, k={self.k!r}, first_nonzero={self.first_nonzero!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.k, self.first_nonzero) == (other.kind, other.k,
-                                                                other.first_nonzero)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.k, self.first_nonzero))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_dict(self):
         return {"kind": self.kind.value, "k": self.k, "first_nonzero": self.first_nonzero}
@@ -116,7 +101,10 @@ class Verdict(Enum):
     UNDETERMINED = "undetermined"
 
 
-class SingularityReport:
+class SingularityReport(Value):
+    _fields = ("s0", "Q", "m_germ", "ell_germ", "j", "k", "location", "predicted", "measured",
+               "verdict")
+
     def __init__(self, s0: float, Q: MVec3, m_germ: GermOrder, ell_germ: GermOrder,
                  j: int | None, k: int | None, location: LocationCase,
                  predicted: tuple[int, int] | str | None, measured: tuple[int, int] | str | None,
@@ -132,30 +120,6 @@ class SingularityReport:
         fields["predicted"] = predicted
         fields["measured"] = measured
         fields["verdict"] = verdict
-
-    def __repr__(self):
-        return (f"SingularityReport(s0={self.s0!r}, Q={self.Q!r}, m_germ={self.m_germ!r}, "
-                f"ell_germ={self.ell_germ!r}, j={self.j!r}, k={self.k!r}, "
-                f"location={self.location!r}, predicted={self.predicted!r}, "
-                f"measured={self.measured!r}, verdict={self.verdict!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.s0, self.Q, self.m_germ, self.ell_germ, self.j, self.k, self.location,
-                     self.predicted, self.measured, self.verdict)
-                    == (other.s0, other.Q, other.m_germ, other.ell_germ, other.j, other.k,
-                        other.location, other.predicted, other.measured, other.verdict))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s0, self.Q, self.m_germ, self.ell_germ, self.j, self.k, self.location,
-                     self.predicted, self.measured, self.verdict))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_dict(self):
         def exponents(x):
@@ -300,8 +264,10 @@ def _generated_det(base: float, P: list) -> list:
     return _det_jet(_vec(*[jets._jet(base, tuple(c)) for c in P])).coeffs if det is None else det
 
 
-class IdentityReport:
+class IdentityReport(Value):
     """Relative residuals of the structural identities of the dual curve."""
+
+    _fields = ("residual_vv", "residual_vmu", "residual_higher", "k")
 
     def __init__(self, residual_vv: float, residual_vmu: float, residual_higher: float | None,
                  k: int | None):
@@ -311,26 +277,6 @@ class IdentityReport:
         # <v^(k+3), r> + (k+2) m' ell^(k) + m ell^(k+1)
         fields["residual_higher"] = residual_higher
         fields["k"] = k
-
-    def __repr__(self):
-        return (f"IdentityReport(residual_vv={self.residual_vv!r}, "
-                f"residual_vmu={self.residual_vmu!r}, "
-                f"residual_higher={self.residual_higher!r}, k={self.k!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.residual_vv, self.residual_vmu, self.residual_higher, self.k)
-                    == (other.residual_vv, other.residual_vmu, other.residual_higher, other.k))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residual_vv, self.residual_vmu, self.residual_higher, self.k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def max_residual(self) -> float:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from conftest import CURVES
@@ -311,21 +312,34 @@ def test_auto_dual_floats_make_no_tape_point(name, fresh_tapes, monkeypatch):
     assert all(isinstance(value, MVec3) for value in values)
 
 
+class _NoReads(dict):
+    """The code generated on a curve's tapes, where every generated read
+    (`auto_dual_read`, `program.tape_read`) gives none."""
+
+    def __contains__(self, key):
+        return True
+
+    def __getitem__(self, key):
+        return None
+
+
 def _raw_outcomes(curve, s):
     """`AutoDual._raw` at s through the generated read, and through the step
-    loop of `_leading` alone (the read gives no answer), each on a curve of
-    its own, so that neither reads what the other memoised."""
+    loop of `_leading` alone, each on a curve of its own, so that neither
+    reads what the other memoised; the second curve's tapes have no
+    generated read, so r's lists come from a tape point wherever s is finite."""
     outcomes = []
     for read in (True, False):
         fresh = expr.ParametricCurve(curve.name, curve.components, curve.domain)
         dual = object.__new__(AutoDual)  # no sign grid: `_raw` reads the curve alone
         dual.curve = fresh
-        if not read:  # tapes of its own, on which the read of r gives no answer
-            jet_tape = expr._Tape((curve.components,))
-            jet_tape.lists = lambda group, degree: None
-            tapes = (expr._Tape((curve.components,), floats=True), jet_tape, {})
-            object.__setattr__(fresh, "_tapes", tapes)  # the curve is frozen
-        outcomes.append(_outcome(lambda: dual._raw(s)))
+        if not read:  # tapes of their own, with no generated read
+            tapes = (expr._Tape((curve.components,), floats=True),
+                     expr._Tape((curve.components,)), _NoReads())
+            fresh.__dict__["_tapes"] = tapes  # the curve is frozen
+        with mock.patch.object(expr, "_TapePoint", wraps=expr._TapePoint) as points:
+            outcomes.append(_outcome(lambda: dual._raw(s)))
+        assert read or points.called == math.isfinite(s)
     return outcomes
 
 

@@ -1,9 +1,11 @@
 """The contract of the library's value classes: their constructors and
 defaults, repr text, equality, hashing, immutability and validation errors,
-and an import of the command line that builds them without generating code."""
+that one base defines their shared methods, and an import of the command
+line that builds them without generating code."""
 
 from __future__ import annotations
 
+import ast
 import math
 import subprocess
 import sys
@@ -111,6 +113,31 @@ def test_frozen_values_refuse_assignment(cls, args, kw, defaults, text):
     assert repr(value) == text
 
 
+@pytest.mark.parametrize("cls, args, kw, defaults, text", _named(_FROZEN))
+def test_a_frozen_value_hashes_as_its_fields_in_constructor_order(cls, args, kw, defaults, text):
+    # the hash of the fields' tuple, which keeps the iteration order of a set of values
+    assert hash(cls(*args)) == hash(tuple(kw.values()))
+
+
+def test_one_module_defines_the_value_methods():
+    # repr, equality, hash and immutability are written once, in the base of
+    # the value classes, as a method or as an assignment such as `__hash__ = None`
+    shared = {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
+    defined = []
+    for path in sorted((ROOT / "src" / "hypedal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(path.name, name) for name in shared.intersection(names)]
+    assert sorted(defined) == sorted(("values.py", name) for name in shared)
+
+
 def test_equality_compares_class_and_fields():
     assert Var() == Var() and Var() != Pi()
     assert Num(1.0) != 1.0 and MVec3(1.0, 0.0, 0.0) != (1.0, 0.0, 0.0)
@@ -163,8 +190,9 @@ def test_values_refuse_what_they_always_refused(make, message):
 
 
 def test_importing_the_command_line_generates_no_classes():
-    # the value classes are written out, so importing the library loads
-    # neither `dataclasses` nor `inspect` (-S: no site packages either)
+    # the value classes' methods are written once, in their base, so importing
+    # the library loads neither `dataclasses` nor `inspect` (-S: no site
+    # packages either)
     code = ("import sys; sys.path.append(sys.argv[1]); import hypedal.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
