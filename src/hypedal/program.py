@@ -10,41 +10,44 @@ formulas, such as a derived curve's sample, into such programs.
 
 A program runs as one generated Python function (`inline_program`), whose
 steps do the floating-point operations of the step loop in its order, so
-every value keeps its bits, the sign of zero included.  Where every value
-has at most `INLINE_WIDTH` coefficients (floats, and jets of degree 0-3),
-each step is emitted on local names from the line templates of the `jets`
-kernels, or as the float operation of its step function.  Wider jets are
-whole coefficient lists, and each step is one statement on them: a quotient,
-a square root and a sin/cos or sinh/cosh pair call the kernel of their
-order, bound when the code is generated; sums, scales, lifts, d/ds and
-truncations run the float operations of their step functions.
+every value keeps its bits, the sign of zero included.  One analysis of its
+steps (`_analysis`) applies each rule below once, and one of two emitters
+writes the code from it.  Where every value has at most `INLINE_WIDTH`
+coefficients (floats, and jets of degree 0-3), `_inline_function` writes
+each step on local names, one a coefficient, from the line templates of the
+`jets` kernels, or as the float operation of its step function.  Wider jets
+are whole coefficient lists (`_list_function`): a quotient, a square root
+and a sin/cos or sinh/cosh pair call the kernel of their order, bound when
+the code is generated, and every other step runs the float operations of
+its step function.
 
 Every function generated from a curve's tape steps is a read of them
 (`tape_read`): one function of the float s, of the tape steps its values
 need and their truncations, which hands the values on in the order asked
-and states each jet's bound on its degree.  A point or a jet of r or v is a
-read of its three values (`ParametricCurve._tape_values`), an auto-dual read
-calls r's (`frontal.auto_dual_read`), and a recorded formula of a curve's r
-and v runs on a read of its inputs.  The recorded function is
-generated from the recording alone, on given lists, and keyed by its
-structure, so a process compiles it once for every curve; a function of
-jets wider than `INLINE_WIDTH` coefficients is keyed by the read's bounds
-too, so that its products call the kernels bound to them.  Tape code and
-recorded code are never one function.
+and states each jet's bound on its degree, as the analysis gives it.  A
+point or a jet of r or v is a read of its three values
+(`ParametricCurve._tape_values`), an auto-dual read calls r's
+(`frontal.auto_dual_read`), and a recorded formula of a curve's r and v
+runs on a read of its inputs.  The recorded function is generated from the
+recording alone, on given lists, and keyed by its structure, so a process
+compiles it once for every curve; a function of jets wider than
+`INLINE_WIDTH` coefficients is keyed by the read's bounds too, so that its
+products call the kernels bound to them.  Tape code and recorded code are
+never one function.
 
-Each jet value has a bound on its degree, fixed when the code is generated
-(`_degree`: s's jet 1, a lift 0, a product the sum of its operands', up to
-the order, and so on), above which its coefficients are structural zeros.
-A given list's bound is its width, unless the caller states a lower one
-(`inline_program`'s `bounds`).  A product leaves out the terms with a factor
-above its bound and is the literal 0.0 above the sum of the bounds: on local
-names its rows are emitted so, and a wide product calls the kernel bound to
-its operands' bounds (`jets._bound_mul_kernel`).  A term left out has a
+The analysis gives each jet value a bound on its degree (`_degree`: s's jet
+1, a lift 0, a product the sum of its operands', up to the order, and so
+on), above which its coefficients are structural zeros.  A given list's
+bound is its width, unless the caller states a lower one (`inline_program`'s
+`bounds`).  A product leaves out the terms with a factor above its bound and
+is the literal 0.0 above the sum of the bounds.  A term left out has a
 factor that is an exact zero while every value is finite, so leaving it out
 keeps each sum's bits: each starts at +0.0, so it is never -0.0, and adding
 +-0.0 leaves it as it is.  So a function computes the same bits on given
 lists whether it is given their bounds or not.  Every other step is emitted
-whole, as a structural zero can be -0.0 after a negation.
+whole, as a structural zero can be -0.0 after a negation.  Narrow code
+writes a product's rows without the terms left out; wide code calls the
+kernel bound to its operands' bounds (`jets._bound_mul_kernel`).
 
 A value that the function computes and that is not finite makes it
 return None, and so does a plain refusal, one that a kernel would raise (a
@@ -52,35 +55,39 @@ vanishing divisor, the square root of a constant term that is not
 positive).  The caller then runs the checked path, the step loop or the
 `Jet` formula, and so returns or raises exactly what it always did; it
 does the same when the function raises a domain error, and lets any other
-exception propagate (`jets.answer`).  Only a value that could hold a nan
-or an infinity without it reaching an output is tested: the outputs, what
-a lift, a truncation, d/ds or a coefficient read drops, the halves of a
-pair, a value that no step reads, and the float operands whose nan or
-infinity can vanish from the result, a divisor (x/inf is 0.0), the
-argument of tanh (tanh(inf) is 1.0) and the base of x ** n for n <= 0
-(inf ** 0 is 1.0).  Every other operand is carried into a value that is
-tested: + - *, negation, the square root, sin, cos, sinh, cosh, abs and a
-quotient's numerator keep a nan or an infinity in their result, and a jet
-divisor or square root with one is refused.  A term that a product leaves
-out would be inf*0.0 in the step loop only where a coefficient within an
-operand's bound is not finite, and that one is carried or tested.  Narrow
-code tests each coefficient that no later step carries, at the end of the
-part of the function that computes it; wide code tests each list, half of
-a pair and run of coefficients that d/ds or truncations drop that no later
-step carries, once, at the end.  Each test sums the values, and where the
-sum is not finite, as finite values can make it, tests them one by one.
+exception propagate (`jets.answer`).  The analysis records what each step
+keeps, if not finite, of each operand in the value it computes (`_kept`),
+and only what no step keeps is tested: the outputs, what a lift, a
+truncation, d/ds or a coefficient read drops, the halves of a pair, a value
+that no step reads, and the float operands whose nan or infinity can vanish
+from the result, a divisor (x/inf is 0.0), the argument of tanh (tanh(inf)
+is 1.0) and the base of x ** n for n <= 0 (inf ** 0 is 1.0).  Every other
+step keeps all of its operands: + - *, negation, the square root, sin, cos,
+sinh, cosh, abs and a quotient's numerator keep a nan or an infinity in
+their result, and a jet divisor or square root with one is refused.  A term
+that a product leaves out would be inf*0.0 in the step loop only where a
+coefficient within an operand's bound is not finite, and that one is kept
+or tested.  The analysis also records which refusals are tested: every
+square root's, and a divisor's where it first divides.  Narrow code tests
+each coefficient that no step keeps, at the end of the part of the function
+that computes it; a lift, a half, a truncation, a coefficient read and s's
+jet write no line there and share their operands' names, so what a step
+keeps of them it keeps of their operands.  Wide code tests each list, half
+of a pair and run of coefficients that d/ds or truncations drop that no
+step keeps, once, at the end.  Each test sums the values, and where the sum
+is not finite, as finite values can make it, tests them one by one.
 
 A function that ends early tests that every value computed so far is
-finite: each that no step so far has carried into another.  A refusal by a
-step of a recorded function (`inline_program`'s `final`) is final where
-that test holds and the refused operand is finite too: the function
-returns the error the kernel raises (`jets.refused_division`,
-`jets.refused_sqrt`), and its callers raise it.  The formula would raise
-just that, as it computes the same values in the same order, a recording
-listing its steps so, and tests each `Jet` as it makes it.  Where the test
-fails the refusal is plain.  So is every refusal of a tape's step, alone or
-in a read, which runs at the highest degree any input reads, where the
-checked path may read a lower degree and pass.  A read tests every value it computes, its outputs
+finite: each that no step so far keeps.  A refusal by a step of a recorded
+function (`inline_program`'s `final`) is final where that test holds and
+the refused operand is finite too: the function returns the error the
+kernel raises (`jets.refused_division`, `jets.refused_sqrt`), and its
+callers raise it.  The formula would raise just that, as it computes the
+same values in the same order, a recording listing its steps so, and tests
+each `Jet` as it makes it.  Where the test fails the refusal is plain.  So
+is every refusal of a tape's step, alone or in a read, which runs at the
+highest degree any input reads, where the checked path may read a lower
+degree and pass.  A read tests every value it computes, its outputs
 included, so a recorded function runs only on finite values, and its test
 of every value so far covers what the formula read of the tapes.
 
@@ -88,8 +95,8 @@ An evolute's recorded formula takes three steps of its own: its branch
 sign, its upper-sheet sign, each a float 1.0 or -1.0 read from constant
 terms, and a flip, which multiplies each coefficient by such a sign and so
 keeps every bit a negation gives.  A sign is finite by construction and
-never tested; it carries no operand, so its operands are tested unless
-another step carries them.  A flip carries its operand.  Where the branch
+never tested; it keeps no operand, so its operands are tested unless
+another step keeps them.  A flip keeps its operand.  Where the branch
 sign is degenerate (0.0), the function ends there: it returns (0.0,) where
 every value so far is finite, and None where one is not.  A function
 compiled in parts hands its values on as a list, so a part that ends it
@@ -227,12 +234,12 @@ def tape_read(tapes, reads: tuple):
     s, in order, from a curve's tapes (`ParametricCurve._tape_set`), sign_at
     unread: each (group, None, i) is component i of the group's floats,
     (group, k, i) its jet truncated to order k, the jet tape run at the
-    highest order read, at least 1; bounds: each value's bound on its degree (`_degree`
-    over the read's steps), None for a float.  Generated once per `reads`
-    and kept with the tapes; None where a tape program it reads is longer
-    than `_INLINE_STEPS` steps or does not inline.  A read is None where s
-    or any value it computes is not finite, or where a tape step refuses:
-    plainly (see the module docstring)."""
+    highest order read, at least 1; bounds: each value's bound on its
+    degree, from the `_analysis` of the read's steps, None for a float.
+    Generated once per `reads` and kept with the tapes; None where a tape
+    program it reads is longer than `_INLINE_STEPS` steps or does not
+    inline.  A read is None where s or any value it computes is not finite,
+    or where a tape step refuses: plainly (see the module docstring)."""
     key = ("tape read", reads)
     kept = tapes[2]
     if key not in kept:
@@ -246,14 +253,11 @@ def _tape_read(tapes, reads: tuple):
     degree = max([1] + [k for _, k, _ in reads if k is not None])
     steps = _Steps()
     nodes = [{0: 0}, {}]  # per tape (float, jet): its node -> the node of steps
-    bounds = {}  # the node of steps of a jet -> the bound on its degree
 
     def node(t, n):
         if n not in nodes[t]:  # s of the jet tape, or a constant of the float tape
             nodes[t][n] = (steps._node(_k_var, 0, degree) if t
                            else steps._node(_f_const, 0, tapes[0].steps[n][2]))
-            if t:
-                bounds[nodes[t][n]] = 1
         return nodes[t][n]
 
     for t, group in sorted({(int(k is not None), group) for group, k, _ in reads}):
@@ -264,25 +268,19 @@ def _tape_read(tapes, reads: tuple):
             if fn not in _EMITTED:  # a step that always raises
                 return None
             if n not in nodes[t]:
-                two = fn in _TWO_OPERANDS
-                x, y = node(t, x), node(t, y) if two else y
-                at = nodes[t][n] = steps._node(fn, x, y)
-                if t:
-                    bounds[at] = _degree(fn, degree, bounds[x], bounds[y] if two else None, y)
+                x, y = node(t, x), node(t, y) if fn in _TWO_OPERANDS else y
+                nodes[t][n] = steps._node(fn, x, y)
     values = []
     for group, k, i in reads:
         t = int(k is not None)
         value = node(t, tapes[t].outputs[group][i])
-        if t and k < degree:
-            bound = _degree(_k_trunc, degree, bounds[value], None, k)
-            value = steps._node(_k_trunc, value, k)
-            bounds[value] = bound
-        values.append(value)
-    inline = inline_program(tuple(sorted(steps._program(values))), {0: 0}, values,
-                            max_steps=math.inf)
+        values.append(steps._node(_k_trunc, value, k) if t and k < degree else value)
+    program = tuple(sorted(steps._program(values)))
+    inline = inline_program(program, {0: 0}, values, max_steps=math.inf)
     if inline is None:
         return None
-    return partial(_read, *inline), tuple(None if k is None else bounds[value]
+    degrees = _analysis(((0, 0),), program, None)[1]
+    return partial(_read, *inline), tuple(None if k is None else degrees[value]
                                           for value, (_, k, _) in zip(values, reads))
 
 
@@ -310,21 +308,92 @@ def _degree(fn, n, da, db, y):
         return min(da, y)
     if fn is _k_div or fn is _k_tanh or fn is _k_sqrt or fn is _k_pair:
         return n
-    return da  # a negation, a scale, a half of a pair
+    return da  # a negation, a scale, a half of a pair, a flip
+
+
+_FLOAT_STEPS = {_f_call, _f_pow, _f_const, _f_branch, _f_sheet, _k_coeff, *_F_BINARY.values()}
+_ALL = slice(None)
+
+
+def _kept(fn, y):
+    """What step fn keeps, if not finite, in the value it computes of its
+    operand x and, where it reads one, of node y: a slice of the coefficients
+    (a pair's: of its halves), or None for nothing."""
+    if fn is _k_d:
+        return slice(1, None), None  # all but a_0
+    if fn is _k_trunc:
+        return slice(y + 1), None
+    if fn is _k_half or fn is _k_coeff:
+        return slice(y, y + 1), None
+    if (fn in (_k_var, _k_lift, _f_const, _f_branch, _f_sheet) or (fn is _f_call and y is math.tanh)
+            or (fn is _f_pow and y <= 0)):  # tanh(inf) is 1.0, inf ** 0 is 1.0, inf ** -1 is 0.0
+        return None, None
+    return _ALL, None if fn is _F_BINARY["/"] else _ALL  # x / inf is 0.0
+
+
+def _analysis(inputs, program, bounds):
+    """(widths, degrees, keeps, refusals) of a program on `inputs`, which both
+    emitters write its code from: per node its number of coefficients (a
+    pair's: each half's; 0 for a float) and a jet's bound on its degree; per
+    step ((operand, `_kept` slice or None), ...), and whether it tests its
+    refusal, a divisor's where it first divides (a lift of a constant to a
+    width, and a pair's half, being one divisor wherever they are)."""
+    widths = dict(inputs)
+    degrees = {node: shape - 1 if bound is None else bound
+               for (node, shape), bound in zip(inputs, bounds or [None] * len(inputs)) if shape}
+    keeps, refusals, divisors, same = [], [], set(), {}
+    for node, fn, x, y in program:
+        two = fn in _TWO_OPERANDS
+        n = widths[x]
+        kx, ky = _kept(fn, y)
+        keeps.append(((x, kx), (y, ky)) if two else ((x, kx),))
+        divisor = (x, 1) if fn is _k_tanh else same.get(y, y) if fn is _k_div else None
+        refusals.append(fn is _k_sqrt or divisor is not None and divisor not in divisors)
+        divisors.add(divisor)
+        if fn is _k_lift or fn is _k_half:
+            same[node] = ("lift", y, n) if fn is _k_lift else (x, y)
+        if fn in _FLOAT_STEPS:
+            widths[node] = 0
+            continue
+        widths[node] = y + 1 if fn is _k_var or fn is _k_trunc else n - 1 if fn is _k_d else n
+        degrees[node] = _degree(fn, n - 1, degrees.get(x), degrees.get(y) if two else None, y)
+    return widths, degrees, keeps, refusals
+
+
+def _keeping(program, keeps, keep):
+    """Each step of `program`, calling keep(node, slice) after it for what it
+    keeps of each operand, so that at each step the steps before it are kept."""
+    for step, parts in zip(program, keeps):
+        yield step
+        for node, part in parts:
+            if part is not None:
+                keep(node, part)
+
+
+def _refusal(fn, lead: str, scale: str, finite, final) -> str:
+    """The line that tests a step's refusal, of its operand's constant term
+    `lead` (a divisor's, with its `scale`); where `final`, it returns its error
+    if `finite()`, the test of every value so far and that operand, holds."""
+    if fn is _k_sqrt:
+        refused, error = decide.SQRT_REFUSED.format(a0=lead), f"refused_sqrt({lead})"
+    else:
+        refused, error = decide.DIVISOR_REFUSED.format(b0=lead, scale=scale), "refused_division()"
+    return f"if {refused}: return {_ended(error, finite()) if final else 'None'}"
+
+
+# steps that narrow code stores in their operands' names, constants or literals
+_VIEWS = {_k_var, _k_lift, _k_half, _k_trunc, _k_coeff, _f_const}
 
 
 @lru_cache(maxsize=256)
 def _inline_function(inputs, program, outputs, n_consts, final, bounds):
-    """The generated function of a program's structure (see `inline_program`);
-    no step but s's jet (`_k_var`) widens a value, so its inputs and that
-    step decide whether it is a wide one, whose products the input `bounds`
-    bind."""
-    widths = [shape for _, shape in inputs]
-    widths += [y + 1 for _, fn, _, y in program if fn is _k_var]
-    if max(widths, default=0) > INLINE_WIDTH:
-        return _list_function(inputs, program, outputs, n_consts, final, bounds)
+    """The generated function of a program's structure (see `inline_program`),
+    written from its `_analysis` on local names, or on lists where a value
+    has more than `INLINE_WIDTH` coefficients (`_list_function`)."""
+    analysis = widths, degrees, keeps, refusals = _analysis(inputs, program, bounds)
+    if max(widths.values(), default=0) > INLINE_WIDTH:
+        return _list_function(inputs, program, outputs, n_consts, final, analysis)
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
-    degrees = {}  # jet or pair node -> the bound on its degree
     unpack = []
     for node, shape in inputs:
         if shape == 0:
@@ -333,120 +402,82 @@ def _inline_function(inputs, program, outputs, n_consts, final, bounds):
         else:
             names[node] = [f"x{node}_{i}" for i in range(shape)]
             unpack.append(f"({', '.join(names[node])},)")
-            degrees[node] = shape - 1
     prologue = [f"{', '.join(unpack)}, = i"] if unpack else []
     k = [f"k{j}" for j in range(n_consts)]
     if k:
         prologue.append(f"{', '.join(k)}, = k")
-    body = []  # per step: its lines, and the names they assign within its bound
-    carried = set()  # the names that a later step keeps, if not finite, in one it assigns
-    divisors = set()  # the jets whose refusal is tested
+    body = []  # per step: its lines, and the names it assigns within its bound
+    kept = set()  # the names that a step keeps
 
-    def fresh(node, width, tag="", bound=None):
-        out = [f"x{node}{tag}_{i}" for i in range(width)]
-        body[-1][1].extend(out if bound is None else out[:bound + 1])
-        return out
+    def units(node, part):  # the names of a part of a value
+        name = names[node]
+        if isinstance(name, str):
+            return [name]
+        return name[part] if isinstance(name[0], str) else [c for half in name[part] for c in half]
+
+    def keep(node, part):
+        kept.update(units(node, part))
 
     def finite_so_far(*operands):
-        """The test that each value the steps before this one computed, and
-        each of the `operands`' names, is finite: each name that no step so
-        far has carried into another value."""
-        each = [name for _, assigned in body[:-1] for name in assigned if name not in carried]
-        each = dict.fromkeys(each + [name for name in operands if name[0] == "x"])
-        return each and f"all(map(isfinite, ({_listed(each)})))"
+        each = [name for _, assigned in body for name in assigned if name not in kept]
+        return _finite(each + [name for name in operands if name[0] == "x"], False)
 
-    def refusal(error, operand):
-        """What the function returns where a step refuses `operand`."""
-        return _ended(error, finite_so_far(*operand)) if final else "None"
-
-    for node, fn, x, y in program:
+    keeps = [() if fn in _VIEWS else parts for (_, fn, _, _), parts in zip(program, keeps)]
+    for i, (node, fn, x, y) in enumerate(_keeping(program, keeps, keep)):
         a = names[x]
-        body.append(([], []))
-        lines = body[-1][0]
+        out = names[node] = f"x{node}"
+        lines = []
         if fn is _f_branch or fn is _f_sheet:  # +-1.0, so never tested
-            out = names[node] = f"x{node}"
             p, q = (c if isinstance(c, str) else c[0] for c in (a, names[y]))
-            lines += _sign_lines(fn, out, p, q, finite_so_far())
+            body.append((_sign_lines(fn, out, p, q, finite_so_far()), []))
             continue
-        if fn is _k_flip:  # by a sign, +-1.0
-            d = degrees[node] = degrees[x]
-            out = names[node] = fresh(node, len(a), bound=d)
-            lines += [f"{o} = {c} * {names[y]}" for o, c in zip(out, a)]
-            carried.update(a)
-            continue
-        if isinstance(a, str) and fn is not _k_var:  # a float program
-            if fn is _f_const:
-                names[node] = k[y]
-                continue
-            out = names[node] = f"x{node}"
-            body[-1][1].append(out)
-            if fn is _f_call:
-                lines.append(f"{out} = -{a}" if y is operator.neg
-                             else f"{out} = {_F_NAMES[y]}({a})")
-                if y is not math.tanh:  # tanh(inf) is 1.0
-                    carried.add(a)
-            elif fn is _f_pow:
-                lines.append(f"{out} = {a} ** {y}")
-                if y > 0:  # inf ** 0 is 1.0, inf ** -1 is 0.0
-                    carried.add(a)
-            else:
-                lines.append(f"{out} = {a} {_F_SYMBOLS[fn]} {names[y]}")
-                carried.update((a,) if _F_SYMBOLS[fn] == "/" else (a, names[y]))  # x / inf is 0.0
-            continue
-        if fn is _k_coeff:
-            names[node] = a[y]
-            continue
-        if fn is _k_tanh:
-            a, b = a
-        elif fn in _TWO_OPERANDS:
-            b = names[y]
-        da, db = degrees.get(x), degrees.get(y) if fn in _TWO_OPERANDS else None
-        d = degrees[node] = _degree(fn, len(a) - 1, da, db, y)
         if fn is _k_var:  # the float s, then literals
             names[node] = [a, "1.0"] + ["0.0"] * (y - 1)
         elif fn is _k_lift:
             names[node] = [k[y]] + ["0.0"] * (len(a) - 1)
-        elif fn is _k_half:
-            names[node] = a[y]
-        elif fn is _k_trunc:
-            names[node] = a[: y + 1]
-        elif fn is _k_pair:
-            s, c = names[node] = (fresh(node, len(a), "s"), fresh(node, len(a), "c"))
-            k_a = [None] + fresh(node, len(a) - 1, "k")  # the names of j a_j, j >= 1
+        elif fn in _VIEWS:
+            names[node] = k[y] if fn is _f_const else a[:y + 1] if fn is _k_trunc else a[y]
+        elif fn is _f_call:
+            lines.append(f"{out} = -{a}" if y is operator.neg else f"{out} = {_F_NAMES[y]}({a})")
+        elif fn in _FLOAT_STEPS:
+            lines.append(f"{out} = {a} ** {y}" if fn is _f_pow
+                         else f"{out} = {a} {_F_SYMBOLS[fn]} {names[y]}")
+        if fn in _FLOAT_STEPS or fn in _VIEWS:
+            body.append((lines, [out] if lines else []))
+            continue
+        d = degrees[node]
+        out = names[node] = [f"x{node}_{j}" for j in range(widths[node])]
+        if fn is _k_pair:
+            s, c = names[node] = tuple([f"x{node}{half}_{i}" for i in range(len(a))]
+                                       for half in "sc")
+            k_a = [None] + [f"x{node}k_{j}" for j in range(len(a) - 1)]  # the names of j a_j
             lines += jets.trig_lines(s, c, k_a, a, hyperbolic=y is sinh_cosh_coeffs)
-            carried.update(a + k_a[1:])
         elif fn is _k_mul:  # rows above the bound are the literal 0.0
-            out = fresh(node, d + 1)
-            names[node] = out + ["0.0"] * (len(a) - 1 - d)
-            lines += [f"{o} = {row}" for o, row in zip(out, jets.mul_rows(a, b, da, db))]
-            carried.update(a[:da + 1] + b[:db + 1])
-        else:
-            out = names[node] = fresh(node, len(a) - 1 if fn is _k_d else len(a), bound=d)
-            if fn is _k_neg:
-                lines += [f"{o} = -{p}" for o, p in zip(out, a)]
-            elif fn is _k_add or fn is _k_sub:
-                sign = "+" if fn is _k_add else "-"
-                lines += [f"{o} = {p} {sign} {q}" for o, p, q in zip(out, a, b)]
-            elif fn is _k_scale:
-                lines += [f"{o} = {p}*{k[y]} + 0.0" for o, p in zip(out, a)]
-            elif fn is _k_d:
-                lines += [f"{o} = {i + 1}*{a[i + 1]}" for i, o in enumerate(out)]
-            elif fn is _k_sqrt:
-                lines.append(f"if {decide.SQRT_REFUSED.format(a0=a[0])}: "
-                             f"return {refusal(f'refused_sqrt({a[0]})', a)}")
-                lines += jets.sqrt_lines(out, a, f"x{node}_two")
-            else:  # _k_div, _k_tanh
-                if tuple(b) not in divisors:  # tested once
-                    divisors.add(tuple(b))
-                    scale = f"max({', '.join(f'abs({c})' for c in b)})" if b[1:] else f"abs({b[0]})"
-                    refused = decide.DIVISOR_REFUSED.format(b0=b[0], scale=scale)
-                    lines.append(f"if {refused}: return {refusal('refused_division()', b)}")
-                lines += jets.div_lines(out, a, b)
-            # d/ds keeps all but a_0; the others keep every coefficient, and a
-            # divisor that is not finite is refused
-            carried.update(a[1:] if fn is _k_d else a)
-            if fn in _TWO_OPERANDS or fn is _k_tanh:
-                carried.update(b)
+            out[d + 1:] = ["0.0"] * (len(a) - 1 - d)
+            rows = jets.mul_rows(a, names[y], degrees[x], degrees[y])
+            lines += [f"{o} = {row}" for o, row in zip(out[:d + 1], rows)]
+        elif fn is _k_flip:  # by a sign, +-1.0
+            lines += [f"{o} = {c} * {names[y]}" for o, c in zip(out, a)]
+        elif fn is _k_neg:
+            lines += [f"{o} = -{p}" for o, p in zip(out, a)]
+        elif fn is _k_add or fn is _k_sub:
+            sign = "+" if fn is _k_add else "-"
+            lines += [f"{o} = {p} {sign} {q}" for o, p, q in zip(out, a, names[y])]
+        elif fn is _k_scale:
+            lines += [f"{o} = {p}*{k[y]} + 0.0" for o, p in zip(out, a)]
+        elif fn is _k_d:
+            lines += [f"{o} = {j + 1}*{a[j + 1]}" for j, o in enumerate(out)]
+        elif fn is _k_sqrt:
+            if refusals[i]:
+                lines.append(_refusal(fn, a[0], "", lambda: finite_so_far(*a), final))
+            lines += jets.sqrt_lines(out, a, f"x{node}_two")
+        else:  # _k_div, _k_tanh
+            a, b = a if fn is _k_tanh else (a, names[y])
+            if refusals[i]:
+                scale = f"max({', '.join(f'abs({c})' for c in b)})" if b[1:] else f"abs({b[0]})"
+                lines.append(_refusal(fn, b[0], scale, lambda: finite_so_far(*b), final))
+            lines += jets.div_lines(out, a, b)
+        body.append((lines, units(node, slice(d + 1))))
 
     def value(node):
         name = names[node]
@@ -454,60 +485,49 @@ def _inline_function(inputs, program, outputs, n_consts, final, bounds):
             return name
         return f"[{', '.join(name)}]"
 
-    body = [(lines, [name for name in assigned if name not in carried]) for lines, assigned in body]
+    body = [(lines, [name for name in assigned if name not in kept]) for lines, assigned in body]
     return _chained(prologue, body, f"({_listed(map(value, outputs))})")
 
 
-def _list_function(inputs, program, outputs, n_consts, final, bounds):
+def _list_function(inputs, program, outputs, n_consts, final, analysis):
     """The generated function of a program of jets wider than `INLINE_WIDTH`,
     each value a whole coefficient list (see the module docstring), or None
-    where a step is not one on jets.
-
-    Each value has a bound on its degree (`_degree`), fixed here: above it
-    every coefficient is a structural zero.  s's jet (`_k_var`) has bound 1,
-    and a given list the one `bounds` states, or its width's; each product
-    calls the kernel of its operands' bounds."""
+    where a step is not one on jets: each product calls the kernel bound to
+    its operands' bounds (`analysis`'s degrees)."""
+    widths, degrees, keeps, refusals = analysis
     names = {node: f"x{node}" for node, _ in inputs}
-    widths = dict(inputs)
-    degrees = {node: shape - 1 if bound is None else bound
-               for (node, shape), bound in zip(inputs, bounds or [None] * len(inputs))}
     given = set(names)  # the inputs, which callers give finite, and s's jet (a read's s is)
     prologue = [f"{_listed(names.values())}= i"]
     if n_consts:
         prologue.append(f"{''.join(f'k{j}, ' for j in range(n_consts))}= k")
     bound = {}
     body = []
-    divisors = set()  # the values whose refusal is tested
-    signs = set()  # the nodes of signs, the floats +-1.0
     pairs = set()  # the nodes of sin/cos and sinh/cosh pairs
-    # per node, the coefficients (a pair's: halves) that a later step keeps,
-    # if not finite, in a value it computes
-    carried = {}
+    kept = {}  # node -> the coefficients (a pair's: halves) of it that a step keeps
 
     def kernel(name, make, *key):
         name += "_".join(map(str, key))
         bound[name] = make(*key)
         return name
 
-    def carry(node, kept=None):
-        """Steps so far keep `kept` of node (default: all of it) in their values."""
-        carried.setdefault(node, set()).update(range(widths[node]) if kept is None else kept)
+    def keep(node, part):
+        kept.setdefault(node, set()).update(range(2 if node in pairs else widths[node])[part])
 
     def untested(first=()):
-        """(the sum, the sequence) of each part that no step so far has carried
-        of the nodes `first`, then of every other value computed so far: a
-        list, a half of a pair, or the coefficients that d/ds or truncations
-        drop, which a prefix and a suffix kept leave in one run."""
+        """(the sum, the sequence) of each part that no step so far keeps of
+        the nodes `first`, then of every other value computed so far: a list,
+        a half of a pair, or the coefficients that d/ds or truncations drop,
+        which a prefix and a suffix kept leave in one run."""
         parts = []
         for node in dict.fromkeys([*first, *names]):
-            if node in given or node in signs:
+            if node in given or widths[node] == 0:  # a sign, +-1.0
                 continue
-            kept = carried.get(node, ())
+            kept_of = kept.get(node, ())
             if node in pairs:
                 parts += [(f"sum(x{node}[{j}], 0.0)", f"x{node}[{j}]") for j in (0, 1)
-                          if j not in kept]
+                          if j not in kept_of]
                 continue
-            rest = [j for j in range(widths[node]) if j not in kept]
+            rest = [j for j in range(widths[node]) if j not in kept_of]
             if len(rest) == widths[node]:
                 parts.append((f"sum(x{node}, 0.0)", f"x{node}"))
             elif len(rest) == 1:
@@ -518,85 +538,58 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
         return parts
 
     def finite_so_far(*operands):
-        """The test that each value the steps before this one computed, and
-        the `operands` (sources), is finite: as at the end, on what no step
-        has carried."""
-        each = dict.fromkeys([*(v for _, v in untested()), *operands])
-        return each and _each_finite(list(each))
+        return _finite([*(v for _, v in untested()), *operands], True)
 
-    def refusal(error, operand):
-        """What the function returns where a step refuses `operand`."""
-        return _ended(error, finite_so_far(operand)) if final else "None"
-
-    for node, fn, x, y in program:
+    for i, (node, fn, x, y) in enumerate(_keeping(program, keeps, keep)):
         a = names[x]
         out = f"x{node}"
+        n = widths[x]
         lines = []
         if fn is _f_branch or fn is _f_sheet:
-            signs.add(node)
             names[node] = out
-            p, q = (c if n in signs else f"{c}[0]" for n, c in ((x, a), (y, names[y])))
+            p, q = (c if widths[v] == 0 else f"{c}[0]" for v, c in ((x, a), (y, names[y])))
             body.append((_sign_lines(fn, out, p, q, finite_so_far()), []))
             continue
-        n = widths[x]
-        da = degrees[x]
-        widths[node] = n
         if fn is _k_flip:  # by a sign, +-1.0
-            carry(x)
-            degrees[node] = da
-            names[node] = out
-            body.append(([f"{out} = [p * {names[y]} for p in {a}]"], []))
-            continue
-        db = degrees[y] if fn in _TWO_OPERANDS else None
-        degrees[node] = _degree(fn, n - 1, da, db, y)
-        kept = None  # what this step keeps of x: all of it
-        if fn is _k_var:
+            value = f"[p * {names[y]} for p in {a}]"
+        elif fn is _k_var:
             value = f"[{a}, 1.0] + [0.0] * {y - 1}"
-            widths[node] = y + 1
             given.add(node)
-            kept = ()
         elif fn is _k_neg:
             value = f"[-p for p in {a}]"
         elif fn is _k_add or fn is _k_sub:
             value = f"[p {'+' if fn is _k_add else '-'} q for p, q in zip({a}, {names[y]})]"
         elif fn is _k_mul:
-            value = f"{kernel('mul', jets._bound_mul_kernel, n - 1, da, db)}({a}, {names[y]})"
+            mul = kernel("mul", jets._bound_mul_kernel, n - 1, degrees[x], degrees[y])
+            value = f"{mul}({a}, {names[y]})"
         elif fn is _k_scale:
             value = f"[p*k{y} + 0.0 for p in {a}]"
-        elif fn is _k_lift:  # keeps nothing of x, which the step loop checks
+        elif fn is _k_lift:
             value = f"[k{y}] + [0.0] * {n - 1}"
-            kept = ()
-        elif fn is _k_d or fn is _k_trunc:
-            value = f"[j*{a}[j] for j in range(1, {n})]" if fn is _k_d else f"{a}[:{y + 1}]"
-            widths[node] = n - 1 if fn is _k_d else y + 1
-            kept = range(1, n) if fn is _k_d else range(y + 1)
+        elif fn is _k_d:
+            value = f"[j*{a}[j] for j in range(1, {n})]"
+        elif fn is _k_trunc:
+            value = f"{a}[:{y + 1}]"
         elif fn is _k_half:
             value = f"{a}[{y}]"
-            kept = (y,)
         elif fn is _k_pair:
             hyperbolic = y is sinh_cosh_coeffs
             trig = jets._sinh_cosh_kernel if hyperbolic else jets._sin_cos_kernel
             value = f"{kernel('sinh_cosh' if hyperbolic else 'sin_cos', trig, n - 1)}({a})"
             pairs.add(node)
         elif fn is _k_sqrt:
-            lines.append(f"if {decide.SQRT_REFUSED.format(a0=f'{a}[0]')}: "
-                         f"return {refusal(f'refused_sqrt({a}[0])', a)}")
+            if refusals[i]:
+                lines.append(_refusal(fn, f"{a}[0]", "", lambda: finite_so_far(a), final))
             value = f"{kernel('sqrt', jets._sqrt_kernel, n - 1)}({a})"
         elif fn is _k_div or fn is _k_tanh:
             a, b = (f"{a}[0]", f"{a}[1]") if fn is _k_tanh else (a, names[y])
-            if b not in divisors:
-                divisors.add(b)
-                refused = decide.DIVISOR_REFUSED.format(b0=f"{b}[0]", scale=f"max(map(abs, {b}))")
-                lines.append(f"if {refused}: return {refusal('refused_division()', b)}")
+            if refusals[i]:
+                lines.append(_refusal(fn, f"{b}[0]", f"max(map(abs, {b}))",
+                                      lambda: finite_so_far(b), final))
             value = f"{kernel('div', jets._div_kernel, n - 1)}({a}, {b})"
-            kept = (0, 1) if fn is _k_tanh else None
         else:  # a float step
             return None
-        # what this step keeps of what it reads is carried, and the rest tested;
         # named only now, so that its own refusal's test reads the values before it
-        carry(x, kept)
-        if fn in _TWO_OPERANDS:
-            carry(y)
         names[node] = out
         lines.append(f"{out} = {value}")
         body.append((lines, []))
@@ -604,8 +597,8 @@ def _list_function(inputs, program, outputs, n_consts, final, bounds):
     if tested:
         # as in `_chained`, each coefficient is tested only where the sum is not finite
         total = " + ".join(total for total, _ in tested)
-        each = _each_finite([v for _, v in tested])
-        body.append(([f"if not isfinite({total}) and not {each}: return None"], []))
+        body.append(([f"if not isfinite({total}) and not {_finite([v for _, v in tested], True)}: "
+                      f"return None"], []))
     return _chained(prologue, body, f"({_listed(names[node] for node in outputs)})", bound)
 
 
@@ -614,9 +607,14 @@ def _listed(sources) -> str:
     return "".join(source + ", " for source in sources)
 
 
-def _each_finite(lists: list) -> str:
-    """The test that every coefficient of the `lists` (their sources) is finite."""
-    return f"all(isfinite(c) for v in ({_listed(lists)}) for c in v)"
+def _finite(sources: list, lists: bool) -> str:
+    """The test that each of the `sources` is finite: of floats, or where
+    `lists` of coefficient lists; "" where there is none."""
+    each = _listed(dict.fromkeys(sources))
+    if not each:
+        return ""
+    return (f"all(isfinite(c) for v in ({each}) for c in v)" if lists
+            else f"all(map(isfinite, ({each})))")
 
 
 def _ended(value: str, finite: str) -> str:
@@ -677,8 +675,7 @@ def _chained(prologue: list, body: list, result: str, bound: dict | None = None)
             chain = " + ".join(tested[start:start + 64])
             lines.append(f"t = {chain}" if start == 0 else f"t = t + {chain}")
         if tested:
-            lines.append(f"if not isfinite(t) and not all(map(isfinite, ({_listed(tested)}))): "
-                         f"return None")
+            lines.append(f"if not isfinite(t) and not {_finite(tested, False)}: return None")
         defined += _NAME.findall(sources[p])
         if p == len(parts) - 1:
             lines.append(f"return {result}")

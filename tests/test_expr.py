@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import CURVES
+from conftest import CURVES, FIXTURES
 from hypedal.expr import (
     MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParametricCurve, ParseError, Pi,
     Pow, Var, _eval, _Tape, _TapePoint, eval_jet, eval_scalar, parse, to_text,
 )
-from hypedal import expr, jets, program
+from hypedal import expr, jets, program, recording
+from hypedal.cli import main
 from hypedal.program import _k_d, _k_trunc
 from hypedal.io import load_curve
 from hypedal.jets import Jet
@@ -482,6 +490,10 @@ def _exact_outcome(e, s, degree):
 @example(parse("(s+s)^0"), 1e308, 0)
 @example(parse("(s+s)^-1"), -1e308, 0)
 @example(parse("(s+s)^0"), 1e308, 1)
+# an output that alone is not finite, and a cosine that alone is not
+# (c_2 = -(1e200)^2/2) in a pair whose sine alone is read
+@example(parse("s^2"), -1e155, 1)
+@example(parse("sin(s*1e200)"), 0.0, 2)
 def test_generated_tape_functions_are_the_step_loop(e, s, degree):
     # at most 4 coefficients a value, the generated read answers iff s and
     # every value the step loop computes are finite, and then with the loop's
@@ -912,6 +924,58 @@ def test_a_wide_read_tests_only_what_no_step_carries(monkeypatch):
     assert list(map(repr, read(0.3, None))) == list(map(repr, loop))
 
 
+_Q = "1.5,1,0.5"
+
+
+def _generated_sources(tmp) -> list:
+    """The sorted sha256 digests of every program (`_program`) and auto-dual
+    read (`_read`) source that a matrix of commands compiles from empty
+    caches: on the shipped curves and their copies without "v", the derived
+    curves at Q, the evolute and the curvatures, and classify at orders 22
+    and 40 on cusp23 and circle."""
+    argv = []
+    for name in ("astroid", "circle", "cusp23", "cusp37"):
+        doc = json.loads((CURVES / f"{name}.json").read_text())
+        del doc["v"]
+        copy = tmp / f"{name}.json"
+        copy.write_text(json.dumps(doc))
+        for path in (str(CURVES / f"{name}.json"), str(copy)):
+            curve = ["--curve", path, "--samples", "40", "--out", str(tmp / "out")]
+            argv += [[kind, *curve, "--point", _Q] for kind in ("pedal", "orthotomic", "caustic")]
+            argv += [["evolute", *curve], ["curvatures", *curve]]
+        if name in ("circle", "cusp23"):
+            argv += [["classify", "--curve", str(CURVES / f"{name}.json"), "--point", _Q,
+                      "--s0", "0.3", "--order", order, "--out", str(tmp / "out")]
+                     for order in ("22", "40")]
+    for cache in (program._inline_function, recording._record_on_pair, recording._recorded,
+                  recording._det_program, recording.auto_dual_program):
+        cache.cache_clear()
+    digests = set()
+    compile_lines = jets.compile_lines
+
+    def compiled(name, params, lines, bound=None):
+        if name in ("_program", "_read"):
+            source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+            digests.add(hashlib.sha256(source.encode()).hexdigest())
+        return compile_lines(name, params, lines, bound)
+
+    with mock.patch.object(expr, "_TAPES", {}), mock.patch.object(jets, "compile_lines", compiled):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for args in argv:
+                main(args)
+    return sorted(digests)
+
+
+def test_every_generated_source_is_pinned(tmp_path):
+    # each source the generator writes for the commands is byte-identical to
+    # the one pinned in `generated_sources.json`; a change to the generator
+    # that moves any of them regenerates the fixture (run this file)
+    expected = json.loads((FIXTURES / "generated_sources.json").read_text())
+    got = _generated_sources(tmp_path)
+    added, removed = set(got) - set(expected), set(expected) - set(got)
+    assert not (added or removed), f"{len(added)} sources added, {len(removed)} removed"
+
+
 _REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2
 
 
@@ -1092,3 +1156,11 @@ def test_curve_grid_hits_both_endpoints():
 def test_curve_without_dual_refuses_dual_eval():
     with pytest.raises(ValueError, match="no explicit dual"):
         _curve().dual_point(0.1)
+
+
+if __name__ == "__main__":
+    # regenerates tests/fixtures/generated_sources.json after an intended change
+    # to the generated code
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _generated_sources(Path(tmp))
+    (FIXTURES / "generated_sources.json").write_text(json.dumps(digests, indent=1) + "\n")

@@ -377,11 +377,15 @@ _S = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False) | st.sampled_from
 @given(_R, _S)
 @example(tuple(expr.parse(t) for t in ("sqrt(1 + s^4 + s^6)", "s^2", "s^3")), 0.0)  # p = 1
 @example(tuple(expr.parse(t) for t in ("cosh(s)", "sinh(s)", "0.0")), 0.5)  # <w, w> = 0
+# x2' = 1 + 1.7e21 s^16: its last coefficient makes 1 a zero to the relative
+# test, so p is 16, and w leans on x3's 1.7e22
+@example(tuple(expr.parse(t) for t in ("1", "s + 1e20*s^17", "1e21*s^17")), 0.0)
 def test_auto_dual_floats_from_the_generated_read_are_the_step_loop(trees, s):
     # on random r, the float dual through the generated order-17 read must
     # give the bits of the step loop's and of the `Jet` formula's, or raise
-    # what they raise; mutations: r read at order 16, whose shorter lists
-    # change the zero test's scale; x3 left out of p's search
+    # what they raise; mutations: r read at order 16, by the generated read
+    # or by the step loop (`AutoDual._leading`), whose shorter lists change
+    # the zero test's scale; x3 left out of p's search
     curve = expr.ParametricCurve("random", trees, (-2.0, 2.0))
     generated, step_loop = _raw_outcomes(curve, s)
     assert generated == step_loop == _outcome(lambda: _formula_raw(curve, s))

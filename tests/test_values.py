@@ -192,9 +192,12 @@ def test_values_refuse_what_they_always_refused(make, message):
 def test_importing_the_command_line_generates_no_classes():
     # the value classes' methods are written once, in their base, so importing
     # the library loads neither `dataclasses` nor `inspect` (-S: no site
-    # packages either)
+    # packages either); nor the code generator, `hypedal.program` and
+    # `hypedal.recording`, which load with the first program a command
+    # generates; mutation: `hypedal.program` imported by `hypedal.cli`
     code = ("import sys; sys.path.append(sys.argv[1]); import hypedal.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'hypedal.program', 'hypedal.recording'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
