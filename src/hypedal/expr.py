@@ -375,12 +375,6 @@ def _k_lift(v, x, c):
     return [c] + [0.0] * (len(v[x]) - 1)
 
 
-# jet * c and c * jet: in the Cauchy product of the jet with (c, 0.0, ...)
-# every term but a_i * c is a signed zero, and each sum starts from +0.0
-def _k_scale(v, x, c):
-    return require_finite([a * c + 0.0 for a in v[x]])
-
-
 def _k_sqrt(v, x, y):
     return require_finite(sqrt_coeffs(v[x]))
 
@@ -556,10 +550,6 @@ class _Tape(_Steps):
             if floats:
                 return self._node(_F_BINARY.get(e.op, _F_BINARY["/"]), self._operand(a),
                                   self._operand(b))
-            if e.op == "*" and isinstance(a, _Const):
-                return self._lifted(_k_scale, b, a.value)
-            if e.op == "*" and isinstance(b, _Const):
-                return self._lifted(_k_scale, a, b.value)
             if isinstance(a, _Const):
                 a = self._lifted(_k_lift, b, a.value)
             if isinstance(b, _Const):

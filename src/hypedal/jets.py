@@ -16,7 +16,7 @@ on jets.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add as _add, neg as _neg, sub as _sub
 
 from . import decide
@@ -119,60 +119,28 @@ class Jet(Value):
             return (_scalar(other),) + (0.0,) * (len(self.coeffs) - 1)
         return None
 
-    # Sums, differences and products with a scalar c skip the lift and
-    # compute exactly the floats that the lifted (c, 0.0, ...) would give:
-    # e.g. the product's terms a_i * 0.0 only turn -0.0 into +0.0, which is
-    # what `+ 0.0` does.
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return _jet(self.base, tuple(map(_add, self.coeffs, self._match(other))))
-        if isinstance(other, (int, float)):
-            c = _scalar(other)
+    def _binary(kernel, reflected=False):
+        """The operator whose coefficients are kernel(a, b), of this jet's and
+        of a jet's or of a scalar c lifted to the constant jet (c, 0.0, ...),
+        as on the tape and in a recording; reflected: kernel(b, a)."""
+        def method(self, other):
+            b = self._lift(other)
+            if b is None:
+                return NotImplemented
             a = self.coeffs
-            return _jet(self.base, (a[0] + c,) + tuple([x + 0.0 for x in a[1:]]))
-        return NotImplemented
+            return _jet(self.base, tuple(kernel(b, a) if reflected else kernel(a, b)))
+        return method
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return _jet(self.base, tuple(map(_sub, self.coeffs, self._match(other))))
-        if isinstance(other, (int, float)):
-            a = self.coeffs
-            # x - 0.0 is x, signed zeros included
-            return _jet(self.base, (a[0] - _scalar(other),) + a[1:])
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            a = self.coeffs
-            return _jet(self.base, (_scalar(other) - a[0],) + tuple([0.0 - x for x in a[1:]]))
-        return NotImplemented
+    __add__ = __radd__ = _binary(partial(map, _add))  # jet + c and c + jet compute a_0 + c
+    __sub__, __rsub__ = _binary(partial(map, _sub)), _binary(partial(map, _sub), True)
+    # the kernels, defined below, are looked up when called
+    __mul__ = __rmul__ = _binary(lambda a, b: mul_coeffs(a, b))  # jet * c: a_k*c + 0.0
+    __truediv__ = _binary(lambda a, b: div_coeffs(a, b))
+    __rtruediv__ = _binary(lambda a, b: div_coeffs(a, b), True)
+    del _binary
 
     def __neg__(self):
         return _jet(self.base, tuple(map(_neg, self.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return _jet(self.base, tuple(mul_coeffs(self.coeffs, self._match(other))))
-        if isinstance(other, (int, float)):
-            c = _scalar(other)
-            return _jet(self.base, tuple([x * c + 0.0 for x in self.coeffs]))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._lift(other)
-        if b is None:
-            return NotImplemented
-        return _jet(self.base, tuple(div_coeffs(self.coeffs, b)))
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return _jet(self.base, tuple(div_coeffs(self._lift(other), self.coeffs)))
-        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -289,20 +257,12 @@ def mul_coeffs(a, b) -> list:
     """Truncated Cauchy product: out_k = 0.0 + a_0 b_k + a_1 b_(k-1) + ...
 
     The sum of each coefficient starts at +0.0 and so never is -0.0, which
-    makes a term a_i * b_j = +-0.0 (operands are finite) a no-op.  Every
-    order runs a straight-line kernel.  Orders 0-3 run the full rows,
-    compiled at first use.  Higher orders run the kernel of the degree d of
-    `a`, the index of its last non-zero coefficient (0 if there is none),
-    which leaves out the terms of a_(d+1), ..., a_n, so sparse operands
-    such as s^2 cost little.
+    makes a term a_i * b_j = +-0.0 (operands are finite) a no-op.  So the
+    product with a scalar c lifted to (c, 0.0, ...) is a_k*c + 0.0.  Every
+    order runs the straight-line kernel of its full rows.
     """
     n = len(a) - 1
-    if n < 4:
-        return _LOW_MUL[n](a, b)
-    d = n
-    while d and a[d] == 0.0:  # -0.0 == 0.0
-        d -= 1
-    return _mul_kernel(n, d)(a, b)
+    return _mul_kernel(n, n)(a, b)
 
 
 def div_coeffs(a, b) -> list:
@@ -356,7 +316,7 @@ def sinh_cosh_coeffs(a) -> tuple:
 # left-to-right chain that starts with `0.0 +`, a difference chain starts
 # with its minuend, and k*a_k is formed before it multiplies.  So every
 # coefficient, the sign of zero included, is the loop's.  MAX_ORDER bounds
-# the keys: at most 2,139 (n, d) products of `mul_coeffs` and 65 orders of
+# the keys: at most 2,139 (n, d) products of `_mul_kernel` and 65 orders of
 # each other recurrence; the products bound into generated code keep the
 # last MAX_ORDER (n, da, db).
 # The recurrences are line templates on the names of the coefficients they
@@ -447,7 +407,8 @@ def _product_kernel(n: int, da: int, db: int):
 
 @lru_cache(maxsize=None)
 def _mul_kernel(n: int, d: int):
-    """The kernel of `mul_coeffs` for a left operand of degree d."""
+    """The product of a left operand of degree d and a whole right one:
+    `mul_coeffs`' at d = n, and the bound products' of a right bound n."""
     return _product_kernel(n, d, n)
 
 
@@ -457,19 +418,6 @@ def _bound_mul_kernel(n: int, da: int, db: int):
     generated code whose operands' degrees are known (`hypedal.program`);
     the last MAX_ORDER are kept, and each function holds what it binds."""
     return _mul_kernel(n, da) if db >= n else _product_kernel(n, da, db)
-
-
-class _LowMul(dict):
-    """The products of orders 0-3, which low-order `Jet` formulas run most: full
-    rows, called without the degree scan and the cache lookup, each compiled
-    at its first use."""
-
-    def __missing__(self, n):
-        kernel = self[n] = _mul_kernel(n, n)
-        return kernel
-
-
-_LOW_MUL = _LowMul()
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ steps do the floating-point operations of the step loop in its order, so
 every value keeps its bits, the sign of zero included.  One analysis of its
 steps (`_analysis`) applies each rule below once, and one of two emitters
 writes the code from it.  Where every value has at most `INLINE_WIDTH`
-coefficients (floats, and jets of degree 0-3), `_inline_function` writes
+coefficients (floats, and jets of degree 0-3), `_narrow_function` writes
 each step on local names, one a coefficient, from the line templates of the
 `jets` kernels, or as the float operation of its step function.  Wider jets
 are whole coefficient lists (`_list_function`): a quotient, a square root
@@ -119,7 +119,7 @@ from functools import lru_cache, partial
 from . import decide, jets
 from .expr import (
     _F_BINARY, _INLINE_WIDTH as INLINE_WIDTH, _TWO_OPERANDS, _f_call, _f_pow, _k_add, _k_div,
-    _k_half, _k_lift, _k_mul, _k_neg, _k_pair, _k_scale, _k_sqrt, _k_sub, _k_tanh, _Steps,
+    _k_half, _k_lift, _k_mul, _k_neg, _k_pair, _k_sqrt, _k_sub, _k_tanh, _Steps,
 )
 from .jets import sinh_cosh_coeffs
 
@@ -154,7 +154,7 @@ def _f_const(v, x, c):
 # - the upper-sheet sign of a branch sign (x) and the point's x1 (y): -1.0
 #   on the hyperbolic branch where x1's constant term is below 0.0, else 1.0;
 # - a jet flipped by such a sign, each coefficient times +-1.0, which keeps
-#   the sign of zero as a negation does (`_k_scale`'s + 0.0 would not).
+#   the sign of zero as a negation does (a product's + 0.0 would not).
 def _f_branch(v, x, y):
     mm, ll = _lead(v[x]), _lead(v[y])
     d2 = mm - ll
@@ -187,9 +187,9 @@ def _k_var(v, x, degree):
 
 # -- generated functions -------------------------------------------------------
 
-_EMITTED = {_k_neg, _k_add, _k_sub, _k_mul, _k_div, _k_lift, _k_scale, _k_sqrt, _k_pair, _k_half,
-            _k_tanh, _k_d, _k_trunc, _k_coeff, _k_var, _k_flip, _f_call, _f_const, _f_pow,
-            _f_branch, _f_sheet, *_F_BINARY.values()}
+_EMITTED = {_k_neg, _k_add, _k_sub, _k_mul, _k_div, _k_lift, _k_sqrt, _k_pair, _k_half, _k_tanh,
+            _k_d, _k_trunc, _k_coeff, _k_var, _k_flip, _f_call, _f_const, _f_pow, _f_branch,
+            _f_sheet, *_F_BINARY.values()}
 _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sinh",
             math.cosh: "cosh", math.tanh: "tanh", abs: "abs"}
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
@@ -210,6 +210,13 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, fina
     constant that is not a float (a `recording.Param`) stands for the value
     given in its place.
     """
+    inline = _inlined(program, shapes, outputs, max_steps, final, bounds)
+    return None if inline is None else inline[:2]
+
+
+def _inlined(program, shapes: dict, outputs, max_steps, final, bounds):
+    """`inline_program`'s (function, constants), with each output's bound on
+    its degree (None for a float) from the analysis the function is written from."""
     if len(program) > max_steps:
         return None
     slots = {}  # a float's bits, or a `Param` -> argument index
@@ -218,15 +225,15 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, fina
     for node, fn, x, y in program:
         if fn not in _EMITTED:  # a step that raises, such as abs of a jet
             return None
-        if fn is _k_lift or fn is _k_scale or fn is _f_const:
+        if fn is _k_lift or fn is _f_const:
             slot = slots.setdefault(y.hex() if isinstance(y, float) else y, len(slots))
             if slot == len(consts):
                 consts.append(y)
             y = slot
         structure.append((node, fn, x, y))
-    function = _inline_function(tuple(shapes.items()), tuple(structure), tuple(outputs),
-                                len(consts), final, bounds)
-    return None if function is None else (function, tuple(consts))
+    made = _inline_function(tuple(shapes.items()), tuple(structure), tuple(outputs),
+                            len(consts), final, bounds)
+    return None if made is None else (made[0], tuple(consts), made[1])
 
 
 def tape_read(tapes, reads: tuple):
@@ -235,7 +242,7 @@ def tape_read(tapes, reads: tuple):
     unread: each (group, None, i) is component i of the group's floats,
     (group, k, i) its jet truncated to order k, the jet tape run at the
     highest order read, at least 1; bounds: each value's bound on its
-    degree, from the `_analysis` of the read's steps, None for a float.
+    degree, from the `_analysis` that read is written from, None for a float.
     Generated once per `reads` and kept with the tapes; None where a tape
     program it reads is longer than `_INLINE_STEPS` steps or does not
     inline.  A read is None where s or any value it computes is not finite,
@@ -276,12 +283,8 @@ def _tape_read(tapes, reads: tuple):
         value = node(t, tapes[t].outputs[group][i])
         values.append(steps._node(_k_trunc, value, k) if t and k < degree else value)
     program = tuple(sorted(steps._program(values)))
-    inline = inline_program(program, {0: 0}, values, max_steps=math.inf)
-    if inline is None:
-        return None
-    degrees = _analysis(((0, 0),), program, None)[1]
-    return partial(_read, *inline), tuple(None if k is None else degrees[value]
-                                          for value, (_, k, _) in zip(values, reads))
+    inline = _inlined(program, {0: 0}, values, math.inf, False, None)
+    return None if inline is None else (partial(_read, *inline[:2]), inline[2])
 
 
 def _read(function, consts, s, sign_at):
@@ -308,7 +311,7 @@ def _degree(fn, n, da, db, y):
         return min(da, y)
     if fn is _k_div or fn is _k_tanh or fn is _k_sqrt or fn is _k_pair:
         return n
-    return da  # a negation, a scale, a half of a pair, a flip
+    return da  # a negation, a half of a pair, a flip
 
 
 _FLOAT_STEPS = {_f_call, _f_pow, _f_const, _f_branch, _f_sheet, _k_coeff, *_F_BINARY.values()}
@@ -387,12 +390,21 @@ _VIEWS = {_k_var, _k_lift, _k_half, _k_trunc, _k_coeff, _f_const}
 
 @lru_cache(maxsize=256)
 def _inline_function(inputs, program, outputs, n_consts, final, bounds):
-    """The generated function of a program's structure (see `inline_program`),
-    written from its `_analysis` on local names, or on lists where a value
-    has more than `INLINE_WIDTH` coefficients (`_list_function`)."""
-    analysis = widths, degrees, keeps, refusals = _analysis(inputs, program, bounds)
-    if max(widths.values(), default=0) > INLINE_WIDTH:
-        return _list_function(inputs, program, outputs, n_consts, final, analysis)
+    """(function, each output's bound on its degree, None for a float): the
+    generated function of a program's structure (see `inline_program`),
+    written from its `_analysis` on local names (`_narrow_function`), or on
+    lists where a value has more than `INLINE_WIDTH` coefficients
+    (`_list_function`); None where it does not inline."""
+    analysis = _analysis(inputs, program, bounds)
+    emit = _list_function if max(analysis[0].values(), default=0) > INLINE_WIDTH else _narrow_function
+    function = emit(inputs, program, outputs, n_consts, final, analysis)
+    return None if function is None else (function, tuple(map(analysis[1].get, outputs)))
+
+
+def _narrow_function(inputs, program, outputs, n_consts, final, analysis):
+    """The generated function of a program whose values have at most
+    `INLINE_WIDTH` coefficients, on local names, one a coefficient."""
+    widths, degrees, keeps, refusals = analysis
     names = {}  # node -> a name (float), a list of names (jet), or two lists (pair)
     unpack = []
     for node, shape in inputs:
@@ -463,8 +475,6 @@ def _inline_function(inputs, program, outputs, n_consts, final, bounds):
         elif fn is _k_add or fn is _k_sub:
             sign = "+" if fn is _k_add else "-"
             lines += [f"{o} = {p} {sign} {q}" for o, p, q in zip(out, a, names[y])]
-        elif fn is _k_scale:
-            lines += [f"{o} = {p}*{k[y]} + 0.0" for o, p in zip(out, a)]
         elif fn is _k_d:
             lines += [f"{o} = {j + 1}*{a[j + 1]}" for j, o in enumerate(out)]
         elif fn is _k_sqrt:
@@ -562,8 +572,6 @@ def _list_function(inputs, program, outputs, n_consts, final, analysis):
         elif fn is _k_mul:
             mul = kernel("mul", jets._bound_mul_kernel, n - 1, degrees[x], degrees[y])
             value = f"{mul}({a}, {names[y]})"
-        elif fn is _k_scale:
-            value = f"[p*k{y} + 0.0 for p in {a}]"
         elif fn is _k_lift:
             value = f"[k{y}] + [0.0] * {n - 1}"
         elif fn is _k_d:

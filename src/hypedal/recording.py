@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 
 from . import jets
 from .expr import (
-    _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_scale, _k_sqrt, _k_sub, _Steps,
+    _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_sqrt, _k_sub, _Steps,
 )
 from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal, auto_dual_read
 from .jets import Jet, JetDomainError, answer, require_finite
@@ -45,9 +45,8 @@ class Node(Jet):
 
     Each `Jet` operator that the derived-curve formulas use adds the step
     that computes it, with the operands in the roles that operator gives
-    them: a scalar c is lifted to (c, 0.0, ...) for + - /, and scales as
-    x*c + 0.0 for *.  Anything else a formula might ask of a `Jet` raises,
-    and the formula is then not recorded.
+    them: a scalar c is lifted to (c, 0.0, ...).  Anything else a formula
+    might ask of a `Jet` raises, and the formula is then not recorded.
     """
 
     def __init__(self, recording: "Recording", node: int, width: int):
@@ -86,17 +85,10 @@ class Node(Jet):
         return method
 
     __add__ = __radd__ = _binary(_k_add)  # jet + c and c + jet both compute a_0 + c
+    __mul__ = __rmul__ = _binary(_k_mul)  # jet * c and c * jet both compute a_k*c + 0.0
     __sub__, __rsub__ = _binary(_k_sub), _binary(_k_sub, True)
     __truediv__, __rtruediv__ = _binary(_k_div), _binary(_k_div, True)
     del _binary
-
-    def __mul__(self, other):
-        if isinstance(other, Node):
-            return self._step(_k_mul, self.node, self._operand(other))
-        c = self._constant(other)
-        return NotImplemented if c is None else self._step(_k_scale, self.node, c)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return self._step(_k_neg, self.node)

@@ -526,9 +526,10 @@ def test_wide_generated_tape_functions_are_the_step_loop(e, s, degree):
 
 # one program per step kind, on input nodes 1 and 2, and s, node 0; "d" and
 # "truncate" act on a product, so that a value they drop is one the program
-# computed; the next four multiply with a left operand that ends in zeros,
-# whose degree is below the bound of its width: s, s^2, a lift of -0.0, and
-# a sum of s and a lift; the last four read s alone, so their
+# computed; "scale" multiplies by a lift of a constant, as every product
+# with a scalar does; the next four multiply with a left operand that ends
+# in zeros, whose degree is below the bound of its width: s, s^2, a lift of
+# -0.0, and a sum of s and a lift; the last four read s alone, so their
 # products call kernels bound to their operands' degrees: sin(s) (every
 # degree) times s (degree 1), s^2 times s^3, and two whose bound product
 # meets a value that is not finite, where the step loop's terms with a
@@ -541,7 +542,7 @@ _STEP_KINDS = {
     "mul": ([(3, expr._k_mul, 1, 2)], (3,)),
     "div": ([(3, expr._k_div, 1, 2)], (3,)),
     "lift": ([(3, expr._k_lift, 1, -0.0), (4, expr._k_add, 3, 2)], (4,)),
-    "scale": ([(3, expr._k_scale, 1, -1.5)], (3,)),
+    "scale": ([(3, expr._k_lift, 1, -1.5), (4, expr._k_mul, 1, 3)], (4,)),
     "sqrt": ([(3, expr._k_sqrt, 1, None)], (3,)),
     "d": ([(3, expr._k_mul, 1, 2), (4, _k_d, 3, None)], (4,)),
     "truncate": ([(3, expr._k_mul, 1, 2), (4, _k_trunc, 3, 2)], (4,)),
@@ -552,14 +553,15 @@ _STEP_KINDS = {
     "s^2 times": ([(3, expr._k_mul, 0, 0), (4, expr._k_mul, 3, 2)], (4,)),
     "a lift of -0.0 times": ([(3, expr._k_lift, 1, -0.0), (4, expr._k_mul, 3, 2)], (4,)),
     "s and a lift times": ([(3, expr._k_lift, 1, 0.5), (4, expr._k_add, 3, 0),
-                            (5, expr._k_neg, 4, None), (6, expr._k_scale, 5, -1.5),
-                            (7, expr._k_mul, 6, 1)], (7,)),
+                            (5, expr._k_neg, 4, None), (6, expr._k_lift, 5, -1.5),
+                            (7, expr._k_mul, 5, 6), (8, expr._k_mul, 7, 1)], (8,)),
     "times s": ([(3, expr._k_pair, 0, jets.sin_cos_coeffs), (4, expr._k_half, 3, 0),
                  (5, expr._k_mul, 4, 0)], (5,)),
     "s^2 times s^3": ([(3, expr._k_mul, 0, 0), (4, expr._k_mul, 3, 0), (5, expr._k_mul, 3, 4)],
                       (5,)),
-    "s overflowed times s": ([(3, expr._k_scale, 0, 1e200), (4, expr._k_scale, 3, 1e200),
-                              (5, expr._k_mul, 4, 0)], (5,)),
+    "s overflowed times s": ([(3, expr._k_lift, 0, 1e200), (4, expr._k_mul, 0, 3),
+                              (5, expr._k_lift, 4, 1e200), (6, expr._k_mul, 4, 5),
+                              (7, expr._k_mul, 6, 0)], (7,)),
     "a lift of nan times s": ([(3, expr._k_lift, 0, math.nan), (4, expr._k_mul, 3, 0)], (4,)),
     # the evolute's signs: the branch sign of (m^2, ell^2) = (node 1, node 2),
     # node 2 flipped by it, node 2 flipped to the upper sheet on the
@@ -974,6 +976,34 @@ def test_every_generated_source_is_pinned(tmp_path):
     got = _generated_sources(tmp_path)
     added, removed = set(got) - set(expected), set(expected) - set(got)
     assert not (added or removed), f"{len(added)} sources added, {len(removed)} removed"
+
+
+def test_each_generated_function_is_analysed_once(tmp_path, monkeypatch):
+    # a read of the tapes states the bounds of the analysis that its function
+    # is written from, so a cold run makes one analysis a generated function;
+    # mutation: `_tape_read` analysing the read's steps again for its bounds
+    analyses = [0]
+    analysis = program._analysis
+
+    def counted(*args):
+        analyses[0] += 1
+        return analysis(*args)
+
+    doc = json.loads((CURVES / "astroid.json").read_text())
+    del doc["v"]
+    copy = tmp_path / "astroid.json"
+    copy.write_text(json.dumps(doc))
+    monkeypatch.setattr(program, "_analysis", counted)
+    monkeypatch.setattr(expr, "_TAPES", {})
+    program._inline_function.cache_clear()
+    out = ["--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for path in (str(CURVES / "astroid.json"), str(copy)):
+            for kind in ("pedal", "caustic"):
+                main([kind, "--curve", path, "--point", _Q, "--samples", "20", *out])
+        main(["classify", "--curve", str(CURVES / "cusp23.json"), "--point", _Q, "--s0", "0.3",
+              *out])
+    assert 0 < analyses[0] == program._inline_function.cache_info().misses
 
 
 _REFUSED_AT_3 = "1/(1 + 100000000000000*s^3)"  # at s0 = 0: refused at order 3, not at 2

@@ -9,6 +9,7 @@ the generator off, every command must print and write the same bytes.
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
 import io
 import json
@@ -288,3 +289,73 @@ def test_a_refusal_with_finite_values_raises_without_the_formula(cusp23_curve, m
     assert [on[i] for i in (0, 1, 4, 5)] == [refused] * 4
     with _generator_off():
         assert _lightlike_outcomes(cusp23_curve, s) == on
+
+
+# the arithmetic operators of `Jet`, the checked path's formulas
+_JET_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__pow__")
+
+
+def _checked_runs(argv_list) -> tuple:
+    """(exit codes, calls) of the commands: the calls counted of the checked
+    path's arithmetic, `jets.mul_coeffs` (and `expr`'s binding of it), the
+    step loop (`expr._TapePoint._run`) and `Jet`'s operators on exact `Jet`s,
+    not a recording's `Node`s."""
+    calls = collections.Counter()
+
+    def counted(name, fn, exact=False):
+        def call(*args):
+            if not exact or type(args[0]) is jets.Jet:
+                calls[name] += 1
+            return fn(*args)
+        return call
+
+    codes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (jets, expr):
+            patch.setattr(module, "mul_coeffs", counted("mul_coeffs", jets.mul_coeffs))
+        patch.setattr(expr._TapePoint, "_run", counted("step loop", expr._TapePoint._run))
+        for name in _JET_OPERATORS:
+            patch.setattr(jets.Jet, name, counted("Jet", jets.Jet.__dict__[name], exact=True))
+        for argv in argv_list:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+    return codes, dict(calls)
+
+
+def test_only_the_known_paths_run_the_checked_jet_arithmetic(tmp_path, monkeypatch):
+    # with the generator on, every command on the shipped curves and on their
+    # copies without "v", and classify at order 22 on a curve with "v", runs
+    # generated code alone; the two paths known to run the checked path are
+    # named below, so that one more shows here.  Mutation: a derived curve's
+    # program that gives no answer (`recording.derived_program` -> None)
+    monkeypatch.setattr(expr, "_TAPES", {})
+    shipped = [str(CURVES / f"{name}.json") for name in ("astroid", "circle", "cusp23", "cusp37")]
+    copies = []
+    for path in shipped:
+        doc = json.loads(Path(path).read_text())
+        del doc["v"]
+        copies.append(tmp_path / Path(path).name)
+        copies[-1].write_text(json.dumps(doc))
+    out = str(tmp_path / "out.csv")
+    argv = []
+    for path in [*shipped, *map(str, copies)]:
+        curve = ["--curve", path, "--samples", "20"]
+        argv += [["check", *curve], ["curvatures", *curve, "--out", out],
+                 ["evolute", *curve, "--out", out]]
+        argv += [[kind, *curve, "--point", _POINT, "--out", out]
+                 for kind in ("pedal", "orthotomic", "caustic")]
+    classify = ["classify", "--point", "1,0,0", "--s0", "0"]
+    argv += [[*classify, "--curve", path, "--order", "22"] for path in shipped]
+    codes, calls = _checked_runs(argv)
+    assert codes.count(0) == len(codes) and calls == {}
+    # classify on a copy without "v": `recording.pedal_germs` serves only a
+    # pair read from a curve's r and v, so the germs are the `Jet` formulas
+    codes, calls = _checked_runs([[*classify, "--curve", str(copies[2])]])
+    assert codes == [0] and calls.get("Jet", 0) > 0
+    # cusp37 at orders 40 and 60: v's divisor is refused at the read's degree,
+    # and a tape step's refusal is plain, so the step loop and the formulas run
+    # to raise it again
+    codes, calls = _checked_runs([["classify", "--curve", shipped[3], "--point", "1,0,0",
+                                   "--s0", "0.5", "--order", order] for order in ("40", "60")])
+    assert codes == [3, 3] and calls.get("step loop", 0) > 0

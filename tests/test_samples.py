@@ -197,13 +197,13 @@ def test_a_larger_curve_is_read_wherever_its_parts_inline(monkeypatch):
         "v": ["0", f"({h})/{norm}", f"-({f})/{norm}"], "domain": [-1.0, 1.0]}))
     monkeypatch.setattr(expr, "_TAPES", {})
     sizes = []
-    inline_program = program.inline_program
+    inlined = program._inlined  # what `inline_program` and a read of the tapes call
 
-    def spied(steps, *args, **kw):
+    def spied(steps, *args):
         sizes.append(len(steps))
-        return inline_program(steps, *args, **kw)
+        return inlined(steps, *args)
 
-    monkeypatch.setattr(program, "inline_program", spied)
+    monkeypatch.setattr(program, "_inlined", spied)
     Q = _point(pair, "generic")
     caustic = _curves(pair, Q)[0]["catacaustic"]
     grid = linspace(pair.domain, 9)
@@ -741,7 +741,8 @@ def test_from_curve_programs_on_random_curves_are_the_formulas(r, v, s, Q):
     # binds each product's kernel, from the degree bounds its read states,
     # and never the unbound `jets.mul_coeffs`.  Mutations: a final refusal
     # for a tape step, or one whose message is not the kernel's; a read that
-    # hands its values on in another order, or states a bound one too low
+    # hands its values on in another order (`outputs[group][2 - i]` in
+    # `program._tape_read`), or states a bound one too low
     def outcomes():
         pair = LegendrePair.from_curve(ParametricCurve("random", r, (-2.0, 2.0),
                                                        dual_components=v))
@@ -766,6 +767,7 @@ def test_from_curve_programs_on_random_curves_are_the_formulas(r, v, s, Q):
         patch.setattr(expr, "_TAPES", {})
         generated, runs, functions = outcomes()
         patch.setattr(recording, "derived_program", lambda *args: None)
+        patch.setattr(expr, "_tape_read", lambda *args: None)  # the formulas on the step loop
         expected, none, _ = outcomes()
     assert runs <= {"tapes", None} and none == {None}
     assert generated == expected
