@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 
 from . import decide, jets
 from .expr import linspace
@@ -168,7 +167,8 @@ class DerivedCurve:
     undefined, and the jet): where their reads run a tape program in common
     (an auto-dual pair's; an evolute's or caustic's) both come from one
     generated call (`recording.sampled_jet_program`) where it answers, and
-    elsewhere from `at` and then `jet`, as two calls give them.
+    elsewhere from `at` and then `jet`, as two calls give them.  Each
+    subclass defines its own `at` and `jet`.
     """
 
     kind = "derived"
@@ -180,12 +180,6 @@ class DerivedCurve:
         # order -> `recording.derived_program` of this curve, None -> that of
         # `_sample`, (None, order) -> `recording.sampled_jet_program` of the two
         self._programs = {}
-
-    def at(self, s: float) -> MVec3:
-        raise NotImplementedError
-
-    def jet(self, s0: float, order: int, coeffs: bool = False, sample: bool = False) -> MVec3:
-        raise NotImplementedError
 
     def _jet(self, s0: float, order: int, coeffs: bool, sample: bool = False):
         """`jet`: from the generated functions, or from the formulas where they give no answer."""
@@ -338,13 +332,12 @@ def pedal_derivative(pair: LegendrePair, Q: MVec3, s: float) -> MVec3:
 
 
 class _InducedPair(LegendrePair):
-    """An induced pair: its r, v and mu are formulas of the source's frame and Q.
-
-    Each jet evaluator runs its formula's generated function, recorded once
-    per (class, evaluator, order, the induced pairs the source is built
-    through), or where that gives no answer the `Jet` formula, kept in
-    `_formulas`.  The evaluators hold what they read, not the pair, so a
-    pair is freed as soon as it is dropped.
+    """An induced pair: its r, v and mu are formulas of the source's frame and
+    Q, run on the source's floats, at (s), or jets, at (s0, order).  Inside a
+    derived curve's recorded function they are recorded with the curve's
+    formula (`recording.derived_program` walks the chain of induced pairs),
+    so they have no generated function of their own.  The evaluators hold
+    what they read, not the pair, so a pair is freed as soon as it is dropped.
     """
 
     def __init__(self, source: LegendrePair, Q: MVec3, point_formula, dual_formula,
@@ -352,7 +345,6 @@ class _InducedPair(LegendrePair):
         self.source = source
         self.Q = Q
 
-        # each formula runs on the source's floats, at (s), or jets, at (s0, order)
         def point(v_of):
             return lambda *at: point_formula(Q, v_of(*at))
 
@@ -363,25 +355,11 @@ class _InducedPair(LegendrePair):
                 return formula(Q, rr, vv, wedge(rr, vv))
             return value
 
-        self._formulas = formulas = (
-            point(source.v_jet), framed(dual_formula, source.r_jet, source.v_jet),
-            framed(frame_formula, source.r_jet, source.v_jet))
-        self._programs = programs = {}  # (evaluator, order) -> `recording.derived_program`
-        recorded = [_induced_formula(type(self), which) for which in range(3)]
-
-        def generated(which):
-            """Jet `which` (0 r, 1 v, 2 mu): its generated function, or its formula."""
-            def jet(s0, order):
-                out = _generated(programs, (which, order), recorded[which], source, Q, order, s0)
-                return formulas[which](s0, order) if out is None else _jet_vector(*out)
-            return jet
-
-        super().__init__(point(source.v), generated(0), framed(dual_formula, source.r, source.v),
-                         generated(1), source.domain, name=name,
-                         mu=framed(frame_formula, source.r, source.v), mu_jet=generated(2))
-
-    def ell_closed_form(self, s: float) -> float:
-        raise NotImplementedError
+        super().__init__(point(source.v), point(source.v_jet),
+                         framed(dual_formula, source.r, source.v),
+                         framed(dual_formula, source.r_jet, source.v_jet), source.domain,
+                         name=name, mu=framed(frame_formula, source.r, source.v),
+                         mu_jet=framed(frame_formula, source.r_jet, source.v_jet))
 
 
 class PedalInducedPair(_InducedPair):
@@ -415,18 +393,6 @@ class OrthotomicInducedPair(_InducedPair):
         d = inner(self.Q, self.source.r(s))
         _, m = self.source.curvatures(s)
         return -2.0 * m * math.sqrt(d * d - 1.0)
-
-
-# keyed by class and evaluator, never by the public point formulas, which a
-# tracer may rebind to wrappers after the pair classes were defined
-@lru_cache(maxsize=None)
-def _induced_formula(cls, which: int):
-    """formula(pair, Q, s0, order): jet `which` (0 r, 1 v, 2 mu) of the pair that
-    `cls` induces from pair and Q; one function per (cls, which), so that it is
-    recorded once per order and induced pairs of the source."""
-    def formula(pair, Q, s0, order):
-        return cls(pair, Q)._formulas[which](s0, order)
-    return formula
 
 
 def pedal_induced(pair: LegendrePair, Q: MVec3) -> PedalInducedPair:

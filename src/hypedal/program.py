@@ -195,10 +195,9 @@ _F_NAMES = {math.sqrt: "sqrt", math.sin: "sin", math.cos: "cos", math.sinh: "sin
 _F_SYMBOLS = {fn: op for op, fn in _F_BINARY.items()}
 
 
-def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, final=False,
-                   bounds=None):
+def inline_program(program, shapes: dict, outputs, final=False, bounds=None):
     """(function, constants) running `program`, or None where it does not
-    inline, or where it has more than `max_steps` steps.
+    inline, or where it has more than `_INLINE_STEPS` steps.
 
     `shapes` maps each input node, in the order the function takes their
     values, to 0 (a float) or w (a jet of w coefficients).  `bounds`,
@@ -210,15 +209,15 @@ def inline_program(program, shapes: dict, outputs, max_steps=_INLINE_STEPS, fina
     constant that is not a float (a `recording.Param`) stands for the value
     given in its place.
     """
-    inline = _inlined(program, shapes, outputs, max_steps, final, bounds)
+    if len(program) > _INLINE_STEPS:
+        return None
+    inline = _inlined(program, shapes, outputs, final, bounds)
     return None if inline is None else inline[:2]
 
 
-def _inlined(program, shapes: dict, outputs, max_steps, final, bounds):
+def _inlined(program, shapes: dict, outputs, final, bounds):
     """`inline_program`'s (function, constants), with each output's bound on
     its degree (None for a float) from the analysis the function is written from."""
-    if len(program) > max_steps:
-        return None
     slots = {}  # a float's bits, or a `Param` -> argument index
     consts = []
     structure = []
@@ -283,7 +282,7 @@ def _tape_read(tapes, reads: tuple):
         value = node(t, tapes[t].outputs[group][i])
         values.append(steps._node(_k_trunc, value, k) if t and k < degree else value)
     program = tuple(sorted(steps._program(values)))
-    inline = _inlined(program, {0: 0}, values, math.inf, False, None)
+    inline = _inlined(program, {0: 0}, values, False, None)
     return None if inline is None else (partial(_read, *inline[:2]), inline[2])
 
 

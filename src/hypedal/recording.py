@@ -241,15 +241,16 @@ def record(formula):
 
 # -- derived-curve formulas ----------------------------------------------------
 #
-# A derived curve's `_formula`, and each jet evaluator of an induced pair, is
-# recorded once per formula, order and the induced pairs it is built
-# through, on a pair whose values come from a curve.  Each jet (r | v,
-# order) that the formula asks of the pair the induced pairs start from is
-# an input, and the coordinates of each pedal point Q are parameters, so
-# nothing recorded depends on Q.  A sample formula (order None), such as
-# `LegendrePair.curvatures` or a derived curve's `_sample`, computes floats
-# at s from the floats r and v of that pair, and from coefficient 1 of jets
-# of order 1, an induced pair's jets recorded into it from that pair's.
+# A derived curve's `_formula` is recorded once per formula, order and the
+# induced pairs it is built through, on a pair whose values come from a
+# curve.  Each jet (r | v, order) that the formula asks of the pair the
+# induced pairs start from is an input, and the coordinates of each pedal
+# point Q are parameters, so nothing recorded depends on Q.  A sample
+# formula (order None), such as `LegendrePair.curvatures` or a derived
+# curve's `_sample`, computes floats at s from the floats r and v of that
+# pair, and from coefficient 1 of jets of order 1.  An induced pair's r, v
+# and mu jets are recorded into the formulas that read them, from that
+# pair's, and get no program of their own.
 #
 # Every program has one shape: a generated read of s, then the recording's
 # function, both run by `_run` under one guard that refuses as `jets.answer`
@@ -273,8 +274,8 @@ def record(formula):
 # gives no answer, each runs as above.
 # An evolute's formulas return its branch sign with its point, both computed
 # by steps of the program (`Node.branch_sign`), which ends, answering the
-# sign 0.0 alone, where the branch is degenerate.  Other pairs
-# (reparametrized, built by hand) get no program and run their formulas.
+# sign 0.0 alone, where the branch is degenerate.  Formulas on other pairs
+# (reparametrized, built by hand) get no program and run as written.
 
 
 def derived_program(formula, pair, Q, order: int | None):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import math
 from pathlib import Path
 
 import pytest
 
-from hypedal import expr, recording
+from hypedal import expr, frontal, recording
 from hypedal.frontal import LegendrePair
 from hypedal.io import curve_from_dict, load_curve
 from hypedal.minkowski import MVec3
@@ -13,6 +14,20 @@ from hypedal.minkowski import MVec3
 ROOT = Path(__file__).resolve().parent.parent
 CURVES = ROOT / "curves"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@contextlib.contextmanager
+def generator_off():
+    """No generated function: no derived-curve program, read of a curve's
+    points and jets (`ParametricCurve._tape_values`), auto-dual read or det
+    program."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "_TAPES", {})
+        patch.setattr(recording, "derived_program", lambda *args: None)
+        patch.setattr(recording, "pedal_det", lambda *args: None)
+        patch.setattr(expr, "_tape_read", lambda *args: None)
+        patch.setattr(frontal, "auto_dual_read", lambda *args: None)
+        yield
 
 
 @pytest.fixture

@@ -459,18 +459,6 @@ def test_generated_jets_are_the_formula_jets(which, where, astroid, cusp23, auto
                         == _outcome(lambda: formula.jet(s0, order))), (kind, s0, order)
                 generated.append(_answers(lambda: curve._program_coeffs(
                     s0, order, curve._run_program(s0, order))))
-    # the r, v and mu jets of the induced pairs, built without the off-curve
-    # check so that Q on the curve is covered too
-    for cls in (cons.PedalInducedPair, cons.OrthotomicInducedPair):
-        induced = cls(pair, Q)
-        for s0 in (a, -0.0, 0.0, 0.3, s1, 0.5 * (a + b) + 0.41, b):
-            for order in (0, 1, 2, 3, 4, 9):
-                for which, jet in enumerate((induced.r_jet, induced.v_jet, induced.mu_jet)):
-                    assert (_outcome(lambda: jet(s0, order))
-                            == _outcome(lambda: induced._formulas[which](s0, order))), \
-                        (cls.__name__, which, s0, order)
-                    program = induced._programs[which, order]
-                    generated.append(program is not None and _answers(lambda: program(s0)))
     assert sum(generated) >= 0.8 * len(generated)
 
 
@@ -509,11 +497,7 @@ def test_caustic_samples_are_those_of_the_formula(which, where, astroid, auto_pa
         return [_branch_outcome(lambda: caustic.at_with_branch(s)) for s in (*grid, s1)], caustic
 
     generated, caustic = samples()
-    induced = caustic.formula_pair
     assert read_of(caustic._programs[None]) == ("auto-dual" if "auto" in which else "tapes")
-    # the induced pair's jet functions never run: where the sample refuses,
-    # on the curve, its refusal is final
-    assert induced._programs == {}
     monkeypatch.setattr(recording, "derived_program", lambda *args: None)
     assert generated == samples()[0]
     refused = (jets.JetDomainError, "jet domain error: sqrt requires a positive constant term")

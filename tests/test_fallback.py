@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CURVES
+from conftest import CURVES, generator_off
 from hypedal import constructions as cons
-from hypedal import expr, frontal, jets, recording
+from hypedal import expr, jets
 from hypedal.cli import main
 from hypedal.frontal import LegendrePair
 from hypedal.minkowski import MVec3
@@ -89,20 +89,6 @@ def test_answer_refuses_domain_errors_only():
         assert str(answered.value) == str(checked.value)
 
 
-@contextlib.contextmanager
-def _generator_off():
-    """No generated function: no derived-curve program, read of a curve's
-    points and jets (`ParametricCurve._tape_values`), auto-dual read or det
-    program."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expr, "_TAPES", {})
-        patch.setattr(recording, "derived_program", lambda *args: None)
-        patch.setattr(recording, "pedal_det", lambda *args: None)
-        patch.setattr(expr, "_tape_read", lambda *args: None)
-        patch.setattr(frontal, "auto_dual_read", lambda *args: None)
-        yield
-
-
 _POINT = "1.5,1,0.5"
 # each command but check writes its output to a file, csv a sidecar beside
 # it; the formats differ only in what is written, so one command has all three
@@ -149,7 +135,7 @@ def test_every_command_gives_the_same_bytes_with_the_generator_off(tmp_path, mon
     paths.append(str(auto))
     monkeypatch.setattr(expr, "_TAPES", {})
     on = _runs(paths, tmp_path)
-    with _generator_off():
+    with generator_off():
         off = _runs(paths, tmp_path)
     assert [r[1] for r in on].count(0) > len(on) // 2
     for a, b in zip(on, off):
@@ -185,7 +171,7 @@ def test_a_parameter_that_is_no_finite_float_raises_as_with_the_generator_off(
     # float() refuses, or a non-finite one, raises or answers the same
     monkeypatch.setattr(expr, "_TAPES", {})
     on = _odd_outcomes(astroid_curve)
-    with _generator_off():
+    with generator_off():
         assert _odd_outcomes(astroid_curve) == on
     assert any(isinstance(o, tuple) and o[0] is TypeError for o in on)
 
@@ -234,7 +220,7 @@ def test_evolute_branches_are_those_with_the_generator_off(cusp23_curve, monkeyp
     curves = _evolutes(cusp23_curve)
     grid = [*expr.linspace(cusp23_curve.domain, 41), _degenerate_s(curves[0].pair, 0.0, 0.5)]
     on = _branch_outcomes(curves, grid)
-    with _generator_off():
+    with generator_off():
         assert _branch_outcomes(_evolutes(cusp23_curve), grid) == on
     # each branch, the flip and the degenerate parameter are met
     branches = {(curve.branch(s), curve._numerator(
@@ -287,7 +273,7 @@ def test_a_refusal_with_finite_values_raises_without_the_formula(cusp23_curve, m
     refused = (jets.JetDomainError, "jet division by vanishing germ")
     # the evolutes, each call; the caustics, from _Q, answer
     assert [on[i] for i in (0, 1, 4, 5)] == [refused] * 4
-    with _generator_off():
+    with generator_off():
         assert _lightlike_outcomes(cusp23_curve, s) == on
 
 
