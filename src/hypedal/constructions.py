@@ -197,15 +197,12 @@ class DerivedCurve:
 
     def _jet_of(self, s0: float, order: int, coeffs: bool, terms):
         """`jet` from `terms`, what `_run_program` gives at (s0, order), or from
-        `_formula_jet` where they give no answer."""
+        `_formula` on the pair's jets where they give no answer."""
         out = self._program_coeffs(s0, order, terms)
         if out is not None:
             return out[1] if coeffs else _jet_vector(*out)
-        point = self._formula_jet(s0, order)
+        point = _tested_vec(*self._point(s0, self._formula(*self._formula_args(), s0, order)))
         return tuple(list(j.coeffs) for j in point.components()) if coeffs else point
-
-    def _formula_jet(self, s0: float, order: int) -> MVec3:
-        return self._formula(*self._formula_args(), s0, order)
 
     def _sampled(self, s: float):
         """The floats `_sample` returns at s, from its generated function, or None."""
@@ -243,12 +240,20 @@ class DerivedCurve:
     def _program_coeffs(self, s0: float, order: int, terms):
         """(base, the coefficient lists of `jet`) from `terms`, what
         `_run_program` gives at (s0, order), or None where they give no answer."""
-        return terms
+        return None if terms is None else (terms[0], self._point(s0, terms[1]))
+
+    @staticmethod
+    def _point(s, out):
+        """The point's three components in `out`, what `_formula` or `_sample`
+        returns at s, or its generated function: all of it."""
+        return out
 
     def _at(self, s: float, out) -> MVec3:
-        """`at` of a curve whose sample is a point formula, `_sample`, from
-        `out`, what `_sampled` gives at s."""
-        return self._sample(*self._formula_args(), s, None) if out is None else _tested_vec(*out)
+        """`at` from `out`, what `_sampled` gives at s, or from `_sample` where
+        that is None."""
+        if out is None:
+            out = self._sample(*self._formula_args(), s, None)
+        return _tested_vec(*self._point(s, out))
 
 
 class PedalCurve(DerivedCurve):
@@ -256,11 +261,11 @@ class PedalCurve(DerivedCurve):
 
     @staticmethod
     def _formula(pair, Q, s0, order):
-        return pedal_point(Q, pair.v_jet(s0, order))
+        return pedal_point(Q, pair.v_jet(s0, order)).components()
 
     @staticmethod
     def _sample(pair, Q, s, order):
-        return pedal_point(Q, pair.v(s))
+        return pedal_point(Q, pair.v(s)).components()
 
     def at(self, s: float) -> MVec3:
         return self._at(s, self._sampled(s))
@@ -277,11 +282,11 @@ class OrthotomicCurve(DerivedCurve):
 
     @staticmethod
     def _formula(pair, Q, s0, order):
-        return orthotomic_point(Q, pair.v_jet(s0, order))
+        return orthotomic_point(Q, pair.v_jet(s0, order)).components()
 
     @staticmethod
     def _sample(pair, Q, s, order):
-        return orthotomic_point(Q, pair.v(s))
+        return orthotomic_point(Q, pair.v(s)).components()
 
     def at(self, s: float) -> MVec3:
         return self._at(s, self._sampled(s))
@@ -414,11 +419,12 @@ class EvoluteCurve(DerivedCurve):
     """Evolute of a pair; lands on H2 where m^2 > ell^2, on dS2 otherwise.
 
     On the hyperbolic branch the sign is chosen so x1 > 0 (upper sheet).
-    A jet or a sample is one generated function, of `_formula` or of
-    `_sample`: it returns the branch sign (1.0 on H2, -1.0 on dS2) with the
-    point, or the sign 0.0 alone where the branch is degenerate, which
-    raises as `_branch` does.  `_formula_jet` and `_at_with_branch` run the
-    `Jet`/`MVec3` formulas where it gives no answer.
+    Its formulas, `_formula` on jets and `_sample` on floats, return the
+    branch sign (1.0 on H2, -1.0 on dS2) with the point (`_signed`).  Each
+    runs as one generated function, which answers the sign 0.0 alone where
+    the branch is degenerate, and `EvoluteDegenerateError` is raised; where
+    it gives no answer, the formula runs on the pair's jets or floats, and
+    raises that error itself.
     """
 
     kind = "evolute"
@@ -431,103 +437,62 @@ class EvoluteCurve(DerivedCurve):
             self.kind = kind
 
     @staticmethod
-    def _squares(ell, m):
-        """(m^2, ell^2, d2 = m^2 - ell^2), for floats and jets."""
-        mm = m * m
-        ll = ell * ell
-        return mm, ll, mm - ll
-
-    @staticmethod
-    def _branch(s, mm, ll) -> Branch:
-        """The branch of the constant terms of m^2 and ell^2, whose difference is d2's."""
-        mm, ll = jets.constant_part(mm), jets.constant_part(ll)
-        d2 = mm - ll
-        if decide.degenerate(d2, mm, ll):
-            raise _degenerate(s)
-        return Branch.H2 if d2 > 0.0 else Branch.DS2
-
-    def _branch_split(self, s, ell, m):
-        mm, ll, d2 = self._squares(ell, m)
-        return self._branch(s, mm, ll), d2
-
-    @staticmethod
-    def _place(branch, d2, num):
-        """The evolute point num / sqrt(|d2|), num = m r - ell v, on the upper
-        sheet on the hyperbolic branch, for floats and jets."""
-        point = num / jets.sqrt(d2 if branch is Branch.H2 else -d2)
-        if branch is Branch.H2 and jets.constant_part(point.x1) < 0.0:
-            return -point
-        return point
-
-    @staticmethod
     def _numerator(ell, m, r, v):
         """m r - ell v, for floats and jets."""
         return m * r - ell * v
 
     @staticmethod
-    def _signed(ell, m, num):
-        """(branch sign, the point's components): `_branch` and `_place` as
-        recorded on `recording.Node`s or `Scalar`s, whose signs are steps
-        of the program (`program._f_branch`)."""
-        mm, ll, d2 = EvoluteCurve._squares(ell, m)
-        sign = mm.branch_sign(ll)
-        point = num / jets.sqrt(d2.flip(sign))
-        upper = sign.sheet_sign(point.x1)
-        return (sign, *(c.flip(upper) for c in point.components()))
+    def _signed(s, ell, m, r, v):
+        """(branch sign, the point's components): the point (m r - ell v) /
+        sqrt(sign (m^2 - ell^2)), flipped to the upper sheet on the
+        hyperbolic branch, for floats, jets and a recording's values, whose
+        signs are steps of the program (`program._f_branch`).  The branch is
+        decided before m r - ell v is formed, and a degenerate one raises at
+        s (a recording ends there instead)."""
+        mm = m * m
+        ll = ell * ell
+        d2 = mm - ll
+        sign = _branch_sign(s, mm, ll)
+        point = EvoluteCurve._numerator(ell, m, r, v) / jets.sqrt(_flip(d2, sign))
+        upper = _sheet_sign(sign, point.x1)
+        return (sign, *(_flip(c, upper) for c in point.components()))
 
     @classmethod
     def _formula(cls, pair, Q, s0, order):
-        """The recorded jet of the evolute, with its branch sign."""
+        """The jet of the evolute, with its branch sign."""
         ell, m, rj, vj = pair._curvature_frame_jets(s0, order)
-        return cls._signed(ell, m, cls._numerator(ell, m, _truncate(rj, order),
-                                                  _truncate(vj, order)))
+        return cls._signed(s0, ell, m, _truncate(rj, order), _truncate(vj, order))
 
     @classmethod
     def _sample(cls, pair, Q, s, order):
-        """The recorded sample of the evolute, with its branch sign."""
+        """The sample of the evolute, with its branch sign."""
         ell, m = pair.curvatures(s)
-        return cls._signed(ell, m, cls._numerator(ell, m, pair.r(s), pair.v(s)))
+        return cls._signed(s, ell, m, pair.r(s), pair.v(s))
 
     def _formula_args(self):
         return self.formula_pair, None
 
-    def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
-        return self._at_with_branch(s, self._sampled(s))
+    @staticmethod
+    def _point(s, out):
+        """The point's components, after the branch sign; raises where that
+        is 0.0, degenerate."""
+        return _answered(s, out)[1:]
 
-    def _at_with_branch(self, s: float, out) -> tuple[MVec3, Branch]:
-        """`at_with_branch` from `out`, what `_sampled` gives at s."""
-        if out is not None:
-            sign, *point = _answered(s, out)
-            return _tested_vec(*point), _BRANCHES[sign]
-        ell, m = self.formula_pair.curvatures(s)
-        branch, d2 = self._branch_split(s, ell, m)
-        r = self.formula_pair.r(s)
-        v = self.formula_pair.v(s)
-        return self._place(branch, d2, self._numerator(ell, m, r, v)), branch
+    def at_with_branch(self, s: float) -> tuple[MVec3, Branch]:
+        out = self._sampled(s)
+        if out is None:
+            out = self._sample(*self._formula_args(), s, None)
+        sign, *point = _answered(s, out)
+        return _tested_vec(*point), _BRANCHES[sign]
 
     def at(self, s: float) -> MVec3:
         return self.at_with_branch(s)[0]
-
-    def _at(self, s: float, out) -> MVec3:
-        return self._at_with_branch(s, out)[0]
 
     def branch(self, s: float) -> Branch:
         return self.at_with_branch(s)[1]
 
     def jet(self, s0: float, order: int, coeffs: bool = False, sample: bool = False) -> MVec3:
         return self._jet(s0, order, coeffs, sample)
-
-    def _formula_jet(self, s0: float, order: int) -> MVec3:
-        ell, m, rj, vj = self.formula_pair._curvature_frame_jets(s0, order)
-        branch, d2 = self._branch_split(s0, ell, m)
-        num = self._numerator(ell, m, _truncate(rj, order), _truncate(vj, order))
-        return self._place(branch, d2, num)
-
-    def _program_coeffs(self, s0: float, order: int, terms):
-        if terms is None:
-            return None
-        base, out = terms
-        return base, _answered(s0, out)[1:]
 
 
 _BRANCHES = {1.0: Branch.H2, -1.0: Branch.DS2}  # of a branch sign
@@ -538,11 +503,39 @@ def _degenerate(s) -> EvoluteDegenerateError:
 
 
 def _answered(s, out):
-    """What an evolute's generated function answered at s, (branch sign, the
-    point's components); raises where the sign is 0.0, degenerate."""
+    """What an evolute's formula or its generated function answered at s,
+    (branch sign, the point's components); raises where the sign is 0.0,
+    degenerate."""
     if not out[0]:
         raise _degenerate(s)
     return out
+
+
+# The evolute's signs (`decide.branch_sign`, `decide.upper_sheet`) and a flip
+# by one, on floats and jets, or as steps of a recording where an operand is
+# one of its values (`recording.Node`).
+def _branch_sign(s, mm, ll):
+    """The branch sign of m^2 and ell^2, raising at s where it is 0.0."""
+    if hasattr(mm, "recording"):
+        return mm.branch_sign(ll)
+    sign = decide.branch_sign(jets.constant_part(mm), jets.constant_part(ll))
+    if not sign:
+        raise _degenerate(s)
+    return sign
+
+
+def _sheet_sign(sign, x1):
+    if hasattr(sign, "recording"):
+        return sign.sheet_sign(x1)
+    return decide.upper_sheet(sign, jets.constant_part(x1))
+
+
+def _flip(x, sign):
+    """x times a sign, +-1.0: its negation where that is -1.0, so a jet's
+    zeros keep their signs as on the tape (`Jet.__mul__` would add 0.0)."""
+    if hasattr(sign, "recording"):
+        return x.flip(sign)
+    return -x if sign < 0.0 else x
 
 
 def evolute(pair: LegendrePair) -> EvoluteCurve:

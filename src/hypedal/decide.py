@@ -29,6 +29,14 @@ refuses_sqrt = eval("lambda a0: " + SQRT_REFUSED.format(a0="a0"))
 # a nan d2: `constructions.EvoluteCurve` tests the function, `hypedal.program` emits the template.
 DEGENERATE = f"abs({{d2}}) <= {DEGENERACY_RTOL!r} * max({{mm}}, {{ll}}, 1.0)"
 degenerate = eval("lambda d2, mm, ll: " + DEGENERATE.format(d2="d2", mm="mm", ll="ll"))
+# The evolute's signs, each +-1.0: its branch, 1.0 (hyperbolic) where d2 > 0.0, once d2 is not
+# `DEGENERATE` (`branch_sign`); and the upper-sheet sign of a branch sign and the point's x1, -1.0
+# where a hyperbolic point lies below the sheet.  `hypedal.program` emits the templates, its
+# step functions and `constructions.EvoluteCurve` call the functions.
+BRANCH = "1.0 if {d2} > 0.0 else -1.0"
+SHEET = "-1.0 if {sign} > 0.0 and {x1} < 0.0 else 1.0"
+on_branch = eval("lambda d2: " + BRANCH.format(d2="d2"))
+upper_sheet = eval("lambda sign, x1: " + SHEET.format(sign="sign", x1="x1"))
 
 
 def first_nonzero(coeffs, tol: float, stop: int | None = None) -> int | None:
@@ -44,3 +52,10 @@ def first_nonzero(coeffs, tol: float, stop: int | None = None) -> int | None:
 def coincident(d: float, tol: float) -> bool:
     """Q = r, for upper-sheet points Q and r with d = <Q, r>: |d + 1| <= tol * max(1, |d|)."""
     return abs(d + 1.0) <= tol * max(1.0, abs(d))
+
+
+def branch_sign(mm: float, ll: float) -> float:
+    """The evolute's branch sign of the constant terms of m^2 and ell^2: 0.0
+    where their difference d2 is `DEGENERATE`, else `BRANCH` of it."""
+    d2 = mm - ll
+    return 0.0 if degenerate(d2, mm, ll) else on_branch(d2)

@@ -44,11 +44,6 @@ def _const(vec: MVec3) -> MVec3:
     return vec.map(jets.constant_part)
 
 
-def _ell_m(rj: MVec3, vj: MVec3, mu: MVec3):
-    """(ell, m) = (<r', mu>, <v', mu>), from jets of r and v one order above mu's."""
-    return inner(_d(rj), mu), inner(_d(vj), mu)
-
-
 def _coeff(vec: MVec3, k: int) -> MVec3:
     """The k-th Taylor coefficients of a jet vector."""
     return MVec3(vec.x1.coeffs[k], vec.x2.coeffs[k], vec.x3.coeffs[k])
@@ -176,10 +171,12 @@ class LegendrePair:
         return ell, m
 
     def _curvature_frame_jets(self, s0: float, order: int):
-        """(ell, m, r, v) at s0; r and v are the order + 1 jets that ell and m need."""
+        """(ell, m, r, v) at s0: (<r', mu>, <v', mu>), from the order + 1 jets
+        of r and v that they need, and those jets."""
         rj = self._r_jet(s0, order + 1)
         vj = self._v_jet(s0, order + 1)
-        return (*_ell_m(rj, vj, self.mu_jet(s0, order)), rj, vj)
+        mu = self.mu_jet(s0, order)
+        return inner(_d(rj), mu), inner(_d(vj), mu), rj, vj
 
     # -- validation --------------------------------------------------------
 
@@ -415,7 +412,7 @@ def _jet_degree(order) -> int:
 
 def _derivative(r) -> list:
     """The coefficient lists of r', as `Jet.d_ds` computes them from r's."""
-    return [[(i + 1) * c[i + 1] for i in range(len(c) - 1)] for c in r]
+    return [jets.derivative_coeffs(c) for c in r]
 
 
 def _unit_normal(r: MVec3, w: MVec3) -> MVec3:

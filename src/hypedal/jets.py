@@ -79,10 +79,6 @@ class Jet(Value):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def value(self) -> float:
-        return self.coeffs[0]
-
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot truncate to a higher order")
@@ -92,7 +88,7 @@ class Jet(Value):
         """Jet of the derivative germ; the order drops by one."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return _jet(self.base, tuple([(i + 1) * self.coeffs[i + 1] for i in range(self.order)]))
+        return _jet(self.base, tuple(derivative_coeffs(self.coeffs)))
 
     def eval_at_offset(self, h: float) -> float:
         """Value of the truncated polynomial at base + h."""
@@ -263,6 +259,11 @@ def mul_coeffs(a, b) -> list:
     """
     n = len(a) - 1
     return _mul_kernel(n, n)(a, b)
+
+
+def derivative_coeffs(a) -> list:
+    """The derivative's coefficients, d_i = (i + 1) a_(i + 1), one fewer."""
+    return [(i + 1) * a[i + 1] for i in range(len(a) - 1)]
 
 
 def div_coeffs(a, b) -> list:

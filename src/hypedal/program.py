@@ -129,8 +129,7 @@ _INLINE_STEPS = 400  # longer programs (long power chains) keep the step loop
 # what `Jet.d_ds` and `Jet.truncate` compute, the steps that only recorded
 # formulas take
 def _k_d(v, x, y):
-    a = v[x]
-    return [(i + 1) * a[i + 1] for i in range(len(a) - 1)]
+    return jets.derivative_coeffs(v[x])
 
 
 def _k_trunc(v, x, order):
@@ -148,23 +147,18 @@ def _f_const(v, x, c):
 
 
 # the evolute's signs, the steps that only its recorded formula takes:
-# - the branch sign of m^2 (node x) and ell^2 (node y), from their constant
-#   terms: 1.0 where d2 = m^2 - ell^2 > 0.0 (the hyperbolic branch), 0.0
-#   where `decide.DEGENERATE` holds, which ends the program, and -1.0 else;
-# - the upper-sheet sign of a branch sign (x) and the point's x1 (y): -1.0
-#   on the hyperbolic branch where x1's constant term is below 0.0, else 1.0;
+# - `decide.branch_sign` of m^2 (node x) and ell^2 (node y), from their
+#   constant terms, whose 0.0, degenerate, ends the program;
+# - `decide.upper_sheet` of a branch sign (x) and the point's x1 (y), from
+#   x1's constant term;
 # - a jet flipped by such a sign, each coefficient times +-1.0, which keeps
 #   the sign of zero as a negation does (a product's + 0.0 would not).
 def _f_branch(v, x, y):
-    mm, ll = _lead(v[x]), _lead(v[y])
-    d2 = mm - ll
-    if decide.degenerate(d2, mm, ll):
-        return 0.0
-    return 1.0 if d2 > 0.0 else -1.0
+    return decide.branch_sign(_lead(v[x]), _lead(v[y]))
 
 
 def _f_sheet(v, x, y):
-    return -1.0 if v[x] > 0.0 and _lead(v[y]) < 0.0 else 1.0
+    return decide.upper_sheet(v[x], _lead(v[y]))
 
 
 def _k_flip(v, x, y):
@@ -635,10 +629,10 @@ def _sign_lines(fn, out: str, p: str, q: str, finite: str) -> list:
     q of what it reads; where the branch sign is 0.0, degenerate, the function
     ends with (0.0,) (`_ended`)."""
     if fn is _f_sheet:
-        return [f"{out} = -1.0 if {p} > 0.0 and {q} < 0.0 else 1.0"]
+        return [f"{out} = {decide.SHEET.format(sign=p, x1=q)}"]
     return [f"{out} = {p} - {q}",
             f"if {decide.DEGENERATE.format(d2=out, mm=p, ll=q)}: return {_ended('(0.0,)', finite)}",
-            f"{out} = 1.0 if {out} > 0.0 else -1.0"]
+            f"{out} = {decide.BRANCH.format(d2=out)}"]
 
 
 # The compiler's memory grows with the source it compiles, about 100 bytes a

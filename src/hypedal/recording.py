@@ -21,9 +21,9 @@ from . import jets
 from .expr import (
     _F_BINARY, _f_call, _k_add, _k_div, _k_lift, _k_mul, _k_neg, _k_sqrt, _k_sub, _Steps,
 )
-from .frontal import LegendrePair, _ell_m, _jet_degree, _truncate, _unit_normal, auto_dual_read
+from .frontal import LegendrePair, _jet_degree, _unit_normal, auto_dual_read
 from .jets import Jet, JetDomainError, answer, require_finite
-from .minkowski import MVec3, wedge
+from .minkowski import MVec3
 from .program import (
     INLINE_WIDTH, _f_branch, _f_const, _f_sheet, _k_coeff, _k_d, _k_flip, _k_trunc, inline_program,
     tape_read,
@@ -112,7 +112,8 @@ class Node(Jet):
         return tuple(Scalar(self.recording, self.recording._node(_k_coeff, self.node, k))
                      for k in range(self.width))
 
-    # the evolute's signs, which only recorded formulas compute (see `program._f_branch`)
+    # the evolute's signs as steps (see `program._f_branch`); on floats and
+    # jets its formulas compute them with `constructions._branch_sign` and the like
     def branch_sign(self, ll):
         """The branch sign of this m^2 and of ell^2, a `Scalar`."""
         return Scalar(self.recording, self.recording._node(_f_branch, self.node, ll.node))
@@ -274,8 +275,10 @@ def record(formula):
 # gives no answer, each runs as above.
 # An evolute's formulas return its branch sign with its point, both computed
 # by steps of the program (`Node.branch_sign`), which ends, answering the
-# sign 0.0 alone, where the branch is degenerate.  Formulas on other pairs
-# (reparametrized, built by hand) get no program and run as written.
+# sign 0.0 alone, where the branch is degenerate; run as written, the same
+# formulas raise there.  `classify_pedal`'s germs (`_germs`) are recorded as
+# a derived curve's formula is, on a pair of either kind.  Formulas on other
+# pairs (reparametrized, built by hand) get no program and run as written.
 
 
 def derived_program(formula, pair, Q, order: int | None):
@@ -503,15 +506,11 @@ def _on_pair(formula, kinds: tuple, with_q: bool, order: int | None):
 def pedal_germs(pair, Q, s0, order: int):
     """(base, ell, m, P): the coefficient lists of the curvature jets of order
     `order` at s0 and of the pedal germ's three components, from the
-    generated function of a `from_curve` pair; None where that gives no
-    answer, and for other pairs, whose jets at `order` need not be those at
-    order + 1 truncated (`AutoDual` factors r' by its vanishing power, read
-    at a depth that grows with the order).  r and v are read once, at
-    order + 1.  The error of a final refusal is returned, not raised: only
-    P divides, so the formulas raise it after `classify_pedal`'s
-    `location_case`."""
-    if pair._curve is None:
-        return None
+    generated function of `_germs` on a pair read from a curve, its r and v
+    or an auto-dual pair's (`derived_program`); None where that gives no
+    answer or there is none.  The error of a final refusal is returned, not
+    raised: only P divides, so the formulas raise it after
+    `classify_pedal`'s `location_case`."""
     program = derived_program(_germs, pair, Q, order)
     try:
         out = None if program is None else program(s0)
@@ -524,16 +523,12 @@ def pedal_germs(pair, Q, s0, order: int):
 
 
 def _germs(pair, Q, s0, order):
-    """`LegendrePair.curvature_jets` and the pedal germ P = `pedal_point`(Q, v),
-    with r and v at order truncated from the jets at order + 1 that ell and m
-    need: where those are defined, the jets at order of a `from_curve` pair
-    are their truncations."""
+    """The formulas that `classify_pedal` falls back to: ell and m,
+    `LegendrePair.curvature_jets`, and the pedal germ P = `pedal_point`(Q, v),
+    all of order `order`."""
     from .constructions import pedal_point
 
-    rj = pair.r_jet(s0, order + 1)
-    vj = pair.v_jet(s0, order + 1)
-    v = _truncate(vj, order)
-    return (*_ell_m(rj, vj, wedge(_truncate(rj, order), v)), *pedal_point(Q, v).components())
+    return (*pair.curvature_jets(s0, order), *pedal_point(Q, pair.v_jet(s0, order)).components())
 
 
 def pedal_det(P: list):

@@ -191,7 +191,9 @@ def classify_pedal(pair: LegendrePair, Q: MVec3, s0: float,
     """
     require_upper_sheet(Q, "pedal point")
     # the jets from generated functions where they give an answer (see
-    # `recording.pedal_germs`), or else from the `Jet` formulas
+    # `recording.pedal_germs`), or else from the `Jet` formulas that they
+    # record (`recording._germs`), run in two parts, so that P's error is
+    # raised after the germ decisions, as a final refusal is below
     from .recording import pedal_germs
 
     germs = pedal_germs(pair, Q, s0, order)

@@ -50,7 +50,6 @@ _REPARAMETRIZED = "of `reparametrized`, which acceptance criterion 7 calls"
 _GRAMMAR = "a tape step of grammar that no shipped curve uses on jets"
 _JET_API = "a `Jet` method of the library API (`hypedal.Jet`), which the formulas do not call"
 _VALUES = "the value classes' shared behaviour, which tests/test_values.py pins"
-_CHECKED = "the checked path, where a generated function refuses plainly (ROADMAP item 20)"
 _STEP_LOOP = "a tape step that the step loop runs where a read gives no answer"
 
 # (module, qualified name): why it stays, though no command enters it
@@ -70,7 +69,6 @@ NEVER = {
     ("frontal", "reparametrized.<locals>.v"): _REPARAMETRIZED,
     ("jets", "Jet._sin_cos"): _JET_API,
     ("jets", "Jet._sinh_cosh"): _JET_API,
-    ("jets", "Jet.value"): _JET_API,
     ("jets", "_sinh_cosh_kernel"): "the kernel of sinh and cosh, which no shipped curve uses",
     ("jets", "sinh_cosh_coeffs"): "the kernel of sinh and cosh, which no shipped curve uses",
     ("jets", "refused_sqrt"): "a final refusal of a square root, which no command meets",
@@ -99,16 +97,15 @@ NEVER = {
 # (module, qualified name): why it stays, though only the run with the
 # generator off enters it
 OFF_ONLY = {
-    ("constructions", "DerivedCurve._formula_jet"): _CHECKED,
-    ("constructions", "EvoluteCurve._branch"): _CHECKED,
-    ("constructions", "EvoluteCurve._branch_split"): _CHECKED,
-    ("constructions", "EvoluteCurve._formula_jet"): _CHECKED,
-    ("constructions", "EvoluteCurve._place"): _CHECKED,
+    ("decide", "branch_sign"): "the evolute's branch rule as the checked path runs it; "
+                               "generated code emits its template, `decide.BRANCH`",
     ("expr", "_f_call"): _STEP_LOOP,
     ("expr", "_f_pow"): _STEP_LOOP,
     ("expr", "_k_half"): _STEP_LOOP,
     ("expr", "_k_pair"): _STEP_LOOP,
     ("expr", "_k_sub"): _STEP_LOOP,
+    ("jets", "_scalar"): "lifts a scalar operand of a `Jet` operator, which only the checked "
+                         "path's formulas run",
     ("jets", "sin_cos_coeffs"): "the kernel of sin and cos, which the step loop runs",
 }
 

@@ -255,7 +255,7 @@ def test_a_refusal_with_finite_values_raises_without_the_formula(cusp23_curve, m
     # refusal emitted without the test that every value so far is finite
     s = 0.45888662338256836
     calls = []
-    formula_jet, div_coeffs = cons.EvoluteCurve._formula_jet, jets.div_coeffs
+    formula, div_coeffs = cons.EvoluteCurve._formula, jets.div_coeffs
 
     def counted(name, fn):
         def call(*args):
@@ -263,9 +263,14 @@ def test_a_refusal_with_finite_values_raises_without_the_formula(cusp23_curve, m
             return fn(*args)
         return call
 
+    def formula_at_s(cls, pair, Q, s0, order):
+        if s0 == s:  # on the pair's jets; a recording runs it at 0.0
+            calls.append("_formula")
+        return formula(pair, Q, s0, order)
+
     monkeypatch.setattr(expr, "_TAPES", {})
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cons.EvoluteCurve, "_formula_jet", counted("_formula_jet", formula_jet))
+        patch.setattr(cons.EvoluteCurve, "_formula", classmethod(formula_at_s))
         for module in (jets, expr):  # `Jet` division, and the tape's step loop
             patch.setattr(module, "div_coeffs", counted("div_coeffs", div_coeffs))
         on = _lightlike_outcomes(cusp23_curve, s)
@@ -311,9 +316,9 @@ def _checked_runs(argv_list) -> tuple:
 
 def test_only_the_known_paths_run_the_checked_jet_arithmetic(tmp_path, monkeypatch):
     # with the generator on, every command on the shipped curves and on their
-    # copies without "v", and classify at order 22 on a curve with "v", runs
-    # generated code alone; the two paths known to run the checked path are
-    # named below, so that one more shows here.  Mutation: a derived curve's
+    # copies without "v", classify at order 22 included, runs generated code
+    # alone; the one path known to run the checked path is named below, so
+    # that one more shows here.  Mutation: a derived curve's
     # program that gives no answer (`recording.derived_program` -> None)
     monkeypatch.setattr(expr, "_TAPES", {})
     shipped = [str(CURVES / f"{name}.json") for name in ("astroid", "circle", "cusp23", "cusp37")]
@@ -332,16 +337,16 @@ def test_only_the_known_paths_run_the_checked_jet_arithmetic(tmp_path, monkeypat
         argv += [[kind, *curve, "--point", _POINT, "--out", out]
                  for kind in ("pedal", "orthotomic", "caustic")]
     classify = ["classify", "--point", "1,0,0", "--s0", "0"]
-    argv += [[*classify, "--curve", path, "--order", "22"] for path in shipped]
+    argv += [[*classify, "--curve", str(path), "--order", "22"] for path in [*shipped, *copies]]
     codes, calls = _checked_runs(argv)
     assert codes.count(0) == len(codes) and calls == {}
-    # classify on a copy without "v": `recording.pedal_germs` serves only a
-    # pair read from a curve's r and v, so the germs are the `Jet` formulas
-    codes, calls = _checked_runs([[*classify, "--curve", str(copies[2])]])
-    assert codes == [0] and calls.get("Jet", 0) > 0
     # cusp37 at orders 40 and 60: v's divisor is refused at the read's degree,
     # and a tape step's refusal is plain, so the step loop and the formulas run
-    # to raise it again
+    # to raise it again; on the copy without "v", the auto-dual read's dual
+    # jet refuses its divisor plainly, so the `Jet` formulas run to raise it
     codes, calls = _checked_runs([["classify", "--curve", shipped[3], "--point", "1,0,0",
                                    "--s0", "0.5", "--order", order] for order in ("40", "60")])
     assert codes == [3, 3] and calls.get("step loop", 0) > 0
+    codes, calls = _checked_runs([["classify", "--curve", str(copies[3]), "--point", "1,0,0",
+                                   "--s0", "0.5", "--order", order] for order in ("40", "60")])
+    assert codes == [3, 3] and calls.get("Jet", 0) > 0

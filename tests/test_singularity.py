@@ -276,15 +276,19 @@ def _draws(pair, name, where):
 
 
 @pytest.mark.parametrize("where", ["generic", "on the curve", "on the tangent geodesic"])
-@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37"])
+@pytest.mark.parametrize("name", ["astroid", "circle", "cusp23", "cusp37", "astroid no v",
+                                  "circle no v", "cusp23 no v", "cusp37 no v"])
 def test_generated_germs_are_the_jet_formulas(name, where, golden_pairs, monkeypatch):
-    # a from_curve pair's ell, m, pedal germ P and det(P, P', P'') come from
-    # generated functions; the `Jet` formulas must give the same bits, and
-    # the generated functions no answer, or the error of a final refusal,
-    # only where those raise it.  Mutations:
-    # the pedal germ read from r, the tape's r and v swapped
-    pair = golden_pairs[name]
-    draws = _draws(pair, name, where)
+    # the ell, m, pedal germ P and det(P, P', P'') of a pair read from a
+    # curve, its r and v or, on a copy without "v", an auto-dual pair's, come
+    # from generated functions; the `Jet` formulas must give the same bits,
+    # and the generated functions no answer, or the error of a final
+    # refusal, only where those raise it.  Mutations: the pedal germ read
+    # from r, the tape's r and v swapped, the auto-dual read's duals unsigned
+    shipped = name.split()[0]
+    pair = (LegendrePair.with_auto_dual(load_curve(CURVES / f"{shipped}.json"))
+            if name.endswith("no v") else golden_pairs[name])
+    draws = _draws(pair, shipped, where)
     generated = []
     for Q, s0, order in draws:
         def formulas():
@@ -326,7 +330,8 @@ def _overflow_pair():
                                   "no v", "no v order 60", "det"])
 def test_generated_germs_fall_back_to_the_jet_formulas(case, cusp37, cusp37_curve, monkeypatch):
     # where a generated function gives no answer, or a pair has none, the
-    # `Jet` formulas run and return or raise what they did before
+    # `Jet` formulas run and return or raise what they did before; on a copy
+    # without "v" at order 22 the generated germs answer, as the formulas do
     Q, s0, order = MVec3(1.0, 0.0, 0.0), 0.5, 22
     pair = cusp37
     error = None
@@ -344,7 +349,8 @@ def test_generated_germs_fall_back_to_the_jet_formulas(case, cusp37, cusp37_curv
     else:  # det(P, P', P'') from the `Jet` formula, Q = r(0)
         monkeypatch.setattr(recording, "pedal_det", lambda P: None)
         s0 = 0.0
-    assert recording.pedal_germs(pair, Q, s0, order) is None or case == "det"
+    germs = recording.pedal_germs(pair, Q, s0, order)
+    assert (germs is not None) == (case == "no v") or case == "det"
     outcome = _report_outcome(lambda: classify_pedal(pair, Q, s0, order))
     if case == "det":
         assert "measured=(7, 11)" in outcome
@@ -392,7 +398,7 @@ def test_generated_code_stops_at_the_maximum_order(what, cusp23):
         assert curve._run_program(s0, top) is not None
         assert curve._run_program(s0, top + 1) is None
         assert _report_outcome(lambda: curve.jet(s0, top + 1)) == error
-        assert _report_outcome(lambda: curve._formula_jet(s0, top + 1)) == error
+        assert _report_outcome(lambda: curve._formula(*curve._formula_args(), s0, top + 1)) == error
     else:  # reads r and v at order + 1
         assert recording.pedal_germs(cusp23, Q, s0, top - 1) is not None
         assert recording.pedal_germs(cusp23, Q, s0, top) is None
